@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from . import geom
 from .cover import BranchCutLayout, Cut, build_cover, sheet_lift_map
-from .errors import NotRealizable, ParityViolation, SlopeTie, ToricNetsError
+from .errors import (InvariantViolated, NotRealizable, ParityViolation,
+                     SlopeTie, ToricNetsError)
 from .multisection import (classify_two_fold, intersection_cones,
                            n_genericity, parity_and_realizability, validate)
 from .network import (SpectralNetwork, Wall, branch_point_arms,
@@ -261,7 +262,9 @@ def build_network(tms, disk):
     walls = []
     for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
         he = half_edge_of_boundary_point(disk.polytope, poly[-1])
-        assert he is not None and he[0] == end_edge
+        if he is None or he[0] != end_edge:
+            raise InvariantViolated(
+                f"wall {wid} does not land inside a half-edge of edge {end_edge}")
         cone = he[1]
         label = _label_from_slopes(tms, lift, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
@@ -273,8 +276,9 @@ def build_network(tms, disk):
     for bi in range(len(branch_points)):
         arms = branch_point_arms(net, bi)
         labels = [w.label for w in arms]
-        assert len(labels) == 3 and labels[0] == labels[2] != labels[1], \
-            f"branch point {bi} labels {labels} do not alternate"
+        if not (len(labels) == 3 and labels[0] == labels[2] != labels[1]):
+            raise InvariantViolated(
+                f"branch point {bi} labels {labels} do not alternate")
 
     report = validate_network(net, tms, cover)
     if not report.ok:

@@ -374,6 +374,9 @@ def sheet_lift_map(tms, cover: SheetedSurface):
 
     lift = {}
     base_lifts = tms.lifts_of_cone(0)
+    if len(base_lifts) < cover.r:
+        raise NoSharedLift(
+            f"cone 0 has {len(base_lifts)} lifts for {cover.r} sheets")
     for s in range(cover.r):
         lift[(0, s)] = base_lifts[s].id
     for i in range(1, n):

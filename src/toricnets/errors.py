@@ -112,6 +112,10 @@ class LoopIdentityFailed(ToricNetsError):
     pass
 
 
+class InvariantViolated(ToricNetsError):
+    """An internal invariant of the construction does not hold."""
+
+
 # --- I/O ------------------------------------------------------------------
 
 class ParseError(ToricNetsError):

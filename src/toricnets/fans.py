@@ -208,10 +208,12 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
                 f"support function is not strictly convex across ray {(i + 2) % n}")
     vertices = [_vertex_for_cone(fan, phi, i) for i in range(n)]
     poly = Polytope(fan, phi, vertices)
-    # Half-space/vertex consistency (cheap and worth asserting on build).
+    # Half-space/vertex consistency (cheap and worth checking on build).
     for x in vertices:
         for j in range(n):
-            assert geom.dot(x, fan.ray(j)) >= phi[j]
+            if geom.dot(x, fan.ray(j)) < phi[j]:
+                raise NotStrictlyConvex(
+                    f"vertex {x} violates the half-plane of ray {j}")
     return poly
 
 

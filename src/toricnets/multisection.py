@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geom
-from .errors import NotTwoFold
+from .errors import NotTwoFold, SlopeTie
 from .reporting import ValidationReport
 
 
@@ -151,11 +151,6 @@ def classify_two_fold(tms: TropicalMultiSection) -> CoverClass:
     raise NotTwoFold(f"unexpected lifted circle structure {cycles}")
 
 
-def _cyclic_sign_changes(signs):
-    n = len(signs)
-    return sum(1 for i in range(n) if signs[i] != signs[(i + 1) % n])
-
-
 def _lifted_ray_between(tms, a_id, b_id):
     for r in tms.lifted_rays:
         if r.src == a_id and r.dst == b_id:
@@ -166,77 +161,45 @@ def _lifted_ray_between(tms, a_id, b_id):
 def n_genericity(tms: TropicalMultiSection) -> int:
     """Transverse intersection count N of the two sheet graphs.
 
-    Case O: walk the single lifted circle; at each of the 2n lifted rays
-    take d = (value here) - (value at the antipodal lifted ray); N is half
-    the number of cyclic sign changes.  Case E: d = (value on circle 1) -
-    (value on circle 2) over each of the n base rays; N is the number of
-    cyclic sign changes.  Separatedness makes every d nonzero.
+    Each transverse crossing lies in exactly one base maximal cone, so N
+    is the number of ``intersection_cones``.
     """
-    cls = classify_two_fold(tms)
-    if cls.tag == "O":
-        cyc = cls.cycles[0]
-        n2 = len(cyc)
-        values = []
-        for k in range(n2):
-            r = _lifted_ray_between(tms, cyc[k], cyc[(k + 1) % n2])
-            values.append(tms.ray_value(r))
-        half = n2 // 2
-        diffs = [values[k] - values[(k + half) % n2] for k in range(n2)]
-        assert all(d != 0 for d in diffs), "separatedness should forbid ties"
-        changes = _cyclic_sign_changes([d > 0 for d in diffs])
-        assert changes % 2 == 0
-        return changes // 2
-    c1, c2 = cls.cycles
-    n = tms.fan.n
-    diffs = []
-    for i in range(n):
-        over = tms.rays_over(i)
-        val = {}
-        for r in over:
-            which = 1 if r.dst in c1 else 2
-            val[which] = tms.ray_value(r)
-        diffs.append(val[1] - val[2])
-    assert all(d != 0 for d in diffs), "separatedness should forbid ties"
-    return _cyclic_sign_changes([d > 0 for d in diffs])
+    return len(intersection_cones(tms))
 
 
 def intersection_cones(tms: TropicalMultiSection):
-    """Base maximal cones where the two sheet graphs cross.
+    """Base maximal cones where the two sheet graphs cross, sorted.
 
-    These are the cones whose two bounding lifted rays (along one lift)
-    carry opposite d-signs; there are exactly N of them.
+    Case O: walk the single lifted circle; at each of the 2n lifted rays
+    take d = (value here) - (value at the antipodal lifted ray).  Case E:
+    d = (value on circle 1) - (value on circle 2) over each of the n base
+    rays.  A cyclic sign change of d between consecutive rays puts a
+    crossing in the base cone between them; in case O the antipodal sign
+    change names the same cone.  Separatedness makes every d nonzero;
+    SlopeTie is raised otherwise.
     """
     cls = classify_two_fold(tms)
     n = tms.fan.n
     if cls.tag == "O":
         cyc = cls.cycles[0]
-        n2 = len(cyc)
-        half = n2 // 2
-        values = []
-        for k in range(n2):
-            r = _lifted_ray_between(tms, cyc[k], cyc[(k + 1) % n2])
-            values.append((r.ray, tms.ray_value(r)))
-        diffs = [values[k][1] - values[(k + half) % n2][1] for k in range(n2)]
-        cones = []
-        for k in range(n2):
-            if (diffs[k] > 0) != (diffs[(k + 1) % n2] > 0):
-                # flip happens inside the base cone between these rays
-                cone = values[(k + 1) % n2][0] - 1
-                cones.append(cone % n)
-        return sorted(set(cones))
-    c1, c2 = cls.cycles
-    diffs = []
-    for i in range(n):
-        val = {}
-        for r in tms.rays_over(i):
-            which = 1 if r.dst in c1 else 2
-            val[which] = tms.ray_value(r)
-        diffs.append(val[1] - val[2])
-    cones = []
-    for i in range(n):
-        if (diffs[i] > 0) != (diffs[(i + 1) % n] > 0):
-            cones.append(i)
-    return sorted(cones)
+        rays = [_lifted_ray_between(tms, cyc[k], cyc[(k + 1) % (2 * n)])
+                for k in range(2 * n)]
+        values = [tms.ray_value(r) for r in rays]
+        diffs = [values[k] - values[(k + n) % (2 * n)] for k in range(2 * n)]
+        bases = [r.ray for r in rays]
+    else:
+        c1 = cls.cycles[0]
+        diffs = []
+        for i in range(n):
+            val = {r.dst in c1: tms.ray_value(r) for r in tms.rays_over(i)}
+            diffs.append(val[True] - val[False])
+        bases = list(range(n))
+    if 0 in diffs:
+        raise SlopeTie("a ray carries equal values on both sheets; "
+                       "separatedness forbids this")
+    m = len(diffs)
+    return sorted({(bases[(k + 1) % m] - 1) % n for k in range(m)
+                   if (diffs[k] > 0) != (diffs[(k + 1) % m] > 0)})
 
 
 @dataclass(frozen=True)

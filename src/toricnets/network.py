@@ -14,12 +14,13 @@ crosses exactly these curves in exactly this order.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .cover import Crossing, SurfacePath
-from .errors import NotSupported
+from .cover import Crossing, SurfacePath, sheet_lift_map
+from .errors import NoSharedLift, NotSupported, UnknownCone
 from .reporting import ValidationReport
 
 
@@ -42,12 +43,30 @@ class Wall:
 
 
 class SpectralNetwork:
+    """Walls plus their branch-cut layout.
+
+    The walls are fixed at construction, so their pairwise-disjointness
+    verdict is computed once, on first use, and then read by everything
+    that needs it.
+    """
+
     def __init__(self, fan, polytope, disk, walls, layout):
         self.fan = fan
         self.polytope = polytope
         self.disk = disk
-        self.walls = list(walls)
+        self._walls = tuple(walls)
         self.layout = layout
+        self._disjoint = None
+
+    @property
+    def walls(self):
+        return self._walls
+
+    @property
+    def walls_disjoint(self):
+        if self._disjoint is None:
+            self._disjoint = walls_pairwise_disjoint(self)
+        return self._disjoint
 
     @property
     def branch_points(self):
@@ -241,36 +260,16 @@ def branch_point_arms(net: SpectralNetwork, b: int):
     arms = [("cut", None, _initial_direction(cut.polyline))]
     for w in walls:
         arms.append(("wall", w, _initial_direction(w.polyline)))
-    dirs = [a[2] for a in arms]
-    order = sorted(range(len(arms)), key=_AngleKey(dirs))
-    arms = [arms[i] for i in order]
+    by_angle = functools.cmp_to_key(_angle_cmp)
+    arms.sort(key=lambda arm: by_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
     rotated = arms[cut_pos + 1:] + arms[:cut_pos]
     return [a[1] for a in rotated]
 
 
-class _AngleKey:
-    """functools-free exact angular sort key via cmp emulation."""
-
-    def __init__(self, dirs):
-        self.dirs = dirs
-
-    def __call__(self, i):
-        return _AngleItem(self.dirs[i])
-
-
-class _AngleItem:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return geom.angle_less(self.v, other.v)
-
-    def __eq__(self, other):
-        return not geom.angle_less(self.v, other.v) and \
-            not geom.angle_less(other.v, self.v)
+def _angle_cmp(u, v):
+    """Exact three-way comparison of directions by angle in [0, 2*pi)."""
+    return geom.angle_less(v, u) - geom.angle_less(u, v)
 
 
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
@@ -295,7 +294,7 @@ def enumerate_solitons(net: SpectralNetwork, cover, wall: Wall):
     """
     if wall.start_branch is None:
         raise NotSupported("joint-fed walls carry no computable solitons here")
-    if not walls_pairwise_disjoint(net):
+    if not net.walls_disjoint:
         raise NotSupported("soliton enumeration requires pairwise-disjoint walls")
     arms = branch_point_arms(net, wall.start_branch)
     try:
@@ -324,7 +323,7 @@ def chambers(net: SpectralNetwork):
     """
     if not net.walls:
         return [Chamber(0, (0,), ())]
-    if not walls_pairwise_disjoint(net):
+    if not net.walls_disjoint:
         raise NotSupported("chamber decomposition requires disjoint walls")
     landings = []
     for w in net.walls:
@@ -389,12 +388,11 @@ def _proper_crossing(a1, a2, b1, b2):
 
 def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     """Check the six defining conditions of a subordinate network."""
-    from .cover import sheet_lift_map
-
     report = ValidationReport()
     poly = net.polytope
     fan = net.fan
     n = fan.n
+    bad_labels = set()
 
     for w in net.walls:
         # (1) interior in the open polygon, away from cuts, transverse to spokes
@@ -421,6 +419,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         a, b = w.label
         if a == b or not (0 <= a < cover.r and 0 <= b < cover.r):
             report.add("2", f"wall {w.id} carries a bad label {w.label}")
+            bad_labels.add(w.id)
         # (5) at most one branch point on the wall
         interior_hits = 0
         for bi, bp in enumerate(net.branch_points):
@@ -443,7 +442,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         arms = net.walls_of_branch(b)
         if len(arms) != 3:
             report.add("3", f"branch point {b} has {len(arms)} walls, not 3", b)
-    if not walls_pairwise_disjoint(net):
+    if not net.walls_disjoint:
         report.add("3", "walls intersect away from branch points "
                         "(joint local models not realized here)")
 
@@ -455,7 +454,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     # (6) boundary endpoints and the slope condition
     try:
         lift = sheet_lift_map(tms, cover)
-    except Exception as exc:  # report, do not raise: validators collect
+    except NoSharedLift as exc:  # report, do not raise: validators collect
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None
     for w in net.walls:
@@ -470,7 +469,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             report.add("6", f"wall {w.id} endpoint data disagrees with geometry",
                        (e, cone))
             continue
-        if lift is not None:
+        if lift is not None and w.id not in bad_labels:
             a, b = w.label
             ma = tms.slope(lift[(cone, a)])
             mb = tms.slope(lift[(cone, b)])
@@ -488,6 +487,6 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     for bi, bp in enumerate(net.branch_points):
         try:
             net.disk.region_of_interior_point(bp)
-        except Exception:
+        except UnknownCone:
             report.add("1", f"branch point {bi} is not interior to a region", bp)
     return report

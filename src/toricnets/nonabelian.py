@@ -30,8 +30,9 @@ from fractions import Fraction
 
 from . import geom
 from .cover import parallel_transport, sheet_lift_map, winding_sign
-from .errors import (LoopIdentityFailed, NonTransverseCrossing, NoSharedLift,
-                     NotSupported, PathHitsJointRegion)
+from .errors import (InvariantViolated, LoopIdentityFailed,
+                     NonTransverseCrossing, NoSharedLift, NotSupported,
+                     PathHitsJointRegion)
 from .laurent import (LaurentMatrix, LaurentPoly, cocycle_check, mat_mul,
                       monomial_inverse, regular_on, is_invertible_on)
 from .network import (boundary_loop, branch_point_arms, enumerate_solitons,
@@ -113,8 +114,8 @@ def cut_factor(k, net, tms, cover, ls, lift=None) -> LaurentMatrix:
 
     Defined as the inverse of the ordered product of the three wall
     factors around the cut's branch point, so the branch-point loop is the
-    identity by construction; the result is asserted to be supported on
-    the cut's transposition with the expected monomials.
+    identity by construction; InvariantViolated is raised unless the
+    result is supported on the cut's transposition.
     """
     if lift is None:
         lift = sheet_lift_map(tms, cover)
@@ -132,17 +133,14 @@ def cut_factor(k, net, tms, cover, ls, lift=None) -> LaurentMatrix:
         for j in range(cover.r):
             expected_nonzero = i == cover.apply_cut(k, j) and i != j \
                 or (i == j and i not in cut.transposition)
-            entry = c.entry(i, j)
-            assert entry.is_zero() != expected_nonzero, \
-                f"cut factor of cut {k} has unexpected support at {(i, j)}"
+            if c.entry(i, j).is_zero() == expected_nonzero:
+                raise InvariantViolated(
+                    f"cut factor of cut {k} has unexpected support at {(i, j)}")
     return c
 
 
 def _factor_for(crossing, state_region, net, tms, cover, ls, lift, caches):
     kind, index, direction = crossing.kind, crossing.index, crossing.direction
-    if direction not in (1, -1):
-        raise NonTransverseCrossing(
-            f"crossing of {kind} {index} with direction {direction}")
     if kind == "spoke":
         key = ("spoke", index % tms.fan.n)
         if key not in caches:
@@ -201,17 +199,22 @@ def branch_point_loop(net, cover, b) -> "SurfacePath":
     return SurfacePath(region, 0, crossings, turns=1)
 
 
-def loop_identity_check(net, tms, cover, ls, wall_factor_fn=None) -> bool:
+def loop_identity_check(net, tms, cover, ls, wall_factor_fn=None, lift=None,
+                        caches=None) -> bool:
     """Path-ordered products around all generator loops equal the identity.
 
     The fundamental group of the polygon minus the branch-point
     neighborhoods is generated by the small loop around each branch point
     together with the boundary-parallel loop; all must multiply to Id.
     ``wall_factor_fn`` may replace the wall factor (used to demonstrate
-    that a flipped soliton sign breaks the identity).
+    that a flipped soliton sign breaks the identity).  ``lift`` and
+    ``caches`` are passed on to ``path_ordered``, so a caller can reuse
+    the factors built here.
     """
-    lift = sheet_lift_map(tms, cover)
-    caches = {}
+    if lift is None:
+        lift = sheet_lift_map(tms, cover)
+    if caches is None:
+        caches = {}
     if wall_factor_fn is not None:
         for w in net.walls:
             for region in {w.end_cone} | {cover.cut_region[w.start_branch]}:
@@ -244,23 +247,30 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
 
     G_{ij} is the path-ordered product along the ccw boundary track from
     the vertex chamber of cone i to that of cone j; the loop identities
-    make this independent of the chosen representative path.
+    make this independent of the chosen representative path.  No track
+    event sits at a vertex chamber, so that track is the concatenation of
+    the adjacent steps i -> i+1 -> ... -> j, and the same factors in the
+    same order give G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.  Only the n
+    steps are built as path-ordered products; each other pair costs one
+    matrix product.
     """
-    if not loop_identity_check(net, tms, cover, ls):
-        raise LoopIdentityFailed("a generator loop is not the identity")
     lift = sheet_lift_map(tms, cover)
     caches = {}
+    if not loop_identity_check(net, tms, cover, ls, lift=lift, caches=caches):
+        raise LoopIdentityFailed("a generator loop is not the identity")
     n = tms.fan.n
+    steps = [path_ordered(net, tms, cover, ls,
+                          track_path(net, cover, i, (i + 1) % n), lift, caches)
+             for i in range(n)]
     matrices = {}
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                matrices[(i, j)] = LaurentMatrix.identity(cover.r)
-                continue
-            p = track_path(net, cover, i, j, ccw=True)
-            matrices[(i, j)] = path_ordered(net, tms, cover, ls, p, lift,
-                                            caches)
-    return KaneyamaCocycle(tms, cover, matrices)
+        g = LaurentMatrix.identity(cover.r)
+        matrices[(i, i)] = g
+        for k in range(i + 1, i + n):
+            g = steps[i] if k == i + 1 else mat_mul(steps[(k - 1) % n], g)
+            matrices[(i, k % n)] = g
+    # keyed in (i, j) order, the order in which consumers walk the pairs
+    return KaneyamaCocycle(tms, cover, dict(sorted(matrices.items())))
 
 
 def boundary_restriction(matrix: LaurentMatrix, ray_vector) -> LaurentMatrix:

@@ -80,10 +80,16 @@ def parse_problem(data) -> ProblemSpec:
         raise SchemaError(
             f"unknown schema {data.get('schema')!r}; expected {PROBLEM_SCHEMA}")
     try:
-        fan = make_fan(data["fan"]["rays"])
-        phi = SupportFunction(fan, data["support"])
+        return _parse_sections(data)
     except KeyError as exc:
-        raise SchemaError(f"missing required field {exc}")
+        raise SchemaError(f"missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed problem document: {exc}") from exc
+
+
+def _parse_sections(data) -> ProblemSpec:
+    fan = make_fan(data["fan"]["rays"])
+    phi = SupportFunction(fan, data["support"])
     tms = None
     if "multisection" in data:
         ms = data["multisection"]

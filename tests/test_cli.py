@@ -143,3 +143,44 @@ def test_matrix_round_trip(p2, p2_built):
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
     m = coc.pair(0, 1)
     assert schema.parse_matrix(schema.emit_matrix(m), 2) == m
+
+
+def _json_stages(capsys):
+    return json.loads(capsys.readouterr().out)["stages"]
+
+
+def _write_edited(tmp_path, edit):
+    data = json.loads((FIXTURES / "p2_n3.json").read_text())
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["multisection"]["lifted_cones"][0].pop("slope"),
+    lambda d: d["multisection"]["lifted_rays"][0].update(ray="one"),
+    lambda d: d.update(layout={"branch_points": []}),
+], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts"])
+def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit):
+    code = main(["validate", "--input", _write_edited(tmp_path, edit),
+                 "--report", "json"])
+    stages = _json_stages(capsys)
+    assert code == 1
+    assert stages[-1]["status"] == "fail"
+
+
+def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
+    net, layout, _ = p2_built
+
+    def with_bad_label(data):
+        data["layout"] = schema.emit_layout(layout)
+        data["network"] = schema.emit_network(net)
+        data["network"]["walls"][0]["label"] = [0, 5]
+
+    code = main(["validate", "--input", _write_edited(tmp_path, with_bad_label),
+                 "--report", "json"])
+    stage = _json_stages(capsys)[-1]
+    assert code == 1
+    assert (stage["name"], stage["status"]) == ("network", "fail")
+    assert [v["condition"] for v in stage["detail"]["violations"]] == ["2"]

@@ -201,3 +201,16 @@ def test_sheet_lift_map_closure_failure():
     cover = build_cover(spec.disk, BranchCutLayout([], []), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(spec.tms, cover)
+
+
+def test_sheet_lift_map_needs_a_lift_per_sheet_over_cone_zero():
+    from support import load
+    from toricnets.multisection import TropicalMultiSection
+    spec = load("p2_n3")
+    dropped = spec.tms.lifts_of_cone(0)[0].id
+    tms = TropicalMultiSection(
+        spec.fan, 2, [c for c in spec.tms.lifted_cones if c.id != dropped],
+        spec.tms.lifted_rays)
+    cover = build_cover(spec.disk, BranchCutLayout([], []), 2)
+    with pytest.raises(NoSharedLift):
+        sheet_lift_map(tms, cover)

@@ -132,3 +132,25 @@ def test_track_events_cover_everything(p2_built, p2):
 def test_two_y_graphs_give_five_chambers(p1p1_built):
     net, _, _ = p1p1_built
     assert len(chambers(net)) == 5
+
+
+def test_disjointness_verdict_is_computed_once_per_network(p2, monkeypatch):
+    import toricnets.network as network
+    from toricnets.builder import build_network
+    from toricnets.cover import make_local_system
+    from toricnets.nonabelian import kaneyama_cocycle, loop_identity_check
+
+    seen = []
+    check = network.walls_pairwise_disjoint
+    monkeypatch.setattr(network, "walls_pairwise_disjoint",
+                        lambda net: seen.append(net) or check(net))
+    net, layout = build_network(p2.tms, p2.disk)
+    cover = build_cover(p2.disk, layout, 2)
+    ls = make_local_system(cover, [])
+    assert loop_identity_check(net, p2.tms, cover, ls)
+    kaneyama_cocycle(net, p2.tms, cover, ls)
+    assert validate_network(net, p2.tms, cover).ok
+    chambers(net)
+    assert seen == [net]
+    with pytest.raises(AttributeError):
+        net.walls = ()

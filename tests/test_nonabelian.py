@@ -413,3 +413,34 @@ def test_deeply_nested_seven_crossings_pipeline():
     assert loop_identity_check(net, spec.tms, cover, ls)
     coc = kaneyama_cocycle(net, spec.tms, cover, ls)
     assert verify_bundle(coc, spec.tms).ok
+
+
+def test_cocycle_equals_direct_track_products(fan5, fan5_built):
+    # G_ij is composed from the adjacent steps; the direct product along
+    # the whole ccw track from i to j must agree exactly
+    net, layout, cover = fan5_built
+    ls = make_local_system(cover, [Fraction(2), Fraction(5, 3)])
+    coc = kaneyama_cocycle(net, fan5.tms, cover, ls)
+    n = fan5.fan.n
+    assert sorted(coc.matrices) == [(i, j) for i in range(n) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                direct = path_ordered(net, fan5.tms, cover, ls,
+                                      track_path(net, cover, i, j))
+                assert coc.pair(i, j) == direct, (i, j)
+
+
+def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
+                                                     monkeypatch):
+    from toricnets import nonabelian
+    from toricnets.errors import ToricNetsError
+    net, layout, cover = p2_built
+
+    def identity_factor(wall, net, tms, cover, ls, region=None, lift=None):
+        return nonabelian.WallFactor(wall.id, region,
+                                     LaurentMatrix.identity(cover.r))
+
+    monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
+    with pytest.raises(ToricNetsError):
+        cut_factor(0, net, p2.tms, cover, trivial_ls(cover))
