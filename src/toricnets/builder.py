@@ -263,8 +263,8 @@ def build_network(tms, disk):
     for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
         he = half_edge_of_boundary_point(disk.polytope, poly[-1])
         if he is None or he[0] != end_edge:
-            raise InvariantViolated(
-                f"wall {wid} does not land inside a half-edge of edge {end_edge}")
+            raise InvariantViolated(f"wall {wid} does not land inside a "
+                                    f"half-edge of edge {end_edge}")
         cone = he[1]
         label = _label_from_slopes(tms, lift, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
