@@ -29,10 +29,10 @@ from . import geom
 from .cover import BranchCutLayout, Cut, build_cover, sheet_lift_map
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
-from .multisection import (classify_two_fold, intersection_cones,
-                           n_genericity, parity_and_realizability, validate)
-from .network import (SpectralNetwork, Wall, branch_point_arms,
-                      half_edge_of_boundary_point, validate_network)
+from .multisection import (intersection_cones, parity_and_realizability,
+                           validate)
+from .network import (SpectralNetwork, Wall, half_edge_of_boundary_point,
+                      validate_network)
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ class _YPlan:
     cut_edge: int
 
 
-def _plan(tms):
-    vees = intersection_cones(tms)
+def _plan(tms, vees):
     n_value = len(vees)
     count = n_value - 2
     plans = []
@@ -195,33 +194,29 @@ def _build_geometry(tms, disk, plans, shrink):
     return walls_raw, cuts, branch_points
 
 
-def _geometry_clean(walls_raw, cuts, disk):
-    """Exact pairwise-disjointness of all arms and cuts."""
-    polylines = []
-    for bi, _, poly, _ in walls_raw:
-        polylines.append((bi, list(poly)))
-    for bi, c in enumerate(cuts):
-        polylines.append((bi, list(c.polyline)))
-    for i in range(len(polylines)):
-        for j in range(i + 1, len(polylines)):
-            bi, pa = polylines[i]
-            bj, pb = polylines[j]
-            if not geom.polyline_pairwise_disjoint(
-                    pa, pb, skip_shared_endpoints=(bi == bj)):
-                return False
-    # walls must stay inside the polygon except at their endpoint
-    for _, _, poly, _ in walls_raw:
-        for p in poly[:-1]:
-            if disk.polytope.contains(p) != 1:
-                return False
-    return True
-
-
 def empty_network(tms, disk):
     """Wall-free network for covers that need no walls (rank 1)."""
     layout = BranchCutLayout([], [])
     net = SpectralNetwork(tms.fan, disk.polytope, disk, [], layout)
     return net, layout
+
+
+def _assemble(tms, disk, plans, shrink):
+    """The network and cover of one placement of the planned Y-graphs."""
+    walls_raw, cuts, branch_points = _build_geometry(tms, disk, plans, shrink)
+    layout = BranchCutLayout(branch_points, cuts)
+    cover = build_cover(disk, layout, tms.degree)
+    lift = sheet_lift_map(tms, cover)
+    walls = []
+    for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
+        he = half_edge_of_boundary_point(disk.polytope, poly[-1])
+        if he is None or he[0] != end_edge:
+            raise InvariantViolated(f"wall {wid} does not land inside a "
+                                    f"half-edge of edge {end_edge}")
+        cone = he[1]
+        label = _label_from_slopes(tms, lift, cone, end_edge)
+        walls.append(Wall(wid, poly, label, bi, end_edge, cone))
+    return SpectralNetwork(tms.fan, disk.polytope, disk, walls, layout), cover
 
 
 def build_network(tms, disk):
@@ -236,8 +231,8 @@ def build_network(tms, disk):
         raise NotRealizable(f"invalid multi-section: {rep}")
     if tms.degree == 1:
         return empty_network(tms, disk)
-    classify_two_fold(tms)  # raises NotTwoFold for other degrees
-    n_value = n_genericity(tms)
+    vees = intersection_cones(tms)  # raises NotTwoFold for other degrees
+    n_value = len(vees)
     result = parity_and_realizability(tms, n_value)
     if not result.parity_ok:
         raise ParityViolation(
@@ -245,42 +240,24 @@ def build_network(tms, disk):
     if not result.realizable:
         raise NotRealizable(f"N = {n_value} < 3 admits no embedded realization")
 
-    plans = _plan(tms)
+    # A placement is accepted when the assembled network validates, so
+    # every disjointness and interiority check runs once per placement.
+    plans = _plan(tms, vees)
     shrink = Fraction(1)
     for _ in range(40):
-        walls_raw, cuts, branch_points = _build_geometry(tms, disk, plans, shrink)
-        if _geometry_clean(walls_raw, cuts, disk):
+        net, cover = _assemble(tms, disk, plans, shrink)
+        report = validate_network(net, tms, cover)
+        if report.ok:
             break
         shrink /= 2
     else:
-        raise ToricNetsError("could not place a collision-free layout")
-
-    layout = BranchCutLayout(branch_points, cuts)
-    cover = build_cover(disk, layout, tms.degree)
-    lift = sheet_lift_map(tms, cover)
-
-    walls = []
-    for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
-        he = half_edge_of_boundary_point(disk.polytope, poly[-1])
-        if he is None or he[0] != end_edge:
-            raise InvariantViolated(f"wall {wid} does not land inside a "
-                                    f"half-edge of edge {end_edge}")
-        cone = he[1]
-        label = _label_from_slopes(tms, lift, cone, end_edge)
-        walls.append(Wall(wid, poly, label, bi, end_edge, cone))
-
-    net = SpectralNetwork(tms.fan, disk.polytope, disk, walls, layout)
+        raise ToricNetsError(f"could not place a valid layout: {report}")
 
     # Wall labels around every branch point must alternate; this is forced
     # by the flip structure, so a failure means the geometry is wrong.
-    for bi in range(len(branch_points)):
-        arms = branch_point_arms(net, bi)
-        labels = [w.label for w in arms]
+    for bi in range(len(net.branch_points)):
+        labels = [w.label for w in net.arms(bi)]
         if not (len(labels) == 3 and labels[0] == labels[2] != labels[1]):
             raise InvariantViolated(
                 f"branch point {bi} labels {labels} do not alternate")
-
-    report = validate_network(net, tms, cover)
-    if not report.ok:
-        raise ToricNetsError(f"builder produced an invalid network: {report}")
-    return net, layout
+    return net, net.layout

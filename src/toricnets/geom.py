@@ -13,10 +13,6 @@ Point = tuple  # (Fraction, Fraction)
 IVec = tuple   # (int, int)
 
 
-def frac_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def is_primitive(v: IVec) -> bool:
     x, y = v
     return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
@@ -36,10 +32,6 @@ def sub(a, b) -> Point:
 
 def add(a, b) -> Point:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def scale(a, t) -> Point:
-    return (a[0] * t, a[1] * t)
 
 
 def lerp(a, b, t) -> Point:
@@ -105,23 +97,6 @@ def segments_cross(p1, p2, q1, q2) -> bool:
     if d4 == 0 and on_segment(q2, p1, p2):
         return True
     return False
-
-
-def segment_intersection_param(p1, p2, q1, q2):
-    """Parameters (s, t) with p1+s*(p2-p1) == q1+t*(q2-q1), or None.
-
-    Only proper (non-parallel) intersections are reported; s, t are exact
-    Fractions, unrestricted to [0, 1].
-    """
-    d = sub(p2, p1)
-    e = sub(q2, q1)
-    den = cross(d, e)
-    if den == 0:
-        return None
-    w = sub(q1, p1)
-    s = Fraction(cross(w, e), den)
-    t = Fraction(cross(w, d), den)
-    return s, t
 
 
 def polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True) -> bool:

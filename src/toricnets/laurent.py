@@ -119,10 +119,6 @@ class LaurentMatrix:
             [[LaurentPoly.one() if i == j else LaurentPoly.zero()
               for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(n):
-        return LaurentMatrix([[LaurentPoly.zero()] * n for _ in range(n)])
-
     def entry(self, i, j):
         return self.rows[i][j]
 
@@ -196,22 +192,6 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             row.append(s)
         out.append(row)
     return LaurentMatrix(out)
-
-
-def prod(matrices, size=None):
-    """Ordered product M_k ... M_2 M_1 of a crossing-ordered factor list.
-
-    The first factor in the list is applied first, i.e. sits rightmost.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        if size is None:
-            raise SizeMismatch("empty product needs an explicit size")
-        return LaurentMatrix.identity(size)
-    acc = matrices[0]
-    for m in matrices[1:]:
-        acc = mat_mul(m, acc)
-    return acc
 
 
 def poly_regular_on(p: LaurentPoly, generators) -> bool:

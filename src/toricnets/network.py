@@ -14,6 +14,7 @@ crosses exactly these curves in exactly this order.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +46,10 @@ class Wall:
 class SpectralNetwork:
     """Walls plus their branch-cut layout.
 
-    The walls are fixed at construction, so their pairwise-disjointness
-    verdict is computed once, on first use, and then read by everything
-    that needs it.
+    The walls are fixed at construction, so the facts derived from them
+    and the layout (the pairwise-disjointness verdict, the ccw-sorted
+    track events, the arm order of every branch point) are computed once,
+    on first use, and then read by everything that needs them.
     """
 
     def __init__(self, fan, polytope, disk, walls, layout):
@@ -57,6 +59,8 @@ class SpectralNetwork:
         self._walls = tuple(walls)
         self.layout = layout
         self._disjoint = None
+        self._events = None
+        self._arms = None
 
     @property
     def walls(self):
@@ -67,6 +71,20 @@ class SpectralNetwork:
         if self._disjoint is None:
             self._disjoint = walls_pairwise_disjoint(self)
         return self._disjoint
+
+    @property
+    def events(self):
+        """Boundary-track events in ccw order (see ``track_events``)."""
+        if self._events is None:
+            self._events = track_events(self)
+        return self._events
+
+    def arms(self, b):
+        """Arms of branch point b in ccw order (see ``branch_point_arms``)."""
+        if self._arms is None:
+            self._arms = tuple(branch_point_arms(self, i)
+                               for i in range(len(self.branch_points)))
+        return self._arms[b]
 
     @property
     def branch_points(self):
@@ -139,8 +157,8 @@ class TrackEvent:
                              # cuts) or the ccw-target region (spokes)
 
 
-def track_events(net: SpectralNetwork, cover):
-    """All boundary-track crossings in ccw cyclic order.
+def track_events(net: SpectralNetwork):
+    """All boundary-track crossings in ccw cyclic order, as a tuple.
 
     At a barycenter the order is: cut hugging from the earlier region,
     then the spoke, then a cut hugging from the later region.
@@ -153,9 +171,9 @@ def track_events(net: SpectralNetwork, cover):
             raise NotSupported(f"wall {w.id} does not end on the boundary")
         e, t = pos
         events.append(TrackEvent((e, t, 1), "wall", w.id, w.end_cone))
-    for k, cut in enumerate(cover.cuts):
+    for k, cut in enumerate(net.cuts):
         e = cut.edge
-        region = cover.cut_region[k]
+        region = net.disk.region_of_interior_point(cut.branch_point)
         if region == (e - 1) % n:
             tier = 0
         elif region == e % n:
@@ -166,8 +184,8 @@ def track_events(net: SpectralNetwork, cover):
         events.append(TrackEvent((e, Fraction(1, 2), tier), "cut", k, region))
     for e in range(n):
         events.append(TrackEvent((e, Fraction(1, 2), 1), "spoke", e, e % n))
-    events.sort(key=lambda ev: ev.key)
-    return events
+    events.sort(key=_event_key)
+    return tuple(events)
 
 
 def vertex_chamber_key(cone_index, n):
@@ -175,18 +193,28 @@ def vertex_chamber_key(cone_index, n):
     return ((cone_index + 1) % n, Fraction(0), -1)
 
 
+def _event_key(ev):
+    return ev.key
+
+
+def _loop_from(events, key):
+    """The full ccw loop of sorted events, starting just after a key."""
+    i = bisect.bisect_right(events, key, key=_event_key)
+    return events[i:] + events[:i]
+
+
 def _cyclic_slice(events, from_key, to_key):
-    """Events strictly between two keys going ccw, in crossing order."""
+    """Sorted events strictly between two keys going ccw, in crossing order."""
     if from_key == to_key:
-        return []
+        return ()
+    i = bisect.bisect_right(events, from_key, key=_event_key)
+    j = bisect.bisect_left(events, to_key, key=_event_key)
     if from_key < to_key:
-        chosen = [ev for ev in events if from_key < ev.key < to_key]
-    else:
-        chosen = [ev for ev in events if ev.key > from_key or ev.key < to_key]
-    return sorted(chosen, key=lambda ev: _ccw_from(ev.key, from_key))
+        return events[i:j]
+    return events[i:] + events[:j]
 
 
-def track_path(net: SpectralNetwork, cover, from_cone, to_cone, ccw=True,
+def track_path(net: SpectralNetwork, from_cone, to_cone, ccw=True,
                full_loops=0) -> SurfacePath:
     """Boundary-track path between two vertex chambers, as a SurfacePath.
 
@@ -195,33 +223,26 @@ def track_path(net: SpectralNetwork, cover, from_cone, to_cone, ccw=True,
     ``full_loops`` prepends that many complete boundary loops.
     """
     n = net.fan.n
-    events = track_events(net, cover)
+    events = net.events
     a = vertex_chamber_key(from_cone, n)
     b = vertex_chamber_key(to_cone, n)
-    loop_ccw = sorted(events, key=lambda ev: _ccw_from(ev.key, a))
+    loop_ccw = _loop_from(events, a)
     if ccw:
         chosen = loop_ccw * full_loops + _cyclic_slice(events, a, b)
         crossings = [Crossing(ev.kind, ev.index, +1) for ev in chosen]
     else:
-        segment = list(reversed(_cyclic_slice(events, b, a)))
-        chosen = list(reversed(loop_ccw)) * full_loops + segment
+        chosen = (loop_ccw[::-1] * full_loops
+                  + _cyclic_slice(events, b, a)[::-1])
         crossings = [Crossing(ev.kind, ev.index, -1) for ev in chosen]
     return SurfacePath(from_cone % n, 0, crossings)
 
 
-def _ccw_from(key, base):
-    """Sort key for ccw order starting just after ``base``."""
-    return (0 if key > base else 1, key)
-
-
-def boundary_loop(net: SpectralNetwork, cover, base_cone, ccw=True) -> SurfacePath:
+def boundary_loop(net: SpectralNetwork, base_cone, ccw=True) -> SurfacePath:
     """Full boundary-parallel loop based at a vertex chamber."""
     n = net.fan.n
-    events = track_events(net, cover)
-    base = vertex_chamber_key(base_cone, n)
-    ordered = sorted(events, key=lambda ev: _ccw_from(ev.key, base))
+    ordered = _loop_from(net.events, vertex_chamber_key(base_cone, n))
     if not ccw:
-        ordered = list(reversed(ordered))
+        ordered = ordered[::-1]
     d = +1 if ccw else -1
     crossings = [Crossing(ev.kind, ev.index, d) for ev in ordered]
     return SurfacePath(base_cone % n, 0, crossings)
@@ -252,7 +273,7 @@ def _initial_direction(polyline):
 def branch_point_arms(net: SpectralNetwork, b: int):
     """Walls of a branch point in ccw order starting after its cut.
 
-    Returns the wall list; position j (0-based) in this list is the
+    Returns the walls as a tuple; position j (0-based) in it is the
     winding count of the wall's soliton, which fixes its sign.
     """
     walls = net.walls_of_branch(b)
@@ -264,7 +285,7 @@ def branch_point_arms(net: SpectralNetwork, b: int):
     arms.sort(key=lambda arm: by_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
     rotated = arms[cut_pos + 1:] + arms[:cut_pos]
-    return [a[1] for a in rotated]
+    return tuple(a[1] for a in rotated)
 
 
 def _angle_cmp(u, v):
@@ -283,7 +304,7 @@ def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     return True
 
 
-def enumerate_solitons(net: SpectralNetwork, cover, wall: Wall):
+def enumerate_solitons(net: SpectralNetwork, wall: Wall):
     """Soliton classes of a wall in the pairwise-disjoint regime.
 
     A wall emanating from a simple branch point carries exactly one
@@ -296,7 +317,7 @@ def enumerate_solitons(net: SpectralNetwork, cover, wall: Wall):
         raise NotSupported("joint-fed walls carry no computable solitons here")
     if not net.walls_disjoint:
         raise NotSupported("soliton enumeration requires pairwise-disjoint walls")
-    arms = branch_point_arms(net, wall.start_branch)
+    arms = net.arms(wall.start_branch)
     try:
         j = next(i for i, w in enumerate(arms) if w.id == wall.id)
     except StopIteration:
@@ -430,7 +451,10 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         if interior_hits:
             report.add("5", f"wall {w.id} passes through a branch point")
         if w.start_branch is not None:
-            if w.start != tuple(net.branch_points[w.start_branch]):
+            if not 0 <= w.start_branch < len(net.branch_points):
+                report.add("5", f"wall {w.id} names an unknown branch point "
+                                f"{w.start_branch}", w.id)
+            elif w.start != tuple(net.branch_points[w.start_branch]):
                 report.add("5", f"wall {w.id} does not start at its branch point")
 
     # (3) interior endpoints must be branch points with the Y local model

@@ -35,22 +35,8 @@ from .errors import (InvariantViolated, LoopIdentityFailed,
                      PathHitsJointRegion)
 from .laurent import (LaurentMatrix, LaurentPoly, cocycle_check, mat_mul,
                       monomial_inverse, regular_on, is_invertible_on)
-from .network import (boundary_loop, branch_point_arms, enumerate_solitons,
-                      track_path)
+from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
-
-
-@dataclass(frozen=True)
-class SemiflatFactor:
-    ray: int
-    matrix: LaurentMatrix
-
-
-@dataclass(frozen=True)
-class WallFactor:
-    wall_id: int
-    region: int
-    matrix: LaurentMatrix
 
 
 def _monomial(slope_to, slope_from):
@@ -58,7 +44,7 @@ def _monomial(slope_to, slope_from):
     return LaurentPoly.monomial(1, e)
 
 
-def semiflat_factor(ray, tms, cover, ls, lift=None) -> SemiflatFactor:
+def semiflat_factor(ray, tms, cover, lift) -> LaurentMatrix:
     """Factor for the ccw crossing of the spoke of a ray.
 
     In the cut trivialization the crossing preserves sheets, so the matrix
@@ -67,8 +53,6 @@ def semiflat_factor(ray, tms, cover, ls, lift=None) -> SemiflatFactor:
     on this spoke's barycenter, which is what makes the entries regular
     there.  Transports are 1 in the cuts-carry-weights gauge.
     """
-    if lift is None:
-        lift = sheet_lift_map(tms, cover)
     n = tms.fan.n
     i = ray % n
     r = cover.r
@@ -77,28 +61,21 @@ def semiflat_factor(ray, tms, cover, ls, lift=None) -> SemiflatFactor:
         src = lift[((i - 1) % n, s)]
         dst = lift[(i, s)]
         rows[s][s] = _monomial(tms.slope(dst), tms.slope(src))
-    return SemiflatFactor(i, LaurentMatrix(rows))
+    return LaurentMatrix(rows)
 
 
-def wall_factor(wall, net, tms, cover, ls, region=None, solitons=None,
-                lift=None) -> WallFactor:
+def wall_factor(wall, net, tms, cover, ls, region, lift) -> LaurentMatrix:
     """Unipotent wall-crossing factor at a given region of the wall.
 
-    Defaults to the wall's landing region (where boundary-track paths
-    cross it).  The soliton list may be injected for experiments; by
-    default it is enumerated from the network.
+    Boundary-track paths cross a wall in its landing region
+    ``wall.end_cone``; the loop around a branch point crosses its arms in
+    the region of its cut.
     """
-    if lift is None:
-        lift = sheet_lift_map(tms, cover)
     if wall.start_branch is None:
         raise NotSupported("joint-fed walls are outside this regime")
-    if region is None:
-        region = wall.end_cone
-    if solitons is None:
-        solitons = enumerate_solitons(net, cover, wall)
     r = cover.r
     m = LaurentMatrix.identity(r)
-    for sol in solitons:
+    for sol in enumerate_solitons(net, wall):
         path = sol.transport_path(cover)
         lam = parallel_transport(ls, path)
         eps = winding_sign(path)
@@ -106,10 +83,10 @@ def wall_factor(wall, net, tms, cover, ls, region=None, solitons=None,
         term = _monomial(tms.slope(lift[(region, b)]),
                          tms.slope(lift[(region, a)])) * Fraction(eps * 1) * lam
         m = m.with_entry(b, a, m.entry(b, a) + term)
-    return WallFactor(wall.id, region, m)
+    return m
 
 
-def cut_factor(k, net, tms, cover, ls, lift=None) -> LaurentMatrix:
+def cut_factor(k, net, tms, cover, ls, lift) -> LaurentMatrix:
     """Signed monomial permutation for the positive crossing of cut k.
 
     Defined as the inverse of the ordered product of the three wall
@@ -117,16 +94,14 @@ def cut_factor(k, net, tms, cover, ls, lift=None) -> LaurentMatrix:
     identity by construction; InvariantViolated is raised unless the
     result is supported on the cut's transposition.
     """
-    if lift is None:
-        lift = sheet_lift_map(tms, cover)
     region = cover.cut_region[k]
-    arms = branch_point_arms(net, k)
+    arms = net.arms(k)
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
     product = LaurentMatrix.identity(cover.r)
     for w in arms:
-        f = wall_factor(w, net, tms, cover, ls, region=region, lift=lift)
-        product = mat_mul(f.matrix, product)
+        product = mat_mul(wall_factor(w, net, tms, cover, ls, region, lift),
+                          product)
     c = monomial_inverse(product)
     cut = cover.cuts[k]
     for i in range(cover.r):
@@ -144,7 +119,7 @@ def _factor_for(crossing, state_region, net, tms, cover, ls, lift, caches):
     if kind == "spoke":
         key = ("spoke", index % tms.fan.n)
         if key not in caches:
-            caches[key] = semiflat_factor(index, tms, cover, ls, lift).matrix
+            caches[key] = semiflat_factor(index, tms, cover, lift)
     elif kind == "cut":
         key = ("cut", index)
         if key not in caches:
@@ -157,7 +132,7 @@ def _factor_for(crossing, state_region, net, tms, cover, ls, lift, caches):
         key = ("wall", index, state_region)
         if key not in caches:
             caches[key] = wall_factor(wall, net, tms, cover, ls,
-                                      region=state_region, lift=lift).matrix
+                                      state_region, lift)
     else:
         raise NonTransverseCrossing(f"unknown crossing kind {kind!r}")
     m = caches[key]
@@ -193,40 +168,31 @@ def branch_point_loop(net, cover, b) -> "SurfacePath":
     from .cover import Crossing, SurfacePath
 
     region = cover.cut_region[b]
-    arms = branch_point_arms(net, b)
-    crossings = [Crossing("wall", w.id, +1) for w in arms]
+    crossings = [Crossing("wall", w.id, +1) for w in net.arms(b)]
     crossings.append(Crossing("cut", b, +1))
     return SurfacePath(region, 0, crossings, turns=1)
 
 
-def loop_identity_check(net, tms, cover, ls, wall_factor_fn=None, lift=None,
-                        caches=None) -> bool:
+def loop_identity_check(net, tms, cover, ls, lift=None, caches=None) -> bool:
     """Path-ordered products around all generator loops equal the identity.
 
     The fundamental group of the polygon minus the branch-point
     neighborhoods is generated by the small loop around each branch point
     together with the boundary-parallel loop; all must multiply to Id.
-    ``wall_factor_fn`` may replace the wall factor (used to demonstrate
-    that a flipped soliton sign breaks the identity).  ``lift`` and
-    ``caches`` are passed on to ``path_ordered``, so a caller can reuse
-    the factors built here.
+    ``lift`` and ``caches`` are passed on to ``path_ordered``, so a caller
+    can reuse the factors built here.
     """
     if lift is None:
         lift = sheet_lift_map(tms, cover)
     if caches is None:
         caches = {}
-    if wall_factor_fn is not None:
-        for w in net.walls:
-            for region in {w.end_cone} | {cover.cut_region[w.start_branch]}:
-                caches[("wall", w.id, region)] = wall_factor_fn(
-                    w, net, tms, cover, ls, region=region, lift=lift).matrix
     ident = LaurentMatrix.identity(cover.r)
     for b in range(len(cover.cuts)):
         loop = branch_point_loop(net, cover, b)
         if path_ordered(net, tms, cover, ls, loop, lift, caches) != ident:
             return False
     for base in range(tms.fan.n):
-        loop = boundary_loop(net, cover, base, ccw=True)
+        loop = boundary_loop(net, base, ccw=True)
         if path_ordered(net, tms, cover, ls, loop, lift, caches) != ident:
             return False
     return True
@@ -260,7 +226,7 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
         raise LoopIdentityFailed("a generator loop is not the identity")
     n = tms.fan.n
     steps = [path_ordered(net, tms, cover, ls,
-                          track_path(net, cover, i, (i + 1) % n), lift, caches)
+                          track_path(net, i, (i + 1) % n), lift, caches)
              for i in range(n)]
     matrices = {}
     for i in range(n):
@@ -291,7 +257,7 @@ def boundary_restriction(matrix: LaurentMatrix, ray_vector) -> LaurentMatrix:
     return LaurentMatrix(rows)
 
 
-def _recovered_slopes(coc: KaneyamaCocycle):
+def _recovered_slopes(coc: KaneyamaCocycle, lift):
     """Slope vectors read back from the transition matrices.
 
     Every term of every entry of G_{ij} carries the exponent
@@ -301,7 +267,6 @@ def _recovered_slopes(coc: KaneyamaCocycle):
     cover, anchored at the input slope of one sheet per component.
     """
     tms, cover = coc.tms, coc.cover
-    lift = sheet_lift_map(tms, cover)
     n = tms.fan.n
     r = cover.r
     rec = {}
@@ -375,8 +340,8 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
                                "condition", (i, j, k))
     # tropicalization round-trip
     try:
-        rec = _recovered_slopes(coc)
         lift = sheet_lift_map(tms, coc.cover)
+        rec = _recovered_slopes(coc, lift)
         for i in range(n):
             got = sorted(rec.get((i, s)) for s in range(r))
             want = sorted(tms.slope(lift[(i, s)]) for s in range(r))

@@ -78,8 +78,8 @@ def test_acceptance_3_branch_point_consistency():
         for b in range(len(layout.branch_points)):
             region = cover.cut_region[b]
             arms = branch_point_arms(net, b)
-            fs = [wall_factor(w, net, spec.tms, cover, ls,
-                              region=region, lift=lift).matrix for w in arms]
+            fs = [wall_factor(w, net, spec.tms, cover, ls, region, lift)
+                  for w in arms]
             c = cut_factor(b, net, spec.tms, cover, ls, lift)
             product = mat_mul(c, mat_mul(fs[2], mat_mul(fs[1], fs[0])))
             assert product == LaurentMatrix.identity(cover.r)
@@ -146,7 +146,7 @@ def test_acceptance_6_well_definedness():
                 if i == j:
                     continue
                 alt = path_ordered(net, spec.tms, cover, ls,
-                                   track_path(net, cover, i, j, ccw=False))
+                                   track_path(net, i, j, ccw=False))
                 assert alt == coc.pair(i, j), \
                     f"{name}: path dependence at ({i},{j})"
     print("ACCEPTANCE 6 well-definedness: homotopic extraction paths give "

@@ -133,3 +133,17 @@ def test_builder_on_random_realizable_covers():
             assert loop_identity_check(net, tms, cover, ls)
             built += 1
         assert built == 5
+
+
+def test_build_tests_each_polyline_pair_once(monkeypatch):
+    # fan7_n7: 15 walls and 5 cuts, so C(20, 2) = 190 pairs, each tested
+    # once (wall/wall and wall/cut by validation, cut/cut by the cover)
+    from toricnets import geom
+    spec = load("fan7_n7")
+    calls = []
+    disjoint = geom.polyline_pairwise_disjoint
+    monkeypatch.setattr(geom, "polyline_pairwise_disjoint",
+                        lambda *a, **k: calls.append(a) or disjoint(*a, **k))
+    net, layout = build_network(spec.tms, spec.disk)
+    assert (len(net.walls), len(layout.cuts)) == (15, 5)
+    assert len(calls) == 190

@@ -171,16 +171,24 @@ def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit):
 
 
 def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
+    # a sheet label or a branch-point index outside the network is a
+    # violation of its condition, with the wall as witness
     net, layout, _ = p2_built
+    for key, value, condition in [("label", [0, 5], "2"), ("branch", 7, "5"),
+                                  ("branch", -1, "5")]:
+        def edited(data):
+            data["layout"] = schema.emit_layout(layout)
+            data["network"] = schema.emit_network(net)
+            data["network"]["walls"][0][key] = value
 
-    def with_bad_label(data):
-        data["layout"] = schema.emit_layout(layout)
-        data["network"] = schema.emit_network(net)
-        data["network"]["walls"][0]["label"] = [0, 5]
-
-    code = main(["validate", "--input", _write_edited(tmp_path, with_bad_label),
-                 "--report", "json"])
-    stage = _json_stages(capsys)[-1]
-    assert code == 1
-    assert (stage["name"], stage["status"]) == ("network", "fail")
-    assert [v["condition"] for v in stage["detail"]["violations"]] == ["2"]
+        code = main(["validate", "--input", _write_edited(tmp_path, edited),
+                     "--report", "json"])
+        stage = _json_stages(capsys)[-1]
+        assert code == 1
+        assert (stage["name"], stage["status"]) == ("network", "fail")
+        violations = stage["detail"]["violations"]
+        if key == "label":
+            assert [v["condition"] for v in violations] == [condition]
+        else:
+            assert (condition, "0") in [(v["condition"], v["witness"])
+                                        for v in violations]

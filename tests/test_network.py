@@ -75,7 +75,7 @@ def test_chamber_adjacency_crosses_walls(p2_built):
 def test_solitons_one_per_builder_wall(p2_built):
     net, layout, cover = p2_built
     for w in net.walls:
-        sols = enumerate_solitons(net, cover, w)
+        sols = enumerate_solitons(net, w)
         assert len(sols) == 1
         s = sols[0]
         assert (s.source_sheet, s.target_sheet) == tuple(w.label)
@@ -91,7 +91,7 @@ def test_soliton_windings_are_arm_positions(fan5_built):
     net, layout, cover = fan5_built
     for b in range(len(layout.branch_points)):
         arms = branch_point_arms(net, b)
-        turns = [enumerate_solitons(net, cover, w)[0].turns for w in arms]
+        turns = [enumerate_solitons(net, w)[0].turns for w in arms]
         assert turns == [0, 1, 2]
 
 
@@ -111,7 +111,7 @@ def test_crossed_walls_are_rejected(p2, p2_built):
                            list(net.walls) + [crossing], net.layout)
     assert not walls_pairwise_disjoint(net2)
     with pytest.raises(NotSupported):
-        enumerate_solitons(net2, cover, net2.walls[0])
+        enumerate_solitons(net2, net2.walls[0])
     with pytest.raises(NotSupported):
         chambers(net2)
     rep = validate_network(net2, p2.tms, cover)
@@ -120,7 +120,7 @@ def test_crossed_walls_are_rejected(p2, p2_built):
 
 def test_track_events_cover_everything(p2_built, p2):
     net, layout, cover = p2_built
-    events = track_events(net, cover)
+    events = track_events(net)
     kinds = {}
     for ev in events:
         kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
@@ -134,23 +134,31 @@ def test_two_y_graphs_give_five_chambers(p1p1_built):
     assert len(chambers(net)) == 5
 
 
-def test_disjointness_verdict_is_computed_once_per_network(p2, monkeypatch):
+def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
+    # so are the track events and the arm order of every branch point
     import toricnets.network as network
     from toricnets.builder import build_network
     from toricnets.cover import make_local_system
     from toricnets.nonabelian import kaneyama_cocycle, loop_identity_check
 
-    seen = []
+    seen = {"disjoint": [], "events": [], "arms": []}
     check = network.walls_pairwise_disjoint
+    events = network.track_events
+    arms = network.branch_point_arms
     monkeypatch.setattr(network, "walls_pairwise_disjoint",
-                        lambda net: seen.append(net) or check(net))
-    net, layout = build_network(p2.tms, p2.disk)
-    cover = build_cover(p2.disk, layout, 2)
-    ls = make_local_system(cover, [])
-    assert loop_identity_check(net, p2.tms, cover, ls)
-    kaneyama_cocycle(net, p2.tms, cover, ls)
-    assert validate_network(net, p2.tms, cover).ok
+                        lambda net: seen["disjoint"].append(net) or check(net))
+    monkeypatch.setattr(network, "track_events",
+                        lambda net: seen["events"].append(net) or events(net))
+    monkeypatch.setattr(network, "branch_point_arms",
+                        lambda net, b: seen["arms"].append(b) or arms(net, b))
+    net, layout = build_network(p1p1.tms, p1p1.disk)
+    cover = build_cover(p1p1.disk, layout, 2)
+    ls = make_local_system(cover, [Fraction(3)])
+    assert loop_identity_check(net, p1p1.tms, cover, ls)
+    kaneyama_cocycle(net, p1p1.tms, cover, ls)
+    network.track_path(net, 0, 2, ccw=False)
+    assert validate_network(net, p1p1.tms, cover).ok
     chambers(net)
-    assert seen == [net]
+    assert seen == {"disjoint": [net], "events": [net], "arms": [0, 1]}
     with pytest.raises(AttributeError):
         net.walls = ()

@@ -32,33 +32,32 @@ def test_semiflat_rank_one_constant(r1):
     net, layout = empty_network(r1.tms, r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
-    f = semiflat_factor(1, r1.tms, cover, ls)
+    f = semiflat_factor(1, r1.tms, cover, sheet_lift_map(r1.tms, cover))
     # slopes (0,0) -> (1,0) across ray 1
-    assert f.matrix == LaurentMatrix([[mono(1, (1, 0))]])
+    assert f == LaurentMatrix([[mono(1, (1, 0))]])
 
 
 def test_semiflat_p2_fixture_frozen(p2, p2_built):
     net, layout, cover = p2_built
-    ls = trivial_ls(cover)
     # frozen by direct substitution into the defining formula: the sheet
     # lift map sends (region, sheet) to c1,c4 | c2,c5 | c6,c3
     lift = sheet_lift_map(p2.tms, cover)
     assert [lift[(0, s)] for s in (0, 1)] == ["c1", "c4"]
     assert [lift[(1, s)] for s in (0, 1)] == ["c2", "c5"]
     assert [lift[(2, s)] for s in (0, 1)] == ["c6", "c3"]
-    f0 = semiflat_factor(0, p2.tms, cover, ls).matrix
+    f0 = semiflat_factor(0, p2.tms, cover, lift)
     assert f0 == LaurentMatrix([[mono(1, (0, -1)), 0], [0, mono(1, (0, 0))]])
-    f1 = semiflat_factor(1, p2.tms, cover, ls).matrix
+    f1 = semiflat_factor(1, p2.tms, cover, lift)
     assert f1 == LaurentMatrix([[mono(1, (0, 0)), 0], [0, mono(1, (1, 0))]])
-    f2 = semiflat_factor(2, p2.tms, cover, ls).matrix
+    f2 = semiflat_factor(2, p2.tms, cover, lift)
     assert f2 == LaurentMatrix([[mono(1, (0, 1)), 0], [0, mono(1, (-1, 0))]])
 
 
 def test_semiflat_generalized_permutation(fan5, fan5_built):
     net, layout, cover = fan5_built
-    ls = trivial_ls(cover)
+    lift = sheet_lift_map(fan5.tms, cover)
     for i in range(fan5.fan.n):
-        m = semiflat_factor(i, fan5.tms, cover, ls).matrix
+        m = semiflat_factor(i, fan5.tms, cover, lift)
         for r in range(2):
             row_nonzero = sum(0 if m.entry(r, c).is_zero() else 1
                               for c in range(2))
@@ -78,7 +77,7 @@ def test_cut_composite_carries_holonomy(p1p1, p1p1_built):
         ls = make_local_system(cover, [Fraction(t)])
         k = 1  # second cut, weight t
         edge = cover.cuts[k].edge
-        spoke = semiflat_factor(edge, p1p1.tms, cover, ls, lift).matrix
+        spoke = semiflat_factor(edge, p1p1.tms, cover, lift)
         cut = cut_factor(k, net, p1p1.tms, cover, ls, lift)
         composites[t] = mat_mul(spoke, cut)
     assert composites[1] != composites[5]
@@ -99,11 +98,16 @@ def test_cut_composite_carries_holonomy(p1p1, p1p1_built):
 
 # -- wall factors -------------------------------------------------------------
 
-def test_wall_factor_empty_soliton_set_is_identity(p2, p2_built):
+def test_wall_factor_empty_soliton_set_is_identity(p2, p2_built,
+                                                   monkeypatch):
+    from toricnets import nonabelian
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
-    f = wall_factor(net.walls[0], net, p2.tms, cover, ls, solitons=[])
-    assert f.matrix == LaurentMatrix.identity(2)
+    w = net.walls[0]
+    monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [])
+    f = wall_factor(w, net, p2.tms, cover, ls, w.end_cone,
+                    sheet_lift_map(p2.tms, cover))
+    assert f == LaurentMatrix.identity(2)
 
 
 def test_wall_factor_single_soliton_slot(p2, p2_built):
@@ -111,7 +115,7 @@ def test_wall_factor_single_soliton_slot(p2, p2_built):
     ls = trivial_ls(cover)
     lift = sheet_lift_map(p2.tms, cover)
     for w in net.walls:
-        f = wall_factor(w, net, p2.tms, cover, ls).matrix
+        f = wall_factor(w, net, p2.tms, cover, ls, w.end_cone, lift)
         a, b = w.label
         off = f.entry(b, a)
         assert not off.is_zero()
@@ -136,7 +140,7 @@ def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
     entries = {}
     for t in (1, 3):
         ls = make_local_system(cover, [Fraction(t)])
-        f = wall_factor(w, net, p1p1.tms, cover, ls, lift=lift).matrix
+        f = wall_factor(w, net, p1p1.tms, cover, ls, w.end_cone, lift)
         a, b = w.label
         entries[t] = f.entry(b, a).monomial_parts()[0]
     assert entries[3] == entries[1] * 3 or entries[3] == entries[1] / 3
@@ -149,8 +153,7 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
     for b in range(len(layout.branch_points)):
         arms = branch_point_arms(net, b)
         region = cover.cut_region[b]
-        factors = [wall_factor(w, net, spec.tms, cover, ls,
-                               region=region, lift=lift).matrix
+        factors = [wall_factor(w, net, spec.tms, cover, ls, region, lift)
                    for w in arms]
         # unipotent signs alternate +,-,+ in ccw order after the cut
         signs = []
@@ -209,7 +212,7 @@ def test_boundary_loop_is_identity(p2, p2_built):
     ls = trivial_ls(cover)
     from toricnets.network import boundary_loop
     for ccw in (True, False):
-        loop = boundary_loop(net, cover, 0, ccw=ccw)
+        loop = boundary_loop(net, 0, ccw=ccw)
         assert path_ordered(net, p2.tms, cover, ls, loop) == \
             LaurentMatrix.identity(2)
 
@@ -229,23 +232,30 @@ def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
             assert loop_identity_check(net, spec.tms, cover, ls)
 
 
-def test_flipped_sign_breaks_loop_identity(p2, p2_built):
+def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
+    from toricnets import nonabelian
+    from toricnets.errors import InvariantViolated
+    from toricnets.network import Soliton, enumerate_solitons
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
 
-    def flipped(w, net_, tms_, cover_, ls_, region=None, lift=None,
-                solitons=None):
-        from toricnets.network import enumerate_solitons, Soliton
-        sols = enumerate_solitons(net_, cover_, w)
+    def flipped(net_, w):
+        sols = enumerate_solitons(net_, w)
         if w.id == 0:
             sols = [Soliton(s.wall_id, s.source_sheet, s.target_sheet,
                             s.branch_point, s.cut_index, s.turns + 1)
                     for s in sols]
-        return wall_factor(w, net_, tms_, cover_, ls_, region=region,
-                           solitons=sols, lift=lift)
+        return sols
 
-    assert not loop_identity_check(net, p2.tms, cover, ls,
-                                   wall_factor_fn=flipped)
+    # the cut factors are built from the true signs; a cut factor built
+    # from the flipped one fails its support check instead
+    lift = sheet_lift_map(p2.tms, cover)
+    caches = {("cut", k): cut_factor(k, net, p2.tms, cover, ls, lift)
+              for k in range(len(cover.cuts))}
+    monkeypatch.setattr(nonabelian, "enumerate_solitons", flipped)
+    assert not loop_identity_check(net, p2.tms, cover, ls, lift, caches)
+    with pytest.raises(InvariantViolated):
+        cut_factor(0, net, p2.tms, cover, ls, lift)
 
 
 def test_rank_one_no_walls_telescopes(r1):
@@ -296,11 +306,11 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
             for j in range(n):
                 if i == j:
                     continue
-                cw = track_path(net, cover, i, j, ccw=False)
+                cw = track_path(net, i, j, ccw=False)
                 alt = path_ordered(net, spec.tms, cover, ls, cw)
                 assert alt == coc.pair(i, j)
         # a third representative: ccw with an extra full boundary loop
-        extra = track_path(net, cover, 0, 1, ccw=True, full_loops=1)
+        extra = track_path(net, 0, 1, ccw=True, full_loops=1)
         assert path_ordered(net, spec.tms, cover, ls, extra) == coc.pair(0, 1)
 
 
@@ -427,7 +437,7 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
         for j in range(n):
             if i != j:
                 direct = path_ordered(net, fan5.tms, cover, ls,
-                                      track_path(net, cover, i, j))
+                                      track_path(net, i, j))
                 assert coc.pair(i, j) == direct, (i, j)
 
 
@@ -437,10 +447,10 @@ def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
     from toricnets.errors import ToricNetsError
     net, layout, cover = p2_built
 
-    def identity_factor(wall, net, tms, cover, ls, region=None, lift=None):
-        return nonabelian.WallFactor(wall.id, region,
-                                     LaurentMatrix.identity(cover.r))
+    def identity_factor(wall, net, tms, cover, ls, region, lift):
+        return LaurentMatrix.identity(cover.r)
 
     monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
     with pytest.raises(ToricNetsError):
-        cut_factor(0, net, p2.tms, cover, trivial_ls(cover))
+        cut_factor(0, net, p2.tms, cover, trivial_ls(cover),
+                   sheet_lift_map(p2.tms, cover))
