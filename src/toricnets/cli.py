@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
-from .cover import build_cover, make_local_system, betti_one
+from .cover import build_cover, make_local_system, betti_one, sheet_lift_map
 from .errors import ToricNetsError, ParseError
 from .render import render_svg
 
@@ -161,10 +161,13 @@ def cmd_verify(spec, report, seed, count=25):
                 for _ in range(b1)]
 
     def sweep():
+        # the lift map depends on the network and cover, not on the system
+        lift = sheet_lift_map(spec.tms, cover)
         for trial in range(count):
             hol = random_holonomies()
             ls = make_local_system(cover, hol)
-            if not nonabelian.loop_identity_check(net, spec.tms, cover, ls):
+            if not nonabelian.loop_identity_check(net, spec.tms, cover, ls,
+                                                  lift=lift):
                 raise ToricNetsError(
                     f"loop identity failed for holonomies {hol}")
         return f"{count} local systems"

@@ -1,10 +1,19 @@
 """Exact Laurent-polynomial matrices with exponents in Z^2.
 
 Coefficients are Fractions (any exact field with +, *, /, == would do; the
-code never calls anything float-specific).  Polynomials are kept in
-canonical form: sorted exponent keys, no zero coefficients.  Matrices are
-tuples of tuples of polynomials; products, determinants (cofactor
-expansion) and adjugates are exact.
+code never calls anything float-specific).  Matrices are tuples of tuples
+of polynomials; products, determinants (cofactor expansion) and adjugates
+are exact.
+
+Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
+sorted exponent keys that are pairs of ``int`` and nonzero ``Fraction``
+coefficients, and nothing mutates it after construction.  Only the public
+constructor ``LaurentPoly(terms)`` validates its input to get there: it
+casts exponents to ``int``, turns coefficients into ``Fraction`` and sums
+repeated exponents (``monomial`` and a scalar factor are converted the
+same way).  Arithmetic relies on its operands being canonical: it collects
+the terms of each result in one dict, puts that dict in canonical form
+once (``_canonical``) and wraps it with ``_poly``, which checks nothing.
 """
 from __future__ import annotations
 
@@ -13,34 +22,53 @@ from fractions import Fraction
 from .errors import NotRegular, SizeMismatch
 
 
+def _poly(terms):
+    """A LaurentPoly around ``terms``, which must already be canonical."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    return p
+
+
+def _canonical(acc):
+    """Canonical LaurentPoly from collected sums: zeros dropped, keys sorted."""
+    return _poly({e: acc[e] for e in sorted(acc) if acc[e]})
+
+
+def _collect_product(acc, terms1, terms2):
+    """Add every term product of two canonical term dicts into ``acc``."""
+    for (x1, y1), c1 in terms1.items():
+        for (x2, y2), c2 in terms2.items():
+            e = (x1 + x2, y1 + y2)
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+
+
 class LaurentPoly:
     """A Laurent polynomial sum of c * z^(e) with e in Z^2."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: mapping (ex, ey) -> coefficient; zeros dropped here.
-        clean = {}
+        # outside input: mapping (ex, ey) -> coefficient
+        acc = {}
         if terms:
             for e, c in terms.items():
-                if c != 0:
-                    e = (int(e[0]), int(e[1]))
-                    clean[e] = clean.get(e, Fraction(0)) + c
-                    if clean[e] == 0:
-                        del clean[e]
-        self.terms = {e: clean[e] for e in sorted(clean)}
+                e = (int(e[0]), int(e[1]))
+                c = Fraction(c)
+                acc[e] = acc[e] + c if e in acc else c
+        self.terms = {e: acc[e] for e in sorted(acc) if acc[e]}
 
     @staticmethod
     def zero():
-        return LaurentPoly()
+        return _poly({})
 
     @staticmethod
     def one():
-        return LaurentPoly({(0, 0): Fraction(1)})
+        return _poly({(0, 0): Fraction(1)})
 
     @staticmethod
     def monomial(coeff, exponent):
-        return LaurentPoly({(int(exponent[0]), int(exponent[1])): Fraction(coeff)})
+        c = Fraction(coeff)
+        return _poly({(int(exponent[0]), int(exponent[1])): c} if c else {})
 
     def is_zero(self):
         return not self.terms
@@ -56,26 +84,24 @@ class LaurentPoly:
         return c, e
 
     def __add__(self, other):
-        out = dict(self.terms)
+        acc = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
+            acc[e] = acc[e] + c if e in acc else c
+        return _canonical(acc)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1])
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return LaurentPoly(out)
-        return LaurentPoly({e: c * other for e, c in self.terms.items()})
+            acc = {}
+            _collect_product(acc, self.terms, other.terms)
+            return _canonical(acc)
+        k = Fraction(other)
+        return _poly({e: c * k for e, c in self.terms.items()} if k else {})
 
     __rmul__ = __mul__
 
@@ -138,6 +164,12 @@ class LaurentMatrix:
     def __mul__(self, other):
         return mat_mul(self, other)
 
+    def is_identity(self):
+        """True iff every diagonal entry is 1 and every other entry is 0."""
+        return all(p.terms == {(0, 0): 1} if i == j else not p.terms
+                   for i, row in enumerate(self.rows)
+                   for j, p in enumerate(row))
+
     def transpose(self):
         return LaurentMatrix(list(zip(*self.rows)))
 
@@ -179,17 +211,17 @@ class LaurentMatrix:
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
-    n = a.size
+    cols = list(zip(*b.rows))
     out = []
-    for i in range(n):
+    for arow in a.rows:
         row = []
-        for j in range(n):
-            s = LaurentPoly.zero()
-            for k in range(n):
-                if a.rows[i][k].is_zero() or b.rows[k][j].is_zero():
-                    continue
-                s = s + a.rows[i][k] * b.rows[k][j]
-            row.append(s)
+        for bcol in cols:
+            # every term product of the entry in one dict, made canonical once
+            acc = {}
+            for p, q in zip(arow, bcol):
+                if p.terms and q.terms:
+                    _collect_product(acc, p.terms, q.terms)
+            row.append(_canonical(acc))
         out.append(row)
     return LaurentMatrix(out)
 
@@ -245,4 +277,4 @@ def cocycle_check(g31: LaurentMatrix, g23: LaurentMatrix,
     """True iff g31 * g23 * g12 is exactly the identity."""
     if not (g31.size == g23.size == g12.size):
         raise SizeMismatch("cocycle factors must share a size")
-    return mat_mul(mat_mul(g31, g23), g12) == LaurentMatrix.identity(g12.size)
+    return mat_mul(mat_mul(g31, g23), g12).is_identity()

@@ -186,14 +186,15 @@ def loop_identity_check(net, tms, cover, ls, lift=None, caches=None) -> bool:
         lift = sheet_lift_map(tms, cover)
     if caches is None:
         caches = {}
-    ident = LaurentMatrix.identity(cover.r)
     for b in range(len(cover.cuts)):
         loop = branch_point_loop(net, cover, b)
-        if path_ordered(net, tms, cover, ls, loop, lift, caches) != ident:
+        if not path_ordered(net, tms, cover, ls, loop, lift,
+                            caches).is_identity():
             return False
     for base in range(tms.fan.n):
         loop = boundary_loop(net, base, ccw=True)
-        if path_ordered(net, tms, cover, ls, loop, lift, caches) != ident:
+        if not path_ordered(net, tms, cover, ls, loop, lift,
+                            caches).is_identity():
             return False
     return True
 
@@ -308,15 +309,14 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     fan = tms.fan
     n = fan.n
     r = coc.cover.r
-    ident = LaurentMatrix.identity(r)
     for i in range(n):
-        if coc.pair(i, i) != ident:
+        if not coc.pair(i, i).is_identity():
             report.add("identity", f"G_({i},{i}) is not the identity", i)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if mat_mul(coc.pair(i, j), coc.pair(j, i)) != ident:
+            if not mat_mul(coc.pair(i, j), coc.pair(j, i)).is_identity():
                 report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     for i in range(n):
         g = coc.pair((i - 1) % n, i)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
 from .fans import Fan, SupportFunction, dual_polytope, disk_model, make_fan
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix
 from .multisection import LiftedCone, LiftedRay, TropicalMultiSection
 from .network import SpectralNetwork, Wall
 
@@ -202,13 +202,6 @@ def emit_matrix(m: LaurentMatrix) -> list:
                 terms.append([i, j, c.numerator, c.denominator, e[0], e[1]])
     terms.sort()
     return terms
-
-
-def parse_matrix(terms, size) -> LaurentMatrix:
-    rows = [[dict() for _ in range(size)] for _ in range(size)]
-    for row, col, num, den, ex, ey in terms:
-        rows[row][col][(ex, ey)] = Fraction(num, den)
-    return LaurentMatrix([[LaurentPoly(cell) for cell in r] for r in rows])
 
 
 def emit_cocycle(coc) -> dict:

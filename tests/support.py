@@ -7,6 +7,7 @@ from pathlib import Path
 
 from toricnets import schema
 from toricnets.geom import cross, dot, rot90, sub
+from toricnets.laurent import LaurentMatrix, LaurentPoly
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
@@ -170,3 +171,79 @@ def brute_force_polytope_vertices(fan, phi):
                    for k in range(n)):
                 pts.add((x, y))
     return pts
+
+
+def parse_matrix(terms, size):
+    """Inverse of ``schema.emit_matrix``: a flat term list back to a matrix."""
+    rows = [[dict() for _ in range(size)] for _ in range(size)]
+    for row, col, num, den, ex, ey in terms:
+        rows[row][col][(ex, ey)] = Fraction(num, den)
+    return LaurentMatrix([[LaurentPoly(cell) for cell in r] for r in rows])
+
+
+def near_identities(n):
+    """Matrices that differ from Id_n in one entry: a diagonal coefficient
+    of 2, an extra z^(1,0) term on the diagonal, a nonzero off-diagonal."""
+    ident = LaurentMatrix.identity(n)
+    return [
+        ident.with_entry(0, 0, LaurentPoly.monomial(2, (0, 0))),
+        ident.with_entry(1, 1, LaurentPoly({(0, 0): 1, (1, 0): 1})),
+        ident.with_entry(0, 1, LaurentPoly.monomial(Fraction(1, 3), (0, 0))),
+    ]
+
+
+# -- reference Laurent arithmetic ---------------------------------------------
+# The constructor-based kernel that ``laurent`` replaced: polynomials are
+# plain term dicts {(ex, ey): coefficient}, and every partial sum and
+# product goes through the cleaning constructor ``ref_clean`` again.  It
+# shares no code with ``toricnets.laurent``.
+
+def ref_clean(terms):
+    clean = {}
+    for e, c in terms.items():
+        if c != 0:
+            e = (int(e[0]), int(e[1]))
+            clean[e] = clean.get(e, Fraction(0)) + c
+            if clean[e] == 0:
+                del clean[e]
+    return {e: clean[e] for e in sorted(clean)}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(p):
+    return ref_clean({e: -c for e, c in p.items()})
+
+
+def ref_mul(p, q):
+    """Product of two term dicts, or of a term dict and a scalar."""
+    if isinstance(q, dict):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return ref_clean(out)
+    return ref_clean({e: c * q for e, c in p.items()})
+
+
+def ref_mat_mul(a, b):
+    """Product of two square matrices given as lists of rows of term dicts."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = {}
+            for k in range(n):
+                if not a[i][k] or not b[k][j]:
+                    continue
+                s = ref_add(s, ref_mul(a[i][k], b[k][j]))
+            row.append(s)
+        out.append(row)
+    return out

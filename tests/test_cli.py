@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from support import FIXTURES
+from support import FIXTURES, parse_matrix
 
 from toricnets import schema
 from toricnets.cli import main
@@ -142,7 +142,7 @@ def test_matrix_round_trip(p2, p2_built):
     ls = make_local_system(cover, [])
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
     m = coc.pair(0, 1)
-    assert schema.parse_matrix(schema.emit_matrix(m), 2) == m
+    assert parse_matrix(schema.emit_matrix(m), 2) == m
 
 
 def _json_stages(capsys):

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from support import (near_identities, ref_add, ref_clean, ref_mat_mul,
+                     ref_mul, ref_neg)
+
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, max_cone, ray_cone, ZERO_CONE
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, cocycle_check,
@@ -133,11 +136,91 @@ def test_monomial_inverse_constructive():
 def test_cocycle_check_examples():
     ident = LaurentMatrix.identity(2)
     assert cocycle_check(ident, ident, ident)
+    assert ident.is_identity()
     d = LaurentMatrix([[mono(1, (1, 0)), LaurentPoly.zero()],
                        [LaurentPoly.zero(), mono(1, (0, 1))]])
     dinv = monomial_inverse(d)
     assert cocycle_check(ident, dinv, d)
     u = ident.with_entry(0, 1, mono(1, (0, 0)))
     assert not cocycle_check(ident, ident, u)
+    for n in (2, 3):
+        d = LaurentMatrix([[mono(i + 1, (i, 1 - i)) if i == j else 0
+                            for j in range(n)] for i in range(n)])
+        dinv = monomial_inverse(d)
+        assert cocycle_check(dinv, LaurentMatrix.identity(n), d)
+        for bad in near_identities(n):
+            assert not bad.is_identity()
+            assert not cocycle_check(bad, LaurentMatrix.identity(n),
+                                     LaurentMatrix.identity(n))
+            # the same defect conjugated by a diagonal monomial matrix
+            assert not cocycle_check(dinv, bad, d)
     with pytest.raises(SizeMismatch):
         cocycle_check(ident, ident, LaurentMatrix.identity(3))
+
+
+def test_kernel_matches_constructor_based_reference():
+    """Each entry made canonical once equals the re-cleaned partial sums."""
+    rng = random.Random(20240607)
+
+    def rand_terms():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = (rng.randint(-2, 2), rng.randint(-2, 2))
+            terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        return terms
+
+    def rand_rows(n):
+        return [[rand_terms() for _ in range(n)] for _ in range(n)]
+
+    def cancelling_rows(a):
+        # column j of b is t_j * (a[i][1], -a[i][0], 0, ...) for a fixed
+        # row i, so entry (i, j) of a*b cancels to zero term by term
+        n = len(a)
+        i = rng.randrange(n)
+        b = rand_rows(n)
+        for j in range(n):
+            t = {(rng.randint(-1, 1), 0): Fraction(rng.randint(1, 4), 3)}
+            b[0][j] = ref_mul(a[i][1], t)
+            b[1][j] = ref_neg(ref_mul(a[i][0], t))
+            for k in range(2, n):
+                b[k][j] = {}
+        return b, i
+
+    def check_canonical(p):
+        assert list(p.terms) == sorted(p.terms)
+        for e, c in p.terms.items():
+            assert type(e[0]) is int and type(e[1]) is int
+            assert type(c) is Fraction and c != 0
+
+    def matrix(rows):
+        return LaurentMatrix([[LaurentPoly(t) for t in row] for row in rows])
+
+    cancelled = 0
+    for trial in range(60):
+        n = 2 if trial % 2 else 3
+        a = rand_rows(n)
+        b, row = cancelling_rows(a) if trial % 3 == 0 else (rand_rows(n), None)
+        got = mat_mul(matrix(a), matrix(b))
+        want = ref_mat_mul(a, b)
+        for i in range(n):
+            for j in range(n):
+                check_canonical(got.entry(i, j))
+                assert got.entry(i, j).terms == want[i][j]
+        if row is not None:
+            assert all(got.entry(row, j).is_zero() for j in range(n))
+            cancelled += all(ref_clean(a[row][k]) for k in range(2))
+        for _ in range(3):
+            p, q = LaurentPoly(rand_terms()), LaurentPoly(rand_terms())
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for result, expected in [
+                    (p + q, ref_add(p.terms, q.terms)),
+                    (p - q, ref_add(p.terms, ref_neg(q.terms))),
+                    (-p, ref_neg(p.terms)),
+                    (p * q, ref_mul(p.terms, q.terms)),
+                    (p * k, ref_mul(p.terms, k)),
+                    (k * p, ref_mul(p.terms, k)),
+                    (p + (-p), {}),
+                    (p * q - q * p, {})]:
+                check_canonical(result)
+                assert result.terms == expected
+    assert cancelled > 0

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import near_identities
+
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
                              Crossing, SurfacePath)
@@ -333,6 +335,16 @@ def test_corrupted_cocycle_detected(p2, p2_built):
     rep = verify_bundle(corrupted, p2.tms)
     assert not rep.ok
     assert any(v.condition in ("cocycle", "inverses") for v in rep.violations)
+    # near-identity defects: G_(0,1) G_(1,0) = N, and G_(0,0) = N
+    for near in near_identities(2):
+        bad = dict(coc.matrices)
+        bad[(0, 1)] = mat_mul(near, coc.pair(0, 1))
+        bad[(0, 0)] = near
+        rep = verify_bundle(KaneyamaCocycle(coc.tms, coc.cover, bad), p2.tms)
+        found = {(v.condition, v.witness) for v in rep.violations}
+        assert ("inverses", (0, 1)) in found
+        assert ("identity", 0) in found
+        assert ("inverses", (1, 2)) not in found
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,
