@@ -126,7 +126,12 @@ def cmd_build(spec, report, outdir):
 def _local_system(spec, cover, holonomy_arg):
     b1 = betti_one(cover)
     if holonomy_arg:
-        hol = [Fraction(h) for h in holonomy_arg.split(",") if h]
+        try:
+            hol = [Fraction(h) for h in holonomy_arg.split(",") if h]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(
+                f"--holonomy {holonomy_arg!r} is not a list of rationals: "
+                f"{exc}") from exc
     elif spec.holonomies:
         hol = list(spec.holonomies)
     else:

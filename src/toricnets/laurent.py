@@ -14,6 +14,12 @@ repeated exponents (``monomial`` and a scalar factor are converted the
 same way).  Arithmetic relies on its operands being canonical: it collects
 the terms of each result in one dict, puts that dict in canonical form
 once (``_canonical``) and wraps it with ``_poly``, which checks nothing.
+
+``LaurentMatrix`` keeps the same kind of invariant: ``rows`` is a square
+tuple of tuples of ``LaurentPoly``.  The public ``LaurentMatrix(rows)``
+converts scalar entries and checks the shape; ``mat_mul`` builds its
+product from canonical polynomials in square tuples, so it wraps them with
+``_matrix``, which checks nothing.
 """
 from __future__ import annotations
 
@@ -126,6 +132,15 @@ def _as_poly(x):
     return LaurentPoly({(0, 0): Fraction(x)})
 
 
+def _matrix(rows):
+    """A LaurentMatrix around ``rows``: a square tuple of tuples of
+    LaurentPoly, which must already be canonical."""
+    m = object.__new__(LaurentMatrix)
+    m.size = len(rows)
+    m.rows = rows
+    return m
+
+
 class LaurentMatrix:
     """Square matrix of Laurent polynomials."""
 
@@ -222,8 +237,8 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
                 if p.terms and q.terms:
                     _collect_product(acc, p.terms, q.terms)
             row.append(_canonical(acc))
-        out.append(row)
-    return LaurentMatrix(out)
+        out.append(tuple(row))
+    return _matrix(tuple(out))
 
 
 def poly_regular_on(p: LaurentPoly, generators) -> bool:

@@ -60,3 +60,18 @@ def p1p1_built(p1p1):
 @pytest.fixture(scope="session")
 def fan5_built(fan5):
     return built(fan5)
+
+
+@pytest.fixture(scope="session")
+def fan7():
+    return load("fan7_n7")
+
+
+@pytest.fixture(scope="session")
+def r1_built(r1):
+    return built(r1)
+
+
+@pytest.fixture(scope="session")
+def fan7_built(fan7):
+    return built(fan7)

@@ -247,3 +247,65 @@ def ref_mat_mul(a, b):
             row.append(s)
         out.append(row)
     return out
+
+
+# -- reference bundle verification --------------------------------------------
+# The sweep ``nonabelian.verify_bundle`` replaced: the lift map recomputed
+# from the cover, and ``cocycle_check`` (two products) on every ordered
+# triple of distinct cones instead of one product per unordered triple.
+
+def reference_verify_bundle(coc, tms):
+    from toricnets.cover import sheet_lift_map
+    from toricnets.errors import NoSharedLift
+    from toricnets.fans import ray_cone
+    from toricnets.laurent import (cocycle_check, is_invertible_on, mat_mul,
+                                   regular_on)
+    from toricnets.nonabelian import _recovered_slopes
+    from toricnets.reporting import ValidationReport
+
+    report = ValidationReport()
+    fan = tms.fan
+    n = fan.n
+    r = coc.cover.r
+    for i in range(n):
+        if not coc.pair(i, i).is_identity():
+            report.add("identity", f"G_({i},{i}) is not the identity", i)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if not mat_mul(coc.pair(i, j), coc.pair(j, i)).is_identity():
+                report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
+    for i in range(n):
+        g = coc.pair((i - 1) % n, i)
+        cone = ray_cone(i)
+        if not regular_on(g, fan, cone):
+            report.add("regularity",
+                       f"G over the ray-{i} overlap has negative exponents", i)
+            continue
+        if not is_invertible_on(g, fan, cone):
+            report.add("invertibility",
+                       f"G over the ray-{i} overlap is not a unit there", i)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) != 3:
+                    continue
+                if not cocycle_check(coc.pair(k, i), coc.pair(j, k),
+                                     coc.pair(i, j)):
+                    report.add("cocycle",
+                               f"triple ({i},{j},{k}) fails the cocycle "
+                               "condition", (i, j, k))
+    try:
+        lift = sheet_lift_map(tms, coc.cover)
+        rec = _recovered_slopes(coc, lift)
+        for i in range(n):
+            got = sorted(rec.get((i, s)) for s in range(r))
+            want = sorted(tms.slope(lift[(i, s)]) for s in range(r))
+            if got != want:
+                report.add("tropicalization",
+                           f"recovered slopes {got} != input {want} "
+                           f"over cone {i}", i)
+    except NoSharedLift as exc:
+        report.add("tropicalization", str(exc))
+    return report

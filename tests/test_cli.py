@@ -157,14 +157,20 @@ def _write_edited(tmp_path, edit):
     return str(p)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d["multisection"]["lifted_cones"][0].pop("slope"),
-    lambda d: d["multisection"]["lifted_rays"][0].update(ray="one"),
-    lambda d: d.update(layout={"branch_points": []}),
-], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts"])
-def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit):
-    code = main(["validate", "--input", _write_edited(tmp_path, edit),
-                 "--report", "json"])
+@pytest.mark.parametrize("edit, argv", [
+    (lambda d: d["multisection"]["lifted_cones"][0].pop("slope"),
+     ["validate"]),
+    (lambda d: d["multisection"]["lifted_rays"][0].update(ray="one"),
+     ["validate"]),
+    (lambda d: d.update(layout={"branch_points": []}), ["validate"]),
+    (lambda d: None, ["nonabelianize", "--holonomy", "abc"]),
+    (lambda d: None, ["nonabelianize", "--holonomy", "1/0"]),
+], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
+        "holonomy-not-rational", "holonomy-zero-denominator"])
+def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
+    code = main([argv[0], "--input", _write_edited(tmp_path, edit),
+                 "--out", str(tmp_path / "out"), "--report", "json"]
+                + argv[1:])
     stages = _json_stages(capsys)
     assert code == 1
     assert stages[-1]["status"] == "fail"

@@ -1,8 +1,10 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from support import near_identities
+from support import near_identities, reference_verify_bundle
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
@@ -11,7 +13,7 @@ from toricnets.fans import ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, mat_mul,
                                monomial_inverse, regular_on, is_invertible_on)
 from toricnets.network import branch_point_arms, track_path
-from toricnets.nonabelian import (KaneyamaCocycle, boundary_restriction,
+from toricnets.nonabelian import (boundary_restriction,
                                   boundary_restriction_equiv,
                                   branch_point_loop, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
@@ -331,7 +333,7 @@ def test_corrupted_cocycle_detected(p2, p2_built):
         else:
             continue
         break
-    corrupted = KaneyamaCocycle(coc.tms, coc.cover, bad)
+    corrupted = replace(coc, matrices=bad)
     rep = verify_bundle(corrupted, p2.tms)
     assert not rep.ok
     assert any(v.condition in ("cocycle", "inverses") for v in rep.violations)
@@ -340,11 +342,97 @@ def test_corrupted_cocycle_detected(p2, p2_built):
         bad = dict(coc.matrices)
         bad[(0, 1)] = mat_mul(near, coc.pair(0, 1))
         bad[(0, 0)] = near
-        rep = verify_bundle(KaneyamaCocycle(coc.tms, coc.cover, bad), p2.tms)
+        rep = verify_bundle(replace(coc, matrices=bad), p2.tms)
         found = {(v.condition, v.witness) for v in rep.violations}
         assert ("inverses", (0, 1)) in found
         assert ("identity", 0) in found
         assert ("inverses", (1, 2)) not in found
+
+
+def _entry_edit(coc, rng):
+    """Kind (a): an extra term in one entry of G_ij, i != j, so that
+    G_ij G_ji = Id fails (G_ji is invertible)."""
+    n, r = coc.tms.fan.n, coc.cover.r
+    i, j = rng.sample(range(n), 2)
+    row, col = rng.randrange(r), rng.randrange(r)
+    g = coc.pair(i, j)
+    term = mono(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)),
+                (rng.randint(-2, 2), rng.randint(-2, 2)))
+    bad = dict(coc.matrices)
+    bad[(i, j)] = g.with_entry(row, col, g.entry(row, col) + term)
+    return replace(coc, matrices=bad)
+
+
+def _gauge_edit(coc, rng):
+    """Kind (b): G_ij -> D G_ij and G_ji -> G_ji D^-1 for a constant
+    diagonal D, non-scalar when r > 1.  Every inverse survives, and every
+    triple through the pair {i, j} breaks."""
+    n, r = coc.tms.fan.n, coc.cover.r
+    i, j = rng.sample(range(n), 2)
+    ds = [Fraction(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(r)]
+    if r > 1:
+        ds[1] = ds[0] + 1
+    d = LaurentMatrix([[mono(ds[a], (0, 0)) if a == b else 0
+                        for b in range(r)] for a in range(r)])
+    d_inv = LaurentMatrix([[mono(1 / ds[a], (0, 0)) if a == b else 0
+                            for b in range(r)] for a in range(r)])
+    bad = dict(coc.matrices)
+    bad[(i, j)] = mat_mul(d, coc.pair(i, j))
+    bad[(j, i)] = mat_mul(coc.pair(j, i), d_inv)
+    return replace(coc, matrices=bad)
+
+
+@pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7"])
+def test_verify_bundle_matches_ordered_triple_reference(name, request):
+    # one product per unordered triple must report exactly what
+    # cocycle_check on all n(n-1)(n-2) ordered triples reports, in order
+    from toricnets.cover import betti_one
+    spec = request.getfixturevalue(name)
+    net, layout, cover = request.getfixturevalue(f"{name}_built")
+    rng = random.Random(20251)
+    hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+           for _ in range(betti_one(cover))]
+    coc = kaneyama_cocycle(net, spec.tms, cover,
+                           make_local_system(cover, hol))
+    assert coc.lift == sheet_lift_map(spec.tms, cover)
+    kinds = {"clean": [coc], "entry": [], "gauge": [], "mixed": []}
+    for _ in range(4):
+        kinds["entry"].append(_entry_edit(coc, rng))
+        kinds["gauge"].append(_gauge_edit(_gauge_edit(coc, rng), rng)
+                              if rng.random() < 0.5 else _gauge_edit(coc, rng))
+        kinds["mixed"].append(_entry_edit(_gauge_edit(coc, rng), rng))
+    for kind, cases in kinds.items():
+        for case in cases:
+            got = verify_bundle(case, spec.tms).violations
+            assert got == reference_verify_bundle(case, spec.tms).violations
+            conditions = {v.condition for v in got}
+            if kind == "clean":
+                assert not got
+            elif kind == "gauge":
+                assert conditions == {"cocycle"}
+            else:
+                assert "inverses" in conditions
+
+
+def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
+                                                          monkeypatch):
+    # fan7_n7: n = 7, so n(n-1) = 42 inverse products and C(7, 3) = 35
+    # triple products; two products per ordered triple would add 420
+    from toricnets import laurent, nonabelian
+    net, layout, cover = fan7_built
+    ls = make_local_system(cover, [Fraction(2)] * 4)
+    coc = kaneyama_cocycle(net, fan7.tms, cover, ls)
+    calls = []
+    product = laurent.mat_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(laurent, "mat_mul", counting)
+    monkeypatch.setattr(nonabelian, "mat_mul", counting)
+    assert verify_bundle(coc, fan7.tms).ok
+    assert len(calls) == 77
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,
@@ -382,7 +470,7 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
                                  [0, mono(1 / scale[i][1], (0, 0))]])
         rescaled[(i, j)] = mat_mul(d_j, mat_mul(m, d_i_inv))
     assert boundary_restriction_equiv(
-        cocs[3], KaneyamaCocycle(cocs[3].tms, cocs[3].cover, rescaled))
+        cocs[3], replace(cocs[3], matrices=rescaled))
 
 
 def test_path_errors(p2, p2_built):
