@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
@@ -112,7 +113,37 @@ def betti_one(cover: SheetedSurface) -> int:
     return cover.component_count() - cover.euler_characteristic()
 
 
-def _validate_cut_geometry(disk, cut: Cut):
+class GridPoints:
+    """A disk model, a cut layout and walls, scaled once onto one grid.
+
+    The lists keep the order of their sources: ``vertices`` (ccw),
+    ``branch_points``, ``spokes`` (center, barycenter), ``cuts`` and
+    ``walls``.  ``*_boxes`` hold the bounding box of each polyline: a
+    contact test skips every pair, of polylines or of segments, whose
+    boxes miss each other, because such a pair cannot touch.
+    """
+
+    def __init__(self, disk, layout, wall_polylines):
+        spokes = [disk.spoke(i) for i in range(disk.fan.n)]
+        cuts = [c.polyline for c in layout.cuts]
+        grid = geom.Grid(chain(disk.polytope.vertices, layout.branch_points,
+                               *spokes, *cuts, *wall_polylines))
+        self.vertices = grid.polyline(disk.polytope.vertices)
+        self.branch_points = grid.polyline(layout.branch_points)
+        self.spokes = [grid.polyline(s) for s in spokes]
+        self.cuts = [grid.polyline(c) for c in cuts]
+        self.walls = [grid.polyline(w) for w in wall_polylines]
+        self.spoke_boxes = [geom.box(s) for s in self.spokes]
+        self.cut_boxes = [geom.box(c) for c in self.cuts]
+        self.wall_boxes = [geom.box(w) for w in self.walls]
+
+    def interior(self, p):
+        """True iff grid point p is interior to the polygon."""
+        return geom.point_in_convex_polygon(p, self.vertices) == 1
+
+
+def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
+    """Check cut k of the layout; ``g`` holds the layout's grid points."""
     poly = disk.polytope
     pts = list(cut.polyline)
     if len(pts) < 2:
@@ -124,43 +155,50 @@ def _validate_cut_geometry(disk, cut: Cut):
     if end != target:
         raise CutEndpointNotBarycenter(
             f"cut ends at {end}, not at barycenter {target} of edge {cut.edge}")
-    for p in pts[:-1]:
-        if poly.contains(p) != 1:
+    grid_pts = g.cuts[k]
+    for p, q in zip(pts[:-1], grid_pts):
+        if not g.interior(q):
             raise CutHitsRay(f"cut vertex {p} is not interior to the polygon")
     # Relative interior must avoid every spoke; contact with the landing
     # spoke is allowed exactly at the shared barycenter endpoint.
-    for si in range(disk.fan.n):
-        s1, s2 = disk.spoke(si)
+    for si, (s1, s2) in enumerate(g.spokes):
         for j in range(len(pts) - 1):
-            a, b = pts[j], pts[j + 1]
-            if not geom.segments_cross(a, b, s1, s2):
+            a, b = grid_pts[j], grid_pts[j + 1]
+            if not (geom.boxes_meet(geom.box((a, b)), g.spoke_boxes[si])
+                    and geom.segments_cross(a, b, s1, s2)):
                 continue
             last = j == len(pts) - 2
             if last and si == cut.edge and geom.orient(s1, s2, a) != 0:
                 # proper contact at the barycenter only
                 continue
-            raise CutHitsRay(
-                f"cut segment {a}-{b} meets the spoke of ray {si}")
+            raise CutHitsRay(f"cut segment {pts[j]}-{pts[j + 1]} meets the "
+                             f"spoke of ray {si}")
 
 
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
-    """Assemble and validate the branched cover over the disk model."""
+    """Assemble and validate the branched cover over the disk model.
+
+    Contact tests run on the layout's grid points (``GridPoints``), and
+    only on the pairs whose bounding boxes meet.
+    """
     if len(layout.cuts) != len(layout.branch_points):
         raise OverlappingCuts("one cut per branch point required")
-    for c in layout.cuts:
+    g = GridPoints(disk, layout, ())
+    for k, c in enumerate(layout.cuts):
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
-        _validate_cut_geometry(disk, c)
+        _validate_cut_geometry(disk, c, g, k)
     for i, a in enumerate(layout.cuts):
-        for b in layout.cuts[i + 1:]:
+        for k in range(i + 1, len(layout.cuts)):
+            b = layout.cuts[k]
             if a.edge == b.edge:
                 raise OverlappingCuts(
                     f"two cuts land on the barycenter of edge {a.edge}")
-            if not geom.polyline_pairwise_disjoint(
-                    list(a.polyline), list(b.polyline),
-                    skip_shared_endpoints=False):
+            if geom.boxes_meet(g.cut_boxes[i], g.cut_boxes[k]) and \
+                    not geom.polyline_pairwise_disjoint(
+                        g.cuts[i], g.cuts[k], skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
     cover = SheetedSurface(disk, layout, r)
     return cover

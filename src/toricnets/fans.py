@@ -324,13 +324,11 @@ class DiskModel:
         c = self.center
         if point == c:
             return list(range(self.fan.n)), on_boundary
-        regions = []
+        n = self.fan.n
         d = geom.sub(point, c)
-        for i in range(self.fan.n):
-            a = geom.sub(self.polytope.edge_barycenter(i), c)
-            b = geom.sub(self.polytope.edge_barycenter(i + 1), c)
-            if _direction_in_sector(a, b, d):
-                regions.append(i)
+        dirs = [geom.sub(self.ray_segments[i][1], c) for i in range(n)]
+        regions = [i for i in range(n)
+                   if _direction_in_sector(dirs[i], dirs[(i + 1) % n], d)]
         return regions, on_boundary
 
     def region_of_interior_point(self, point):

@@ -3,11 +3,21 @@
 Points are pairs of ``Fraction``; lattice vectors are pairs of ``int``.
 Everything here is a pure predicate or constructor on those tuples, so the
 rest of the package never touches floating point.
+
+The segment-contact predicates (``orient``, ``on_segment``,
+``segments_cross``, ``polyline_pairwise_disjoint``,
+``point_in_convex_polygon``) run on points put on one integer grid by
+``Grid``: every coordinate times a positive common denominator D.  That
+map multiplies every signed area by D^2 > 0, so every orientation sign is
+unchanged, and it is injective, so every point equality is unchanged too;
+the predicates give the same answers on plain ``int``s, exactly.  Only
+the predicates see the grid: emitted points, report witnesses and error
+messages keep the original ``Fraction`` points.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Point = tuple  # (Fraction, Fraction)
 IVec = tuple   # (int, int)
@@ -79,40 +89,55 @@ def on_segment(p, a, b) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
+def box(points):
+    """Closed bounding box (xmin, ymin, xmax, ymax) of a point list.
+
+    An empty list has no segment to test, so any box does for it.
+    """
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return (min(xs, default=0), min(ys, default=0),
+            max(xs, default=0), max(ys, default=0))
+
+
+def boxes_meet(a, b) -> bool:
+    """True iff two closed bounding boxes share a point."""
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
 def segments_cross(p1, p2, q1, q2) -> bool:
     """True iff closed segments [p1,p2], [q1,q2] share at least one point."""
     d1 = orient(q1, q2, p1)
     d2 = orient(q1, q2, p2)
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return True
-    if d1 == 0 and on_segment(p1, q1, q2):
-        return True
-    if d2 == 0 and on_segment(p2, q1, q2):
-        return True
-    if d3 == 0 and on_segment(q1, p1, p2):
-        return True
-    if d4 == 0 and on_segment(q2, p1, p2):
-        return True
-    return False
+    return ((d1 == 0 and on_segment(p1, q1, q2))
+            or (d2 == 0 and on_segment(p2, q1, q2))
+            or (d3 == 0 and on_segment(q1, p1, p2))
+            or (d4 == 0 and on_segment(q2, p1, p2)))
 
 
 def polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True) -> bool:
     """True iff two polylines have disjoint images.
 
     With ``skip_shared_endpoints`` a single common endpoint of the two
-    polylines is tolerated (arms meeting at a branch point).
+    polylines is tolerated (arms meeting at a branch point).  Segment
+    pairs whose bounding boxes miss each other are not tested.
     """
     shared = set()
     if skip_shared_endpoints:
         ends_a = {poly_a[0], poly_a[-1]}
         ends_b = {poly_b[0], poly_b[-1]}
         shared = ends_a & ends_b
+    boxes_b = [box(poly_b[j:j + 2]) for j in range(len(poly_b) - 1)]
     for i in range(len(poly_a) - 1):
-        for j in range(len(poly_b) - 1):
-            a1, a2 = poly_a[i], poly_a[i + 1]
+        a1, a2 = poly_a[i], poly_a[i + 1]
+        box_a = box((a1, a2))
+        for j, box_b in enumerate(boxes_b):
+            if not boxes_meet(box_a, box_b):
+                continue
             b1, b2 = poly_b[j], poly_b[j + 1]
             if not segments_cross(a1, a2, b1, b2):
                 continue
@@ -129,6 +154,25 @@ def polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True) -> bo
             if not contact_ok:
                 return False
     return True
+
+
+class Grid:
+    """One integer grid for a finite set of rational points.
+
+    ``scale`` is the least positive common denominator of every
+    coordinate, and ``point(p)`` is the integer point scale * p.
+    """
+
+    def __init__(self, points):
+        self.scale = lcm(*(c.denominator for p in points for c in p))
+
+    def point(self, p):
+        s = self.scale
+        return (p[0].numerator * (s // p[0].denominator),
+                p[1].numerator * (s // p[1].denominator))
+
+    def polyline(self, points):
+        return tuple(map(self.point, points))
 
 
 def point_in_convex_polygon(p, vertices):

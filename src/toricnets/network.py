@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .cover import Crossing, SurfacePath, sheet_lift_map
+from .cover import Crossing, GridPoints, SurfacePath, sheet_lift_map
 from .errors import NoSharedLift, NotSupported, UnknownCone
 from .reporting import ValidationReport
 
@@ -47,9 +47,10 @@ class SpectralNetwork:
     """Walls plus their branch-cut layout.
 
     The walls are fixed at construction, so the facts derived from them
-    and the layout (the pairwise-disjointness verdict, the ccw-sorted
-    track events, the arm order of every branch point) are computed once,
-    on first use, and then read by everything that needs them.
+    and the layout (the points on one integer grid, the
+    pairwise-disjointness verdict, the ccw-sorted track events, the arm
+    order of every branch point) are computed once, on first use, and
+    then read by everything that needs them.
     """
 
     def __init__(self, fan, polytope, disk, walls, layout):
@@ -58,6 +59,7 @@ class SpectralNetwork:
         self.disk = disk
         self._walls = tuple(walls)
         self.layout = layout
+        self._grid = None
         self._disjoint = None
         self._events = None
         self._arms = None
@@ -65,6 +67,14 @@ class SpectralNetwork:
     @property
     def walls(self):
         return self._walls
+
+    @property
+    def grid(self):
+        """Every point of the network on one integer grid (``GridPoints``)."""
+        if self._grid is None:
+            self._grid = GridPoints(self.disk, self.layout,
+                                    [w.polyline for w in self._walls])
+        return self._grid
 
     @property
     def walls_disjoint(self):
@@ -294,12 +304,21 @@ def _angle_cmp(u, v):
 
 
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
-    for i, a in enumerate(net.walls):
-        for b in net.walls[i + 1:]:
+    """True iff no two walls meet, except arms at their common branch point.
+
+    Runs on the network's grid points and tests only the wall pairs whose
+    bounding boxes meet.
+    """
+    g = net.grid
+    walls = net.walls
+    for i, a in enumerate(walls):
+        for j in range(i + 1, len(walls)):
+            if not geom.boxes_meet(g.wall_boxes[i], g.wall_boxes[j]):
+                continue
+            b = walls[j]
             shared = a.start_branch is not None and a.start_branch == b.start_branch
             if not geom.polyline_pairwise_disjoint(
-                    list(a.polyline), list(b.polyline),
-                    skip_shared_endpoints=shared):
+                    g.walls[i], g.walls[j], skip_shared_endpoints=shared):
                 return False
     return True
 
@@ -408,30 +427,41 @@ def _proper_crossing(a1, a2, b1, b2):
 
 
 def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
-    """Check the six defining conditions of a subordinate network."""
+    """Check the six defining conditions of a subordinate network.
+
+    Contact tests run on the network's grid points (``net.grid``), and only
+    on the pairs whose bounding boxes meet; witnesses are the original
+    points.
+    """
     report = ValidationReport()
     poly = net.polytope
     fan = net.fan
-    n = fan.n
+    g = net.grid
     bad_labels = set()
 
-    for w in net.walls:
+    for wi, w in enumerate(net.walls):
+        pts = g.walls[wi]
+        wall_box = g.wall_boxes[wi]
         # (1) interior in the open polygon, away from cuts, transverse to spokes
-        for p in w.polyline[1:-1]:
-            if poly.contains(p) != 1:
+        for p, q in zip(w.polyline[1:-1], pts[1:-1]):
+            if not g.interior(q):
                 report.add("1", f"wall {w.id} has a non-interior vertex", p)
-        if poly.contains(w.start) != 1 and w.start_branch is not None:
+        if not g.interior(pts[0]) and w.start_branch is not None:
             report.add("1", f"wall {w.id} starts outside the open polygon", w.start)
-        for cut in net.cuts:
-            if not geom.polyline_pairwise_disjoint(
-                    list(w.polyline), list(cut.polyline),
-                    skip_shared_endpoints=(w.start_branch is not None)):
+        for k, cut in enumerate(g.cuts):
+            if geom.boxes_meet(wall_box, g.cut_boxes[k]) and \
+                    not geom.polyline_pairwise_disjoint(
+                        pts, cut,
+                        skip_shared_endpoints=(w.start_branch is not None)):
                 report.add("1", f"wall {w.id} meets a branch cut", w.id)
-        for si in range(n):
-            s1, s2 = net.disk.spoke(si)
-            for j in range(len(w.polyline) - 1):
-                a, b = w.polyline[j], w.polyline[j + 1]
-                if geom.segments_cross(a, b, s1, s2) and \
+        for si, (s1, s2) in enumerate(g.spokes):
+            spoke_box = g.spoke_boxes[si]
+            if not geom.boxes_meet(wall_box, spoke_box):
+                continue
+            for j in range(len(pts) - 1):
+                a, b = pts[j], pts[j + 1]
+                if geom.boxes_meet(geom.box((a, b)), spoke_box) and \
+                        geom.segments_cross(a, b, s1, s2) and \
                         not _proper_crossing(a, b, s1, s2):
                     report.add("1",
                                f"wall {w.id} meets the spoke of ray {si} "
@@ -443,10 +473,12 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             bad_labels.add(w.id)
         # (5) at most one branch point on the wall
         interior_hits = 0
-        for bi, bp in enumerate(net.branch_points):
-            for j in range(len(w.polyline) - 1):
-                if geom.on_segment(bp, w.polyline[j], w.polyline[j + 1]):
-                    if not (j == 0 and w.start_branch == bi and bp == w.start):
+        for bi, bp in enumerate(g.branch_points):
+            if not geom.boxes_meet(wall_box, (*bp, *bp)):
+                continue
+            for j in range(len(pts) - 1):
+                if geom.on_segment(bp, pts[j], pts[j + 1]):
+                    if not (j == 0 and w.start_branch == bi and bp == pts[0]):
                         interior_hits += 1
         if interior_hits:
             report.add("5", f"wall {w.id} passes through a branch point")
@@ -458,9 +490,8 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                 report.add("5", f"wall {w.id} does not start at its branch point")
 
     # (3) interior endpoints must be branch points with the Y local model
-    for w in net.walls:
-        if w.start_branch is None and poly.contains(w.start) >= 0 \
-                and poly.contains(w.start) == 1:
+    for wi, w in enumerate(net.walls):
+        if w.start_branch is None and g.interior(g.walls[wi][0]):
             report.add("3", f"wall {w.id} starts at an undeclared joint", w.start)
     for b in range(len(net.branch_points)):
         arms = net.walls_of_branch(b)

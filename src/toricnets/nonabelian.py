@@ -306,6 +306,11 @@ def _recovered_slopes(coc: KaneyamaCocycle, lift):
 def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     """Full verification sweep over a Kaneyama cocycle.
 
+    The inverses check G_ij G_ji = Id takes one product per unordered pair
+    i < j: over the commutative Laurent ring AB = Id forces det A to be a
+    unit, so A is invertible and BA = Id as well.  A failed pair is still
+    reported under both ordered witnesses, in (i, j) order.
+
     The cocycle condition G_ki G_jk G_ij = Id is checked for every ordered
     triple of distinct cones, and decided once per unordered triple
     i < j < k when all six of its ordered pairs pass the inverses check,
@@ -326,18 +331,17 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     fan = tms.fan
     n = fan.n
     r = coc.cover.r
-    inverse_pairs = set()    # ordered (i, j) with G_ij G_ji = Id
     for i in range(n):
         if not coc.pair(i, i).is_identity():
             report.add("identity", f"G_({i},{i}) is not the identity", i)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if mat_mul(coc.pair(i, j), coc.pair(j, i)).is_identity():
-                inverse_pairs.add((i, j))
-            else:
-                report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
+    # ordered (i, j) with G_ij G_ji = Id; one product per unordered pair
+    inverse_pairs = set()
+    for i, j in combinations(range(n), 2):
+        if mat_mul(coc.pair(i, j), coc.pair(j, i)).is_identity():
+            inverse_pairs |= {(i, j), (j, i)}
+    for i, j in permutations(range(n), 2):
+        if (i, j) not in inverse_pairs:
+            report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     for i in range(n):
         g = coc.pair((i - 1) % n, i)
         cone = ray_cone(i)

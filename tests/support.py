@@ -309,3 +309,251 @@ def reference_verify_bundle(coc, tms):
     except NoSharedLift as exc:
         report.add("tropicalization", str(exc))
     return report
+
+
+# -- reference contact geometry ----------------------------------------------
+# The all-pairs ``Fraction`` predicates that the grid-point contact tests
+# replaced, and the network and cover validators built on them: every
+# segment pair is tested, with no bounding-box reject and no grid.
+
+def ref_orient(a, b, c):
+    s = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (s > 0) - (s < 0)
+
+
+def ref_on_segment(p, a, b):
+    if ref_orient(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def ref_segments_cross(p1, p2, q1, q2):
+    d1 = ref_orient(q1, q2, p1)
+    d2 = ref_orient(q1, q2, p2)
+    d3 = ref_orient(p1, p2, q1)
+    d4 = ref_orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    if d1 == 0 and ref_on_segment(p1, q1, q2):
+        return True
+    if d2 == 0 and ref_on_segment(p2, q1, q2):
+        return True
+    if d3 == 0 and ref_on_segment(q1, p1, p2):
+        return True
+    if d4 == 0 and ref_on_segment(q2, p1, p2):
+        return True
+    return False
+
+
+def ref_polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True):
+    shared = set()
+    if skip_shared_endpoints:
+        shared = {poly_a[0], poly_a[-1]} & {poly_b[0], poly_b[-1]}
+    for i in range(len(poly_a) - 1):
+        for j in range(len(poly_b) - 1):
+            a1, a2 = poly_a[i], poly_a[i + 1]
+            b1, b2 = poly_b[j], poly_b[j + 1]
+            if not ref_segments_cross(a1, a2, b1, b2):
+                continue
+            contact_ok = False
+            for s in shared:
+                if (s in (a1, a2)) and (s in (b1, b2)):
+                    others = [p for p in (a1, a2) if p != s] + \
+                             [p for p in (b1, b2) if p != s]
+                    if all(not ref_on_segment(o, b1, b2) or o == s
+                           for o in others[:1]) \
+                       and all(not ref_on_segment(o, a1, a2) or o == s
+                               for o in others[1:]):
+                        contact_ok = True
+            if not contact_ok:
+                return False
+    return True
+
+
+def ref_walls_pairwise_disjoint(net):
+    for i, a in enumerate(net.walls):
+        for b in net.walls[i + 1:]:
+            shared = a.start_branch is not None and \
+                a.start_branch == b.start_branch
+            if not ref_polyline_pairwise_disjoint(
+                    list(a.polyline), list(b.polyline),
+                    skip_shared_endpoints=shared):
+                return False
+    return True
+
+
+def _ref_proper_crossing(a1, a2, b1, b2):
+    d1 = ref_orient(b1, b2, a1)
+    d2 = ref_orient(b1, b2, a2)
+    d3 = ref_orient(a1, a2, b1)
+    d4 = ref_orient(a1, a2, b2)
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def reference_validate_network(net, tms, cover):
+    from toricnets.cover import sheet_lift_map
+    from toricnets.errors import NoSharedLift, UnknownCone
+    from toricnets.network import half_edge_of_boundary_point
+    from toricnets.reporting import ValidationReport
+
+    report = ValidationReport()
+    poly = net.polytope
+    fan = net.fan
+    n = fan.n
+    bad_labels = set()
+
+    for w in net.walls:
+        for p in w.polyline[1:-1]:
+            if poly.contains(p) != 1:
+                report.add("1", f"wall {w.id} has a non-interior vertex", p)
+        if poly.contains(w.start) != 1 and w.start_branch is not None:
+            report.add("1", f"wall {w.id} starts outside the open polygon",
+                       w.start)
+        for cut in net.cuts:
+            if not ref_polyline_pairwise_disjoint(
+                    list(w.polyline), list(cut.polyline),
+                    skip_shared_endpoints=(w.start_branch is not None)):
+                report.add("1", f"wall {w.id} meets a branch cut", w.id)
+        for si in range(n):
+            s1, s2 = net.disk.spoke(si)
+            for j in range(len(w.polyline) - 1):
+                a, b = w.polyline[j], w.polyline[j + 1]
+                if ref_segments_cross(a, b, s1, s2) and \
+                        not _ref_proper_crossing(a, b, s1, s2):
+                    report.add("1",
+                               f"wall {w.id} meets the spoke of ray {si} "
+                               "non-transversely", si)
+        a, b = w.label
+        if a == b or not (0 <= a < cover.r and 0 <= b < cover.r):
+            report.add("2", f"wall {w.id} carries a bad label {w.label}")
+            bad_labels.add(w.id)
+        interior_hits = 0
+        for bi, bp in enumerate(net.branch_points):
+            for j in range(len(w.polyline) - 1):
+                if ref_on_segment(bp, w.polyline[j], w.polyline[j + 1]):
+                    if not (j == 0 and w.start_branch == bi
+                            and bp == w.start):
+                        interior_hits += 1
+        if interior_hits:
+            report.add("5", f"wall {w.id} passes through a branch point")
+        if w.start_branch is not None:
+            if not 0 <= w.start_branch < len(net.branch_points):
+                report.add("5", f"wall {w.id} names an unknown branch point "
+                                f"{w.start_branch}", w.id)
+            elif w.start != tuple(net.branch_points[w.start_branch]):
+                report.add("5",
+                           f"wall {w.id} does not start at its branch point")
+
+    for w in net.walls:
+        if w.start_branch is None and poly.contains(w.start) == 1:
+            report.add("3", f"wall {w.id} starts at an undeclared joint",
+                       w.start)
+    for b in range(len(net.branch_points)):
+        arms = net.walls_of_branch(b)
+        if len(arms) != 3:
+            report.add("3", f"branch point {b} has {len(arms)} walls, not 3",
+                       b)
+    if not ref_walls_pairwise_disjoint(net):
+        report.add("3", "walls intersect away from branch points "
+                        "(joint local models not realized here)")
+
+    ids = [w.id for w in net.walls]
+    if len(set(ids)) != len(ids):
+        report.add("4", "duplicate wall ids")
+
+    try:
+        lift = sheet_lift_map(tms, cover)
+    except NoSharedLift as exc:
+        report.add("6", f"sheet/lift matching failed: {exc}")
+        lift = None
+    for w in net.walls:
+        he = half_edge_of_boundary_point(poly, w.end)
+        if he is None:
+            report.add("6",
+                       f"wall {w.id} endpoint is not in the relative interior "
+                       "of a boundary half-edge", w.end)
+            continue
+        e, cone = he
+        if (e, cone) != (w.end_edge, w.end_cone):
+            report.add("6",
+                       f"wall {w.id} endpoint data disagrees with geometry",
+                       (e, cone))
+            continue
+        if lift is not None and w.id not in bad_labels:
+            a, b = w.label
+            ma = tms.slope(lift[(cone, a)])
+            mb = tms.slope(lift[(cone, b)])
+            v = fan.ray(e)
+            pairing = dot(sub(mb, ma), v)
+            if pairing < 0:
+                report.add("6",
+                           f"wall {w.id} label {w.label} violates the slope "
+                           f"condition on ray {e} (pairing {pairing})", w.id)
+            elif pairing == 0:
+                report.add("6",
+                           f"wall {w.id} label pairs to zero on ray {e} "
+                           "(separatedness should forbid this)", w.id)
+    for bi, bp in enumerate(net.branch_points):
+        try:
+            net.disk.region_of_interior_point(bp)
+        except UnknownCone:
+            report.add("1", f"branch point {bi} is not interior to a region",
+                       bp)
+    return report
+
+
+def _ref_validate_cut_geometry(disk, cut):
+    from toricnets.errors import CutEndpointNotBarycenter, CutHitsRay
+
+    poly = disk.polytope
+    pts = list(cut.polyline)
+    if len(pts) < 2:
+        raise CutEndpointNotBarycenter("cut polyline needs two points")
+    if pts[0] != tuple(cut.branch_point):
+        raise CutEndpointNotBarycenter("cut must start at its branch point")
+    end = pts[-1]
+    target = poly.edge_barycenter(cut.edge)
+    if end != target:
+        raise CutEndpointNotBarycenter(
+            f"cut ends at {end}, not at barycenter {target} "
+            f"of edge {cut.edge}")
+    for p in pts[:-1]:
+        if poly.contains(p) != 1:
+            raise CutHitsRay(f"cut vertex {p} is not interior to the polygon")
+    for si in range(disk.fan.n):
+        s1, s2 = disk.spoke(si)
+        for j in range(len(pts) - 1):
+            a, b = pts[j], pts[j + 1]
+            if not ref_segments_cross(a, b, s1, s2):
+                continue
+            last = j == len(pts) - 2
+            if last and si == cut.edge and ref_orient(s1, s2, a) != 0:
+                continue
+            raise CutHitsRay(
+                f"cut segment {a}-{b} meets the spoke of ray {si}")
+
+
+def reference_build_cover(disk, layout, r):
+    from toricnets.cover import SheetedSurface
+    from toricnets.errors import OverlappingCuts
+
+    if len(layout.cuts) != len(layout.branch_points):
+        raise OverlappingCuts("one cut per branch point required")
+    for c in layout.cuts:
+        if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
+                and c.transposition[0] != c.transposition[1]):
+            raise OverlappingCuts(
+                f"cut transposition {c.transposition} is not a valid swap")
+        _ref_validate_cut_geometry(disk, c)
+    for i, a in enumerate(layout.cuts):
+        for b in layout.cuts[i + 1:]:
+            if a.edge == b.edge:
+                raise OverlappingCuts(
+                    f"two cuts land on the barycenter of edge {a.edge}")
+            if not ref_polyline_pairwise_disjoint(
+                    list(a.polyline), list(b.polyline),
+                    skip_shared_endpoints=False):
+                raise OverlappingCuts("cut polylines intersect")
+    return SheetedSurface(disk, layout, r)

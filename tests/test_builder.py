@@ -135,15 +135,27 @@ def test_builder_on_random_realizable_covers():
         assert built == 5
 
 
-def test_build_tests_each_polyline_pair_once(monkeypatch):
-    # fan7_n7: 15 walls and 5 cuts, so C(20, 2) = 190 pairs, each tested
-    # once (wall/wall and wall/cut by validation, cut/cut by the cover)
-    from toricnets import geom
+def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
+    # fan7_n7: 15 walls (50 segments), 5 cuts and 7 spokes.  Testing every
+    # segment pair of walls, cuts and spokes takes 1710 exact tests; after
+    # the bounding-box reject 114 remain.  The points are scaled onto the
+    # integer grid once for the cover and once for the network.
+    from toricnets import cover, geom
     spec = load("fan7_n7")
-    calls = []
-    disjoint = geom.polyline_pairwise_disjoint
-    monkeypatch.setattr(geom, "polyline_pairwise_disjoint",
-                        lambda *a, **k: calls.append(a) or disjoint(*a, **k))
+    tests, grids = [], []
+    segments_cross = geom.segments_cross
+    grid_points = cover.GridPoints.__init__
+    monkeypatch.setattr(geom, "segments_cross",
+                        lambda *a: tests.append(a) or segments_cross(*a))
+    monkeypatch.setattr(
+        cover.GridPoints, "__init__",
+        lambda self, *a: grids.append(a) or grid_points(self, *a))
     net, layout = build_network(spec.tms, spec.disk)
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
-    assert len(calls) == 190
+    assert len(tests) == 114
+    assert [len(walls) for _, _, walls in grids] == [0, 15]
+    assert all(isinstance(c, int) for a in tests for p in a for c in p)
+    # the network keeps its grid: validating it again scales only the
+    # points of the new cover
+    validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
+    assert [len(walls) for _, _, walls in grids] == [0, 15, 0]

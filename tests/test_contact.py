@@ -1,0 +1,233 @@
+"""Grid-point contact tests against the all-pairs ``Fraction`` oracle.
+
+``validate_network`` and ``build_cover`` test contacts on integer grid
+points and only for pairs whose bounding boxes meet.  The references in
+``support`` test every pair on the original ``Fraction`` points.  Both
+must give the same reports (condition, message, witness, multiplicity,
+order) and the same cover errors (class and message) on every fixture,
+on generated networks up to (12, 12) and on perturbed networks.
+"""
+import importlib.util
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from support import (FIXTURES, load, reference_build_cover,
+                     reference_validate_network)
+
+from toricnets import builder, errors, fans, multisection, schema
+from toricnets.builder import build_network
+from toricnets.cover import BranchCutLayout, Cut, build_cover
+from toricnets.geom import lerp, midpoint, polygon_barycenter
+from toricnets.network import SpectralNetwork, Wall, validate_network
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _violations(report):
+    return [(v.condition, v.message, v.witness) for v in report.violations]
+
+
+def assert_same_report(net, tms, cover):
+    got = _violations(validate_network(net, tms, cover))
+    assert got == _violations(reference_validate_network(net, tms, cover))
+    return got
+
+
+def _cover_outcome(build, disk, layout, r):
+    try:
+        build(disk, layout, r)
+    except errors.ToricNetsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_cover(disk, layout, r):
+    got = _cover_outcome(build_cover, disk, layout, r)
+    assert got == _cover_outcome(reference_build_cover, disk, layout, r)
+    return got
+
+
+def _checked_build(spec, monkeypatch):
+    """Build a network, comparing every placement the builder tries."""
+    seen = []
+
+    def validate(net, tms, cover):
+        seen.append(assert_same_report(net, tms, cover))
+        return validate_network(net, tms, cover)
+
+    def cover(disk, layout, r):
+        assert_same_cover(disk, layout, r)
+        return build_cover(disk, layout, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(builder, "validate_network", validate)
+        m.setattr(builder, "build_cover", cover)
+        net, layout = build_network(spec.tms, spec.disk)
+    return net, layout, seen
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fixtures_match_reference(path, monkeypatch):
+    spec = load(path.stem)
+    try:
+        net, layout, seen = _checked_build(spec, monkeypatch)
+    except errors.NotRealizable:
+        assert path.stem in ("p2_n1", "p2_split_n0")
+        return
+    cover = build_cover(spec.disk, layout, spec.tms.degree)
+    assert assert_same_report(net, spec.tms, cover) == []
+    # a rank-2 build validates every placement; the accepted one is clean
+    assert seen[-1:] == ([[]] if spec.tms.degree == 2 else [])
+
+
+def test_generated_networks_match_reference(monkeypatch):
+    gen = _gen()
+    tk = SimpleNamespace(errors=errors, fans=fans, multisection=multisection,
+                         schema=schema)
+    rng = random.Random(20261018)
+    shapes = [(12, 12)] + [(n, rng.randint(3, n))
+                           for n in rng.sample(range(4, 12), 5)]
+    for n, big_n in shapes:
+        doc = gen.generate(n, big_n, f"contact:{rng.randrange(10 ** 6)}", tk)
+        spec = schema.parse_problem(json.loads(gen.serialize(doc)))
+        net, layout, seen = _checked_build(spec, monkeypatch)
+        assert len(net.walls) == 3 * (big_n - 2)
+        assert seen and seen[-1] == []
+
+
+def _replace_wall(net, index, polyline):
+    w = net.walls[index]
+    walls = list(net.walls)
+    walls[index] = Wall(w.id, tuple(polyline), w.label, w.start_branch,
+                        w.end_edge, w.end_cone)
+    return SpectralNetwork(net.fan, net.polytope, net.disk, walls, net.layout)
+
+
+def _replace_cut(net, k, polyline):
+    cuts = list(net.cuts)
+    c = cuts[k]
+    cuts[k] = Cut(c.branch_point, tuple(polyline), c.transposition, c.edge)
+    return BranchCutLayout(list(net.branch_points), cuts)
+
+
+def _through(a, p):
+    """Polyline from a through p to the mirror image of a in p."""
+    return (a, p, (2 * p[0] - a[0], 2 * p[1] - a[1]))
+
+
+def _wall_perturbations(net, rng):
+    """(kind, network) pairs, each with one wall moved."""
+    walls = net.walls
+    for _ in range(2):
+        i = rng.randrange(len(walls))
+        a = walls[i]
+        others = [w for w in walls if w.start_branch != a.start_branch]
+        b = rng.choice(others) if others else walls[(i + 1) % len(walls)]
+        j = rng.randrange(len(b.polyline) - 1)
+        b1, b2 = b.polyline[j], b.polyline[j + 1]
+        m = midpoint(b1, b2)
+        yield "crossing", _replace_wall(net, i, _through(a.start, m))
+        yield "overlap", _replace_wall(
+            net, i, (a.start, lerp(b1, b2, Fraction(1, 4)),
+                     lerp(b1, b2, Fraction(3, 4))))
+        yield "endpoint touch", _replace_wall(net, i, (a.start, m))
+        yield "vertex touch", _replace_wall(net, i, (a.start, b2))
+        foreign = [p for p in net.branch_points if p != a.start]
+        if foreign:
+            yield "foreign branch point", _replace_wall(
+                net, i, _through(a.start, rng.choice(foreign)))
+        s1, s2 = net.disk.spoke(rng.randrange(net.fan.n))
+        yield "spoke touch", _replace_wall(
+            net, i, (a.start, lerp(s1, s2, Fraction(1, 2))))
+        yield "along spoke", _replace_wall(
+            net, i, (a.start, lerp(s1, s2, Fraction(1, 4)),
+                     lerp(s1, s2, Fraction(3, 4))))
+        yield "through center", _replace_wall(net, i, _through(a.start, s1))
+        corner = net.polytope.vertex(rng.randrange(net.fan.n))
+        yield "boundary vertex", _replace_wall(net, i,
+                                               (a.start, corner, a.end))
+        sibling = next(w for w in walls if w.id != a.id
+                       and w.start_branch == a.start_branch)
+        yield "along a sibling arm", _replace_wall(
+            net, i, (a.start, midpoint(*sibling.polyline[:2])))
+
+
+def _crossing_cuts(net, k, m):
+    """Layout with cuts k and m moved into the region of cut k, crossing."""
+    poly = net.polytope
+    n = net.fan.n
+    i = net.disk.region_of_interior_point(net.cuts[k].branch_point)
+    b0, b1 = poly.edge_barycenter(i), poly.edge_barycenter(i + 1)
+    mid = polygon_barycenter(net.disk.region_polygon(i))
+    p0, p1 = midpoint(mid, b0), midpoint(mid, b1)
+    cuts = list(net.cuts)
+    points = list(net.branch_points)
+    cuts[k] = Cut(p0, (p0, b1), cuts[k].transposition, (i + 1) % n)
+    cuts[m] = Cut(p1, (p1, b0), cuts[m].transposition, i)
+    points[k], points[m] = p0, p1
+    return BranchCutLayout(points, cuts)
+
+
+def _cut_perturbations(net, rng):
+    """(kind, layout) pairs, each with one or two cuts rerouted."""
+    cuts = net.cuts
+    for _ in range(2):
+        k = rng.randrange(len(cuts))
+        start, end = cuts[k].polyline[0], cuts[k].polyline[-1]
+        s1, s2 = net.disk.spoke(rng.randrange(net.fan.n))
+        beyond = lerp(start, lerp(s1, s2, Fraction(1, 2)), Fraction(5, 4))
+        yield "cut across spoke", _replace_cut(net, k, (start, beyond, end))
+        yield "cut along spoke", _replace_cut(
+            net, k, (start, lerp(s1, s2, Fraction(1, 3)), end))
+        yield "cut leaves polygon", _replace_cut(
+            net, k, (start, _through(start, end)[2], end))
+        corner = net.polytope.vertex(rng.randrange(net.fan.n))
+        yield "cut touches boundary", _replace_cut(net, k,
+                                                   (start, corner, end))
+        w = rng.choice(net.walls)
+        yield "cut across wall", _replace_cut(
+            net, k, (start, midpoint(w.polyline[0], w.polyline[1]), end))
+        if len(cuts) > 1:
+            m = rng.choice([c for c in range(len(cuts)) if c != k])
+            yield "cuts cross", _crossing_cuts(net, k, m)
+
+
+@pytest.mark.parametrize("name", ["p1p1_n4", "fan7_n7"])
+def test_perturbed_networks_match_reference(name):
+    spec = load(name)
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = build_cover(spec.disk, layout, 2)
+    rng = random.Random(f"contact:{name}")
+    kinds, cover_errors = set(), set()
+    for kind, bad in _wall_perturbations(net, rng):
+        if assert_same_report(bad, spec.tms, cover):
+            kinds.add(kind)
+    for kind, bad_layout in _cut_perturbations(net, rng):
+        error = assert_same_cover(spec.disk, bad_layout, 2)
+        if error:
+            cover_errors.add(" ".join(error[1].split()[:2]))
+        bad = SpectralNetwork(net.fan, net.polytope, net.disk, net.walls,
+                              bad_layout)
+        if error or assert_same_report(bad, spec.tms, cover):
+            kinds.add(kind)
+    # every perturbation is caught, by each kind of check
+    assert kinds == {"crossing", "overlap", "endpoint touch", "vertex touch",
+                     "foreign branch point", "spoke touch", "along spoke",
+                     "through center", "boundary vertex",
+                     "along a sibling arm", "cut across spoke",
+                     "cut along spoke", "cut leaves polygon",
+                     "cut touches boundary", "cut across wall", "cuts cross"}
+    assert cover_errors == {"cut segment", "cut vertex", "cut polylines"}

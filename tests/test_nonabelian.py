@@ -416,7 +416,8 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
 
 def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
                                                           monkeypatch):
-    # fan7_n7: n = 7, so n(n-1) = 42 inverse products and C(7, 3) = 35
+    # fan7_n7: n = 7, so C(7, 2) = 21 inverse products (one per unordered
+    # pair; n(n-1) = 42 would check each pair twice) and C(7, 3) = 35
     # triple products; two products per ordered triple would add 420
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
@@ -432,7 +433,7 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     monkeypatch.setattr(laurent, "mat_mul", counting)
     monkeypatch.setattr(nonabelian, "mat_mul", counting)
     assert verify_bundle(coc, fan7.tms).ok
-    assert len(calls) == 77
+    assert len(calls) == 56
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,

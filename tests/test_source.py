@@ -13,3 +13,17 @@ def test_no_assert_statements_in_package():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_no_float_outside_render():
+    # the pipeline is exact; only the SVG writer turns coordinates into
+    # decimals, so no other module may call (or pass around) ``float``
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "float"]
+    assert (SRC / "render.py").is_file()
+    assert found == []
