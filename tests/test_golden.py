@@ -3,8 +3,10 @@
 ``test_acceptance_9_determinism`` compares two runs of the same revision;
 this file compares against digests recorded once, so any change in the
 bytes of ``network.json``, ``network.svg`` or ``cocycle.json`` (or in the
-verdict of a non-realizable fixture) fails here.  Refactors must leave
-every digest unchanged.
+verdict of a non-realizable fixture) fails here.  ``VERIFY_STAGES`` pins
+the stage list of ``toricnets verify --seed 0 --report json`` (names,
+statuses, details and order), hashed as the benchmark's holonomy-sweep
+gate hashes it.  Refactors must leave every digest unchanged.
 
 To print the table for the current code (only when an output change is
 intended): ``PYTHONPATH=src python tests/test_golden.py``.
@@ -59,6 +61,17 @@ def _run(name, label, argv, outdir):
 def observe(name, outdir):
     return {label: _run(name, label, argv, outdir)
             for label, argv in _runs(name)}
+
+
+def verify_stages(name):
+    """sha256 of the stage list of ``toricnets verify --seed 0``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["verify", "--input", str(FIXTURES / f"{name}.json"),
+              "--seed", "0", "--report", "json"])
+    stages = json.loads(buf.getvalue())["stages"]
+    return hashlib.sha256(
+        json.dumps(stages, sort_keys=True).encode()).hexdigest()
 
 
 GOLDEN = {
@@ -154,14 +167,37 @@ GOLDEN = {
     },
 }
 
+VERIFY_STAGES = {
+    "fan5_n5":
+        "1eb72498e7feb115d500ff9ed4c80893568acbc1a90d68f93090fa15642b046b",
+    "fan7_n7":
+        "ebe870119d318ce52fa5f91d17bac22c38ec4d8c8822c5b3b2fa469d42d10957",
+    "line_bundle_r1":
+        "c32b30639e5152ce874c66578d5251e390f2cf91be9def7e6b30f7e9811386fd",
+    "p1p1_n4":
+        "f22fa00ed0eda4fd456abd8f2df4889bb3d0c9103d00f435eb69d97951a8778a",
+    "p2_n1":
+        "e73c329c3174476065e2be05626f5d153ba47f51f7bbf93fa988bea242bcded1",
+    "p2_n3":
+        "a55722a1341ef287852c577b951bb88eec894aada2624b101650c7c466bf9fa2",
+    "p2_split_n0":
+        "9e335ecc2467668b9793ac1526a1426a1b0dbb6269430441c40bf13f1e716f82",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_outputs(name, tmp_path):
     assert observe(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_STAGES))
+def test_golden_verify_stages(name):
+    assert verify_stages(name) == VERIFY_STAGES[name]
+
+
 def test_golden_table_covers_every_fixture():
-    assert sorted(GOLDEN) == sorted(p.stem for p in FIXTURES.glob("*.json"))
+    stems = sorted(p.stem for p in FIXTURES.glob("*.json"))
+    assert sorted(GOLDEN) == stems and sorted(VERIFY_STAGES) == stems
     for name in NOT_REALIZABLE:
         for run in GOLDEN[name].values():
             assert run["exit"] == 1 and run["failed"]
@@ -172,3 +208,6 @@ if __name__ == "__main__":
         table = {p.stem: observe(p.stem, Path(d) / p.stem)
                  for p in sorted(FIXTURES.glob("*.json"))}
     print(json.dumps(table, indent=4, sort_keys=True))
+    print(json.dumps({p.stem: verify_stages(p.stem)
+                      for p in sorted(FIXTURES.glob("*.json"))},
+                     indent=4, sort_keys=True))
