@@ -15,6 +15,14 @@ holonomy 1 automatically, so the data descends to an honest local system
 on the covering surface.  Moduli: (t_1, ..., t_B) modulo a common rescale,
 which matches b_1 = B - 1 for a connected 2-fold cover.
 
+A weight is a nonzero rational, or a symbol: ``make_local_system(cover,
+TPoly.symbols(b1))`` gives the cut weights 1, t_1, ..., t_b1 in the
+Laurent ring Q[t_1^±, ..., t_b1^±] (``laurent.TPoly``).  Transports are
+then monomials in the t_k, and every factor and path-ordered product built
+from that system has coefficients in the same ring.  Substituting nonzero
+rationals for the t_k is a ring homomorphism, so an identity proved for
+the symbolic system holds for every rational system as well.
+
 Winding data for solitons is bookkept as an integer count of full tangent
 turns; the sign convention is pinned by the branch-point consistency
 identity (see ``toricnets.nonabelian``).
@@ -29,6 +37,7 @@ from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
                      NoSharedLift, OpenPath, OverlappingCuts, WrongCount,
                      ZeroHolonomy)
+from .laurent import coefficient
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,7 @@ class RankOneLocalSystem:
             if w == 0:
                 raise ZeroHolonomy("cut weight must be invertible")
         self.cover = cover
-        self.cut_weights = [Fraction(w) for w in cut_weights]
+        self.cut_weights = [coefficient(w) for w in cut_weights]
 
     def cut_crossing_weight(self, k, from_sheet, direction):
         """Scalar picked up crossing cut k from a given sheet.
@@ -324,11 +333,14 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
     """Local system with prescribed holonomies on the generator loops.
 
     The k-th generator loop crosses cut k+1 positively and then cut 0
-    positively (see ``generator_loops``); in the cut gauge with t_0 = 1 its
-    holonomy is exactly t_{k+1}, so the weights are [1, h_1, ..., h_{b1}].
+    positively (see ``generator_loops`` in ``tests/support.py``); in the cut
+    gauge with t_0 = 1 its holonomy is exactly t_{k+1}, so the weights are
+    [1, h_1, ..., h_{b1}].  The holonomies are rationals, or the
+    symbols ``TPoly.symbols(b1)`` for the system that stands for all of
+    them at once.
     """
     b1 = betti_one(cover)
-    holonomies = [Fraction(h) for h in holonomies]
+    holonomies = [coefficient(h) for h in holonomies]
     if len(holonomies) != b1:
         raise WrongCount(f"need {b1} holonomies, got {len(holonomies)}")
     if any(h == 0 for h in holonomies):
@@ -345,41 +357,6 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
             raise WrongCount(
                 "generator-loop gauge needs a connected 2-fold cover")
     return RankOneLocalSystem(cover, weights)
-
-
-def _spoke_run(cover, start_region, end_region):
-    """Ccw spoke crossings leading from one region to another."""
-    n = cover.disk.fan.n
-    crossings = []
-    region = start_region % n
-    while region != end_region % n:
-        nxt = (region + 1) % n
-        crossings.append(Crossing("spoke", nxt, +1))
-        region = nxt
-    return crossings
-
-
-def generator_loops(cover: SheetedSurface):
-    """Loops whose holonomies coordinatize the local-system moduli.
-
-    Loop k encircles branch points k+1 and 0: it crosses cut k+1
-    positively from the lower sheet, walks ccw back to cut 0's region,
-    crosses cut 0 positively, and returns.  Requires a connected 2-fold
-    cover (the only case with more than one cut in this package).
-    """
-    loops = []
-    if not cover.cuts:
-        return loops
-    for k in range(1, len(cover.cuts)):
-        cut = cover.cuts[k]
-        r_k = cover.cut_region[k]
-        r_0 = cover.cut_region[0]
-        crossings = [Crossing("cut", k, +1)]
-        crossings += _spoke_run(cover, r_k, r_0)
-        crossings.append(Crossing("cut", 0, +1))
-        crossings += _spoke_run(cover, r_0, r_k)
-        loops.append(SurfacePath(r_k, cut.lo, crossings, turns=0))
-    return loops
 
 
 def winding_sign(path: SurfacePath) -> int:

@@ -1,19 +1,29 @@
 """Exact Laurent-polynomial matrices with exponents in Z^2.
 
-Coefficients are Fractions (any exact field with +, *, /, == would do; the
-code never calls anything float-specific).  Matrices are tuples of tuples
-of polynomials; products, determinants (cofactor expansion) and adjugates
-are exact.
+Coefficients come from one exact ring: the rationals (``Fraction``), or
+Q[t_1^±, ..., t_c^±] (``TPoly``) when the holonomies of a local system
+are left as symbols.  The code never calls anything float-specific.
+Matrices are tuples of tuples of polynomials; products, determinants
+(cofactor expansion) and adjugates are exact.
 
 Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
-sorted exponent keys that are pairs of ``int`` and nonzero ``Fraction``
-coefficients, and nothing mutates it after construction.  Only the public
-constructor ``LaurentPoly(terms)`` validates its input to get there: it
-casts exponents to ``int``, turns coefficients into ``Fraction`` and sums
-repeated exponents (``monomial`` and a scalar factor are converted the
-same way).  Arithmetic relies on its operands being canonical: it collects
-the terms of each result in one dict, puts that dict in canonical form
-once (``_canonical``) and wraps it with ``_poly``, which checks nothing.
+sorted exponent keys that are pairs of ``int`` and nonzero coefficients,
+each a ``Fraction`` or a ``TPoly``, and nothing mutates it after
+construction.  Only the public constructor ``LaurentPoly(terms)``
+validates its input to get there: it casts exponents to ``int``, turns
+coefficients into ``Fraction`` and sums repeated exponents (``monomial``
+and a scalar factor are converted by ``coefficient``, which keeps a
+``TPoly`` as it is).  Arithmetic relies on its operands being canonical:
+it collects the terms of each result in one dict, puts that dict in
+canonical form once (``_canonical``) and wraps it with ``_poly``, which
+checks nothing.
+
+The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
+``TPoly`` operation whose result does not involve t returns a plain
+``Fraction`` instead, so a coefficient is zero exactly when it is falsy
+and equals 1 exactly when ``== 1`` holds; ``_canonical`` and
+``is_identity`` rely on both.  The Z^2 kernel ``_collect_product`` only
+adds and multiplies coefficients, so it serves both rings unchanged.
 
 ``LaurentMatrix`` keeps the same kind of invariant: ``rows`` is a square
 tuple of tuples of ``LaurentPoly``.  The public ``LaurentMatrix(rows)``
@@ -24,8 +34,118 @@ product from canonical polynomials in square tuples, so it wraps them with
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import NotRegular, SizeMismatch
+
+
+def _tpoly(terms):
+    """A TPoly around ``terms``, which must already be canonical."""
+    p = object.__new__(TPoly)
+    p.terms = terms
+    return p
+
+
+def _tcanonical(acc):
+    """Canonical coefficient from collected sums: zeros dropped, keys
+    sorted, and a t-free result returned as a Fraction."""
+    terms = {e: acc[e] for e in sorted(acc) if acc[e]}
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        if not any(e):
+            return c
+    return _tpoly(terms)
+
+
+class TPoly:
+    """A Laurent polynomial sum of c * t^(e) with e in Z^c, c in Q.
+
+    ``terms`` maps exponent tuples, all of one length c, to nonzero
+    ``Fraction`` coefficients, in sorted key order, and holds at least one
+    nonzero exponent: t-free values are plain ``Fraction``s (see the
+    module docstring).  Supports +, -, *, == with other TPolys and with
+    rationals, and division by a monomial, the only units of the ring.
+    """
+
+    __slots__ = ("terms",)
+
+    @staticmethod
+    def symbols(c):
+        """The generators t_1, ..., t_c."""
+        return [_tpoly({tuple(int(i == k) for i in range(c)): Fraction(1)})
+                for k in range(c)]
+
+    def _terms_of(self, other):
+        """Terms of a TPoly or rational operand; None for anything else."""
+        if isinstance(other, TPoly):
+            return other.terms
+        if isinstance(other, (int, Fraction)):
+            zero = (0,) * len(next(iter(self.terms)))
+            return {zero: Fraction(other)} if other else {}
+        return None
+
+    def __add__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        for e, c in terms.items():
+            acc[e] = acc[e] + c if e in acc else c
+        return _tcanonical(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _tpoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        acc = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in terms.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return _tcanonical(acc)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        """``other / self``; only a monomial has an inverse."""
+        if len(self.terms) != 1:
+            raise NotRegular(f"{self!r} is not a unit of Q[t^±]")
+        ((e, c),) = self.terms.items()
+        return _tpoly({tuple(-x for x in e): 1 / c}) * other
+
+    def __truediv__(self, other):
+        return self * (1 / other)
+
+    def __eq__(self, other):
+        return isinstance(other, TPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(self.terms.items()))
+
+    def __bool__(self):
+        return True
+
+    def __repr__(self):
+        return "(" + " + ".join(f"{c}*t^{e}"
+                                for e, c in self.terms.items()) + ")"
+
+
+def coefficient(x):
+    """``x`` as an exact coefficient: a TPoly as it is, else a Fraction."""
+    return x if isinstance(x, TPoly) else Fraction(x)
 
 
 def _poly(terms):
@@ -49,7 +169,8 @@ def _collect_product(acc, terms1, terms2):
 
 
 class LaurentPoly:
-    """A Laurent polynomial sum of c * z^(e) with e in Z^2."""
+    """A Laurent polynomial sum of c * z^(e) with e in Z^2; each c is a
+    Fraction or a TPoly."""
 
     __slots__ = ("terms",)
 
@@ -73,7 +194,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(coeff, exponent):
-        c = Fraction(coeff)
+        c = coefficient(coeff)
         return _poly({(int(exponent[0]), int(exponent[1])): c} if c else {})
 
     def is_zero(self):
@@ -106,7 +227,7 @@ class LaurentPoly:
             acc = {}
             _collect_product(acc, self.terms, other.terms)
             return _canonical(acc)
-        k = Fraction(other)
+        k = coefficient(other)
         return _poly({e: c * k for e, c in self.terms.items()} if k else {})
 
     __rmul__ = __mul__
@@ -129,7 +250,7 @@ class LaurentPoly:
 def _as_poly(x):
     if isinstance(x, LaurentPoly):
         return x
-    return LaurentPoly({(0, 0): Fraction(x)})
+    return LaurentPoly.monomial(x, (0, 0))
 
 
 def _matrix(rows):

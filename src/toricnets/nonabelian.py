@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from . import geom
 from .cover import parallel_transport, sheet_lift_map, winding_sign
@@ -174,30 +174,37 @@ def branch_point_loop(net, cover, b) -> "SurfacePath":
     return SurfacePath(region, 0, crossings, turns=1)
 
 
-def loop_identity_check(net, tms, cover, ls, lift=None, caches=None) -> bool:
+def loop_identity_check(net, tms, cover, ls, lift=None,
+                        caches=None) -> ValidationReport:
     """Path-ordered products around all generator loops equal the identity.
 
     The fundamental group of the polygon minus the branch-point
     neighborhoods is generated by the small loop around each branch point
     together with the boundary-parallel loop; all must multiply to Id.
-    ``lift`` and ``caches`` are passed on to ``path_ordered``, so a caller
-    can reuse the factors built here.
+    The report is true when they do; otherwise it names the first loop
+    whose product is not the identity, and the check stops there.  With
+    the symbolic system ``make_local_system(cover, TPoly.symbols(b1))``
+    each product is exact in Q[z^±, t^±], so a passing report holds for
+    every rational local system.  ``lift`` and ``caches`` are passed on
+    to ``path_ordered``, so a caller can reuse the factors built here.
     """
     if lift is None:
         lift = sheet_lift_map(tms, cover)
     if caches is None:
         caches = {}
-    for b in range(len(cover.cuts)):
-        loop = branch_point_loop(net, cover, b)
+    report = ValidationReport()
+    loops = chain(((f"loop around branch point {b}", ("branch", b),
+                    branch_point_loop(net, cover, b))
+                   for b in range(len(cover.cuts))),
+                  ((f"boundary loop from cone {base}", ("boundary", base),
+                    boundary_loop(net, base, ccw=True))
+                   for base in range(tms.fan.n)))
+    for name, witness, loop in loops:
         if not path_ordered(net, tms, cover, ls, loop, lift,
                             caches).is_identity():
-            return False
-    for base in range(tms.fan.n):
-        loop = boundary_loop(net, base, ccw=True)
-        if not path_ordered(net, tms, cover, ls, loop, lift,
-                            caches).is_identity():
-            return False
-    return True
+            report.add("loop", f"{name} is not the identity", witness)
+            break
+    return report
 
 
 @dataclass

@@ -169,6 +169,8 @@ def parse_network(data, spec: ProblemSpec) -> SpectralNetwork:
     walls = []
     for w in data["walls"]:
         poly = tuple(_point(p) for p in w["polyline"])
+        if not poly:
+            raise SchemaError(f"wall {w['id']!r} has an empty polyline")
         walls.append(Wall(
             int(w["id"]), poly,
             (int(w["label"][0]), int(w["label"][1])),

@@ -1,22 +1,50 @@
 """Shared test helpers: fixture loading, oracles, random multi-sections."""
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
-from toricnets import schema
+from toricnets import errors, fans, multisection, schema
+from toricnets.cover import Crossing, SheetedSurface, SurfacePath
 from toricnets.geom import cross, dot, rot90, sub
-from toricnets.laurent import LaurentMatrix, LaurentPoly
+from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+REALIZABLE = ("fan5_n5", "fan7_n7", "line_bundle_r1", "p1p1_n4", "p2_n3")
 
 
 def load(name):
     return schema.load_problem(FIXTURES / f"{name}.json")
+
+
+def perfbench_gen():
+    """The benchmark's problem generator, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_problems(label, seed, count):
+    """Seeded generated problems: ((n, N), spec) for (12, 12), then for
+    ``count`` random smaller shapes."""
+    gen = perfbench_gen()
+    tk = SimpleNamespace(errors=errors, fans=fans, multisection=multisection,
+                         schema=schema)
+    rng = random.Random(seed)
+    shapes = [(12, 12)] + [(n, rng.randint(3, n))
+                           for n in rng.sample(range(4, 12), count)]
+    for n, big_n in shapes:
+        doc = gen.generate(n, big_n, f"{label}:{rng.randrange(10 ** 6)}", tk)
+        yield (n, big_n), schema.parse_problem(json.loads(gen.serialize(doc)))
 
 
 def solve_2x2(a, b, target):
@@ -557,3 +585,81 @@ def reference_build_cover(disk, layout, r):
                     skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
     return SheetedSurface(disk, layout, r)
+
+
+# -- generator loops and the sampled loop-identity sweep ----------------------
+# ``generator_loops`` names the loops whose holonomies ``make_local_system``
+# prescribes; no pipeline stage walks them.  ``reference_sweep`` is the
+# check ``toricnets verify`` made before it proved the loop identities once
+# with symbolic holonomies: ``count`` seeded rational local systems, drawn
+# as the CLI draws them, each checked on its own.
+
+def _spoke_run(cover, start_region, end_region):
+    """Ccw spoke crossings leading from one region to another."""
+    n = cover.disk.fan.n
+    crossings = []
+    region = start_region % n
+    while region != end_region % n:
+        nxt = (region + 1) % n
+        crossings.append(Crossing("spoke", nxt, +1))
+        region = nxt
+    return crossings
+
+
+def generator_loops(cover: SheetedSurface):
+    """Loops whose holonomies coordinatize the local-system moduli.
+
+    Loop k encircles branch points k+1 and 0: it crosses cut k+1
+    positively from the lower sheet, walks ccw back to cut 0's region,
+    crosses cut 0 positively, and returns.  Requires a connected 2-fold
+    cover (the only case with more than one cut in this package).
+    """
+    loops = []
+    if not cover.cuts:
+        return loops
+    for k in range(1, len(cover.cuts)):
+        cut = cover.cuts[k]
+        r_k = cover.cut_region[k]
+        r_0 = cover.cut_region[0]
+        crossings = [Crossing("cut", k, +1)]
+        crossings += _spoke_run(cover, r_k, r_0)
+        crossings.append(Crossing("cut", 0, +1))
+        crossings += _spoke_run(cover, r_0, r_k)
+        loops.append(SurfacePath(r_k, cut.lo, crossings, turns=0))
+    return loops
+
+
+def reference_sweep(net, tms, cover, seed, count=25):
+    """True iff every sampled local system passes every loop identity."""
+    from toricnets.cover import betti_one, make_local_system, sheet_lift_map
+    from toricnets.nonabelian import loop_identity_check
+
+    rng = random.Random(seed)
+    b1 = betti_one(cover)
+    lift = sheet_lift_map(tms, cover)
+    for _ in range(count):
+        hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(b1)]
+        ls = make_local_system(cover, hol)
+        if not loop_identity_check(net, tms, cover, ls, lift=lift):
+            return False
+    return True
+
+
+def evaluate(matrix, values):
+    """The matrix with t_k replaced by ``values[k - 1]`` in every entry."""
+    return LaurentMatrix([[LaurentPoly({e: evaluate_coefficient(c, values)
+                                        for e, c in p.terms.items()})
+                           for p in row] for row in matrix.rows])
+
+
+def evaluate_coefficient(c, values):
+    """A Fraction or a TPoly with t_k replaced by ``values[k - 1]``."""
+    if not isinstance(c, TPoly):
+        return c
+    total = Fraction(0)
+    for exponents, a in c.terms.items():
+        for v, k in zip(values, exponents):
+            a *= v ** k
+        total += a
+    return total

@@ -5,6 +5,7 @@ import pytest
 from support import FIXTURES, parse_matrix
 
 from toricnets import schema
+from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
 
@@ -157,6 +158,15 @@ def _write_edited(tmp_path, edit):
     return str(p)
 
 
+def _empty_wall_polyline(data):
+    """p2_n3's built network, with its layout, and wall 0's polyline empty."""
+    spec = schema.parse_problem(data)
+    net, layout = build_network(spec.tms, spec.disk)
+    data["layout"] = schema.emit_layout(layout)
+    data["network"] = schema.emit_network(net)
+    data["network"]["walls"][0]["polyline"] = []
+
+
 @pytest.mark.parametrize("edit, argv", [
     (lambda d: d["multisection"]["lifted_cones"][0].pop("slope"),
      ["validate"]),
@@ -165,8 +175,11 @@ def _write_edited(tmp_path, edit):
     (lambda d: d.update(layout={"branch_points": []}), ["validate"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "abc"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "1/0"]),
+    (_empty_wall_polyline, ["validate"]),
+    (_empty_wall_polyline, ["render"]),
 ], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
-        "holonomy-not-rational", "holonomy-zero-denominator"])
+        "holonomy-not-rational", "holonomy-zero-denominator",
+        "empty-wall-polyline-validate", "empty-wall-polyline-render"])
 def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     code = main([argv[0], "--input", _write_edited(tmp_path, edit),
                  "--out", str(tmp_path / "out"), "--report", "json"]

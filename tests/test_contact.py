@@ -7,33 +7,19 @@ must give the same reports (condition, message, witness, multiplicity,
 order) and the same cover errors (class and message) on every fixture,
 on generated networks up to (12, 12) and on perturbed networks.
 """
-import importlib.util
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from support import (FIXTURES, load, reference_build_cover,
-                     reference_validate_network)
+from support import (FIXTURES, generated_problems, load,
+                     reference_build_cover, reference_validate_network)
 
-from toricnets import builder, errors, fans, multisection, schema
+from toricnets import builder, errors
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, build_cover
 from toricnets.geom import lerp, midpoint, polygon_barycenter
 from toricnets.network import SpectralNetwork, Wall, validate_network
-
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _violations(report):
     return [(v.condition, v.message, v.witness) for v in report.violations]
@@ -94,15 +80,7 @@ def test_fixtures_match_reference(path, monkeypatch):
 
 
 def test_generated_networks_match_reference(monkeypatch):
-    gen = _gen()
-    tk = SimpleNamespace(errors=errors, fans=fans, multisection=multisection,
-                         schema=schema)
-    rng = random.Random(20261018)
-    shapes = [(12, 12)] + [(n, rng.randint(3, n))
-                           for n in rng.sample(range(4, 12), 5)]
-    for n, big_n in shapes:
-        doc = gen.generate(n, big_n, f"contact:{rng.randrange(10 ** 6)}", tk)
-        spec = schema.parse_problem(json.loads(gen.serialize(doc)))
+    for (n, big_n), spec in generated_problems("contact", 20261018, 5):
         net, layout, seen = _checked_build(spec, monkeypatch)
         assert len(net.walls) == 3 * (big_n - 2)
         assert seen and seen[-1] == []

@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from support import generator_loops
+
 from toricnets.cover import (BranchCutLayout, Crossing, Cut, SurfacePath,
-                             betti_one, build_cover, generator_loops,
-                             make_local_system, parallel_transport,
-                             sheet_lift_map, winding_sign)
+                             betti_one, build_cover, make_local_system,
+                             parallel_transport, sheet_lift_map, winding_sign)
 from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               InvalidPath, NoSharedLift, OpenPath,
                               OverlappingCuts, WrongCount, ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
 from toricnets.geom import lerp
+from toricnets.laurent import TPoly
 
 
 def p1p1_disk():
@@ -130,6 +132,26 @@ def test_generator_loop_holonomy():
     assert len(loops) == 1
     assert loops[0].is_closed(cover)
     assert parallel_transport(ls, loops[0]) == 5
+
+
+def test_symbolic_generator_loop_holonomy(fan7_built):
+    # transport around generator loop k is the symbol t_{k+1} itself, as an
+    # element of Q[t^±], not only after substituting numbers for the t's
+    fan, poly, disk = p1p1_disk()
+    cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
+            straight_cut(disk, 2, 3)]
+    three_cut = build_cover(
+        disk, BranchCutLayout([c.branch_point for c in cuts], cuts), 2)
+    for cover in (two_cut_cover(), three_cut, fan7_built[2]):
+        t = TPoly.symbols(betti_one(cover))
+        ls = make_local_system(cover, t)
+        loops = generator_loops(cover)
+        assert len(loops) == len(t) >= 1
+        for k, loop in enumerate(loops):
+            assert loop.is_closed(cover)
+            hol = parallel_transport(ls, loop)
+            assert isinstance(hol, TPoly) and hol == t[k]
+            assert parallel_transport(ls, loop.reversed(cover)) * hol == 1
 
 
 def test_make_local_system_errors():

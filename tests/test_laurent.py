@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from support import (near_identities, ref_add, ref_clean, ref_mat_mul,
-                     ref_mul, ref_neg)
+from support import (evaluate, evaluate_coefficient, near_identities,
+                     ref_add, ref_clean, ref_mat_mul, ref_mul, ref_neg)
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, max_cone, ray_cone, ZERO_CONE
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, cocycle_check,
-                               is_invertible_on, mat_mul, monomial_inverse,
-                               regular_on)
+from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly,
+                               cocycle_check, is_invertible_on, mat_mul,
+                               monomial_inverse, regular_on)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 
@@ -224,3 +224,61 @@ def test_kernel_matches_constructor_based_reference():
                 check_canonical(result)
                 assert result.terms == expected
     assert cancelled > 0
+
+
+# -- symbolic coefficients -----------------------------------------------------
+
+def test_tpoly_t_free_results_are_fractions():
+    t1, t2 = TPoly.symbols(2)
+    for value, want in [(t1 * (1 / t1), 1), (t1 - t1, 0), ((t1 + 1) - t1, 1),
+                        (t1 * 0, 0), (2 * t2 / t2, 2)]:
+        assert type(value) is Fraction and value == want
+    assert not (t1 - t1) and t1 and t1 - t2
+    assert t1 != t2 and t1 != 1 and t1 == TPoly.symbols(2)[0]
+    p = (t1 + t2) * (t1 - t2)
+    assert p == t1 * t1 - t2 * t2
+    assert list(p.terms) == sorted(p.terms) and all(p.terms.values())
+    assert 3 / (2 * t1 * t2) == Fraction(3, 2) * (1 / t1) * (1 / t2)
+    with pytest.raises(NotRegular):
+        1 / (t1 + t2)
+
+
+def test_tpoly_arithmetic_commutes_with_evaluation():
+    rng = random.Random(41)
+    t = TPoly.symbols(3)
+
+    def rand_poly():
+        p = Fraction(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 4)):
+            term = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            for k in range(3):
+                for _ in range(rng.randint(0, 2)):
+                    term = term * t[k] if rng.random() < 0.6 else term / t[k]
+            p = p + term
+        return p
+
+    for _ in range(60):
+        p, q = rand_poly(), rand_poly()
+        m = Fraction(rng.randint(1, 5)) * t[rng.randrange(3)] / t[0]
+        v = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
+        ev = [evaluate_coefficient(x, v) for x in (p, q, m)]
+        assert evaluate_coefficient(p + q, v) == ev[0] + ev[1]
+        assert evaluate_coefficient(p - q, v) == ev[0] - ev[1]
+        assert evaluate_coefficient(p * q, v) == ev[0] * ev[1]
+        assert evaluate_coefficient(p / m, v) == ev[0] / ev[2]
+
+
+def test_symbolic_matrices_invert_exactly():
+    t1, t2 = TPoly.symbols(2)
+    unipotent = LaurentMatrix([[1, 0], [mono(t1, (1, 0)), 1]])
+    assert not unipotent.is_identity()
+    assert mat_mul(unipotent, monomial_inverse(unipotent)).is_identity()
+    swap = LaurentMatrix([[0, mono(t1 * t2, (0, 1))],
+                          [mono(-1 / t2, (1, -1)), 0]])
+    inverse = monomial_inverse(swap)
+    assert mat_mul(swap, inverse).is_identity()
+    assert mat_mul(inverse, swap).is_identity()
+    v = [Fraction(2), Fraction(-5, 3)]
+    assert evaluate(mat_mul(swap, unipotent), v) == \
+        mat_mul(evaluate(swap, v), evaluate(unipotent, v))
+    assert mono(2, (1, 1)) * t1 == mono(2 * t1, (1, 1))
