@@ -66,7 +66,7 @@ class TPoly:
     ``Fraction`` coefficients, in sorted key order, and holds at least one
     nonzero exponent: t-free values are plain ``Fraction``s (see the
     module docstring).  Supports +, -, *, == with other TPolys and with
-    rationals, and division by a monomial, the only units of the ring.
+    rationals, and ``x / m`` for a monomial m, the only units of the ring.
     """
 
     __slots__ = ("terms",)
@@ -125,9 +125,6 @@ class TPoly:
             raise NotRegular(f"{self!r} is not a unit of Q[t^±]")
         ((e, c),) = self.terms.items()
         return _tpoly({tuple(-x for x in e): 1 / c}) * other
-
-    def __truediv__(self, other):
-        return self * (1 / other)
 
     def __eq__(self, other):
         return isinstance(other, TPoly) and self.terms == other.terms
