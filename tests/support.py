@@ -9,12 +9,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from toricnets import errors, fans, multisection, schema
-from toricnets.cover import Crossing, SheetedSurface, SurfacePath
+from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
+                             betti_one, make_local_system, sheet_lift_map)
 from toricnets.geom import cross, dot, rot90, sub
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
+from toricnets.nonabelian import loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -631,9 +633,6 @@ def generator_loops(cover: SheetedSurface):
 
 def reference_sweep(net, tms, cover, seed, count=25):
     """True iff every sampled local system passes every loop identity."""
-    from toricnets.cover import betti_one, make_local_system, sheet_lift_map
-    from toricnets.nonabelian import loop_identity_check
-
     rng = random.Random(seed)
     b1 = betti_one(cover)
     lift = sheet_lift_map(tms, cover)

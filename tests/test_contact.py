@@ -21,6 +21,7 @@ from toricnets.cover import BranchCutLayout, Cut, build_cover
 from toricnets.geom import lerp, midpoint, polygon_barycenter
 from toricnets.network import SpectralNetwork, Wall, validate_network
 
+
 def _violations(report):
     return [(v.condition, v.message, v.witness) for v in report.violations]
 
