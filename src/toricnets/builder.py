@@ -29,35 +29,9 @@ from . import geom
 from .cover import BranchCutLayout, Cut, build_cover, sheet_lift_map
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
-from .multisection import (intersection_cones, parity_and_realizability,
-                           validate)
+from .multisection import parity_and_realizability
 from .network import (SpectralNetwork, Wall, half_edge_of_boundary_point,
                       validate_network)
-
-
-@dataclass(frozen=True)
-class HalfEdgeLabel:
-    edge: int
-    cone: int            # cone of the vertex endpoint
-    label: tuple         # ordered sheet pair (a, b)
-
-
-class BoundaryLabeling:
-    """Labels of the 2n boundary half-edges, in ccw order."""
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    def flip_count(self):
-        labels = [e.label for e in self.entries]
-        n = len(labels)
-        return sum(1 for i in range(n) if labels[i] != labels[(i + 1) % n])
-
-    def label_of(self, edge, cone):
-        for e in self.entries:
-            if e.edge == edge and e.cone == cone:
-                return e.label
-        raise KeyError((edge, cone))
 
 
 def _edge_point(polytope, e, t):
@@ -70,6 +44,11 @@ def _depth_point(disk, boundary_point, s):
 
 
 def _label_from_slopes(tms, lift, cone, edge):
+    """Label (a, b) of a boundary half-edge: <m(b) - m(a), v_edge> > 0.
+
+    The slopes are those of the lifts over ``cone`` that the sheets carry
+    in the cover's sheet/lift matching ``lift``.
+    """
     v = tms.fan.ray(edge)
     m0 = tms.slope(lift[(cone, 0)])
     m1 = tms.slope(lift[(cone, 1)])
@@ -81,32 +60,6 @@ def _label_from_slopes(tms, lift, cone, edge):
     raise SlopeTie(
         f"zero slope pairing on edge {edge} at cone {cone}; "
         "input is not separated")
-
-
-def boundary_labels(tms, polytope, layout=None) -> BoundaryLabeling:
-    """Label every boundary half-edge by its soliton sheet pair.
-
-    The label of a half-edge is the ordered sheet pair (a, b) with
-    <m(b) - m(a), v_ray> > 0 computed through the sheet/lift matching of
-    the cover; it flips at the N intersection-cone vertices and at every
-    cut landing.  When no layout is supplied the canonical one produced by
-    ``build_network`` is used.
-    """
-    from .fans import disk_model
-
-    disk = disk_model(tms.fan, polytope)
-    if layout is None:
-        _, layout = build_network(tms, disk)
-    cover = build_cover(disk, layout, tms.degree)
-    lift = sheet_lift_map(tms, cover)
-    entries = []
-    n = tms.fan.n
-    for e in range(n):
-        entries.append(HalfEdgeLabel(
-            e, (e - 1) % n, _label_from_slopes(tms, lift, (e - 1) % n, e)))
-        entries.append(HalfEdgeLabel(
-            e, e % n, _label_from_slopes(tms, lift, e % n, e)))
-    return BoundaryLabeling(entries)
 
 
 @dataclass
@@ -226,12 +179,11 @@ def build_network(tms, disk):
     and carries exactly N-2 branch points.  Rank-1 inputs take the
     degenerate wall-free path.
     """
-    rep = validate(tms)
-    if not rep.ok:
-        raise NotRealizable(f"invalid multi-section: {rep}")
+    if not tms.report.ok:
+        raise NotRealizable(f"invalid multi-section: {tms.report}")
     if tms.degree == 1:
         return empty_network(tms, disk)
-    vees = intersection_cones(tms)  # raises NotTwoFold for other degrees
+    vees = tms.crossing_cones  # raises NotTwoFold for other degrees
     n_value = len(vees)
     result = parity_and_realizability(tms, n_value)
     if not result.parity_ok:

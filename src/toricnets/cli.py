@@ -63,8 +63,7 @@ def _validator_stage(report, name, run):
 def cmd_validate(spec, report):
     _validator_stage(report, "fan", lambda: _fan_report(spec))
     if spec.tms is not None:
-        _validator_stage(report, "multisection",
-                         lambda: multisection.validate(spec.tms))
+        _validator_stage(report, "multisection", lambda: spec.tms.report)
     if spec.network is not None and spec.tms is not None:
         cover = build_cover(spec.disk, spec.layout, spec.tms.degree)
         _validator_stage(report, "network",
@@ -86,13 +85,12 @@ def _pipeline(spec, report):
     if tms is None:
         raise ParseError("this command needs a multisection")
     _stage(report, "validate",
-           lambda: "ok" if multisection.validate(tms).ok else _raise_invalid(tms))
+           lambda: "ok" if tms.report.ok else _raise_invalid(tms))
     if tms.degree == 1:
         net, layout = _stage(report, "build",
                              lambda: builder.build_network(tms, spec.disk))
         return net, layout, None
-    _stage(report, "classify",
-           lambda: multisection.classify_two_fold(tms).tag)
+    _stage(report, "classify", lambda: tms.cover_class.tag)
     n_value = _stage(report, "n_genericity",
                      lambda: multisection.n_genericity(tms))
     _stage(report, "parity", lambda: _parity_detail(tms, n_value))
@@ -103,7 +101,7 @@ def _pipeline(spec, report):
 
 def _raise_invalid(tms):
     from .errors import NotRealizable
-    raise NotRealizable(f"invalid multi-section: {multisection.validate(tms)}")
+    raise NotRealizable(f"invalid multi-section: {tms.report}")
 
 
 def _parity_detail(tms, n_value):
@@ -177,7 +175,7 @@ def cmd_verify(spec, report, seed, count=25):
         symbolic = make_local_system(cover, TPoly.symbols(b1))
         rep = nonabelian.loop_identity_check(
             net, spec.tms, cover, symbolic,
-            lift=sheet_lift_map(spec.tms, cover))
+            lift=sheet_lift_map(spec.tms, cover), caches={})
         if not rep:
             names = ", ".join(f"t_{k}" for k in range(1, b1 + 1))
             raise LoopIdentityFailed(f"{rep.violations[0].message} with "

@@ -237,21 +237,6 @@ class SurfacePath:
     crossings: list = field(default_factory=list)
     turns: int | None = None
 
-    def reversed(self, cover):
-        rev = [Crossing(c.kind, c.index, -c.direction)
-               for c in reversed(self.crossings)]
-        region, sheet = self.states(cover)[-1]
-        return SurfacePath(region, sheet, rev, self.turns)
-
-    def concat(self, other, cover):
-        if self.states(cover)[-1] != (other.start_region, other.start_sheet):
-            raise InvalidPath("paths are not composable")
-        turns = None
-        if self.turns is not None and other.turns is not None:
-            turns = self.turns + other.turns
-        return SurfacePath(self.start_region, self.start_sheet,
-                           list(self.crossings) + list(other.crossings), turns)
-
     def states(self, cover):
         n = cover.disk.fan.n
         states = [(self.start_region % n, self.start_sheet)]
@@ -277,10 +262,6 @@ class SurfacePath:
                 raise InvalidPath(f"unknown crossing kind {c.kind!r}")
             states.append((region, sheet))
         return states
-
-    def is_closed(self, cover):
-        states = self.states(cover)
-        return states[0] == states[-1]
 
 
 class RankOneLocalSystem:

@@ -4,32 +4,24 @@ A fan is given by its cyclically ordered primitive ray generators; maximal
 cone ``i`` is spanned by rays ``i`` and ``i+1 (mod n)``.  A strictly convex
 support function turns the fan into a lattice polygon whose vertices are
 dual to the maximal cones and whose edges are dual to the rays.  On top of
-the polygon we keep the first barycentric decomposition of its boundary and
-a "disk model": straight segments from the barycenter of the polygon to the
-edge midpoints, one per ray, cutting the polygon into one region per
-maximal cone.
+the polygon we keep a "disk model": straight segments from the barycenter
+of the polygon to the edge midpoints, one per ray, cutting the polygon into
+one region per maximal cone.
 
 All coordinates are exact rationals (gcd-reduced Fractions); incidence
 tests are therefore exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
 from .errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                      NotStrictlyConvex, UnknownCone)
 
-ZERO_CONE = ("zero",)
-
 
 def ray_cone(i):
     return ("ray", i)
-
-
-def max_cone(i):
-    return ("max", i)
 
 
 class Fan:
@@ -65,9 +57,6 @@ class Fan:
                 raise UnknownCone(f"maximal cone index {cone[1]} out of range")
             return self.max_cone_rays(cone[1])
         raise UnknownCone(f"unknown cone reference {cone!r}")
-
-    def max_cones(self):
-        return [max_cone(i) for i in range(self.n)]
 
     def __eq__(self, other):
         return isinstance(other, Fan) and self.rays == other.rays
@@ -139,21 +128,6 @@ def _vertex_for_cone(fan: Fan, phi: SupportFunction, i):
     return (x, y)
 
 
-@dataclass(frozen=True)
-class BarCell:
-    """A cell of the first barycentric decomposition of the boundary.
-
-    kind is one of 'vertex', 'barycenter', 'half-edge'.  For half-edges,
-    ``vertex_index`` is the polygon vertex endpoint and ``points`` runs from
-    that vertex to the barycenter; ``edge`` is the carrier edge (= dual ray
-    index) for barycenters and half-edges.
-    """
-    kind: str
-    edge: int | None
-    vertex_index: int | None
-    points: tuple
-
-
 class Polytope:
     """The lattice polygon dual to (fan, support function).
 
@@ -217,54 +191,6 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
     return poly
 
 
-def dual_cell(polytope: Polytope, cone):
-    """Face of the polygon dual to a cone of its fan.
-
-    Maximal cone -> vertex (a 1-point tuple), ray -> edge endpoints,
-    zero cone -> all vertices.
-    """
-    fan = polytope.fan
-    kind = cone[0]
-    if kind == "zero":
-        return tuple(polytope.vertices)
-    if kind == "max":
-        fan.cone_generators(cone)
-        return (polytope.vertex(cone[1]),)
-    if kind == "ray":
-        fan.cone_generators(cone)
-        return polytope.edge(cone[1])
-    raise UnknownCone(f"unknown cone reference {cone!r}")
-
-
-def barycentric_boundary(polytope: Polytope):
-    """Cells of the first barycentric decomposition of the boundary.
-
-    Each edge contributes its barycenter point and two closed half-edges,
-    each half-edge remembering its polygon-vertex endpoint and carrier
-    edge.  Order: for each edge i (ccw), [vertex i-1 point, half-edge from
-    vertex i-1, barycenter, half-edge from vertex i].
-    """
-    cells = []
-    n = polytope.n
-    for i in range(n):
-        a, b = polytope.edge(i)  # a = vertex i-1, b = vertex i
-        mid = polytope.edge_barycenter(i)
-        vi = (i - 1) % n
-        cells.append(BarCell("vertex", None, vi, (a,)))
-        cells.append(BarCell("half-edge", i, vi, (a, mid)))
-        cells.append(BarCell("barycenter", i, None, (mid,)))
-        cells.append(BarCell("half-edge", i, i % n, (polytope.vertex(i), mid)))
-    # each vertex appears as the endpoint of two edges: keep one cell
-    out, seen = [], set()
-    for c in cells:
-        if c.kind == "vertex":
-            if c.vertex_index in seen:
-                continue
-            seen.add(c.vertex_index)
-        out.append(c)
-    return out
-
-
 def _direction_in_sector(a, b, d):
     """Is direction d in the closed ccw sector from a to b?
 
@@ -300,15 +226,6 @@ class DiskModel:
 
     def spoke(self, i):
         return self.ray_segments[i % self.fan.n]
-
-    def region_polygon(self, i):
-        """Ccw quadrilateral of region i."""
-        p = self.polytope
-        return (self.center, p.edge_barycenter(i), p.vertex(i),
-                p.edge_barycenter(i + 1))
-
-    def region_count(self):
-        return self.fan.n
 
     def locate(self, point):
         """Region membership of a point of the polygon.

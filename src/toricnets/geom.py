@@ -54,11 +54,6 @@ def midpoint(a, b) -> Point:
     return lerp(a, b, Fraction(1, 2))
 
 
-def rot90(v):
-    """Counterclockwise quarter turn; maps ray generator to its perp."""
-    return (-v[1], v[0])
-
-
 def angular_half(v) -> int:
     """0 for the upper half-plane (incl. positive x-axis), 1 for the lower."""
     x, y = v

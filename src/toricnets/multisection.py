@@ -19,6 +19,7 @@ the cyclic ray sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import geom
 from .errors import NotTwoFold, SlopeTie
@@ -50,15 +51,35 @@ class CoverClass:
 
 
 class TropicalMultiSection:
+    """Lifted cones, lifted rays and slopes over a fan.
+
+    The cones and rays are fixed at construction, so the facts derived
+    from them (the validation report, the two-fold cover class and the
+    intersection cones) are computed once, on first use, and then read by
+    everything that needs them.
+    """
+
     def __init__(self, fan, degree, lifted_cones, lifted_rays):
         self.fan = fan
         self.degree = int(degree)
-        self.lifted_cones = [LiftedCone(c.id, c.base, c.slope)
-                             if isinstance(c, LiftedCone) else LiftedCone(*c)
-                             for c in lifted_cones]
-        self.lifted_rays = [r if isinstance(r, LiftedRay) else LiftedRay(*r)
-                            for r in lifted_rays]
+        self.lifted_cones = tuple(lifted_cones)
+        self.lifted_rays = tuple(lifted_rays)
         self.by_id = {c.id: c for c in self.lifted_cones}
+
+    @cached_property
+    def report(self):
+        """The ``validate`` report."""
+        return validate(self)
+
+    @cached_property
+    def cover_class(self):
+        """The ``classify_two_fold`` class; raises NotTwoFold."""
+        return classify_two_fold(self)
+
+    @cached_property
+    def crossing_cones(self):
+        """The ``intersection_cones`` list; raises NotTwoFold or SlopeTie."""
+        return intersection_cones(self)
 
     def lifts_of_cone(self, i):
         return [c for c in self.lifted_cones if c.base == i % self.fan.n]
@@ -121,12 +142,14 @@ def validate(tms: TropicalMultiSection) -> ValidationReport:
 
 
 def classify_two_fold(tms: TropicalMultiSection) -> CoverClass:
-    """Case O (one lifted circle of length 2n) or E (two of length n)."""
+    """Case O (one lifted circle of length 2n) or E (two of length n).
+
+    Reads the stored ``tms.report``; ``tms.cover_class`` stores the result.
+    """
     if tms.degree != 2:
         raise NotTwoFold(f"degree is {tms.degree}")
-    rep = validate(tms)
-    if not rep.ok:
-        raise NotTwoFold(f"invalid multi-section: {rep}")
+    if not tms.report.ok:
+        raise NotTwoFold(f"invalid multi-section: {tms.report}")
     succ = {}
     for i in range(tms.fan.n):
         for r in tms.rays_over(i):
@@ -164,7 +187,7 @@ def n_genericity(tms: TropicalMultiSection) -> int:
     Each transverse crossing lies in exactly one base maximal cone, so N
     is the number of ``intersection_cones``.
     """
-    return len(intersection_cones(tms))
+    return len(tms.crossing_cones)
 
 
 def intersection_cones(tms: TropicalMultiSection):
@@ -176,9 +199,10 @@ def intersection_cones(tms: TropicalMultiSection):
     rays.  A cyclic sign change of d between consecutive rays puts a
     crossing in the base cone between them; in case O the antipodal sign
     change names the same cone.  Separatedness makes every d nonzero;
-    SlopeTie is raised otherwise.
+    SlopeTie is raised otherwise.  Reads the stored ``tms.cover_class``;
+    ``tms.crossing_cones`` stores the result.
     """
-    cls = classify_two_fold(tms)
+    cls = tms.cover_class
     n = tms.fan.n
     if cls.tag == "O":
         cyc = cls.cycles[0]
@@ -217,7 +241,7 @@ def parity_and_realizability(tms: TropicalMultiSection, n_value: int) -> Realiza
     and b_1 = N - 3.  Below the realizability threshold there is no such
     surface and b_1 is reported as None.
     """
-    cls = classify_two_fold(tms)
+    cls = tms.cover_class
     parity_ok = (n_value % 2 == 1) if cls.tag == "O" else (n_value % 2 == 0)
     realizable = n_value >= 3
     betti = n_value - 3 if realizable else None

@@ -59,35 +59,26 @@ class SpectralNetwork:
         self.disk = disk
         self._walls = tuple(walls)
         self.layout = layout
-        self._grid = None
-        self._disjoint = None
-        self._events = None
         self._arms = None
 
     @property
     def walls(self):
         return self._walls
 
-    @property
+    @functools.cached_property
     def grid(self):
         """Every point of the network on one integer grid (``GridPoints``)."""
-        if self._grid is None:
-            self._grid = GridPoints(self.disk, self.layout,
-                                    [w.polyline for w in self._walls])
-        return self._grid
+        return GridPoints(self.disk, self.layout,
+                          [w.polyline for w in self._walls])
 
-    @property
+    @functools.cached_property
     def walls_disjoint(self):
-        if self._disjoint is None:
-            self._disjoint = walls_pairwise_disjoint(self)
-        return self._disjoint
+        return walls_pairwise_disjoint(self)
 
-    @property
+    @functools.cached_property
     def events(self):
         """Boundary-track events in ccw order (see ``track_events``)."""
-        if self._events is None:
-            self._events = track_events(self)
-        return self._events
+        return track_events(self)
 
     def arms(self, b):
         """Arms of branch point b in ccw order (see ``branch_point_arms``)."""
@@ -343,76 +334,6 @@ def enumerate_solitons(net: SpectralNetwork, wall: Wall):
         raise NotSupported(f"wall {wall.id} is not an arm of its branch point")
     a, b = wall.label
     return [Soliton(wall.id, a, b, wall.start_branch, wall.start_branch, j)]
-
-
-# -- chambers ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chamber:
-    id: int
-    arcs: tuple              # ccw landing-gap indices on the boundary circle
-    adjacent: tuple          # (other chamber id, wall id) pairs
-
-
-def chambers(net: SpectralNetwork):
-    """Closures of the components of the polygon minus the wall support.
-
-    Valid in the pairwise-disjoint tripod regime: a point's chamber is
-    determined by its zone relative to each tripod's three landings, so
-    chambers are zone-profiles of boundary arcs.
-    """
-    if not net.walls:
-        return [Chamber(0, (0,), ())]
-    if not net.walls_disjoint:
-        raise NotSupported("chamber decomposition requires disjoint walls")
-    landings = []
-    for w in net.walls:
-        e, t = boundary_position(net.polytope, w.end)
-        landings.append(((e, t), w))
-    landings.sort(key=lambda x: x[0])
-    m = len(landings)
-    tripods = {}
-    for pos_idx, (_, w) in enumerate(landings):
-        tripods.setdefault(w.start_branch, []).append(pos_idx)
-
-    def zone(arc_idx, positions):
-        # arc arc_idx sits between landings arc_idx and arc_idx+1 (cyclic);
-        # find which gap of the sorted tripod positions contains it.
-        ps = sorted(positions)
-        for z in range(len(ps)):
-            lo = ps[z]
-            hi = ps[(z + 1) % len(ps)]
-            if lo < hi:
-                if lo <= arc_idx < hi:
-                    return z
-            else:
-                if arc_idx >= lo or arc_idx < hi:
-                    return z
-        return 0
-
-    profiles = {}
-    for arc in range(m):
-        prof = tuple(zone(arc, pos) for _, pos in sorted(tripods.items()))
-        profiles.setdefault(prof, []).append(arc)
-    ids = {prof: i for i, prof in enumerate(sorted(profiles))}
-    adjacency = {i: set() for i in ids.values()}
-    arc_prof = {}
-    for prof, arcs in profiles.items():
-        for a in arcs:
-            arc_prof[a] = prof
-    for a in range(m):
-        b = (a + 1) % m
-        pa, pb = arc_prof[a], arc_prof[b]
-        if pa != pb:
-            wall = landings[b][1]
-            adjacency[ids[pa]].add((ids[pb], wall.id))
-            adjacency[ids[pb]].add((ids[pa], wall.id))
-    out = []
-    for prof, arcs in sorted(profiles.items()):
-        cid = ids[prof]
-        out.append(Chamber(cid, tuple(sorted(arcs)),
-                           tuple(sorted(adjacency[cid]))))
-    return out
 
 
 # -- validation ---------------------------------------------------------------

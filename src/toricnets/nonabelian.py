@@ -145,13 +145,13 @@ def _factor_for(crossing, state_region, net, tms, cover, ls, lift, caches):
     return m
 
 
-def path_ordered(net, tms, cover, ls, path, lift=None,
-                 caches=None) -> LaurentMatrix:
-    """Ordered product of crossing factors along a surface path."""
-    if lift is None:
-        lift = sheet_lift_map(tms, cover)
-    if caches is None:
-        caches = {}
+def path_ordered(net, tms, cover, ls, path, lift, caches) -> LaurentMatrix:
+    """Ordered product of crossing factors along a surface path.
+
+    ``lift`` is the cover's ``sheet_lift_map``; ``caches`` keeps the
+    factors built for ``ls``, keyed by crossing, and grows as they are
+    built.
+    """
     for c in path.crossings:
         if c.direction not in (1, -1):
             raise NonTransverseCrossing(
@@ -174,8 +174,8 @@ def branch_point_loop(net, cover, b) -> "SurfacePath":
     return SurfacePath(region, 0, crossings, turns=1)
 
 
-def loop_identity_check(net, tms, cover, ls, lift=None,
-                        caches=None) -> ValidationReport:
+def loop_identity_check(net, tms, cover, ls, lift,
+                        caches) -> ValidationReport:
     """Path-ordered products around all generator loops equal the identity.
 
     The fundamental group of the polygon minus the branch-point
@@ -188,10 +188,6 @@ def loop_identity_check(net, tms, cover, ls, lift=None,
     every rational local system.  ``lift`` and ``caches`` are passed on
     to ``path_ordered``, so a caller can reuse the factors built here.
     """
-    if lift is None:
-        lift = sheet_lift_map(tms, cover)
-    if caches is None:
-        caches = {}
     report = ValidationReport()
     loops = chain(((f"loop around branch point {b}", ("branch", b),
                     branch_point_loop(net, cover, b))
@@ -247,24 +243,6 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
             matrices[(i, k % n)] = g
     # keyed in (i, j) order, the order in which consumers walk the pairs
     return KaneyamaCocycle(tms, cover, dict(sorted(matrices.items())), lift)
-
-
-def boundary_restriction(matrix: LaurentMatrix, ray_vector) -> LaurentMatrix:
-    """Keep the terms whose exponents pair to zero with the ray.
-
-    For a transition matrix over an adjacent cone pair this extracts the
-    semi-flat monomial permutation (the restriction of the bundle to the
-    toric boundary divisor of the shared ray).
-    """
-    rows = []
-    for row in matrix.rows:
-        out = []
-        for p in row:
-            kept = {e: c for e, c in p.terms.items()
-                    if e[0] * ray_vector[0] + e[1] * ray_vector[1] == 0}
-            out.append(LaurentPoly(kept))
-        rows.append(out)
-    return LaurentMatrix(rows)
 
 
 def _recovered_slopes(coc: KaneyamaCocycle, lift):
@@ -387,57 +365,3 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     except NoSharedLift as exc:
         report.add("tropicalization", str(exc))
     return report
-
-
-def boundary_restriction_equiv(c1: KaneyamaCocycle, c2: KaneyamaCocycle) -> bool:
-    """Gauge equivalence of the boundary restrictions of two cocycles.
-
-    True iff nonzero per-(cone, sheet) frame rescalings h make every
-    semi-flat transport entry of c1 equal that of c2: the coefficient
-    ratios force h along the support graph, and equivalence is exactly
-    consistency of those ratios around cycles.
-    """
-    tms = c1.tms
-    n = tms.fan.n
-    r = c1.cover.r
-    ratio_edges = []
-    for i in range(n):
-        v = tms.fan.ray(i)
-        m1 = boundary_restriction(c1.pair((i - 1) % n, i), v)
-        m2 = boundary_restriction(c2.pair((i - 1) % n, i), v)
-        for row in range(r):
-            for col in range(r):
-                p1, p2 = m1.entry(row, col), m2.entry(row, col)
-                if p1.is_zero() != p2.is_zero():
-                    return False
-                if p1.is_zero():
-                    continue
-                c1_, e1 = p1.monomial_parts()
-                c2_, e2 = p2.monomial_parts()
-                if e1 != e2:
-                    return False
-                # h[(i-1, col)] / h[(i, row)] = c2_/c1_
-                ratio_edges.append((((i - 1) % n, col), (i, row),
-                                    Fraction(c2_) / Fraction(c1_)))
-    h = {}
-    adj = {}
-    for a, b, q in ratio_edges:
-        adj.setdefault(a, []).append((b, q))
-        adj.setdefault(b, []).append((a, Fraction(1) / q))
-    for start in sorted(adj):
-        if start in h:
-            continue
-        h[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other, q in adj[node]:
-                # h[node] / h[other] = q
-                val = h[node] / q
-                if other in h:
-                    if h[other] != val:
-                        return False
-                else:
-                    h[other] = val
-                    stack.append(other)
-    return True

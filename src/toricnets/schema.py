@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
@@ -41,6 +42,14 @@ def _point(obj):
     return (_frac(obj[0]), _frac(obj[1]))
 
 
+def _int_pair(obj, what):
+    """Exactly two JSON integers, as a tuple; ``what`` names the field."""
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and all(type(x) is int for x in obj)):
+        raise SchemaError(f"{what} must be two integers, got {obj!r}")
+    return tuple(obj)
+
+
 def _point_out(p):
     return [_frac_str(p[0]), _frac_str(p[1])]
 
@@ -55,11 +64,13 @@ class ProblemSpec:
     layout: BranchCutLayout | None = None
     raw: dict = field(default_factory=dict)
 
-    @property
+    # the fan and the support function are fixed once parsed, so the
+    # polygon and the disk model are built once, on first use
+    @cached_property
     def polytope(self):
         return dual_polytope(self.fan, self.phi)
 
-    @property
+    @cached_property
     def disk(self):
         return disk_model(self.fan, self.polytope)
 
@@ -94,7 +105,7 @@ def _parse_sections(data) -> ProblemSpec:
     if "multisection" in data:
         ms = data["multisection"]
         cones = [LiftedCone(str(c["id"]), int(c["cone"]),
-                            (int(c["slope"][0]), int(c["slope"][1])))
+                            _int_pair(c["slope"], "a lifted-cone slope"))
                  for c in ms["lifted_cones"]]
         ids = {c.id for c in cones}
         rays = []
@@ -116,38 +127,15 @@ def _parse_sections(data) -> ProblemSpec:
     return spec
 
 
-def emit_problem(spec: ProblemSpec) -> dict:
-    out = {
-        "schema": PROBLEM_SCHEMA,
-        "fan": {"rays": [list(v) for v in spec.fan.rays]},
-        "support": list(spec.phi.values),
-    }
-    if spec.tms is not None:
-        out["multisection"] = {
-            "degree": spec.tms.degree,
-            "lifted_cones": [
-                {"id": c.id, "cone": c.base, "slope": list(c.slope)}
-                for c in spec.tms.lifted_cones],
-            "lifted_rays": [
-                {"ray": r.ray, "from": r.src, "to": r.dst}
-                for r in spec.tms.lifted_rays],
-        }
-    if spec.holonomies:
-        out["holonomies"] = [_frac_str(h) for h in spec.holonomies]
-    if spec.layout is not None:
-        out["layout"] = emit_layout(spec.layout)
-    if spec.network is not None:
-        out["network"] = emit_network(spec.network)
-    return out
-
-
 def parse_layout(data) -> BranchCutLayout:
     points = [_point(p) for p in data["branch_points"]]
     cuts = []
     for c in data["cuts"]:
         poly = tuple(_point(p) for p in c["polyline"])
+        if len(poly) < 2:
+            raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
         cuts.append(Cut(poly[0], poly,
-                        (int(c["transposition"][0]), int(c["transposition"][1])),
+                        _int_pair(c["transposition"], "a cut transposition"),
                         int(c["edge"])))
     if len(points) != len(cuts):
         raise SchemaError("layout needs one cut per branch point")
@@ -173,7 +161,7 @@ def parse_network(data, spec: ProblemSpec) -> SpectralNetwork:
             raise SchemaError(f"wall {w['id']!r} has an empty polyline")
         walls.append(Wall(
             int(w["id"]), poly,
-            (int(w["label"][0]), int(w["label"][1])),
+            _int_pair(w["label"], f"the label of wall {w['id']!r}"),
             None if w.get("branch") is None else int(w["branch"]),
             int(w["end_edge"]), int(w["end_cone"])))
     return SpectralNetwork(spec.fan, spec.polytope, spec.disk, walls,

@@ -4,18 +4,23 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from toricnets import errors, fans, multisection, schema
 from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
-                             betti_one, make_local_system, sheet_lift_map)
-from toricnets.geom import cross, dot, rot90, sub
+                             betti_one, build_cover, make_local_system,
+                             sheet_lift_map)
+from toricnets.errors import InvalidPath, NotSupported
+from toricnets.geom import cross, dot, sub
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
+from toricnets.network import boundary_position
 from toricnets.nonabelian import loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -25,6 +30,27 @@ REALIZABLE = ("fan5_n5", "fan7_n7", "line_bundle_r1", "p1p1_n4", "p2_n3")
 
 def load(name):
     return schema.load_problem(FIXTURES / f"{name}.json")
+
+
+def count_calls(monkeypatch, module, name):
+    """Calls of ``module.name`` from anywhere in the package, as a list.
+
+    Every ``toricnets`` module attribute bound to the function is
+    replaced, so calls through a by-name import are counted too.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "toricnets" or key.startswith("toricnets."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def perfbench_gen():
@@ -57,6 +83,11 @@ def solve_2x2(a, b, target):
     y = Fraction(cross(a, target), det)
     assert x.denominator == 1 and y.denominator == 1
     return int(x), int(y)
+
+
+def rot90(v):
+    """Counterclockwise quarter turn; maps ray generator to its perp."""
+    return (-v[1], v[0])
 
 
 def random_two_fold(fan, rng, force_class=None, max_tries=200):
@@ -640,7 +671,8 @@ def reference_sweep(net, tms, cover, seed, count=25):
         hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                for _ in range(b1)]
         ls = make_local_system(cover, hol)
-        if not loop_identity_check(net, tms, cover, ls, lift=lift):
+        if not loop_identity_check(net, tms, cover, ls, lift=lift,
+                                   caches={}):
             return False
     return True
 
@@ -662,3 +694,262 @@ def evaluate_coefficient(c, values):
             a *= v ** k
         total += a
     return total
+
+
+# -- paper-claim oracles that no pipeline stage uses --------------------------
+# The face duality of the polygon, the barycentric cells of its boundary,
+# the boundary half-edge labels, the chambers of a network, reversed and
+# composed surface paths, and the gauge class of a cocycle's boundary
+# restriction: tests check the paper's claims about these, and nothing in
+# the package computes them.
+
+ZERO_CONE = ("zero",)
+
+
+def max_cone(i):
+    return ("max", i)
+
+
+def dual_cell(polytope, cone):
+    """Face of the polygon dual to a cone of its fan.
+
+    Maximal cone -> vertex (a 1-point tuple), ray -> edge endpoints,
+    zero cone -> all vertices.
+    """
+    if cone[0] == "zero":
+        return tuple(polytope.vertices)
+    polytope.fan.cone_generators(cone)  # UnknownCone for a bad reference
+    if cone[0] == "max":
+        return (polytope.vertex(cone[1]),)
+    return polytope.edge(cone[1])
+
+
+@dataclass(frozen=True)
+class BarCell:
+    """A cell of the first barycentric decomposition of the boundary.
+
+    kind is one of 'vertex', 'barycenter', 'half-edge'.  For half-edges,
+    ``vertex_index`` is the polygon vertex endpoint and ``points`` runs from
+    that vertex to the barycenter; ``edge`` is the carrier edge (= dual ray
+    index) for barycenters and half-edges.
+    """
+    kind: str
+    edge: int | None
+    vertex_index: int | None
+    points: tuple
+
+
+def barycentric_boundary(polytope):
+    """Cells of the first barycentric decomposition of the boundary.
+
+    For each edge i (ccw): [vertex i-1, half-edge from vertex i-1,
+    barycenter, half-edge from vertex i], so each vertex is listed once.
+    """
+    cells = []
+    n = polytope.n
+    for i in range(n):
+        a, _ = polytope.edge(i)  # a = vertex i-1
+        mid = polytope.edge_barycenter(i)
+        vi = (i - 1) % n
+        cells.append(BarCell("vertex", None, vi, (a,)))
+        cells.append(BarCell("half-edge", i, vi, (a, mid)))
+        cells.append(BarCell("barycenter", i, None, (mid,)))
+        cells.append(BarCell("half-edge", i, i, (polytope.vertex(i), mid)))
+    return cells
+
+
+def region_polygon(disk, i):
+    """Ccw quadrilateral of region i of a disk model."""
+    p = disk.polytope
+    return (disk.center, p.edge_barycenter(i), p.vertex(i),
+            p.edge_barycenter(i + 1))
+
+
+@dataclass(frozen=True)
+class HalfEdgeLabel:
+    edge: int
+    cone: int            # cone of the vertex endpoint
+    label: tuple         # ordered sheet pair (a, b)
+
+
+class BoundaryLabeling:
+    """Labels of the 2n boundary half-edges, in ccw order."""
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+
+    def flip_count(self):
+        labels = [e.label for e in self.entries]
+        n = len(labels)
+        return sum(1 for i in range(n) if labels[i] != labels[(i + 1) % n])
+
+    def label_of(self, edge, cone):
+        for e in self.entries:
+            if e.edge == edge and e.cone == cone:
+                return e.label
+        raise KeyError((edge, cone))
+
+
+def boundary_labels(tms, disk, layout) -> BoundaryLabeling:
+    """Label every boundary half-edge by its soliton sheet pair.
+
+    The label of a half-edge is the ordered sheet pair (a, b) with
+    <m(b) - m(a), v_ray> > 0, computed through the sheet/lift matching of
+    the cover of ``layout``; it flips at the N intersection-cone vertices
+    and at every cut landing.
+    """
+    lift = sheet_lift_map(tms, build_cover(disk, layout, tms.degree))
+
+    def label(cone, edge):
+        m0, m1 = (tms.slope(lift[(cone, s)]) for s in (0, 1))
+        pairing = dot(sub(m1, m0), tms.fan.ray(edge))
+        assert pairing != 0
+        return (0, 1) if pairing > 0 else (1, 0)
+
+    n = tms.fan.n
+    return BoundaryLabeling(
+        HalfEdgeLabel(e, cone, label(cone, e))
+        for e in range(n) for cone in ((e - 1) % n, e))
+
+
+@dataclass(frozen=True)
+class Chamber:
+    id: int
+    arcs: tuple              # ccw landing-gap indices on the boundary circle
+    adjacent: tuple          # (other chamber id, wall id) pairs
+
+
+def chambers(net):
+    """Closures of the components of the polygon minus the wall support.
+
+    Valid in the pairwise-disjoint tripod regime: a point's chamber is
+    determined by its zone relative to each tripod's three landings, so
+    chambers are zone-profiles of boundary arcs.
+    """
+    if not net.walls:
+        return [Chamber(0, (0,), ())]
+    if not net.walls_disjoint:
+        raise NotSupported("chamber decomposition requires disjoint walls")
+    landings = sorted(((boundary_position(net.polytope, w.end), w)
+                       for w in net.walls), key=lambda x: x[0])
+    m = len(landings)
+    tripods = {}
+    for pos_idx, (_, w) in enumerate(landings):
+        tripods.setdefault(w.start_branch, []).append(pos_idx)
+
+    def zone(arc_idx, positions):
+        # arc arc_idx sits between landings arc_idx and arc_idx+1 (cyclic);
+        # find which gap of the sorted tripod positions contains it.
+        ps = sorted(positions)
+        for z in range(len(ps)):
+            lo, hi = ps[z], ps[(z + 1) % len(ps)]
+            if (lo <= arc_idx < hi) if lo < hi else \
+                    (arc_idx >= lo or arc_idx < hi):
+                return z
+        return 0
+
+    profiles = {}
+    for arc in range(m):
+        prof = tuple(zone(arc, pos) for _, pos in sorted(tripods.items()))
+        profiles.setdefault(prof, []).append(arc)
+    ids = {prof: i for i, prof in enumerate(sorted(profiles))}
+    adjacency = {i: set() for i in ids.values()}
+    arc_prof = {a: prof for prof, arcs in profiles.items() for a in arcs}
+    for a in range(m):
+        b = (a + 1) % m
+        pa, pb = arc_prof[a], arc_prof[b]
+        if pa != pb:
+            wall = landings[b][1]
+            adjacency[ids[pa]].add((ids[pb], wall.id))
+            adjacency[ids[pb]].add((ids[pa], wall.id))
+    return [Chamber(ids[prof], tuple(sorted(arcs)),
+                    tuple(sorted(adjacency[ids[prof]])))
+            for prof, arcs in sorted(profiles.items())]
+
+
+def reversed_path(path, cover):
+    """The path walked backwards, from its end state."""
+    rev = [Crossing(c.kind, c.index, -c.direction)
+           for c in reversed(path.crossings)]
+    region, sheet = path.states(cover)[-1]
+    return SurfacePath(region, sheet, rev, path.turns)
+
+
+def concat_paths(first, second, cover):
+    """``first`` then ``second``; InvalidPath unless they compose."""
+    if first.states(cover)[-1] != (second.start_region, second.start_sheet):
+        raise InvalidPath("paths are not composable")
+    turns = None
+    if first.turns is not None and second.turns is not None:
+        turns = first.turns + second.turns
+    return SurfacePath(first.start_region, first.start_sheet,
+                       list(first.crossings) + list(second.crossings), turns)
+
+
+def is_closed(path, cover):
+    states = path.states(cover)
+    return states[0] == states[-1]
+
+
+def boundary_restriction(matrix, ray_vector):
+    """Keep the terms whose exponents pair to zero with the ray.
+
+    For a transition matrix over an adjacent cone pair this extracts the
+    semi-flat monomial permutation (the restriction of the bundle to the
+    toric boundary divisor of the shared ray).
+    """
+    return LaurentMatrix([[LaurentPoly({e: c for e, c in p.terms.items()
+                                        if dot(e, ray_vector) == 0})
+                           for p in row] for row in matrix.rows])
+
+
+def boundary_restriction_equiv(c1, c2) -> bool:
+    """Gauge equivalence of the boundary restrictions of two cocycles.
+
+    True iff nonzero per-(cone, sheet) frame rescalings h make every
+    semi-flat transport entry of c1 equal that of c2: the coefficient
+    ratios force h along the support graph, and equivalence is exactly
+    consistency of those ratios around cycles.
+    """
+    tms = c1.tms
+    n = tms.fan.n
+    r = c1.cover.r
+    adj = {}
+    for i in range(n):
+        v = tms.fan.ray(i)
+        m1 = boundary_restriction(c1.pair((i - 1) % n, i), v)
+        m2 = boundary_restriction(c2.pair((i - 1) % n, i), v)
+        for row in range(r):
+            for col in range(r):
+                p1, p2 = m1.entry(row, col), m2.entry(row, col)
+                if p1.is_zero() != p2.is_zero():
+                    return False
+                if p1.is_zero():
+                    continue
+                a1, e1 = p1.monomial_parts()
+                a2, e2 = p2.monomial_parts()
+                if e1 != e2:
+                    return False
+                # h[(i-1, col)] / h[(i, row)] = a2 / a1
+                q = Fraction(a2) / Fraction(a1)
+                a, b = ((i - 1) % n, col), (i, row)
+                adj.setdefault(a, []).append((b, q))
+                adj.setdefault(b, []).append((a, 1 / q))
+    h = {}
+    for start in sorted(adj):
+        if start in h:
+            continue
+        h[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for other, q in adj[node]:
+                # h[node] / h[other] = q
+                val = h[node] / q
+                if other in h:
+                    if h[other] != val:
+                        return False
+                else:
+                    h[other] = val
+                    stack.append(other)
+    return True

@@ -8,7 +8,8 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from support import FIXTURES, load, random_two_fold
+from support import (FIXTURES, boundary_restriction_equiv, load,
+                     random_two_fold)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
@@ -19,9 +20,9 @@ from toricnets.laurent import LaurentMatrix, LaurentPoly, mat_mul, regular_on, \
     is_invertible_on
 from toricnets.multisection import classify_two_fold, n_genericity
 from toricnets.network import branch_point_arms, track_path, validate_network
-from toricnets.nonabelian import (boundary_restriction_equiv, cut_factor,
-                                  kaneyama_cocycle, loop_identity_check,
-                                  path_ordered, verify_bundle, wall_factor)
+from toricnets.nonabelian import (cut_factor, kaneyama_cocycle,
+                                  loop_identity_check, path_ordered,
+                                  verify_bundle, wall_factor)
 
 FANS = {
     "P2": make_fan([(1, 0), (0, 1), (-1, -1)]),
@@ -94,11 +95,12 @@ def test_acceptance_4_loop_identities_25_systems():
     for name in REALIZABLE:
         spec, net, layout, cover = _built(name)
         b1 = betti_one(cover)
+        lift = sheet_lift_map(spec.tms, cover)
         for _ in range(25):
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, spec.tms, cover, ls), \
+            assert loop_identity_check(net, spec.tms, cover, ls, lift, {}), \
                 f"{name}: loop identity failed for {hol}"
     print("ACCEPTANCE 4 consistency theorem: 25 seeded systems per fixture, "
           "every generator loop exactly Id: PASS")
@@ -147,7 +149,8 @@ def test_acceptance_6_well_definedness():
                 if i == j:
                     continue
                 alt = path_ordered(net, spec.tms, cover, ls,
-                                   track_path(net, i, j, ccw=False))
+                                   track_path(net, i, j, ccw=False),
+                                   coc.lift, {})
                 assert alt == coc.pair(i, j), \
                     f"{name}: path dependence at ({i},{j})"
     print("ACCEPTANCE 6 well-definedness: homotopic extraction paths give "

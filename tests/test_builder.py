@@ -1,8 +1,8 @@
 import pytest
 
-from support import load
+from support import boundary_labels, load
 
-from toricnets.builder import boundary_labels, build_network
+from toricnets.builder import build_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotRealizable, NotTwoFold
 from toricnets.network import branch_point_arms, validate_network, \
@@ -41,7 +41,7 @@ def test_not_realizable_below_three(p2_n1, split_e):
 
 def test_endpoint_labels_match_wall_labels(p2, p2_built, fan5, fan5_built):
     for spec, (net, layout, cover) in [(p2, p2_built), (fan5, fan5_built)]:
-        labeling = boundary_labels(spec.tms, spec.polytope, layout)
+        labeling = boundary_labels(spec.tms, spec.disk, layout)
         for w in net.walls:
             assert labeling.label_of(w.end_edge, w.end_cone) == w.label
 
@@ -51,7 +51,7 @@ def test_boundary_label_flip_count(p2, p2_built, fan5, fan5_built,
     # flips at the N intersection vertices plus the N-2 cut landings
     for spec, (net, layout, cover), n_value in [
             (p2, p2_built, 3), (fan5, fan5_built, 5), (p1p1, p1p1_built, 4)]:
-        labeling = boundary_labels(spec.tms, spec.polytope, layout)
+        labeling = boundary_labels(spec.tms, spec.disk, layout)
         assert len(labeling.entries) == 2 * spec.fan.n
         assert labeling.flip_count() == n_value + (n_value - 2)
 
@@ -101,7 +101,7 @@ def test_builder_on_random_realizable_covers():
     from fractions import Fraction
 
     from support import random_two_fold
-    from toricnets.cover import betti_one, make_local_system
+    from toricnets.cover import betti_one, make_local_system, sheet_lift_map
     from toricnets.fans import SupportFunction, disk_model, dual_polytope, \
         make_fan
     from toricnets.multisection import n_genericity
@@ -130,7 +130,8 @@ def test_builder_on_random_realizable_covers():
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, tms, cover, ls)
+            assert loop_identity_check(net, tms, cover, ls,
+                                       sheet_lift_map(tms, cover), {})
             built += 1
         assert built == 5
 

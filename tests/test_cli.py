@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from support import FIXTURES, parse_matrix
+from support import FIXTURES, count_calls, parse_matrix
 
-from toricnets import schema
+from toricnets import fans, multisection, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
@@ -114,17 +114,6 @@ def test_json_report_mode(capsys):
     assert all(s["status"] == "pass" for s in doc["stages"])
 
 
-def test_problem_round_trip():
-    spec = schema.load_problem(fx("p1p1_n4"))
-    emitted = schema.parse_problem(schema.emit_problem(spec))
-    assert emitted.fan.rays == spec.fan.rays
-    assert emitted.phi.values == spec.phi.values
-    assert [c.id for c in emitted.tms.lifted_cones] == \
-        [c.id for c in spec.tms.lifted_cones]
-    assert emitted.holonomies == spec.holonomies
-    assert schema.emit_problem(emitted) == schema.emit_problem(spec)
-
-
 def test_network_round_trip(p2, p2_built, tmp_path):
     net, layout, cover = p2_built
     doc = schema.emit_network(net)
@@ -158,13 +147,29 @@ def _write_edited(tmp_path, edit):
     return str(p)
 
 
-def _empty_wall_polyline(data):
-    """p2_n3's built network, with its layout, and wall 0's polyline empty."""
-    spec = schema.parse_problem(data)
-    net, layout = build_network(spec.tms, spec.disk)
-    data["layout"] = schema.emit_layout(layout)
-    data["network"] = schema.emit_network(net)
-    data["network"]["walls"][0]["polyline"] = []
+def _with_network(edit):
+    """An edit that adds p2_n3's built network and layout, then ``edit``s."""
+    def apply(data):
+        spec = schema.parse_problem(data)
+        net, layout = build_network(spec.tms, spec.disk)
+        data["layout"] = schema.emit_layout(layout)
+        data["network"] = schema.emit_network(net)
+        edit(data)
+    return apply
+
+
+def _slope(value):
+    return lambda d: d["multisection"]["lifted_cones"][0].update(slope=value)
+
+
+def _cut(**fields):
+    return _with_network(lambda d: d["layout"]["cuts"][0].update(fields))
+
+
+_empty_wall_polyline = _with_network(
+    lambda d: d["network"]["walls"][0].update(polyline=[]))
+_short_wall_label = _with_network(
+    lambda d: d["network"]["walls"][0].update(label=[0]))
 
 
 @pytest.mark.parametrize("edit, argv", [
@@ -177,9 +182,26 @@ def _empty_wall_polyline(data):
     (lambda d: None, ["nonabelianize", "--holonomy", "1/0"]),
     (_empty_wall_polyline, ["validate"]),
     (_empty_wall_polyline, ["render"]),
+    (_slope([0]), ["validate"]),
+    (_slope([0]), ["build"]),
+    (_slope([0, 0, 0]), ["validate"]),
+    (_slope(["0", "0"]), ["validate"]),
+    (_slope([0.5, 0]), ["validate"]),
+    (_short_wall_label, ["validate"]),
+    (_cut(transposition=[0]), ["validate"]),
+    (_cut(transposition=[0, 1, 1]), ["render"]),
+    (_cut(polyline=[]), ["validate"]),
+    (_cut(polyline=[]), ["verify"]),
+    (_cut(polyline=[["0", "0"]]), ["render"]),
 ], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
         "holonomy-not-rational", "holonomy-zero-denominator",
-        "empty-wall-polyline-validate", "empty-wall-polyline-render"])
+        "empty-wall-polyline-validate", "empty-wall-polyline-render",
+        "one-integer-slope-validate", "one-integer-slope-build",
+        "three-integer-slope", "string-slope", "fractional-slope",
+        "one-integer-wall-label",
+        "one-integer-transposition", "three-integer-transposition",
+        "empty-cut-polyline-validate", "empty-cut-polyline-verify",
+        "one-point-cut-polyline"])
 def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     code = main([argv[0], "--input", _write_edited(tmp_path, edit),
                  "--out", str(tmp_path / "out"), "--report", "json"]
@@ -211,3 +233,21 @@ def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
         else:
             assert (condition, "0") in [(v["condition"], v["witness"])
                                         for v in violations]
+
+
+@pytest.mark.parametrize("command", ["nonabelianize", "verify"])
+def test_cli_run_builds_the_polygon_and_validates_once(command, tmp_path,
+                                                       monkeypatch, capsys):
+    # the problem spec keeps its polygon and disk model, the multi-section
+    # its report, class and crossing cones: each is produced once per run
+    spec = schema.load_problem(fx("fan5_n5"))
+    assert spec.disk is spec.disk
+    assert spec.disk.polytope is spec.polytope is spec.polytope
+    polygons = count_calls(monkeypatch, fans, "dual_polytope")
+    disks = count_calls(monkeypatch, fans, "disk_model")
+    reports = count_calls(monkeypatch, multisection, "validate")
+    classes = count_calls(monkeypatch, multisection, "classify_two_fold")
+    assert main([command, "--input", fx("fan5_n5"),
+                 "--out", str(tmp_path)]) == 0
+    assert [len(polygons), len(disks), len(reports), len(classes)] == \
+        [1, 1, 1, 1]

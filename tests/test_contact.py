@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from support import (FIXTURES, generated_problems, load,
-                     reference_build_cover, reference_validate_network)
+                     reference_build_cover, reference_validate_network,
+                     region_polygon)
 
 from toricnets import builder, errors
 from toricnets.builder import build_network
@@ -150,7 +151,7 @@ def _crossing_cuts(net, k, m):
     n = net.fan.n
     i = net.disk.region_of_interior_point(net.cuts[k].branch_point)
     b0, b1 = poly.edge_barycenter(i), poly.edge_barycenter(i + 1)
-    mid = polygon_barycenter(net.disk.region_polygon(i))
+    mid = polygon_barycenter(region_polygon(net.disk, i))
     p0, p1 = midpoint(mid, b0), midpoint(mid, b1)
     cuts = list(net.cuts)
     points = list(net.branch_points)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import generator_loops
+from support import concat_paths, generator_loops, is_closed, reversed_path
 
 from toricnets.cover import (BranchCutLayout, Crossing, Cut, SurfacePath,
                              betti_one, build_cover, make_local_system,
@@ -119,9 +119,9 @@ def test_transport_reversal_inverts():
                               Crossing("spoke", 2, +1),
                               Crossing("cut", 1, +1)])
     there = parallel_transport(ls, path)
-    back = parallel_transport(ls, path.reversed(cover))
+    back = parallel_transport(ls, reversed_path(path, cover))
     assert there * back == 1
-    loop = path.concat(path.reversed(cover), cover)
+    loop = concat_paths(path, reversed_path(path, cover), cover)
     assert parallel_transport(ls, loop) == 1
 
 
@@ -130,7 +130,7 @@ def test_generator_loop_holonomy():
     ls = make_local_system(cover, [Fraction(5)])
     loops = generator_loops(cover)
     assert len(loops) == 1
-    assert loops[0].is_closed(cover)
+    assert is_closed(loops[0], cover)
     assert parallel_transport(ls, loops[0]) == 5
 
 
@@ -148,10 +148,11 @@ def test_symbolic_generator_loop_holonomy(fan7_built):
         loops = generator_loops(cover)
         assert len(loops) == len(t) >= 1
         for k, loop in enumerate(loops):
-            assert loop.is_closed(cover)
+            assert is_closed(loop, cover)
             hol = parallel_transport(ls, loop)
             assert isinstance(hol, TPoly) and hol == t[k]
-            assert parallel_transport(ls, loop.reversed(cover)) * hol == 1
+            assert parallel_transport(ls, reversed_path(loop, cover)) \
+                * hol == 1
 
 
 def test_make_local_system_errors():

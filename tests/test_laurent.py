@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import (evaluate, evaluate_coefficient, near_identities,
-                     ref_add, ref_clean, ref_mat_mul, ref_mul, ref_neg)
+from support import (ZERO_CONE, evaluate, evaluate_coefficient, max_cone,
+                     near_identities, ref_add, ref_clean, ref_mat_mul,
+                     ref_mul, ref_neg)
 
 from toricnets.errors import NotRegular, SizeMismatch
-from toricnets.fans import make_fan, max_cone, ray_cone, ZERO_CONE
+from toricnets.fans import make_fan, ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly,
                                cocycle_check, is_invertible_on, mat_mul,
                                monomial_inverse, regular_on)

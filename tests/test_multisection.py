@@ -1,10 +1,14 @@
+import json
 import random
 
 import pytest
 
-from support import circle_sampling_n, random_two_fold
+from support import FIXTURES, circle_sampling_n, count_calls, random_two_fold
 
-from toricnets.errors import NotTwoFold
+from toricnets import multisection, schema
+from toricnets.builder import build_network
+from toricnets.cli import main
+from toricnets.errors import NotRealizable, NotTwoFold
 from toricnets.fans import make_fan
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
@@ -119,3 +123,39 @@ def test_random_sections_match_sampling_oracle():
         for _ in range(10):
             tms = random_two_fold(fan, rng)
             assert n_genericity(tms) == circle_sampling_n(tms)
+
+
+def test_invalid_multisection_is_reported_from_one_validation(
+        tmp_path, monkeypatch, capsys):
+    # p2_n3 with one continuity break: every consumer reads the stored
+    # report, so the typed errors and the CLI report name the same
+    # violation, and the multi-section is validated once
+    data = json.loads((FIXTURES / "p2_n3.json").read_text())
+    data["multisection"]["lifted_cones"][2]["slope"] = [-1, 2]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    spec = schema.parse_problem(data)
+    reports = count_calls(monkeypatch, multisection, "validate")
+    detail = ("invalid multi-section: ValidationReport(continuity: slopes "
+              "across lifted ray c2->c3 pair to -1 with ray 2)")
+    for run, error in [(lambda: classify_two_fold(spec.tms), NotTwoFold),
+                       (lambda: n_genericity(spec.tms), NotTwoFold),
+                       (lambda: build_network(spec.tms, spec.disk),
+                        NotRealizable)]:
+        with pytest.raises(error) as caught:
+            run()
+        assert str(caught.value) == detail
+    assert len(reports) == 1
+    assert not spec.tms.report.ok
+
+    assert main(["build", "--input", str(path), "--report", "json"]) == 1
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert stages == [{"name": "validate", "status": "fail",
+                       "detail": detail}]
+    assert main(["validate", "--input", str(path), "--report", "json"]) == 1
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert [s["name"] for s in stages] == ["fan", "multisection"]
+    assert stages[-1]["detail"]["violations"] == [
+        {"condition": "continuity",
+         "message": "slopes across lifted ray c2->c3 pair to -1 with ray 2",
+         "witness": "LiftedRay(ray=2, src='c2', dst='c3')"}]

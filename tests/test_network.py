@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from support import chambers
+
 from toricnets.builder import empty_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotSupported
 from toricnets.geom import lerp
-from toricnets.network import (SpectralNetwork, Wall,
-                               branch_point_arms, chambers,
+from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
                                enumerate_solitons, track_events,
                                validate_network, walls_pairwise_disjoint)
 
@@ -138,7 +139,7 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     # so are the track events and the arm order of every branch point
     import toricnets.network as network
     from toricnets.builder import build_network
-    from toricnets.cover import make_local_system
+    from toricnets.cover import make_local_system, sheet_lift_map
     from toricnets.nonabelian import kaneyama_cocycle, loop_identity_check
 
     seen = {"disjoint": [], "events": [], "arms": []}
@@ -154,7 +155,8 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     net, layout = build_network(p1p1.tms, p1p1.disk)
     cover = build_cover(p1p1.disk, layout, 2)
     ls = make_local_system(cover, [Fraction(3)])
-    assert loop_identity_check(net, p1p1.tms, cover, ls)
+    assert loop_identity_check(net, p1p1.tms, cover, ls,
+                               sheet_lift_map(p1p1.tms, cover), {})
     kaneyama_cocycle(net, p1p1.tms, cover, ls)
     network.track_path(net, 0, 2, ccw=False)
     assert validate_network(net, p1p1.tms, cover).ok

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import near_identities, reference_verify_bundle
+from support import (boundary_restriction_equiv, chambers, near_identities,
+                     reference_verify_bundle)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
@@ -13,9 +14,7 @@ from toricnets.fans import ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, mat_mul,
                                monomial_inverse, regular_on, is_invertible_on)
 from toricnets.network import branch_point_arms, track_path
-from toricnets.nonabelian import (boundary_restriction,
-                                  boundary_restriction_equiv,
-                                  branch_point_loop, cut_factor,
+from toricnets.nonabelian import (branch_point_loop, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
                                   path_ordered, semiflat_factor, verify_bundle,
                                   wall_factor)
@@ -199,7 +198,8 @@ def test_path_ordered_empty_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [])
-    assert path_ordered(net, p2.tms, cover, ls, p) == \
+    lift = sheet_lift_map(p2.tms, cover)
+    assert path_ordered(net, p2.tms, cover, ls, p, lift, {}) == \
         LaurentMatrix.identity(2)
 
 
@@ -207,7 +207,8 @@ def test_path_ordered_there_and_back(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 1, -1)])
-    assert path_ordered(net, p2.tms, cover, ls, p) == \
+    lift = sheet_lift_map(p2.tms, cover)
+    assert path_ordered(net, p2.tms, cover, ls, p, lift, {}) == \
         LaurentMatrix.identity(2)
 
 
@@ -215,9 +216,10 @@ def test_boundary_loop_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     from toricnets.network import boundary_loop
+    lift = sheet_lift_map(p2.tms, cover)
     for ccw in (True, False):
         loop = boundary_loop(net, 0, ccw=ccw)
-        assert path_ordered(net, p2.tms, cover, ls, loop) == \
+        assert path_ordered(net, p2.tms, cover, ls, loop, lift, {}) == \
             LaurentMatrix.identity(2)
 
 
@@ -229,11 +231,12 @@ def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
                                        (fan5, fan5_built)]:
         from toricnets.cover import betti_one
         b1 = betti_one(cover)
+        lift = sheet_lift_map(spec.tms, cover)
         for _ in range(5):
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, spec.tms, cover, ls)
+            assert loop_identity_check(net, spec.tms, cover, ls, lift, {})
 
 
 def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
@@ -266,7 +269,8 @@ def test_rank_one_no_walls_telescopes(r1):
     net, layout = empty_network(r1.tms, r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
-    assert loop_identity_check(net, r1.tms, cover, ls)
+    assert loop_identity_check(net, r1.tms, cover, ls,
+                               sheet_lift_map(r1.tms, cover), {})
 
 
 # -- Kaneyama cocycles --------------------------------------------------------
@@ -311,11 +315,12 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
                 if i == j:
                     continue
                 cw = track_path(net, i, j, ccw=False)
-                alt = path_ordered(net, spec.tms, cover, ls, cw)
+                alt = path_ordered(net, spec.tms, cover, ls, cw, coc.lift, {})
                 assert alt == coc.pair(i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = track_path(net, 0, 1, ccw=True, full_loops=1)
-        assert path_ordered(net, spec.tms, cover, ls, extra) == coc.pair(0, 1)
+        assert path_ordered(net, spec.tms, cover, ls, extra, coc.lift,
+                            {}) == coc.pair(0, 1)
 
 
 def test_corrupted_cocycle_detected(p2, p2_built):
@@ -480,9 +485,10 @@ def test_path_errors(p2, p2_built):
     from toricnets.network import Wall
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
+    lift = sheet_lift_map(p2.tms, cover)
     bad = SurfacePath(0, 0, [Crossing("spoke", 1, 0)])
     with pytest.raises(NonTransverseCrossing):
-        path_ordered(net, p2.tms, cover, ls, bad)
+        path_ordered(net, p2.tms, cover, ls, bad, lift, {})
     # a joint-fed wall may not be crossed by extraction paths
     w0 = net.walls[0]
     jointed = Wall(50, w0.polyline, w0.label, None, w0.end_edge, w0.end_cone)
@@ -490,7 +496,7 @@ def test_path_errors(p2, p2_built):
                      list(net.walls) + [jointed], net.layout)
     p = SurfacePath(w0.end_cone, 0, [Crossing("wall", 50, +1)])
     with pytest.raises(PathHitsJointRegion):
-        path_ordered(net2, p2.tms, cover, ls, p)
+        path_ordered(net2, p2.tms, cover, ls, p, lift, {})
 
 
 def test_slope_tie_guard(p2, p2_built):
@@ -509,7 +515,7 @@ def test_deeply_nested_seven_crossings_pipeline():
     # 7-ray fan, N = 7: five nested Y-graphs, first Betti number 4
     from support import load
     from toricnets.cover import betti_one
-    from toricnets.network import chambers, validate_network
+    from toricnets.network import validate_network
 
     spec = load("fan7_n7")
     net, layout = build_network(spec.tms, spec.disk)
@@ -521,7 +527,8 @@ def test_deeply_nested_seven_crossings_pipeline():
     assert validate_network(net, spec.tms, cover).ok
     ls = make_local_system(cover, [Fraction(2), Fraction(3), Fraction(5, 7),
                                    Fraction(1, 4)])
-    assert loop_identity_check(net, spec.tms, cover, ls)
+    assert loop_identity_check(net, spec.tms, cover, ls,
+                               sheet_lift_map(spec.tms, cover), {})
     coc = kaneyama_cocycle(net, spec.tms, cover, ls)
     assert verify_bundle(coc, spec.tms).ok
 
@@ -538,7 +545,7 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
         for j in range(n):
             if i != j:
                 direct = path_ordered(net, fan5.tms, cover, ls,
-                                      track_path(net, i, j))
+                                      track_path(net, i, j), coc.lift, {})
                 assert coc.pair(i, j) == direct, (i, j)
 
 

@@ -27,3 +27,26 @@ def test_no_float_outside_render():
                   if isinstance(node, ast.Name) and node.id == "float"]
     assert (SRC / "render.py").is_file()
     assert found == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # src/ holds what the pipeline and the CLI need: a public top-level
+    # function or class that nothing in the package names is test-only
+    # code, and belongs under tests/
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{name}:{node.name}" for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert trees
+    assert unused == []

@@ -64,14 +64,17 @@ def doubled_spoke_zero(monkeypatch):
 def test_symbolic_check_matches_sampled_sweep(instances, monkeypatch):
     for seed, (label, spec, net, cover) in enumerate(instances):
         symbolic = loop_identity_check(net, spec.tms, cover,
-                                       symbolic_system(cover))
+                                       symbolic_system(cover),
+                                       sheet_lift_map(spec.tms, cover), {})
         assert bool(symbolic) == reference_sweep(net, spec.tms, cover, seed)
         assert symbolic, label
     with monkeypatch.context() as m:
         doubled_spoke_zero(m)
         for seed, (label, spec, net, cover) in enumerate(instances[:5]):
             symbolic = loop_identity_check(net, spec.tms, cover,
-                                           symbolic_system(cover))
+                                           symbolic_system(cover),
+                                           sheet_lift_map(spec.tms, cover),
+                                           {})
             assert not symbolic and not reference_sweep(net, spec.tms, cover,
                                                         seed)
             assert symbolic.violations[0].witness[0] == "boundary"
