@@ -115,17 +115,15 @@ def _quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
     return [(e, t) for _, e, t in out]
 
 
-def _build_geometry(tms, disk, plans, shrink):
+def _build_geometry(disk, plans, shrink):
     polytope = disk.polytope
     walls_raw = []   # (branch index, role, polyline, end edge)
     cuts = []
-    branch_points = []
     base_depth = Fraction(1, 3) * shrink
     for p in plans:
         s = base_depth * Fraction(1, 2) ** p.depth_index
         q_long = _edge_point(polytope, p.w3_edge, Fraction(1, 4))
         b = _depth_point(disk, q_long, s)
-        branch_points.append(b)
         w3 = (b, q_long)
         cut_target = polytope.edge_barycenter(p.cut_edge)
         cut_poly = (b, cut_target)
@@ -143,21 +141,19 @@ def _build_geometry(tms, disk, plans, shrink):
         walls_raw.append((bi, "w1", w1, p.w1_edge))
         walls_raw.append((bi, "w2", tuple(w2), p.w2_edge))
         walls_raw.append((bi, "w3", tuple(w3), p.w3_edge))
-        cuts.append(Cut(b, cut_poly, (0, 1), p.cut_edge))
-    return walls_raw, cuts, branch_points
+        cuts.append(Cut(cut_poly, (0, 1), p.cut_edge))
+    return walls_raw, BranchCutLayout(disk, tuple(cuts))
 
 
-def empty_network(tms, disk):
+def empty_network(disk):
     """Wall-free network for covers that need no walls (rank 1)."""
-    layout = BranchCutLayout([], [])
-    net = SpectralNetwork(tms.fan, disk.polytope, disk, [], layout)
-    return net, layout
+    layout = BranchCutLayout(disk, ())
+    return SpectralNetwork((), layout), layout
 
 
 def _assemble(tms, disk, plans, shrink):
     """The network and cover of one placement of the planned Y-graphs."""
-    walls_raw, cuts, branch_points = _build_geometry(tms, disk, plans, shrink)
-    layout = BranchCutLayout(branch_points, cuts)
+    walls_raw, layout = _build_geometry(disk, plans, shrink)
     cover = build_cover(disk, layout, tms.degree)
     lift = sheet_lift_map(tms, cover)
     walls = []
@@ -169,7 +165,7 @@ def _assemble(tms, disk, plans, shrink):
         cone = he[1]
         label = _label_from_slopes(tms, lift, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
-    return SpectralNetwork(tms.fan, disk.polytope, disk, walls, layout), cover
+    return SpectralNetwork(walls, layout), cover
 
 
 def build_network(tms, disk):
@@ -182,7 +178,7 @@ def build_network(tms, disk):
     if not tms.report.ok:
         raise NotRealizable(f"invalid multi-section: {tms.report}")
     if tms.degree == 1:
-        return empty_network(tms, disk)
+        return empty_network(disk)
     vees = tms.crossing_cones  # raises NotTwoFold for other degrees
     n_value = len(vees)
     result = parity_and_realizability(tms, n_value)
@@ -208,7 +204,7 @@ def build_network(tms, disk):
     # Wall labels around every branch point must alternate; this is forced
     # by the flip structure, so a failure means the geometry is wrong.
     for bi in range(len(net.branch_points)):
-        labels = [w.label for w in net.arms(bi)]
+        labels = [w.label for w in net.arms[bi]]
         if not (len(labels) == 3 and labels[0] == labels[2] != labels[1]):
             raise InvariantViolated(
                 f"branch point {bi} labels {labels} do not alternate")

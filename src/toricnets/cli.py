@@ -24,9 +24,11 @@ from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
 from .cover import build_cover, make_local_system, betti_one, sheet_lift_map
-from .errors import LoopIdentityFailed, ToricNetsError, ParseError
+from .errors import (LoopIdentityFailed, NotRealizable, ParityViolation,
+                     ParseError, ToricNetsError)
 from .laurent import TPoly
 from .render import render_svg
+from .reporting import ValidationReport
 
 
 def _stage(report, name, fn):
@@ -73,11 +75,9 @@ def cmd_validate(spec, report):
 
 
 def _fan_report(spec):
-    from .reporting import ValidationReport
-    rep = ValidationReport()
     # construction already validated the fan and the support function
     spec.polytope
-    return rep
+    return ValidationReport()
 
 
 def _pipeline(spec, report):
@@ -100,12 +100,10 @@ def _pipeline(spec, report):
 
 
 def _raise_invalid(tms):
-    from .errors import NotRealizable
     raise NotRealizable(f"invalid multi-section: {tms.report}")
 
 
 def _parity_detail(tms, n_value):
-    from .errors import ParityViolation
     res = multisection.parity_and_realizability(tms, n_value)
     if not res.parity_ok:
         raise ParityViolation(f"N = {n_value} parity mismatch")

@@ -7,6 +7,10 @@ polyline from its branch point (inside a single region) to the barycenter
 of one boundary edge; its relative interior avoids all spokes, so sheet
 labels are constant on every region minus its cut.
 
+A ``BranchCutLayout`` owns the facts of its cuts: the disk model, the
+cuts, the branch points (each cut's first point) and the region of
+every cut, located once; covers, networks and validators read them.
+
 Rank-1 local systems are stored in the gauge where all transport weights
 sit on the cuts: crossing cut k positively from the lower sheet of its
 transposition multiplies by t_k, from the upper sheet by 1/t_k, and fixed
@@ -29,24 +33,28 @@ identity (see ``toricnets.nonabelian``).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
-                     NoSharedLift, OpenPath, OverlappingCuts, WrongCount,
-                     ZeroHolonomy)
+                     InvariantViolated, NoSharedLift, OpenPath,
+                     OverlappingCuts, WrongCount, ZeroHolonomy)
 from .laurent import coefficient
 
 
 @dataclass(frozen=True)
 class Cut:
     """Branch cut: polyline from a branch point to an edge barycenter."""
-    branch_point: tuple       # rational point, first polyline vertex
-    polyline: tuple           # tuple of points, [branch_point, ..., barycenter]
+    polyline: tuple           # tuple of points, [branch point, ..., barycenter]
     transposition: tuple      # pair of swapped sheets (lo, hi)
     edge: int                 # index of the landed edge (= its dual ray)
+
+    @property
+    def branch_point(self):
+        return self.polyline[0]
 
     @property
     def lo(self):
@@ -57,24 +65,32 @@ class Cut:
         return max(self.transposition)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchCutLayout:
-    branch_points: list       # list of points
-    cuts: list                # list of Cut, one per branch point, same order
+    """Cuts on a disk model, one per branch point, in branch-point order."""
+    disk: object              # the DiskModel the cuts are drawn on
+    cuts: tuple               # Cut, one per branch point
+
+    @functools.cached_property
+    def branch_points(self):
+        return tuple(c.branch_point for c in self.cuts)
+
+    @functools.cached_property
+    def cut_region(self):
+        """Region of each cut's branch point, located once."""
+        return tuple(self.disk.region_of_interior_point(c.branch_point)
+                     for c in self.cuts)
 
 
 class SheetedSurface:
     """The r-sheeted branched cover in its cut trivialization."""
 
-    def __init__(self, disk, layout: BranchCutLayout, r: int):
-        self.disk = disk
+    def __init__(self, layout: BranchCutLayout, r: int):
         self.layout = layout
+        self.disk = layout.disk
         self.r = int(r)
-        self.cuts = list(layout.cuts)
-        self.branch_points = list(layout.branch_points)
-        self.cut_region = [
-            disk.region_of_interior_point(c.branch_point) for c in self.cuts
-        ]
+        self.cuts = layout.cuts
+        self.cut_region = layout.cut_region
         self.cut_at_edge = {}
         for k, c in enumerate(self.cuts):
             self.cut_at_edge.setdefault(c.edge, []).append(k)
@@ -123,22 +139,23 @@ def betti_one(cover: SheetedSurface) -> int:
 
 
 class GridPoints:
-    """A disk model, a cut layout and walls, scaled once onto one grid.
+    """A cut layout, its disk model and walls, scaled once onto one grid.
 
     The lists keep the order of their sources: ``vertices`` (ccw),
-    ``branch_points``, ``spokes`` (center, barycenter), ``cuts`` and
-    ``walls``.  ``*_boxes`` hold the bounding box of each polyline: a
-    contact test skips every pair, of polylines or of segments, whose
-    boxes miss each other, because such a pair cannot touch.
+    ``spokes`` (center, barycenter), ``cuts`` (each from its branch
+    point) and ``walls``.  ``*_boxes`` hold the bounding box of each
+    polyline: a contact test skips every pair, of polylines or of
+    segments, whose boxes miss each other, because such a pair cannot
+    touch.
     """
 
-    def __init__(self, disk, layout, wall_polylines):
+    def __init__(self, layout, wall_polylines):
+        disk = layout.disk
         spokes = [disk.spoke(i) for i in range(disk.fan.n)]
         cuts = [c.polyline for c in layout.cuts]
-        grid = geom.Grid(chain(disk.polytope.vertices, layout.branch_points,
-                               *spokes, *cuts, *wall_polylines))
+        grid = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts,
+                               *wall_polylines))
         self.vertices = grid.polyline(disk.polytope.vertices)
-        self.branch_points = grid.polyline(layout.branch_points)
         self.spokes = [grid.polyline(s) for s in spokes]
         self.cuts = [grid.polyline(c) for c in cuts]
         self.walls = [grid.polyline(w) for w in wall_polylines]
@@ -157,8 +174,6 @@ def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
     pts = list(cut.polyline)
     if len(pts) < 2:
         raise CutEndpointNotBarycenter("cut polyline needs two points")
-    if pts[0] != tuple(cut.branch_point):
-        raise CutEndpointNotBarycenter("cut must start at its branch point")
     end = pts[-1]
     target = poly.edge_barycenter(cut.edge)
     if end != target:
@@ -185,14 +200,14 @@ def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
 
 
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
-    """Assemble and validate the branched cover over the disk model.
+    """Assemble and validate the branched cover over the layout's disk model.
 
     Contact tests run on the layout's grid points (``GridPoints``), and
     only on the pairs whose bounding boxes meet.
     """
-    if len(layout.cuts) != len(layout.branch_points):
-        raise OverlappingCuts("one cut per branch point required")
-    g = GridPoints(disk, layout, ())
+    if layout.disk is not disk:
+        raise InvariantViolated("the layout is drawn on another disk model")
+    g = GridPoints(layout, ())
     for k, c in enumerate(layout.cuts):
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
@@ -209,8 +224,7 @@ def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
                     not geom.polyline_pairwise_disjoint(
                         g.cuts[i], g.cuts[k], skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
-    cover = SheetedSurface(disk, layout, r)
-    return cover
+    return SheetedSurface(layout, r)
 
 
 # -- paths and transport ----------------------------------------------------

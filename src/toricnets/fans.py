@@ -33,7 +33,7 @@ class Fan:
     """
 
     def __init__(self, rays):
-        self.rays = [tuple(int(c) for c in v) for v in rays]
+        self.rays = [tuple(v) for v in rays]
         self.n = len(self.rays)
 
     def ray(self, i):
@@ -73,7 +73,7 @@ def make_fan(rays) -> Fan:
     """
     if not rays:
         raise NotComplete("empty ray list")
-    rays = [tuple(int(c) for c in v) for v in rays]
+    rays = [tuple(v) for v in rays]
     for v in rays:
         if not geom.is_primitive(v):
             raise NonPrimitiveRay(f"ray {v} is not primitive")
@@ -111,7 +111,7 @@ class SupportFunction:
         if len(values) != fan.n:
             raise NotStrictlyConvex("one value per ray required")
         self.fan = fan
-        self.values = [int(v) for v in values]
+        self.values = list(values)
 
     def __getitem__(self, i):
         return self.values[i % self.fan.n]

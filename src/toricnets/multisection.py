@@ -30,11 +30,7 @@ from .reporting import ValidationReport
 class LiftedCone:
     id: str
     base: int            # index of the base maximal cone
-    slope: tuple         # lattice vector in M
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope",
-                           (int(self.slope[0]), int(self.slope[1])))
+    slope: tuple         # lattice vector in M, two ints
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class TropicalMultiSection:
 
     def __init__(self, fan, degree, lifted_cones, lifted_rays):
         self.fan = fan
-        self.degree = int(degree)
+        self.degree = degree
         self.lifted_cones = tuple(lifted_cones)
         self.lifted_rays = tuple(lifted_rays)
         self.by_id = {c.id: c for c in self.lifted_cones}

@@ -7,6 +7,9 @@ where walls are pairwise disjoint (one Y-graph per branch point), which is
 what the rank-2 construction produces; joint-fed walls are detected and
 rejected rather than propagated.
 
+A network is its walls plus a ``BranchCutLayout``; it reads the disk
+model, fan, polygon, cuts, branch points and cut regions from the layout.
+
 The boundary-track machinery turns the ccw cyclic order of boundary
 landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
 sequences for path-ordered products: a loop just inside the boundary
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from . import geom
 from .cover import Crossing, GridPoints, SurfacePath, sheet_lift_map
-from .errors import NoSharedLift, NotSupported, UnknownCone
+from .errors import NoSharedLift, NotSupported
 from .reporting import ValidationReport
 
 
@@ -53,13 +56,15 @@ class SpectralNetwork:
     then read by everything that needs them.
     """
 
-    def __init__(self, fan, polytope, disk, walls, layout):
-        self.fan = fan
-        self.polytope = polytope
-        self.disk = disk
+    def __init__(self, walls, layout):
         self._walls = tuple(walls)
         self.layout = layout
-        self._arms = None
+        # read through the layout, which owns them
+        self.disk = layout.disk
+        self.fan = layout.disk.fan
+        self.polytope = layout.disk.polytope
+        self.cuts = layout.cuts
+        self.branch_points = layout.branch_points
 
     @property
     def walls(self):
@@ -68,8 +73,7 @@ class SpectralNetwork:
     @functools.cached_property
     def grid(self):
         """Every point of the network on one integer grid (``GridPoints``)."""
-        return GridPoints(self.disk, self.layout,
-                          [w.polyline for w in self._walls])
+        return GridPoints(self.layout, [w.polyline for w in self.walls])
 
     @functools.cached_property
     def walls_disjoint(self):
@@ -80,20 +84,11 @@ class SpectralNetwork:
         """Boundary-track events in ccw order (see ``track_events``)."""
         return track_events(self)
 
-    def arms(self, b):
-        """Arms of branch point b in ccw order (see ``branch_point_arms``)."""
-        if self._arms is None:
-            self._arms = tuple(branch_point_arms(self, i)
-                               for i in range(len(self.branch_points)))
-        return self._arms[b]
-
-    @property
-    def branch_points(self):
-        return self.layout.branch_points
-
-    @property
-    def cuts(self):
-        return self.layout.cuts
+    @functools.cached_property
+    def arms(self):
+        """Arms of each branch point in ccw order (``branch_point_arms``)."""
+        return tuple(branch_point_arms(self, b)
+                     for b in range(len(self.branch_points)))
 
     def walls_of_branch(self, b):
         return [w for w in self.walls if w.start_branch == b]
@@ -172,9 +167,8 @@ def track_events(net: SpectralNetwork):
             raise NotSupported(f"wall {w.id} does not end on the boundary")
         e, t = pos
         events.append(TrackEvent((e, t, 1), "wall", w.id, w.end_cone))
-    for k, cut in enumerate(net.cuts):
+    for k, (cut, region) in enumerate(zip(net.cuts, net.layout.cut_region)):
         e = cut.edge
-        region = net.disk.region_of_interior_point(cut.branch_point)
         if region == (e - 1) % n:
             tier = 0
         elif region == e % n:
@@ -215,27 +209,22 @@ def _cyclic_slice(events, from_key, to_key):
     return events[i:] + events[:j]
 
 
-def track_path(net: SpectralNetwork, from_cone, to_cone, ccw=True,
-               full_loops=0) -> SurfacePath:
+def track_path(net: SpectralNetwork, from_cone, to_cone,
+               ccw=True) -> SurfacePath:
     """Boundary-track path between two vertex chambers, as a SurfacePath.
 
     The path starts on sheet 0 at the basepoint near the vertex dual to
     ``from_cone`` and crosses everything the ccw (or cw) track crosses.
-    ``full_loops`` prepends that many complete boundary loops.
     """
     n = net.fan.n
-    events = net.events
     a = vertex_chamber_key(from_cone, n)
     b = vertex_chamber_key(to_cone, n)
-    loop_ccw = _loop_from(events, a)
     if ccw:
-        chosen = loop_ccw * full_loops + _cyclic_slice(events, a, b)
-        crossings = [Crossing(ev.kind, ev.index, +1) for ev in chosen]
+        chosen, d = _cyclic_slice(net.events, a, b), +1
     else:
-        chosen = (loop_ccw[::-1] * full_loops
-                  + _cyclic_slice(events, b, a)[::-1])
-        crossings = [Crossing(ev.kind, ev.index, -1) for ev in chosen]
-    return SurfacePath(from_cone % n, 0, crossings)
+        chosen, d = _cyclic_slice(net.events, b, a)[::-1], -1
+    return SurfacePath(from_cone % n, 0,
+                       [Crossing(ev.kind, ev.index, d) for ev in chosen])
 
 
 def boundary_loop(net: SpectralNetwork, base_cone, ccw=True) -> SurfacePath:
@@ -327,7 +316,7 @@ def enumerate_solitons(net: SpectralNetwork, wall: Wall):
         raise NotSupported("joint-fed walls carry no computable solitons here")
     if not net.walls_disjoint:
         raise NotSupported("soliton enumeration requires pairwise-disjoint walls")
-    arms = net.arms(wall.start_branch)
+    arms = net.arms[wall.start_branch]
     try:
         j = next(i for i, w in enumerate(arms) if w.id == wall.id)
     except StopIteration:
@@ -394,7 +383,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             bad_labels.add(w.id)
         # (5) at most one branch point on the wall
         interior_hits = 0
-        for bi, bp in enumerate(g.branch_points):
+        for bi, bp in enumerate(c[0] for c in g.cuts):
             if not geom.boxes_meet(wall_box, (*bp, *bp)):
                 continue
             for j in range(len(pts) - 1):
@@ -459,10 +448,4 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                 report.add("6",
                            f"wall {w.id} label pairs to zero on ray {e} "
                            "(separatedness should forbid this)", w.id)
-    # branch points must sit strictly inside maximal-cone regions
-    for bi, bp in enumerate(net.branch_points):
-        try:
-            net.disk.region_of_interior_point(bp)
-        except UnknownCone:
-            report.add("1", f"branch point {bi} is not interior to a region", bp)
     return report

@@ -30,10 +30,12 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 from . import geom
-from .cover import parallel_transport, sheet_lift_map, winding_sign
+from .cover import (Crossing, SurfacePath, parallel_transport,
+                    sheet_lift_map, winding_sign)
 from .errors import (InvariantViolated, LoopIdentityFailed,
                      NonTransverseCrossing, NoSharedLift, NotSupported,
                      PathHitsJointRegion)
+from .fans import ray_cone
 from .laurent import (LaurentMatrix, LaurentPoly, cocycle_check, mat_mul,
                       monomial_inverse, regular_on, is_invertible_on)
 from .network import boundary_loop, enumerate_solitons, track_path
@@ -96,7 +98,7 @@ def cut_factor(k, net, tms, cover, ls, lift) -> LaurentMatrix:
     result is supported on the cut's transposition.
     """
     region = cover.cut_region[k]
-    arms = net.arms(k)
+    arms = net.arms[k]
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
     product = LaurentMatrix.identity(cover.r)
@@ -164,12 +166,10 @@ def path_ordered(net, tms, cover, ls, path, lift, caches) -> LaurentMatrix:
     return total
 
 
-def branch_point_loop(net, cover, b) -> "SurfacePath":
+def branch_point_loop(net, cover, b) -> SurfacePath:
     """Small ccw loop around branch point b, starting just after its cut."""
-    from .cover import Crossing, SurfacePath
-
     region = cover.cut_region[b]
-    crossings = [Crossing("wall", w.id, +1) for w in net.arms(b)]
+    crossings = [Crossing("wall", w.id, +1) for w in net.arms[b]]
     crossings.append(Crossing("cut", b, +1))
     return SurfacePath(region, 0, crossings, turns=1)
 
@@ -310,8 +310,6 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     and ``cocycle_check`` decides each of the six on its own.  Violations
     come out in (i, j, k) order either way.
     """
-    from .fans import ray_cone
-
     report = ValidationReport()
     fan = tms.fan
     n = fan.n

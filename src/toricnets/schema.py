@@ -42,6 +42,13 @@ def _point(obj):
     return (_frac(obj[0]), _frac(obj[1]))
 
 
+def _int(obj, what):
+    """A JSON integer (not a bool, float or string); ``what`` names it."""
+    if type(obj) is not int:
+        raise SchemaError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
 def _int_pair(obj, what):
     """Exactly two JSON integers, as a tuple; ``what`` names the field."""
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2
@@ -99,12 +106,13 @@ def parse_problem(data) -> ProblemSpec:
 
 
 def _parse_sections(data) -> ProblemSpec:
-    fan = make_fan(data["fan"]["rays"])
-    phi = SupportFunction(fan, data["support"])
+    fan = make_fan([_int_pair(v, "a fan ray") for v in data["fan"]["rays"]])
+    phi = SupportFunction(fan, [_int(v, "a support value")
+                                for v in data["support"]])
     tms = None
     if "multisection" in data:
         ms = data["multisection"]
-        cones = [LiftedCone(str(c["id"]), int(c["cone"]),
+        cones = [LiftedCone(str(c["id"]), _int(c["cone"], "a lifted cone"),
                             _int_pair(c["slope"], "a lifted-cone slope"))
                  for c in ms["lifted_cones"]]
         ids = {c.id for c in cones}
@@ -114,12 +122,13 @@ def _parse_sections(data) -> ProblemSpec:
             if src not in ids or dst not in ids:
                 raise SchemaError(f"lifted ray references unknown cone "
                                   f"{src!r} or {dst!r}")
-            rays.append(LiftedRay(int(r["ray"]), src, dst))
-        tms = TropicalMultiSection(fan, int(ms["degree"]), cones, rays)
+            rays.append(LiftedRay(_int(r["ray"], "a lifted ray"), src, dst))
+        tms = TropicalMultiSection(fan, _int(ms["degree"], "the degree"),
+                                   cones, rays)
     holonomies = [_frac(h) for h in data.get("holonomies", [])]
     spec = ProblemSpec(fan, phi, tms, holonomies, raw=data)
     if "layout" in data:
-        spec.layout = parse_layout(data["layout"])
+        spec.layout = parse_layout(data["layout"], spec.disk)
     if "network" in data:
         if spec.layout is None:
             raise SchemaError("an explicit network requires a layout")
@@ -127,19 +136,20 @@ def _parse_sections(data) -> ProblemSpec:
     return spec
 
 
-def parse_layout(data) -> BranchCutLayout:
+def parse_layout(data, disk) -> BranchCutLayout:
     points = [_point(p) for p in data["branch_points"]]
     cuts = []
     for c in data["cuts"]:
         poly = tuple(_point(p) for p in c["polyline"])
         if len(poly) < 2:
             raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
-        cuts.append(Cut(poly[0], poly,
+        cuts.append(Cut(poly,
                         _int_pair(c["transposition"], "a cut transposition"),
-                        int(c["edge"])))
-    if len(points) != len(cuts):
-        raise SchemaError("layout needs one cut per branch point")
-    return BranchCutLayout(points, cuts)
+                        _int(c["edge"], "a cut edge")))
+    if points != [c.branch_point for c in cuts]:
+        raise SchemaError("the layout needs one cut per branch point, "
+                          "starting at it")
+    return BranchCutLayout(disk, tuple(cuts))
 
 
 def emit_layout(layout: BranchCutLayout) -> dict:
@@ -156,16 +166,17 @@ def emit_layout(layout: BranchCutLayout) -> dict:
 def parse_network(data, spec: ProblemSpec) -> SpectralNetwork:
     walls = []
     for w in data["walls"]:
+        wid = _int(w["id"], "a wall id")
         poly = tuple(_point(p) for p in w["polyline"])
         if not poly:
-            raise SchemaError(f"wall {w['id']!r} has an empty polyline")
+            raise SchemaError(f"wall {wid} has an empty polyline")
+        branch = w.get("branch")
         walls.append(Wall(
-            int(w["id"]), poly,
-            _int_pair(w["label"], f"the label of wall {w['id']!r}"),
-            None if w.get("branch") is None else int(w["branch"]),
-            int(w["end_edge"]), int(w["end_cone"])))
-    return SpectralNetwork(spec.fan, spec.polytope, spec.disk, walls,
-                           spec.layout)
+            wid, poly, _int_pair(w["label"], f"the label of wall {wid}"),
+            None if branch is None else _int(branch, f"the branch of wall {wid}"),
+            _int(w["end_edge"], f"the end edge of wall {wid}"),
+            _int(w["end_cone"], f"the end cone of wall {wid}")))
+    return SpectralNetwork(walls, spec.layout)
 
 
 def emit_network(net: SpectralNetwork) -> dict:

@@ -455,7 +455,7 @@ def _ref_proper_crossing(a1, a2, b1, b2):
 
 def reference_validate_network(net, tms, cover):
     from toricnets.cover import sheet_lift_map
-    from toricnets.errors import NoSharedLift, UnknownCone
+    from toricnets.errors import NoSharedLift
     from toricnets.network import half_edge_of_boundary_point
     from toricnets.reporting import ValidationReport
 
@@ -556,12 +556,6 @@ def reference_validate_network(net, tms, cover):
                 report.add("6",
                            f"wall {w.id} label pairs to zero on ray {e} "
                            "(separatedness should forbid this)", w.id)
-    for bi, bp in enumerate(net.branch_points):
-        try:
-            net.disk.region_of_interior_point(bp)
-        except UnknownCone:
-            report.add("1", f"branch point {bi} is not interior to a region",
-                       bp)
     return report
 
 
@@ -572,8 +566,6 @@ def _ref_validate_cut_geometry(disk, cut):
     pts = list(cut.polyline)
     if len(pts) < 2:
         raise CutEndpointNotBarycenter("cut polyline needs two points")
-    if pts[0] != tuple(cut.branch_point):
-        raise CutEndpointNotBarycenter("cut must start at its branch point")
     end = pts[-1]
     target = poly.edge_barycenter(cut.edge)
     if end != target:
@@ -597,11 +589,10 @@ def _ref_validate_cut_geometry(disk, cut):
 
 
 def reference_build_cover(disk, layout, r):
-    from toricnets.cover import SheetedSurface
-    from toricnets.errors import OverlappingCuts
+    from toricnets.errors import InvariantViolated, OverlappingCuts
 
-    if len(layout.cuts) != len(layout.branch_points):
-        raise OverlappingCuts("one cut per branch point required")
+    if layout.disk is not disk:
+        raise InvariantViolated("the layout is drawn on another disk model")
     for c in layout.cuts:
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
@@ -617,7 +608,7 @@ def reference_build_cover(disk, layout, r):
                     list(a.polyline), list(b.polyline),
                     skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
-    return SheetedSurface(disk, layout, r)
+    return SheetedSurface(layout, r)
 
 
 # -- generator loops and the sampled loop-identity sweep ----------------------

@@ -121,7 +121,7 @@ def test_acceptance_5_kaneyama_verification():
         assert rep.ok, f"{name}: {rep}"
     # rank-1 degenerate input: pure line-bundle monomial cocycle
     r1 = load("line_bundle_r1")
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
     coc = kaneyama_cocycle(net, r1.tms, cover, ls)
@@ -161,7 +161,7 @@ def test_acceptance_7_tropicalization_round_trip():
     for name in REALIZABLE + ["line_bundle_r1"]:
         spec = load(name)
         if spec.tms.degree == 1:
-            net, layout = empty_network(spec.tms, spec.disk)
+            net, layout = empty_network(spec.disk)
         else:
             net, layout = build_network(spec.tms, spec.disk)
         cover = build_cover(spec.disk, layout, spec.tms.degree)

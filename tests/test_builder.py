@@ -154,9 +154,9 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     net, layout = build_network(spec.tms, spec.disk)
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
-    assert [len(walls) for _, _, walls in grids] == [0, 15]
+    assert [len(walls) for _, walls in grids] == [0, 15]
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
     # the network keeps its grid: validating it again scales only the
     # points of the new cover
     validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
-    assert [len(walls) for _, _, walls in grids] == [0, 15, 0]
+    assert [len(walls) for _, walls in grids] == [0, 15, 0]

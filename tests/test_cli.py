@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_network_round_trip(p2, p2_built, tmp_path):
     net, layout, cover = p2_built
     doc = schema.emit_network(net)
     spec = schema.load_problem(fx("p2_n3"))
-    spec.layout = schema.parse_layout(doc["layout"])
+    spec.layout = schema.parse_layout(doc["layout"], spec.disk)
     net2 = schema.parse_network(doc, spec)
     assert [w.polyline for w in net2.walls] == [w.polyline for w in net.walls]
     assert [w.label for w in net2.walls] == [w.label for w in net.walls]
@@ -166,6 +167,20 @@ def _cut(**fields):
     return _with_network(lambda d: d["layout"]["cuts"][0].update(fields))
 
 
+def _move_branch_point_and_walls(data):
+    # branch point 0 and its walls' first points move by 1/1000; the cut
+    # still starts at the old point
+    def moved(p):
+        return [str(Fraction(p[0]) + Fraction(1, 1000)), p[1]]
+
+    points = data["layout"]["branch_points"]
+    for w in data["network"]["walls"]:
+        if w["branch"] == 0:
+            w["polyline"][0] = moved(w["polyline"][0])
+    points[0] = moved(points[0])
+
+
+_moved_branch_point = _with_network(_move_branch_point_and_walls)
 _empty_wall_polyline = _with_network(
     lambda d: d["network"]["walls"][0].update(polyline=[]))
 _short_wall_label = _with_network(
@@ -193,6 +208,15 @@ _short_wall_label = _with_network(
     (_cut(polyline=[]), ["validate"]),
     (_cut(polyline=[]), ["verify"]),
     (_cut(polyline=[["0", "0"]]), ["render"]),
+    (lambda d: d["multisection"].update(degree=2.9), ["verify"]),
+    (lambda d: d["multisection"]["lifted_cones"][0].update(cone="0"),
+     ["validate"]),
+    (lambda d: d["fan"].update(rays=[[1.3, 0], [0, 1], [-1, -1]]),
+     ["validate"]),
+    (lambda d: d.update(support=[0.5, 0, -1]), ["validate"]),
+    (_with_network(lambda d: d["network"]["walls"][0].update(branch=False)),
+     ["validate"]),
+    (_moved_branch_point, ["validate"]),
 ], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
         "holonomy-not-rational", "holonomy-zero-denominator",
         "empty-wall-polyline-validate", "empty-wall-polyline-render",
@@ -201,7 +225,9 @@ _short_wall_label = _with_network(
         "one-integer-wall-label",
         "one-integer-transposition", "three-integer-transposition",
         "empty-cut-polyline-validate", "empty-cut-polyline-verify",
-        "one-point-cut-polyline"])
+        "one-point-cut-polyline", "fractional-degree", "string-cone",
+        "fractional-fan-ray", "fractional-support", "bool-wall-branch",
+        "moved-branch-point"])
 def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     code = main([argv[0], "--input", _write_edited(tmp_path, edit),
                  "--out", str(tmp_path / "out"), "--report", "json"]
@@ -209,6 +235,15 @@ def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     stages = _json_stages(capsys)
     assert code == 1
     assert stages[-1]["status"] == "fail"
+
+
+def test_moved_branch_point_is_a_schema_error():
+    # the layout stores each branch point once, as its cut's first point;
+    # a document whose branch point is not there is rejected on parsing
+    data = json.loads((FIXTURES / "p2_n3.json").read_text())
+    _moved_branch_point(data)
+    with pytest.raises(SchemaError, match="one cut per branch point"):
+        schema.parse_problem(data)
 
 
 def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
@@ -251,3 +286,18 @@ def test_cli_run_builds_the_polygon_and_validates_once(command, tmp_path,
                  "--out", str(tmp_path)]) == 0
     assert [len(polygons), len(disks), len(reports), len(classes)] == \
         [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("command", ["nonabelianize", "verify"])
+@pytest.mark.parametrize("name, branch_points", [("fan5_n5", 3),
+                                                 ("fan7_n7", 5)])
+def test_cli_run_locates_each_branch_point_once(command, name, branch_points,
+                                                tmp_path, monkeypatch):
+    # the layout stores the region of every cut; the covers, the validator,
+    # the track events and the cut factors read it from there
+    locate = fans.DiskModel.region_of_interior_point
+    calls = []
+    monkeypatch.setattr(fans.DiskModel, "region_of_interior_point",
+                        lambda disk, p: calls.append(p) or locate(disk, p))
+    assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
+    assert len(calls) == branch_points

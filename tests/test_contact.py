@@ -93,14 +93,14 @@ def _replace_wall(net, index, polyline):
     walls = list(net.walls)
     walls[index] = Wall(w.id, tuple(polyline), w.label, w.start_branch,
                         w.end_edge, w.end_cone)
-    return SpectralNetwork(net.fan, net.polytope, net.disk, walls, net.layout)
+    return SpectralNetwork(walls, net.layout)
 
 
 def _replace_cut(net, k, polyline):
     cuts = list(net.cuts)
     c = cuts[k]
-    cuts[k] = Cut(c.branch_point, tuple(polyline), c.transposition, c.edge)
-    return BranchCutLayout(list(net.branch_points), cuts)
+    cuts[k] = Cut(tuple(polyline), c.transposition, c.edge)
+    return BranchCutLayout(net.disk, tuple(cuts))
 
 
 def _through(a, p):
@@ -149,16 +149,14 @@ def _crossing_cuts(net, k, m):
     """Layout with cuts k and m moved into the region of cut k, crossing."""
     poly = net.polytope
     n = net.fan.n
-    i = net.disk.region_of_interior_point(net.cuts[k].branch_point)
+    i = net.layout.cut_region[k]
     b0, b1 = poly.edge_barycenter(i), poly.edge_barycenter(i + 1)
     mid = polygon_barycenter(region_polygon(net.disk, i))
     p0, p1 = midpoint(mid, b0), midpoint(mid, b1)
     cuts = list(net.cuts)
-    points = list(net.branch_points)
-    cuts[k] = Cut(p0, (p0, b1), cuts[k].transposition, (i + 1) % n)
-    cuts[m] = Cut(p1, (p1, b0), cuts[m].transposition, i)
-    points[k], points[m] = p0, p1
-    return BranchCutLayout(points, cuts)
+    cuts[k] = Cut((p0, b1), cuts[k].transposition, (i + 1) % n)
+    cuts[m] = Cut((p1, b0), cuts[m].transposition, i)
+    return BranchCutLayout(net.disk, tuple(cuts))
 
 
 def _cut_perturbations(net, rng):
@@ -199,8 +197,7 @@ def test_perturbed_networks_match_reference(name):
         error = assert_same_cover(spec.disk, bad_layout, 2)
         if error:
             cover_errors.add(" ".join(error[1].split()[:2]))
-        bad = SpectralNetwork(net.fan, net.polytope, net.disk, net.walls,
-                              bad_layout)
+        bad = SpectralNetwork(net.walls, bad_layout)
         if error or assert_same_report(bad, spec.tms, cover):
             kinds.add(kind)
     # every perturbation is caught, by each kind of check

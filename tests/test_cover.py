@@ -8,8 +8,9 @@ from toricnets.cover import (BranchCutLayout, Crossing, Cut, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              parallel_transport, sheet_lift_map, winding_sign)
 from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
-                              InvalidPath, NoSharedLift, OpenPath,
-                              OverlappingCuts, WrongCount, ZeroHolonomy)
+                              InvalidPath, InvariantViolated, NoSharedLift,
+                              OpenPath, OverlappingCuts, WrongCount,
+                              ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
 from toricnets.geom import lerp
 from toricnets.laurent import TPoly
@@ -27,13 +28,13 @@ def straight_cut(disk, region, edge, depth=Fraction(1, 4)):
     target = poly.edge_barycenter(edge)
     anchor = lerp(poly.vertex(region), target, Fraction(1, 2))
     b = lerp(anchor, disk.center, depth)
-    return Cut(b, (b, target), (0, 1), edge)
+    return Cut((b, target), (0, 1), edge)
 
 
 def test_single_branch_point_cover():
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
-    cover = build_cover(disk, BranchCutLayout([cut.branch_point], [cut]), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 0
 
@@ -42,9 +43,7 @@ def test_two_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    cover = build_cover(disk,
-                        BranchCutLayout([c1.branch_point, c2.branch_point],
-                                        [c1, c2]), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 1
 
@@ -53,26 +52,44 @@ def test_three_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    cover = build_cover(disk,
-                        BranchCutLayout([c.branch_point for c in cuts], cuts),
-                        2)
+    cover = build_cover(disk, BranchCutLayout(disk, tuple(cuts)), 2)
     assert betti_one(cover) == 2
 
 
 def test_no_branch_points_splits():
     fan, poly, disk = p1p1_disk()
-    cover = build_cover(disk, BranchCutLayout([], []), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, ()), 2)
     assert cover.component_count() == 2
     assert betti_one(cover) == 0
+
+
+def test_cover_is_built_on_the_layouts_disk_model():
+    # the layout owns its disk model, and its branch points are its cuts'
+    # first points
+    fan, poly, disk = p1p1_disk()
+    cut = straight_cut(disk, 0, 1)
+    layout = BranchCutLayout(disk, (cut,))
+    assert layout.branch_points == (cut.polyline[0],)
+    assert build_cover(disk, layout, 2).cut_region == layout.cut_region == (0,)
+    with pytest.raises(InvariantViolated):
+        build_cover(p1p1_disk()[2], layout, 2)
 
 
 def test_cut_must_end_at_barycenter():
     fan, poly, disk = p1p1_disk()
     target = lerp(*poly.edge(1), Fraction(1, 3))
     b = lerp(target, disk.center, Fraction(1, 4))
-    cut = Cut(b, (b, target), (0, 1), 1)
+    cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutEndpointNotBarycenter):
-        build_cover(disk, BranchCutLayout([b], [cut]), 2)
+        build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
+
+
+def test_cut_needs_two_points():
+    fan, poly, disk = p1p1_disk()
+    for polyline in ((), (poly.edge_barycenter(1),)):
+        layout = BranchCutLayout(disk, (Cut(polyline, (0, 1), 1),))
+        with pytest.raises(CutEndpointNotBarycenter):
+            build_cover(disk, layout, 2)
 
 
 def test_cut_may_not_cross_a_spoke():
@@ -81,9 +98,9 @@ def test_cut_may_not_cross_a_spoke():
     # the spoke of ray 2
     target = poly.edge_barycenter(1)
     b = lerp(poly.vertex(2), disk.center, Fraction(1, 4))
-    cut = Cut(b, (b, target), (0, 1), 1)
+    cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutHitsRay):
-        build_cover(disk, BranchCutLayout([b], [cut]), 2)
+        build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
 
 
 def test_cuts_may_not_share_a_barycenter():
@@ -91,17 +108,14 @@ def test_cuts_may_not_share_a_barycenter():
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 1, 1)
     with pytest.raises(OverlappingCuts):
-        build_cover(disk, BranchCutLayout([c1.branch_point, c2.branch_point],
-                                          [c1, c2]), 2)
+        build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
 
 
 def two_cut_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    return build_cover(disk,
-                       BranchCutLayout([c1.branch_point, c2.branch_point],
-                                       [c1, c2]), 2)
+    return build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
 
 
 def test_transport_constant_path_is_one():
@@ -140,8 +154,7 @@ def test_symbolic_generator_loop_holonomy(fan7_built):
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    three_cut = build_cover(
-        disk, BranchCutLayout([c.branch_point for c in cuts], cuts), 2)
+    three_cut = build_cover(disk, BranchCutLayout(disk, tuple(cuts)), 2)
     for cover in (two_cut_cover(), three_cut, fan7_built[2]):
         t = TPoly.symbols(betti_one(cover))
         ls = make_local_system(cover, t)
@@ -167,7 +180,7 @@ def test_make_local_system_errors():
 
 def test_trivial_local_system_on_trivial_cover():
     fan, poly, disk = p1p1_disk()
-    cover = build_cover(disk, BranchCutLayout([], []), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, ()), 2)
     ls = make_local_system(cover, [])
     assert parallel_transport(ls, SurfacePath(1, 0, [])) == 1
 
@@ -221,7 +234,7 @@ def test_sheet_lift_map_closure_failure():
     # cannot match it
     from support import load
     spec = load("p2_n3")
-    cover = build_cover(spec.disk, BranchCutLayout([], []), 2)
+    cover = build_cover(spec.disk, BranchCutLayout(spec.disk, ()), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(spec.tms, cover)
 
@@ -234,6 +247,6 @@ def test_sheet_lift_map_needs_a_lift_per_sheet_over_cone_zero():
     tms = TropicalMultiSection(
         spec.fan, 2, [c for c in spec.tms.lifted_cones if c.id != dropped],
         spec.tms.lifted_rays)
-    cover = build_cover(spec.disk, BranchCutLayout([], []), 2)
+    cover = build_cover(spec.disk, BranchCutLayout(spec.disk, ()), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(tms, cover)

@@ -14,7 +14,7 @@ from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
 
 
 def test_empty_network_over_section_is_valid(r1):
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     rep = validate_network(net, r1.tms, cover)
     assert rep.ok
@@ -34,7 +34,7 @@ def test_wall_ending_at_lattice_vertex_violates_condition_6(p2_built, p2):
                     bad_wall.label, bad_wall.start_branch,
                     bad_wall.end_edge, bad_wall.end_cone)
     walls = [tampered] + [w for w in net.walls if w.id != bad_wall.id]
-    net2 = SpectralNetwork(net.fan, net.polytope, net.disk, walls, net.layout)
+    net2 = SpectralNetwork(walls, net.layout)
     rep = validate_network(net2, p2.tms, cover)
     assert any(v.condition == "6" for v in rep.violations)
 
@@ -45,13 +45,13 @@ def test_flipped_label_violates_condition_6(p2_built, p2):
     tampered = Wall(w.id, w.polyline, (w.label[1], w.label[0]),
                     w.start_branch, w.end_edge, w.end_cone)
     walls = [tampered] + [x for x in net.walls if x.id != w.id]
-    net2 = SpectralNetwork(net.fan, net.polytope, net.disk, walls, net.layout)
+    net2 = SpectralNetwork(walls, net.layout)
     rep = validate_network(net2, p2.tms, cover)
     assert any(v.condition == "6" for v in rep.violations)
 
 
 def test_chambers_counts(p2, p2_built, fan5_built):
-    net0, layout0 = empty_network(p2.tms, p2.disk)
+    net0, layout0 = empty_network(p2.disk)
     assert len(chambers(net0)) == 1
 
     net1, _, _ = p2_built
@@ -108,8 +108,7 @@ def test_crossed_walls_are_rejected(p2, p2_built):
     # reflect through mid to get a crossing segment
     off2 = (2 * mid[0] - off1[0], 2 * mid[1] - off1[1])
     crossing = Wall(99, (off1, off2), (0, 1), None, w0.end_edge, w0.end_cone)
-    net2 = SpectralNetwork(net.fan, net.polytope, net.disk,
-                           list(net.walls) + [crossing], net.layout)
+    net2 = SpectralNetwork(list(net.walls) + [crossing], net.layout)
     assert not walls_pairwise_disjoint(net2)
     with pytest.raises(NotSupported):
         enumerate_solitons(net2, net2.walls[0])

@@ -13,7 +13,7 @@ from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
 from toricnets.fans import ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, mat_mul,
                                monomial_inverse, regular_on, is_invertible_on)
-from toricnets.network import branch_point_arms, track_path
+from toricnets.network import boundary_loop, branch_point_arms, track_path
 from toricnets.nonabelian import (branch_point_loop, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
                                   path_ordered, semiflat_factor, verify_bundle,
@@ -32,7 +32,7 @@ def trivial_ls(cover):
 # -- semi-flat factors --------------------------------------------------------
 
 def test_semiflat_rank_one_constant(r1):
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
     f = semiflat_factor(1, r1.tms, cover, sheet_lift_map(r1.tms, cover))
@@ -215,7 +215,6 @@ def test_path_ordered_there_and_back(p2, p2_built):
 def test_boundary_loop_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
-    from toricnets.network import boundary_loop
     lift = sheet_lift_map(p2.tms, cover)
     for ccw in (True, False):
         loop = boundary_loop(net, 0, ccw=ccw)
@@ -266,7 +265,7 @@ def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
 
 
 def test_rank_one_no_walls_telescopes(r1):
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
     assert loop_identity_check(net, r1.tms, cover, ls,
@@ -276,7 +275,7 @@ def test_rank_one_no_walls_telescopes(r1):
 # -- Kaneyama cocycles --------------------------------------------------------
 
 def test_r1_line_bundle_cocycle(r1):
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
     coc = kaneyama_cocycle(net, r1.tms, cover, ls)
@@ -318,7 +317,8 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
                 alt = path_ordered(net, spec.tms, cover, ls, cw, coc.lift, {})
                 assert alt == coc.pair(i, j)
         # a third representative: ccw with an extra full boundary loop
-        extra = track_path(net, 0, 1, ccw=True, full_loops=1)
+        extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
+                            + track_path(net, 0, 1).crossings)
         assert path_ordered(net, spec.tms, cover, ls, extra, coc.lift,
                             {}) == coc.pair(0, 1)
 
@@ -492,8 +492,7 @@ def test_path_errors(p2, p2_built):
     # a joint-fed wall may not be crossed by extraction paths
     w0 = net.walls[0]
     jointed = Wall(50, w0.polyline, w0.label, None, w0.end_edge, w0.end_cone)
-    net2 = type(net)(net.fan, net.polytope, net.disk,
-                     list(net.walls) + [jointed], net.layout)
+    net2 = type(net)(list(net.walls) + [jointed], net.layout)
     p = SurfacePath(w0.end_cone, 0, [Crossing("wall", 50, +1)])
     with pytest.raises(PathHitsJointRegion):
         path_ordered(net2, p2.tms, cover, ls, p, lift, {})

@@ -13,7 +13,7 @@ GOLDEN = {
 
 
 def test_polytope_only_figure(r1):
-    net, layout = empty_network(r1.tms, r1.disk)
+    net, layout = empty_network(r1.disk)
     svg = render_svg(r1.disk, net, layout)
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 1 + r1.fan.n  # boundary + spokes

@@ -50,3 +50,17 @@ def test_every_public_definition_is_used_in_the_package():
               and not node.name.startswith("_") and node.name not in used]
     assert trees
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    # the package imports at module top: no import guards a cycle, so a
+    # function-local one only hides a dependency
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(SRC.glob("*.py"))
+    assert sorted(found) == []
