@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .cover import BranchCutLayout, Cut, build_cover, sheet_lift_map
+from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
 from .multisection import parity_and_realizability
@@ -154,8 +154,8 @@ def empty_network(disk):
 def _assemble(tms, disk, plans, shrink):
     """The network and cover of one placement of the planned Y-graphs."""
     walls_raw, layout = _build_geometry(disk, plans, shrink)
-    cover = build_cover(disk, layout, tms.degree)
-    lift = sheet_lift_map(tms, cover)
+    cover = layout.cover(tms.degree)
+    lift = cover.lift_map(tms)
     walls = []
     for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
         he = half_edge_of_boundary_point(disk.polytope, poly[-1])

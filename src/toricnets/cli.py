@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
-from .cover import build_cover, make_local_system, betti_one, sheet_lift_map
+from .cover import make_local_system, betti_one
 from .errors import (LoopIdentityFailed, NotRealizable, ParityViolation,
                      ParseError, ToricNetsError)
 from .laurent import TPoly
@@ -67,7 +67,7 @@ def cmd_validate(spec, report):
     if spec.tms is not None:
         _validator_stage(report, "multisection", lambda: spec.tms.report)
     if spec.network is not None and spec.tms is not None:
-        cover = build_cover(spec.disk, spec.layout, spec.tms.degree)
+        cover = spec.layout.cover(spec.tms.degree)
         _validator_stage(report, "network",
                          lambda: network.validate_network(spec.network,
                                                           spec.tms, cover))
@@ -140,7 +140,7 @@ def _local_system(spec, cover, holonomy_arg):
 
 def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
     net, layout, _ = _pipeline(spec, report)
-    cover = build_cover(spec.disk, layout, spec.tms.degree)
+    cover = layout.cover(spec.tms.degree)
     ls, hol = _local_system(spec, cover, holonomy_arg)
     report["holonomies"] = [str(h) for h in hol]
     coc = _stage(report, "nonabelianize",
@@ -156,7 +156,7 @@ def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
 
 def cmd_verify(spec, report, seed, count=25):
     net, layout, n_value = _pipeline(spec, report)
-    cover = build_cover(spec.disk, layout, spec.tms.degree)
+    cover = layout.cover(spec.tms.degree)
     b1 = betti_one(cover)
     rng = random.Random(seed)
 
@@ -173,7 +173,7 @@ def cmd_verify(spec, report, seed, count=25):
         symbolic = make_local_system(cover, TPoly.symbols(b1))
         rep = nonabelian.loop_identity_check(
             net, spec.tms, cover, symbolic,
-            lift=sheet_lift_map(spec.tms, cover), caches={})
+            lift=cover.lift_map(spec.tms), caches={})
         if not rep:
             names = ", ".join(f"t_{k}" for k in range(1, b1 + 1))
             raise LoopIdentityFailed(f"{rep.violations[0].message} with "

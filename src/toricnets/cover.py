@@ -8,8 +8,10 @@ of one boundary edge; its relative interior avoids all spokes, so sheet
 labels are constant on every region minus its cut.
 
 A ``BranchCutLayout`` owns the facts of its cuts: the disk model, the
-cuts, the branch points (each cut's first point) and the region of
-every cut, located once; covers, networks and validators read them.
+cuts, the branch points (each cut's first point), the region of every
+cut, located once, and its validated cover for each sheet count, built
+once; covers, networks and validators read them.  A cover in turn keeps
+its sheet/lift matching with each multi-section, computed once.
 
 Rank-1 local systems are stored in the gauge where all transport weights
 sit on the cuts: crossing cut k positively from the lower sheet of its
@@ -81,12 +83,26 @@ class BranchCutLayout:
         return tuple(self.disk.region_of_interior_point(c.branch_point)
                      for c in self.cuts)
 
+    @functools.cached_property
+    def _covers(self):
+        return {}
+
+    def cover(self, r):
+        """The r-sheeted cover over this layout (``build_cover``).
+
+        It is assembled and validated once per r; later calls return it.
+        A cover keeps no reference to its layout, so the two form no
+        reference cycle and are freed as soon as the layout is.
+        """
+        if r not in self._covers:
+            self._covers[r] = build_cover(self.disk, self, r)
+        return self._covers[r]
+
 
 class SheetedSurface:
     """The r-sheeted branched cover in its cut trivialization."""
 
     def __init__(self, layout: BranchCutLayout, r: int):
-        self.layout = layout
         self.disk = layout.disk
         self.r = int(r)
         self.cuts = layout.cuts
@@ -94,6 +110,13 @@ class SheetedSurface:
         self.cut_at_edge = {}
         for k, c in enumerate(self.cuts):
             self.cut_at_edge.setdefault(c.edge, []).append(k)
+        self._lifts = {}
+
+    def lift_map(self, tms):
+        """``sheet_lift_map(tms, self)``, computed once per multi-section."""
+        if tms not in self._lifts:
+            self._lifts[tms] = sheet_lift_map(tms, self)
+        return self._lifts[tms]
 
     # -- topology ---------------------------------------------------------
 

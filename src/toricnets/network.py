@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .cover import Crossing, GridPoints, SurfacePath, sheet_lift_map
+from .cover import Crossing, GridPoints, SurfacePath
 from .errors import NoSharedLift, NotSupported
 from .reporting import ValidationReport
 
@@ -418,7 +418,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
 
     # (6) boundary endpoints and the slope condition
     try:
-        lift = sheet_lift_map(tms, cover)
+        lift = cover.lift_map(tms)
     except NoSharedLift as exc:  # report, do not raise: validators collect
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None

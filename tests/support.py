@@ -7,6 +7,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -609,6 +610,31 @@ def reference_build_cover(disk, layout, r):
                     skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
     return SheetedSurface(layout, r)
+
+
+# -- reference loop-identity check ------------------------------------------
+# The check ``nonabelian.loop_identity_check`` replaced: after the
+# branch-point loops it multiplies out the boundary loop from every cone,
+# not only the one from cone 0, and stops at the first loop that fails.
+
+def reference_loop_identity_check(net, tms, cover, ls, lift, caches):
+    from toricnets.network import boundary_loop
+    from toricnets.nonabelian import branch_point_loop, path_ordered
+    from toricnets.reporting import ValidationReport
+
+    report = ValidationReport()
+    loops = chain(((f"loop around branch point {b}", ("branch", b),
+                    branch_point_loop(net, cover, b))
+                   for b in range(len(cover.cuts))),
+                  ((f"boundary loop from cone {base}", ("boundary", base),
+                    boundary_loop(net, base, ccw=True))
+                   for base in range(tms.fan.n)))
+    for name, witness, loop in loops:
+        if not path_ordered(net, tms, cover, ls, loop, lift,
+                            caches).is_identity():
+            report.add("loop", f"{name} is not the identity", witness)
+            break
+    return report
 
 
 # -- generator loops and the sampled loop-identity sweep ----------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from support import boundary_labels, load
+from support import boundary_labels, count_calls, load
 
 from toricnets.builder import build_network
 from toricnets.cover import build_cover
@@ -160,3 +160,16 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # points of the new cover
     validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
     assert [len(walls) for _, walls in grids] == [0, 15, 0]
+
+
+def test_build_matches_sheets_and_lifts_once(monkeypatch):
+    # the builder labels the walls from the sheet/lift map of the cover it
+    # validates against; validation reads the same map from the cover
+    from toricnets import cover
+    spec = load("fan7_n7")
+    lifts = count_calls(monkeypatch, cover, "sheet_lift_map")
+    net, layout = build_network(spec.tms, spec.disk)
+    assert len(lifts) == 1
+    assert layout.cover(2).lift_map(spec.tms) is \
+        layout.cover(2).lift_map(spec.tms)
+    assert len(lifts) == 1

@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from support import FIXTURES, count_calls, parse_matrix
+from support import FIXTURES, REALIZABLE, count_calls, parse_matrix
 
-from toricnets import fans, multisection, schema
+from toricnets import cover, fans, multisection, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
@@ -301,3 +302,86 @@ def test_cli_run_locates_each_branch_point_once(command, name, branch_points,
                         lambda disk, p: calls.append(p) or locate(disk, p))
     assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
     assert len(calls) == branch_points
+
+
+@pytest.mark.parametrize("command", ["nonabelianize", "verify"])
+@pytest.mark.parametrize("name", ["fan5_n5", "fan7_n7"])
+def test_cli_run_builds_one_cover_and_one_lift_map(command, name, tmp_path,
+                                                   monkeypatch):
+    # the layout keeps the cover the builder validated, and the cover its
+    # sheet/lift map: the run's later stages read both from there
+    covers = count_calls(monkeypatch, cover, "build_cover")
+    lifts = count_calls(monkeypatch, cover, "sheet_lift_map")
+    assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
+    assert (len(covers), len(lifts)) == (1, 1)
+
+
+# -- seeded fuzz of fixture documents through every command --------------------
+
+FUZZ_VALUES = {"wrong type": ["wrong", "1/0", {}, 0.5, True], "zero": [0],
+               "negative": [-1], "huge": [10 ** 12], "null": [None],
+               "empty list": [[]]}
+
+
+def _json_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutated(doc, rng):
+    """A copy of ``doc`` with one seeded edit: a key deleted, or a value
+    replaced by one of the wrong type, zero, negative, huge, null or an
+    empty list."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = rng.choice(list(_json_paths(doc)))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    kind = rng.choice(["delete"] + sorted(FUZZ_VALUES))
+    if kind == "delete":
+        del parent[last]
+    else:
+        parent[last] = rng.choice(FUZZ_VALUES[kind])
+    return doc
+
+
+def _fuzz_documents():
+    """Every fixture document, and each realizable one with its built
+    layout and network."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        yield path.stem, doc
+        if path.stem in REALIZABLE:
+            spec = schema.parse_problem(doc)
+            net, layout = build_network(spec.tms, spec.disk)
+            yield f"{path.stem}+network", dict(
+                doc, layout=schema.emit_layout(layout),
+                network=schema.emit_network(net))
+
+
+def test_fuzzed_fixtures_end_in_a_report(tmp_path, capsys):
+    # any document ends in exit 0 or 1 with a report whose stages say why;
+    # an exception other than a typed ToricNetsError fails the test
+    rng = random.Random(20261018)
+    path = tmp_path / "fuzzed.json"
+    codes = set()
+    for name, doc in _fuzz_documents():
+        for _ in range(12):
+            path.write_text(json.dumps(_mutated(doc, rng)))
+            for command in ("validate", "build", "nonabelianize", "verify",
+                            "render"):
+                code = main([command, "--input", str(path), "--out",
+                             str(tmp_path / "out"), "--report", "json"])
+                stages = _json_stages(capsys)
+                assert stages, (name, command)
+                passed = all(s["status"] == "pass" for s in stages)
+                assert code == (0 if passed else 1), (name, command)
+                codes.add(code)
+    assert codes == {0, 1}

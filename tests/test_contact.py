@@ -16,7 +16,7 @@ from support import (FIXTURES, generated_problems, load,
                      reference_build_cover, reference_validate_network,
                      region_polygon)
 
-from toricnets import builder, errors
+from toricnets import builder, cover as cover_module, errors
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, build_cover
 from toricnets.geom import lerp, midpoint, polygon_barycenter
@@ -61,7 +61,7 @@ def _checked_build(spec, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(builder, "validate_network", validate)
-        m.setattr(builder, "build_cover", cover)
+        m.setattr(cover_module, "build_cover", cover)
         net, layout = build_network(spec.tms, spec.disk)
     return net, layout, seen
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import (boundary_restriction_equiv, chambers, near_identities,
+from support import (boundary_restriction_equiv, chambers,
+                     generated_problems, near_identities,
                      reference_verify_bundle)
 
 from toricnets.builder import build_network, empty_network
@@ -368,12 +369,13 @@ def _entry_edit(coc, rng):
     return replace(coc, matrices=bad)
 
 
-def _gauge_edit(coc, rng):
+def _gauge_edit(coc, rng, pair=None):
     """Kind (b): G_ij -> D G_ij and G_ji -> G_ji D^-1 for a constant
-    diagonal D, non-scalar when r > 1.  Every inverse survives, and every
-    triple through the pair {i, j} breaks."""
+    diagonal D, non-scalar when r > 1, on ``pair`` or a random pair.
+    Every inverse survives, and every triple through the pair {i, j}
+    breaks."""
     n, r = coc.tms.fan.n, coc.cover.r
-    i, j = rng.sample(range(n), 2)
+    i, j = pair or rng.sample(range(n), 2)
     ds = [Fraction(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(r)]
     if r > 1:
         ds[1] = ds[0] + 1
@@ -387,10 +389,26 @@ def _gauge_edit(coc, rng):
     return replace(coc, matrices=bad)
 
 
-@pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7"])
+@pytest.fixture(scope="module")
+def generated():
+    """A generated problem with n = 12 rays."""
+    ((n, _), spec), = generated_problems("verify", 3, 0)
+    assert n == 12
+    return spec
+
+
+@pytest.fixture(scope="module")
+def generated_built(generated):
+    net, layout = build_network(generated.tms, generated.disk)
+    return net, layout, build_cover(generated.disk, layout, 2)
+
+
+@pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7",
+                                  "generated"])
 def test_verify_bundle_matches_ordered_triple_reference(name, request):
-    # one product per unordered triple must report exactly what
-    # cocycle_check on all n(n-1)(n-2) ordered triples reports, in order
+    # one product per unordered triple, or the star triples when every
+    # pair passes, must report exactly what cocycle_check on all
+    # n(n-1)(n-2) ordered triples reports, in order
     from toricnets.cover import betti_one
     spec = request.getfixturevalue(name)
     net, layout, cover = request.getfixturevalue(f"{name}_built")
@@ -400,12 +418,18 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
     coc = kaneyama_cocycle(net, spec.tms, cover,
                            make_local_system(cover, hol))
     assert coc.lift == sheet_lift_map(spec.tms, cover)
+    n = spec.fan.n
     kinds = {"clean": [coc], "entry": [], "gauge": [], "mixed": []}
     for _ in range(4):
         kinds["entry"].append(_entry_edit(coc, rng))
         kinds["gauge"].append(_gauge_edit(_gauge_edit(coc, rng), rng)
                               if rng.random() < 0.5 else _gauge_edit(coc, rng))
         kinds["mixed"].append(_entry_edit(_gauge_edit(coc, rng), rng))
+    # star-breaking gauges: on a pair 0 < i < j, which breaks the star
+    # triple (0, i, j), and on a pair through cone 0
+    kinds["gauge"] += [
+        _gauge_edit(coc, rng, sorted(rng.sample(range(1, n), 2))),
+        _gauge_edit(coc, rng, (0, rng.randrange(1, n)))]
     for kind, cases in kinds.items():
         for case in cases:
             got = verify_bundle(case, spec.tms).violations
@@ -422,8 +446,11 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
 def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
                                                           monkeypatch):
     # fan7_n7: n = 7, so C(7, 2) = 21 inverse products (one per unordered
-    # pair; n(n-1) = 42 would check each pair twice) and C(7, 3) = 35
-    # triple products; two products per ordered triple would add 420
+    # pair; n(n-1) = 42 would check each pair twice) and, with every pair
+    # and every star triple passing, C(6, 2) = 15 star-triple products;
+    # one product per unordered triple would add 20 more, two per ordered
+    # triple 420.  The loop check multiplies out the 5 branch-point loops
+    # and the one boundary loop from cone 0, not one boundary loop per cone.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -438,7 +465,10 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     monkeypatch.setattr(laurent, "mat_mul", counting)
     monkeypatch.setattr(nonabelian, "mat_mul", counting)
     assert verify_bundle(coc, fan7.tms).ok
-    assert len(calls) == 56
+    assert len(calls) == 36
+    calls.clear()
+    assert loop_identity_check(net, fan7.tms, cover, ls, coc.lift, {})
+    assert len(calls) == 62
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,

@@ -16,13 +16,14 @@ from fractions import Fraction
 import pytest
 
 from support import (FIXTURES, REALIZABLE, evaluate, generated_problems,
-                     load, reference_sweep)
+                     load, reference_loop_identity_check, reference_sweep)
 
 from toricnets import nonabelian
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.cover import (betti_one, build_cover, make_local_system,
                              sheet_lift_map)
+from toricnets.errors import InvariantViolated, ToricNetsError
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.network import Soliton, enumerate_solitons, track_path
 from toricnets.nonabelian import (cut_factor, kaneyama_cocycle,
@@ -48,17 +49,30 @@ def symbolic_system(cover):
     return make_local_system(cover, TPoly.symbols(betti_one(cover)))
 
 
-def doubled_spoke_zero(monkeypatch):
-    """Make every spoke-0 factor twice what it should be."""
+def doubled_spoke(monkeypatch, spoke):
+    """Make every factor of one spoke twice what it should be."""
     true_factor = nonabelian.semiflat_factor
 
     def doubled(ray, tms, cover, lift):
         m = true_factor(ray, tms, cover, lift)
-        if ray % tms.fan.n:
+        if ray % tms.fan.n != spoke:
             return m
         return LaurentMatrix([[p * 2 for p in row] for row in m.rows])
 
     monkeypatch.setattr(nonabelian, "semiflat_factor", doubled)
+
+
+def flipped_sign(monkeypatch, wall_id):
+    """Flip the winding sign of the soliton on one wall."""
+    def flipped(net_, w):
+        sols = enumerate_solitons(net_, w)
+        if w.id == wall_id:
+            sols = [Soliton(s.wall_id, s.source_sheet, s.target_sheet,
+                            s.branch_point, s.cut_index, s.turns + 1)
+                    for s in sols]
+        return sols
+
+    monkeypatch.setattr(nonabelian, "enumerate_solitons", flipped)
 
 
 def test_symbolic_check_matches_sampled_sweep(instances, monkeypatch):
@@ -69,7 +83,7 @@ def test_symbolic_check_matches_sampled_sweep(instances, monkeypatch):
         assert bool(symbolic) == reference_sweep(net, spec.tms, cover, seed)
         assert symbolic, label
     with monkeypatch.context() as m:
-        doubled_spoke_zero(m)
+        doubled_spoke(m, 0)
         for seed, (label, spec, net, cover) in enumerate(instances[:5]):
             symbolic = loop_identity_check(net, spec.tms, cover,
                                            symbolic_system(cover),
@@ -78,6 +92,53 @@ def test_symbolic_check_matches_sampled_sweep(instances, monkeypatch):
             assert not symbolic and not reference_sweep(net, spec.tms, cover,
                                                         seed)
             assert symbolic.violations[0].witness[0] == "boundary"
+
+
+def _loop_outcome(check, net, tms, cover, ls, lift, caches):
+    """Violations of a loop check, or the type and message it raised."""
+    try:
+        return check(net, tms, cover, ls, lift, dict(caches)).violations
+    except ToricNetsError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_boundary_loop_decides_like_every_base(instances, monkeypatch):
+    # the boundary loop from cone 0 alone must report exactly what the
+    # boundary loops from every cone report, errors included, for the
+    # symbolic and a seeded numeric system, with a doubled spoke 0, a
+    # doubled spoke k != 0, and one flipped soliton sign (with the cut
+    # factors built from the true signs, and without)
+    rng = random.Random(2027)
+    seen = set()
+    for label, spec, net, cover in instances:
+        tms, lift = spec.tms, sheet_lift_map(spec.tms, cover)
+        hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(betti_one(cover))]
+        spoke = rng.randrange(1, spec.fan.n)
+        for ls in (symbolic_system(cover), make_local_system(cover, hol)):
+            true_cuts = {("cut", k): cut_factor(k, net, tms, cover, ls, lift)
+                         for k in range(len(cover.cuts))}
+            mutations = [(lambda m: None, {}),
+                         (lambda m: doubled_spoke(m, 0), {}),
+                         (lambda m: doubled_spoke(m, spoke), true_cuts)]
+            if net.walls:
+                wall = rng.choice(net.walls).id
+                flip = lambda m: flipped_sign(m, wall)  # noqa: E731
+                mutations += [(flip, {}), (flip, true_cuts)]
+            for mutate, caches in mutations:
+                with monkeypatch.context() as m:
+                    mutate(m)
+                    got = _loop_outcome(loop_identity_check, net, tms, cover,
+                                        ls, lift, caches)
+                    want = _loop_outcome(reference_loop_identity_check, net,
+                                         tms, cover, ls, lift, caches)
+                assert got == want, label
+                if isinstance(got, tuple):
+                    seen.add(got[0])
+                else:
+                    seen.add(got[0].witness[0] if got else "pass")
+    # every kind of outcome was compared
+    assert seen == {"pass", "branch", "boundary", InvariantViolated}
 
 
 @pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan5_n5", "fan7_n7"])
@@ -93,15 +154,7 @@ def test_flipped_soliton_sign_fails_symbolic_check(name, monkeypatch):
               for k in range(len(cover.cuts))}
     assert loop_identity_check(net, spec.tms, cover, ls, lift, dict(caches))
 
-    def flipped(net_, w):
-        sols = enumerate_solitons(net_, w)
-        if w.id == 0:
-            sols = [Soliton(s.wall_id, s.source_sheet, s.target_sheet,
-                            s.branch_point, s.cut_index, s.turns + 1)
-                    for s in sols]
-        return sols
-
-    monkeypatch.setattr(nonabelian, "enumerate_solitons", flipped)
+    flipped_sign(monkeypatch, 0)
     report = loop_identity_check(net, spec.tms, cover, ls, lift, caches)
     assert not report
     assert report.violations[0].message.endswith("is not the identity")
@@ -149,7 +202,7 @@ def test_verify_proves_the_loops_once(monkeypatch, capsys):
 
 
 def test_verify_names_the_failing_symbolic_loop(monkeypatch, capsys):
-    doubled_spoke_zero(monkeypatch)
+    doubled_spoke(monkeypatch, 0)
     code = main(["verify", "--input", str(FIXTURES / "p1p1_n4.json"),
                  "--report", "json"])
     stage = json.loads(capsys.readouterr().out)["stages"][-1]
