@@ -43,12 +43,13 @@ def _depth_point(disk, boundary_point, s):
     return geom.lerp(boundary_point, disk.center, s)
 
 
-def _label_from_slopes(tms, lift, cone, edge):
+def _label_from_slopes(tms, cover, cone, edge):
     """Label (a, b) of a boundary half-edge: <m(b) - m(a), v_edge> > 0.
 
     The slopes are those of the lifts over ``cone`` that the sheets carry
-    in the cover's sheet/lift matching ``lift``.
+    in the cover's sheet/lift matching.
     """
+    lift = cover.lift_map(tms)
     v = tms.fan.ray(edge)
     m0 = tms.slope(lift[(cone, 0)])
     m1 = tms.slope(lift[(cone, 1)])
@@ -155,7 +156,6 @@ def _assemble(tms, disk, plans, shrink):
     """The network and cover of one placement of the planned Y-graphs."""
     walls_raw, layout = _build_geometry(disk, plans, shrink)
     cover = layout.cover(tms.degree)
-    lift = cover.lift_map(tms)
     walls = []
     for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
         he = half_edge_of_boundary_point(disk.polytope, poly[-1])
@@ -163,7 +163,7 @@ def _assemble(tms, disk, plans, shrink):
             raise InvariantViolated(f"wall {wid} does not land inside a "
                                     f"half-edge of edge {end_edge}")
         cone = he[1]
-        label = _label_from_slopes(tms, lift, cone, end_edge)
+        label = _label_from_slopes(tms, cover, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
     return SpectralNetwork(walls, layout), cover
 

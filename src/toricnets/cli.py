@@ -126,7 +126,7 @@ def _local_system(spec, cover, holonomy_arg):
     b1 = betti_one(cover)
     if holonomy_arg:
         try:
-            hol = [Fraction(h) for h in holonomy_arg.split(",") if h]
+            hol = [Fraction(h) for h in holonomy_arg.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
                 f"--holonomy {holonomy_arg!r} is not a list of rationals: "
@@ -172,8 +172,7 @@ def cmd_verify(spec, report, seed, count=25):
         # one exact proof in Q[z^±, t^±] covers every local system
         symbolic = make_local_system(cover, TPoly.symbols(b1))
         rep = nonabelian.loop_identity_check(
-            net, spec.tms, cover, symbolic,
-            lift=cover.lift_map(spec.tms), caches={})
+            nonabelian.Factors(net, spec.tms, cover, symbolic))
         if not rep:
             names = ", ".join(f"t_{k}" for k in range(1, b1 + 1))
             raise LoopIdentityFailed(f"{rep.violations[0].message} with "

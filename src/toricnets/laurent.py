@@ -203,7 +203,7 @@ class LaurentPoly:
     def monomial_parts(self):
         """(coeff, exponent) of a single-term polynomial."""
         if not self.is_monomial():
-            raise ValueError("not a monomial")
+            raise NotRegular(f"{self!r} is not a monomial")
         ((e, c),) = self.terms.items()
         return c, e
 

@@ -22,6 +22,9 @@ The last point pins the sign convention: winding counts are the ccw arm
 positions after the cut, so the three wall factors carry signs +, -, +,
 their product is anti-diagonal, and the loop around every branch point is
 exactly the identity.
+
+One ``Factors`` table per local system builds each factor and inverse on
+first use; every product over that system reads it.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ def _monomial(slope_to, slope_from):
     return LaurentPoly.monomial(1, e)
 
 
-def semiflat_factor(ray, tms, cover, lift) -> LaurentMatrix:
+def semiflat_factor(ray, factors) -> LaurentMatrix:
     """Factor for the ccw crossing of the spoke of a ray.
 
     In the cut trivialization the crossing preserves sheets, so the matrix
@@ -56,9 +59,8 @@ def semiflat_factor(ray, tms, cover, lift) -> LaurentMatrix:
     on this spoke's barycenter, which is what makes the entries regular
     there.  Transports are 1 in the cuts-carry-weights gauge.
     """
-    n = tms.fan.n
-    i = ray % n
-    r = cover.r
+    tms, lift, r = factors.tms, factors.lift, factors.cover.r
+    n, i = tms.fan.n, ray % tms.fan.n
     rows = [[LaurentPoly.zero()] * r for _ in range(r)]
     for s in range(r):
         src = lift[((i - 1) % n, s)]
@@ -67,7 +69,7 @@ def semiflat_factor(ray, tms, cover, lift) -> LaurentMatrix:
     return LaurentMatrix(rows)
 
 
-def wall_factor(wall, net, tms, cover, ls, region, lift) -> LaurentMatrix:
+def wall_factor(wall, region, factors) -> LaurentMatrix:
     """Unipotent wall-crossing factor at a given region of the wall.
 
     Boundary-track paths cross a wall in its landing region
@@ -76,11 +78,11 @@ def wall_factor(wall, net, tms, cover, ls, region, lift) -> LaurentMatrix:
     """
     if wall.start_branch is None:
         raise NotSupported("joint-fed walls are outside this regime")
-    r = cover.r
-    m = LaurentMatrix.identity(r)
-    for sol in enumerate_solitons(net, wall):
+    tms, cover, lift = factors.tms, factors.cover, factors.lift
+    m = LaurentMatrix.identity(cover.r)
+    for sol in enumerate_solitons(factors.net, wall):
         path = sol.transport_path(cover)
-        lam = parallel_transport(ls, path)
+        lam = parallel_transport(factors.ls, path)
         eps = winding_sign(path)
         a, b = sol.source_sheet, sol.target_sheet
         term = _monomial(tms.slope(lift[(region, b)]),
@@ -89,21 +91,23 @@ def wall_factor(wall, net, tms, cover, ls, region, lift) -> LaurentMatrix:
     return m
 
 
-def cut_factor(k, net, tms, cover, ls, lift) -> LaurentMatrix:
+def cut_factor(k, factors) -> LaurentMatrix:
     """Signed monomial permutation for the positive crossing of cut k.
 
     Defined as the inverse of the ordered product of the three wall
     factors around the cut's branch point, so the branch-point loop is the
     identity by construction; InvariantViolated is raised unless the
-    result is supported on the cut's transposition.
+    result is supported on the cut's transposition.  The wall factors
+    come from ``factors``, where the branch-point loop reads them again.
     """
+    cover = factors.cover
     region = cover.cut_region[k]
-    arms = net.arms[k]
+    arms = factors.net.arms[k]
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
     product = LaurentMatrix.identity(cover.r)
     for w in arms:
-        product = mat_mul(wall_factor(w, net, tms, cover, ls, region, lift),
+        product = mat_mul(factors.of(Crossing("wall", w.id, +1), region),
                           product)
     c = monomial_inverse(product)
     cut = cover.cuts[k]
@@ -117,52 +121,53 @@ def cut_factor(k, net, tms, cover, ls, lift) -> LaurentMatrix:
     return c
 
 
-def _factor_for(crossing, state_region, net, tms, cover, ls, lift, caches):
-    kind, index, direction = crossing.kind, crossing.index, crossing.direction
-    if kind == "spoke":
-        key = ("spoke", index % tms.fan.n)
-        if key not in caches:
-            caches[key] = semiflat_factor(index, tms, cover, lift)
-    elif kind == "cut":
-        key = ("cut", index)
-        if key not in caches:
-            caches[key] = cut_factor(index, net, tms, cover, ls, lift)
-    elif kind == "wall":
-        wall = next(w for w in net.walls if w.id == index)
+class Factors:
+    """The crossing factors of one local system, each built on first use.
+
+    Spoke factors are keyed by ray, cut factors by cut, wall factors by
+    wall and region; an inverse is built on the first backward crossing.
+    """
+
+    def __init__(self, net, tms, cover, ls):
+        self.net, self.tms, self.cover, self.ls = net, tms, cover, ls
+        self.lift = cover.lift_map(tms)
+        self._built = {}
+
+    def of(self, crossing, region) -> LaurentMatrix:
+        """Factor of a spoke, cut or wall ``crossing`` made from ``region``."""
+        kind, index = crossing.kind, crossing.index
+        key = ((kind, index % self.tms.fan.n) if kind == "spoke" else
+               (kind, index) if kind == "cut" else (kind, index, region))
+        if key not in self._built:
+            self._built[key] = self._build(key)
+        if crossing.direction < 0:
+            key += ("inv",)
+            if key not in self._built:
+                self._built[key] = monomial_inverse(self._built[key[:-1]])
+        return self._built[key]
+
+    def _build(self, key):
+        if key[0] == "spoke":
+            return semiflat_factor(key[1], self)
+        if key[0] == "cut":
+            return cut_factor(key[1], self)
+        wall = next(w for w in self.net.walls if w.id == key[1])
         if wall.start_branch is None:
             raise PathHitsJointRegion(
-                f"wall {index} is joint-fed; paths must avoid joint regions")
-        key = ("wall", index, state_region)
-        if key not in caches:
-            caches[key] = wall_factor(wall, net, tms, cover, ls,
-                                      state_region, lift)
-    else:
-        raise NonTransverseCrossing(f"unknown crossing kind {kind!r}")
-    m = caches[key]
-    if direction < 0:
-        inv_key = key + ("inv",)
-        if inv_key not in caches:
-            caches[inv_key] = monomial_inverse(m)
-        m = caches[inv_key]
-    return m
+                f"wall {key[1]} is joint-fed; paths must avoid joint regions")
+        return wall_factor(wall, key[2], self)
 
 
-def path_ordered(net, tms, cover, ls, path, lift, caches) -> LaurentMatrix:
-    """Ordered product of crossing factors along a surface path.
-
-    ``lift`` is the cover's ``sheet_lift_map``; ``caches`` keeps the
-    factors built for ``ls``, keyed by crossing, and grows as they are
-    built.
-    """
+def path_ordered(factors, path) -> LaurentMatrix:
+    """Ordered product along a surface path of the factors in ``factors``."""
     for c in path.crossings:
         if c.direction not in (1, -1):
             raise NonTransverseCrossing(
                 f"crossing of {c.kind} {c.index} with direction {c.direction}")
-    states = path.states(cover)
-    total = LaurentMatrix.identity(cover.r)
+    states = path.states(factors.cover)
+    total = LaurentMatrix.identity(factors.cover.r)
     for crossing, (region, _) in zip(path.crossings, states[:-1]):
-        f = _factor_for(crossing, region, net, tms, cover, ls, lift, caches)
-        total = mat_mul(f, total)
+        total = mat_mul(factors.of(crossing, region), total)
     return total
 
 
@@ -174,8 +179,7 @@ def branch_point_loop(net, cover, b) -> SurfacePath:
     return SurfacePath(region, 0, crossings, turns=1)
 
 
-def loop_identity_check(net, tms, cover, ls, lift,
-                        caches) -> ValidationReport:
+def loop_identity_check(factors) -> ValidationReport:
     """Path-ordered products around all generator loops equal the identity.
 
     The fundamental group of the polygon minus the branch-point
@@ -183,10 +187,11 @@ def loop_identity_check(net, tms, cover, ls, lift,
     together with the boundary-parallel loop; all must multiply to Id.
     The report is true when they do; otherwise it names the first loop
     whose product is not the identity, and the check stops there.  With
-    the symbolic system ``make_local_system(cover, TPoly.symbols(b1))``
-    each product is exact in Q[z^±, t^±], so a passing report holds for
-    every rational local system.  ``lift`` and ``caches`` are passed on
-    to ``path_ordered``, so a caller can reuse the factors built here.
+    the table of the symbolic system
+    ``make_local_system(cover, TPoly.symbols(b1))`` each product is exact
+    in Q[z^±, t^±], so a passing report holds for every rational local
+    system.  The factors built here stay in ``factors`` for later
+    products over the same system.
 
     One boundary loop decides them all.  The loop from cone b crosses the
     events of the loop from cone 0 in cyclically rotated order, each in
@@ -196,18 +201,15 @@ def loop_identity_check(net, tms, cover, ls, lift,
     is invertible with inverse B and A B = Id.  A failing boundary loop
     is therefore always reported from cone 0.
     """
+    net, cover = factors.net, factors.cover
     report = ValidationReport()
-
-    def closes(loop):
-        return path_ordered(net, tms, cover, ls, loop, lift,
-                            caches).is_identity()
-
     for b in range(len(cover.cuts)):
-        if not closes(branch_point_loop(net, cover, b)):
+        if not path_ordered(factors,
+                            branch_point_loop(net, cover, b)).is_identity():
             report.add("loop", f"loop around branch point {b} is not the "
                        "identity", ("branch", b))
             return report
-    if not closes(boundary_loop(net, 0, ccw=True)):
+    if not path_ordered(factors, boundary_loop(net, 0, ccw=True)).is_identity():
         report.add("loop", "boundary loop from cone 0 is not the identity",
                    ("boundary", 0))
     return report
@@ -233,29 +235,27 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
     event sits at a vertex chamber, so that track is the concatenation of
     the adjacent steps i -> i+1 -> ... -> j, and the same factors in the
     same order give G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.  Only the n
-    steps are built as path-ordered products; each other pair costs one
-    matrix product.
+    steps are built as path-ordered products, from the factor table the
+    loop check filled; each other pair costs one matrix product.
     """
-    lift = cover.lift_map(tms)
-    caches = {}
-    if not loop_identity_check(net, tms, cover, ls, lift=lift, caches=caches):
+    factors = Factors(net, tms, cover, ls)
+    if not loop_identity_check(factors):
         raise LoopIdentityFailed("a generator loop is not the identity")
     n = tms.fan.n
-    steps = [path_ordered(net, tms, cover, ls,
-                          track_path(net, i, (i + 1) % n), lift, caches)
+    steps = [path_ordered(factors, track_path(net, i, (i + 1) % n))
              for i in range(n)]
     matrices = {}
     for i in range(n):
-        g = LaurentMatrix.identity(cover.r)
-        matrices[(i, i)] = g
+        matrices[(i, i)] = g = LaurentMatrix.identity(cover.r)
         for k in range(i + 1, i + n):
             g = steps[i] if k == i + 1 else mat_mul(steps[(k - 1) % n], g)
             matrices[(i, k % n)] = g
     # keyed in (i, j) order, the order in which consumers walk the pairs
-    return KaneyamaCocycle(tms, cover, dict(sorted(matrices.items())), lift)
+    return KaneyamaCocycle(tms, cover, dict(sorted(matrices.items())),
+                           factors.lift)
 
 
-def _recovered_slopes(coc: KaneyamaCocycle, lift):
+def _recovered_slopes(coc: KaneyamaCocycle):
     """Slope vectors read back from the transition matrices.
 
     Every term of every entry of G_{ij} carries the exponent
@@ -264,7 +264,7 @@ def _recovered_slopes(coc: KaneyamaCocycle, lift):
     remaining ambiguity is a translate per connected component of the
     cover, anchored at the input slope of one sheet per component.
     """
-    tms, cover = coc.tms, coc.cover
+    tms, cover, lift = coc.tms, coc.cover, coc.lift
     n = tms.fan.n
     r = cover.r
     rec = {}
@@ -372,12 +372,11 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
                            f"triple ({i},{j},{k}) fails the cocycle condition",
                            (i, j, k))
     # tropicalization round-trip
-    lift = coc.lift
     try:
-        rec = _recovered_slopes(coc, lift)
+        rec = _recovered_slopes(coc)
         for i in range(n):
             got = sorted(rec.get((i, s)) for s in range(r))
-            want = sorted(tms.slope(lift[(i, s)]) for s in range(r))
+            want = sorted(tms.slope(coc.lift[(i, s)]) for s in range(r))
             if got != want:
                 report.add("tropicalization",
                            f"recovered slopes {got} != input {want} "

@@ -125,8 +125,10 @@ def _parse_sections(data) -> ProblemSpec:
             rays.append(LiftedRay(_int(r["ray"], "a lifted ray"), src, dst))
         tms = TropicalMultiSection(fan, _int(ms["degree"], "the degree"),
                                    cones, rays)
-    holonomies = [_frac(h) for h in data.get("holonomies", [])]
-    spec = ProblemSpec(fan, phi, tms, holonomies, raw=data)
+    holonomies = data.get("holonomies", [])
+    if not isinstance(holonomies, list):
+        raise SchemaError(f"holonomies must be a list, got {holonomies!r}")
+    spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies], raw=data)
     if "layout" in data:
         spec.layout = parse_layout(data["layout"], spec.disk)
     if "network" in data:

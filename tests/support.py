@@ -22,7 +22,7 @@ from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
 from toricnets.network import boundary_position
-from toricnets.nonabelian import loop_identity_check
+from toricnets.nonabelian import Factors, loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -360,7 +360,7 @@ def reference_verify_bundle(coc, tms):
                                "condition", (i, j, k))
     try:
         lift = sheet_lift_map(tms, coc.cover)
-        rec = _recovered_slopes(coc, lift)
+        rec = _recovered_slopes(coc)
         for i in range(n):
             got = sorted(rec.get((i, s)) for s in range(r))
             want = sorted(tms.slope(lift[(i, s)]) for s in range(r))
@@ -617,21 +617,21 @@ def reference_build_cover(disk, layout, r):
 # branch-point loops it multiplies out the boundary loop from every cone,
 # not only the one from cone 0, and stops at the first loop that fails.
 
-def reference_loop_identity_check(net, tms, cover, ls, lift, caches):
+def reference_loop_identity_check(factors):
     from toricnets.network import boundary_loop
     from toricnets.nonabelian import branch_point_loop, path_ordered
     from toricnets.reporting import ValidationReport
 
+    net, cover = factors.net, factors.cover
     report = ValidationReport()
     loops = chain(((f"loop around branch point {b}", ("branch", b),
                     branch_point_loop(net, cover, b))
                    for b in range(len(cover.cuts))),
                   ((f"boundary loop from cone {base}", ("boundary", base),
                     boundary_loop(net, base, ccw=True))
-                   for base in range(tms.fan.n)))
+                   for base in range(factors.tms.fan.n)))
     for name, witness, loop in loops:
-        if not path_ordered(net, tms, cover, ls, loop, lift,
-                            caches).is_identity():
+        if not path_ordered(factors, loop).is_identity():
             report.add("loop", f"{name} is not the identity", witness)
             break
     return report
@@ -683,13 +683,11 @@ def reference_sweep(net, tms, cover, seed, count=25):
     """True iff every sampled local system passes every loop identity."""
     rng = random.Random(seed)
     b1 = betti_one(cover)
-    lift = sheet_lift_map(tms, cover)
     for _ in range(count):
         hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                for _ in range(b1)]
         ls = make_local_system(cover, hol)
-        if not loop_identity_check(net, tms, cover, ls, lift=lift,
-                                   caches={}):
+        if not loop_identity_check(Factors(net, tms, cover, ls)):
             return False
     return True
 

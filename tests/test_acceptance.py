@@ -13,14 +13,13 @@ from support import (FIXTURES, boundary_restriction_equiv, load,
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
-from toricnets.cover import (betti_one, build_cover, make_local_system,
-                             sheet_lift_map)
+from toricnets.cover import betti_one, build_cover, make_local_system
 from toricnets.fans import make_fan, ray_cone
 from toricnets.laurent import LaurentMatrix, LaurentPoly, mat_mul, regular_on, \
     is_invertible_on
 from toricnets.multisection import classify_two_fold, n_genericity
 from toricnets.network import branch_point_arms, track_path, validate_network
-from toricnets.nonabelian import (cut_factor, kaneyama_cocycle,
+from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
                                   loop_identity_check, path_ordered,
                                   verify_bundle, wall_factor)
 
@@ -75,14 +74,13 @@ def test_acceptance_3_branch_point_consistency():
     for name in REALIZABLE:
         spec, net, layout, cover = _built(name)
         b1 = betti_one(cover)
-        ls = make_local_system(cover, [Fraction(5, 3)] * b1)
-        lift = sheet_lift_map(spec.tms, cover)
+        factors = Factors(net, spec.tms, cover,
+                          make_local_system(cover, [Fraction(5, 3)] * b1))
         for b in range(len(layout.branch_points)):
             region = cover.cut_region[b]
             arms = branch_point_arms(net, b)
-            fs = [wall_factor(w, net, spec.tms, cover, ls, region, lift)
-                  for w in arms]
-            c = cut_factor(b, net, spec.tms, cover, ls, lift)
+            fs = [wall_factor(w, region, factors) for w in arms]
+            c = cut_factor(b, factors)
             product = mat_mul(c, mat_mul(fs[2], mat_mul(fs[1], fs[0])))
             assert product == LaurentMatrix.identity(cover.r)
             total += 1
@@ -95,12 +93,11 @@ def test_acceptance_4_loop_identities_25_systems():
     for name in REALIZABLE:
         spec, net, layout, cover = _built(name)
         b1 = betti_one(cover)
-        lift = sheet_lift_map(spec.tms, cover)
         for _ in range(25):
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, spec.tms, cover, ls, lift, {}), \
+            assert loop_identity_check(Factors(net, spec.tms, cover, ls)), \
                 f"{name}: loop identity failed for {hol}"
     print("ACCEPTANCE 4 consistency theorem: 25 seeded systems per fixture, "
           "every generator loop exactly Id: PASS")
@@ -143,14 +140,13 @@ def test_acceptance_6_well_definedness():
         b1 = betti_one(cover)
         ls = make_local_system(cover, [Fraction(3, 2)] * b1)
         coc = kaneyama_cocycle(net, spec.tms, cover, ls)
+        factors = Factors(net, spec.tms, cover, ls)
         n = spec.fan.n
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                alt = path_ordered(net, spec.tms, cover, ls,
-                                   track_path(net, i, j, ccw=False),
-                                   coc.lift, {})
+                alt = path_ordered(factors, track_path(net, i, j, ccw=False))
                 assert alt == coc.pair(i, j), \
                     f"{name}: path dependence at ({i},{j})"
     print("ACCEPTANCE 6 well-definedness: homotopic extraction paths give "

@@ -101,11 +101,11 @@ def test_builder_on_random_realizable_covers():
     from fractions import Fraction
 
     from support import random_two_fold
-    from toricnets.cover import betti_one, make_local_system, sheet_lift_map
+    from toricnets.cover import betti_one, make_local_system
     from toricnets.fans import SupportFunction, disk_model, dual_polytope, \
         make_fan
     from toricnets.multisection import n_genericity
-    from toricnets.nonabelian import loop_identity_check
+    from toricnets.nonabelian import Factors, loop_identity_check
 
     fans = [
         (make_fan([(1, 0), (0, 1), (-1, -1)]), [0, 0, -1]),
@@ -130,8 +130,7 @@ def test_builder_on_random_realizable_covers():
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, tms, cover, ls,
-                                       sheet_lift_map(tms, cover), {})
+            assert loop_identity_check(Factors(net, tms, cover, ls))
             built += 1
         assert built == 5
 

@@ -6,7 +6,7 @@ import pytest
 
 from support import FIXTURES, REALIZABLE, count_calls, parse_matrix
 
-from toricnets import cover, fans, multisection, schema
+from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
@@ -196,6 +196,7 @@ _short_wall_label = _with_network(
     (lambda d: d.update(layout={"branch_points": []}), ["validate"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "abc"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "1/0"]),
+    (lambda d: d.update(holonomies=""), ["nonabelianize"]),
     (_empty_wall_polyline, ["validate"]),
     (_empty_wall_polyline, ["render"]),
     (_slope([0]), ["validate"]),
@@ -220,6 +221,7 @@ _short_wall_label = _with_network(
     (_moved_branch_point, ["validate"]),
 ], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
         "holonomy-not-rational", "holonomy-zero-denominator",
+        "holonomies-not-a-list",
         "empty-wall-polyline-validate", "empty-wall-polyline-render",
         "one-integer-slope-validate", "one-integer-slope-build",
         "three-integer-slope", "string-slope", "fractional-slope",
@@ -236,6 +238,31 @@ def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     stages = _json_stages(capsys)
     assert code == 1
     assert stages[-1]["status"] == "fail"
+
+
+@pytest.mark.parametrize("value", ["12", "", {"1": 2}],
+                         ids=["string", "empty-string", "object"])
+def test_holonomies_must_be_a_list(value):
+    # fan5_n5 takes two holonomies: read character by character, "12"
+    # would pass as [1, 2]
+    data = json.loads((FIXTURES / "fan5_n5.json").read_text())
+    data["holonomies"] = value
+    with pytest.raises(SchemaError, match="holonomies must be a list"):
+        schema.parse_problem(data)
+
+
+@pytest.mark.parametrize("holonomy", ["1,,2", "1,2,"])
+def test_empty_holonomy_entry_is_a_parse_error(holonomy, tmp_path, capsys):
+    # fan5_n5 takes two holonomies, so dropping the empty entry would pass
+    code = main(["nonabelianize", "--input", fx("fan5_n5"),
+                 "--out", str(tmp_path), "--holonomy", holonomy,
+                 "--report", "json"])
+    stage = _json_stages(capsys)[-1]
+    assert code == 1
+    assert (stage["name"], stage["status"]) == ("error", "fail")
+    assert stage["detail"].startswith(
+        f"--holonomy {holonomy!r} is not a list of rationals")
+    assert not (tmp_path / "cocycle.json").exists()
 
 
 def test_moved_branch_point_is_a_schema_error():
@@ -314,6 +341,22 @@ def test_cli_run_builds_one_cover_and_one_lift_map(command, name, tmp_path,
     lifts = count_calls(monkeypatch, cover, "sheet_lift_map")
     assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
     assert (len(covers), len(lifts)) == (1, 1)
+
+
+def test_verify_builds_each_wall_factor_once_per_system(tmp_path,
+                                                         monkeypatch):
+    # fan5_n5: 9 walls, all of them arms of its 3 cuts.  verify builds two
+    # factor tables, the symbolic one of the loop proof and the seeded one
+    # of the cocycle.  Each builds the 9 arm factors in their cuts'
+    # regions, where the branch-point loops read them again, and the 3
+    # factors of the walls the boundary track crosses elsewhere: 12 per
+    # table.
+    walls = count_calls(monkeypatch, nonabelian, "wall_factor")
+    assert main(["verify", "--input", fx("fan5_n5"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(walls) == 24
+    keys = [(wall.id, region, factors) for wall, region, factors in walls]
+    assert len(set(keys)) == 24
 
 
 # -- seeded fuzz of fixture documents through every command --------------------

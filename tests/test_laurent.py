@@ -20,6 +20,15 @@ def mono(c, e):
     return LaurentPoly.monomial(c, e)
 
 
+def test_monomial_inverse_of_a_singular_matrix_is_a_typed_error():
+    # det = 0 is not a monomial: the package's NotRegular, not a bare
+    # ValueError, reports it
+    with pytest.raises(NotRegular):
+        monomial_inverse(LaurentMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(NotRegular):
+        (mono(1, (0, 0)) + mono(1, (1, 0))).monomial_parts()
+
+
 def test_poly_canonical_form_idempotent():
     p = LaurentPoly({(1, 0): Fraction(2), (0, 0): Fraction(0),
                      (-1, 2): Fraction(1, 3)})

@@ -138,8 +138,9 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     # so are the track events and the arm order of every branch point
     import toricnets.network as network
     from toricnets.builder import build_network
-    from toricnets.cover import make_local_system, sheet_lift_map
-    from toricnets.nonabelian import kaneyama_cocycle, loop_identity_check
+    from toricnets.cover import make_local_system
+    from toricnets.nonabelian import (Factors, kaneyama_cocycle,
+                                      loop_identity_check)
 
     seen = {"disjoint": [], "events": [], "arms": []}
     check = network.walls_pairwise_disjoint
@@ -154,8 +155,7 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     net, layout = build_network(p1p1.tms, p1p1.disk)
     cover = build_cover(p1p1.disk, layout, 2)
     ls = make_local_system(cover, [Fraction(3)])
-    assert loop_identity_check(net, p1p1.tms, cover, ls,
-                               sheet_lift_map(p1p1.tms, cover), {})
+    assert loop_identity_check(Factors(net, p1p1.tms, cover, ls))
     kaneyama_cocycle(net, p1p1.tms, cover, ls)
     network.track_path(net, 0, 2, ccw=False)
     assert validate_network(net, p1p1.tms, cover).ok

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import (boundary_restriction_equiv, chambers,
+from support import (boundary_restriction_equiv, chambers, count_calls,
                      generated_problems, near_identities,
                      reference_verify_bundle)
 
@@ -15,7 +15,7 @@ from toricnets.fans import ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, mat_mul,
                                monomial_inverse, regular_on, is_invertible_on)
 from toricnets.network import boundary_loop, branch_point_arms, track_path
-from toricnets.nonabelian import (branch_point_loop, cut_factor,
+from toricnets.nonabelian import (Factors, branch_point_loop, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
                                   path_ordered, semiflat_factor, verify_bundle,
                                   wall_factor)
@@ -36,7 +36,7 @@ def test_semiflat_rank_one_constant(r1):
     net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
-    f = semiflat_factor(1, r1.tms, cover, sheet_lift_map(r1.tms, cover))
+    f = semiflat_factor(1, Factors(net, r1.tms, cover, ls))
     # slopes (0,0) -> (1,0) across ray 1
     assert f == LaurentMatrix([[mono(1, (1, 0))]])
 
@@ -49,19 +49,21 @@ def test_semiflat_p2_fixture_frozen(p2, p2_built):
     assert [lift[(0, s)] for s in (0, 1)] == ["c1", "c4"]
     assert [lift[(1, s)] for s in (0, 1)] == ["c2", "c5"]
     assert [lift[(2, s)] for s in (0, 1)] == ["c6", "c3"]
-    f0 = semiflat_factor(0, p2.tms, cover, lift)
+    factors = Factors(net, p2.tms, cover, trivial_ls(cover))
+    assert factors.lift == lift
+    f0 = semiflat_factor(0, factors)
     assert f0 == LaurentMatrix([[mono(1, (0, -1)), 0], [0, mono(1, (0, 0))]])
-    f1 = semiflat_factor(1, p2.tms, cover, lift)
+    f1 = semiflat_factor(1, factors)
     assert f1 == LaurentMatrix([[mono(1, (0, 0)), 0], [0, mono(1, (1, 0))]])
-    f2 = semiflat_factor(2, p2.tms, cover, lift)
+    f2 = semiflat_factor(2, factors)
     assert f2 == LaurentMatrix([[mono(1, (0, 1)), 0], [0, mono(1, (-1, 0))]])
 
 
 def test_semiflat_generalized_permutation(fan5, fan5_built):
     net, layout, cover = fan5_built
-    lift = sheet_lift_map(fan5.tms, cover)
+    factors = Factors(net, fan5.tms, cover, trivial_ls(cover))
     for i in range(fan5.fan.n):
-        m = semiflat_factor(i, fan5.tms, cover, lift)
+        m = semiflat_factor(i, factors)
         for r in range(2):
             row_nonzero = sum(0 if m.entry(r, c).is_zero() else 1
                               for c in range(2))
@@ -75,14 +77,14 @@ def test_cut_composite_carries_holonomy(p1p1, p1p1_built):
     # live on cuts); the semi-flat transition across a cut-carrying ray is
     # the composite cut * spoke, whose coefficients scale with t
     net, layout, cover = p1p1_built
-    lift = sheet_lift_map(p1p1.tms, cover)
     composites = {}
     for t in (1, 5):
-        ls = make_local_system(cover, [Fraction(t)])
+        factors = Factors(net, p1p1.tms, cover,
+                          make_local_system(cover, [Fraction(t)]))
         k = 1  # second cut, weight t
         edge = cover.cuts[k].edge
-        spoke = semiflat_factor(edge, p1p1.tms, cover, lift)
-        cut = cut_factor(k, net, p1p1.tms, cover, ls, lift)
+        spoke = semiflat_factor(edge, factors)
+        cut = cut_factor(k, factors)
         composites[t] = mat_mul(spoke, cut)
     assert composites[1] != composites[5]
     # entries scale by t or 1/t
@@ -109,17 +111,16 @@ def test_wall_factor_empty_soliton_set_is_identity(p2, p2_built,
     ls = trivial_ls(cover)
     w = net.walls[0]
     monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [])
-    f = wall_factor(w, net, p2.tms, cover, ls, w.end_cone,
-                    sheet_lift_map(p2.tms, cover))
+    f = wall_factor(w, w.end_cone, Factors(net, p2.tms, cover, ls))
     assert f == LaurentMatrix.identity(2)
 
 
 def test_wall_factor_single_soliton_slot(p2, p2_built):
     net, layout, cover = p2_built
-    ls = trivial_ls(cover)
-    lift = sheet_lift_map(p2.tms, cover)
+    factors = Factors(net, p2.tms, cover, trivial_ls(cover))
+    lift = factors.lift
     for w in net.walls:
-        f = wall_factor(w, net, p2.tms, cover, ls, w.end_cone, lift)
+        f = wall_factor(w, w.end_cone, factors)
         a, b = w.label
         off = f.entry(b, a)
         assert not off.is_zero()
@@ -138,13 +139,12 @@ def test_wall_factor_single_soliton_slot(p2, p2_built):
 
 def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
     net, layout, cover = p1p1_built
-    lift = sheet_lift_map(p1p1.tms, cover)
     walls_of_second = net.walls_of_branch(1)
     w = walls_of_second[0]
     entries = {}
     for t in (1, 3):
         ls = make_local_system(cover, [Fraction(t)])
-        f = wall_factor(w, net, p1p1.tms, cover, ls, w.end_cone, lift)
+        f = wall_factor(w, w.end_cone, Factors(net, p1p1.tms, cover, ls))
         a, b = w.label
         entries[t] = f.entry(b, a).monomial_parts()[0]
     assert entries[3] == entries[1] * 3 or entries[3] == entries[1] / 3
@@ -153,19 +153,18 @@ def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
 # -- branch-point consistency (I-1) ------------------------------------------
 
 def assert_branch_point_identity(spec, net, layout, cover, ls):
-    lift = sheet_lift_map(spec.tms, cover)
+    table = Factors(net, spec.tms, cover, ls)
     for b in range(len(layout.branch_points)):
         arms = branch_point_arms(net, b)
         region = cover.cut_region[b]
-        factors = [wall_factor(w, net, spec.tms, cover, ls, region, lift)
-                   for w in arms]
+        factors = [wall_factor(w, region, table) for w in arms]
         # unipotent signs alternate +,-,+ in ccw order after the cut
         signs = []
         for w, f in zip(arms, factors):
             a, bb = w.label
             signs.append(1 if f.entry(bb, a).monomial_parts()[0] > 0 else -1)
         assert signs == [1, -1, 1]
-        c = cut_factor(b, net, spec.tms, cover, ls, lift)
+        c = cut_factor(b, table)
         product = c
         for f in reversed(factors):
             product = mat_mul(product, f)
@@ -199,8 +198,7 @@ def test_path_ordered_empty_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [])
-    lift = sheet_lift_map(p2.tms, cover)
-    assert path_ordered(net, p2.tms, cover, ls, p, lift, {}) == \
+    assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
         LaurentMatrix.identity(2)
 
 
@@ -208,18 +206,16 @@ def test_path_ordered_there_and_back(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 1, -1)])
-    lift = sheet_lift_map(p2.tms, cover)
-    assert path_ordered(net, p2.tms, cover, ls, p, lift, {}) == \
+    assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
         LaurentMatrix.identity(2)
 
 
 def test_boundary_loop_is_identity(p2, p2_built):
     net, layout, cover = p2_built
-    ls = trivial_ls(cover)
-    lift = sheet_lift_map(p2.tms, cover)
+    factors = Factors(net, p2.tms, cover, trivial_ls(cover))
     for ccw in (True, False):
         loop = boundary_loop(net, 0, ccw=ccw)
-        assert path_ordered(net, p2.tms, cover, ls, loop, lift, {}) == \
+        assert path_ordered(factors, loop) == \
             LaurentMatrix.identity(2)
 
 
@@ -231,12 +227,11 @@ def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
                                        (fan5, fan5_built)]:
         from toricnets.cover import betti_one
         b1 = betti_one(cover)
-        lift = sheet_lift_map(spec.tms, cover)
         for _ in range(5):
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
             ls = make_local_system(cover, hol)
-            assert loop_identity_check(net, spec.tms, cover, ls, lift, {})
+            assert loop_identity_check(Factors(net, spec.tms, cover, ls))
 
 
 def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
@@ -256,21 +251,21 @@ def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
 
     # the cut factors are built from the true signs; a cut factor built
     # from the flipped one fails its support check instead
-    lift = sheet_lift_map(p2.tms, cover)
-    caches = {("cut", k): cut_factor(k, net, p2.tms, cover, ls, lift)
-              for k in range(len(cover.cuts))}
+    true_cuts = [cut_factor(k, Factors(net, p2.tms, cover, ls))
+                 for k in range(len(cover.cuts))]
     monkeypatch.setattr(nonabelian, "enumerate_solitons", flipped)
-    assert not loop_identity_check(net, p2.tms, cover, ls, lift, caches)
+    with monkeypatch.context() as m:
+        m.setattr(nonabelian, "cut_factor", lambda k, _: true_cuts[k])
+        assert not loop_identity_check(Factors(net, p2.tms, cover, ls))
     with pytest.raises(InvariantViolated):
-        cut_factor(0, net, p2.tms, cover, ls, lift)
+        cut_factor(0, Factors(net, p2.tms, cover, ls))
 
 
 def test_rank_one_no_walls_telescopes(r1):
     net, layout = empty_network(r1.disk)
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
-    assert loop_identity_check(net, r1.tms, cover, ls,
-                               sheet_lift_map(r1.tms, cover), {})
+    assert loop_identity_check(Factors(net, r1.tms, cover, ls))
 
 
 # -- Kaneyama cocycles --------------------------------------------------------
@@ -309,19 +304,18 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
         hol = [Fraction(2)] * betti_one(cover)
         ls = make_local_system(cover, hol)
         coc = kaneyama_cocycle(net, spec.tms, cover, ls)
+        factors = Factors(net, spec.tms, cover, ls)
         n = spec.fan.n
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 cw = track_path(net, i, j, ccw=False)
-                alt = path_ordered(net, spec.tms, cover, ls, cw, coc.lift, {})
-                assert alt == coc.pair(i, j)
+                assert path_ordered(factors, cw) == coc.pair(i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
                             + track_path(net, 0, 1).crossings)
-        assert path_ordered(net, spec.tms, cover, ls, extra, coc.lift,
-                            {}) == coc.pair(0, 1)
+        assert path_ordered(factors, extra) == coc.pair(0, 1)
 
 
 def test_corrupted_cocycle_detected(p2, p2_built):
@@ -467,8 +461,30 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     assert verify_bundle(coc, fan7.tms).ok
     assert len(calls) == 36
     calls.clear()
-    assert loop_identity_check(net, fan7.tms, cover, ls, coc.lift, {})
+    assert loop_identity_check(Factors(net, fan7.tms, cover, ls))
     assert len(calls) == 62
+
+
+def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
+                                                   monkeypatch):
+    # fan7_n7: 15 walls, 5 cuts, 7 spokes, and one factor table.  The 5
+    # cut factors build the 15 arm factors in their cuts' regions, where
+    # the branch-point loops read them again; the boundary track adds the
+    # 5 walls that land in region 0, away from their cuts: 20 wall
+    # factors.  Products: the 62 of the loop check (pinned above), 27 in
+    # the 7 adjacent steps and 35 compositions.
+    from toricnets import laurent, nonabelian
+    net, layout, cover = fan7_built
+    ls = make_local_system(cover, [Fraction(2)] * 4)
+    calls = {name: count_calls(monkeypatch, nonabelian, name)
+             for name in ("wall_factor", "cut_factor", "semiflat_factor")}
+    calls["mat_mul"] = count_calls(monkeypatch, laurent, "mat_mul")
+    kaneyama_cocycle(net, fan7.tms, cover, ls)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
+        "mat_mul": 124}
+    assert sorted(region for w, region, _ in calls["wall_factor"]
+                  if region != cover.cut_region[w.start_branch]) == [0] * 5
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,
@@ -515,29 +531,30 @@ def test_path_errors(p2, p2_built):
     from toricnets.network import Wall
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
-    lift = sheet_lift_map(p2.tms, cover)
     bad = SurfacePath(0, 0, [Crossing("spoke", 1, 0)])
     with pytest.raises(NonTransverseCrossing):
-        path_ordered(net, p2.tms, cover, ls, bad, lift, {})
+        path_ordered(Factors(net, p2.tms, cover, ls), bad)
     # a joint-fed wall may not be crossed by extraction paths
     w0 = net.walls[0]
     jointed = Wall(50, w0.polyline, w0.label, None, w0.end_edge, w0.end_cone)
     net2 = type(net)(list(net.walls) + [jointed], net.layout)
     p = SurfacePath(w0.end_cone, 0, [Crossing("wall", 50, +1)])
     with pytest.raises(PathHitsJointRegion):
-        path_ordered(net2, p2.tms, cover, ls, p, lift, {})
+        path_ordered(Factors(net2, p2.tms, cover, ls), p)
 
 
 def test_slope_tie_guard(p2, p2_built):
+    from types import SimpleNamespace
+
     from toricnets.builder import _label_from_slopes
     from toricnets.errors import SlopeTie
     net, layout, cover = p2_built
     # a corrupt lift table pairing a cone with itself forces a zero pairing
-    lift = sheet_lift_map(p2.tms, cover)
-    corrupt = dict(lift)
+    corrupt = dict(sheet_lift_map(p2.tms, cover))
     corrupt[(0, 1)] = corrupt[(0, 0)]
+    corrupt_cover = SimpleNamespace(lift_map=lambda tms: corrupt)
     with pytest.raises(SlopeTie):
-        _label_from_slopes(p2.tms, corrupt, 0, 0)
+        _label_from_slopes(p2.tms, corrupt_cover, 0, 0)
 
 
 def test_deeply_nested_seven_crossings_pipeline():
@@ -556,8 +573,7 @@ def test_deeply_nested_seven_crossings_pipeline():
     assert validate_network(net, spec.tms, cover).ok
     ls = make_local_system(cover, [Fraction(2), Fraction(3), Fraction(5, 7),
                                    Fraction(1, 4)])
-    assert loop_identity_check(net, spec.tms, cover, ls,
-                               sheet_lift_map(spec.tms, cover), {})
+    assert loop_identity_check(Factors(net, spec.tms, cover, ls))
     coc = kaneyama_cocycle(net, spec.tms, cover, ls)
     assert verify_bundle(coc, spec.tms).ok
 
@@ -568,13 +584,13 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
     net, layout, cover = fan5_built
     ls = make_local_system(cover, [Fraction(2), Fraction(5, 3)])
     coc = kaneyama_cocycle(net, fan5.tms, cover, ls)
+    factors = Factors(net, fan5.tms, cover, ls)
     n = fan5.fan.n
     assert sorted(coc.matrices) == [(i, j) for i in range(n) for j in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j:
-                direct = path_ordered(net, fan5.tms, cover, ls,
-                                      track_path(net, i, j), coc.lift, {})
+                direct = path_ordered(factors, track_path(net, i, j))
                 assert coc.pair(i, j) == direct, (i, j)
 
 
@@ -584,10 +600,9 @@ def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
     from toricnets.errors import ToricNetsError
     net, layout, cover = p2_built
 
-    def identity_factor(wall, net, tms, cover, ls, region, lift):
-        return LaurentMatrix.identity(cover.r)
+    def identity_factor(wall, region, factors):
+        return LaurentMatrix.identity(factors.cover.r)
 
     monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
     with pytest.raises(ToricNetsError):
-        cut_factor(0, net, p2.tms, cover, trivial_ls(cover),
-                   sheet_lift_map(p2.tms, cover))
+        cut_factor(0, Factors(net, p2.tms, cover, trivial_ls(cover)))

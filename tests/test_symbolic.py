@@ -21,12 +21,11 @@ from support import (FIXTURES, REALIZABLE, evaluate, generated_problems,
 from toricnets import nonabelian
 from toricnets.builder import build_network
 from toricnets.cli import main
-from toricnets.cover import (betti_one, build_cover, make_local_system,
-                             sheet_lift_map)
+from toricnets.cover import betti_one, build_cover, make_local_system
 from toricnets.errors import InvariantViolated, ToricNetsError
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.network import Soliton, enumerate_solitons, track_path
-from toricnets.nonabelian import (cut_factor, kaneyama_cocycle,
+from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
                                   loop_identity_check, path_ordered)
 
 
@@ -53,9 +52,9 @@ def doubled_spoke(monkeypatch, spoke):
     """Make every factor of one spoke twice what it should be."""
     true_factor = nonabelian.semiflat_factor
 
-    def doubled(ray, tms, cover, lift):
-        m = true_factor(ray, tms, cover, lift)
-        if ray % tms.fan.n != spoke:
+    def doubled(ray, factors):
+        m = true_factor(ray, factors)
+        if ray % factors.tms.fan.n != spoke:
             return m
         return LaurentMatrix([[p * 2 for p in row] for row in m.rows])
 
@@ -75,29 +74,33 @@ def flipped_sign(monkeypatch, wall_id):
     monkeypatch.setattr(nonabelian, "enumerate_solitons", flipped)
 
 
+def true_cut_factors(monkeypatch, cuts):
+    """Make every cut factor the one in ``cuts``, whatever the walls say."""
+    monkeypatch.setattr(nonabelian, "cut_factor", lambda k, _: cuts[k])
+
+
+def symbolic_table(spec, net, cover):
+    return Factors(net, spec.tms, cover, symbolic_system(cover))
+
+
 def test_symbolic_check_matches_sampled_sweep(instances, monkeypatch):
     for seed, (label, spec, net, cover) in enumerate(instances):
-        symbolic = loop_identity_check(net, spec.tms, cover,
-                                       symbolic_system(cover),
-                                       sheet_lift_map(spec.tms, cover), {})
+        symbolic = loop_identity_check(symbolic_table(spec, net, cover))
         assert bool(symbolic) == reference_sweep(net, spec.tms, cover, seed)
         assert symbolic, label
     with monkeypatch.context() as m:
         doubled_spoke(m, 0)
         for seed, (label, spec, net, cover) in enumerate(instances[:5]):
-            symbolic = loop_identity_check(net, spec.tms, cover,
-                                           symbolic_system(cover),
-                                           sheet_lift_map(spec.tms, cover),
-                                           {})
+            symbolic = loop_identity_check(symbolic_table(spec, net, cover))
             assert not symbolic and not reference_sweep(net, spec.tms, cover,
                                                         seed)
             assert symbolic.violations[0].witness[0] == "boundary"
 
 
-def _loop_outcome(check, net, tms, cover, ls, lift, caches):
+def _loop_outcome(check, net, tms, cover, ls):
     """Violations of a loop check, or the type and message it raised."""
     try:
-        return check(net, tms, cover, ls, lift, dict(caches)).violations
+        return check(Factors(net, tms, cover, ls)).violations
     except ToricNetsError as exc:
         return type(exc), str(exc)
 
@@ -111,27 +114,29 @@ def test_one_boundary_loop_decides_like_every_base(instances, monkeypatch):
     rng = random.Random(2027)
     seen = set()
     for label, spec, net, cover in instances:
-        tms, lift = spec.tms, sheet_lift_map(spec.tms, cover)
+        tms = spec.tms
         hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                for _ in range(betti_one(cover))]
         spoke = rng.randrange(1, spec.fan.n)
         for ls in (symbolic_system(cover), make_local_system(cover, hol)):
-            true_cuts = {("cut", k): cut_factor(k, net, tms, cover, ls, lift)
-                         for k in range(len(cover.cuts))}
-            mutations = [(lambda m: None, {}),
-                         (lambda m: doubled_spoke(m, 0), {}),
-                         (lambda m: doubled_spoke(m, spoke), true_cuts)]
+            table = Factors(net, tms, cover, ls)
+            cuts = [cut_factor(k, table) for k in range(len(cover.cuts))]
+            mutations = [(lambda m: None, False),
+                         (lambda m: doubled_spoke(m, 0), False),
+                         (lambda m: doubled_spoke(m, spoke), True)]
             if net.walls:
                 wall = rng.choice(net.walls).id
                 flip = lambda m: flipped_sign(m, wall)  # noqa: E731
-                mutations += [(flip, {}), (flip, true_cuts)]
-            for mutate, caches in mutations:
+                mutations += [(flip, False), (flip, True)]
+            for mutate, keep_true_cuts in mutations:
                 with monkeypatch.context() as m:
                     mutate(m)
+                    if keep_true_cuts:
+                        true_cut_factors(m, cuts)
                     got = _loop_outcome(loop_identity_check, net, tms, cover,
-                                        ls, lift, caches)
+                                        ls)
                     want = _loop_outcome(reference_loop_identity_check, net,
-                                         tms, cover, ls, lift, caches)
+                                         tms, cover, ls)
                 assert got == want, label
                 if isinstance(got, tuple):
                     seen.add(got[0])
@@ -146,16 +151,15 @@ def test_flipped_soliton_sign_fails_symbolic_check(name, monkeypatch):
     spec = load(name)
     net, layout = build_network(spec.tms, spec.disk)
     cover = build_cover(spec.disk, layout, 2)
-    ls = symbolic_system(cover)
-    lift = sheet_lift_map(spec.tms, cover)
+    table = symbolic_table(spec, net, cover)
     # the cut factors are built from the true signs, as in
     # test_flipped_sign_breaks_loop_identity
-    caches = {("cut", k): cut_factor(k, net, spec.tms, cover, ls, lift)
-              for k in range(len(cover.cuts))}
-    assert loop_identity_check(net, spec.tms, cover, ls, lift, dict(caches))
+    cuts = [cut_factor(k, table) for k in range(len(cover.cuts))]
+    assert loop_identity_check(table)
 
     flipped_sign(monkeypatch, 0)
-    report = loop_identity_check(net, spec.tms, cover, ls, lift, caches)
+    true_cut_factors(monkeypatch, cuts)
+    report = loop_identity_check(symbolic_table(spec, net, cover))
     assert not report
     assert report.violations[0].message.endswith("is not the identity")
 
@@ -165,11 +169,9 @@ def test_symbolic_steps_evaluate_to_numeric_steps(instances):
     symbolic_entries = 0
     for label, spec, net, cover in instances:
         b1 = betti_one(cover)
-        lift = sheet_lift_map(spec.tms, cover)
-        ls, caches = symbolic_system(cover), {}
+        table = symbolic_table(spec, net, cover)
         n = spec.fan.n
-        steps = [path_ordered(net, spec.tms, cover, ls,
-                              track_path(net, i, (i + 1) % n), lift, caches)
+        steps = [path_ordered(table, track_path(net, i, (i + 1) % n))
                  for i in range(n)]
         symbolic_entries += sum(isinstance(c, TPoly) for m in steps
                                 for row in m.rows for p in row
@@ -177,11 +179,10 @@ def test_symbolic_steps_evaluate_to_numeric_steps(instances):
         for _ in range(5):
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
-            numeric, num_caches = make_local_system(cover, hol), {}
+            numeric = Factors(net, spec.tms, cover,
+                              make_local_system(cover, hol))
             for i, step in enumerate(steps):
-                want = path_ordered(net, spec.tms, cover, numeric,
-                                    track_path(net, i, (i + 1) % n), lift,
-                                    num_caches)
+                want = path_ordered(numeric, track_path(net, i, (i + 1) % n))
                 assert evaluate(step, hol) == want, (label, i)
     # the comparison means something only if t survives into the steps
     assert symbolic_entries > 0
@@ -191,9 +192,9 @@ def test_verify_proves_the_loops_once(monkeypatch, capsys):
     calls = []
     true_check = nonabelian.loop_identity_check
 
-    def counted(net, tms, cover, ls, **kwargs):
-        calls.append([type(w) for w in ls.cut_weights])
-        return true_check(net, tms, cover, ls, **kwargs)
+    def counted(factors):
+        calls.append([type(w) for w in factors.ls.cut_weights])
+        return true_check(factors)
 
     monkeypatch.setattr(nonabelian, "loop_identity_check", counted)
     assert main(["verify", "--input", str(FIXTURES / "fan5_n5.json")]) == 0
