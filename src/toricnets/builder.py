@@ -31,7 +31,7 @@ from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
 from .multisection import parity_and_realizability
 from .network import (SpectralNetwork, Wall, half_edge_of_boundary_point,
-                      validate_network)
+                      slope_pairing, validate_network)
 
 
 def _edge_point(polytope, e, t):
@@ -49,11 +49,7 @@ def _label_from_slopes(tms, cover, cone, edge):
     The slopes are those of the lifts over ``cone`` that the sheets carry
     in the cover's sheet/lift matching.
     """
-    lift = cover.lift_map(tms)
-    v = tms.fan.ray(edge)
-    m0 = tms.slope(lift[(cone, 0)])
-    m1 = tms.slope(lift[(cone, 1)])
-    pairing = geom.dot(geom.sub(m1, m0), v)
+    pairing = slope_pairing(tms, cover.lift_map(tms), cone, edge, (0, 1))
     if pairing > 0:
         return (0, 1)
     if pairing < 0:

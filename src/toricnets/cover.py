@@ -166,10 +166,10 @@ class GridPoints:
 
     The lists keep the order of their sources: ``vertices`` (ccw),
     ``spokes`` (center, barycenter), ``cuts`` (each from its branch
-    point) and ``walls``.  ``*_boxes`` hold the bounding box of each
-    polyline: a contact test skips every pair, of polylines or of
-    segments, whose boxes miss each other, because such a pair cannot
-    touch.
+    point) and ``walls``.  Each spoke, cut and wall is a
+    ``geom.Polyline``, which stores the bounding box of each of its
+    segments once, as it is scaled; every contact test reads them through
+    ``geom.touching_segments``.
     """
 
     def __init__(self, layout, wall_polylines):
@@ -178,13 +178,10 @@ class GridPoints:
         cuts = [c.polyline for c in layout.cuts]
         grid = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts,
                                *wall_polylines))
-        self.vertices = grid.polyline(disk.polytope.vertices)
+        self.vertices = tuple(map(grid.point, disk.polytope.vertices))
         self.spokes = [grid.polyline(s) for s in spokes]
         self.cuts = [grid.polyline(c) for c in cuts]
         self.walls = [grid.polyline(w) for w in wall_polylines]
-        self.spoke_boxes = [geom.box(s) for s in self.spokes]
-        self.cut_boxes = [geom.box(c) for c in self.cuts]
-        self.wall_boxes = [geom.box(w) for w in self.walls]
 
     def interior(self, p):
         """True iff grid point p is interior to the polygon."""
@@ -208,14 +205,11 @@ def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
             raise CutHitsRay(f"cut vertex {p} is not interior to the polygon")
     # Relative interior must avoid every spoke; contact with the landing
     # spoke is allowed exactly at the shared barycenter endpoint.
-    for si, (s1, s2) in enumerate(g.spokes):
-        for j in range(len(pts) - 1):
-            a, b = grid_pts[j], grid_pts[j + 1]
-            if not (geom.boxes_meet(geom.box((a, b)), g.spoke_boxes[si])
-                    and geom.segments_cross(a, b, s1, s2)):
-                continue
+    for si, spoke in enumerate(g.spokes):
+        for j, _ in geom.touching_segments(grid_pts, spoke):
             last = j == len(pts) - 2
-            if last and si == cut.edge and geom.orient(s1, s2, a) != 0:
+            if last and si == cut.edge and \
+                    geom.orient(*spoke, grid_pts[j]) != 0:
                 # proper contact at the barycenter only
                 continue
             raise CutHitsRay(f"cut segment {pts[j]}-{pts[j + 1]} meets the "
@@ -225,8 +219,9 @@ def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     """Assemble and validate the branched cover over the layout's disk model.
 
-    Contact tests run on the layout's grid points (``GridPoints``), and
-    only on the pairs whose bounding boxes meet.
+    Contact tests run on the layout's grid points (``GridPoints``), through
+    ``geom.touching_segments``: a cut may touch a spoke only where it lands
+    on its own barycenter, and two cuts may not touch at all.
     """
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
@@ -243,9 +238,10 @@ def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
             if a.edge == b.edge:
                 raise OverlappingCuts(
                     f"two cuts land on the barycenter of edge {a.edge}")
-            if geom.boxes_meet(g.cut_boxes[i], g.cut_boxes[k]) and \
-                    not geom.polyline_pairwise_disjoint(
-                        g.cuts[i], g.cuts[k], skip_shared_endpoints=False):
+            if not geom.polyline_pairwise_disjoint(
+                    g.cuts[i], g.cuts[k],
+                    geom.touching_segments(g.cuts[i], g.cuts[k]),
+                    skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
     return SheetedSurface(layout, r)
 

@@ -5,14 +5,19 @@ Everything here is a pure predicate or constructor on those tuples, so the
 rest of the package never touches floating point.
 
 The segment-contact predicates (``orient``, ``on_segment``,
-``segments_cross``, ``polyline_pairwise_disjoint``,
-``point_in_convex_polygon``) run on points put on one integer grid by
-``Grid``: every coordinate times a positive common denominator D.  That
-map multiplies every signed area by D^2 > 0, so every orientation sign is
-unchanged, and it is injective, so every point equality is unchanged too;
-the predicates give the same answers on plain ``int``s, exactly.  Only
-the predicates see the grid: emitted points, report witnesses and error
-messages keep the original ``Fraction`` points.
+``proper_crossing``, ``segments_cross``, ``point_in_convex_polygon``) run
+on points put on one integer grid by ``Grid``: every coordinate times a
+positive common denominator D.  That map multiplies every signed area by
+D^2 > 0, so every orientation sign is unchanged, and it is injective, so
+every point equality is unchanged too; the predicates give the same
+answers on plain ``int``s, exactly.  Only the predicates see the grid:
+emitted points, report witnesses and error messages keep the original
+``Fraction`` points.
+
+``Grid.polyline`` stores each segment's bounding box once, and
+``touching_segments``, the one contact query, tests exactly only the
+segment pairs whose boxes meet; each caller applies its own tolerance rule
+to the pairs it yields.
 """
 from __future__ import annotations
 
@@ -84,15 +89,9 @@ def on_segment(p, a, b) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def box(points):
-    """Closed bounding box (xmin, ymin, xmax, ymax) of a point list.
-
-    An empty list has no segment to test, so any box does for it.
-    """
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (min(xs, default=0), min(ys, default=0),
-            max(xs, default=0), max(ys, default=0))
+def box(p, q):
+    """Closed bounding box (xmin, ymin, xmax, ymax) of the segment [p, q]."""
+    return (min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
 
 
 def boxes_meet(a, b) -> bool:
@@ -100,55 +99,61 @@ def boxes_meet(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
+def proper_crossing(p1, p2, q1, q2) -> bool:
+    """True iff [p1,p2] and [q1,q2] cross at one point interior to both."""
+    return (orient(q1, q2, p1) * orient(q1, q2, p2) < 0
+            and orient(p1, p2, q1) * orient(p1, p2, q2) < 0)
+
+
 def segments_cross(p1, p2, q1, q2) -> bool:
     """True iff closed segments [p1,p2], [q1,q2] share at least one point."""
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    return ((d1 == 0 and on_segment(p1, q1, q2))
-            or (d2 == 0 and on_segment(p2, q1, q2))
-            or (d3 == 0 and on_segment(q1, p1, p2))
-            or (d4 == 0 and on_segment(q2, p1, p2)))
+    return (proper_crossing(p1, p2, q1, q2)
+            or on_segment(p1, q1, q2) or on_segment(p2, q1, q2)
+            or on_segment(q1, p1, p2) or on_segment(q2, p1, p2))
 
 
-def polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True) -> bool:
-    """True iff two polylines have disjoint images.
+def touching_segments(a, b):
+    """Index pairs (i, j) of segments a[i]a[i+1], b[j]b[j+1] that touch.
 
-    With ``skip_shared_endpoints`` a single common endpoint of the two
-    polylines is tolerated (arms meeting at a branch point).  Segment
-    pairs whose bounding boxes miss each other are not tested.
+    ``a`` and ``b`` are grid polylines (``Polyline``); the pairs come in
+    order of i, then j.  A pair whose stored boxes miss is not tested.
     """
-    shared = set()
-    if skip_shared_endpoints:
-        ends_a = {poly_a[0], poly_a[-1]}
-        ends_b = {poly_b[0], poly_b[-1]}
-        shared = ends_a & ends_b
-    boxes_b = [box(poly_b[j:j + 2]) for j in range(len(poly_b) - 1)]
-    for i in range(len(poly_a) - 1):
-        a1, a2 = poly_a[i], poly_a[i + 1]
-        box_a = box((a1, a2))
-        for j, box_b in enumerate(boxes_b):
-            if not boxes_meet(box_a, box_b):
-                continue
-            b1, b2 = poly_b[j], poly_b[j + 1]
-            if not segments_cross(a1, a2, b1, b2):
-                continue
-            # Tolerate contact that is exactly one shared endpoint.
-            contact_ok = False
-            for s in shared:
-                if (s in (a1, a2)) and (s in (b1, b2)):
-                    # Make sure the two segments only touch at s.
-                    others = [p for p in (a1, a2) if p != s] + \
-                             [p for p in (b1, b2) if p != s]
-                    if all(not on_segment(o, b1, b2) or o == s for o in others[:1]) \
-                       and all(not on_segment(o, a1, a2) or o == s for o in others[1:]):
-                        contact_ok = True
-            if not contact_ok:
-                return False
-    return True
+    for i, box_a in enumerate(a.boxes):
+        for j, box_b in enumerate(b.boxes):
+            if boxes_meet(box_a, box_b) and \
+                    segments_cross(a[i], a[i + 1], b[j], b[j + 1]):
+                yield i, j
+
+
+def polyline_pairwise_disjoint(a, b, touching, skip_shared_endpoints=True) -> bool:
+    """True iff the pairs ``touching_segments(a, b)`` yields are all tolerated.
+
+    ``touching`` is that query, or the list of it.  With
+    ``skip_shared_endpoints`` a single common endpoint of the two
+    polylines is tolerated (arms meeting at a branch point): a touching
+    pair passes when both segments end there and touch nowhere else.
+    """
+    shared = {a[0], a[-1]} & {b[0], b[-1]} if skip_shared_endpoints else ()
+    return all(any(_touch_only_at(s, a[i:i + 2], b[j:j + 2]) for s in shared)
+               for i, j in touching)
+
+
+def _touch_only_at(s, seg_a, seg_b):
+    """True iff s ends both segments and no other end lies on the other."""
+    if s not in seg_a or s not in seg_b:
+        return False
+    others = [p for p in seg_a if p != s] + [p for p in seg_b if p != s]
+    return not (any(on_segment(o, *seg_b) for o in others[:1])
+                or any(on_segment(o, *seg_a) for o in others[1:]))
+
+
+class Polyline(tuple):
+    """Grid points of a polyline and its segment boxes, computed once."""
+
+    def __new__(cls, points):
+        self = super().__new__(cls, points)
+        self.boxes = tuple(map(box, self, self[1:]))
+        return self
 
 
 class Grid:
@@ -167,7 +172,7 @@ class Grid:
                 p[1].numerator * (s // p[1].denominator))
 
     def polyline(self, points):
-        return tuple(map(self.point, points))
+        return Polyline(map(self.point, points))
 
 
 def point_in_convex_polygon(p, vertices):

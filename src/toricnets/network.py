@@ -286,19 +286,20 @@ def _angle_cmp(u, v):
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     """True iff no two walls meet, except arms at their common branch point.
 
-    Runs on the network's grid points and tests only the wall pairs whose
-    bounding boxes meet.
+    Runs ``geom.touching_segments`` on the network's grid points for every
+    wall pair; the shared-endpoint tolerance is
+    ``geom.polyline_pairwise_disjoint``'s.
     """
     g = net.grid
     walls = net.walls
     for i, a in enumerate(walls):
         for j in range(i + 1, len(walls)):
-            if not geom.boxes_meet(g.wall_boxes[i], g.wall_boxes[j]):
-                continue
             b = walls[j]
             shared = a.start_branch is not None and a.start_branch == b.start_branch
             if not geom.polyline_pairwise_disjoint(
-                    g.walls[i], g.walls[j], skip_shared_endpoints=shared):
+                    g.walls[i], g.walls[j],
+                    geom.touching_segments(g.walls[i], g.walls[j]),
+                    skip_shared_endpoints=shared):
                 return False
     return True
 
@@ -327,52 +328,57 @@ def enumerate_solitons(net: SpectralNetwork, wall: Wall):
 
 # -- validation ---------------------------------------------------------------
 
-def _proper_crossing(a1, a2, b1, b2):
-    """Segments cross transversely at a single interior-ish point."""
-    d1 = geom.orient(b1, b2, a1)
-    d2 = geom.orient(b1, b2, a2)
-    d3 = geom.orient(a1, a2, b1)
-    d4 = geom.orient(a1, a2, b2)
-    return d1 * d2 < 0 and d3 * d4 < 0
+def slope_pairing(tms, lift, cone, edge, label):
+    """<m(b) - m(a), v_edge> for a wall label (a, b) ending over ``cone``.
+
+    m(s) is the slope of the lift sheet s carries over the cone in the
+    sheet/lift matching ``lift``; a right label pairs positively.
+    """
+    a, b = label
+    m_a = tms.slope(lift[(cone, a)])
+    m_b = tms.slope(lift[(cone, b)])
+    return geom.dot(geom.sub(m_b, m_a), tms.fan.ray(edge))
 
 
 def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     """Check the six defining conditions of a subordinate network.
 
-    Contact tests run on the network's grid points (``net.grid``), and only
-    on the pairs whose bounding boxes meet; witnesses are the original
-    points.
+    Contact tests run on the network's grid points (``net.grid``) through
+    ``geom.touching_segments``, and each condition applies its own rule to
+    the touching segment pairs: a wall may touch a cut only at a shared
+    endpoint (1), cross a spoke only properly (1), and contain no branch
+    point but its own start (5), which lies on the first segment of that
+    branch point's cut.  Witnesses are the original points.
     """
     report = ValidationReport()
     poly = net.polytope
-    fan = net.fan
     g = net.grid
     bad_labels = set()
 
     for wi, w in enumerate(net.walls):
         pts = g.walls[wi]
-        wall_box = g.wall_boxes[wi]
         # (1) interior in the open polygon, away from cuts, transverse to spokes
         for p, q in zip(w.polyline[1:-1], pts[1:-1]):
             if not g.interior(q):
                 report.add("1", f"wall {w.id} has a non-interior vertex", p)
         if not g.interior(pts[0]) and w.start_branch is not None:
             report.add("1", f"wall {w.id} starts outside the open polygon", w.start)
+        through_branch_point = False
         for k, cut in enumerate(g.cuts):
-            if geom.boxes_meet(wall_box, g.cut_boxes[k]) and \
-                    not geom.polyline_pairwise_disjoint(
-                        pts, cut,
-                        skip_shared_endpoints=(w.start_branch is not None)):
+            touching = list(geom.touching_segments(pts, cut))
+            if not geom.polyline_pairwise_disjoint(
+                    pts, cut, touching,
+                    skip_shared_endpoints=(w.start_branch is not None)):
                 report.add("1", f"wall {w.id} meets a branch cut", w.id)
-        for si, (s1, s2) in enumerate(g.spokes):
-            spoke_box = g.spoke_boxes[si]
-            if not geom.boxes_meet(wall_box, spoke_box):
-                continue
-            for j in range(len(pts) - 1):
-                a, b = pts[j], pts[j + 1]
-                if geom.boxes_meet(geom.box((a, b)), spoke_box) and \
-                        geom.segments_cross(a, b, s1, s2) and \
-                        not _proper_crossing(a, b, s1, s2):
+            # (5) a wall segment through branch point k touches the first
+            # segment of cut k there
+            through_branch_point |= any(
+                j == 0 and geom.on_segment(cut[0], pts[i], pts[i + 1])
+                and not (i == 0 and w.start_branch == k and cut[0] == pts[0])
+                for i, j in touching)
+        for si, spoke in enumerate(g.spokes):
+            for j, _ in geom.touching_segments(pts, spoke):
+                if not geom.proper_crossing(pts[j], pts[j + 1], *spoke):
                     report.add("1",
                                f"wall {w.id} meets the spoke of ray {si} "
                                "non-transversely", si)
@@ -382,15 +388,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             report.add("2", f"wall {w.id} carries a bad label {w.label}")
             bad_labels.add(w.id)
         # (5) at most one branch point on the wall
-        interior_hits = 0
-        for bi, bp in enumerate(c[0] for c in g.cuts):
-            if not geom.boxes_meet(wall_box, (*bp, *bp)):
-                continue
-            for j in range(len(pts) - 1):
-                if geom.on_segment(bp, pts[j], pts[j + 1]):
-                    if not (j == 0 and w.start_branch == bi and bp == pts[0]):
-                        interior_hits += 1
-        if interior_hits:
+        if through_branch_point:
             report.add("5", f"wall {w.id} passes through a branch point")
         if w.start_branch is not None:
             if not 0 <= w.start_branch < len(net.branch_points):
@@ -435,11 +433,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                        (e, cone))
             continue
         if lift is not None and w.id not in bad_labels:
-            a, b = w.label
-            ma = tms.slope(lift[(cone, a)])
-            mb = tms.slope(lift[(cone, b)])
-            v = fan.ray(e)
-            pairing = geom.dot(geom.sub(mb, ma), v)
+            pairing = slope_pairing(tms, lift, cone, e, w.label)
             if pairing < 0:
                 report.add("6",
                            f"wall {w.id} label {w.label} violates the slope "

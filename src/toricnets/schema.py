@@ -42,6 +42,14 @@ def _point(obj):
     return (_frac(obj[0]), _frac(obj[1]))
 
 
+def _polyline(obj, what):
+    """A polyline with no two equal consecutive points; ``what`` names it."""
+    poly = tuple(_point(p) for p in obj)
+    if any(p == q for p, q in zip(poly, poly[1:])):
+        raise SchemaError(f"{what} has two equal consecutive points")
+    return poly
+
+
 def _int(obj, what):
     """A JSON integer (not a bool, float or string); ``what`` names it."""
     if type(obj) is not int:
@@ -141,8 +149,8 @@ def _parse_sections(data) -> ProblemSpec:
 def parse_layout(data, disk) -> BranchCutLayout:
     points = [_point(p) for p in data["branch_points"]]
     cuts = []
-    for c in data["cuts"]:
-        poly = tuple(_point(p) for p in c["polyline"])
+    for k, c in enumerate(data["cuts"]):
+        poly = _polyline(c["polyline"], f"cut {k}")
         if len(poly) < 2:
             raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
         cuts.append(Cut(poly,
@@ -169,7 +177,7 @@ def parse_network(data, spec: ProblemSpec) -> SpectralNetwork:
     walls = []
     for w in data["walls"]:
         wid = _int(w["id"], "a wall id")
-        poly = tuple(_point(p) for p in w["polyline"])
+        poly = _polyline(w["polyline"], f"wall {wid}")
         if not poly:
             raise SchemaError(f"wall {wid} has an empty polyline")
         branch = w.get("branch")

@@ -139,12 +139,15 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # fan7_n7: 15 walls (50 segments), 5 cuts and 7 spokes.  Testing every
     # segment pair of walls, cuts and spokes takes 1710 exact tests; after
     # the bounding-box reject 114 remain.  The points are scaled onto the
-    # integer grid once for the cover and once for the network.
+    # integer grid once for the cover and once for the network, and each
+    # segment box is computed once per grid: 7 spokes and 5 cuts for the
+    # cover, and those again with the 50 wall segments for the network.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
     segments_cross = geom.segments_cross
     grid_points = cover.GridPoints.__init__
+    boxes = count_calls(monkeypatch, geom, "box")
     monkeypatch.setattr(geom, "segments_cross",
                         lambda *a: tests.append(a) or segments_cross(*a))
     monkeypatch.setattr(
@@ -154,6 +157,7 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
     assert [len(walls) for _, walls in grids] == [0, 15]
+    assert len(boxes) == (7 + 5) + (7 + 5 + 50) == 74
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
     # the network keeps its grid: validating it again scales only the
     # points of the new cover
@@ -172,3 +176,19 @@ def test_build_matches_sheets_and_lifts_once(monkeypatch):
     assert layout.cover(2).lift_map(spec.tms) is \
         layout.cover(2).lift_map(spec.tms)
     assert len(lifts) == 1
+
+
+def test_builder_and_validator_read_one_slope_pairing(monkeypatch):
+    # the builder picks each wall label from network.slope_pairing and
+    # condition (6) checks the label with the same function: negated, it
+    # flips every label and the build still validates
+    from toricnets import builder, network
+    spec = load("fan7_n7")
+    net, _ = build_network(spec.tms, spec.disk)
+    pairing = network.slope_pairing
+    for module in (network, builder):
+        monkeypatch.setattr(module, "slope_pairing",
+                            lambda *a: -pairing(*a))
+    flipped, _ = build_network(spec.tms, spec.disk)
+    assert [w.label for w in flipped.walls] == \
+        [w.label[::-1] for w in net.walls]

@@ -188,6 +188,16 @@ _short_wall_label = _with_network(
     lambda d: d["network"]["walls"][0].update(label=[0]))
 
 
+def _doubled_first_point(polyline):
+    polyline.insert(0, polyline[0])
+
+
+_doubled_wall_point = _with_network(
+    lambda d: _doubled_first_point(d["network"]["walls"][0]["polyline"]))
+_doubled_cut_point = _with_network(
+    lambda d: _doubled_first_point(d["layout"]["cuts"][0]["polyline"]))
+
+
 @pytest.mark.parametrize("edit, argv", [
     (lambda d: d["multisection"]["lifted_cones"][0].pop("slope"),
      ["validate"]),
@@ -219,6 +229,8 @@ _short_wall_label = _with_network(
     (_with_network(lambda d: d["network"]["walls"][0].update(branch=False)),
      ["validate"]),
     (_moved_branch_point, ["validate"]),
+    (_doubled_wall_point, ["validate"]),
+    (_doubled_cut_point, ["validate"]),
 ], ids=["cone-without-slope", "non-integer-ray", "layout-without-cuts",
         "holonomy-not-rational", "holonomy-zero-denominator",
         "holonomies-not-a-list",
@@ -230,7 +242,7 @@ _short_wall_label = _with_network(
         "empty-cut-polyline-validate", "empty-cut-polyline-verify",
         "one-point-cut-polyline", "fractional-degree", "string-cone",
         "fractional-fan-ray", "fractional-support", "bool-wall-branch",
-        "moved-branch-point"])
+        "moved-branch-point", "doubled-wall-point", "doubled-cut-point"])
 def test_malformed_input_is_reported_not_raised(tmp_path, capsys, edit, argv):
     code = main([argv[0], "--input", _write_edited(tmp_path, edit),
                  "--out", str(tmp_path / "out"), "--report", "json"]
@@ -263,6 +275,20 @@ def test_empty_holonomy_entry_is_a_parse_error(holonomy, tmp_path, capsys):
     assert stage["detail"].startswith(
         f"--holonomy {holonomy!r} is not a list of rationals")
     assert not (tmp_path / "cocycle.json").exists()
+
+
+@pytest.mark.parametrize("edit, name", [(_doubled_wall_point, "wall 0"),
+                                         (_doubled_cut_point, "cut 0")])
+def test_repeated_polyline_point_is_a_schema_error(edit, name):
+    # a repeated point leaves a wall's or cut's image unchanged but makes a
+    # zero-length segment: p1p1_n4 with wall 0's first point doubled
+    # validated with three false violations, and with cut 0's first point
+    # doubled gave branch point 0 a zero cut direction
+    data = json.loads((FIXTURES / "p1p1_n4.json").read_text())
+    edit(data)
+    with pytest.raises(SchemaError,
+                       match=f"^{name} has two equal consecutive points$"):
+        schema.parse_problem(data)
 
 
 def test_moved_branch_point_is_a_schema_error():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import chambers
+from support import chambers, reference_validate_network
 
 from toricnets.builder import empty_network
 from toricnets.cover import build_cover
@@ -37,6 +37,25 @@ def test_wall_ending_at_lattice_vertex_violates_condition_6(p2_built, p2):
     net2 = SpectralNetwork(walls, net.layout)
     rep = validate_network(net2, p2.tms, cover)
     assert any(v.condition == "6" for v in rep.violations)
+
+
+def test_wall_back_through_its_own_branch_point_violates_condition_5(
+        p2_built, p2):
+    # only the wall's start may lie on it: a wall that turns back through
+    # its branch point passes through it, on its second segment
+    net, layout, cover = p2_built
+    w = net.walls[0]
+    out = lerp(w.start, w.polyline[1], Fraction(1, 100))
+    back = (2 * w.start[0] - out[0], 2 * w.start[1] - out[1])
+    tampered = Wall(w.id, (w.start, out, back), w.label, w.start_branch,
+                    w.end_edge, w.end_cone)
+    net2 = SpectralNetwork([tampered] + list(net.walls[1:]), net.layout)
+    violations = validate_network(net2, p2.tms, cover).violations
+    assert [(v.condition, v.message, v.witness) for v in violations] == \
+        [(v.condition, v.message, v.witness) for v in
+         reference_validate_network(net2, p2.tms, cover).violations]
+    assert ("5", f"wall {w.id} passes through a branch point") in \
+        [(v.condition, v.message) for v in violations]
 
 
 def test_flipped_label_violates_condition_6(p2_built, p2):

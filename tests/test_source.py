@@ -64,3 +64,22 @@ def test_no_import_inside_a_function():
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(SRC.glob("*.py"))
     assert sorted(found) == []
+
+
+def test_only_geom_tests_segment_contact():
+    # every curve-pair contact check reads the segment boxes that
+    # geom.Polyline stores once, through geom.touching_segments; no other
+    # module computes a box or tests a segment pair itself
+    contact = {"box", "boxes_meet", "segments_cross"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "geom.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in contact:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert (SRC / "geom.py").is_file()
+    assert found == []
