@@ -30,8 +30,7 @@ from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
 from .multisection import parity_and_realizability
-from .network import (SpectralNetwork, Wall, half_edge_of_boundary_point,
-                      slope_pairing, validate_network)
+from .network import SpectralNetwork, Wall, slope_pairing, validate_network
 
 
 def _edge_point(polytope, e, t):
@@ -114,7 +113,7 @@ def _quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
 
 def _build_geometry(disk, plans, shrink):
     polytope = disk.polytope
-    walls_raw = []   # (branch index, role, polyline, end edge)
+    walls_raw = []   # (branch index, polyline, end edge, end parameter)
     cuts = []
     base_depth = Fraction(1, 3) * shrink
     for p in plans:
@@ -135,9 +134,9 @@ def _build_geometry(disk, plans, shrink):
         pts.append(w1_target)
         w1 = tuple(pts)
         bi = p.depth_index
-        walls_raw.append((bi, "w1", w1, p.w1_edge))
-        walls_raw.append((bi, "w2", tuple(w2), p.w2_edge))
-        walls_raw.append((bi, "w3", tuple(w3), p.w3_edge))
+        walls_raw.append((bi, w1, p.w1_edge, p.w1_t))
+        walls_raw.append((bi, w2, p.w2_edge, Fraction(3, 4)))
+        walls_raw.append((bi, w3, p.w3_edge, Fraction(1, 4)))
         cuts.append(Cut(cut_poly, (0, 1), p.cut_edge))
     return walls_raw, BranchCutLayout(disk, tuple(cuts))
 
@@ -149,16 +148,21 @@ def empty_network(disk):
 
 
 def _assemble(tms, disk, plans, shrink):
-    """The network and cover of one placement of the planned Y-graphs."""
+    """The network and cover of one placement of the planned Y-graphs.
+
+    Each wall lands at the parameter t of its edge that the plan chose, so
+    the half-edge it lands on is read from t: the one at the vertex of
+    cone e-1 for t < 1/2, of cone e for t > 1/2.
+    """
     walls_raw, layout = _build_geometry(disk, plans, shrink)
     cover = layout.cover(tms.degree)
+    half = Fraction(1, 2)
     walls = []
-    for wid, (bi, role, poly, end_edge) in enumerate(walls_raw):
-        he = half_edge_of_boundary_point(disk.polytope, poly[-1])
-        if he is None or he[0] != end_edge:
+    for wid, (bi, poly, end_edge, t) in enumerate(walls_raw):
+        if not (0 < t < 1 and t != half):
             raise InvariantViolated(f"wall {wid} does not land inside a "
                                     f"half-edge of edge {end_edge}")
-        cone = he[1]
+        cone = (end_edge - 1) % disk.fan.n if t < half else end_edge
         label = _label_from_slopes(tms, cover, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
     return SpectralNetwork(walls, layout), cover

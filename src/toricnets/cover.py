@@ -8,10 +8,11 @@ of one boundary edge; its relative interior avoids all spokes, so sheet
 labels are constant on every region minus its cut.
 
 A ``BranchCutLayout`` owns the facts of its cuts: the disk model, the
-cuts, the branch points (each cut's first point), the region of every
-cut, located once, and its validated cover for each sheet count, built
-once; covers, networks and validators read them.  A cover in turn keeps
-its sheet/lift matching with each multi-section, computed once.
+cuts, the branch points (each cut's first point), their integer grid
+(``GridPoints``), the region of every cut, located once on that grid,
+and its validated cover for each sheet count, built once; covers,
+networks and validators read them.  A cover in turn keeps its
+sheet/lift matching with each multi-section, computed once.
 
 Rank-1 local systems are stored in the gauge where all transport weights
 sit on the cuts: crossing cut k positively from the lower sheet of its
@@ -43,7 +44,7 @@ from itertools import chain
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
                      InvariantViolated, NoSharedLift, OpenPath,
-                     OverlappingCuts, WrongCount, ZeroHolonomy)
+                     OverlappingCuts, UnknownCone, WrongCount, ZeroHolonomy)
 from .laurent import coefficient
 
 
@@ -69,7 +70,13 @@ class Cut:
 
 @dataclass(frozen=True)
 class BranchCutLayout:
-    """Cuts on a disk model, one per branch point, in branch-point order."""
+    """Cuts on a disk model, one per branch point, in branch-point order.
+
+    Its derived facts are computed once, on first use: the branch points,
+    the disk model and cuts on one integer grid (``grid``), which every
+    cover built on the layout reads, and the region of each cut, located
+    on that grid.
+    """
     disk: object              # the DiskModel the cuts are drawn on
     cuts: tuple               # Cut, one per branch point
 
@@ -78,10 +85,21 @@ class BranchCutLayout:
         return tuple(c.branch_point for c in self.cuts)
 
     @functools.cached_property
+    def grid(self):
+        """The disk model and the cuts on one integer grid (``GridPoints``)."""
+        return GridPoints(self, ())
+
+    @functools.cached_property
     def cut_region(self):
-        """Region of each cut's branch point, located once."""
-        return tuple(self.disk.region_of_interior_point(c.branch_point)
-                     for c in self.cuts)
+        """Region of each cut's branch point, located once on the grid."""
+        regions = []
+        for p, cut in zip(self.branch_points, self.grid.cuts):
+            region = self.grid.region(cut[0])
+            if region is None:
+                raise UnknownCone(
+                    f"point {p} is not interior to a unique region")
+            regions.append(region)
+        return tuple(regions)
 
     @functools.cached_property
     def _covers(self):
@@ -169,7 +187,9 @@ class GridPoints:
     point) and ``walls``.  Each spoke, cut and wall is a
     ``geom.Polyline``, which stores the bounding box of each of its
     segments once, as it is scaled; every contact test reads them through
-    ``geom.touching_segments``.
+    ``geom.touching_segments``.  Point location runs here too, and only
+    here: ``interior`` and ``region`` test grid points against the scaled
+    polygon and spokes.
     """
 
     def __init__(self, layout, wall_polylines):
@@ -186,6 +206,21 @@ class GridPoints:
     def interior(self, p):
         """True iff grid point p is interior to the polygon."""
         return geom.point_in_convex_polygon(p, self.vertices) == 1
+
+    def region(self, p):
+        """Region of grid point p of the closed polygon, or None.
+
+        None when p is outside the polygon or on a spoke (the center
+        included).  Every region's angle at the center is less than pi, so
+        p lies in region i exactly when it is strictly left of spoke i and
+        strictly right of spoke i+1.
+        """
+        if geom.point_in_convex_polygon(p, self.vertices) < 0:
+            return None
+        s = self.spokes
+        return next((i for i in range(len(s))
+                     if geom.orient(*s[i], p) > 0
+                     and geom.orient(*s[(i + 1) % len(s)], p) < 0), None)
 
 
 def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
@@ -219,13 +254,13 @@ def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     """Assemble and validate the branched cover over the layout's disk model.
 
-    Contact tests run on the layout's grid points (``GridPoints``), through
+    Contact tests run on the layout's grid points (``layout.grid``), through
     ``geom.touching_segments``: a cut may touch a spoke only where it lands
     on its own barycenter, and two cuts may not touch at all.
     """
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
-    g = GridPoints(layout, ())
+    g = layout.grid
     for k, c in enumerate(layout.cuts):
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):

@@ -8,8 +8,9 @@ the polygon we keep a "disk model": straight segments from the barycenter
 of the polygon to the edge midpoints, one per ray, cutting the polygon into
 one region per maximal cone.
 
-All coordinates are exact rationals (gcd-reduced Fractions); incidence
-tests are therefore exact.
+All coordinates are exact rationals (gcd-reduced Fractions).  Nothing here
+locates points: polygon and region membership are tested on the integer
+grid of ``cover.GridPoints``.
 """
 from __future__ import annotations
 
@@ -156,10 +157,6 @@ class Polytope:
     def barycenter(self):
         return geom.polygon_barycenter(self.vertices)
 
-    def contains(self, p):
-        """1 interior, 0 boundary, -1 outside."""
-        return geom.point_in_convex_polygon(p, self.vertices)
-
     def __repr__(self):
         return f"Polytope({self.vertices})"
 
@@ -169,7 +166,9 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
 
     Strict convexity of phi is checked on every consecutive ray triple; it
     is exactly the condition for the vertex map cone -> vertex to be
-    injective with edges of positive length.
+    injective with edges of positive length.  On a complete fan this local
+    (wall) criterion implies the global one (Cox-Little-Schenck, Toric
+    Varieties, 6.1), so every vertex satisfies every half-plane.
     """
     if phi.fan is not fan and phi.fan != fan:
         raise NotStrictlyConvex("support function belongs to another fan")
@@ -180,30 +179,8 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
         if geom.dot(m, v3) <= phi[i + 2]:
             raise NotStrictlyConvex(
                 f"support function is not strictly convex across ray {(i + 2) % n}")
-    vertices = [_vertex_for_cone(fan, phi, i) for i in range(n)]
-    poly = Polytope(fan, phi, vertices)
-    # Half-space/vertex consistency (cheap and worth checking on build).
-    for x in vertices:
-        for j in range(n):
-            if geom.dot(x, fan.ray(j)) < phi[j]:
-                raise NotStrictlyConvex(
-                    f"vertex {x} violates the half-plane of ray {j}")
-    return poly
-
-
-def _direction_in_sector(a, b, d):
-    """Is direction d in the closed ccw sector from a to b?
-
-    Handles sectors wider than pi (reflex at the center): those are the
-    complements of the open opposite sector.
-    """
-    o = geom.cross(a, b)
-    if o > 0:
-        return geom.cross(a, d) >= 0 and geom.cross(d, b) >= 0
-    if o < 0:
-        return not (geom.cross(b, d) > 0 and geom.cross(d, a) > 0)
-    # a and b opposite: the sector is the closed half-plane ccw of a
-    return geom.cross(a, d) >= 0
+    return Polytope(fan, phi, [_vertex_for_cone(fan, phi, i)
+                               for i in range(n)])
 
 
 class DiskModel:
@@ -213,7 +190,8 @@ class DiskModel:
     the polygon barycenter to the midpoint of the edge dual to ray ``rho``
     plays the role of the image of ``rho``.  Region ``i`` (for maximal cone
     ``i``) is the quadrilateral (center, midpoint_i, vertex_i,
-    midpoint_{i+1}).
+    midpoint_{i+1}).  The center is also the barycenter of the edge
+    midpoints, so every region's angle at the center is less than pi.
     """
 
     def __init__(self, fan: Fan, polytope: Polytope):
@@ -226,35 +204,6 @@ class DiskModel:
 
     def spoke(self, i):
         return self.ray_segments[i % self.fan.n]
-
-    def locate(self, point):
-        """Region membership of a point of the polygon.
-
-        Returns (regions, on_polytope_boundary): the list of region indices
-        whose closed region contains the point (two or more exactly when the
-        point sits on a spoke or at the center), plus a boundary flag.
-        """
-        where = self.polytope.contains(point)
-        if where < 0:
-            return [], False
-        on_boundary = where == 0
-        c = self.center
-        if point == c:
-            return list(range(self.fan.n)), on_boundary
-        n = self.fan.n
-        d = geom.sub(point, c)
-        dirs = [geom.sub(self.ray_segments[i][1], c) for i in range(n)]
-        regions = [i for i in range(n)
-                   if _direction_in_sector(dirs[i], dirs[(i + 1) % n], d)]
-        return regions, on_boundary
-
-    def region_of_interior_point(self, point):
-        """The unique region containing an interior, off-spoke point."""
-        regions, on_boundary = self.locate(point)
-        if len(regions) != 1:
-            raise UnknownCone(
-                f"point {point} is not interior to a unique region")
-        return regions[0]
 
 
 def disk_model(fan: Fan, polytope: Polytope) -> DiskModel:

@@ -14,6 +14,11 @@ answers on plain ``int``s, exactly.  Only the predicates see the grid:
 emitted points, report witnesses and error messages keep the original
 ``Fraction`` points.
 
+Point location runs on the same grid: ``cover.GridPoints`` is the only
+caller of ``point_in_convex_polygon``, and it finds a point's region with
+``orient`` against the spokes.  No point is located in ``Fraction``
+arithmetic.
+
 ``Grid.polyline`` stores each segment's bounding box once, and
 ``touching_segments``, the one contact query, tests exactly only the
 segment pairs whose boxes meet; each caller applies its own tolerance rule

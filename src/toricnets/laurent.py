@@ -379,7 +379,9 @@ def is_invertible_on(a: LaurentMatrix, fan, cone) -> bool:
     """True iff a is a unit of GL_r over the chart's coordinate ring.
 
     Requires regularity; the determinant must be a single term c*z^m with
-    both m and -m in the dual cone, i.e. <m, v> == 0 for every generator.
+    both m and -m in the dual cone, i.e. <m, v> == 0 for every generator,
+    and with c a unit of the coefficient ring: a nonzero rational, or a
+    one-term ``TPoly`` (a sum such as 1 + t has no inverse in Q[t^±]).
     """
     if not regular_on(a, fan, cone):
         raise NotRegular("matrix is not regular on the given cone")
@@ -387,7 +389,7 @@ def is_invertible_on(a: LaurentMatrix, fan, cone) -> bool:
     if not d.is_monomial():
         return False
     c, e = d.monomial_parts()
-    if c == 0:
+    if isinstance(c, TPoly) and len(c.terms) != 1:
         return False
     for v in fan.cone_generators(cone):
         if e[0] * v[0] + e[1] * v[1] != 0:

@@ -113,16 +113,17 @@ def edge_parameter(polytope, edge_index, point):
 
 
 def boundary_position(polytope, point):
-    """(edge, parameter) of a boundary point (vertices resolve to t=0)."""
-    n = polytope.n
-    for e in range(n):
+    """(edge, parameter) of a boundary point, or None off the boundary.
+
+    The parameter is taken in [0, 1): vertex e is t = 0 of edge e+1 rather
+    than t = 1 of edge e.  Only the check of input claims (condition 6 of
+    ``validate_network``) searches the edges; the builder and the track
+    know each wall's edge.
+    """
+    for e in range(polytope.n):
         t = edge_parameter(polytope, e, point)
         if t is not None and t < 1:
             return (e, t)
-    for e in range(n):
-        t = edge_parameter(polytope, e, point)
-        if t == 1:
-            return ((e + 1) % n, Fraction(0))
     return None
 
 
@@ -157,16 +158,18 @@ def track_events(net: SpectralNetwork):
     """All boundary-track crossings in ccw cyclic order, as a tuple.
 
     At a barycenter the order is: cut hugging from the earlier region,
-    then the spoke, then a cut hugging from the later region.
+    then the spoke, then a cut hugging from the later region.  A wall's
+    event sits at its end's parameter on its own edge, ``w.end_edge``.
     """
     n = net.fan.n
     events = []
     for w in net.walls:
-        pos = boundary_position(net.polytope, w.end)
-        if pos is None:
-            raise NotSupported(f"wall {w.id} does not end on the boundary")
-        e, t = pos
-        events.append(TrackEvent((e, t, 1), "wall", w.id, w.end_cone))
+        t = edge_parameter(net.polytope, w.end_edge, w.end)
+        if t is None:
+            raise NotSupported(
+                f"wall {w.id} does not end on edge {w.end_edge}")
+        events.append(TrackEvent((w.end_edge, t, 1), "wall", w.id,
+                                 w.end_cone))
     for k, (cut, region) in enumerate(zip(net.cuts, net.layout.cut_region)):
         e = cut.edge
         if region == (e - 1) % n:

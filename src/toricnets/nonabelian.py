@@ -306,26 +306,18 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     unit, so A is invertible and BA = Id as well.  A failed pair is still
     reported under both ordered witnesses, in (i, j) order.
 
-    The cocycle condition G_ki G_jk G_ij = Id is checked for every ordered
-    triple of distinct cones, and decided once per unordered triple
-    i < j < k when all six of its ordered pairs pass the inverses check,
-    so that G_ab G_ba = G_ba G_ab = Id for each pair.  Then the condition
-    for (i, j, k) holds if and only if G_jk G_ij = G_ik: multiply on the
-    left by G_ik, or back by G_ki.  The other five orderings are cyclic
-    rotations of G_ki G_jk G_ij or of its inverse G_ji G_kj G_ik, each
-    conjugate to it by a product of pair matrices, so they are the
-    identity together with it.  This is exact: one product and one
-    comparison of canonical entries, no sampling.  When a pair of the
-    triple fails its inverses check nothing ties the orderings together,
-    and ``cocycle_check`` decides each of the six on its own.  Violations
-    come out in (i, j, k) order either way.
-
-    When every pair passes its inverses check, the C(n-1, 2) star triples
-    (0, j, k) decide all the others: if each of them closes, then
-    G_ij = G_0j G_i0 for all i, j, so for every triple
-    G_jk G_ij = G_0k (G_j0 G_0j) G_i0 = G_0k G_i0 = G_ik, and no ordered
-    triple can fail.  Only when a pair or a star triple fails does the
-    per-triple sweep above run, to name every failing triple.
+    The cocycle condition G_ki G_jk G_ij = Id is decided for every
+    ordered triple of distinct cones.  When every pair passes its inverses
+    check, so that G_ab G_ba = G_ba G_ab = Id, the condition for (i, j, k)
+    holds if and only if G_jk G_ij = G_ik (multiply on the left by G_ik,
+    or back by G_ki), and the C(n-1, 2) star triples (0, j, k) decide all
+    the others: if each of them closes, then G_ij = G_0j G_i0 for all
+    i, j, so for every triple G_jk G_ij = G_0k (G_j0 G_0j) G_i0 =
+    G_0k G_i0 = G_ik, and no ordered triple can fail.  This is exact: one
+    product and one comparison of canonical entries per star triple, no
+    sampling.  Only when a pair or a star triple fails does
+    ``cocycle_check`` run on every ordered triple, to name each failing
+    one, in (i, j, k) order.
     """
     report = ValidationReport()
     fan = tms.fan
@@ -353,21 +345,12 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
             report.add("invertibility",
                        f"G over the ray-{i} overlap is not a unit there", i)
 
-    def closes(i, j, k):
-        return mat_mul(coc.pair(j, k), coc.pair(i, j)) == coc.pair(i, k)
-
     if len(inverse_pairs) < n * (n - 1) or not all(
-            closes(0, j, k) for j, k in combinations(range(1, n), 2)):
-        decided = {t: closes(*t) for t in combinations(range(n), 3)
-                   if all(p in inverse_pairs for p in permutations(t, 2))}
+            mat_mul(coc.pair(j, k), coc.pair(0, j)) == coc.pair(0, k)
+            for j, k in combinations(range(1, n), 2)):
         for i, j, k in permutations(range(n), 3):
-            triple = tuple(sorted((i, j, k)))
-            if triple in decided:
-                ok = decided[triple]
-            else:
-                ok = cocycle_check(coc.pair(k, i), coc.pair(j, k),
-                                   coc.pair(i, j))
-            if not ok:
+            if not cocycle_check(coc.pair(k, i), coc.pair(j, k),
+                                 coc.pair(i, j)):
                 report.add("cocycle",
                            f"triple ({i},{j},{k}) fails the cocycle condition",
                            (i, j, k))

@@ -15,8 +15,8 @@ from toricnets import errors, fans, multisection, schema
 from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
-from toricnets.errors import InvalidPath, NotSupported
-from toricnets.geom import cross, dot, sub
+from toricnets.errors import InvalidPath, NotSupported, UnknownCone
+from toricnets.geom import cross, dot, point_in_convex_polygon, sub
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
@@ -373,6 +373,63 @@ def reference_verify_bundle(coc, tms):
     return report
 
 
+# -- reference point location -----------------------------------------------
+# The ``Fraction`` point locator the package used before it located points
+# on the integer grid (``cover.GridPoints``); the grid locator must agree
+# with it.
+
+
+def contains(poly, p):
+    """1 interior, 0 boundary, -1 outside."""
+    return point_in_convex_polygon(p, poly.vertices)
+
+
+def _direction_in_sector(a, b, d):
+    """Is direction d in the closed ccw sector from a to b?
+
+    Handles sectors wider than pi (reflex at the center): those are the
+    complements of the open opposite sector.
+    """
+    o = cross(a, b)
+    if o > 0:
+        return cross(a, d) >= 0 and cross(d, b) >= 0
+    if o < 0:
+        return not (cross(b, d) > 0 and cross(d, a) > 0)
+    # a and b opposite: the sector is the closed half-plane ccw of a
+    return cross(a, d) >= 0
+
+
+def locate(disk, point):
+    """Region membership of a point of the polygon.
+
+    Returns (regions, on_polytope_boundary): the list of region indices
+    whose closed region contains the point (two or more exactly when the
+    point sits on a spoke or at the center), plus a boundary flag.
+    """
+    where = contains(disk.polytope, point)
+    if where < 0:
+        return [], False
+    on_boundary = where == 0
+    c = disk.center
+    if point == c:
+        return list(range(disk.fan.n)), on_boundary
+    n = disk.fan.n
+    d = sub(point, c)
+    dirs = [sub(disk.ray_segments[i][1], c) for i in range(n)]
+    regions = [i for i in range(n)
+               if _direction_in_sector(dirs[i], dirs[(i + 1) % n], d)]
+    return regions, on_boundary
+
+
+def region_of_interior_point(disk, point):
+    """The unique region containing an interior, off-spoke point."""
+    regions, on_boundary = locate(disk, point)
+    if len(regions) != 1:
+        raise UnknownCone(
+            f"point {point} is not interior to a unique region")
+    return regions[0]
+
+
 # -- reference contact geometry ----------------------------------------------
 # The all-pairs ``Fraction`` predicates that the grid-point contact tests
 # replaced, and the network and cover validators built on them: every
@@ -468,9 +525,9 @@ def reference_validate_network(net, tms, cover):
 
     for w in net.walls:
         for p in w.polyline[1:-1]:
-            if poly.contains(p) != 1:
+            if contains(poly, p) != 1:
                 report.add("1", f"wall {w.id} has a non-interior vertex", p)
-        if poly.contains(w.start) != 1 and w.start_branch is not None:
+        if contains(poly, w.start) != 1 and w.start_branch is not None:
             report.add("1", f"wall {w.id} starts outside the open polygon",
                        w.start)
         for cut in net.cuts:
@@ -509,7 +566,7 @@ def reference_validate_network(net, tms, cover):
                            f"wall {w.id} does not start at its branch point")
 
     for w in net.walls:
-        if w.start_branch is None and poly.contains(w.start) == 1:
+        if w.start_branch is None and contains(poly, w.start) == 1:
             report.add("3", f"wall {w.id} starts at an undeclared joint",
                        w.start)
     for b in range(len(net.branch_points)):
@@ -574,7 +631,7 @@ def _ref_validate_cut_geometry(disk, cut):
             f"cut ends at {end}, not at barycenter {target} "
             f"of edge {cut.edge}")
     for p in pts[:-1]:
-        if poly.contains(p) != 1:
+        if contains(poly, p) != 1:
             raise CutHitsRay(f"cut vertex {p} is not interior to the polygon")
     for si in range(disk.fan.n):
         s1, s2 = disk.spoke(si)

@@ -139,9 +139,9 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # fan7_n7: 15 walls (50 segments), 5 cuts and 7 spokes.  Testing every
     # segment pair of walls, cuts and spokes takes 1710 exact tests; after
     # the bounding-box reject 114 remain.  The points are scaled onto the
-    # integer grid once for the cover and once for the network, and each
+    # integer grid once for the layout and once for the network, and each
     # segment box is computed once per grid: 7 spokes and 5 cuts for the
-    # cover, and those again with the 50 wall segments for the network.
+    # layout, and those again with the 50 wall segments for the network.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
@@ -159,10 +159,10 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     assert [len(walls) for _, walls in grids] == [0, 15]
     assert len(boxes) == (7 + 5) + (7 + 5 + 50) == 74
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
-    # the network keeps its grid: validating it again scales only the
-    # points of the new cover
+    # the network and the layout keep their grids: building a cover again
+    # and validating against it scales no point again
     validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
-    assert [len(walls) for _, walls in grids] == [0, 15, 0]
+    assert [len(walls) for _, walls in grids] == [0, 15]
 
 
 def test_build_matches_sheets_and_lifts_once(monkeypatch):

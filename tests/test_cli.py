@@ -6,7 +6,8 @@ import pytest
 
 from support import FIXTURES, REALIZABLE, count_calls, parse_matrix
 
-from toricnets import cover, fans, multisection, nonabelian, schema
+from toricnets import (cover, fans, multisection, network, nonabelian,
+                       schema)
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
@@ -347,14 +348,28 @@ def test_cli_run_builds_the_polygon_and_validates_once(command, tmp_path,
                                                  ("fan7_n7", 5)])
 def test_cli_run_locates_each_branch_point_once(command, name, branch_points,
                                                 tmp_path, monkeypatch):
-    # the layout stores the region of every cut; the covers, the validator,
-    # the track events and the cut factors read it from there
-    locate = fans.DiskModel.region_of_interior_point
+    # the layout stores the region of every cut, located on its grid; the
+    # covers, the validator, the track events and the cut factors read it
+    # from there
+    locate = cover.GridPoints.region
     calls = []
-    monkeypatch.setattr(fans.DiskModel, "region_of_interior_point",
-                        lambda disk, p: calls.append(p) or locate(disk, p))
+    monkeypatch.setattr(cover.GridPoints, "region",
+                        lambda grid, p: calls.append(p) or locate(grid, p))
     assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
     assert len(calls) == branch_points
+
+
+def test_cli_run_finds_each_wall_landing_once(tmp_path, monkeypatch):
+    # fan7_n7: 15 walls.  The builder reads each wall's half-edge from the
+    # edge parameter it chose, and the track reads the parameter on the
+    # wall's stored edge; only condition 6 of the validator searches the
+    # boundary, once per wall, to check the claimed landing
+    half_edges = count_calls(monkeypatch, network,
+                             "half_edge_of_boundary_point")
+    positions = count_calls(monkeypatch, network, "boundary_position")
+    assert main(["nonabelianize", "--input", fx("fan7_n7"),
+                 "--out", str(tmp_path)]) == 0
+    assert (len(half_edges), len(positions)) == (15, 15)
 
 
 @pytest.mark.parametrize("command", ["nonabelianize", "verify"])

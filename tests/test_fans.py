@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from support import (ZERO_CONE, barycentric_boundary,
-                     brute_force_polytope_vertices, dual_cell, max_cone,
-                     region_polygon)
+                     brute_force_polytope_vertices, dual_cell, locate,
+                     max_cone, region_of_interior_point, region_polygon)
 
 from toricnets.errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                               NotStrictlyConvex, UnknownCone)
+from toricnets.geom import dot
 from toricnets.fans import (SupportFunction, disk_model, dual_polytope,
                             make_fan, ray_cone)
 
@@ -68,6 +71,45 @@ def test_dual_polytope_p1p1_matches_brute_force():
     poly = dual_polytope(fan, phi)
     assert set(poly.vertices) == brute_force_polytope_vertices(fan, phi)
     assert set(poly.vertices) == {(1, 1), (-1, 1), (-1, -1), (1, -1)}
+
+
+def _random_smooth_fan(rng, n):
+    """Rays of a random smooth fan with n rays: blow-ups of P^2 or of a
+    Hirzebruch fan, which between them give every complete smooth fan."""
+    a = rng.randint(0, 3)
+    rays = rng.choice([list(P2), [(1, 0), (0, 1), (-1, a), (0, -1)]])
+    while len(rays) < n:
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return rays
+
+
+def test_dual_polytope_vertices_satisfy_every_half_plane():
+    # dual_polytope checks strict convexity on consecutive ray triples
+    # only; on a complete fan that local criterion is the global one, so
+    # every support function it accepts gives vertices that satisfy every
+    # half-plane and are the brute-force vertex set.  The values are
+    # -floor(K|v|) plus noise: near a circle of radius K, so that about
+    # half of them are strictly convex, on fans of up to 10 rays
+    rng = random.Random(20261019)
+    accepted = rejected = 0
+    for _ in range(1000):
+        fan = make_fan(_random_smooth_fan(rng, rng.randint(3, 10)))
+        k = rng.randint(1, 40)
+        phi = SupportFunction(fan, [-isqrt(k * k * dot(v, v))
+                                    + rng.randint(-2, 2) for v in fan.rays])
+        try:
+            poly = dual_polytope(fan, phi)
+        except NotStrictlyConvex:
+            rejected += 1
+            continue
+        accepted += 1
+        assert all(dot(x, fan.ray(j)) >= phi[j]
+                   for x in poly.vertices for j in range(fan.n))
+        assert len(set(poly.vertices)) == fan.n
+        assert set(poly.vertices) == brute_force_polytope_vertices(fan, phi)
+    assert accepted >= 300 and rejected >= 300
 
 
 def test_dual_polytope_rejects_linear_support():
@@ -141,21 +183,21 @@ def test_disk_model_point_location():
     poly = dual_polytope(fan, SupportFunction(fan, [-1, -1, -1, -1]))
     disk = disk_model(fan, poly)
     # vertex of the polytope: boundary point adjacent to two regions
-    regions, on_boundary = disk.locate(poly.vertex(0))
+    regions, on_boundary = locate(disk, poly.vertex(0))
     assert on_boundary
     assert len(regions) == 1  # a vertex is interior to its region's arc
     # a point on a spoke belongs to the two adjacent regions
     mid = disk.spoke(1)
     p = ((mid[0][0] + mid[1][0]) / 2, (mid[0][1] + mid[1][1]) / 2)
-    regions, on_boundary = disk.locate(p)
+    regions, on_boundary = locate(disk, p)
     assert sorted(regions) == [0, 1]
     assert not on_boundary
     # interior point of a region
     centerish = region_polygon(disk, 2)
     q = tuple(sum(c[k] for c in centerish) / 4 for k in (0, 1))
-    assert disk.region_of_interior_point(q) == 2
+    assert region_of_interior_point(disk, q) == 2
     # points outside locate nowhere
-    assert disk.locate((Fraction(10), Fraction(10))) == ([], False)
+    assert locate(disk, (Fraction(10), Fraction(10))) == ([], False)
 
 
 def test_spokes_meet_only_at_center():

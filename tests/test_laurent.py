@@ -118,6 +118,17 @@ def test_invertibility_unit_monomial_det():
     inv = monomial_inverse(r)
     assert inv == LaurentMatrix([[mono(1, (0, -1))]])
     assert regular_on(inv, FAN, ray_cone(0))
+    # det = (1 + t) z^0 is one term in z, but 1 + t is no unit of Q[t^±]:
+    # not invertible, and monomial_inverse refuses it alike
+    t, = TPoly.symbols(1)
+    s = LaurentMatrix([[mono(1 + t, (0, 0))]])
+    assert not is_invertible_on(s, FAN, ray_cone(0))
+    with pytest.raises(NotRegular):
+        monomial_inverse(s)
+    # det = 2t z^(0,1) is a unit there
+    u = LaurentMatrix([[mono(2 * t, (0, 1))]])
+    assert is_invertible_on(u, FAN, ray_cone(0))
+    assert mat_mul(u, monomial_inverse(u)).is_identity()
 
 
 def test_invertibility_requires_regularity():

@@ -1,0 +1,107 @@
+"""Grid point location against the ``Fraction`` reference locator.
+
+``BranchCutLayout.cut_region`` locates each branch point once, on the
+layout's integer grid (``GridPoints.region``).  The reference in
+``support`` is the ``Fraction`` locator the package used before: a
+polygon test and a closed-sector test against every spoke.  Both must
+give the same region, or the same ``UnknownCone`` message, for the branch
+points of every fixture and generated layout up to (12, 12), and for
+seeded random points, the center, points on spokes, edge midpoints,
+vertices, other boundary points and outside points of their disk models.
+"""
+import random
+from fractions import Fraction
+
+from support import (FIXTURES, generated_problems, load,
+                     region_of_interior_point)
+
+from toricnets.builder import build_network
+from toricnets.cover import BranchCutLayout, Cut, GridPoints
+from toricnets.errors import NotRealizable, UnknownCone
+from toricnets.geom import lerp
+
+
+def _outcome(locate, *args):
+    try:
+        return locate(*args)
+    except UnknownCone as exc:
+        return str(exc)
+
+
+def _probe_points(disk, rng):
+    """Points of every kind the locator must tell apart, on one disk."""
+    poly = disk.polytope
+    n = disk.fan.n
+    c = disk.center
+    (x0, y0), (x1, y1) = (tuple(map(f, zip(*poly.vertices)))
+                          for f in (min, max))
+    pts = [c]
+    for i in range(n):
+        a, b = poly.edge(i)
+        m = poly.edge_barycenter(i)
+        pts += [a, m, lerp(a, b, Fraction(1, 4)), lerp(a, b, Fraction(3, 4)),
+                lerp(a, b, Fraction(rng.randint(1, 99), 100)),
+                lerp(c, m, Fraction(1, 3)), lerp(c, m, Fraction(1, 2)),
+                lerp(c, a, Fraction(1, 2)), lerp(c, a, Fraction(5, 4)),
+                lerp(c, m, Fraction(3, 2)), lerp(m, c, -1)]
+    # seeded points of the bounding box, widened by 1 on every side
+    for _ in range(4 * n):
+        u, v = (Fraction(rng.randint(0, 1000), 1000) for _ in "uv")
+        pts.append((x0 - 1 + (x1 - x0 + 2) * u, y0 - 1 + (y1 - y0 + 2) * v))
+    return pts
+
+
+def assert_locators_agree(disk, points):
+    """The reference outcome of each point, checked against the grid.
+
+    ``GridPoints.region`` must give the reference region (None where the
+    reference raises), and the ``cut_region`` of a layout with one cut from
+    the point the same region or ``UnknownCone`` message.
+    """
+    cuts = [Cut((p, disk.polytope.edge_barycenter(0)), (0, 1), 0)
+            for p in points]
+    g = GridPoints(BranchCutLayout(disk, tuple(cuts)), ())
+    outcomes = []
+    for p, cut, grid_cut in zip(points, cuts, g.cuts):
+        want = _outcome(region_of_interior_point, disk, p)
+        assert g.region(grid_cut[0]) == \
+            (want if isinstance(want, int) else None), p
+        alone = BranchCutLayout(disk, (cut,))
+        assert _outcome(lambda: alone.cut_region[0]) == want
+        outcomes.append(want)
+    return outcomes
+
+
+def _layouts():
+    for path in sorted(FIXTURES.glob("*.json")):
+        spec = load(path.stem)
+        try:
+            yield path.stem, spec, build_network(spec.tms, spec.disk)[1]
+        except NotRealizable:
+            yield path.stem, spec, None
+    for shape, spec in generated_problems("locate", 20261019, 5):
+        yield shape, spec, build_network(spec.tms, spec.disk)[1]
+
+
+def test_grid_locator_matches_fraction_reference():
+    kinds = set()
+    for name, spec, layout in _layouts():
+        disk = spec.disk
+        if layout is not None and layout.cuts:
+            assert list(layout.cut_region) == [
+                region_of_interior_point(disk, p)
+                for p in layout.branch_points]
+            assert_locators_agree(disk, layout.branch_points)
+        rng = random.Random(f"locate:{name}")
+        outcomes = assert_locators_agree(disk, _probe_points(disk, rng))
+        kinds |= {type(o) for o in outcomes}
+        # the center and every edge midpoint sit on spokes, every vertex
+        # inside its own region
+        n = disk.fan.n
+        assert outcomes[0] == \
+            f"point {disk.center} is not interior to a unique region"
+        assert [outcomes[1 + 11 * i] for i in range(n)] == \
+            [(i - 1) % n for i in range(n)]
+        assert all(isinstance(outcomes[2 + 11 * i], str) for i in range(n))
+    assert kinds == {int, str}
+

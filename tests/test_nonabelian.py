@@ -400,9 +400,9 @@ def generated_built(generated):
 @pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7",
                                   "generated"])
 def test_verify_bundle_matches_ordered_triple_reference(name, request):
-    # one product per unordered triple, or the star triples when every
-    # pair passes, must report exactly what cocycle_check on all
-    # n(n-1)(n-2) ordered triples reports, in order
+    # the star triples when every pair passes, and cocycle_check on every
+    # ordered triple otherwise, must report exactly what cocycle_check on
+    # all n(n-1)(n-2) ordered triples reports, in order
     from toricnets.cover import betti_one
     spec = request.getfixturevalue(name)
     net, layout, cover = request.getfixturevalue(f"{name}_built")

@@ -66,6 +66,32 @@ def test_no_import_inside_a_function():
     assert sorted(found) == []
 
 
+def _called_name(node):
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def test_only_grid_points_locates_points():
+    # point location runs on the integer grid: cover.GridPoints is the one
+    # caller of geom.point_in_convex_polygon, so no module locates a point
+    # in Fraction arithmetic
+    located, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        grid = set()
+        if path.name == "cover.py":
+            cls = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "GridPoints")
+            grid = {id(node) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    _called_name(node) == "point_in_convex_polygon":
+                (located if id(node) in grid else found).append(
+                    f"{path.name}:{node.lineno}")
+    assert located
+    assert found == []
+
+
 def test_only_geom_tests_segment_contact():
     # every curve-pair contact check reads the segment boxes that
     # geom.Polyline stores once, through geom.touching_segments; no other
@@ -78,8 +104,7 @@ def test_only_geom_tests_segment_contact():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in contact:
+                if _called_name(node) in contact:
                     found.append(f"{path.name}:{node.lineno}")
     assert (SRC / "geom.py").is_file()
     assert found == []
