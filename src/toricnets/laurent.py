@@ -30,6 +30,8 @@ tuple of tuples of ``LaurentPoly``.  The public ``LaurentMatrix(rows)``
 converts scalar entries and checks the shape; ``mat_mul`` builds its
 product from canonical polynomials in square tuples, so it wraps them with
 ``_matrix``, which checks nothing.
+
+``evaluate`` is the one substitution of rational holonomies for t.
 """
 from __future__ import annotations
 
@@ -395,6 +397,32 @@ def is_invertible_on(a: LaurentMatrix, fan, cone) -> bool:
         if e[0] * v[0] + e[1] * v[1] != 0:
             return False
     return True
+
+
+def _substitute(c, values):
+    """A coefficient with t_k replaced by ``values[k - 1]``: a Fraction."""
+    if not isinstance(c, TPoly):
+        return c
+    total = Fraction(0)
+    for exponents, a in c.terms.items():
+        for v, k in zip(values, exponents):
+            a *= v ** k
+        total += a
+    return total
+
+
+def evaluate(a: LaurentMatrix, values) -> LaurentMatrix:
+    """The matrix with t_k replaced by ``values[k - 1]`` in every entry.
+
+    The substitution homomorphism Q[z^±, t^±] -> Q[z^±] at nonzero
+    rational holonomies; the result is canonical, with the terms whose
+    coefficient vanishes there dropped.
+    """
+    values = [Fraction(v) for v in values]
+    return _matrix(tuple(
+        tuple(_canonical({e: _substitute(c, values)
+                          for e, c in p.terms.items()}) for p in row)
+        for row in a.rows))
 
 
 def monomial_inverse(a: LaurentMatrix) -> LaurentMatrix:

@@ -117,8 +117,9 @@ def boundary_position(polytope, point):
 
     The parameter is taken in [0, 1): vertex e is t = 0 of edge e+1 rather
     than t = 1 of edge e.  Only the check of input claims (condition 6 of
-    ``validate_network``) searches the edges; the builder and the track
-    know each wall's edge.
+    ``validate_network``) searches the edges, and only for a wall whose
+    claimed edge does not carry its end inside a half-edge; the builder
+    and the track know each wall's edge.
     """
     for e in range(polytope.n):
         t = edge_parameter(polytope, e, point)
@@ -142,6 +143,22 @@ def half_edge_of_boundary_point(polytope, point):
     n = polytope.n
     cone = (e - 1) % n if t < Fraction(1, 2) else e % n
     return e, cone
+
+
+def _claimed_half_edge(polytope, wall):
+    """The wall's half-edge, read on its claimed edge ``wall.end_edge``.
+
+    None unless the end lies in the relative interior of a half-edge of
+    that edge; then it is on no other edge, so the search of
+    ``half_edge_of_boundary_point`` would find the same half-edge.
+    """
+    e, n = wall.end_edge, polytope.n
+    if not 0 <= e < n:
+        return None
+    t = edge_parameter(polytope, e, wall.end)
+    if t is None or t in (0, Fraction(1, 2), 1):
+        return None
+    return e, (e - 1) % n if t < Fraction(1, 2) else e
 
 
 @dataclass(frozen=True)
@@ -424,7 +441,8 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None
     for w in net.walls:
-        he = half_edge_of_boundary_point(poly, w.end)
+        he = (_claimed_half_edge(poly, w)
+              or half_edge_of_boundary_point(poly, w.end))
         if he is None:
             report.add("6",
                        f"wall {w.id} endpoint is not in the relative interior "

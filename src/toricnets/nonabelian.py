@@ -24,11 +24,13 @@ their product is anti-diagonal, and the loop around every branch point is
 exactly the identity.
 
 One ``Factors`` table per local system builds each factor and inverse on
-first use; every product over that system reads it.
+first use, and the n adjacent boundary steps once; every product over that
+system reads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -39,8 +41,8 @@ from .errors import (InvariantViolated, LoopIdentityFailed,
                      NonTransverseCrossing, NoSharedLift, NotSupported,
                      PathHitsJointRegion)
 from .fans import ray_cone
-from .laurent import (LaurentMatrix, LaurentPoly, cocycle_check, mat_mul,
-                      monomial_inverse, regular_on, is_invertible_on)
+from .laurent import (LaurentMatrix, LaurentPoly, cocycle_check, evaluate,
+                      mat_mul, monomial_inverse, regular_on, is_invertible_on)
 from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
 
@@ -105,11 +107,8 @@ def cut_factor(k, factors) -> LaurentMatrix:
     arms = factors.net.arms[k]
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
-    product = LaurentMatrix.identity(cover.r)
-    for w in arms:
-        product = mat_mul(factors.of(Crossing("wall", w.id, +1), region),
-                          product)
-    c = monomial_inverse(product)
+    c = monomial_inverse(_left_product(
+        factors.of(Crossing("wall", w.id, +1), region) for w in arms))
     cut = cover.cuts[k]
     for i in range(cover.r):
         for j in range(cover.r):
@@ -126,6 +125,9 @@ class Factors:
 
     Spoke factors are keyed by ray, cut factors by cut, wall factors by
     wall and region; an inverse is built on the first backward crossing.
+    The n adjacent steps of the ccw boundary track, from the vertex chamber
+    of cone i to that of cone i+1, are built once too: ``step_paths`` and
+    their products ``steps``.
     """
 
     def __init__(self, net, tms, cover, ls):
@@ -157,17 +159,42 @@ class Factors:
                 f"wall {key[1]} is joint-fed; paths must avoid joint regions")
         return wall_factor(wall, key[2], self)
 
+    @functools.cached_property
+    def step_paths(self):
+        """The track paths from cone i to cone i+1, for i = 0, ..., n-1."""
+        n = self.tms.fan.n
+        return tuple(track_path(self.net, i, (i + 1) % n) for i in range(n))
+
+    @functools.cached_property
+    def steps(self):
+        """The path-ordered products S_i of ``step_paths``."""
+        return tuple(path_ordered(self, p) for p in self.step_paths)
+
 
 def path_ordered(factors, path) -> LaurentMatrix:
-    """Ordered product along a surface path of the factors in ``factors``."""
+    """Ordered product along a surface path of the factors in ``factors``.
+
+    The product starts from the first factor; an empty path gives Id.
+    """
     for c in path.crossings:
         if c.direction not in (1, -1):
             raise NonTransverseCrossing(
                 f"crossing of {c.kind} {c.index} with direction {c.direction}")
     states = path.states(factors.cover)
-    total = LaurentMatrix.identity(factors.cover.r)
-    for crossing, (region, _) in zip(path.crossings, states[:-1]):
-        total = mat_mul(factors.of(crossing, region), total)
+    if not path.crossings:
+        return LaurentMatrix.identity(factors.cover.r)
+    return _left_product(factors.of(crossing, region) for crossing, (region, _)
+                         in zip(path.crossings, states[:-1]))
+
+
+def _left_product(matrices):
+    """M_k ... M_1 M_0 of a nonempty sequence M_0, ..., M_k: each later
+    factor multiplies on the left, and the first is not multiplied into
+    the identity."""
+    matrices = iter(matrices)
+    total = next(matrices)
+    for m in matrices:
+        total = mat_mul(m, total)
     return total
 
 
@@ -190,8 +217,8 @@ def loop_identity_check(factors) -> ValidationReport:
     the table of the symbolic system
     ``make_local_system(cover, TPoly.symbols(b1))`` each product is exact
     in Q[z^±, t^±], so a passing report holds for every rational local
-    system.  The factors built here stay in ``factors`` for later
-    products over the same system.
+    system.  The factors and steps built here stay in ``factors`` for
+    later products over the same system.
 
     One boundary loop decides them all.  The loop from cone b crosses the
     events of the loop from cone 0 in cyclically rotated order, each in
@@ -200,6 +227,14 @@ def loop_identity_check(factors) -> ValidationReport:
     commutative coefficient ring B A = Id forces det A to be a unit, so A
     is invertible with inverse B and A B = Id.  A failing boundary loop
     is therefore always reported from cone 0.
+
+    The loop from cone 0 is the adjacent steps concatenated.  No track
+    event sits at a vertex chamber, so the loop crosses the events of the
+    steps 0 -> 1 -> ... -> n-1 -> 0 in order, each from the same region:
+    its product is S_{n-1} ... S_1 S_0, built from the table's ``steps``
+    instead of a second walk along the track.  InvariantViolated is raised
+    if the crossings of ``boundary_loop(net, 0)`` are not those of the
+    steps in order.
     """
     net, cover = factors.net, factors.cover
     report = ValidationReport()
@@ -209,21 +244,62 @@ def loop_identity_check(factors) -> ValidationReport:
             report.add("loop", f"loop around branch point {b} is not the "
                        "identity", ("branch", b))
             return report
-    if not path_ordered(factors, boundary_loop(net, 0, ccw=True)).is_identity():
+    if boundary_loop(net, 0, ccw=True).crossings != [
+            c for p in factors.step_paths for c in p.crossings]:
+        raise InvariantViolated(
+            "the boundary loop from cone 0 is not the adjacent steps "
+            "concatenated")
+    if not _left_product(factors.steps).is_identity():
         report.add("loop", "boundary loop from cone 0 is not the identity",
                    ("boundary", 0))
     return report
 
 
+def compose_steps(steps, r):
+    """All transition matrices G_{ij} from the adjacent steps G_{i,i+1}.
+
+    G_{ii} = Id and G_{ij} = G_{j-1,j} ... G_{i,i+1}, going ccw from i to
+    j; keyed in (i, j) order, the order in which consumers walk the pairs.
+    """
+    n = len(steps)
+    matrices = {}
+    for i in range(n):
+        matrices[(i, i)] = g = LaurentMatrix.identity(r)
+        for k in range(i + 1, i + n):
+            g = steps[i] if k == i + 1 else mat_mul(steps[(k - 1) % n], g)
+            matrices[(i, k % n)] = g
+    return dict(sorted(matrices.items()))
+
+
 @dataclass
 class KaneyamaCocycle:
+    """A Kaneyama cocycle, held as its n adjacent steps.
+
+    ``steps[i]`` is G_{i,i+1}, the path-ordered product along the ccw
+    boundary track from the vertex chamber of cone i to that of cone i+1;
+    ``lift`` is the sheet/lift map the factors were built with.  The
+    transition matrices of all ordered cone pairs are composed from the
+    steps on first read of ``matrices`` (``compose_steps``).  A cocycle of
+    the symbolic system evaluates, step by step, to the cocycle of every
+    rational system (``evaluated``).
+    """
     tms: object
     cover: object
-    matrices: dict       # (i, j) -> LaurentMatrix, all ordered cone pairs
+    steps: tuple         # G_{i,i+1} for i = 0, ..., n-1
     lift: dict           # (region, sheet) -> lifted-cone id, the map used
+
+    @functools.cached_property
+    def matrices(self):
+        """(i, j) -> G_{ij}, for all ordered cone pairs."""
+        return compose_steps(self.steps, self.cover.r)
 
     def pair(self, i, j):
         return self.matrices[(i % self.tms.fan.n, j % self.tms.fan.n)]
+
+    def evaluated(self, values):
+        """The cocycle with t_k replaced by ``values[k - 1]`` in each step."""
+        return replace(self, steps=tuple(evaluate(s, values)
+                                         for s in self.steps))
 
 
 def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
@@ -234,25 +310,20 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
     make this independent of the chosen representative path.  No track
     event sits at a vertex chamber, so that track is the concatenation of
     the adjacent steps i -> i+1 -> ... -> j, and the same factors in the
-    same order give G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.  Only the n
-    steps are built as path-ordered products, from the factor table the
-    loop check filled; each other pair costs one matrix product.
+    same order give G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.
+
+    The loop check gates the cocycle: LoopIdentityFailed names the first
+    loop that is not the identity.  The check builds the n steps in the
+    factor table, as the boundary loop's product; the cocycle keeps them
+    and composes the other pairs on first read.  On the symbolic system
+    this is the universal cocycle, whose evaluation at rational
+    holonomies is the cocycle of that system.
     """
     factors = Factors(net, tms, cover, ls)
-    if not loop_identity_check(factors):
-        raise LoopIdentityFailed("a generator loop is not the identity")
-    n = tms.fan.n
-    steps = [path_ordered(factors, track_path(net, i, (i + 1) % n))
-             for i in range(n)]
-    matrices = {}
-    for i in range(n):
-        matrices[(i, i)] = g = LaurentMatrix.identity(cover.r)
-        for k in range(i + 1, i + n):
-            g = steps[i] if k == i + 1 else mat_mul(steps[(k - 1) % n], g)
-            matrices[(i, k % n)] = g
-    # keyed in (i, j) order, the order in which consumers walk the pairs
-    return KaneyamaCocycle(tms, cover, dict(sorted(matrices.items())),
-                           factors.lift)
+    report = loop_identity_check(factors)
+    if not report:
+        raise LoopIdentityFailed(report.violations[0].message)
+    return KaneyamaCocycle(tms, cover, factors.steps, factors.lift)
 
 
 def _recovered_slopes(coc: KaneyamaCocycle):

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -17,7 +17,7 @@ from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              sheet_lift_map)
 from toricnets.errors import InvalidPath, NotSupported, UnknownCone
 from toricnets.geom import cross, dot, point_in_convex_polygon, sub
-from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
+from toricnets.laurent import LaurentMatrix, LaurentPoly, evaluate
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
@@ -749,23 +749,19 @@ def reference_sweep(net, tms, cover, seed, count=25):
     return True
 
 
-def evaluate(matrix, values):
-    """The matrix with t_k replaced by ``values[k - 1]`` in every entry."""
-    return LaurentMatrix([[LaurentPoly({e: evaluate_coefficient(c, values)
-                                        for e, c in p.terms.items()})
-                           for p in row] for row in matrix.rows])
-
-
 def evaluate_coefficient(c, values):
-    """A Fraction or a TPoly with t_k replaced by ``values[k - 1]``."""
-    if not isinstance(c, TPoly):
-        return c
-    total = Fraction(0)
-    for exponents, a in c.terms.items():
-        for v, k in zip(values, exponents):
-            a *= v ** k
-        total += a
-    return total
+    """A Fraction or a TPoly with t_k replaced by ``values[k - 1]``, read
+    through ``laurent.evaluate`` on a 1 x 1 matrix."""
+    m = evaluate(LaurentMatrix([[LaurentPoly.monomial(c, (0, 0))]]), values)
+    return m.entry(0, 0).terms.get((0, 0), Fraction(0))
+
+
+def with_matrices(coc, matrices):
+    """A copy of a cocycle whose transition matrices read ``matrices``
+    instead of the ones its steps compose to."""
+    out = replace(coc)
+    out.matrices = matrices
+    return out
 
 
 # -- paper-claim oracles that no pipeline stage uses --------------------------

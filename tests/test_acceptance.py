@@ -5,11 +5,10 @@ its own pass line so a full run reads as a checklist.
 """
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from support import (FIXTURES, boundary_restriction_equiv, load,
-                     random_two_fold)
+                     random_two_fold, with_matrices)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
@@ -197,7 +196,7 @@ def test_acceptance_8_injectivity():
     rescaled = {k: mat_mul(d, mat_mul(m, d_inv))
                 for k, m in cocs[5].matrices.items()}
     assert boundary_restriction_equiv(
-        cocs[5], replace(cocs[5], matrices=rescaled))
+        cocs[5], with_matrices(cocs[5], rescaled))
     print("ACCEPTANCE 8 injectivity: 6/6 holonomy pairs distinguished, "
           "gauge copies identified: PASS")
 

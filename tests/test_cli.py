@@ -362,14 +362,16 @@ def test_cli_run_locates_each_branch_point_once(command, name, branch_points,
 def test_cli_run_finds_each_wall_landing_once(tmp_path, monkeypatch):
     # fan7_n7: 15 walls.  The builder reads each wall's half-edge from the
     # edge parameter it chose, and the track reads the parameter on the
-    # wall's stored edge; only condition 6 of the validator searches the
-    # boundary, once per wall, to check the claimed landing
+    # wall's stored edge; condition 6 of the validator reads it there too,
+    # and searches the boundary only for a wall whose claimed edge does
+    # not carry its end inside a half-edge: none of a built network's
+    # walls
     half_edges = count_calls(monkeypatch, network,
                              "half_edge_of_boundary_point")
     positions = count_calls(monkeypatch, network, "boundary_position")
     assert main(["nonabelianize", "--input", fx("fan7_n7"),
                  "--out", str(tmp_path)]) == 0
-    assert (len(half_edges), len(positions)) == (15, 15)
+    assert (len(half_edges), len(positions)) == (0, 0)
 
 
 @pytest.mark.parametrize("command", ["nonabelianize", "verify"])
@@ -386,18 +388,18 @@ def test_cli_run_builds_one_cover_and_one_lift_map(command, name, tmp_path,
 
 def test_verify_builds_each_wall_factor_once_per_system(tmp_path,
                                                          monkeypatch):
-    # fan5_n5: 9 walls, all of them arms of its 3 cuts.  verify builds two
-    # factor tables, the symbolic one of the loop proof and the seeded one
-    # of the cocycle.  Each builds the 9 arm factors in their cuts'
-    # regions, where the branch-point loops read them again, and the 3
-    # factors of the walls the boundary track crosses elsewhere: 12 per
-    # table.
+    # fan5_n5: 9 walls, all of them arms of its 3 cuts.  verify builds one
+    # factor table, the symbolic one of the loop proof, whose steps the
+    # seeded cocycle evaluates.  It builds the 9 arm factors in their
+    # cuts' regions, where the branch-point loops read them again, and the
+    # 3 factors of the walls the boundary track crosses elsewhere: 12.
     walls = count_calls(monkeypatch, nonabelian, "wall_factor")
     assert main(["verify", "--input", fx("fan5_n5"),
                  "--out", str(tmp_path)]) == 0
-    assert len(walls) == 24
+    assert len(walls) == 12
     keys = [(wall.id, region, factors) for wall, region, factors in walls]
-    assert len(set(keys)) == 24
+    assert len(set(keys)) == 12
+    assert len({id(factors) for _, _, factors in walls}) == 1
 
 
 # -- seeded fuzz of fixture documents through every command --------------------

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from support import (ZERO_CONE, evaluate, evaluate_coefficient, max_cone,
+from support import (ZERO_CONE, evaluate_coefficient, max_cone,
                      near_identities, ref_add, ref_clean, ref_mat_mul,
                      ref_mul, ref_neg)
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, ray_cone
 from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly,
-                               cocycle_check, is_invertible_on, mat_mul,
-                               monomial_inverse, regular_on)
+                               cocycle_check, evaluate, is_invertible_on,
+                               mat_mul, monomial_inverse, regular_on)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 
@@ -303,3 +303,20 @@ def test_symbolic_matrices_invert_exactly():
     assert evaluate(mat_mul(swap, unipotent), v) == \
         mat_mul(evaluate(swap, v), evaluate(unipotent, v))
     assert mono(2, (1, 1)) * t1 == mono(2 * t1, (1, 1))
+
+
+def test_evaluation_is_canonical():
+    # a coefficient that vanishes at the point drops its term; the result
+    # equals the matrix built from the evaluated entries directly
+    t1, t2 = TPoly.symbols(2)
+    p = mono(1 + t1 * (1 / t2), (1, 0)) + mono(t2, (0, 0)) + mono(3, (-1, 2))
+    m = LaurentMatrix([[p, 0], [mono(t1 - 1, (0, 1)), 1]])
+    got = evaluate(m, [-1, 1])
+    assert got == LaurentMatrix([[LaurentPoly({(-1, 2): 3, (0, 0): 1}), 0],
+                                 [LaurentPoly({(0, 1): -2}), 1]])
+    assert list(got.entry(0, 0).terms) == [(-1, 2), (0, 0)]
+    assert all(type(c) is Fraction for row in got.rows for q in row
+               for c in q.terms.values())
+    assert evaluate(m, [2, 2]) == LaurentMatrix(
+        [[LaurentPoly({(1, 0): 2, (0, 0): 2, (-1, 2): 3}), 0],
+         [LaurentPoly({(0, 1): 1}), 1]])

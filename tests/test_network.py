@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from support import chambers, reference_validate_network
+from support import chambers, count_calls, load, reference_validate_network
 
-from toricnets.builder import empty_network
+from toricnets import network
+from toricnets.builder import build_network, empty_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotSupported
 from toricnets.geom import lerp
@@ -182,3 +184,79 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     assert seen == {"disjoint": [net], "events": [net], "arms": [0, 1]}
     with pytest.raises(AttributeError):
         net.walls = ()
+
+
+def _end_claims(net, rng):
+    """(kind, wall index, wall) triples: one wall's end or its claimed
+    landing (edge, cone) changed."""
+    poly, n = net.polytope, net.fan.n
+    for _ in range(3):
+        i = rng.randrange(len(net.walls))
+        w = net.walls[i]
+        e, cone = w.end_edge, w.end_cone
+        other_cone = e if cone == (e - 1) % n else (e - 1) % n
+        other_edge = rng.choice([k for k in range(n) if k != e])
+
+        def claim(edge, end_cone, end=w.end):
+            return Wall(w.id, w.polyline[:-1] + (end,), w.label,
+                        w.start_branch, edge, end_cone)
+
+        yield "wrong edge", i, claim(other_edge, cone)
+        yield "wrong edge and cone", i, claim(other_edge, other_edge)
+        yield "wrong cone", i, claim(e, other_cone)
+        yield "edge out of range", i, claim(e + n, cone)
+        yield "negative edge", i, claim(e - n, cone)
+        a, b = poly.edge(e)
+        yield "at a vertex", i, claim(e, cone, end=b)
+        yield "at the start vertex", i, claim(e, cone, end=a)
+        yield "at the barycenter", i, claim(e, cone, end=lerp(a, b,
+                                                              Fraction(1, 2)))
+        yield "other half", i, claim(e, cone, end=lerp(b, a,
+                                                       Fraction(1, 5)))
+        c, d = poly.edge(other_edge)
+        yield "on another edge", i, claim(e, cone, end=lerp(c, d,
+                                                            Fraction(1, 3)))
+        yield "off the boundary", i, claim(
+            e, cone, end=lerp(w.polyline[-2], w.end, Fraction(1, 2)))
+
+
+READ_ON_CLAIM = {"wrong cone", "other half"}
+
+
+@pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan7_n7"])
+def test_claimed_landings_match_reference(name, monkeypatch):
+    # condition 6 reads each wall's end on its claimed edge and searches
+    # the boundary only when that claim fails; its report must be the
+    # search's, message for message, for every kind of wrong claim
+    import random
+
+    from support import count_calls, load
+    from toricnets import network
+    from toricnets.builder import build_network
+    spec = load(name)
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = build_cover(spec.disk, layout, 2)
+    rng = random.Random(f"claims:{name}")
+    kinds = set()
+    for kind, i, wall in _end_claims(net, rng):
+        walls = list(net.walls)
+        walls[i] = wall
+        bad = SpectralNetwork(walls, net.layout)
+        with monkeypatch.context() as m:
+            searches = count_calls(m, network, "half_edge_of_boundary_point")
+            got = [(v.condition, v.message, v.witness)
+                   for v in validate_network(bad, spec.tms, cover).violations]
+        want = [(v.condition, v.message, v.witness) for v in
+                reference_validate_network(bad, spec.tms, cover).violations]
+        assert got == want, kind
+        # one search, for the changed wall, unless its end lies inside a
+        # half-edge of its claimed edge: then that half-edge is read
+        assert len(searches) == (kind not in READ_ON_CLAIM), kind
+        if any(c == "6" and f"wall {wall.id} endpoint" in msg
+               for c, msg, _ in got):
+            kinds.add(kind)
+    # every wrong claim is reported
+    assert kinds == {"wrong edge", "wrong edge and cone", "wrong cone",
+                     "edge out of range", "negative edge", "at a vertex",
+                     "at the start vertex", "at the barycenter",
+                     "other half", "on another edge", "off the boundary"}

@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from support import (boundary_restriction_equiv, chambers, count_calls,
                      generated_problems, near_identities,
-                     reference_verify_bundle)
+                     reference_verify_bundle, with_matrices)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
@@ -333,7 +332,7 @@ def test_corrupted_cocycle_detected(p2, p2_built):
         else:
             continue
         break
-    corrupted = replace(coc, matrices=bad)
+    corrupted = with_matrices(coc, bad)
     rep = verify_bundle(corrupted, p2.tms)
     assert not rep.ok
     assert any(v.condition in ("cocycle", "inverses") for v in rep.violations)
@@ -342,7 +341,7 @@ def test_corrupted_cocycle_detected(p2, p2_built):
         bad = dict(coc.matrices)
         bad[(0, 1)] = mat_mul(near, coc.pair(0, 1))
         bad[(0, 0)] = near
-        rep = verify_bundle(replace(coc, matrices=bad), p2.tms)
+        rep = verify_bundle(with_matrices(coc, bad), p2.tms)
         found = {(v.condition, v.witness) for v in rep.violations}
         assert ("inverses", (0, 1)) in found
         assert ("identity", 0) in found
@@ -360,7 +359,7 @@ def _entry_edit(coc, rng):
                 (rng.randint(-2, 2), rng.randint(-2, 2)))
     bad = dict(coc.matrices)
     bad[(i, j)] = g.with_entry(row, col, g.entry(row, col) + term)
-    return replace(coc, matrices=bad)
+    return with_matrices(coc, bad)
 
 
 def _gauge_edit(coc, rng, pair=None):
@@ -380,7 +379,7 @@ def _gauge_edit(coc, rng, pair=None):
     bad = dict(coc.matrices)
     bad[(i, j)] = mat_mul(d, coc.pair(i, j))
     bad[(j, i)] = mat_mul(coc.pair(j, i), d_inv)
-    return replace(coc, matrices=bad)
+    return with_matrices(coc, bad)
 
 
 @pytest.fixture(scope="module")
@@ -445,10 +444,15 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     # one product per unordered triple would add 20 more, two per ordered
     # triple 420.  The loop check multiplies out the 5 branch-point loops
     # and the one boundary loop from cone 0, not one boundary loop per cone.
+    # Every product starts from its first factor: each branch-point loop
+    # takes 3 products and each of the 5 cut factors 2, and the boundary
+    # loop is the 7 adjacent steps (27 crossings, 20 products) composed
+    # with 6 more: 51.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
     coc = kaneyama_cocycle(net, fan7.tms, cover, ls)
+    coc.matrices  # composed on first read, outside the count
     calls = []
     product = laurent.mat_mul
 
@@ -462,7 +466,7 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     assert len(calls) == 36
     calls.clear()
     assert loop_identity_check(Factors(net, fan7.tms, cover, ls))
-    assert len(calls) == 62
+    assert len(calls) == 51
 
 
 def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
@@ -471,18 +475,19 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     # cut factors build the 15 arm factors in their cuts' regions, where
     # the branch-point loops read them again; the boundary track adds the
     # 5 walls that land in region 0, away from their cuts: 20 wall
-    # factors.  Products: the 62 of the loop check (pinned above), 27 in
-    # the 7 adjacent steps and 35 compositions.
+    # factors.  Products: the 51 of the loop check (pinned above), which
+    # build the 7 adjacent steps the cocycle keeps, and the 35
+    # compositions made on the first read of its matrices.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
     calls = {name: count_calls(monkeypatch, nonabelian, name)
              for name in ("wall_factor", "cut_factor", "semiflat_factor")}
     calls["mat_mul"] = count_calls(monkeypatch, laurent, "mat_mul")
-    kaneyama_cocycle(net, fan7.tms, cover, ls)
+    kaneyama_cocycle(net, fan7.tms, cover, ls).matrices
     assert {name: len(c) for name, c in calls.items()} == {
         "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
-        "mat_mul": 124}
+        "mat_mul": 86}
     assert sorted(region for w, region, _ in calls["wall_factor"]
                   if region != cover.cut_region[w.start_branch]) == [0] * 5
 
@@ -522,7 +527,7 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
                                  [0, mono(1 / scale[i][1], (0, 0))]])
         rescaled[(i, j)] = mat_mul(d_j, mat_mul(m, d_i_inv))
     assert boundary_restriction_equiv(
-        cocs[3], replace(cocs[3], matrices=rescaled))
+        cocs[3], with_matrices(cocs[3], rescaled))
 
 
 def test_path_errors(p2, p2_built):

@@ -5,9 +5,11 @@ system whose cut weights are 1, t_1, ..., t_b1, and so proves each loop
 identity in Q[z^±, t^±].  The tests here hold that proof to the sampled
 sweep it replaced (``support.reference_sweep``), make sure a wrong sign
 or factor fails it, and make sure the coefficient ring does not lose t:
-every symbolic step product, evaluated at rational holonomies, equals the
-product built from those holonomies directly.  The determinant oracle of
-the cocycle runs on the same instances.
+the cocycle of the symbolic system, its steps evaluated at rational
+holonomies, equals the cocycle built from those holonomies directly.  The
+boundary loop the check decides from those steps is the steps
+concatenated.  The determinant oracle of the cocycle runs on the same
+instances.
 """
 import json
 import random
@@ -15,18 +17,20 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FIXTURES, REALIZABLE, evaluate, generated_problems,
-                     load, reference_loop_identity_check, reference_sweep)
+from support import (FIXTURES, REALIZABLE, generated_problems, load,
+                     reference_loop_identity_check, reference_sweep)
 
-from toricnets import nonabelian
+from toricnets import nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.cover import betti_one, build_cover, make_local_system
-from toricnets.errors import InvariantViolated, ToricNetsError
+from toricnets.errors import (InvariantViolated, LoopIdentityFailed,
+                              ToricNetsError)
 from toricnets.laurent import LaurentMatrix, LaurentPoly, TPoly
-from toricnets.network import Soliton, enumerate_solitons, track_path
+from toricnets.network import (Soliton, boundary_loop, enumerate_solitons,
+                               track_path)
 from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
-                                  loop_identity_check, path_ordered)
+                                  loop_identity_check)
 
 
 @pytest.fixture(scope="module")
@@ -164,28 +168,124 @@ def test_flipped_soliton_sign_fails_symbolic_check(name, monkeypatch):
     assert report.violations[0].message.endswith("is not the identity")
 
 
+def _holonomies(rng, b1):
+    return [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            for _ in range(b1)]
+
+
+def _term_count(m):
+    return sum(len(p.terms) for row in m.rows for p in row)
+
+
 def test_symbolic_steps_evaluate_to_numeric_steps(instances):
+    # the universal cocycle, built on the symbolic system, evaluated at
+    # rational holonomies is the cocycle built from those holonomies
+    # directly: equal steps, equal matrices entry for entry, equal
+    # cocycle.json bytes.  b1 = 0 (p2_n3 and the rank-1 fixture) is among
+    # the instances, and on fan7_n7 the coefficient 1 + t_3 t_4^-1 of
+    # G_02 vanishes at (1, 1, 1, -1)
     rng = random.Random(5)
     symbolic_entries = 0
     for label, spec, net, cover in instances:
         b1 = betti_one(cover)
-        table = symbolic_table(spec, net, cover)
-        n = spec.fan.n
-        steps = [path_ordered(table, track_path(net, i, (i + 1) % n))
-                 for i in range(n)]
-        symbolic_entries += sum(isinstance(c, TPoly) for m in steps
+        universal = kaneyama_cocycle(net, spec.tms, cover,
+                                     symbolic_system(cover))
+        symbolic_entries += sum(isinstance(c, TPoly) for m in universal.steps
                                 for row in m.rows for p in row
                                 for c in p.terms.values())
-        for _ in range(5):
-            hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                   for _ in range(b1)]
-            numeric = Factors(net, spec.tms, cover,
-                              make_local_system(cover, hol))
-            for i, step in enumerate(steps):
-                want = path_ordered(numeric, track_path(net, i, (i + 1) % n))
-                assert evaluate(step, hol) == want, (label, i)
+        choices = [_holonomies(rng, b1) for _ in range(3)]
+        if label == "fan7_n7":
+            choices.append([Fraction(h) for h in (1, 1, 1, -1)])
+        for hol in choices:
+            got = universal.evaluated(hol)
+            want = kaneyama_cocycle(net, spec.tms, cover,
+                                    make_local_system(cover, hol))
+            assert got.steps == want.steps, (label, hol)
+            assert got.matrices == want.matrices, (label, hol)
+            assert got.lift == want.lift
+            assert json.dumps(schema.emit_cocycle(got), sort_keys=True) == \
+                json.dumps(schema.emit_cocycle(want), sort_keys=True)
+        if label == "fan7_n7":
+            degenerate = universal.evaluated(choices[-1]).pair(0, 2)
+            generic = universal.evaluated([Fraction(2)] * b1).pair(0, 2)
+            assert _term_count(degenerate) < _term_count(generic)
+    assert {betti_one(cover) for *_, cover in instances} >= {0, 1, 2, 4}
     # the comparison means something only if t survives into the steps
     assert symbolic_entries > 0
+
+
+def flipped_track_sign(monkeypatch, wall_id):
+    """Flip the soliton sign of one wall where the boundary track crosses
+    it, away from its cut, so the branch-point loops still close."""
+    true_factor = nonabelian.wall_factor
+
+    def flipped(wall, region, factors):
+        m = true_factor(wall, region, factors)
+        if wall.id != wall_id or \
+                region == factors.cover.cut_region[wall.start_branch]:
+            return m
+        a, b = wall.label
+        return m.with_entry(b, a, -m.entry(b, a))
+
+    monkeypatch.setattr(nonabelian, "wall_factor", flipped)
+
+
+@pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan5_n5", "fan7_n7"])
+def test_flipped_soliton_sign_fails_both_gates(name, monkeypatch, capsys,
+                                              tmp_path):
+    # the numeric gate of nonabelianize and the symbolic one of verify
+    # each fail, and each names the loop
+    spec = load(name)
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = layout.cover(2)
+    wall = next(w for w in net.walls
+                if w.end_cone != cover.cut_region[w.start_branch])
+    flipped_track_sign(monkeypatch, wall.id)
+    loop = "boundary loop from cone 0 is not the identity"
+    with pytest.raises(LoopIdentityFailed, match=f"^{loop}$"):
+        kaneyama_cocycle(net, spec.tms, cover, make_local_system(
+            cover, [Fraction(2)] * betti_one(cover)))
+    names = ", ".join(f"t_{k}" for k in range(1, betti_one(cover) + 1))
+    for command, stage, detail in [
+            ("nonabelianize", "nonabelianize", loop),
+            ("verify", "loop_identities",
+             f"{loop} with symbolic holonomies [{names}]")]:
+        code = main([command, "--input", str(FIXTURES / f"{name}.json"),
+                     "--out", str(tmp_path),
+                     "--report", "json"])
+        last = json.loads(capsys.readouterr().out)["stages"][-1]
+        assert code == 1
+        assert (last["name"], last["status"], last["detail"]) == \
+            (stage, "fail", detail)
+
+
+def test_boundary_loop_is_the_steps_concatenated(instances):
+    for label, spec, net, cover in instances:
+        n = spec.fan.n
+        loop = boundary_loop(net, 0, ccw=True)
+        steps = [track_path(net, i, (i + 1) % n) for i in range(n)]
+        assert (loop.start_region, loop.start_sheet) == \
+            (steps[0].start_region, steps[0].start_sheet) == (0, 0)
+        assert loop.crossings == [c for p in steps for c in p.crossings], \
+            label
+        assert all(p.crossings for p in steps)
+
+
+def test_a_step_missing_a_crossing_is_an_invariant_violation(instances,
+                                                             monkeypatch):
+    true_path = nonabelian.track_path
+    for label, spec, net, cover in instances[:4]:
+        for k in {0, spec.fan.n - 1}:
+            def short(net_, i, j, ccw=True, k=k):
+                path = true_path(net_, i, j, ccw)
+                if i == k:
+                    path.crossings = path.crossings[:-1]
+                return path
+
+            with monkeypatch.context() as m:
+                m.setattr(nonabelian, "track_path", short)
+                with pytest.raises(InvariantViolated, match="concatenated"):
+                    loop_identity_check(symbolic_table(spec, net, cover))
 
 
 def test_verify_proves_the_loops_once(monkeypatch, capsys):
@@ -198,8 +298,9 @@ def test_verify_proves_the_loops_once(monkeypatch, capsys):
 
     monkeypatch.setattr(nonabelian, "loop_identity_check", counted)
     assert main(["verify", "--input", str(FIXTURES / "fan5_n5.json")]) == 0
-    # one symbolic check in the sweep, one numeric inside kaneyama_cocycle
-    assert calls == [[Fraction, TPoly, TPoly], [Fraction] * 3]
+    # one symbolic check, inside the universal cocycle of the sweep; the
+    # seeded cocycle evaluates its steps and checks no loop again
+    assert calls == [[Fraction, TPoly, TPoly]]
 
 
 def test_verify_names_the_failing_symbolic_loop(monkeypatch, capsys):

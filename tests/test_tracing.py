@@ -67,3 +67,38 @@ def test_traced_nonabelianize_calls_every_traced_function():
     assert sorted(calls) == sorted(key for _, _, key in _traced())
     assert [key for key, count in calls.items() if count == 0] == \
         ["cli.verify"]
+
+
+# ``toricnets verify`` as the benchmark's holonomy sweep runs it: parse the
+# problem, then ``cli.cmd_verify`` with a report and a seed
+_TRACED_VERIFY = """
+import json, sys
+import layertrace, workloads
+tk = workloads.Toolkit()
+doc = json.load(open(sys.argv[1]))
+with layertrace.Tracer() as tracer:
+    spec = tk.schema.parse_problem(doc)
+    report = {"schema": tk.schema.REPORT_SCHEMA, "stages": [],
+              "artifacts": [], "seed": 7}
+    tk.cli.cmd_verify(spec, report, 7, 25)
+print(json.dumps({"calls": tracer.calls, "stages": report["stages"]}))
+"""
+
+
+def test_traced_verify_calls_every_traced_function_but_the_writers():
+    # the verify command writes no artifacts; every other traced function
+    # must be called, so none of its layers goes silent in a traced run
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_VERIFY,
+         str(FIXTURES / "fan5_n5.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "TraceError" not in run.stderr
+    out = json.loads(run.stdout)
+    assert all(s["status"] == "pass" for s in out["stages"])
+    calls = out["calls"]
+    assert sorted(calls) == sorted(key for _, _, key in _traced())
+    assert sorted(key for key, count in calls.items() if count == 0) == \
+        ["render.svg", "schema.emit_cocycle", "schema.emit_network"]
