@@ -87,28 +87,21 @@ def _plan(tms, vees):
     return plans
 
 
-def _quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
+def _quarter_points_cw(n, start_edge, end_edge):
     """Quarter points (edge, 1/4 or 3/4) walking cw from start to end.
 
-    Returned in cw order, excluding the start longitude, including the end
-    one.  Longitudes live on the cyclic coordinate edge_index + t mod n.
+    The walk starts at (start_edge, 1/4) and ends at (end_edge, 3/4), on
+    the cyclic longitude edge_index + t mod n, and steps it down by 1/2.
+    Returned in cw order, excluding the start, including the end.
     """
-    n = polytope.n
-    start = start_edge + start_t
-    end = end_edge + end_t
-
-    def cw_dist(frm, to):
-        return (frm - to) % n
-
-    horizon = cw_dist(start, end)
     out = []
-    for e in range(n):
-        for t in (Fraction(1, 4), Fraction(3, 4)):
-            d = cw_dist(start, e + t)
-            if 0 < d <= horizon:
-                out.append((d, e, t))
-    out.sort()
-    return [(e, t) for _, e, t in out]
+    e = start_edge
+    while True:
+        e = (e - 1) % n
+        out.append((e, Fraction(3, 4)))
+        if e == end_edge:
+            return out
+        out.append((e, Fraction(1, 4)))
 
 
 def _build_geometry(disk, plans, shrink):
@@ -126,8 +119,7 @@ def _build_geometry(disk, plans, shrink):
         w2_target = _edge_point(polytope, p.w2_edge, Fraction(3, 4))
         w2 = (b, w2_target)
         w1_target = _edge_point(polytope, p.w1_edge, p.w1_t)
-        waypoints = _quarter_points_cw(
-            polytope, p.w3_edge, Fraction(1, 4), p.w1_edge, Fraction(3, 4))
+        waypoints = _quarter_points_cw(polytope.n, p.w3_edge, p.w1_edge)
         pts = [b]
         for (e, t) in waypoints:
             pts.append(_depth_point(disk, _edge_point(polytope, e, t), s))

@@ -188,8 +188,9 @@ class GridPoints:
     ``geom.Polyline``, which stores the bounding box of each of its
     segments once, as it is scaled; every contact test reads them through
     ``geom.touching_segments``.  Point location runs here too, and only
-    here: ``interior`` and ``region`` test grid points against the scaled
-    polygon and spokes.
+    here: ``interior``, ``region``, ``edge_position`` and ``half_edge``
+    test grid points against the scaled polygon and spokes.  The
+    barycenter of edge e is the grid end of spoke e.
     """
 
     def __init__(self, layout, wall_polylines):
@@ -221,6 +222,38 @@ class GridPoints:
         return next((i for i in range(len(s))
                      if geom.orient(*s[i], p) > 0
                      and geom.orient(*s[(i + 1) % len(s)], p) < 0), None)
+
+    def edge_position(self, p, e):
+        """<p - a, b - a> for grid point p on the closed edge e = [a, b].
+
+        The edge is ``Polytope.edge(e)`` on the grid (its index is taken
+        mod n); None when p is off it.  Along the edge the position grows
+        from 0 at a to |b - a|^2 at b, so it orders the edge's points.
+        """
+        n = len(self.vertices)
+        a, b = self.vertices[(e - 1) % n], self.vertices[e % n]
+        if not geom.on_segment(p, a, b):
+            return None
+        return geom.dot(geom.sub(p, a), geom.sub(b, a))
+
+    def half_edge(self, p):
+        """(edge, cone) of the open half-edge holding grid point p, or None.
+
+        The cone is that of the half-edge's vertex endpoint: e - 1 on the
+        half from vertex e - 1 to the barycenter, e on the other.  None at
+        a vertex, at a barycenter or off the boundary.  A point inside a
+        half-edge lies on exactly one edge, so the first edge holding p
+        decides.
+        """
+        n = len(self.vertices)
+        for e in range(n):
+            t = self.edge_position(p, e)
+            if t is not None:
+                mid = self.edge_position(self.spokes[e][-1], e)
+                if t in (0, mid, 2 * mid):
+                    return None
+                return e, (e - 1) % n if t < mid else e
+        return None
 
 
 def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):

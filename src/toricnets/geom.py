@@ -15,9 +15,10 @@ emitted points, report witnesses and error messages keep the original
 ``Fraction`` points.
 
 Point location runs on the same grid: ``cover.GridPoints`` is the only
-caller of ``point_in_convex_polygon``, and it finds a point's region with
-``orient`` against the spokes.  No point is located in ``Fraction``
-arithmetic.
+caller of ``point_in_convex_polygon``, finds a point's region with
+``orient`` against the spokes, and a boundary point's position along its
+edge and its half-edge with ``on_segment`` and ``dot``.  No point is
+located in ``Fraction`` arithmetic.
 
 ``Grid.polyline`` stores each segment's bounding box once, and
 ``touching_segments``, the one contact query, tests exactly only the

@@ -13,14 +13,16 @@ model, fan, polygon, cuts, branch points and cut regions from the layout.
 The boundary-track machinery turns the ccw cyclic order of boundary
 landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
 sequences for path-ordered products: a loop just inside the boundary
-crosses exactly these curves in exactly this order.
+crosses exactly these curves in exactly this order.  Every landing is read
+on the network's integer grid (``GridPoints``): its order along its edge
+by ``edge_position``, its half-edge by ``half_edge``.  Nothing here
+locates a point off the grid.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import geom
 from .cover import Crossing, GridPoints, SurfacePath
@@ -94,77 +96,10 @@ class SpectralNetwork:
         return [w for w in self.walls if w.start_branch == b]
 
 
-# -- boundary positions ------------------------------------------------------
-
-def edge_parameter(polytope, edge_index, point):
-    """Exact parameter of a point on the polygon edge, or None."""
-    a, b = polytope.edge(edge_index)
-    d = geom.sub(b, a)
-    w = geom.sub(point, a)
-    if geom.cross(d, w) != 0:
-        return None
-    if d[0] != 0:
-        t = Fraction(w[0], d[0])
-    else:
-        t = Fraction(w[1], d[1])
-    if 0 <= t <= 1:
-        return t
-    return None
-
-
-def boundary_position(polytope, point):
-    """(edge, parameter) of a boundary point, or None off the boundary.
-
-    The parameter is taken in [0, 1): vertex e is t = 0 of edge e+1 rather
-    than t = 1 of edge e.  Only the check of input claims (condition 6 of
-    ``validate_network``) searches the edges, and only for a wall whose
-    claimed edge does not carry its end inside a half-edge; the builder
-    and the track know each wall's edge.
-    """
-    for e in range(polytope.n):
-        t = edge_parameter(polytope, e, point)
-        if t is not None and t < 1:
-            return (e, t)
-    return None
-
-
-def half_edge_of_boundary_point(polytope, point):
-    """(edge, cone-of-vertex-endpoint) for a half-edge interior point.
-
-    Returns None when the point is a vertex or a barycenter (not in the
-    relative interior of any half-edge).
-    """
-    pos = boundary_position(polytope, point)
-    if pos is None:
-        return None
-    e, t = pos
-    if t == 0 or t == Fraction(1, 2):
-        return None
-    n = polytope.n
-    cone = (e - 1) % n if t < Fraction(1, 2) else e % n
-    return e, cone
-
-
-def _claimed_half_edge(polytope, wall):
-    """The wall's half-edge, read on its claimed edge ``wall.end_edge``.
-
-    None unless the end lies in the relative interior of a half-edge of
-    that edge; then it is on no other edge, so the search of
-    ``half_edge_of_boundary_point`` would find the same half-edge.
-    """
-    e, n = wall.end_edge, polytope.n
-    if not 0 <= e < n:
-        return None
-    t = edge_parameter(polytope, e, wall.end)
-    if t is None or t in (0, Fraction(1, 2), 1):
-        return None
-    return e, (e - 1) % n if t < Fraction(1, 2) else e
-
-
 @dataclass(frozen=True)
 class TrackEvent:
     """One crossing of the near-boundary ccw track."""
-    key: tuple               # (edge, t, tier) ccw sort key
+    key: tuple               # (edge, position, tier) ccw sort key
     kind: str                # 'wall' | 'spoke' | 'cut'
     index: int
     region: int              # region in which the crossing happens (walls,
@@ -174,14 +109,18 @@ class TrackEvent:
 def track_events(net: SpectralNetwork):
     """All boundary-track crossings in ccw cyclic order, as a tuple.
 
-    At a barycenter the order is: cut hugging from the earlier region,
-    then the spoke, then a cut hugging from the later region.  A wall's
-    event sits at its end's parameter on its own edge, ``w.end_edge``.
+    Each event is keyed by its edge and its ``GridPoints.edge_position``
+    there, read on the network's grid: a wall's at its end on its own
+    edge, ``w.end_edge``, a cut's and a spoke's at the barycenter.  At a
+    barycenter the order is: cut hugging from the earlier region, then
+    the spoke, then a cut hugging from the later region.
     """
     n = net.fan.n
+    g = net.grid
+    mid = [g.edge_position(s[-1], e) for e, s in enumerate(g.spokes)]
     events = []
-    for w in net.walls:
-        t = edge_parameter(net.polytope, w.end_edge, w.end)
+    for w, pts in zip(net.walls, g.walls):
+        t = g.edge_position(pts[-1], w.end_edge)
         if t is None:
             raise NotSupported(
                 f"wall {w.id} does not end on edge {w.end_edge}")
@@ -196,16 +135,16 @@ def track_events(net: SpectralNetwork):
         else:
             raise NotSupported(
                 f"cut {k} lands on edge {e} from non-adjacent region {region}")
-        events.append(TrackEvent((e, Fraction(1, 2), tier), "cut", k, region))
+        events.append(TrackEvent((e, mid[e % n], tier), "cut", k, region))
     for e in range(n):
-        events.append(TrackEvent((e, Fraction(1, 2), 1), "spoke", e, e % n))
+        events.append(TrackEvent((e, mid[e], 1), "spoke", e, e % n))
     events.sort(key=_event_key)
     return tuple(events)
 
 
 def vertex_chamber_key(cone_index, n):
     """Track sort key of the basepoint at the polygon vertex of a cone."""
-    return ((cone_index + 1) % n, Fraction(0), -1)
+    return ((cone_index + 1) % n, 0, -1)
 
 
 def _event_key(ev):
@@ -368,10 +307,12 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     the touching segment pairs: a wall may touch a cut only at a shared
     endpoint (1), cross a spoke only properly (1), and contain no branch
     point but its own start (5), which lies on the first segment of that
-    branch point's cut.  Witnesses are the original points.
+    branch point's cut.  Condition 6 finds each wall's landing half-edge
+    from its grid end with ``GridPoints.half_edge`` and compares it with
+    the wall's claim (``end_edge``, ``end_cone``).  Witnesses are the
+    original points.
     """
     report = ValidationReport()
-    poly = net.polytope
     g = net.grid
     bad_labels = set()
 
@@ -440,9 +381,8 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     except NoSharedLift as exc:  # report, do not raise: validators collect
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None
-    for w in net.walls:
-        he = (_claimed_half_edge(poly, w)
-              or half_edge_of_boundary_point(poly, w.end))
+    for w, pts in zip(net.walls, g.walls):
+        he = g.half_edge(pts[-1])
         if he is None:
             report.add("6",
                        f"wall {w.id} endpoint is not in the relative interior "

@@ -429,7 +429,13 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     try:
         rec = _recovered_slopes(coc)
         for i in range(n):
-            got = sorted(rec.get((i, s)) for s in range(r))
+            unreached = [s for s in range(r) if (i, s) not in rec]
+            if unreached:
+                report.add("tropicalization",
+                           "no transition entry recovers the slopes of "
+                           f"sheets {unreached} over cone {i}", i)
+                continue
+            got = sorted(rec[(i, s)] for s in range(r))
             want = sorted(tms.slope(coc.lift[(i, s)]) for s in range(r))
             if got != want:
                 report.add("tropicalization",

@@ -11,7 +11,7 @@ from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
-from toricnets import errors, fans, multisection, schema
+from toricnets import errors, fans, geom, multisection, schema
 from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
@@ -21,7 +21,6 @@ from toricnets.laurent import LaurentMatrix, LaurentPoly, evaluate
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
-from toricnets.network import boundary_position
 from toricnets.nonabelian import Factors, loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -362,7 +361,13 @@ def reference_verify_bundle(coc, tms):
         lift = sheet_lift_map(tms, coc.cover)
         rec = _recovered_slopes(coc)
         for i in range(n):
-            got = sorted(rec.get((i, s)) for s in range(r))
+            unreached = [s for s in range(r) if (i, s) not in rec]
+            if unreached:
+                report.add("tropicalization",
+                           "no transition entry recovers the slopes of "
+                           f"sheets {unreached} over cone {i}", i)
+                continue
+            got = sorted(rec[(i, s)] for s in range(r))
             want = sorted(tms.slope(lift[(i, s)]) for s in range(r))
             if got != want:
                 report.add("tropicalization",
@@ -374,9 +379,9 @@ def reference_verify_bundle(coc, tms):
 
 
 # -- reference point location -----------------------------------------------
-# The ``Fraction`` point locator the package used before it located points
-# on the integer grid (``cover.GridPoints``); the grid locator must agree
-# with it.
+# The ``Fraction`` point locators the package used before it located points
+# on the integer grid (``cover.GridPoints``): regions, and boundary
+# positions and half-edges.  The grid locators must agree with them.
 
 
 def contains(poly, p):
@@ -428,6 +433,81 @@ def region_of_interior_point(disk, point):
         raise UnknownCone(
             f"point {point} is not interior to a unique region")
     return regions[0]
+
+
+def edge_parameter(polytope, edge_index, point):
+    """Exact parameter of a point on the polygon edge, or None."""
+    a, b = polytope.edge(edge_index)
+    d = geom.sub(b, a)
+    w = geom.sub(point, a)
+    if geom.cross(d, w) != 0:
+        return None
+    if d[0] != 0:
+        t = Fraction(w[0], d[0])
+    else:
+        t = Fraction(w[1], d[1])
+    if 0 <= t <= 1:
+        return t
+    return None
+
+
+def boundary_position(polytope, point):
+    """(edge, parameter) of a boundary point, or None off the boundary.
+
+    The parameter is taken in [0, 1): vertex e is t = 0 of edge e+1 rather
+    than t = 1 of edge e.  The edges are searched in order.
+    """
+    for e in range(polytope.n):
+        t = edge_parameter(polytope, e, point)
+        if t is not None and t < 1:
+            return (e, t)
+    return None
+
+
+def half_edge_of_boundary_point(polytope, point):
+    """(edge, cone-of-vertex-endpoint) for a half-edge interior point.
+
+    Returns None when the point is a vertex or a barycenter (not in the
+    relative interior of any half-edge).
+    """
+    pos = boundary_position(polytope, point)
+    if pos is None:
+        return None
+    e, t = pos
+    if t == 0 or t == Fraction(1, 2):
+        return None
+    n = polytope.n
+    cone = (e - 1) % n if t < Fraction(1, 2) else e % n
+    return e, cone
+
+
+# -- reference quarter-point walk ---------------------------------------------
+# The builder's waypoint search before it became a walk: every quarter
+# point scored by its cw distance from the start, then sorted.
+
+
+def quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
+    """Quarter points (edge, 1/4 or 3/4) walking cw from start to end.
+
+    Returned in cw order, excluding the start longitude, including the end
+    one.  Longitudes live on the cyclic coordinate edge_index + t mod n.
+    """
+    n = polytope.n
+    start = start_edge + start_t
+    end = end_edge + end_t
+
+    def cw_dist(frm, to):
+        return (frm - to) % n
+
+    horizon = cw_dist(start, end)
+    out = []
+    for e in range(n):
+        for t in (Fraction(1, 4), Fraction(3, 4)):
+            d = cw_dist(start, e + t)
+            if 0 < d <= horizon:
+                out.append((d, e, t))
+    out.sort()
+    return [(e, t) for _, e, t in out]
 
 
 # -- reference contact geometry ----------------------------------------------
@@ -514,7 +594,6 @@ def _ref_proper_crossing(a1, a2, b1, b2):
 def reference_validate_network(net, tms, cover):
     from toricnets.cover import sheet_lift_map
     from toricnets.errors import NoSharedLift
-    from toricnets.network import half_edge_of_boundary_point
     from toricnets.reporting import ValidationReport
 
     report = ValidationReport()

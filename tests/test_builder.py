@@ -1,8 +1,12 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
-from support import boundary_labels, count_calls, load
+from support import (boundary_labels, count_calls, load,
+                     quarter_points_cw)
 
-from toricnets.builder import build_network
+from toricnets.builder import _quarter_points_cw, build_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotRealizable, NotTwoFold
 from toricnets.network import branch_point_arms, validate_network, \
@@ -192,3 +196,16 @@ def test_builder_and_validator_read_one_slope_pairing(monkeypatch):
     flipped, _ = build_network(spec.tms, spec.disk)
     assert [w.label for w in flipped.walls] == \
         [w.label[::-1] for w in net.walls]
+
+
+def test_quarter_point_walk_matches_sorted_reference():
+    # the waypoints of a long arm: from (start, 1/4) cw to (end, 3/4),
+    # stepping the longitude down by 1/2, as the sorted search finds them
+    for n in range(3, 21):
+        poly = SimpleNamespace(n=n)
+        for start in range(n):
+            for end in range(n):
+                want = quarter_points_cw(poly, start, Fraction(1, 4),
+                                         end, Fraction(3, 4))
+                assert _quarter_points_cw(n, start, end) == want, \
+                    (n, start, end)

@@ -6,8 +6,7 @@ import pytest
 
 from support import FIXTURES, REALIZABLE, count_calls, parse_matrix
 
-from toricnets import (cover, fans, multisection, network, nonabelian,
-                       schema)
+from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
@@ -357,21 +356,6 @@ def test_cli_run_locates_each_branch_point_once(command, name, branch_points,
                         lambda grid, p: calls.append(p) or locate(grid, p))
     assert main([command, "--input", fx(name), "--out", str(tmp_path)]) == 0
     assert len(calls) == branch_points
-
-
-def test_cli_run_finds_each_wall_landing_once(tmp_path, monkeypatch):
-    # fan7_n7: 15 walls.  The builder reads each wall's half-edge from the
-    # edge parameter it chose, and the track reads the parameter on the
-    # wall's stored edge; condition 6 of the validator reads it there too,
-    # and searches the boundary only for a wall whose claimed edge does
-    # not carry its end inside a half-edge: none of a built network's
-    # walls
-    half_edges = count_calls(monkeypatch, network,
-                             "half_edge_of_boundary_point")
-    positions = count_calls(monkeypatch, network, "boundary_position")
-    assert main(["nonabelianize", "--input", fx("fan7_n7"),
-                 "--out", str(tmp_path)]) == 0
-    assert (len(half_edges), len(positions)) == (0, 0)
 
 
 @pytest.mark.parametrize("command", ["nonabelianize", "verify"])

@@ -8,11 +8,18 @@ give the same region, or the same ``UnknownCone`` message, for the branch
 points of every fixture and generated layout up to (12, 12), and for
 seeded random points, the center, points on spokes, edge midpoints,
 vertices, other boundary points and outside points of their disk models.
+
+Boundary landings are read on the grid too: ``GridPoints.edge_position``
+and ``GridPoints.half_edge`` must agree with the reference edge parameter
+and half-edge search on every edge of the same disk models, for vertices,
+barycenters, quarter points, seeded points of each edge, and points just
+inside and just outside it.
 """
 import random
 from fractions import Fraction
 
-from support import (FIXTURES, generated_problems, load,
+from support import (FIXTURES, edge_parameter, generated_problems,
+                     half_edge_of_boundary_point, load,
                      region_of_interior_point)
 
 from toricnets.builder import build_network
@@ -105,3 +112,55 @@ def test_grid_locator_matches_fraction_reference():
         assert all(isinstance(outcomes[2 + 11 * i], str) for i in range(n))
     assert kinds == {int, str}
 
+
+def _disks():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, load(path.stem).disk
+    for shape, spec in generated_problems("locate", 20261019, 5):
+        yield shape, spec.disk
+
+
+def _edge_probes(disk, rng):
+    """Points of and near every edge, by kind."""
+    poly = disk.polytope
+    c = disk.center
+    for e in range(disk.fan.n):
+        a, b = poly.edge(e)
+        for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1,
+                  Fraction(rng.randint(1, 999), 1000),
+                  Fraction(rng.randint(1, 999), 1000)):
+            q = lerp(a, b, t)
+            kind = ("vertex" if t in (0, 1) else
+                    "barycenter" if t == Fraction(1, 2) else "edge")
+            yield kind, q
+            yield "inside", lerp(q, c, Fraction(1, 997))
+            yield "outside", lerp(c, q, Fraction(1001, 1000))
+
+
+def test_grid_half_edges_match_fraction_reference():
+    seen = set()
+    for name, disk in _disks():
+        poly = disk.polytope
+        n = disk.fan.n
+        kinds, points = zip(*_edge_probes(disk, random.Random(f"edge:{name}")))
+        g = GridPoints(BranchCutLayout(disk, ()), [points])
+        # every edge index, also below 0 and from n on: the grid position
+        # is the reference parameter times the squared grid edge length
+        lengths = {e: g.edge_position(g.vertices[e % n], e)
+                   for k in (-n, 0, n) for e in range(k, k + n)}
+        for kind, p, q in zip(kinds, points, g.walls[0]):
+            he = half_edge_of_boundary_point(poly, p)
+            assert g.half_edge(q) == he, (name, kind, p)
+            assert (he is not None) == (kind == "edge"), (name, kind, p)
+            for e, length in lengths.items():
+                t = edge_parameter(poly, e, p)
+                assert g.edge_position(q, e) == \
+                    (None if t is None else t * length), (name, e, p)
+                seen.add((kind, t is None))
+        # the grid barycenter is the end of the spoke
+        assert [g.edge_position(s[-1], e) * 2 for e, s in
+                enumerate(g.spokes)] == \
+            [g.edge_position(g.vertices[e], e) for e in range(n)]
+    assert seen == {(kind, on) for kind in ("vertex", "barycenter", "edge")
+                    for on in (False, True)} | {("inside", True),
+                                                ("outside", True)}

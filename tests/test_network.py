@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import chambers, count_calls, load, reference_validate_network
+from support import (chambers, generated_problems, load,
+                     reference_validate_network)
 
 from toricnets import network
 from toricnets.builder import build_network, empty_network
@@ -220,20 +221,16 @@ def _end_claims(net, rng):
             e, cone, end=lerp(w.polyline[-2], w.end, Fraction(1, 2)))
 
 
-READ_ON_CLAIM = {"wrong cone", "other half"}
-
-
-@pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan7_n7"])
-def test_claimed_landings_match_reference(name, monkeypatch):
-    # condition 6 reads each wall's end on its claimed edge and searches
-    # the boundary only when that claim fails; its report must be the
-    # search's, message for message, for every kind of wrong claim
-    import random
-
-    from support import count_calls, load
-    from toricnets import network
-    from toricnets.builder import build_network
-    spec = load(name)
+@pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan7_n7", "generated"])
+def test_claimed_landings_match_reference(name):
+    # condition 6 locates each wall's end on the network's grid; its
+    # report must be the Fraction reference's, message for message, for
+    # every kind of wrong claim
+    if name == "generated":
+        # (12, 12) first, then one smaller shape: (7, 5)
+        _, (_, spec) = generated_problems("claims", 4, 1)
+    else:
+        spec = load(name)
     net, layout = build_network(spec.tms, spec.disk)
     cover = build_cover(spec.disk, layout, 2)
     rng = random.Random(f"claims:{name}")
@@ -242,16 +239,11 @@ def test_claimed_landings_match_reference(name, monkeypatch):
         walls = list(net.walls)
         walls[i] = wall
         bad = SpectralNetwork(walls, net.layout)
-        with monkeypatch.context() as m:
-            searches = count_calls(m, network, "half_edge_of_boundary_point")
-            got = [(v.condition, v.message, v.witness)
-                   for v in validate_network(bad, spec.tms, cover).violations]
+        got = [(v.condition, v.message, v.witness)
+               for v in validate_network(bad, spec.tms, cover).violations]
         want = [(v.condition, v.message, v.witness) for v in
                 reference_validate_network(bad, spec.tms, cover).violations]
         assert got == want, kind
-        # one search, for the changed wall, unless its end lies inside a
-        # half-edge of its claimed edge: then that half-edge is read
-        assert len(searches) == (kind not in READ_ON_CLAIM), kind
         if any(c == "6" and f"wall {wall.id} endpoint" in msg
                for c, msg, _ in got):
             kinds.add(kind)

@@ -423,6 +423,11 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
     kinds["gauge"] += [
         _gauge_edit(coc, rng, sorted(rng.sample(range(1, n), 2))),
         _gauge_edit(coc, rng, (0, rng.randrange(1, n)))]
+    # identity transition matrices: on two sheets no entry reaches sheet 1
+    # from sheet 0, where the slopes are anchored, so it recovers no
+    # slope; on one sheet every recovered slope is the anchor's
+    kinds["identity"] = [with_matrices(
+        coc, {k: LaurentMatrix.identity(cover.r) for k in coc.matrices})]
     for kind, cases in kinds.items():
         for case in cases:
             got = verify_bundle(case, spec.tms).violations
@@ -432,6 +437,8 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
                 assert not got
             elif kind == "gauge":
                 assert conditions == {"cocycle"}
+            elif kind == "identity":
+                assert conditions == {"tropicalization"}
             else:
                 assert "inverses" in conditions
 

@@ -108,3 +108,16 @@ def test_only_geom_tests_segment_contact():
                     found.append(f"{path.name}:{node.lineno}")
     assert (SRC / "geom.py").is_file()
     assert found == []
+
+
+def test_network_names_no_fraction():
+    # every boundary landing is read on the integer grid
+    # (GridPoints.edge_position and GridPoints.half_edge), so the network
+    # module neither imports nor names Fraction
+    path = SRC / "network.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [getattr(node, "lineno", 0) for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "Fraction")
+             or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+             or (isinstance(node, ast.alias) and node.name == "Fraction")]
+    assert found == []
