@@ -51,10 +51,6 @@ def sub(a, b) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def add(a, b) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def lerp(a, b, t) -> Point:
     """Point a + t*(b-a) with exact rational t."""
     t = Fraction(t)

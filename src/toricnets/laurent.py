@@ -1,37 +1,31 @@
-"""Exact Laurent-polynomial matrices with exponents in Z^2.
+"""Exact constant matrices, and the Laurent form of a matrix between frames.
 
 Coefficients come from one exact ring: the rationals (``Fraction``), or
 Q[t_1^±, ..., t_c^±] (``TPoly``) when the holonomies of a local system
 are left as symbols.  The code never calls anything float-specific.
-Matrices are tuples of tuples of polynomials; products, determinants
-(cofactor expansion) and adjugates are exact.
 
-Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
-sorted exponent keys that are pairs of ``int`` and nonzero coefficients,
-each a ``Fraction`` or a ``TPoly``, and nothing mutates it after
-construction.  Only the public constructor ``LaurentPoly(terms)``
-validates its input to get there: it casts exponents to ``int``, turns
-coefficients into ``Fraction`` and sums repeated exponents (``monomial``
-and a scalar factor are converted by ``coefficient``, which keeps a
-``TPoly`` as it is).  Arithmetic relies on its operands being canonical:
-it collects the terms of each result in one dict, puts that dict in
-canonical form once (``_canonical``) and wraps it with ``_poly``, which
-checks nothing.
+A constant matrix is a square tuple of tuples of coefficients.
+``mat_mul`` is the one product; ``det`` expands by cofactors and
+``inverse`` divides the adjugate by a unit determinant.  ``substitute`` is
+the one substitution of rational holonomies for t.
 
 The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
 ``Fraction`` instead, so a coefficient is zero exactly when it is falsy
-and equals 1 exactly when ``== 1`` holds; ``_canonical`` and
-``is_identity`` rely on both.  The Z^2 kernel ``_collect_product`` only
-adds and multiplies coefficients, so it serves both rings unchanged.
+and equals 1 exactly when ``== 1`` holds; ``mat_mul`` skips zeros and
+``is_identity`` compares with 1 on that basis, and two canonical
+constants are equal exactly when their tuples are.
 
-``LaurentMatrix`` keeps the same kind of invariant: ``rows`` is a square
-tuple of tuples of ``LaurentPoly``.  The public ``LaurentMatrix(rows)``
-converts scalar entries and checks the shape; ``mat_mul`` builds its
-product from canonical polynomials in square tuples, so it wraps them with
-``_matrix``, which checks nothing.
-
-``evaluate`` is the one substitution of rational holonomies for t.
+The z-twist of a toric bundle never enters a product: the construction
+holds every factor as a constant between two torus frames (see
+``nonabelian``).  ``LaurentPoly`` and ``LaurentMatrix`` are the written and
+verified form of such a factor, D_target C D_source^-1, whose entries are
+Laurent polynomials sum c * z^e with e in Z^2 (``LaurentMatrix.framed``).
+Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
+sorted exponent keys that are pairs of ``int`` and nonzero coefficients.
+The public constructor ``LaurentPoly(terms)`` validates outside input to
+get there; ``framed`` builds canonical monomials and wraps them with
+``_poly`` and ``_matrix``, which check nothing.
 """
 from __future__ import annotations
 
@@ -147,24 +141,107 @@ def coefficient(x):
     return x if isinstance(x, TPoly) else Fraction(x)
 
 
+def is_unit(c) -> bool:
+    """True iff the coefficient c has an inverse: a nonzero rational, or a
+    one-term ``TPoly`` (a sum such as 1 + t has none in Q[t^±])."""
+    return len(c.terms) == 1 if isinstance(c, TPoly) else c != 0
+
+
+# -- constant matrices ---------------------------------------------------------
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def identity(r):
+    """The r x r identity constant."""
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(r))
+                 for i in range(r))
+
+
+def is_identity(a) -> bool:
+    """True iff every diagonal entry is 1 and every other entry is 0."""
+    return all(c == int(i == j)
+               for i, row in enumerate(a) for j, c in enumerate(row))
+
+
+def mat_mul(a, b):
+    """The product a b of two constant matrices of one size."""
+    if len(a) != len(b):
+        raise SizeMismatch(f"sizes {len(a)} and {len(b)} differ")
+    cols = tuple(zip(*b))
+    out = []
+    for row in a:
+        entries = []
+        for col in cols:
+            # a sum of the nonzero products, not started from a zero
+            total = _ZERO
+            for x, y in zip(row, col):
+                if x and y:
+                    total = x * y if total is _ZERO else total + x * y
+            entries.append(total)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _minor(a, i, j):
+    """``a`` without row i and column j."""
+    return tuple(row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i)
+
+
+def det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    total = _ZERO
+    for j, x in enumerate(a[0]):
+        if x:
+            term = x * det(_minor(a, 0, j))
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def inverse(a):
+    """Exact inverse, the adjugate over the determinant.
+
+    NotRegular unless the determinant is a unit of the coefficient ring.
+    """
+    d = det(a)
+    if not is_unit(d):
+        raise NotRegular(f"determinant {d!r} is not a unit")
+    u = 1 / d
+    if len(a) == 1:
+        return ((u,),)
+    return tuple(tuple((-u if (i + j) % 2 else u) * det(_minor(a, j, i))
+                       for j in range(len(a)))
+                 for i in range(len(a)))
+
+
+def _substitute(c, values):
+    """A coefficient with t_k replaced by ``values[k - 1]``: a Fraction."""
+    if not isinstance(c, TPoly):
+        return c
+    total = Fraction(0)
+    for exponents, a in c.terms.items():
+        for v, k in zip(values, exponents):
+            a *= v ** k
+        total += a
+    return total
+
+
+def substitute(a, values):
+    """The constant with t_k replaced by ``values[k - 1]`` in every entry:
+    the substitution homomorphism Q[t^±] -> Q at nonzero rationals."""
+    values = [Fraction(v) for v in values]
+    return tuple(tuple(_substitute(c, values) for c in row) for row in a)
+
+
+# -- the written form -----------------------------------------------------------
+
 def _poly(terms):
     """A LaurentPoly around ``terms``, which must already be canonical."""
     p = object.__new__(LaurentPoly)
     p.terms = terms
     return p
-
-
-def _canonical(acc):
-    """Canonical LaurentPoly from collected sums: zeros dropped, keys sorted."""
-    return _poly({e: acc[e] for e in sorted(acc) if acc[e]})
-
-
-def _collect_product(acc, terms1, terms2):
-    """Add every term product of two canonical term dicts into ``acc``."""
-    for (x1, y1), c1 in terms1.items():
-        for (x2, y2), c2 in terms2.items():
-            e = (x1 + x2, y1 + y2)
-            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
 
 
 class LaurentPoly:
@@ -176,60 +253,11 @@ class LaurentPoly:
     def __init__(self, terms=None):
         # outside input: mapping (ex, ey) -> coefficient
         acc = {}
-        if terms:
-            for e, c in terms.items():
-                e = (int(e[0]), int(e[1]))
-                c = Fraction(c)
-                acc[e] = acc[e] + c if e in acc else c
-        self.terms = {e: acc[e] for e in sorted(acc) if acc[e]}
-
-    @staticmethod
-    def zero():
-        return _poly({})
-
-    @staticmethod
-    def one():
-        return _poly({(0, 0): Fraction(1)})
-
-    @staticmethod
-    def monomial(coeff, exponent):
-        c = coefficient(coeff)
-        return _poly({(int(exponent[0]), int(exponent[1])): c} if c else {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def monomial_parts(self):
-        """(coeff, exponent) of a single-term polynomial."""
-        if not self.is_monomial():
-            raise NotRegular(f"{self!r} is not a monomial")
-        ((e, c),) = self.terms.items()
-        return c, e
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in (terms or {}).items():
+            e = (int(e[0]), int(e[1]))
+            c = coefficient(c)
             acc[e] = acc[e] + c if e in acc else c
-        return _canonical(acc)
-
-    def __neg__(self):
-        return _poly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            acc = {}
-            _collect_product(acc, self.terms, other.terms)
-            return _canonical(acc)
-        k = coefficient(other)
-        return _poly({e: c * k for e, c in self.terms.items()} if k else {})
-
-    __rmul__ = __mul__
+        self.terms = {e: acc[e] for e in sorted(acc) if acc[e]}
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -240,16 +268,7 @@ class LaurentPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for e, c in self.terms.items():
-            bits.append(f"{c}*z^{e}")
-        return " + ".join(bits)
-
-
-def _as_poly(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    return LaurentPoly.monomial(x, (0, 0))
+        return " + ".join(f"{c}*z^{e}" for e, c in self.terms.items())
 
 
 def _matrix(rows):
@@ -267,7 +286,9 @@ class LaurentMatrix:
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_as_poly(x) for x in row) for row in rows)
+        rows = tuple(tuple(x if isinstance(x, LaurentPoly)
+                           else LaurentPoly({(0, 0): x}) for x in row)
+                     for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise SizeMismatch("matrix must be square")
@@ -275,18 +296,20 @@ class LaurentMatrix:
         self.rows = rows
 
     @staticmethod
-    def identity(n):
-        return LaurentMatrix(
-            [[LaurentPoly.one() if i == j else LaurentPoly.zero()
-              for j in range(n)] for i in range(n)])
+    def framed(const, source, target):
+        """D_target const D_source^-1 for the frames D = diag(z^m_s).
+
+        ``source`` and ``target`` list one exponent m_s per sheet; entry
+        (row, col) is const[row][col] z^(target[row] - source[col]), one
+        monomial per nonzero entry of the constant.
+        """
+        return _matrix(tuple(
+            tuple(_poly({(t[0] - s[0], t[1] - s[1]): c} if c else {})
+                  for c, s in zip(row, source))
+            for row, t in zip(const, target)))
 
     def entry(self, i, j):
         return self.rows[i][j]
-
-    def with_entry(self, i, j, value):
-        rows = [list(r) for r in self.rows]
-        rows[i][j] = _as_poly(value)
-        return LaurentMatrix(rows)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentMatrix)
@@ -295,149 +318,3 @@ class LaurentMatrix:
     def __repr__(self):
         return "LaurentMatrix(" + ", ".join(
             "[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows) + ")"
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
-
-    def is_identity(self):
-        """True iff every diagonal entry is 1 and every other entry is 0."""
-        return all(p.terms == {(0, 0): 1} if i == j else not p.terms
-                   for i, row in enumerate(self.rows)
-                   for j, p in enumerate(row))
-
-    def transpose(self):
-        return LaurentMatrix(list(zip(*self.rows)))
-
-    def det(self):
-        """Determinant by cofactor expansion (desk-scale sizes)."""
-        n = self.size
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
-            a, b = self.rows[0]
-            c, d = self.rows[1]
-            return a * d - b * c
-        total = LaurentPoly.zero()
-        for j in range(n):
-            if self.rows[0][j].is_zero():
-                continue
-            minor = LaurentMatrix(
-                [[self.rows[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)])
-            term = self.rows[0][j] * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    def adjugate(self):
-        n = self.size
-        if n == 1:
-            return LaurentMatrix([[LaurentPoly.one()]])
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = LaurentMatrix(
-                    [[self.rows[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i])
-                m = minor.det()
-                cof[i][j] = m if (i + j) % 2 == 0 else -m
-        return LaurentMatrix(cof).transpose()
-
-
-def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes {a.size} and {b.size} differ")
-    cols = list(zip(*b.rows))
-    out = []
-    for arow in a.rows:
-        row = []
-        for bcol in cols:
-            # every term product of the entry in one dict, made canonical once
-            acc = {}
-            for p, q in zip(arow, bcol):
-                if p.terms and q.terms:
-                    _collect_product(acc, p.terms, q.terms)
-            row.append(_canonical(acc))
-        out.append(tuple(row))
-    return _matrix(tuple(out))
-
-
-def poly_regular_on(p: LaurentPoly, generators) -> bool:
-    """True iff every exponent pairs >= 0 with every cone generator."""
-    for e in p.terms:
-        for v in generators:
-            if e[0] * v[0] + e[1] * v[1] < 0:
-                return False
-    return True
-
-
-def regular_on(a: LaurentMatrix, fan, cone) -> bool:
-    """True iff every entry is regular on the affine chart of the cone."""
-    gens = fan.cone_generators(cone)
-    return all(poly_regular_on(a.rows[i][j], gens)
-               for i in range(a.size) for j in range(a.size))
-
-
-def is_invertible_on(a: LaurentMatrix, fan, cone) -> bool:
-    """True iff a is a unit of GL_r over the chart's coordinate ring.
-
-    Requires regularity; the determinant must be a single term c*z^m with
-    both m and -m in the dual cone, i.e. <m, v> == 0 for every generator,
-    and with c a unit of the coefficient ring: a nonzero rational, or a
-    one-term ``TPoly`` (a sum such as 1 + t has no inverse in Q[t^±]).
-    """
-    if not regular_on(a, fan, cone):
-        raise NotRegular("matrix is not regular on the given cone")
-    d = a.det()
-    if not d.is_monomial():
-        return False
-    c, e = d.monomial_parts()
-    if isinstance(c, TPoly) and len(c.terms) != 1:
-        return False
-    for v in fan.cone_generators(cone):
-        if e[0] * v[0] + e[1] * v[1] != 0:
-            return False
-    return True
-
-
-def _substitute(c, values):
-    """A coefficient with t_k replaced by ``values[k - 1]``: a Fraction."""
-    if not isinstance(c, TPoly):
-        return c
-    total = Fraction(0)
-    for exponents, a in c.terms.items():
-        for v, k in zip(values, exponents):
-            a *= v ** k
-        total += a
-    return total
-
-
-def evaluate(a: LaurentMatrix, values) -> LaurentMatrix:
-    """The matrix with t_k replaced by ``values[k - 1]`` in every entry.
-
-    The substitution homomorphism Q[z^±, t^±] -> Q[z^±] at nonzero
-    rational holonomies; the result is canonical, with the terms whose
-    coefficient vanishes there dropped.
-    """
-    values = [Fraction(v) for v in values]
-    return _matrix(tuple(
-        tuple(_canonical({e: _substitute(c, values)
-                          for e, c in p.terms.items()}) for p in row)
-        for row in a.rows))
-
-
-def monomial_inverse(a: LaurentMatrix) -> LaurentMatrix:
-    """Exact inverse of a matrix with monomial determinant."""
-    d = a.det()
-    c, e = d.monomial_parts()
-    inv_det = LaurentPoly.monomial(Fraction(1) / c, (-e[0], -e[1]))
-    adj = a.adjugate()
-    return LaurentMatrix([[inv_det * adj.rows[i][j] for j in range(a.size)]
-                          for i in range(a.size)])
-
-
-def cocycle_check(g31: LaurentMatrix, g23: LaurentMatrix,
-                  g12: LaurentMatrix) -> bool:
-    """True iff g31 * g23 * g12 is exactly the identity."""
-    if not (g31.size == g23.size == g12.size):
-        raise SizeMismatch("cocycle factors must share a size")
-    return mat_mul(mat_mul(g31, g23), g12).is_identity()

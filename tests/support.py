@@ -15,9 +15,10 @@ from toricnets import errors, fans, geom, multisection, schema
 from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
-from toricnets.errors import InvalidPath, NotSupported, UnknownCone
+from toricnets.errors import InvalidPath, NotRegular, NotSupported, UnknownCone
 from toricnets.geom import cross, dot, point_in_convex_polygon, sub
-from toricnets.laurent import LaurentMatrix, LaurentPoly, evaluate
+from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, identity,
+                               substitute)
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
@@ -239,25 +240,28 @@ def parse_matrix(terms, size):
     rows = [[dict() for _ in range(size)] for _ in range(size)]
     for row, col, num, den, ex, ey in terms:
         rows[row][col][(ex, ey)] = Fraction(num, den)
-    return LaurentMatrix([[LaurentPoly(cell) for cell in r] for r in rows])
+    return ref_matrix(rows)
 
 
 def near_identities(n):
     """Matrices that differ from Id_n in one entry: a diagonal coefficient
     of 2, an extra z^(1,0) term on the diagonal, a nonzero off-diagonal."""
-    ident = LaurentMatrix.identity(n)
+    ident = ref_identity(n)
     return [
-        ident.with_entry(0, 0, LaurentPoly.monomial(2, (0, 0))),
-        ident.with_entry(1, 1, LaurentPoly({(0, 0): 1, (1, 0): 1})),
-        ident.with_entry(0, 1, LaurentPoly.monomial(Fraction(1, 3), (0, 0))),
+        ref_with_entry(ident, 0, 0, LaurentPoly({(0, 0): 2})),
+        ref_with_entry(ident, 1, 1, LaurentPoly({(0, 0): 1, (1, 0): 1})),
+        ref_with_entry(ident, 0, 1, LaurentPoly({(0, 0): Fraction(1, 3)})),
     ]
 
 
 # -- reference Laurent arithmetic ---------------------------------------------
-# The constructor-based kernel that ``laurent`` replaced: polynomials are
-# plain term dicts {(ex, ey): coefficient}, and every partial sum and
-# product goes through the cleaning constructor ``ref_clean`` again.  It
-# shares no code with ``toricnets.laurent``.
+# The package multiplies constants between torus frames and never a Laurent
+# matrix; this is the Laurent arithmetic the tests check it against.
+# Polynomials are plain term dicts {(ex, ey): coefficient}, and every
+# partial sum and product goes through the cleaning constructor
+# ``ref_clean`` again.  It shares no code with ``toricnets.laurent``; the
+# ``ref_*`` matrix helpers below read and build ``LaurentMatrix`` values
+# through it.
 
 def ref_clean(terms):
     clean = {}
@@ -304,47 +308,165 @@ def ref_mat_mul(a, b):
             for k in range(n):
                 if not a[i][k] or not b[k][j]:
                     continue
-                s = ref_add(s, ref_mul(a[i][k], b[k][j]))
+                term = ref_mul(a[i][k], b[k][j])
+                # the first term is clean already
+                s = ref_add(s, term) if s else term
             row.append(s)
         out.append(row)
     return out
 
 
+def ref_matrix(rows):
+    """A LaurentMatrix from rows of term dicts."""
+    return LaurentMatrix([[LaurentPoly(t) for t in row] for row in rows])
+
+
+def ref_terms(m):
+    """A LaurentMatrix as rows of term dicts."""
+    return [[dict(p.terms) for p in row] for row in m.rows]
+
+
+def ref_identity(r):
+    return ref_matrix([[{(0, 0): Fraction(1)} if i == j else {}
+                        for j in range(r)] for i in range(r)])
+
+
+def ref_is_identity(m):
+    return m == ref_identity(m.size)
+
+
+def ref_with_entry(m, i, j, p):
+    """A copy of the LaurentMatrix m with entry (i, j) replaced by p."""
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = p
+    return LaurentMatrix(rows)
+
+
+def ref_product(*matrices):
+    """The product m_0 m_1 ... m_k of LaurentMatrix operands."""
+    rows = ref_terms(matrices[0])
+    for m in matrices[1:]:
+        rows = ref_mat_mul(rows, ref_terms(m))
+    return ref_matrix(rows)
+
+
+def ref_det(m):
+    """Determinant of a LaurentMatrix by cofactor expansion: a term dict."""
+    def det(a):
+        if len(a) == 1:
+            return a[0][0]
+        total = {}
+        for j, x in enumerate(a[0]):
+            term = ref_mul(x, det([row[:j] + row[j + 1:] for row in a[1:]]))
+            total = ref_add(total, ref_neg(term) if j % 2 else term)
+        return total
+    return det(ref_terms(m))
+
+
+def ref_regular_on(m, fan, cone):
+    """True iff every exponent pairs >= 0 with every cone generator."""
+    gens = fan.cone_generators(cone)
+    return all(dot(e, v) >= 0 for row in m.rows for p in row
+               for e in p.terms for v in gens)
+
+
+def ref_is_invertible_on(m, fan, cone):
+    """True iff m is a unit of GL_r over the cone's chart: regular, with
+    determinant one term c z^e, c a unit and <e, v> = 0 for every
+    generator.  NotRegular if m is not regular there."""
+    if not ref_regular_on(m, fan, cone):
+        raise NotRegular("matrix is not regular on the given cone")
+    d = ref_det(m)
+    if len(d) != 1:
+        return False
+    ((e, c),) = d.items()
+    if isinstance(c, TPoly) and len(c.terms) != 1:
+        return False
+    return all(dot(e, v) == 0 for v in fan.cone_generators(cone))
+
+
+def laurent_form(factor, tms, cover):
+    """The Laurent matrix D_target C D_source^-1 of a ``nonabelian.Framed``
+    factor, with the frames D_R = diag(z^m(lift(R, s))) written out."""
+    lift = sheet_lift_map(tms, cover)
+    c, r = factor.const, cover.r
+    return ref_matrix([[{sub(tms.slope(lift[(factor.target, row)]),
+                             tms.slope(lift[(factor.source, col)])):
+                         c[row][col]} if c[row][col] else {}
+                        for col in range(r)] for row in range(r)])
+
+
 # -- reference bundle verification --------------------------------------------
-# The sweep ``nonabelian.verify_bundle`` replaced: the lift map recomputed
-# from the cover, and ``cocycle_check`` (two products) on every ordered
-# triple of distinct cones instead of one product per unordered triple.
+# The sweep ``nonabelian.verify_bundle`` replaced, in Laurent arithmetic:
+# the lift map recomputed from the cover, the tropicalization round trip
+# as a search from each anchor, and two Laurent products on every ordered
+# triple of distinct cones.  The round trip comes first: if an entry is
+# off its frame or a (cone, sheet) is not reached from its anchor, the
+# report holds exactly those violations.
 
 def reference_verify_bundle(coc, tms):
-    from toricnets.cover import sheet_lift_map
-    from toricnets.errors import NoSharedLift
     from toricnets.fans import ray_cone
-    from toricnets.laurent import (cocycle_check, is_invertible_on, mat_mul,
-                                   regular_on)
-    from toricnets.nonabelian import _recovered_slopes
     from toricnets.reporting import ValidationReport
 
     report = ValidationReport()
     fan = tms.fan
     n = fan.n
     r = coc.cover.r
+    lift = sheet_lift_map(tms, coc.cover)
+    links = {}
     for i in range(n):
-        if not coc.pair(i, i).is_identity():
+        for j in range(n):
+            for row in range(r):
+                for col in range(r):
+                    terms = coc.pair(i, j).entry(row, col).terms
+                    if not terms:
+                        continue
+                    links.setdefault((i, col), set()).add((j, row))
+                    links.setdefault((j, row), set()).add((i, col))
+                    frame = sub(tms.slope(lift[(j, row)]),
+                                tms.slope(lift[(i, col)]))
+                    if list(terms) != [frame]:
+                        report.add("tropicalization",
+                                   f"G_({i},{j}) entry ({row},{col}) has "
+                                   f"exponents {list(terms)}, not the frame "
+                                   f"exponent {frame}", (i, j, row, col))
+    reached = {}
+    for orbit in coc.cover.sheet_orbits():
+        anchor = (0, min(orbit))
+        seen, todo = {anchor}, [anchor]
+        while todo:
+            for other in links.get(todo.pop(), ()):
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        reached.update({s: seen for s in orbit})
+    for i in range(n):
+        unjoined = [s for s in range(r) if (i, s) not in reached[s]]
+        if unjoined:
+            report.add("tropicalization",
+                       f"no chain of nonzero entries joins sheets {unjoined} "
+                       f"over cone {i} to their anchor over cone 0", i)
+    if not report:
+        return report
+    g = {(i, j): ref_terms(coc.pair(i, j)) for i in range(n) for j in range(n)}
+    ident = ref_terms(ref_identity(r))
+    for i in range(n):
+        if g[(i, i)] != ident:
             report.add("identity", f"G_({i},{i}) is not the identity", i)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if not mat_mul(coc.pair(i, j), coc.pair(j, i)).is_identity():
+            if ref_mat_mul(g[(i, j)], g[(j, i)]) != ident:
                 report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     for i in range(n):
-        g = coc.pair((i - 1) % n, i)
+        overlap = coc.pair((i - 1) % n, i)
         cone = ray_cone(i)
-        if not regular_on(g, fan, cone):
+        if not ref_regular_on(overlap, fan, cone):
             report.add("regularity",
                        f"G over the ray-{i} overlap has negative exponents", i)
             continue
-        if not is_invertible_on(g, fan, cone):
+        if not ref_is_invertible_on(overlap, fan, cone):
             report.add("invertibility",
                        f"G over the ray-{i} overlap is not a unit there", i)
     for i in range(n):
@@ -352,29 +474,11 @@ def reference_verify_bundle(coc, tms):
             for k in range(n):
                 if len({i, j, k}) != 3:
                     continue
-                if not cocycle_check(coc.pair(k, i), coc.pair(j, k),
-                                     coc.pair(i, j)):
+                if ref_mat_mul(ref_mat_mul(g[(k, i)], g[(j, k)]),
+                               g[(i, j)]) != ident:
                     report.add("cocycle",
                                f"triple ({i},{j},{k}) fails the cocycle "
                                "condition", (i, j, k))
-    try:
-        lift = sheet_lift_map(tms, coc.cover)
-        rec = _recovered_slopes(coc)
-        for i in range(n):
-            unreached = [s for s in range(r) if (i, s) not in rec]
-            if unreached:
-                report.add("tropicalization",
-                           "no transition entry recovers the slopes of "
-                           f"sheets {unreached} over cone {i}", i)
-                continue
-            got = sorted(rec[(i, s)] for s in range(r))
-            want = sorted(tms.slope(lift[(i, s)]) for s in range(r))
-            if got != want:
-                report.add("tropicalization",
-                           f"recovered slopes {got} != input {want} "
-                           f"over cone {i}", i)
-    except NoSharedLift as exc:
-        report.add("tropicalization", str(exc))
     return report
 
 
@@ -767,7 +871,9 @@ def reference_loop_identity_check(factors):
                     boundary_loop(net, base, ccw=True))
                    for base in range(factors.tms.fan.n)))
     for name, witness, loop in loops:
-        if not path_ordered(factors, loop).is_identity():
+        product = path_ordered(factors, loop)
+        if (product.source != product.target
+                or product.const != identity(cover.r)):
             report.add("loop", f"{name} is not the identity", witness)
             break
     return report
@@ -830,9 +936,8 @@ def reference_sweep(net, tms, cover, seed, count=25):
 
 def evaluate_coefficient(c, values):
     """A Fraction or a TPoly with t_k replaced by ``values[k - 1]``, read
-    through ``laurent.evaluate`` on a 1 x 1 matrix."""
-    m = evaluate(LaurentMatrix([[LaurentPoly.monomial(c, (0, 0))]]), values)
-    return m.entry(0, 0).terms.get((0, 0), Fraction(0))
+    through ``laurent.substitute`` on a 1 x 1 constant."""
+    return substitute(((c,),), values)[0][0]
 
 
 def with_matrices(coc, matrices):
@@ -1045,9 +1150,9 @@ def boundary_restriction(matrix, ray_vector):
     semi-flat monomial permutation (the restriction of the bundle to the
     toric boundary divisor of the shared ray).
     """
-    return LaurentMatrix([[LaurentPoly({e: c for e, c in p.terms.items()
-                                        if dot(e, ray_vector) == 0})
-                           for p in row] for row in matrix.rows])
+    return ref_matrix([[{e: c for e, c in p.terms.items()
+                         if dot(e, ray_vector) == 0}
+                        for p in row] for row in matrix.rows])
 
 
 def boundary_restriction_equiv(c1, c2) -> bool:
@@ -1068,13 +1173,13 @@ def boundary_restriction_equiv(c1, c2) -> bool:
         m2 = boundary_restriction(c2.pair((i - 1) % n, i), v)
         for row in range(r):
             for col in range(r):
-                p1, p2 = m1.entry(row, col), m2.entry(row, col)
-                if p1.is_zero() != p2.is_zero():
+                p1, p2 = m1.entry(row, col).terms, m2.entry(row, col).terms
+                if bool(p1) != bool(p2):
                     return False
-                if p1.is_zero():
+                if not p1:
                     continue
-                a1, e1 = p1.monomial_parts()
-                a2, e2 = p2.monomial_parts()
+                ((e1, a1),) = p1.items()
+                ((e2, a2),) = p2.items()
                 if e1 != e2:
                     return False
                 # h[(i-1, col)] / h[(i, row)] = a2 / a1

@@ -6,7 +6,9 @@ bytes of ``network.json``, ``network.svg`` or ``cocycle.json`` (or in the
 verdict of a non-realizable fixture) fails here.  ``VERIFY_STAGES`` pins
 the stage list of ``toricnets verify --seed 0 --report json`` (names,
 statuses, details and order), hashed as the benchmark's holonomy-sweep
-gate hashes it.  Refactors must leave every digest unchanged.
+gate hashes it.  ``GENERATED_COCYCLES`` pins ``cocycle.json`` beyond the
+fixtures, on three seeded generated problems.  Refactors must leave every
+digest unchanged.
 
 To print the table for the current code (only when an output change is
 intended): ``PYTHONPATH=src python tests/test_golden.py``.
@@ -25,7 +27,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from support import FIXTURES  # noqa: E402
+from support import FIXTURES, generated_problems  # noqa: E402
 
 from toricnets.cli import main  # noqa: E402
 
@@ -185,6 +187,37 @@ VERIFY_STAGES = {
 }
 
 
+# ``cocycle.json`` of ``toricnets nonabelianize`` on seeded generated
+# problems, with the holonomies the generator chose: shape -> sha256
+GENERATED_COCYCLES = {
+    (12, 12):
+        "13298cf0732165383c9dc18ce434ec7832003e44155b5d537f8099fc153249d8",
+    (9, 6):
+        "49cee14a4cb7ea39ac7ea3ead6d5922ccaef8833e4bedf2b5f1b65933c120a8f",
+    (7, 5):
+        "2645fa289dc56bfdc1266b4f2ee927591cdcc248e40b3192d4e6593d38acd9ff",
+}
+
+
+def generated_cocycles(outdir):
+    """sha256 of the cocycle.json written for each generated problem."""
+    out = {}
+    for shape, spec in generated_problems("cocycle", 16, 2):
+        problem = outdir / f"problem{shape}.json"
+        problem.write_text(json.dumps(spec.raw))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["nonabelianize", "--input", str(problem),
+                         "--out", str(outdir / f"out{shape}")])
+        assert code == 0, shape
+        out[shape] = hashlib.sha256(
+            (outdir / f"out{shape}" / "cocycle.json").read_bytes()).hexdigest()
+    return out
+
+
+def test_golden_generated_cocycles(tmp_path):
+    assert generated_cocycles(tmp_path) == GENERATED_COCYCLES
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_outputs(name, tmp_path):
     assert observe(name, tmp_path) == GOLDEN[name]
@@ -211,3 +244,5 @@ if __name__ == "__main__":
     print(json.dumps({p.stem: verify_stages(p.stem)
                       for p in sorted(FIXTURES.glob("*.json"))},
                      indent=4, sort_keys=True))
+    with tempfile.TemporaryDirectory() as d:
+        print(generated_cocycles(Path(d)))

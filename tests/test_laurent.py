@@ -1,32 +1,57 @@
+"""The constant kernel of ``toricnets.laurent`` and its written Laurent form.
+
+A constant is a tuple of rows of ``Fraction`` or ``TPoly`` coefficients;
+``mat_mul``, ``det``, ``inverse`` and ``substitute`` act on constants
+only.  The Laurent-matrix checks run the reference kernel of
+``tests/support.py`` (the ``ref_*`` helpers), which the bundle oracles
+use, and hold ``LaurentMatrix.framed`` to it: a product of framed
+constants, written out, is the Laurent product of the written factors.
+"""
 import random
 from fractions import Fraction
 
 import pytest
 
 from support import (ZERO_CONE, evaluate_coefficient, max_cone,
-                     near_identities, ref_add, ref_clean, ref_mat_mul,
-                     ref_mul, ref_neg)
+                     near_identities, ref_add, ref_clean, ref_identity,
+                     ref_is_identity, ref_is_invertible_on, ref_mat_mul,
+                     ref_matrix, ref_mul, ref_neg, ref_product, ref_regular_on,
+                     ref_with_entry)
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, ray_cone
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly,
-                               cocycle_check, evaluate, is_invertible_on,
-                               mat_mul, monomial_inverse, regular_on)
+from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, coefficient,
+                               det, identity, inverse, is_identity, is_unit,
+                               mat_mul, substitute)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 
 
+def const(rows):
+    return tuple(tuple(coefficient(x) for x in row) for row in rows)
+
+
 def mono(c, e):
-    return LaurentPoly.monomial(c, e)
+    return LaurentPoly({e: c})
+
+
+def framed(c, source, target):
+    return LaurentMatrix.framed(c, source, target)
+
+
+def rand_frame(rng, r):
+    return [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(r)]
 
 
 def test_monomial_inverse_of_a_singular_matrix_is_a_typed_error():
-    # det = 0 is not a monomial: the package's NotRegular, not a bare
-    # ValueError, reports it
-    with pytest.raises(NotRegular):
-        monomial_inverse(LaurentMatrix([[1, 1], [1, 1]]))
-    with pytest.raises(NotRegular):
-        (mono(1, (0, 0)) + mono(1, (1, 0))).monomial_parts()
+    # a determinant that is no unit (0, or 1 + t) is the package's
+    # NotRegular, not a bare ZeroDivisionError or ValueError
+    t, = TPoly.symbols(1)
+    for singular in (const([[1, 1], [1, 1]]), const([[0]]),
+                     const([[1 + t, 0], [0, 1]])):
+        assert not is_unit(det(singular))
+        with pytest.raises(NotRegular):
+            inverse(singular)
 
 
 def test_poly_canonical_form_idempotent():
@@ -35,163 +60,174 @@ def test_poly_canonical_form_idempotent():
     q = LaurentPoly(p.terms)
     assert p == q
     assert (0, 0) not in p.terms
+    assert list(p.terms) == [(-1, 2), (1, 0)]
 
 
 def test_poly_cancellation():
-    p = mono(1, (2, 1)) + mono(-1, (2, 1))
-    assert p.is_zero()
+    assert ref_add({(2, 1): Fraction(1)}, {(2, 1): Fraction(-1)}) == {}
+    # a constant entry that cancels is a Fraction zero, and its written
+    # entry is the zero polynomial
+    c = mat_mul(const([[1, 1]] * 2), const([[1, 0], [-1, 0]]))
+    assert c == const([[0, 0], [0, 0]]) and type(c[0][0]) is Fraction
+    assert framed(c, [(1, 0), (0, 1)], [(2, 2), (0, 0)]).entry(0, 0) == \
+        LaurentPoly({})
 
 
 def test_poly_arith():
-    p = mono(1, (1, 0)) + mono(2, (0, 1))
-    q = mono(3, (0, 0)) - mono(2, (0, 1))
-    assert (p + q) - p == q
-    assert p * LaurentPoly.one() == p
-    assert p * LaurentPoly.zero() == LaurentPoly.zero()
+    p = ref_add({(1, 0): 1}, {(0, 1): 2})
+    q = ref_add({(0, 0): 3}, {(0, 1): -2})
+    assert ref_add(ref_add(p, q), ref_neg(p)) == ref_clean(q)
+    assert ref_mul(p, {(0, 0): Fraction(1)}) == p
+    assert ref_mul(p, {}) == {}
+    assert LaurentPoly(p) == LaurentPoly({(1, 0): 1, (0, 1): 2}) != \
+        LaurentPoly(q)
 
 
 def test_mat_mul_identity():
-    a = LaurentMatrix([[mono(2, (1, 0)), mono(1, (0, 0))],
-                       [LaurentPoly.zero(), mono(1, (0, 1))]])
-    assert mat_mul(LaurentMatrix.identity(2), a) == a
-    assert mat_mul(a, LaurentMatrix.identity(2)) == a
+    t, = TPoly.symbols(1)
+    a = const([[2, 1], [0, t]])
+    assert mat_mul(identity(2), a) == a
+    assert mat_mul(a, identity(2)) == a
+    assert is_identity(identity(3)) and not is_identity(a)
 
 
 def test_mat_mul_monomial_diagonals():
-    d1 = LaurentMatrix([[mono(1, (1, 0))]])
-    d2 = LaurentMatrix([[mono(1, (0, 1))]])
-    assert mat_mul(d1, d2) == LaurentMatrix([[mono(1, (1, 1))]])
+    d1, d2 = const([[2, 0], [0, 3]]), const([[5, 0], [0, Fraction(1, 7)]])
+    assert mat_mul(d1, d2) == const([[10, 0], [0, Fraction(3, 7)]])
+    # the frames telescope: written out, the product of (d2, S, M) and
+    # (d1, M, T) is the Laurent product of the two written factors
+    s, m, t = [(1, 0), (0, 1)], [(0, 0), (2, -1)], [(-1, 3), (1, 1)]
+    assert framed(mat_mul(d1, d2), s, t) == \
+        ref_product(framed(d1, m, t), framed(d2, s, m))
 
 
 def test_mat_mul_unipotent_inverse():
-    u = LaurentMatrix([[mono(1, (0, 0)), mono(1, (0, 0))],
-                       [LaurentPoly.zero(), mono(1, (0, 0))]])
-    v = LaurentMatrix([[mono(1, (0, 0)), mono(-1, (0, 0))],
-                       [LaurentPoly.zero(), mono(1, (0, 0))]])
-    assert mat_mul(u, v) == LaurentMatrix.identity(2)
+    u = const([[1, 1], [0, 1]])
+    v = const([[1, -1], [0, 1]])
+    assert is_identity(mat_mul(u, v))
+    assert inverse(u) == v
 
 
 def test_mat_mul_size_mismatch():
     with pytest.raises(SizeMismatch):
-        mat_mul(LaurentMatrix.identity(2), LaurentMatrix.identity(3))
+        mat_mul(identity(2), identity(3))
 
 
 def test_mat_mul_associative_random():
     rng = random.Random(11)
 
-    def rand_poly():
-        return LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)):
-                            Fraction(rng.randint(-3, 3)) for _ in range(2)})
+    def rand_const(r):
+        return const([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(r)] for _ in range(r)])
 
-    def rand_mat():
-        return LaurentMatrix([[rand_poly() for _ in range(2)]
-                              for _ in range(2)])
-
-    for _ in range(25):
-        a, b, c = rand_mat(), rand_mat(), rand_mat()
+    for trial in range(25):
+        r = 2 if trial % 3 else 3
+        a, b, c = rand_const(r), rand_const(r), rand_const(r)
         assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+        f0, f1, f2, f3 = (rand_frame(rng, r) for _ in range(4))
+        assert framed(mat_mul(mat_mul(a, b), c), f0, f3) == ref_product(
+            framed(a, f2, f3), framed(b, f1, f2), framed(c, f0, f1))
 
 
 def test_regular_on_examples():
+    # the Laurent oracle of the regularity check
     cone = max_cone(0)  # cone((1,0),(0,1))
-    good = LaurentMatrix([[mono(1, (2, 0)), LaurentPoly.zero()],
-                          [LaurentPoly.zero(), mono(1, (0, 3))]])
-    assert regular_on(good, FAN, cone)
-    bad = good.with_entry(0, 1, mono(1, (-1, 0)))
-    assert not regular_on(bad, FAN, cone)
+    good = LaurentMatrix([[mono(1, (2, 0)), 0], [0, mono(1, (0, 3))]])
+    assert ref_regular_on(good, FAN, cone)
+    bad = ref_with_entry(good, 0, 1, mono(1, (-1, 0)))
+    assert not ref_regular_on(bad, FAN, cone)
     # the zero cone imposes nothing
-    assert regular_on(bad, FAN, ZERO_CONE)
+    assert ref_regular_on(bad, FAN, ZERO_CONE)
 
 
 def test_invertibility_unit_monomial_det():
     # permutation of monomials
-    p = LaurentMatrix([[LaurentPoly.zero(), mono(1, (0, 0))],
-                       [mono(2, (0, 0)), LaurentPoly.zero()]])
-    assert is_invertible_on(p, FAN, ZERO_CONE)
+    p = LaurentMatrix([[0, 1], [2, 0]])
+    assert ref_is_invertible_on(p, FAN, ZERO_CONE)
+    assert det(const([[0, 1], [2, 0]])) == -2
     # det = 1 + z^(1,0) is not a unit on the chart of ray (1,0)
-    q = LaurentMatrix([[mono(1, (0, 0)) + mono(1, (1, 0))]])
-    assert regular_on(q, FAN, ray_cone(0))
-    assert not is_invertible_on(q, FAN, ray_cone(0))
+    q = LaurentMatrix([[LaurentPoly({(0, 0): 1, (1, 0): 1})]])
+    assert ref_regular_on(q, FAN, ray_cone(0))
+    assert not ref_is_invertible_on(q, FAN, ray_cone(0))
     # det = z^(0,1) pairs to zero with (1,0): a unit there
-    r = LaurentMatrix([[mono(1, (0, 1))]])
-    assert is_invertible_on(r, FAN, ray_cone(0))
-    inv = monomial_inverse(r)
+    r = framed(const([[1]]), [(0, 0)], [(0, 1)])
+    assert r == LaurentMatrix([[mono(1, (0, 1))]])
+    assert ref_is_invertible_on(r, FAN, ray_cone(0))
+    inv = framed(inverse(const([[1]])), [(0, 1)], [(0, 0)])
     assert inv == LaurentMatrix([[mono(1, (0, -1))]])
-    assert regular_on(inv, FAN, ray_cone(0))
+    assert ref_regular_on(inv, FAN, ray_cone(0))
     # det = (1 + t) z^0 is one term in z, but 1 + t is no unit of Q[t^±]:
-    # not invertible, and monomial_inverse refuses it alike
+    # not invertible, and the constant inverse refuses it alike
     t, = TPoly.symbols(1)
     s = LaurentMatrix([[mono(1 + t, (0, 0))]])
-    assert not is_invertible_on(s, FAN, ray_cone(0))
+    assert not ref_is_invertible_on(s, FAN, ray_cone(0))
+    assert not is_unit(1 + t)
     with pytest.raises(NotRegular):
-        monomial_inverse(s)
+        inverse(((1 + t,),))
     # det = 2t z^(0,1) is a unit there
     u = LaurentMatrix([[mono(2 * t, (0, 1))]])
-    assert is_invertible_on(u, FAN, ray_cone(0))
-    assert mat_mul(u, monomial_inverse(u)).is_identity()
+    assert ref_is_invertible_on(u, FAN, ray_cone(0))
+    assert is_unit(2 * t)
+    assert is_identity(mat_mul(((2 * t,),), inverse(((2 * t,),))))
 
 
 def test_invertibility_requires_regularity():
     m = LaurentMatrix([[mono(1, (-1, 0))]])
     with pytest.raises(NotRegular):
-        is_invertible_on(m, FAN, max_cone(0))
+        ref_is_invertible_on(m, FAN, max_cone(0))
 
 
 def test_monomial_inverse_constructive():
+    # a random monomial permutation matrix D_T C D_S^-1 is invertible
+    # everywhere; its inverse is (C^-1, T, S), written out
     rng = random.Random(5)
     for _ in range(10):
-        # random monomial permutation matrix: invertible everywhere
-        es = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
         cs = [Fraction(rng.choice([1, 2, 3, -1])) for _ in range(2)]
         if rng.random() < 0.5:
-            m = LaurentMatrix([[mono(cs[0], es[0]), LaurentPoly.zero()],
-                               [LaurentPoly.zero(), mono(cs[1], es[1])]])
+            c = const([[cs[0], 0], [0, cs[1]]])
         else:
-            m = LaurentMatrix([[LaurentPoly.zero(), mono(cs[0], es[0])],
-                               [mono(cs[1], es[1]), LaurentPoly.zero()]])
-        inv = monomial_inverse(m)
-        assert mat_mul(m, inv) == LaurentMatrix.identity(2)
-        assert mat_mul(inv, m) == LaurentMatrix.identity(2)
+            c = const([[0, cs[0]], [cs[1], 0]])
+        inv = inverse(c)
+        assert is_identity(mat_mul(c, inv)) and is_identity(mat_mul(inv, c))
+        s, t = rand_frame(rng, 2), rand_frame(rng, 2)
+        m, m_inv = framed(c, s, t), framed(inv, t, s)
+        assert ref_product(m, m_inv) == ref_identity(2)
+        assert ref_product(m_inv, m) == ref_identity(2)
 
 
 def test_cocycle_check_examples():
-    ident = LaurentMatrix.identity(2)
-    assert cocycle_check(ident, ident, ident)
-    assert ident.is_identity()
-    d = LaurentMatrix([[mono(1, (1, 0)), LaurentPoly.zero()],
-                       [LaurentPoly.zero(), mono(1, (0, 1))]])
-    dinv = monomial_inverse(d)
-    assert cocycle_check(ident, dinv, d)
-    u = ident.with_entry(0, 1, mono(1, (0, 0)))
-    assert not cocycle_check(ident, ident, u)
-    for n in (2, 3):
-        d = LaurentMatrix([[mono(i + 1, (i, 1 - i)) if i == j else 0
-                            for j in range(n)] for i in range(n)])
-        dinv = monomial_inverse(d)
-        assert cocycle_check(dinv, LaurentMatrix.identity(n), d)
-        for bad in near_identities(n):
-            assert not bad.is_identity()
-            assert not cocycle_check(bad, LaurentMatrix.identity(n),
-                                     LaurentMatrix.identity(n))
+    # a triple of framed constants closes exactly when its written Laurent
+    # product is the identity
+    rng = random.Random(8)
+    for r in (2, 3):
+        f1, f2, f3 = (rand_frame(rng, r) for _ in range(3))
+        d = const([[i + 1 if i == j else 0 for j in range(r)]
+                   for i in range(r)])
+        g12, g23 = framed(d, f1, f2), framed(identity(r), f2, f3)
+        g31 = framed(inverse(d), f3, f1)
+        assert is_identity(mat_mul(mat_mul(inverse(d), identity(r)), d))
+        assert ref_is_identity(ref_product(g31, g23, g12))
+        ident = ref_identity(r)
+        assert ref_is_identity(ref_product(ident, ident, ident))
+        for bad in near_identities(r):
+            assert not ref_is_identity(bad)
+            assert not ref_is_identity(ref_product(bad, ident, ident))
             # the same defect conjugated by a diagonal monomial matrix
-            assert not cocycle_check(dinv, bad, d)
-    with pytest.raises(SizeMismatch):
-        cocycle_check(ident, ident, LaurentMatrix.identity(3))
+            assert not ref_is_identity(ref_product(
+                framed(inverse(d), f2, f1), bad, framed(d, f1, f2)))
+    u = const([[1, 1], [0, 1]])
+    assert not is_identity(mat_mul(mat_mul(identity(2), identity(2)), u))
 
 
 def test_kernel_matches_constructor_based_reference():
-    """Each entry made canonical once equals the re-cleaned partial sums."""
+    """Each constant product and each written entry equals the re-cleaned
+    reference sums."""
     rng = random.Random(20240607)
 
-    def rand_terms():
-        terms = {}
-        for _ in range(rng.randint(0, 3)):
-            e = (rng.randint(-2, 2), rng.randint(-2, 2))
-            terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-        return terms
-
     def rand_rows(n):
-        return [[rand_terms() for _ in range(n)] for _ in range(n)]
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                 if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(n)] for _ in range(n)]
 
     def cancelling_rows(a):
         # column j of b is t_j * (a[i][1], -a[i][0], 0, ...) for a fixed
@@ -200,50 +236,39 @@ def test_kernel_matches_constructor_based_reference():
         i = rng.randrange(n)
         b = rand_rows(n)
         for j in range(n):
-            t = {(rng.randint(-1, 1), 0): Fraction(rng.randint(1, 4), 3)}
-            b[0][j] = ref_mul(a[i][1], t)
-            b[1][j] = ref_neg(ref_mul(a[i][0], t))
+            t = Fraction(rng.randint(1, 4), 3)
+            b[0][j] = a[i][1] * t
+            b[1][j] = -a[i][0] * t
             for k in range(2, n):
-                b[k][j] = {}
+                b[k][j] = Fraction(0)
         return b, i
 
-    def check_canonical(p):
-        assert list(p.terms) == sorted(p.terms)
-        for e, c in p.terms.items():
-            assert type(e[0]) is int and type(e[1]) is int
-            assert type(c) is Fraction and c != 0
-
-    def matrix(rows):
-        return LaurentMatrix([[LaurentPoly(t) for t in row] for row in rows])
+    def as_terms(rows):
+        return [[{(0, 0): c} if c else {} for c in row] for row in rows]
 
     cancelled = 0
     for trial in range(60):
         n = 2 if trial % 2 else 3
         a = rand_rows(n)
         b, row = cancelling_rows(a) if trial % 3 == 0 else (rand_rows(n), None)
-        got = mat_mul(matrix(a), matrix(b))
-        want = ref_mat_mul(a, b)
+        got = mat_mul(const(a), const(b))
+        want = ref_mat_mul(as_terms(a), as_terms(b))
         for i in range(n):
             for j in range(n):
-                check_canonical(got.entry(i, j))
-                assert got.entry(i, j).terms == want[i][j]
+                assert type(got[i][j]) is Fraction
+                assert ({(0, 0): got[i][j]} if got[i][j] else {}) == want[i][j]
         if row is not None:
-            assert all(got.entry(row, j).is_zero() for j in range(n))
-            cancelled += all(ref_clean(a[row][k]) for k in range(2))
-        for _ in range(3):
-            p, q = LaurentPoly(rand_terms()), LaurentPoly(rand_terms())
-            k = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            for result, expected in [
-                    (p + q, ref_add(p.terms, q.terms)),
-                    (p - q, ref_add(p.terms, ref_neg(q.terms))),
-                    (-p, ref_neg(p.terms)),
-                    (p * q, ref_mul(p.terms, q.terms)),
-                    (p * k, ref_mul(p.terms, k)),
-                    (k * p, ref_mul(p.terms, k)),
-                    (p + (-p), {}),
-                    (p * q - q * p, {})]:
-                check_canonical(result)
-                assert result.terms == expected
+            assert not any(got[row])
+            cancelled += any(a[row][:2])
+        s, t = rand_frame(rng, n), rand_frame(rng, n)
+        written = framed(got, s, t)
+        assert written == ref_matrix(
+            [[{(t[i][0] - s[j][0], t[i][1] - s[j][1]): got[i][j]}
+              if got[i][j] else {} for j in range(n)] for i in range(n)])
+        for p in (q for r_ in written.rows for q in r_):
+            assert list(p.terms) == sorted(p.terms) and all(p.terms.values())
+            assert all(type(e[0]) is int and type(e[1]) is int
+                       for e in p.terms)
     assert cancelled > 0
 
 
@@ -291,32 +316,29 @@ def test_tpoly_arithmetic_commutes_with_evaluation():
 
 def test_symbolic_matrices_invert_exactly():
     t1, t2 = TPoly.symbols(2)
-    unipotent = LaurentMatrix([[1, 0], [mono(t1, (1, 0)), 1]])
-    assert not unipotent.is_identity()
-    assert mat_mul(unipotent, monomial_inverse(unipotent)).is_identity()
-    swap = LaurentMatrix([[0, mono(t1 * t2, (0, 1))],
-                          [mono(-1 / t2, (1, -1)), 0]])
-    inverse = monomial_inverse(swap)
-    assert mat_mul(swap, inverse).is_identity()
-    assert mat_mul(inverse, swap).is_identity()
+    unipotent = const([[1, 0], [t1, 1]])
+    assert not is_identity(unipotent)
+    assert is_identity(mat_mul(unipotent, inverse(unipotent)))
+    swap = const([[0, t1 * t2], [-1 / t2, 0]])
+    assert det(swap) == t1
+    inv = inverse(swap)
+    assert is_identity(mat_mul(swap, inv))
+    assert is_identity(mat_mul(inv, swap))
     v = [Fraction(2), Fraction(-5, 3)]
-    assert evaluate(mat_mul(swap, unipotent), v) == \
-        mat_mul(evaluate(swap, v), evaluate(unipotent, v))
-    assert mono(2, (1, 1)) * t1 == mono(2 * t1, (1, 1))
+    assert substitute(mat_mul(swap, unipotent), v) == \
+        mat_mul(substitute(swap, v), substitute(unipotent, v))
+    assert substitute(inv, v) == inverse(substitute(swap, v))
 
 
 def test_evaluation_is_canonical():
-    # a coefficient that vanishes at the point drops its term; the result
-    # equals the matrix built from the evaluated entries directly
+    # a coefficient that vanishes at the point is a Fraction zero, so the
+    # written form drops its term; the result equals the constant built
+    # from the evaluated entries directly
     t1, t2 = TPoly.symbols(2)
-    p = mono(1 + t1 * (1 / t2), (1, 0)) + mono(t2, (0, 0)) + mono(3, (-1, 2))
-    m = LaurentMatrix([[p, 0], [mono(t1 - 1, (0, 1)), 1]])
-    got = evaluate(m, [-1, 1])
-    assert got == LaurentMatrix([[LaurentPoly({(-1, 2): 3, (0, 0): 1}), 0],
-                                 [LaurentPoly({(0, 1): -2}), 1]])
-    assert list(got.entry(0, 0).terms) == [(-1, 2), (0, 0)]
-    assert all(type(c) is Fraction for row in got.rows for q in row
-               for c in q.terms.values())
-    assert evaluate(m, [2, 2]) == LaurentMatrix(
-        [[LaurentPoly({(1, 0): 2, (0, 0): 2, (-1, 2): 3}), 0],
-         [LaurentPoly({(0, 1): 1}), 1]])
+    m = const([[1 + t1 * (1 / t2), 0], [t1 - 1, t2]])
+    got = substitute(m, [-1, 1])
+    assert got == const([[0, 0], [-2, 1]])
+    assert all(type(c) is Fraction for row in got for c in row)
+    assert framed(got, [(0, 0), (1, 0)], [(0, 1), (2, 2)]) == LaurentMatrix(
+        [[0, 0], [mono(-2, (2, 2)), mono(1, (1, 2))]])
+    assert substitute(m, [2, 2]) == const([[2, 0], [1, 2]])

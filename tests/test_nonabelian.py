@@ -4,29 +4,40 @@ from fractions import Fraction
 import pytest
 
 from support import (boundary_restriction_equiv, chambers, count_calls,
-                     generated_problems, near_identities,
-                     reference_verify_bundle, with_matrices)
+                     generated_problems, laurent_form, near_identities,
+                     ref_identity, ref_is_invertible_on, ref_product,
+                     ref_regular_on, ref_with_entry, reference_verify_bundle,
+                     with_matrices)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
                              Crossing, SurfacePath)
+from toricnets.errors import InvariantViolated
 from toricnets.fans import ray_cone
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, mat_mul,
-                               monomial_inverse, regular_on, is_invertible_on)
+from toricnets.laurent import LaurentMatrix, LaurentPoly, identity, mat_mul
 from toricnets.network import boundary_loop, branch_point_arms, track_path
-from toricnets.nonabelian import (Factors, branch_point_loop, cut_factor,
+from toricnets.nonabelian import (Factors, Framed, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
                                   path_ordered, semiflat_factor, verify_bundle,
                                   wall_factor)
+from toricnets.reporting import Violation
 
 
 def mono(c, e):
-    return LaurentPoly.monomial(c, e)
+    return LaurentPoly({e: c})
 
 
 def trivial_ls(cover):
     from toricnets.cover import RankOneLocalSystem
     return RankOneLocalSystem(cover, [Fraction(1)] * len(cover.cuts))
+
+
+def frame_exponent(coc, i, j, row, col):
+    """m(lift(j, row)) - m(lift(i, col)): the exponent of entry (row, col)
+    of G_ij on its frames."""
+    a = coc.tms.slope(coc.lift[(j, row)])
+    b = coc.tms.slope(coc.lift[(i, col)])
+    return (a[0] - b[0], a[1] - b[1])
 
 
 # -- semi-flat factors --------------------------------------------------------
@@ -36,8 +47,10 @@ def test_semiflat_rank_one_constant(r1):
     cover = build_cover(r1.disk, layout, 1)
     ls = make_local_system(cover, [])
     f = semiflat_factor(1, Factors(net, r1.tms, cover, ls))
+    # the frame change from region 0 to region 1 around the identity
+    assert f == Framed(identity(1), 0, 1)
     # slopes (0,0) -> (1,0) across ray 1
-    assert f == LaurentMatrix([[mono(1, (1, 0))]])
+    assert laurent_form(f, r1.tms, cover) == LaurentMatrix([[mono(1, (1, 0))]])
 
 
 def test_semiflat_p2_fixture_frozen(p2, p2_built):
@@ -48,26 +61,28 @@ def test_semiflat_p2_fixture_frozen(p2, p2_built):
     assert [lift[(0, s)] for s in (0, 1)] == ["c1", "c4"]
     assert [lift[(1, s)] for s in (0, 1)] == ["c2", "c5"]
     assert [lift[(2, s)] for s in (0, 1)] == ["c6", "c3"]
+    assert cover.lift_map(p2.tms) == lift
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
-    assert factors.lift == lift
     f0 = semiflat_factor(0, factors)
-    assert f0 == LaurentMatrix([[mono(1, (0, -1)), 0], [0, mono(1, (0, 0))]])
+    assert f0 == Framed(identity(2), 2, 0)
+    assert laurent_form(f0, p2.tms, cover) == \
+        LaurentMatrix([[mono(1, (0, -1)), 0], [0, mono(1, (0, 0))]])
     f1 = semiflat_factor(1, factors)
-    assert f1 == LaurentMatrix([[mono(1, (0, 0)), 0], [0, mono(1, (1, 0))]])
+    assert laurent_form(f1, p2.tms, cover) == \
+        LaurentMatrix([[mono(1, (0, 0)), 0], [0, mono(1, (1, 0))]])
     f2 = semiflat_factor(2, factors)
-    assert f2 == LaurentMatrix([[mono(1, (0, 1)), 0], [0, mono(1, (-1, 0))]])
+    assert laurent_form(f2, p2.tms, cover) == \
+        LaurentMatrix([[mono(1, (0, 1)), 0], [0, mono(1, (-1, 0))]])
 
 
 def test_semiflat_generalized_permutation(fan5, fan5_built):
     net, layout, cover = fan5_built
     factors = Factors(net, fan5.tms, cover, trivial_ls(cover))
     for i in range(fan5.fan.n):
-        m = semiflat_factor(i, factors)
+        m = laurent_form(semiflat_factor(i, factors), fan5.tms, cover)
         for r in range(2):
-            row_nonzero = sum(0 if m.entry(r, c).is_zero() else 1
-                              for c in range(2))
-            col_nonzero = sum(0 if m.entry(c, r).is_zero() else 1
-                              for c in range(2))
+            row_nonzero = sum(1 for c in range(2) if m.entry(r, c).terms)
+            col_nonzero = sum(1 for c in range(2) if m.entry(c, r).terms)
             assert row_nonzero == 1 and col_nonzero == 1
 
 
@@ -84,18 +99,20 @@ def test_cut_composite_carries_holonomy(p1p1, p1p1_built):
         edge = cover.cuts[k].edge
         spoke = semiflat_factor(edge, factors)
         cut = cut_factor(k, factors)
-        composites[t] = mat_mul(spoke, cut)
+        composites[t] = ref_product(laurent_form(spoke, p1p1.tms, cover),
+                                    laurent_form(cut, p1p1.tms, cover))
     assert composites[1] != composites[5]
     # entries scale by t or 1/t
     ratios = set()
     for i in range(2):
         for j in range(2):
-            p1_, p5 = composites[1].entry(i, j), composites[5].entry(i, j)
-            if p1_.is_zero():
-                assert p5.is_zero()
+            p1_ = composites[1].entry(i, j).terms
+            p5 = composites[5].entry(i, j).terms
+            if not p1_:
+                assert not p5
                 continue
-            c1, e1 = p1_.monomial_parts()
-            c5, e5 = p5.monomial_parts()
+            ((e1, c1),) = p1_.items()
+            ((e5, c5),) = p5.items()
             assert e1 == e5
             ratios.add(c5 / c1)
     assert ratios == {Fraction(5), Fraction(1, 5)}
@@ -111,29 +128,29 @@ def test_wall_factor_empty_soliton_set_is_identity(p2, p2_built,
     w = net.walls[0]
     monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [])
     f = wall_factor(w, w.end_cone, Factors(net, p2.tms, cover, ls))
-    assert f == LaurentMatrix.identity(2)
+    assert f == Framed(identity(2), w.end_cone, w.end_cone)
 
 
 def test_wall_factor_single_soliton_slot(p2, p2_built):
     net, layout, cover = p2_built
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
-    lift = factors.lift
+    lift = sheet_lift_map(p2.tms, cover)
     for w in net.walls:
         f = wall_factor(w, w.end_cone, factors)
+        assert f.source == f.target == w.end_cone
         a, b = w.label
-        off = f.entry(b, a)
-        assert not off.is_zero()
-        coeff, exp = off.monomial_parts()
-        assert coeff in (Fraction(1), Fraction(-1))
+        assert f.const[b][a] in (Fraction(1), Fraction(-1))
+        # unipotent: identity elsewhere
+        assert f.const[a][b] == 0
+        assert f.const[a][a] == f.const[b][b] == 1
+        m = laurent_form(f, p2.tms, cover)
+        ((exp, coeff),) = m.entry(b, a).terms.items()
+        assert coeff == f.const[b][a]
         ma = p2.tms.slope(lift[(w.end_cone, a)])
         mb = p2.tms.slope(lift[(w.end_cone, b)])
         assert exp == (mb[0] - ma[0], mb[1] - ma[1])
-        # unipotent: identity elsewhere
-        assert f.entry(a, b).is_zero()
-        assert f.entry(a, a) == LaurentPoly.one()
-        assert f.entry(b, b) == LaurentPoly.one()
         # regular on the chart of its own ray
-        assert regular_on(f, p2.fan, ray_cone(w.end_edge))
+        assert ref_regular_on(m, p2.fan, ray_cone(w.end_edge))
 
 
 def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
@@ -145,7 +162,7 @@ def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
         ls = make_local_system(cover, [Fraction(t)])
         f = wall_factor(w, w.end_cone, Factors(net, p1p1.tms, cover, ls))
         a, b = w.label
-        entries[t] = f.entry(b, a).monomial_parts()[0]
+        entries[t] = f.const[b][a]
     assert entries[3] == entries[1] * 3 or entries[3] == entries[1] / 3
 
 
@@ -161,22 +178,24 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
         signs = []
         for w, f in zip(arms, factors):
             a, bb = w.label
-            signs.append(1 if f.entry(bb, a).monomial_parts()[0] > 0 else -1)
+            signs.append(1 if f.const[bb][a] > 0 else -1)
         assert signs == [1, -1, 1]
         c = cut_factor(b, table)
-        product = c
+        assert c.source == c.target == region
+        # F(cut) F(w3) F(w2) F(w1), the crossing order of the loop, is Id:
+        # on the constants, and written out in Laurent arithmetic
+        product = c.const
         for f in reversed(factors):
-            product = mat_mul(product, f)
-        # ... equals F(cut) F(w3) F(w2) F(w1): crossing order of the loop
-        product = mat_mul(
-            c, mat_mul(factors[2], mat_mul(factors[1], factors[0])))
-        assert product == LaurentMatrix.identity(cover.r)
-        # the cut factor is a signed monomial permutation on the swap
+            product = mat_mul(product, f.const)
+        assert product == identity(cover.r)
+        assert ref_product(*(laurent_form(f, spec.tms, cover)
+                             for f in [c] + factors[::-1])) == \
+            ref_identity(cover.r)
+        # the cut factor is a signed permutation on the swap
         lo, hi = cover.cuts[b].lo, cover.cuts[b].hi
-        assert c.entry(lo, lo).is_zero() and c.entry(hi, hi).is_zero()
+        assert c.const[lo][lo] == 0 and c.const[hi][hi] == 0
         for i, j in ((lo, hi), (hi, lo)):
-            coeff, _ = c.entry(i, j).monomial_parts()
-            assert coeff != 0
+            assert c.const[i][j] != 0
 
 
 def test_branch_point_identity_trivial_system(p2, p2_built, fan5, fan5_built):
@@ -198,7 +217,7 @@ def test_path_ordered_empty_is_identity(p2, p2_built):
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [])
     assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
-        LaurentMatrix.identity(2)
+        Framed(identity(2), 0, 0)
 
 
 def test_path_ordered_there_and_back(p2, p2_built):
@@ -206,7 +225,19 @@ def test_path_ordered_there_and_back(p2, p2_built):
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 1, -1)])
     assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
-        LaurentMatrix.identity(2)
+        Framed(identity(2), 0, 0)
+
+
+def test_path_ordered_frames_must_telescope(p2, p2_built, monkeypatch):
+    # spoke factors that do not change the frame: the factor of spoke 2
+    # starts in region 2, but the product of spoke 1 ends in region 1
+    from toricnets import nonabelian
+    net, layout, cover = p2_built
+    monkeypatch.setattr(nonabelian, "semiflat_factor",
+                        lambda ray, factors: Framed(identity(2), ray, ray))
+    p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 2, +1)])
+    with pytest.raises(InvariantViolated, match="region"):
+        path_ordered(Factors(net, p2.tms, cover, trivial_ls(cover)), p)
 
 
 def test_boundary_loop_is_identity(p2, p2_built):
@@ -214,8 +245,7 @@ def test_boundary_loop_is_identity(p2, p2_built):
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
     for ccw in (True, False):
         loop = boundary_loop(net, 0, ccw=ccw)
-        assert path_ordered(factors, loop) == \
-            LaurentMatrix.identity(2)
+        assert path_ordered(factors, loop) == Framed(identity(2), 0, 0)
 
 
 def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
@@ -235,7 +265,6 @@ def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
 
 def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
     from toricnets import nonabelian
-    from toricnets.errors import InvariantViolated
     from toricnets.network import Soliton, enumerate_solitons
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
@@ -278,6 +307,7 @@ def test_r1_line_bundle_cocycle(r1):
     for i in range(3):
         for j in range(3):
             m1, m2 = slopes[i], slopes[j]
+            assert coc.constants[(i, j)] == identity(1)
             assert coc.pair(i, j) == LaurentMatrix(
                 [[mono(1, (m2[0] - m1[0], m2[1] - m1[1]))]])
     assert verify_bundle(coc, r1.tms).ok
@@ -289,8 +319,8 @@ def test_p2_cocycle_regular_and_invertible(p2, p2_built):
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
     for i in range(3):
         g = coc.pair((i - 1) % 3, i)
-        assert regular_on(g, p2.fan, ray_cone(i))
-        assert is_invertible_on(g, p2.fan, ray_cone(i))
+        assert ref_regular_on(g, p2.fan, ray_cone(i))
+        assert ref_is_invertible_on(g, p2.fan, ray_cone(i))
     rep = verify_bundle(coc, p2.tms)
     assert rep.ok
 
@@ -309,12 +339,22 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
             for j in range(n):
                 if i == j:
                     continue
-                cw = track_path(net, i, j, ccw=False)
-                assert path_ordered(factors, cw) == coc.pair(i, j)
+                cw = path_ordered(factors, track_path(net, i, j, ccw=False))
+                assert laurent_form(cw, spec.tms, cover) == coc.pair(i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
                             + track_path(net, 0, 1).crossings)
-        assert path_ordered(factors, extra) == coc.pair(0, 1)
+        assert laurent_form(path_ordered(factors, extra), spec.tms,
+                            cover) == coc.pair(0, 1)
+
+
+def _conditions(rep):
+    return {v.condition for v in rep.violations}
+
+
+def _off_frame(rep):
+    return {v.witness for v in rep.violations
+            if v.condition == "tropicalization"}
 
 
 def test_corrupted_cocycle_detected(p2, p2_built):
@@ -323,43 +363,58 @@ def test_corrupted_cocycle_detected(p2, p2_built):
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
     bad = dict(coc.matrices)
     g = bad[(0, 1)]
-    # zero out one nonzero coefficient
-    for i in range(2):
-        for j in range(2):
-            if not g.entry(i, j).is_zero():
-                bad[(0, 1)] = g.with_entry(i, j, LaurentPoly.zero())
-                break
-        else:
-            continue
-        break
-    corrupted = with_matrices(coc, bad)
-    rep = verify_bundle(corrupted, p2.tms)
-    assert not rep.ok
-    assert any(v.condition in ("cocycle", "inverses") for v in rep.violations)
+    # zero out one nonzero coefficient: still on the frame, and G_10 is
+    # invertible, so the pair (0, 1) fails its inverses check
+    row, col = next((i, j) for i in range(2) for j in range(2)
+                    if g.entry(i, j).terms)
+    bad[(0, 1)] = ref_with_entry(g, row, col, LaurentPoly({}))
+    rep = verify_bundle(with_matrices(coc, bad), p2.tms)
+    found = {(v.condition, v.witness) for v in rep.violations}
+    assert "tropicalization" not in _conditions(rep)
+    assert {("inverses", (0, 1)), ("inverses", (1, 0))} <= found
     # near-identity defects: G_(0,1) G_(1,0) = N, and G_(0,0) = N
-    for near in near_identities(2):
+    row1 = [c for c in range(2) if g.entry(1, c).terms]
+    scaled, z_term, off_diagonal = near_identities(2)
+    # a coefficient of 2 on the diagonal keeps every frame
+    bad = dict(coc.matrices)
+    bad[(0, 1)] = ref_product(scaled, coc.pair(0, 1))
+    bad[(0, 0)] = scaled
+    rep = verify_bundle(with_matrices(coc, bad), p2.tms)
+    found = {(v.condition, v.witness) for v in rep.violations}
+    assert ("inverses", (0, 1)) in found
+    assert ("identity", 0) in found
+    assert ("inverses", (1, 2)) not in found
+    assert "tropicalization" not in _conditions(rep)
+    # an extra z-term on diagonal entry (1, 1) puts entry (1, 1) of G_00
+    # and row 1 of G_01 off their frames; an off-diagonal constant puts
+    # entry (0, 1) of G_00 and, through row 1 of G_01, row 0 of N G_01 off
+    for near, row, witness in [(z_term, 1, (0, 0, 1, 1)),
+                               (off_diagonal, 0, (0, 0, 0, 1))]:
         bad = dict(coc.matrices)
-        bad[(0, 1)] = mat_mul(near, coc.pair(0, 1))
+        bad[(0, 1)] = ref_product(near, coc.pair(0, 1))
         bad[(0, 0)] = near
         rep = verify_bundle(with_matrices(coc, bad), p2.tms)
-        found = {(v.condition, v.witness) for v in rep.violations}
-        assert ("inverses", (0, 1)) in found
-        assert ("identity", 0) in found
-        assert ("inverses", (1, 2)) not in found
+        assert _conditions(rep) == {"tropicalization"}
+        assert _off_frame(rep) == {witness} | {(0, 1, row, c) for c in row1}
 
 
-def _entry_edit(coc, rng):
+def _entry_edit(coc, rng, on_frame=False):
     """Kind (a): an extra term in one entry of G_ij, i != j, so that
-    G_ij G_ji = Id fails (G_ji is invertible)."""
+    G_ij G_ji = Id fails (G_ji is invertible).  The term's exponent is
+    random, or the entry's frame exponent when ``on_frame``.  Returns the
+    edited cocycle and the edit (i, j, row, col, exponent)."""
     n, r = coc.tms.fan.n, coc.cover.r
     i, j = rng.sample(range(n), 2)
     row, col = rng.randrange(r), rng.randrange(r)
     g = coc.pair(i, j)
-    term = mono(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)),
-                (rng.randint(-2, 2), rng.randint(-2, 2)))
+    c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+    e = (frame_exponent(coc, i, j, row, col) if on_frame else
+         (rng.randint(-2, 2), rng.randint(-2, 2)))
+    terms = dict(g.entry(row, col).terms)
+    terms[e] = terms.get(e, 0) + c
     bad = dict(coc.matrices)
-    bad[(i, j)] = g.with_entry(row, col, g.entry(row, col) + term)
-    return with_matrices(coc, bad)
+    bad[(i, j)] = ref_with_entry(g, row, col, LaurentPoly(terms))
+    return with_matrices(coc, bad), (i, j, row, col, e)
 
 
 def _gauge_edit(coc, rng, pair=None):
@@ -372,13 +427,13 @@ def _gauge_edit(coc, rng, pair=None):
     ds = [Fraction(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(r)]
     if r > 1:
         ds[1] = ds[0] + 1
-    d = LaurentMatrix([[mono(ds[a], (0, 0)) if a == b else 0
-                        for b in range(r)] for a in range(r)])
-    d_inv = LaurentMatrix([[mono(1 / ds[a], (0, 0)) if a == b else 0
-                            for b in range(r)] for a in range(r)])
+    d = LaurentMatrix([[ds[a] if a == b else 0 for b in range(r)]
+                       for a in range(r)])
+    d_inv = LaurentMatrix([[1 / ds[a] if a == b else 0 for b in range(r)]
+                           for a in range(r)])
     bad = dict(coc.matrices)
-    bad[(i, j)] = mat_mul(d, coc.pair(i, j))
-    bad[(j, i)] = mat_mul(coc.pair(j, i), d_inv)
+    bad[(i, j)] = ref_product(d, coc.pair(i, j))
+    bad[(j, i)] = ref_product(coc.pair(j, i), d_inv)
     return with_matrices(coc, bad)
 
 
@@ -396,12 +451,10 @@ def generated_built(generated):
     return net, layout, build_cover(generated.disk, layout, 2)
 
 
-@pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7",
-                                  "generated"])
-def test_verify_bundle_matches_ordered_triple_reference(name, request):
-    # the star triples when every pair passes, and cocycle_check on every
-    # ordered triple otherwise, must report exactly what cocycle_check on
-    # all n(n-1)(n-2) ordered triples reports, in order
+def _seeded_cocycle(name, request):
+    """(spec, cover, cocycle, rng) of a fixture's mutation sweep: the
+    cocycle of holonomies drawn from rng 20251, which then draws the
+    mutations."""
     from toricnets.cover import betti_one
     spec = request.getfixturevalue(name)
     net, layout, cover = request.getfixturevalue(f"{name}_built")
@@ -410,37 +463,116 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
            for _ in range(betti_one(cover))]
     coc = kaneyama_cocycle(net, spec.tms, cover,
                            make_local_system(cover, hol))
+    return spec, cover, coc, rng
+
+
+@pytest.mark.parametrize("name", ["r1", "p2", "p1p1", "fan5", "fan7",
+                                  "generated"])
+def test_verify_bundle_matches_ordered_triple_reference(name, request):
+    # the star triples when every pair passes, and every ordered triple
+    # otherwise, must report exactly what the Laurent reference reports
+    # from all n(n-1)(n-2) ordered triples, in order; an entry off its
+    # frame must report exactly what the reference's round trip reports
+    spec, cover, coc, rng = _seeded_cocycle(name, request)
     assert coc.lift == sheet_lift_map(spec.tms, cover)
     n = spec.fan.n
-    kinds = {"clean": [coc], "entry": [], "gauge": [], "mixed": []}
+    kinds = {"clean": [(coc, None)], "entry": [], "gauge": [], "mixed": []}
     for _ in range(4):
         kinds["entry"].append(_entry_edit(coc, rng))
-        kinds["gauge"].append(_gauge_edit(_gauge_edit(coc, rng), rng)
-                              if rng.random() < 0.5 else _gauge_edit(coc, rng))
+        kinds["gauge"].append((_gauge_edit(_gauge_edit(coc, rng), rng)
+                               if rng.random() < 0.5
+                               else _gauge_edit(coc, rng), None))
         kinds["mixed"].append(_entry_edit(_gauge_edit(coc, rng), rng))
     # star-breaking gauges: on a pair 0 < i < j, which breaks the star
     # triple (0, i, j), and on a pair through cone 0
     kinds["gauge"] += [
-        _gauge_edit(coc, rng, sorted(rng.sample(range(1, n), 2))),
-        _gauge_edit(coc, rng, (0, rng.randrange(1, n)))]
-    # identity transition matrices: on two sheets no entry reaches sheet 1
-    # from sheet 0, where the slopes are anchored, so it recovers no
-    # slope; on one sheet every recovered slope is the anchor's
-    kinds["identity"] = [with_matrices(
-        coc, {k: LaurentMatrix.identity(cover.r) for k in coc.matrices})]
+        (_gauge_edit(coc, rng, sorted(rng.sample(range(1, n), 2))), None),
+        (_gauge_edit(coc, rng, (0, rng.randrange(1, n))), None)]
+    # identity transition matrices: every G_ij with i != j has an entry
+    # off its frame (the slopes of two cones differ)
+    kinds["identity"] = [(with_matrices(
+        coc, {k: ref_identity(cover.r) for k in coc.matrices}), None)]
+    # an extra term at the frame exponent of its entry
+    kinds["entry"].append(_entry_edit(coc, rng, on_frame=True))
     for kind, cases in kinds.items():
-        for case in cases:
-            got = verify_bundle(case, spec.tms).violations
-            assert got == reference_verify_bundle(case, spec.tms).violations
-            conditions = {v.condition for v in got}
+        for case, edit in cases:
+            rep = verify_bundle(case, spec.tms)
+            assert rep.violations == \
+                reference_verify_bundle(case, spec.tms).violations
+            conditions = _conditions(rep)
             if kind == "clean":
-                assert not got
+                assert not rep.violations
             elif kind == "gauge":
                 assert conditions == {"cocycle"}
             elif kind == "identity":
                 assert conditions == {"tropicalization"}
-            else:
+            elif edit[4] == frame_exponent(coc, *edit[:4]):
+                # the edited entry stays on its frame
                 assert "inverses" in conditions
+                assert "tropicalization" not in conditions
+            else:
+                assert conditions == {"tropicalization"}
+                assert _off_frame(rep) == {edit[:4]}
+
+
+def test_verify_bundle_ignores_the_order_of_the_matrices(fan7, fan7_built,
+                                                        request):
+    # the first entry mutation of the fan7 sweep above, where the round
+    # trip once depended on the order in which the entries were read, the
+    # clean cocycle and a gauge edit: the report of each is the same for
+    # the matrices in their order, reversed and shuffled
+    spec, cover, coc, rng = _seeded_cocycle("fan7", request)
+    first, edit = _entry_edit(coc, rng)
+    shuffle = random.Random(7)
+    for case in (first, coc, _gauge_edit(coc, rng)):
+        want = verify_bundle(case, spec.tms).violations
+        orders = [list(case.matrices.items())]
+        orders.append(orders[0][::-1])
+        orders.append(shuffle.sample(orders[0], len(orders[0])))
+        for items in orders:
+            reordered = with_matrices(case, dict(items))
+            assert verify_bundle(reordered, spec.tms).violations == want
+            assert reference_verify_bundle(reordered,
+                                           spec.tms).violations == want
+    rep = verify_bundle(first, spec.tms)
+    assert _conditions(rep) == {"tropicalization"}
+    assert _off_frame(rep) == {edit[:4]}
+
+
+def test_off_frame_entry_names_its_witness(p2, p2_built):
+    # one extra term, off the frame, in a nonzero entry of G_01
+    net, layout, cover = p2_built
+    coc = kaneyama_cocycle(net, p2.tms, cover, trivial_ls(cover))
+    g = coc.pair(0, 1)
+    row, col = next((i, j) for i in range(2) for j in range(2)
+                    if g.entry(i, j).terms)
+    frame = frame_exponent(coc, 0, 1, row, col)
+    off = (frame[0] + 1, frame[1])
+    c, = g.entry(row, col).terms.values()
+    bad = dict(coc.matrices)
+    bad[(0, 1)] = ref_with_entry(g, row, col, LaurentPoly({frame: c, off: 1}))
+    found = sorted([frame, off])
+    assert verify_bundle(with_matrices(coc, bad), p2.tms).violations == [
+        Violation("tropicalization",
+                  f"G_(0,1) entry ({row},{col}) has exponents {found}, not "
+                  f"the frame exponent {frame}", (0, 1, row, col))]
+
+
+def test_unjoined_sheets_are_reported_per_cone(p2, p2_built):
+    # diagonal constants on their frames: every entry is on its frame, but
+    # no entry joins sheet 1 to the anchor (0, 0) of the connected cover
+    net, layout, cover = p2_built
+    coc = kaneyama_cocycle(net, p2.tms, cover, trivial_ls(cover))
+    frames = [[p2.tms.slope(coc.lift[(i, s)]) for s in range(2)]
+              for i in range(3)]
+    diagonal = {(i, j): LaurentMatrix.framed(identity(2), frames[i],
+                                             frames[j])
+                for i in range(3) for j in range(3)}
+    assert cover.component_count() == 1
+    assert verify_bundle(with_matrices(coc, diagonal), p2.tms).violations == [
+        Violation("tropicalization",
+                  f"no chain of nonzero entries joins sheets [1] over cone "
+                  f"{i} to their anchor over cone 0", i) for i in range(3)]
 
 
 def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
@@ -451,10 +583,10 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     # one product per unordered triple would add 20 more, two per ordered
     # triple 420.  The loop check multiplies out the 5 branch-point loops
     # and the one boundary loop from cone 0, not one boundary loop per cone.
-    # Every product starts from its first factor: each branch-point loop
-    # takes 3 products and each of the 5 cut factors 2, and the boundary
-    # loop is the 7 adjacent steps (27 crossings, 20 products) composed
-    # with 6 more: 51.
+    # Every product of constants starts from its first factor: each
+    # branch-point loop takes 3 products and each of the 5 cut factors 2,
+    # and the boundary loop is the 7 adjacent steps (27 crossings, 20
+    # products) composed with 6 more: 51.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -482,9 +614,9 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     # cut factors build the 15 arm factors in their cuts' regions, where
     # the branch-point loops read them again; the boundary track adds the
     # 5 walls that land in region 0, away from their cuts: 20 wall
-    # factors.  Products: the 51 of the loop check (pinned above), which
-    # build the 7 adjacent steps the cocycle keeps, and the 35
-    # compositions made on the first read of its matrices.
+    # factors.  Products of constants: the 51 of the loop check (pinned
+    # above), which build the 7 adjacent steps the cocycle keeps, and the
+    # 35 compositions made on the first read of its matrices.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -528,18 +660,15 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
     scale = {i: [Fraction(7), Fraction(7)] for i in range(4)}
     rescaled = {}
     for (i, j), m in cocs[3].matrices.items():
-        d_j = LaurentMatrix([[mono(scale[j][0], (0, 0)), 0],
-                             [0, mono(scale[j][1], (0, 0))]])
-        d_i_inv = LaurentMatrix([[mono(1 / scale[i][0], (0, 0)), 0],
-                                 [0, mono(1 / scale[i][1], (0, 0))]])
-        rescaled[(i, j)] = mat_mul(d_j, mat_mul(m, d_i_inv))
+        d_j = LaurentMatrix([[scale[j][0], 0], [0, scale[j][1]]])
+        d_i_inv = LaurentMatrix([[1 / scale[i][0], 0], [0, 1 / scale[i][1]]])
+        rescaled[(i, j)] = ref_product(d_j, m, d_i_inv)
     assert boundary_restriction_equiv(
         cocs[3], with_matrices(cocs[3], rescaled))
 
 
 def test_path_errors(p2, p2_built):
-    from toricnets.errors import (NonTransverseCrossing, PathHitsJointRegion,
-                                  SlopeTie)
+    from toricnets.errors import NonTransverseCrossing, PathHitsJointRegion
     from toricnets.network import Wall
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
@@ -592,7 +721,8 @@ def test_deeply_nested_seven_crossings_pipeline():
 
 def test_cocycle_equals_direct_track_products(fan5, fan5_built):
     # G_ij is composed from the adjacent steps; the direct product along
-    # the whole ccw track from i to j must agree exactly
+    # the whole ccw track from i to j must agree exactly, as a framed
+    # constant and written out
     net, layout, cover = fan5_built
     ls = make_local_system(cover, [Fraction(2), Fraction(5, 3)])
     coc = kaneyama_cocycle(net, fan5.tms, cover, ls)
@@ -603,7 +733,9 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
         for j in range(n):
             if i != j:
                 direct = path_ordered(factors, track_path(net, i, j))
-                assert coc.pair(i, j) == direct, (i, j)
+                assert direct == Framed(coc.constants[(i, j)], i, j), (i, j)
+                assert laurent_form(direct, fan5.tms, cover) == \
+                    coc.pair(i, j), (i, j)
 
 
 def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
@@ -613,7 +745,7 @@ def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
     net, layout, cover = p2_built
 
     def identity_factor(wall, region, factors):
-        return LaurentMatrix.identity(factors.cover.r)
+        return Framed(identity(factors.cover.r), region, region)
 
     monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
     with pytest.raises(ToricNetsError):
