@@ -1,26 +1,34 @@
 """Exact constant matrices, and the Laurent form of a matrix between frames.
 
-Coefficients come from one exact ring: the rationals (``Fraction``), or
-Q[t_1^±, ..., t_c^±] (``TPoly``) when the holonomies of a local system
-are left as symbols.  The code never calls anything float-specific.
+Coefficients come from one exact ring: the rationals, or Q[t_1^±, ...,
+t_c^±] (``TPoly``) when the holonomies of a local system are left as
+symbols.  The code never calls anything float-specific.
 
-A constant matrix is a square tuple of tuples of coefficients.
-``mat_mul`` is the one product; ``det`` expands by cofactors and
-``inverse`` divides the adjugate by a unit determinant.  ``substitute`` is
-the one substitution of rational holonomies for t.
+A constant matrix is a ``Constant(rows, den)``: the square matrix
+rows / den, integer-scaled.  Its canonical form: den is a positive int,
+coprime to the entries together, and every t-free integral entry is an
+``int``.  A numeric constant has ``int`` entries only; a constant with a
+``TPoly`` entry has den 1 (its t-free entries may then be non-integral
+``Fraction``s).  ``constant`` brings exact rows to that form, scaling
+rational rows once by the lcm of their denominators.  ``mat_mul`` is the
+one product: on numeric constants it multiplies ints and the two
+denominators, and reduces by one gcd, skipped when the denominator is 1.
+``det`` expands by cofactors, ``inverse`` scales the adjugate by a unit
+determinant, and ``substitute`` is the one substitution of rational
+holonomies for t.  So two constants are equal exactly when their tuples
+are, and ``is_identity`` is one tuple comparison.
 
 The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
-``Fraction`` instead, so a coefficient is zero exactly when it is falsy
-and equals 1 exactly when ``== 1`` holds; ``mat_mul`` skips zeros and
-``is_identity`` compares with 1 on that basis, and two canonical
-constants are equal exactly when their tuples are.
+``Fraction`` instead, so a coefficient is zero exactly when it is falsy;
+``constant`` writes such a result as an ``int`` when it is integral.
 
 The z-twist of a toric bundle never enters a product: the construction
 holds every factor as a constant between two torus frames (see
 ``nonabelian``).  ``LaurentPoly`` and ``LaurentMatrix`` are the written and
 verified form of such a factor, D_target C D_source^-1, whose entries are
-Laurent polynomials sum c * z^e with e in Z^2 (``LaurentMatrix.framed``).
+Laurent polynomials sum c * z^e with e in Z^2 (``LaurentMatrix.framed``),
+each c a ``Fraction`` or a ``TPoly``.
 Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
 sorted exponent keys that are pairs of ``int`` and nonzero coefficients.
 The public constructor ``LaurentPoly(terms)`` validates outside input to
@@ -29,8 +37,12 @@ get there; ``framed`` builds canonical monomials and wraps them with
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from operator import add
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import NotRegular, SizeMismatch
 
@@ -149,38 +161,81 @@ def is_unit(c) -> bool:
 
 # -- constant matrices ---------------------------------------------------------
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+class Constant(NamedTuple):
+    """rows / den, in the canonical form of the module docstring."""
+    rows: tuple      # r x r tuple of tuples of coefficients
+    den: int         # positive common denominator
 
 
+def _entry(x):
+    """A t-free integral coefficient as an ``int``, any other as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _numeric(rows):
+    """True iff every entry is an ``int``."""
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                return False
+    return True
+
+
+def _reduced(rows, den):
+    """The constant of int rows (a tuple of tuples) over a positive den:
+    one gcd reduction, skipped when den is 1."""
+    g = 1 if den == 1 else gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        rows = tuple([tuple([x // g for x in row]) for row in rows])
+    return Constant(rows, den // g)
+
+
+def constant(rows, den=1):
+    """The canonical constant rows / den, for rows of exact coefficients
+    (``int``, ``Fraction`` or ``TPoly``) and a positive int den.
+
+    Rational rows are scaled to ints once, by the lcm of their
+    denominators; rows with a ``TPoly`` entry are divided through by den.
+    """
+    r = len(rows)
+    flat = [x for row in rows for x in row]
+    if TPoly in map(type, flat):
+        q = Fraction(1, den)
+        flat, den = [_entry(x * q if den != 1 else x) for x in flat], 1
+    else:
+        ratios = [x.as_integer_ratio() for x in flat]
+        scale = lcm(*[d for _, d in ratios])
+        flat, den = [n * (scale // d) for n, d in ratios], den * scale
+    return _reduced(tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)]),
+                    den)
+
+
+@functools.cache
 def identity(r):
     """The r x r identity constant."""
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(r))
-                 for i in range(r))
+    return Constant(tuple(tuple(int(i == j) for j in range(r))
+                          for i in range(r)), 1)
 
 
 def is_identity(a) -> bool:
-    """True iff every diagonal entry is 1 and every other entry is 0."""
-    return all(c == int(i == j)
-               for i, row in enumerate(a) for j, c in enumerate(row))
+    """True iff a is the identity: a comparison of canonical tuples."""
+    return a == identity(len(a.rows))
 
 
 def mat_mul(a, b):
-    """The product a b of two constant matrices of one size."""
-    if len(a) != len(b):
-        raise SizeMismatch(f"sizes {len(a)} and {len(b)} differ")
-    cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        entries = []
-        for col in cols:
-            # a sum of the nonzero products, not started from a zero
-            total = _ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    total = x * y if total is _ZERO else total + x * y
-            entries.append(total)
-        out.append(tuple(entries))
-    return tuple(out)
+    """The product a b of two constants of one size.
+
+    On int rows: the integer products, one multiply of the denominators and
+    one gcd reduction.  Rows over Q[t^±] are brought to canonical form by
+    ``constant``.
+    """
+    if len(a.rows) != len(b.rows):
+        raise SizeMismatch(f"sizes {len(a.rows)} and {len(b.rows)} differ")
+    cols = [*zip(*b.rows)]
+    rows = tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in a.rows])
+    den = a.den * b.den
+    return _reduced(rows, den) if _numeric(rows) else constant(rows, den)
 
 
 def _minor(a, i, j):
@@ -188,36 +243,46 @@ def _minor(a, i, j):
     return tuple(row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i)
 
 
-def det(a):
-    """Determinant by cofactor expansion along the first row."""
-    if len(a) == 1:
-        return a[0][0]
-    total = _ZERO
-    for j, x in enumerate(a[0]):
+def _det(rows):
+    """Determinant of the rows by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, x in enumerate(rows[0]):
         if x:
-            term = x * det(_minor(a, 0, j))
+            term = x * _det(_minor(rows, 0, j))
             total = total - term if j % 2 else total + term
     return total
 
 
+def det(a):
+    """The determinant of a constant: an exact coefficient, an ``int``
+    when it is t-free and integral."""
+    d = _det(a.rows)
+    return _entry(d if a.den == 1 else Fraction(d, a.den ** len(a.rows)))
+
+
 def inverse(a):
-    """Exact inverse, the adjugate over the determinant.
+    """Exact inverse: den times the adjugate of the rows, over their
+    determinant.
 
     NotRegular unless the determinant is a unit of the coefficient ring.
     """
-    d = det(a)
+    rows, r = a.rows, len(a.rows)
+    d = _det(rows)
     if not is_unit(d):
-        raise NotRegular(f"determinant {d!r} is not a unit")
-    u = 1 / d
-    if len(a) == 1:
-        return ((u,),)
-    return tuple(tuple((-u if (i + j) % 2 else u) * det(_minor(a, j, i))
-                       for j in range(len(a)))
-                 for i in range(len(a)))
+        raise NotRegular(f"determinant {det(a)!r} is not a unit")
+    if _numeric(rows):
+        u, d = (a.den, d) if d > 0 else (-a.den, -d)
+    else:
+        u, d = Fraction(a.den) / d, 1
+    return constant([[u] if r == 1 else
+                     [(-1) ** (i + j) * u * _det(_minor(rows, j, i))
+                      for j in range(r)] for i in range(r)], d)
 
 
 def _substitute(c, values):
-    """A coefficient with t_k replaced by ``values[k - 1]``: a Fraction."""
+    """A coefficient with t_k replaced by ``values[k - 1]``: a rational."""
     if not isinstance(c, TPoly):
         return c
     total = Fraction(0)
@@ -231,8 +296,11 @@ def _substitute(c, values):
 def substitute(a, values):
     """The constant with t_k replaced by ``values[k - 1]`` in every entry:
     the substitution homomorphism Q[t^±] -> Q at nonzero rationals."""
+    if _numeric(a.rows):
+        return a
     values = [Fraction(v) for v in values]
-    return tuple(tuple(_substitute(c, values) for c in row) for row in a)
+    return constant([[_substitute(c, values) for c in row] for row in a.rows],
+                    a.den)
 
 
 # -- the written form -----------------------------------------------------------
@@ -271,6 +339,13 @@ class LaurentPoly:
         return " + ".join(f"{c}*z^{e}" for e, c in self.terms.items())
 
 
+@functools.lru_cache(maxsize=1024)
+def _fraction(c, den):
+    """``Fraction(c, den)``; the written coefficients repeat, and a
+    ``Fraction`` is immutable, so each is built once."""
+    return Fraction(c, den)
+
+
 def _matrix(rows):
     """A LaurentMatrix around ``rows``: a square tuple of tuples of
     LaurentPoly, which must already be canonical."""
@@ -301,12 +376,16 @@ class LaurentMatrix:
 
         ``source`` and ``target`` list one exponent m_s per sheet; entry
         (row, col) is const[row][col] z^(target[row] - source[col]), one
-        monomial per nonzero entry of the constant.
+        monomial per nonzero entry of the constant, whose coefficient is the
+        ``Fraction`` entry / den (or the ``TPoly`` entry, over den 1).
         """
-        return _matrix(tuple(
-            tuple(_poly({(t[0] - s[0], t[1] - s[1]): c} if c else {})
-                  for c, s in zip(row, source))
-            for row, t in zip(const, target)))
+        rows, den = const
+        return _matrix(tuple([
+            tuple([_poly({(t[0] - s[0], t[1] - s[1]):
+                          c if type(c) is TPoly else _fraction(c, den)}
+                         if c else {})
+                   for c, s in zip(row, source)])
+            for row, t in zip(rows, target)]))
 
     def entry(self, i, j):
         return self.rows[i][j]

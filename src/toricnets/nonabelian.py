@@ -2,8 +2,9 @@
 
 All factors act target-from-source on the r sheets: entry (row, col) =
 (target sheet, source sheet).  The bundle is toric, so every factor is a
-constant r x r matrix C between two torus frames (``Framed``): over Q, or
-over Q[t^±] for the symbolic system.  The frame of region R is D_R =
+constant r x r matrix C between two torus frames (``Framed``): over Q,
+held as an integer matrix over one denominator, or over Q[t^±] for the
+symbolic system (``laurent.Constant``).  The frame of region R is D_R =
 diag(z^m(lift(R, s))), and the factor from region S to region T is
 D_T C D_S^-1, whose entry (row, col) is C[row][col] z^(m(lift(T, row)) -
 m(lift(S, col))).  A product of factors is defined when each factor
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
@@ -51,15 +51,15 @@ from .errors import (InvariantViolated, LoopIdentityFailed,
                      NonTransverseCrossing, NotSupported, PathHitsJointRegion)
 from .fans import ray_cone
 from .geom import dot, sub
-from .laurent import (LaurentMatrix, det, identity, inverse, is_identity,
-                      is_unit, mat_mul, substitute)
+from .laurent import (LaurentMatrix, constant, det, identity, inverse,
+                      is_identity, is_unit, mat_mul, substitute)
 from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
 
 
 class Framed(NamedTuple):
     """The factor D_target const D_source^-1 between two region frames."""
-    const: tuple     # r x r constant matrix
+    const: tuple     # r x r constant matrix (``laurent.Constant``)
     source: int      # region the factor starts in
     target: int      # region the factor ends in
 
@@ -84,17 +84,18 @@ def wall_factor(wall, region, factors) -> Framed:
 
     Boundary-track paths cross a wall in its landing region
     ``wall.end_cone``; the loop around a branch point crosses its arms in
-    the region of its cut.
+    the region of its cut.  The transports are scaled to one integer
+    constant once, after the last soliton.
     """
     if wall.start_branch is None:
         raise NotSupported("joint-fed walls are outside this regime")
-    rows = [list(row) for row in identity(factors.cover.r)]
+    rows = [list(row) for row in identity(factors.cover.r).rows]
     for sol in enumerate_solitons(factors.net, wall):
         path = sol.transport_path(factors.cover)
         lam = parallel_transport(factors.ls, path)
         a, b = sol.source_sheet, sol.target_sheet
         rows[b][a] = rows[b][a] + winding_sign(path) * lam
-    return Framed(tuple(map(tuple, rows)), region, region)
+    return Framed(constant(rows), region, region)
 
 
 def cut_factor(k, factors) -> Framed:
@@ -118,7 +119,7 @@ def cut_factor(k, factors) -> Framed:
         for j in range(cover.r):
             expected_nonzero = i == cover.apply_cut(k, j) and i != j \
                 or (i == j and i not in cut.transposition)
-            if bool(c[i][j]) != expected_nonzero:
+            if bool(c.rows[i][j]) != expected_nonzero:
                 raise InvariantViolated(
                     f"cut factor of cut {k} has unexpected support at {(i, j)}")
     return Framed(c, region, region)
@@ -199,7 +200,9 @@ def _left_product(framed):
     """F_k ... F_1 F_0 of a nonempty sequence F_0, ..., F_k: each later
     factor multiplies on the left, and the first is not multiplied into
     the identity.  Only the constants are multiplied; the frames must
-    telescope."""
+    telescope.  A factor with the identity constant, such as a spoke's
+    (Id, i-1, i) or its inverse, changes only the frame: the product
+    takes its region without a multiplication, first factor or later."""
     framed = iter(framed)
     total = next(framed)
     for f in framed:
@@ -207,7 +210,13 @@ def _left_product(framed):
             raise InvariantViolated(
                 f"a factor from region {f.source} follows a product that "
                 f"ends in region {total.target}")
-        total = Framed(mat_mul(f.const, total.const), total.source, f.target)
+        if is_identity(f.const):
+            const = total.const
+        elif is_identity(total.const):
+            const = f.const
+        else:
+            const = mat_mul(f.const, total.const)
+        total = Framed(const, total.source, f.target)
     return total
 
 
@@ -369,10 +378,12 @@ def _factored(coc, frames, report):
     through the nonzero entries, to the anchor (0, s0) of its component of
     the cover, s0 its least sheet: the entries then pin every slope to
     the input, given the anchor's.  Both failures are ``tropicalization``
-    violations.
+    violations.  Each factored matrix is scaled to its integer constant
+    once (``laurent.constant``), so every later check runs on ints.
     """
     n, r = len(frames), coc.cover.r
     parent = list(range(n * r))     # union-find over (cone, sheet)
+    joins = n * r - 1               # joins left until one class holds all
 
     def root(x):
         while parent[x] != x:
@@ -380,26 +391,32 @@ def _factored(coc, frames, report):
             x = parent[x]
         return x
 
-    constants, zero = {}, Fraction(0)
+    constants = {}
     for i, j in product(range(n), repeat=2):
-        g = coc.pair(i, j)
         rows = []
-        for row in range(r):
+        for row, (entries, target) in enumerate(zip(coc.pair(i, j).rows,
+                                                    frames[j])):
             out = []
-            for col in range(r):
-                terms = g.entry(row, col).terms
-                frame = sub(frames[j][row], frames[i][col])
-                if terms:
-                    parent[root(i * r + col)] = root(j * r + row)
-                    if list(terms) != [frame]:
-                        report.add(
-                            "tropicalization",
-                            f"G_({i},{j}) entry ({row},{col}) has exponents "
-                            f"{list(terms)}, not the frame exponent {frame}",
-                            (i, j, row, col))
-                out.append(terms.get(frame, zero))
-            rows.append(tuple(out))
-        constants[(i, j)] = tuple(rows)
+            for col, (entry, source) in enumerate(zip(entries, frames[i])):
+                terms = entry.terms
+                if not terms:
+                    out.append(0)
+                    continue
+                frame = (target[0] - source[0], target[1] - source[1])
+                if joins:
+                    a, b = root(i * r + col), root(j * r + row)
+                    if a != b:
+                        parent[a] = b
+                        joins -= 1
+                if len(terms) != 1 or frame not in terms:
+                    report.add(
+                        "tropicalization",
+                        f"G_({i},{j}) entry ({row},{col}) has exponents "
+                        f"{list(terms)}, not the frame exponent {frame}",
+                        (i, j, row, col))
+                out.append(terms.get(frame, 0))
+            rows.append(out)
+        constants[(i, j)] = constant(rows)
     anchor = {s: min(orbit) for orbit in coc.cover.sheet_orbits()
               for s in orbit}
     for i in range(n):
@@ -469,8 +486,8 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
         c = p[(h, i)]
         gens = fan.cone_generators(ray_cone(i))
         if any(dot(sub(frames[i][row], frames[h][col]), v) < 0
-               for row, col in product(range(len(c)), repeat=2)
-               if c[row][col] for v in gens):
+               for row, col in product(range(len(c.rows)), repeat=2)
+               if c.rows[row][col] for v in gens):
             report.add("regularity",
                        f"G over the ray-{i} overlap has negative exponents", i)
             continue

@@ -17,8 +17,8 @@ from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              sheet_lift_map)
 from toricnets.errors import InvalidPath, NotRegular, NotSupported, UnknownCone
 from toricnets.geom import cross, dot, point_in_convex_polygon, sub
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, identity,
-                               substitute)
+from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, constant,
+                               identity, substitute)
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
@@ -385,11 +385,18 @@ def ref_is_invertible_on(m, fan, cone):
     return all(dot(e, v) == 0 for v in fan.cone_generators(cone))
 
 
+def fraction_rows(c):
+    """The entries of a ``laurent.Constant`` over its denominator, as rows
+    of ``Fraction``s; a ``TPoly`` entry (over denominator 1) as it is."""
+    return tuple(tuple(x if isinstance(x, TPoly) else Fraction(x, c.den)
+                       for x in row) for row in c.rows)
+
+
 def laurent_form(factor, tms, cover):
     """The Laurent matrix D_target C D_source^-1 of a ``nonabelian.Framed``
     factor, with the frames D_R = diag(z^m(lift(R, s))) written out."""
     lift = sheet_lift_map(tms, cover)
-    c, r = factor.const, cover.r
+    c, r = fraction_rows(factor.const), cover.r
     return ref_matrix([[{sub(tms.slope(lift[(factor.target, row)]),
                              tms.slope(lift[(factor.source, col)])):
                          c[row][col]} if c[row][col] else {}
@@ -937,7 +944,7 @@ def reference_sweep(net, tms, cover, seed, count=25):
 def evaluate_coefficient(c, values):
     """A Fraction or a TPoly with t_k replaced by ``values[k - 1]``, read
     through ``laurent.substitute`` on a 1 x 1 constant."""
-    return substitute(((c,),), values)[0][0]
+    return fraction_rows(substitute(constant(((c,),)), values))[0][0]
 
 
 def with_matrices(coc, matrices):

@@ -1,34 +1,82 @@
 """The constant kernel of ``toricnets.laurent`` and its written Laurent form.
 
-A constant is a tuple of rows of ``Fraction`` or ``TPoly`` coefficients;
-``mat_mul``, ``det``, ``inverse`` and ``substitute`` act on constants
-only.  The Laurent-matrix checks run the reference kernel of
-``tests/support.py`` (the ``ref_*`` helpers), which the bundle oracles
-use, and hold ``LaurentMatrix.framed`` to it: a product of framed
+A constant is an integer matrix over one positive denominator, or a
+matrix of ``TPoly`` coefficients over 1; ``mat_mul``, ``det``,
+``inverse`` and ``substitute`` act on constants only.  The checks run the
+reference kernel of ``tests/support.py`` (the ``ref_*`` helpers), which
+the bundle oracles use, in ``Fraction`` arithmetic: the kernel agrees
+with it exactly and leaves every result canonical, and
+``LaurentMatrix.framed`` is held to it too: a product of framed
 constants, written out, is the Laurent product of the written factors.
 """
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from support import (ZERO_CONE, evaluate_coefficient, max_cone,
-                     near_identities, ref_add, ref_clean, ref_identity,
-                     ref_is_identity, ref_is_invertible_on, ref_mat_mul,
-                     ref_matrix, ref_mul, ref_neg, ref_product, ref_regular_on,
-                     ref_with_entry)
+from support import (ZERO_CONE, evaluate_coefficient, fraction_rows, max_cone,
+                     near_identities, ref_add, ref_clean, ref_det,
+                     ref_identity, ref_is_identity, ref_is_invertible_on,
+                     ref_mat_mul, ref_matrix, ref_mul, ref_neg, ref_product,
+                     ref_regular_on, ref_with_entry)
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, ray_cone
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, coefficient,
-                               det, identity, inverse, is_identity, is_unit,
-                               mat_mul, substitute)
+from toricnets.laurent import (Constant, LaurentMatrix, LaurentPoly, TPoly,
+                               constant, det, identity, inverse, is_identity,
+                               is_unit, mat_mul, substitute)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 
 
-def const(rows):
-    return tuple(tuple(coefficient(x) for x in row) for row in rows)
+def is_canonical(c):
+    """The canonical form of a constant: int rows over a positive int
+    denominator coprime to them, or, with a ``TPoly`` entry, rows over 1
+    whose t-free integral entries are ints."""
+    flat = [x for row in c.rows for x in row]
+    if type(c) is not Constant or type(c.rows) is not tuple or \
+            any(type(row) is not tuple or len(row) != len(c.rows)
+                for row in c.rows):
+        return False
+    if any(isinstance(x, TPoly) for x in flat):
+        return c.den == 1 and not any(
+            type(x) is Fraction and x.denominator == 1 for x in flat)
+    return type(c.den) is int and c.den >= 1 and \
+        all(type(x) is int for x in flat) and gcd(c.den, *flat) == 1
+
+
+def as_terms(rows):
+    """Rows of exact coefficients as rows of constant term dicts."""
+    return [[{(0, 0): c} if c else {} for c in row] for row in rows]
+
+
+def rand_scaled(rng, r, symbols=()):
+    """A seeded constant: int entries, about a third of them zero, over a
+    denominator up to 72; with ``symbols``, some entries are ``TPoly``s."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        x = rng.randint(-9, 9)
+        if symbols and rng.random() < 0.4:
+            for t in symbols:
+                x = x * (t if rng.random() < 0.5 else 1 / t)
+            x = x + rng.randint(-2, 2)
+        return x
+    return constant([[entry() for _ in range(r)] for _ in range(r)],
+                    rng.choice([1, 2, 6, 12, 35, 72, rng.randint(1, 72)]))
+
+
+def evaluated(x, values):
+    """A Fraction or a TPoly at t = ``values``, summed term by term."""
+    if not isinstance(x, TPoly):
+        return x
+    total = Fraction(0)
+    for e, c in x.terms.items():
+        for v, k in zip(values, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
 
 
 def mono(c, e):
@@ -47,8 +95,8 @@ def test_monomial_inverse_of_a_singular_matrix_is_a_typed_error():
     # a determinant that is no unit (0, or 1 + t) is the package's
     # NotRegular, not a bare ZeroDivisionError or ValueError
     t, = TPoly.symbols(1)
-    for singular in (const([[1, 1], [1, 1]]), const([[0]]),
-                     const([[1 + t, 0], [0, 1]])):
+    for singular in (constant([[1, 1], [1, 1]]), constant([[0]]),
+                     constant([[1 + t, 0], [0, 1]])):
         assert not is_unit(det(singular))
         with pytest.raises(NotRegular):
             inverse(singular)
@@ -65,10 +113,11 @@ def test_poly_canonical_form_idempotent():
 
 def test_poly_cancellation():
     assert ref_add({(2, 1): Fraction(1)}, {(2, 1): Fraction(-1)}) == {}
-    # a constant entry that cancels is a Fraction zero, and its written
+    # a constant entry that cancels is an int zero, and its written
     # entry is the zero polynomial
-    c = mat_mul(const([[1, 1]] * 2), const([[1, 0], [-1, 0]]))
-    assert c == const([[0, 0], [0, 0]]) and type(c[0][0]) is Fraction
+    c = mat_mul(constant([[1, 1]] * 2), constant([[1, 0], [-1, 0]]))
+    assert c == constant([[0, 0], [0, 0]]) and type(c.rows[0][0]) is int
+    assert c.den == 1 and is_canonical(c)
     assert framed(c, [(1, 0), (0, 1)], [(2, 2), (0, 0)]).entry(0, 0) == \
         LaurentPoly({})
 
@@ -85,15 +134,16 @@ def test_poly_arith():
 
 def test_mat_mul_identity():
     t, = TPoly.symbols(1)
-    a = const([[2, 1], [0, t]])
+    a = constant([[2, 1], [0, t]])
     assert mat_mul(identity(2), a) == a
     assert mat_mul(a, identity(2)) == a
     assert is_identity(identity(3)) and not is_identity(a)
 
 
 def test_mat_mul_monomial_diagonals():
-    d1, d2 = const([[2, 0], [0, 3]]), const([[5, 0], [0, Fraction(1, 7)]])
-    assert mat_mul(d1, d2) == const([[10, 0], [0, Fraction(3, 7)]])
+    d1 = constant([[2, 0], [0, 3]])
+    d2 = constant([[5, 0], [0, Fraction(1, 7)]])
+    assert mat_mul(d1, d2) == constant([[10, 0], [0, Fraction(3, 7)]])
     # the frames telescope: written out, the product of (d2, S, M) and
     # (d1, M, T) is the Laurent product of the two written factors
     s, m, t = [(1, 0), (0, 1)], [(0, 0), (2, -1)], [(-1, 3), (1, 1)]
@@ -102,8 +152,8 @@ def test_mat_mul_monomial_diagonals():
 
 
 def test_mat_mul_unipotent_inverse():
-    u = const([[1, 1], [0, 1]])
-    v = const([[1, -1], [0, 1]])
+    u = constant([[1, 1], [0, 1]])
+    v = constant([[1, -1], [0, 1]])
     assert is_identity(mat_mul(u, v))
     assert inverse(u) == v
 
@@ -115,18 +165,30 @@ def test_mat_mul_size_mismatch():
 
 def test_mat_mul_associative_random():
     rng = random.Random(11)
+    t1, t2 = TPoly.symbols(2)
 
     def rand_const(r):
-        return const([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return constant([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                        for _ in range(r)] for _ in range(r)])
 
+    # rational rows scaled by the constructor, then seeded scaled
+    # constants of sizes 1 to 3 over denominators up to 72, some of them
+    # with TPoly entries
+    triples = []
     for trial in range(25):
         r = 2 if trial % 3 else 3
-        a, b, c = rand_const(r), rand_const(r), rand_const(r)
-        assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+        triples.append([rand_const(r) for _ in range(3)])
+    for trial in range(36):
+        r, symbols = trial % 3 + 1, [(), (t1,), (t1, t2)][trial // 12]
+        triples.append([rand_scaled(rng, r, symbols) for _ in range(3)])
+    for a, b, c in triples:
+        r = len(a.rows)
+        left, right = mat_mul(mat_mul(a, b), c), mat_mul(a, mat_mul(b, c))
+        assert left == right and is_canonical(left)
         f0, f1, f2, f3 = (rand_frame(rng, r) for _ in range(4))
-        assert framed(mat_mul(mat_mul(a, b), c), f0, f3) == ref_product(
+        assert framed(left, f0, f3) == ref_product(
             framed(a, f2, f3), framed(b, f1, f2), framed(c, f0, f1))
+    assert max(a.den for a, _, _ in triples) == 72
 
 
 def test_regular_on_examples():
@@ -144,16 +206,16 @@ def test_invertibility_unit_monomial_det():
     # permutation of monomials
     p = LaurentMatrix([[0, 1], [2, 0]])
     assert ref_is_invertible_on(p, FAN, ZERO_CONE)
-    assert det(const([[0, 1], [2, 0]])) == -2
+    assert det(constant([[0, 1], [2, 0]])) == -2
     # det = 1 + z^(1,0) is not a unit on the chart of ray (1,0)
     q = LaurentMatrix([[LaurentPoly({(0, 0): 1, (1, 0): 1})]])
     assert ref_regular_on(q, FAN, ray_cone(0))
     assert not ref_is_invertible_on(q, FAN, ray_cone(0))
     # det = z^(0,1) pairs to zero with (1,0): a unit there
-    r = framed(const([[1]]), [(0, 0)], [(0, 1)])
+    r = framed(constant([[1]]), [(0, 0)], [(0, 1)])
     assert r == LaurentMatrix([[mono(1, (0, 1))]])
     assert ref_is_invertible_on(r, FAN, ray_cone(0))
-    inv = framed(inverse(const([[1]])), [(0, 1)], [(0, 0)])
+    inv = framed(inverse(constant([[1]])), [(0, 1)], [(0, 0)])
     assert inv == LaurentMatrix([[mono(1, (0, -1))]])
     assert ref_regular_on(inv, FAN, ray_cone(0))
     # det = (1 + t) z^0 is one term in z, but 1 + t is no unit of Q[t^±]:
@@ -163,12 +225,13 @@ def test_invertibility_unit_monomial_det():
     assert not ref_is_invertible_on(s, FAN, ray_cone(0))
     assert not is_unit(1 + t)
     with pytest.raises(NotRegular):
-        inverse(((1 + t,),))
+        inverse(constant([[1 + t]]))
     # det = 2t z^(0,1) is a unit there
     u = LaurentMatrix([[mono(2 * t, (0, 1))]])
     assert ref_is_invertible_on(u, FAN, ray_cone(0))
     assert is_unit(2 * t)
-    assert is_identity(mat_mul(((2 * t,),), inverse(((2 * t,),))))
+    unit = constant([[2 * t]])
+    assert is_identity(mat_mul(unit, inverse(unit)))
 
 
 def test_invertibility_requires_regularity():
@@ -184,9 +247,9 @@ def test_monomial_inverse_constructive():
     for _ in range(10):
         cs = [Fraction(rng.choice([1, 2, 3, -1])) for _ in range(2)]
         if rng.random() < 0.5:
-            c = const([[cs[0], 0], [0, cs[1]]])
+            c = constant([[cs[0], 0], [0, cs[1]]])
         else:
-            c = const([[0, cs[0]], [cs[1], 0]])
+            c = constant([[0, cs[0]], [cs[1], 0]])
         inv = inverse(c)
         assert is_identity(mat_mul(c, inv)) and is_identity(mat_mul(inv, c))
         s, t = rand_frame(rng, 2), rand_frame(rng, 2)
@@ -201,7 +264,7 @@ def test_cocycle_check_examples():
     rng = random.Random(8)
     for r in (2, 3):
         f1, f2, f3 = (rand_frame(rng, r) for _ in range(3))
-        d = const([[i + 1 if i == j else 0 for j in range(r)]
+        d = constant([[i + 1 if i == j else 0 for j in range(r)]
                    for i in range(r)])
         g12, g23 = framed(d, f1, f2), framed(identity(r), f2, f3)
         g31 = framed(inverse(d), f3, f1)
@@ -215,13 +278,13 @@ def test_cocycle_check_examples():
             # the same defect conjugated by a diagonal monomial matrix
             assert not ref_is_identity(ref_product(
                 framed(inverse(d), f2, f1), bad, framed(d, f1, f2)))
-    u = const([[1, 1], [0, 1]])
+    u = constant([[1, 1], [0, 1]])
     assert not is_identity(mat_mul(mat_mul(identity(2), identity(2)), u))
 
 
 def test_kernel_matches_constructor_based_reference():
     """Each constant product and each written entry equals the re-cleaned
-    reference sums."""
+    reference sums, and the kernel leaves every result canonical."""
     rng = random.Random(20240607)
 
     def rand_rows(n):
@@ -243,33 +306,70 @@ def test_kernel_matches_constructor_based_reference():
                 b[k][j] = Fraction(0)
         return b, i
 
-    def as_terms(rows):
-        return [[{(0, 0): c} if c else {} for c in row] for row in rows]
-
     cancelled = 0
     for trial in range(60):
         n = 2 if trial % 2 else 3
         a = rand_rows(n)
         b, row = cancelling_rows(a) if trial % 3 == 0 else (rand_rows(n), None)
-        got = mat_mul(const(a), const(b))
+        got = mat_mul(constant(a), constant(b))
+        assert is_canonical(got)
         want = ref_mat_mul(as_terms(a), as_terms(b))
-        for i in range(n):
-            for j in range(n):
-                assert type(got[i][j]) is Fraction
-                assert ({(0, 0): got[i][j]} if got[i][j] else {}) == want[i][j]
+        assert as_terms(fraction_rows(got)) == want
+        got = fraction_rows(got)
         if row is not None:
             assert not any(got[row])
             cancelled += any(a[row][:2])
         s, t = rand_frame(rng, n), rand_frame(rng, n)
-        written = framed(got, s, t)
+        written = framed(constant(got), s, t)
         assert written == ref_matrix(
             [[{(t[i][0] - s[j][0], t[i][1] - s[j][1]): got[i][j]}
               if got[i][j] else {} for j in range(n)] for i in range(n)])
         for p in (q for r_ in written.rows for q in r_):
             assert list(p.terms) == sorted(p.terms) and all(p.terms.values())
+            assert all(type(c) is Fraction for c in p.terms.values())
             assert all(type(e[0]) is int and type(e[1]) is int
                        for e in p.terms)
     assert cancelled > 0
+
+    # seeded scaled constants, sizes 1 to 3 over denominators up to 72
+    # with zero and TPoly entries: the product, determinant, inverse and
+    # substitution of the kernel equal the Fraction reference exactly
+    rng = random.Random(72)
+    t1, t2 = TPoly.symbols(2)
+    dens, inverted, symbolic = set(), 0, 0
+    for trial in range(90):
+        r, symbols = trial % 3 + 1, [(), (t1,), (t1, t2)][trial // 30]
+        a, b = rand_scaled(rng, r, symbols), rand_scaled(rng, r, symbols)
+        dens |= {a.den, b.den}
+        assert is_canonical(a) and is_canonical(b)
+        fa, fb = fraction_rows(a), fraction_rows(b)
+        symbolic += any(isinstance(x, TPoly) for row in fa for x in row)
+        got = mat_mul(a, b)
+        assert is_canonical(got)
+        assert as_terms(fraction_rows(got)) == ref_mat_mul(as_terms(fa),
+                                                            as_terms(fb))
+        d = det(a)
+        assert d == (ref_det(ref_matrix(as_terms(fa))).get((0, 0), 0))
+        assert type(d) is not Fraction or d.denominator != 1
+        if is_unit(d):
+            inv = inverse(a)
+            assert is_canonical(inv)
+            ident = [[dict(p.terms) for p in row]
+                     for row in ref_identity(r).rows]
+            fi = fraction_rows(inv)
+            assert ref_mat_mul(as_terms(fi), as_terms(fa)) == ident
+            assert ref_mat_mul(as_terms(fa), as_terms(fi)) == ident
+            inverted += 1
+        else:
+            with pytest.raises(NotRegular):
+                inverse(a)
+        values = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                  for _ in range(2)]
+        sub = substitute(a, values)
+        assert is_canonical(sub)
+        assert fraction_rows(sub) == tuple(tuple(evaluated(x, values)
+                                                 for x in row) for row in fa)
+    assert max(dens) == 72 and inverted > 30 and symbolic > 20
 
 
 # -- symbolic coefficients -----------------------------------------------------
@@ -316,10 +416,10 @@ def test_tpoly_arithmetic_commutes_with_evaluation():
 
 def test_symbolic_matrices_invert_exactly():
     t1, t2 = TPoly.symbols(2)
-    unipotent = const([[1, 0], [t1, 1]])
+    unipotent = constant([[1, 0], [t1, 1]])
     assert not is_identity(unipotent)
     assert is_identity(mat_mul(unipotent, inverse(unipotent)))
-    swap = const([[0, t1 * t2], [-1 / t2, 0]])
+    swap = constant([[0, t1 * t2], [-1 / t2, 0]])
     assert det(swap) == t1
     inv = inverse(swap)
     assert is_identity(mat_mul(swap, inv))
@@ -331,14 +431,15 @@ def test_symbolic_matrices_invert_exactly():
 
 
 def test_evaluation_is_canonical():
-    # a coefficient that vanishes at the point is a Fraction zero, so the
+    # a coefficient that vanishes at the point is an int zero, so the
     # written form drops its term; the result equals the constant built
     # from the evaluated entries directly
     t1, t2 = TPoly.symbols(2)
-    m = const([[1 + t1 * (1 / t2), 0], [t1 - 1, t2]])
+    m = constant([[1 + t1 * (1 / t2), 0], [t1 - 1, t2]])
     got = substitute(m, [-1, 1])
-    assert got == const([[0, 0], [-2, 1]])
-    assert all(type(c) is Fraction for row in got for c in row)
+    assert got == constant([[0, 0], [-2, 1]])
+    assert got.den == 1
+    assert all(type(c) is int for row in got.rows for c in row)
     assert framed(got, [(0, 0), (1, 0)], [(0, 1), (2, 2)]) == LaurentMatrix(
         [[0, 0], [mono(-2, (2, 2)), mono(1, (1, 2))]])
-    assert substitute(m, [2, 2]) == const([[2, 0], [1, 2]])
+    assert substitute(m, [2, 2]) == constant([[2, 0], [1, 2]])

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from support import (boundary_restriction_equiv, chambers, count_calls,
-                     generated_problems, laurent_form, near_identities,
+                     fraction_rows, generated_problems, laurent_form,
+                     near_identities,
                      ref_identity, ref_is_invertible_on, ref_product,
                      ref_regular_on, ref_with_entry, reference_verify_bundle,
                      with_matrices)
@@ -139,13 +140,14 @@ def test_wall_factor_single_soliton_slot(p2, p2_built):
         f = wall_factor(w, w.end_cone, factors)
         assert f.source == f.target == w.end_cone
         a, b = w.label
-        assert f.const[b][a] in (Fraction(1), Fraction(-1))
+        c = fraction_rows(f.const)
+        assert c[b][a] in (Fraction(1), Fraction(-1))
         # unipotent: identity elsewhere
-        assert f.const[a][b] == 0
-        assert f.const[a][a] == f.const[b][b] == 1
+        assert c[a][b] == 0
+        assert c[a][a] == c[b][b] == 1
         m = laurent_form(f, p2.tms, cover)
         ((exp, coeff),) = m.entry(b, a).terms.items()
-        assert coeff == f.const[b][a]
+        assert coeff == c[b][a]
         ma = p2.tms.slope(lift[(w.end_cone, a)])
         mb = p2.tms.slope(lift[(w.end_cone, b)])
         assert exp == (mb[0] - ma[0], mb[1] - ma[1])
@@ -162,7 +164,7 @@ def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
         ls = make_local_system(cover, [Fraction(t)])
         f = wall_factor(w, w.end_cone, Factors(net, p1p1.tms, cover, ls))
         a, b = w.label
-        entries[t] = f.const[b][a]
+        entries[t] = fraction_rows(f.const)[b][a]
     assert entries[3] == entries[1] * 3 or entries[3] == entries[1] / 3
 
 
@@ -178,7 +180,7 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
         signs = []
         for w, f in zip(arms, factors):
             a, bb = w.label
-            signs.append(1 if f.const[bb][a] > 0 else -1)
+            signs.append(1 if fraction_rows(f.const)[bb][a] > 0 else -1)
         assert signs == [1, -1, 1]
         c = cut_factor(b, table)
         assert c.source == c.target == region
@@ -193,9 +195,10 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
             ref_identity(cover.r)
         # the cut factor is a signed permutation on the swap
         lo, hi = cover.cuts[b].lo, cover.cuts[b].hi
-        assert c.const[lo][lo] == 0 and c.const[hi][hi] == 0
+        rows = fraction_rows(c.const)
+        assert rows[lo][lo] == 0 and rows[hi][hi] == 0
         for i, j in ((lo, hi), (hi, lo)):
-            assert c.const[i][j] != 0
+            assert rows[i][j] != 0
 
 
 def test_branch_point_identity_trivial_system(p2, p2_built, fan5, fan5_built):
@@ -308,6 +311,7 @@ def test_r1_line_bundle_cocycle(r1):
         for j in range(3):
             m1, m2 = slopes[i], slopes[j]
             assert coc.constants[(i, j)] == identity(1)
+            assert fraction_rows(coc.constants[(i, j)]) == ((Fraction(1),),)
             assert coc.pair(i, j) == LaurentMatrix(
                 [[mono(1, (m2[0] - m1[0], m2[1] - m1[1]))]])
     assert verify_bundle(coc, r1.tms).ok
@@ -583,10 +587,11 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     # one product per unordered triple would add 20 more, two per ordered
     # triple 420.  The loop check multiplies out the 5 branch-point loops
     # and the one boundary loop from cone 0, not one boundary loop per cone.
-    # Every product of constants starts from its first factor: each
+    # Every product of constants starts from its first factor, and a spoke
+    # crossing (the identity constant) changes only the frame: each
     # branch-point loop takes 3 products and each of the 5 cut factors 2,
-    # and the boundary loop is the 7 adjacent steps (27 crossings, 20
-    # products) composed with 6 more: 51.
+    # and the boundary loop is the 7 adjacent steps (27 crossings, of
+    # them 7 spokes: 13 products) composed with 6 more: 44.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -605,7 +610,7 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     assert len(calls) == 36
     calls.clear()
     assert loop_identity_check(Factors(net, fan7.tms, cover, ls))
-    assert len(calls) == 51
+    assert len(calls) == 44
 
 
 def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
@@ -614,7 +619,7 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     # cut factors build the 15 arm factors in their cuts' regions, where
     # the branch-point loops read them again; the boundary track adds the
     # 5 walls that land in region 0, away from their cuts: 20 wall
-    # factors.  Products of constants: the 51 of the loop check (pinned
+    # factors.  Products of constants: the 44 of the loop check (pinned
     # above), which build the 7 adjacent steps the cocycle keeps, and the
     # 35 compositions made on the first read of its matrices.
     from toricnets import laurent, nonabelian
@@ -626,7 +631,7 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     kaneyama_cocycle(net, fan7.tms, cover, ls).matrices
     assert {name: len(c) for name, c in calls.items()} == {
         "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
-        "mat_mul": 86}
+        "mat_mul": 79}
     assert sorted(region for w, region, _ in calls["wall_factor"]
                   if region != cover.cut_region[w.start_branch]) == [0] * 5
 
@@ -734,6 +739,11 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
             if i != j:
                 direct = path_ordered(factors, track_path(net, i, j))
                 assert direct == Framed(coc.constants[(i, j)], i, j), (i, j)
+                # the one monomial of each written entry has the entry of
+                # the constant over its denominator as its coefficient
+                assert fraction_rows(coc.constants[(i, j)]) == tuple(
+                    tuple(sum(p.terms.values(), Fraction(0)) for p in row)
+                    for row in coc.pair(i, j).rows), (i, j)
                 assert laurent_form(direct, fan5.tms, cover) == \
                     coc.pair(i, j), (i, j)
 

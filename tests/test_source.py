@@ -110,14 +110,26 @@ def test_only_geom_tests_segment_contact():
     assert found == []
 
 
+def _fraction_names(name):
+    """Line numbers where a package module names ``Fraction``."""
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [getattr(node, "lineno", 0) for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+            or (isinstance(node, ast.alias) and node.name == "Fraction")]
+
+
 def test_network_names_no_fraction():
     # every boundary landing is read on the integer grid
     # (GridPoints.edge_position and GridPoints.half_edge), so the network
     # module neither imports nor names Fraction
-    path = SRC / "network.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [getattr(node, "lineno", 0) for node in ast.walk(tree)
-             if (isinstance(node, ast.Name) and node.id == "Fraction")
-             or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
-             or (isinstance(node, ast.alias) and node.name == "Fraction")]
-    assert found == []
+    assert _fraction_names("network.py") == []
+
+
+def test_nonabelian_names_no_fraction():
+    # every numeric constant is an integer matrix over one denominator
+    # (laurent.Constant): numeric coefficients enter only through laurent,
+    # so the nonabelian module neither imports nor names Fraction
+    assert _fraction_names("nonabelian.py") == []
+    assert _fraction_names("laurent.py")

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FIXTURES, REALIZABLE, generated_problems, load,
-                     ref_det, reference_loop_identity_check, reference_sweep)
+from support import (FIXTURES, REALIZABLE, fraction_rows, generated_problems,
+                     load, ref_det, reference_loop_identity_check,
+                     reference_sweep)
 
 from toricnets import nonabelian, schema
 from toricnets.builder import build_network
@@ -26,7 +27,7 @@ from toricnets.cli import main
 from toricnets.cover import betti_one, build_cover, make_local_system
 from toricnets.errors import (InvariantViolated, LoopIdentityFailed,
                               ToricNetsError)
-from toricnets.laurent import TPoly
+from toricnets.laurent import TPoly, constant
 from toricnets.network import (Soliton, boundary_loop, enumerate_solitons,
                                track_path)
 from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
@@ -60,8 +61,9 @@ def doubled_spoke(monkeypatch, spoke):
         m = true_factor(ray, factors)
         if ray % factors.tms.fan.n != spoke:
             return m
-        return m._replace(const=tuple(tuple(c * 2 for c in row)
-                                      for row in m.const))
+        return m._replace(const=constant([[c * 2 for c in row]
+                                          for row in m.const.rows],
+                                         m.const.den))
 
     monkeypatch.setattr(nonabelian, "semiflat_factor", doubled)
 
@@ -179,7 +181,8 @@ def _term_count(m):
 
 
 def _symbolic_coefficients(steps):
-    return sum(isinstance(c, TPoly) for m in steps for row in m for c in row)
+    return sum(isinstance(c, TPoly) for m in steps for row in m.rows
+               for c in row)
 
 
 def test_symbolic_steps_evaluate_to_numeric_steps(instances):
@@ -206,6 +209,8 @@ def test_symbolic_steps_evaluate_to_numeric_steps(instances):
             assert got.steps == want.steps, (label, hol)
             assert _symbolic_coefficients(got.steps) == 0
             assert got.constants == want.constants, (label, hol)
+            assert {k: fraction_rows(c) for k, c in got.constants.items()} \
+                == {k: fraction_rows(c) for k, c in want.constants.items()}
             assert got.matrices == want.matrices, (label, hol)
             assert got.lift == want.lift
             assert json.dumps(schema.emit_cocycle(got), sort_keys=True) == \
@@ -230,9 +235,9 @@ def flipped_track_sign(monkeypatch, wall_id):
                 region == factors.cover.cut_region[wall.start_branch]:
             return m
         a, b = wall.label
-        rows = [list(row) for row in m.const]
+        rows = [list(row) for row in m.const.rows]
         rows[b][a] = -rows[b][a]
-        return m._replace(const=tuple(map(tuple, rows)))
+        return m._replace(const=constant(rows, m.const.den))
 
     monkeypatch.setattr(nonabelian, "wall_factor", flipped)
 
