@@ -1,4 +1,4 @@
-"""Exact constant matrices, and the Laurent form of a matrix between frames.
+"""Exact constant matrices over Q or Q[t^±], integer-scaled.
 
 Coefficients come from one exact ring: the rationals, or Q[t_1^±, ...,
 t_c^±] (``TPoly``) when the holonomies of a local system are left as
@@ -25,15 +25,11 @@ The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 
 The z-twist of a toric bundle never enters a product: the construction
 holds every factor as a constant between two torus frames (see
-``nonabelian``).  ``LaurentPoly`` and ``LaurentMatrix`` are the written and
-verified form of such a factor, D_target C D_source^-1, whose entries are
-Laurent polynomials sum c * z^e with e in Z^2 (``LaurentMatrix.framed``),
-each c a ``Fraction`` or a ``TPoly``.
-Canonical form, which every ``LaurentPoly`` keeps: the ``terms`` dict has
-sorted exponent keys that are pairs of ``int`` and nonzero coefficients.
-The public constructor ``LaurentPoly(terms)`` validates outside input to
-get there; ``framed`` builds canonical monomials and wraps them with
-``_poly`` and ``_matrix``, which check nothing.
+``nonabelian``).  No Laurent matrix in z is ever formed.  The one written
+form of a transition matrix D_j P D_i^-1 is its ``cocycle.json`` term
+list, one monomial per nonzero entry of P, which
+``nonabelian.KaneyamaCocycle.written`` builds from the constant and the
+frames and ``nonabelian.verify_bundle`` certifies.
 """
 from __future__ import annotations
 
@@ -301,99 +297,3 @@ def substitute(a, values):
     values = [Fraction(v) for v in values]
     return constant([[_substitute(c, values) for c in row] for row in a.rows],
                     a.den)
-
-
-# -- the written form -----------------------------------------------------------
-
-def _poly(terms):
-    """A LaurentPoly around ``terms``, which must already be canonical."""
-    p = object.__new__(LaurentPoly)
-    p.terms = terms
-    return p
-
-
-class LaurentPoly:
-    """A Laurent polynomial sum of c * z^(e) with e in Z^2; each c is a
-    Fraction or a TPoly."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # outside input: mapping (ex, ey) -> coefficient
-        acc = {}
-        for e, c in (terms or {}).items():
-            e = (int(e[0]), int(e[1]))
-            c = coefficient(c)
-            acc[e] = acc[e] + c if e in acc else c
-        self.terms = {e: acc[e] for e in sorted(acc) if acc[e]}
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*z^{e}" for e, c in self.terms.items())
-
-
-@functools.lru_cache(maxsize=1024)
-def _fraction(c, den):
-    """``Fraction(c, den)``; the written coefficients repeat, and a
-    ``Fraction`` is immutable, so each is built once."""
-    return Fraction(c, den)
-
-
-def _matrix(rows):
-    """A LaurentMatrix around ``rows``: a square tuple of tuples of
-    LaurentPoly, which must already be canonical."""
-    m = object.__new__(LaurentMatrix)
-    m.size = len(rows)
-    m.rows = rows
-    return m
-
-
-class LaurentMatrix:
-    """Square matrix of Laurent polynomials."""
-
-    __slots__ = ("size", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(x if isinstance(x, LaurentPoly)
-                           else LaurentPoly({(0, 0): x}) for x in row)
-                     for row in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise SizeMismatch("matrix must be square")
-        self.size = n
-        self.rows = rows
-
-    @staticmethod
-    def framed(const, source, target):
-        """D_target const D_source^-1 for the frames D = diag(z^m_s).
-
-        ``source`` and ``target`` list one exponent m_s per sheet; entry
-        (row, col) is const[row][col] z^(target[row] - source[col]), one
-        monomial per nonzero entry of the constant, whose coefficient is the
-        ``Fraction`` entry / den (or the ``TPoly`` entry, over den 1).
-        """
-        rows, den = const
-        return _matrix(tuple([
-            tuple([_poly({(t[0] - s[0], t[1] - s[1]):
-                          c if type(c) is TPoly else _fraction(c, den)}
-                         if c else {})
-                   for c, s in zip(row, source)])
-            for row, t in zip(rows, target)]))
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentMatrix)
-                and self.size == other.size and self.rows == other.rows)
-
-    def __repr__(self):
-        return "LaurentMatrix(" + ", ".join(
-            "[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows) + ")"

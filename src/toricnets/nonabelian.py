@@ -34,15 +34,17 @@ exactly the identity.
 
 One ``Factors`` table per local system builds each factor and inverse on
 first use, and the n adjacent boundary steps once; every product over that
-system reads it.  The written form D_j P_ij D_i^-1 of the cocycle is a
-matrix of Laurent monomials (``KaneyamaCocycle.matrices``);
-``verify_bundle`` factors it back into its constants.
+system reads it.  The cocycle is written once, as the term lists of
+``cocycle.json``: one Laurent monomial per nonzero entry of D_j P_ij
+D_i^-1 (``KaneyamaCocycle.written``).  ``verify_bundle`` certifies exactly
+those lists, factoring them back into their constants.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .cover import (Crossing, SurfacePath, parallel_transport,
@@ -51,7 +53,7 @@ from .errors import (InvariantViolated, LoopIdentityFailed,
                      NonTransverseCrossing, NotSupported, PathHitsJointRegion)
 from .fans import ray_cone
 from .geom import dot, sub
-from .laurent import (LaurentMatrix, constant, det, identity, inverse,
+from .laurent import (Constant, TPoly, constant, det, identity, inverse,
                       is_identity, is_unit, mat_mul, substitute)
 from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
@@ -297,24 +299,20 @@ def compose_steps(steps, r):
     return dict(sorted(constants.items()))
 
 
-def _frames(tms, lift, r):
-    """The exponents m(lift(i, s)) of the frame of every cone i."""
-    return [[tms.slope(lift[(i, s)]) for s in range(r)]
-            for i in range(tms.fan.n)]
-
-
 @dataclass
 class KaneyamaCocycle:
     """A Kaneyama cocycle, held as the constants of its n adjacent steps.
 
     ``steps[i]`` is P_{i,i+1}, the constant of the path-ordered product
     along the ccw boundary track from the vertex chamber of cone i to that
-    of cone i+1; ``lift`` is the sheet/lift map of the frames.  The
-    constants of all ordered cone pairs are composed from the steps on
-    first read (``constants``), and their written form G_ij = D_j P_ij
-    D_i^-1 on first read of ``matrices``.  A cocycle of the symbolic
-    system evaluates, step by step, to the cocycle of every rational
-    system (``evaluated``).
+    of cone i+1; ``lift`` is the sheet/lift map of the frames.  Each of
+    the following is built once, on first read: the frames of the cones
+    (``frames``), the constants of all ordered cone pairs composed from the
+    steps (``constants``), and the written form of G_ij = D_j P_ij D_i^-1
+    (``written``), which is the term list of ``cocycle.json`` and what
+    ``verify_bundle`` certifies.  A cocycle of the symbolic system
+    evaluates, step by step, to the cocycle of every rational system
+    (``evaluated``).
     """
     tms: object
     cover: object
@@ -322,19 +320,46 @@ class KaneyamaCocycle:
     lift: dict           # (region, sheet) -> lifted-cone id, the map used
 
     @functools.cached_property
+    def frames(self):
+        """The exponents m(lift(i, s)) of the frame of every cone i, as a
+        tuple over the cones of tuples over the sheets."""
+        slope, lift = self.tms.slope, self.lift
+        return tuple(tuple(slope(lift[(i, s)]) for s in range(self.cover.r))
+                     for i in range(self.tms.fan.n))
+
+    @functools.cached_property
     def constants(self):
         """(i, j) -> P_ij, for all ordered cone pairs."""
         return compose_steps(self.steps, self.cover.r)
 
     @functools.cached_property
-    def matrices(self):
-        """(i, j) -> G_ij = D_j P_ij D_i^-1, for all ordered cone pairs."""
-        frames = _frames(self.tms, self.lift, self.cover.r)
-        return {(i, j): LaurentMatrix.framed(p, frames[i], frames[j])
-                for (i, j), p in self.constants.items()}
+    def written(self):
+        """(i, j) -> the terms of G_ij = D_j P_ij D_i^-1, for all ordered
+        cone pairs in (i, j) order.
 
-    def pair(self, i, j):
-        return self.matrices[(i % self.tms.fan.n, j % self.tms.fan.n)]
+        One term (row, col, num, den, ex, ey) per nonzero entry of P_ij,
+        in (row, col) order: the coefficient num/den is the entry over the
+        constant's denominator, reduced by one gcd, and (ex, ey) =
+        m(lift(j, row)) - m(lift(i, col)) is the frame exponent.  A
+        constant of the symbolic system has den 1, so its ``TPoly`` entries
+        are written over 1.  Tuples, so that no reader edits what
+        ``verify_bundle`` certified.
+        """
+        frames, written = self.frames, {}
+        for (i, j), (rows, den) in self.constants.items():
+            terms = []
+            for row, (values, (tx, ty)) in enumerate(zip(rows, frames[j])):
+                for col, (c, (sx, sy)) in enumerate(zip(values, frames[i])):
+                    if not c:
+                        continue
+                    if den == 1:
+                        num, d = c, 1
+                    else:
+                        g = gcd(c, den)
+                        num, d = c // g, den // g
+                    terms.append((row, col, num, d, tx - sx, ty - sy))
+            written[(i, j)] = tuple(terms)
+        return written
 
     def evaluated(self, values):
         """The cocycle with t_k replaced by ``values[k - 1]`` in each step."""
@@ -367,21 +392,29 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
                            cover.lift_map(tms))
 
 
-def _factored(coc, frames, report):
-    """The constants P_ij of the written matrices G_ij = D_j P_ij D_i^-1.
+def _factored(coc, report):
+    """The constants P_ij of the written terms of G_ij = D_j P_ij D_i^-1.
+
+    Each term list ``coc.written[(i, j)]`` must be canonical: terms in
+    (row, col) order, each naming an entry of the r x r matrix, no exponent
+    twice in one entry, and each coefficient num/den nonzero and reduced
+    over a positive denominator (a ``TPoly`` over 1).  A term that is not
+    is reported with its (i, j, row, col) and left out.
 
     Two checks make the tropicalization round trip; each reads a set of
-    entries, so neither depends on the order of ``coc.matrices``.  Every
+    entries, so neither depends on the order of ``coc.written``.  Every
     nonzero entry (row, col) of G_ij must be one term at the frame
     exponent m(lift(j, row)) - m(lift(i, col)); each entry that is not is
-    reported with its exponents.  And every (cone, sheet) must be joined,
-    through the nonzero entries, to the anchor (0, s0) of its component of
-    the cover, s0 its least sheet: the entries then pin every slope to
-    the input, given the anchor's.  Both failures are ``tropicalization``
-    violations.  Each factored matrix is scaled to its integer constant
-    once (``laurent.constant``), so every later check runs on ints.
+    reported with its exponents, sorted.  And every (cone, sheet) must be
+    joined, through the nonzero entries, to the anchor (0, s0) of its
+    component of the cover, s0 its least sheet: the entries then pin every
+    slope to the input, given the anchor's.  All these failures are
+    ``tropicalization`` violations.  Each factored matrix is scaled to its
+    integer constant by the lcm of its denominators, so every later check
+    runs on ints.
     """
-    n, r = len(frames), coc.cover.r
+    frames, written, r = coc.frames, coc.written, coc.cover.r
+    n = len(frames)
     parent = list(range(n * r))     # union-find over (cone, sheet)
     joins = n * r - 1               # joins left until one class holds all
 
@@ -391,32 +424,72 @@ def _factored(coc, frames, report):
             x = parent[x]
         return x
 
+    def bad_term(i, j, row, col, what):
+        report.add("tropicalization", f"G_({i},{j}) {what}", (i, j, row, col))
+
     constants = {}
     for i, j in product(range(n), repeat=2):
-        rows = []
-        for row, (entries, target) in enumerate(zip(coc.pair(i, j).rows,
-                                                    frames[j])):
-            out = []
-            for col, (entry, source) in enumerate(zip(entries, frames[i])):
-                terms = entry.terms
-                if not terms:
-                    out.append(0)
-                    continue
-                frame = (target[0] - source[0], target[1] - source[1])
+        source, target = frames[i], frames[j]
+        flat, dens = [0] * (r * r), {}      # numerators; denominators != 1
+        off = {}            # entry -> its exponents, for entries off frame
+        last, symbolic = -1, False
+        for row, col, num, den, ex, ey in written[(i, j)]:
+            if not (type(row) is int and type(col) is int
+                    and 0 <= row < r and 0 <= col < r):
+                bad_term(i, j, row, col, f"names entry ({row},{col}) "
+                         f"outside the {r} x {r} matrix")
+                continue
+            k = row * r + col
+            if k < last:
+                bad_term(i, j, row, col, f"writes entry ({row},{col}) after "
+                         f"entry ({last // r},{last % r}), out of (row, col) "
+                         "order")
+                continue
+            if type(num) is int:
+                canonical = num and type(den) is int and (
+                    den == 1 or den > 0 and gcd(num, den) == 1)
+            else:
+                canonical = symbolic = type(num) is TPoly and den == 1
+            if not canonical:
+                bad_term(i, j, row, col, f"entry ({row},{col}) has "
+                         f"coefficient {num!r}/{den!r}, not a reduced nonzero "
+                         "fraction over a positive denominator")
+                continue
+            if k != last:
+                last, exponents = k, [(ex, ey)]
                 if joins:
                     a, b = root(i * r + col), root(j * r + row)
                     if a != b:
                         parent[a] = b
                         joins -= 1
-                if len(terms) != 1 or frame not in terms:
-                    report.add(
-                        "tropicalization",
-                        f"G_({i},{j}) entry ({row},{col}) has exponents "
-                        f"{list(terms)}, not the frame exponent {frame}",
-                        (i, j, row, col))
-                out.append(terms.get(frame, 0))
-            rows.append(out)
-        constants[(i, j)] = constant(rows)
+            elif (ex, ey) in exponents:
+                bad_term(i, j, row, col, f"entry ({row},{col}) names the "
+                         f"exponent {(ex, ey)} twice")
+                continue
+            else:           # an entry of several terms is off its frame
+                exponents.append((ex, ey))
+                off[k] = exponents
+            (tx, ty), (sx, sy) = target[row], source[col]
+            if ex == tx - sx and ey == ty - sy:
+                flat[k] = num
+                if den != 1:
+                    dens[k] = den
+            else:
+                off[k] = exponents
+        for k, exponents in off.items():
+            row, col = divmod(k, r)
+            (tx, ty), (sx, sy) = target[row], source[col]
+            bad_term(i, j, row, col, f"entry ({row},{col}) has exponents "
+                     f"{sorted(exponents)}, not the frame exponent "
+                     f"{(tx - sx, ty - sy)}")
+        # reduced fractions over the lcm of their denominators: a canonical
+        # constant as it is
+        den = lcm(*dens.values())
+        if den != 1:
+            flat = [x * (den // dens.get(k, 1)) for k, x in enumerate(flat)]
+        rows = tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)])
+        constants[(i, j)] = (constant(rows, den) if symbolic
+                             else Constant(rows, den))
     anchor = {s: min(orbit) for orbit in coc.cover.sheet_orbits()
               for s in orbit}
     for i in range(n):
@@ -432,10 +505,12 @@ def _factored(coc, frames, report):
 def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     """Full verification sweep over a Kaneyama cocycle.
 
-    The sweep reads the written matrices ``coc.matrices`` and factors each
-    G_ij once into its constant P_ij (``_factored``).  If an entry is off
-    its frame, or a (cone, sheet) is not joined to its anchor, the report
-    holds exactly those ``tropicalization`` violations.  Otherwise the
+    The sweep certifies what is written: it reads the term lists
+    ``coc.written``, which ``schema.emit_cocycle`` writes to
+    ``cocycle.json`` as they are, and factors each G_ij once into its
+    constant P_ij (``_factored``).  If a term is not canonical, an entry
+    is off its frame, or a (cone, sheet) is not joined to its anchor, the
+    report holds exactly those ``tropicalization`` violations.  Otherwise the
     constants decide every other check, because the frames cancel: G_ij
     G_ji = D_j P_ij P_ji D_j^-1, and likewise around every triple.
 
@@ -465,8 +540,8 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     report = ValidationReport()
     fan = tms.fan
     n = fan.n
-    frames = _frames(tms, coc.lift, coc.cover.r)
-    p = _factored(coc, frames, report)
+    frames = coc.frames
+    p = _factored(coc, report)
     if not report:
         return report
     for i in range(n):

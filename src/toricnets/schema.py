@@ -15,7 +15,6 @@ from functools import cached_property
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
 from .fans import Fan, SupportFunction, dual_polytope, disk_model, make_fan
-from .laurent import LaurentMatrix
 from .multisection import LiftedCone, LiftedRay, TropicalMultiSection
 from .network import SpectralNetwork, Wall
 
@@ -204,23 +203,10 @@ def emit_network(net: SpectralNetwork) -> dict:
     }
 
 
-def emit_matrix(m: LaurentMatrix) -> list:
-    """Flat term list [row, col, num, den, ex, ey], sorted."""
-    terms = []
-    for i in range(m.size):
-        for j in range(m.size):
-            for e, c in m.entry(i, j).terms.items():
-                terms.append([i, j, c.numerator, c.denominator, e[0], e[1]])
-    terms.sort()
-    return terms
-
-
 def emit_cocycle(coc) -> dict:
-    pairs = {}
-    n = coc.tms.fan.n
-    for i in range(n):
-        for j in range(n):
-            pairs[f"{i},{j}"] = emit_matrix(coc.pair(i, j))
+    """The cocycle document: the written term lists of every G_ij
+    (``KaneyamaCocycle.written``), keyed "i,j"."""
+    pairs = {f"{i},{j}": terms for (i, j), terms in coc.written.items()}
     return {"schema": COCYCLE_SCHEMA, "size": coc.cover.r, "pairs": pairs}
 
 

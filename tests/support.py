@@ -15,10 +15,10 @@ from toricnets import errors, fans, geom, multisection, schema
 from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
-from toricnets.errors import InvalidPath, NotRegular, NotSupported, UnknownCone
+from toricnets.errors import (InvalidPath, NotRegular, NotSupported,
+                              SizeMismatch, UnknownCone)
 from toricnets.geom import cross, dot, point_in_convex_polygon, sub
-from toricnets.laurent import (LaurentMatrix, LaurentPoly, TPoly, constant,
-                               identity, substitute)
+from toricnets.laurent import TPoly, constant, identity, substitute
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
@@ -235,12 +235,38 @@ def brute_force_polytope_vertices(fan, phi):
     return pts
 
 
+def emit_matrix(m):
+    """The written term list of a LaurentMatrix: one term (row, col, num,
+    den, ex, ey) per monomial, sorted, as in ``cocycle.json``."""
+    terms = []
+    for i in range(m.size):
+        for j in range(m.size):
+            for e, c in m.entry(i, j).terms.items():
+                terms.append((i, j, c.numerator, c.denominator, e[0], e[1]))
+    return tuple(sorted(terms))
+
+
 def parse_matrix(terms, size):
-    """Inverse of ``schema.emit_matrix``: a flat term list back to a matrix."""
+    """Inverse of ``emit_matrix``: a flat term list back to a matrix; a
+    ``TPoly`` coefficient is written over 1."""
     rows = [[dict() for _ in range(size)] for _ in range(size)]
     for row, col, num, den, ex, ey in terms:
-        rows[row][col][(ex, ey)] = Fraction(num, den)
+        rows[row][col][(ex, ey)] = num if den == 1 else Fraction(num, den)
     return ref_matrix(rows)
+
+
+def pair(coc, i, j):
+    """G_ij of a cocycle as a LaurentMatrix, parsed from its written terms
+    (``KaneyamaCocycle.written``); cone indices are taken mod n."""
+    n = coc.tms.fan.n
+    return parse_matrix(coc.written[(i % n, j % n)], coc.cover.r)
+
+
+def matrices(coc):
+    """(i, j) -> G_ij of a cocycle as LaurentMatrix values, in the order of
+    its written terms."""
+    return {k: parse_matrix(terms, coc.cover.r)
+            for k, terms in coc.written.items()}
 
 
 def near_identities(n):
@@ -254,14 +280,89 @@ def near_identities(n):
     ]
 
 
-# -- reference Laurent arithmetic ---------------------------------------------
-# The package multiplies constants between torus frames and never a Laurent
-# matrix; this is the Laurent arithmetic the tests check it against.
-# Polynomials are plain term dicts {(ex, ey): coefficient}, and every
+# -- reference Laurent form and arithmetic ------------------------------------
+# The package multiplies constants between torus frames, writes each
+# transition matrix once as its ``cocycle.json`` term list, and never forms
+# a Laurent matrix.  ``LaurentPoly`` and ``LaurentMatrix`` are the Laurent
+# form the tests read those lists back into (``pair``, ``matrices``) and
+# write mutated matrices from (``with_matrices``).  Polynomials of the
+# arithmetic are plain term dicts {(ex, ey): coefficient}, and every
 # partial sum and product goes through the cleaning constructor
 # ``ref_clean`` again.  It shares no code with ``toricnets.laurent``; the
 # ``ref_*`` matrix helpers below read and build ``LaurentMatrix`` values
 # through it.
+
+class LaurentPoly:
+    """A Laurent polynomial sum of c * z^(e) with e in Z^2; each c is a
+    Fraction or a TPoly.  Canonical form: the ``terms`` dict has sorted
+    exponent keys that are pairs of ``int`` and nonzero coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        acc = {}
+        for e, c in (terms or {}).items():
+            e = (int(e[0]), int(e[1]))
+            c = c if isinstance(c, TPoly) else Fraction(c)
+            acc[e] = acc[e] + c if e in acc else c
+        self.terms = {e: acc[e] for e in sorted(acc) if acc[e]}
+
+    def __eq__(self, other):
+        return isinstance(other, LaurentPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(self.terms.items()))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*z^{e}" for e, c in self.terms.items())
+
+
+class LaurentMatrix:
+    """Square matrix of Laurent polynomials."""
+
+    __slots__ = ("size", "rows")
+
+    def __init__(self, rows):
+        rows = tuple(tuple(x if isinstance(x, LaurentPoly)
+                           else LaurentPoly({(0, 0): x}) for x in row)
+                     for row in rows)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise SizeMismatch("matrix must be square")
+        self.size = n
+        self.rows = rows
+
+    @staticmethod
+    def framed(const, source, target):
+        """D_target const D_source^-1 for the frames D = diag(z^m_s).
+
+        ``source`` and ``target`` list one exponent m_s per sheet; entry
+        (row, col) is const[row][col] z^(target[row] - source[col]), one
+        monomial per nonzero entry of the ``laurent.Constant``, whose
+        coefficient is the entry over den (a ``TPoly`` entry as it is).
+        """
+        rows, den = const
+        return LaurentMatrix([
+            [LaurentPoly({(t[0] - s[0], t[1] - s[1]):
+                          c if isinstance(c, TPoly) else Fraction(c, den)}
+                         if c else {})
+             for c, s in zip(row, source)]
+            for row, t in zip(rows, target)])
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def __eq__(self, other):
+        return (isinstance(other, LaurentMatrix)
+                and self.size == other.size and self.rows == other.rows)
+
+    def __repr__(self):
+        return "LaurentMatrix(" + ", ".join(
+            "[" + ", ".join(repr(x) for x in row) + "]"
+            for row in self.rows) + ")"
+
 
 def ref_clean(terms):
     clean = {}
@@ -420,12 +521,13 @@ def reference_verify_bundle(coc, tms):
     n = fan.n
     r = coc.cover.r
     lift = sheet_lift_map(tms, coc.cover)
+    mats = matrices(coc)
     links = {}
     for i in range(n):
         for j in range(n):
             for row in range(r):
                 for col in range(r):
-                    terms = coc.pair(i, j).entry(row, col).terms
+                    terms = mats[(i, j)].entry(row, col).terms
                     if not terms:
                         continue
                     links.setdefault((i, col), set()).add((j, row))
@@ -455,7 +557,7 @@ def reference_verify_bundle(coc, tms):
                        f"over cone {i} to their anchor over cone 0", i)
     if not report:
         return report
-    g = {(i, j): ref_terms(coc.pair(i, j)) for i in range(n) for j in range(n)}
+    g = {(i, j): ref_terms(mats[(i, j)]) for i in range(n) for j in range(n)}
     ident = ref_terms(ref_identity(r))
     for i in range(n):
         if g[(i, i)] != ident:
@@ -467,7 +569,7 @@ def reference_verify_bundle(coc, tms):
             if ref_mat_mul(g[(i, j)], g[(j, i)]) != ident:
                 report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     for i in range(n):
-        overlap = coc.pair((i - 1) % n, i)
+        overlap = mats[((i - 1) % n, i)]
         cone = ray_cone(i)
         if not ref_regular_on(overlap, fan, cone):
             report.add("regularity",
@@ -947,11 +1049,12 @@ def evaluate_coefficient(c, values):
     return fraction_rows(substitute(constant(((c,),)), values))[0][0]
 
 
-def with_matrices(coc, matrices):
-    """A copy of a cocycle whose transition matrices read ``matrices``
+def with_matrices(coc, mats):
+    """A copy of a cocycle whose written terms are those of the
+    LaurentMatrix values ``mats`` (``emit_matrix``), in their order,
     instead of the ones its steps compose to."""
     out = replace(coc)
-    out.matrices = matrices
+    out.written = {k: emit_matrix(m) for k, m in mats.items()}
     return out
 
 
@@ -1176,8 +1279,8 @@ def boundary_restriction_equiv(c1, c2) -> bool:
     adj = {}
     for i in range(n):
         v = tms.fan.ray(i)
-        m1 = boundary_restriction(c1.pair((i - 1) % n, i), v)
-        m2 = boundary_restriction(c2.pair((i - 1) % n, i), v)
+        m1 = boundary_restriction(pair(c1, i - 1, i), v)
+        m2 = boundary_restriction(pair(c2, i - 1, i), v)
         for row in range(r):
             for col in range(r):
                 p1, p2 = m1.entry(row, col).terms, m2.entry(row, col).terms

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import FIXTURES, REALIZABLE, count_calls, parse_matrix
+from support import (FIXTURES, REALIZABLE, count_calls, emit_matrix, pair,
+                     parse_matrix)
 
 from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
@@ -133,8 +134,9 @@ def test_matrix_round_trip(p2, p2_built):
     net, layout, cover = p2_built
     ls = make_local_system(cover, [])
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
-    m = coc.pair(0, 1)
-    assert parse_matrix(schema.emit_matrix(m), 2) == m
+    m = pair(coc, 0, 1)
+    assert parse_matrix(emit_matrix(m), 2) == m
+    assert emit_matrix(m) == coc.written[(0, 1)]
 
 
 def _json_stages(capsys):

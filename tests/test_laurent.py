@@ -1,13 +1,14 @@
-"""The constant kernel of ``toricnets.laurent`` and its written Laurent form.
+"""The constant kernel of ``toricnets.laurent`` and its Laurent form.
 
 A constant is an integer matrix over one positive denominator, or a
 matrix of ``TPoly`` coefficients over 1; ``mat_mul``, ``det``,
 ``inverse`` and ``substitute`` act on constants only.  The checks run the
 reference kernel of ``tests/support.py`` (the ``ref_*`` helpers), which
 the bundle oracles use, in ``Fraction`` arithmetic: the kernel agrees
-with it exactly and leaves every result canonical, and
-``LaurentMatrix.framed`` is held to it too: a product of framed
-constants, written out, is the Laurent product of the written factors.
+with it exactly and leaves every result canonical.  The Laurent form
+between frames (``support.LaurentMatrix.framed``) is held to it too: a
+product of framed constants, written out, is the Laurent product of the
+written factors.
 """
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from math import gcd
 
 import pytest
 
-from support import (ZERO_CONE, evaluate_coefficient, fraction_rows, max_cone,
+from support import (ZERO_CONE, LaurentMatrix, LaurentPoly,
+                     evaluate_coefficient, fraction_rows, max_cone,
                      near_identities, ref_add, ref_clean, ref_det,
                      ref_identity, ref_is_identity, ref_is_invertible_on,
                      ref_mat_mul, ref_matrix, ref_mul, ref_neg, ref_product,
@@ -23,9 +25,9 @@ from support import (ZERO_CONE, evaluate_coefficient, fraction_rows, max_cone,
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, ray_cone
-from toricnets.laurent import (Constant, LaurentMatrix, LaurentPoly, TPoly,
-                               constant, det, identity, inverse, is_identity,
-                               is_unit, mat_mul, substitute)
+from toricnets.laurent import (Constant, TPoly, constant, det, identity,
+                               inverse, is_identity, is_unit, mat_mul,
+                               substitute)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from support import (boundary_restriction_equiv, chambers, count_calls,
-                     fraction_rows, generated_problems, laurent_form,
-                     near_identities,
+from support import (LaurentMatrix, LaurentPoly, boundary_restriction_equiv,
+                     chambers, count_calls, fraction_rows, generated_problems,
+                     laurent_form, matrices, near_identities, pair,
                      ref_identity, ref_is_invertible_on, ref_product,
                      ref_regular_on, ref_with_entry, reference_verify_bundle,
                      with_matrices)
@@ -15,7 +15,7 @@ from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
                              Crossing, SurfacePath)
 from toricnets.errors import InvariantViolated
 from toricnets.fans import ray_cone
-from toricnets.laurent import LaurentMatrix, LaurentPoly, identity, mat_mul
+from toricnets.laurent import identity, mat_mul
 from toricnets.network import boundary_loop, branch_point_arms, track_path
 from toricnets.nonabelian import (Factors, Framed, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
@@ -312,7 +312,7 @@ def test_r1_line_bundle_cocycle(r1):
             m1, m2 = slopes[i], slopes[j]
             assert coc.constants[(i, j)] == identity(1)
             assert fraction_rows(coc.constants[(i, j)]) == ((Fraction(1),),)
-            assert coc.pair(i, j) == LaurentMatrix(
+            assert pair(coc, i, j) == LaurentMatrix(
                 [[mono(1, (m2[0] - m1[0], m2[1] - m1[1]))]])
     assert verify_bundle(coc, r1.tms).ok
 
@@ -322,7 +322,7 @@ def test_p2_cocycle_regular_and_invertible(p2, p2_built):
     ls = trivial_ls(cover)
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
     for i in range(3):
-        g = coc.pair((i - 1) % 3, i)
+        g = pair(coc, (i - 1) % 3, i)
         assert ref_regular_on(g, p2.fan, ray_cone(i))
         assert ref_is_invertible_on(g, p2.fan, ray_cone(i))
     rep = verify_bundle(coc, p2.tms)
@@ -344,12 +344,12 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
                 if i == j:
                     continue
                 cw = path_ordered(factors, track_path(net, i, j, ccw=False))
-                assert laurent_form(cw, spec.tms, cover) == coc.pair(i, j)
+                assert laurent_form(cw, spec.tms, cover) == pair(coc, i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
                             + track_path(net, 0, 1).crossings)
         assert laurent_form(path_ordered(factors, extra), spec.tms,
-                            cover) == coc.pair(0, 1)
+                            cover) == pair(coc, 0, 1)
 
 
 def _conditions(rep):
@@ -365,7 +365,7 @@ def test_corrupted_cocycle_detected(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     coc = kaneyama_cocycle(net, p2.tms, cover, ls)
-    bad = dict(coc.matrices)
+    bad = dict(matrices(coc))
     g = bad[(0, 1)]
     # zero out one nonzero coefficient: still on the frame, and G_10 is
     # invertible, so the pair (0, 1) fails its inverses check
@@ -380,8 +380,8 @@ def test_corrupted_cocycle_detected(p2, p2_built):
     row1 = [c for c in range(2) if g.entry(1, c).terms]
     scaled, z_term, off_diagonal = near_identities(2)
     # a coefficient of 2 on the diagonal keeps every frame
-    bad = dict(coc.matrices)
-    bad[(0, 1)] = ref_product(scaled, coc.pair(0, 1))
+    bad = dict(matrices(coc))
+    bad[(0, 1)] = ref_product(scaled, pair(coc, 0, 1))
     bad[(0, 0)] = scaled
     rep = verify_bundle(with_matrices(coc, bad), p2.tms)
     found = {(v.condition, v.witness) for v in rep.violations}
@@ -394,8 +394,8 @@ def test_corrupted_cocycle_detected(p2, p2_built):
     # entry (0, 1) of G_00 and, through row 1 of G_01, row 0 of N G_01 off
     for near, row, witness in [(z_term, 1, (0, 0, 1, 1)),
                                (off_diagonal, 0, (0, 0, 0, 1))]:
-        bad = dict(coc.matrices)
-        bad[(0, 1)] = ref_product(near, coc.pair(0, 1))
+        bad = dict(matrices(coc))
+        bad[(0, 1)] = ref_product(near, pair(coc, 0, 1))
         bad[(0, 0)] = near
         rep = verify_bundle(with_matrices(coc, bad), p2.tms)
         assert _conditions(rep) == {"tropicalization"}
@@ -410,24 +410,25 @@ def _entry_edit(coc, rng, on_frame=False):
     n, r = coc.tms.fan.n, coc.cover.r
     i, j = rng.sample(range(n), 2)
     row, col = rng.randrange(r), rng.randrange(r)
-    g = coc.pair(i, j)
+    g = pair(coc, i, j)
     c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
     e = (frame_exponent(coc, i, j, row, col) if on_frame else
          (rng.randint(-2, 2), rng.randint(-2, 2)))
     terms = dict(g.entry(row, col).terms)
     terms[e] = terms.get(e, 0) + c
-    bad = dict(coc.matrices)
+    bad = dict(matrices(coc))
     bad[(i, j)] = ref_with_entry(g, row, col, LaurentPoly(terms))
     return with_matrices(coc, bad), (i, j, row, col, e)
 
 
-def _gauge_edit(coc, rng, pair=None):
+def _gauge_edit(coc, rng, cones=None):
     """Kind (b): G_ij -> D G_ij and G_ji -> G_ji D^-1 for a constant
-    diagonal D, non-scalar when r > 1, on ``pair`` or a random pair.
+    diagonal D, non-scalar when r > 1, on the pair ``cones`` or a random
+    pair.
     Every inverse survives, and every triple through the pair {i, j}
     breaks."""
     n, r = coc.tms.fan.n, coc.cover.r
-    i, j = pair or rng.sample(range(n), 2)
+    i, j = cones or rng.sample(range(n), 2)
     ds = [Fraction(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(r)]
     if r > 1:
         ds[1] = ds[0] + 1
@@ -435,9 +436,9 @@ def _gauge_edit(coc, rng, pair=None):
                        for a in range(r)])
     d_inv = LaurentMatrix([[1 / ds[a] if a == b else 0 for b in range(r)]
                            for a in range(r)])
-    bad = dict(coc.matrices)
-    bad[(i, j)] = ref_product(d, coc.pair(i, j))
-    bad[(j, i)] = ref_product(coc.pair(j, i), d_inv)
+    bad = dict(matrices(coc))
+    bad[(i, j)] = ref_product(d, pair(coc, i, j))
+    bad[(j, i)] = ref_product(pair(coc, j, i), d_inv)
     return with_matrices(coc, bad)
 
 
@@ -495,7 +496,7 @@ def test_verify_bundle_matches_ordered_triple_reference(name, request):
     # identity transition matrices: every G_ij with i != j has an entry
     # off its frame (the slopes of two cones differ)
     kinds["identity"] = [(with_matrices(
-        coc, {k: ref_identity(cover.r) for k in coc.matrices}), None)]
+        coc, {k: ref_identity(cover.r) for k in matrices(coc)}), None)]
     # an extra term at the frame exponent of its entry
     kinds["entry"].append(_entry_edit(coc, rng, on_frame=True))
     for kind, cases in kinds.items():
@@ -530,7 +531,7 @@ def test_verify_bundle_ignores_the_order_of_the_matrices(fan7, fan7_built,
     shuffle = random.Random(7)
     for case in (first, coc, _gauge_edit(coc, rng)):
         want = verify_bundle(case, spec.tms).violations
-        orders = [list(case.matrices.items())]
+        orders = [list(matrices(case).items())]
         orders.append(orders[0][::-1])
         orders.append(shuffle.sample(orders[0], len(orders[0])))
         for items in orders:
@@ -547,13 +548,13 @@ def test_off_frame_entry_names_its_witness(p2, p2_built):
     # one extra term, off the frame, in a nonzero entry of G_01
     net, layout, cover = p2_built
     coc = kaneyama_cocycle(net, p2.tms, cover, trivial_ls(cover))
-    g = coc.pair(0, 1)
+    g = pair(coc, 0, 1)
     row, col = next((i, j) for i in range(2) for j in range(2)
                     if g.entry(i, j).terms)
     frame = frame_exponent(coc, 0, 1, row, col)
     off = (frame[0] + 1, frame[1])
     c, = g.entry(row, col).terms.values()
-    bad = dict(coc.matrices)
+    bad = dict(matrices(coc))
     bad[(0, 1)] = ref_with_entry(g, row, col, LaurentPoly({frame: c, off: 1}))
     found = sorted([frame, off])
     assert verify_bundle(with_matrices(coc, bad), p2.tms).violations == [
@@ -596,7 +597,7 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
     coc = kaneyama_cocycle(net, fan7.tms, cover, ls)
-    coc.matrices  # composed on first read, outside the count
+    coc.written  # composed and written on first read, outside the count
     calls = []
     product = laurent.mat_mul
 
@@ -628,7 +629,7 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     calls = {name: count_calls(monkeypatch, nonabelian, name)
              for name in ("wall_factor", "cut_factor", "semiflat_factor")}
     calls["mat_mul"] = count_calls(monkeypatch, laurent, "mat_mul")
-    kaneyama_cocycle(net, fan7.tms, cover, ls).matrices
+    kaneyama_cocycle(net, fan7.tms, cover, ls).written
     assert {name: len(c) for name, c in calls.items()} == {
         "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
         "mat_mul": 79}
@@ -664,7 +665,7 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
     # frame rescalings of the same system are equivalent
     scale = {i: [Fraction(7), Fraction(7)] for i in range(4)}
     rescaled = {}
-    for (i, j), m in cocs[3].matrices.items():
+    for (i, j), m in matrices(cocs[3]).items():
         d_j = LaurentMatrix([[scale[j][0], 0], [0, scale[j][1]]])
         d_i_inv = LaurentMatrix([[1 / scale[i][0], 0], [0, 1 / scale[i][1]]])
         rescaled[(i, j)] = ref_product(d_j, m, d_i_inv)
@@ -733,7 +734,7 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
     coc = kaneyama_cocycle(net, fan5.tms, cover, ls)
     factors = Factors(net, fan5.tms, cover, ls)
     n = fan5.fan.n
-    assert sorted(coc.matrices) == [(i, j) for i in range(n) for j in range(n)]
+    assert sorted(coc.written) == [(i, j) for i in range(n) for j in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -743,9 +744,9 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
                 # the constant over its denominator as its coefficient
                 assert fraction_rows(coc.constants[(i, j)]) == tuple(
                     tuple(sum(p.terms.values(), Fraction(0)) for p in row)
-                    for row in coc.pair(i, j).rows), (i, j)
+                    for row in pair(coc, i, j).rows), (i, j)
                 assert laurent_form(direct, fan5.tms, cover) == \
-                    coc.pair(i, j), (i, j)
+                    pair(coc, i, j), (i, j)
 
 
 def test_cut_factor_support_check_raises_typed_error(p2, p2_built,

@@ -110,26 +110,36 @@ def test_only_geom_tests_segment_contact():
     assert found == []
 
 
-def _fraction_names(name):
-    """Line numbers where a package module names ``Fraction``."""
-    path = SRC / name
+def _names(module, *idents):
+    """Line numbers where a package module names one of ``idents``."""
+    path = SRC / module
     tree = ast.parse(path.read_text(), filename=str(path))
     return [getattr(node, "lineno", 0) for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "Fraction")
-            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
-            or (isinstance(node, ast.alias) and node.name == "Fraction")]
+            if (isinstance(node, ast.Name) and node.id in idents)
+            or (isinstance(node, ast.Attribute) and node.attr in idents)
+            or (isinstance(node, ast.alias) and node.name in idents)]
 
 
 def test_network_names_no_fraction():
     # every boundary landing is read on the integer grid
     # (GridPoints.edge_position and GridPoints.half_edge), so the network
     # module neither imports nor names Fraction
-    assert _fraction_names("network.py") == []
+    assert _names("network.py", "Fraction") == []
 
 
 def test_nonabelian_names_no_fraction():
     # every numeric constant is an integer matrix over one denominator
     # (laurent.Constant): numeric coefficients enter only through laurent,
     # so the nonabelian module neither imports nor names Fraction
-    assert _fraction_names("nonabelian.py") == []
-    assert _fraction_names("laurent.py")
+    assert _names("nonabelian.py", "Fraction") == []
+    assert _names("laurent.py", "Fraction")
+
+
+def test_no_module_names_a_laurent_matrix():
+    # a transition matrix is written once, as its cocycle.json term list
+    # (KaneyamaCocycle.written), and verify_bundle certifies those lists:
+    # the Laurent form in z lives in tests/support.py only
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _names(path.name, "LaurentMatrix", "LaurentPoly")]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
