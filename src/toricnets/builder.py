@@ -19,27 +19,29 @@ crossing spokes transversely, and descends at its target.  All placement
 is exact; if the polygon is shaped so that some arms collide, all depths
 are halved and the layout retried (the structure localizes toward the
 boundary, so this terminates).
+
+Placement runs on an integer grid of scale D, fixed before any point is
+placed: a point is an int pair X and leaves once as ``Fraction(X, D)``.
+With count = N-2 Y-graphs at depths 2^-d * shrink / 3 (d < count), D =
+lcm(4(count+1), lcm(4, n) * 3 * 2^(count-1) / shrink) makes every division
+exact.  The vertices are lattice points (the fan is smooth, phi integral),
+so an edge vector is D times an integer vector and divides by any edge
+parameter's denominator: 4, or 4(count+1) where a first arm lands.  The
+center (mean of n vertices) has denominator n and a boundary point 4, so
+their difference is D / lcm(4, n) times an integer vector and divides by
+any depth's denominator, 3 * 2^d / shrink.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from . import geom
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie, ToricNetsError)
 from .multisection import parity_and_realizability
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
-
-
-def _edge_point(polytope, e, t):
-    a, b = polytope.edge(e)
-    return geom.lerp(a, b, t)
-
-
-def _depth_point(disk, boundary_point, s):
-    return geom.lerp(boundary_point, disk.center, s)
 
 
 def _label_from_slopes(tms, cover, cone, edge):
@@ -61,30 +63,18 @@ def _label_from_slopes(tms, cover, cone, edge):
 @dataclass
 class _YPlan:
     depth_index: int
-    anchor: int          # cone index of the anchor vertex
-    w1_edge: int
+    w1_edge: int         # the first arm lands at w1_t of this edge
     w1_t: Fraction
-    w2_edge: int
-    w3_edge: int
-    cut_edge: int
+    w2_edge: int         # ends at the anchor vertex; second arm lands at 3/4
+    w3_edge: int         # starts there; third arm lands at 1/4, cut at 1/2
 
 
 def _plan(tms, vees):
-    n_value = len(vees)
-    count = n_value - 2
-    plans = []
-    for d in range(count):
-        anchor = vees[n_value - 2 - d]
-        plans.append(_YPlan(
-            depth_index=d,
-            anchor=anchor,
-            w1_edge=vees[0],
-            w1_t=Fraction(1, 2) + Fraction(d + 1, 4 * (count + 1)),
-            w2_edge=anchor,
-            w3_edge=(anchor + 1) % tms.fan.n,
-            cut_edge=(anchor + 1) % tms.fan.n,
-        ))
-    return plans
+    """One plan per nesting depth d, anchored at V_{N-1-d}."""
+    count = len(vees) - 2
+    return [_YPlan(d, vees[0], Fraction(1, 2) + Fraction(d + 1, 4 * count + 4),
+                   anchor, (anchor + 1) % tms.fan.n)
+            for d, anchor in enumerate(vees[count:0:-1])]
 
 
 def _quarter_points_cw(n, start_edge, end_edge):
@@ -105,31 +95,39 @@ def _quarter_points_cw(n, start_edge, end_edge):
 
 
 def _build_geometry(disk, plans, shrink):
-    polytope = disk.polytope
+    """Walls and cut layout of the planned Y-graphs, placed on the scale D."""
+    n, count = disk.fan.n, len(plans)
+    scale = lcm(4 * (count + 1),
+                lcm(4, n) * 3 * 2 ** (count - 1) * shrink.denominator)
+    verts = [(x.numerator * scale, y.numerator * scale)
+             for x, y in disk.polytope.vertices]
+    center = (sum(x for x, _ in verts) // n, sum(y for _, y in verts) // n)
+
+    def lerp(a, b, t):
+        return (a[0] + (b[0] - a[0]) * t.numerator // t.denominator,
+                a[1] + (b[1] - a[1]) * t.numerator // t.denominator)
+
+    def place(e, t, s=None):
+        """Point t of edge e, taken the fraction s towards the center."""
+        p = lerp(verts[e - 1], verts[e], t)
+        p = lerp(p, center, s) if s else p
+        return (Fraction(p[0], scale), Fraction(p[1], scale))
+
     walls_raw = []   # (branch index, polyline, end edge, end parameter)
     cuts = []
-    base_depth = Fraction(1, 3) * shrink
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     for p in plans:
-        s = base_depth * Fraction(1, 2) ** p.depth_index
-        q_long = _edge_point(polytope, p.w3_edge, Fraction(1, 4))
-        b = _depth_point(disk, q_long, s)
-        w3 = (b, q_long)
-        cut_target = polytope.edge_barycenter(p.cut_edge)
-        cut_poly = (b, cut_target)
-        w2_target = _edge_point(polytope, p.w2_edge, Fraction(3, 4))
-        w2 = (b, w2_target)
-        w1_target = _edge_point(polytope, p.w1_edge, p.w1_t)
-        waypoints = _quarter_points_cw(polytope.n, p.w3_edge, p.w1_edge)
-        pts = [b]
-        for (e, t) in waypoints:
-            pts.append(_depth_point(disk, _edge_point(polytope, e, t), s))
-        pts.append(w1_target)
-        w1 = tuple(pts)
-        bi = p.depth_index
-        walls_raw.append((bi, w1, p.w1_edge, p.w1_t))
-        walls_raw.append((bi, w2, p.w2_edge, Fraction(3, 4)))
-        walls_raw.append((bi, w3, p.w3_edge, Fraction(1, 4)))
-        cuts.append(Cut(cut_poly, (0, 1), p.cut_edge))
+        s = shrink / (3 * 2 ** p.depth_index)
+        b = place(p.w3_edge, quarter, s)
+        w1 = (b, *(place(e, t, s) for e, t in
+                   _quarter_points_cw(n, p.w3_edge, p.w1_edge)),
+              place(p.w1_edge, p.w1_t))
+        walls_raw += [
+            (p.depth_index, w1, p.w1_edge, p.w1_t),
+            (p.depth_index, (b, place(p.w2_edge, three_quarters)),
+             p.w2_edge, three_quarters),
+            (p.depth_index, (b, place(p.w3_edge, quarter)), p.w3_edge, quarter)]
+        cuts.append(Cut((b, disk.spoke(p.w3_edge)[1]), (0, 1), p.w3_edge))
     return walls_raw, BranchCutLayout(disk, tuple(cuts))
 
 

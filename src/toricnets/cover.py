@@ -190,18 +190,30 @@ class GridPoints:
     ``geom.touching_segments``.  Point location runs here too, and only
     here: ``interior``, ``region``, ``edge_position`` and ``half_edge``
     test grid points against the scaled polygon and spokes.  The
-    barycenter of edge e is the grid end of spoke e.
+    barycenter of edge e is the grid end of spoke e.  ``scale`` is the
+    least common denominator of every coordinate, so a grid with walls is
+    its layout's grid k-fold: the layout's points and boxes times k, kept
+    as they are when k = 1.
     """
 
     def __init__(self, layout, wall_polylines):
-        disk = layout.disk
-        spokes = [disk.spoke(i) for i in range(disk.fan.n)]
-        cuts = [c.polyline for c in layout.cuts]
-        grid = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts,
-                               *wall_polylines))
-        self.vertices = tuple(map(grid.point, disk.polytope.vertices))
-        self.spokes = [grid.polyline(s) for s in spokes]
-        self.cuts = [grid.polyline(c) for c in cuts]
+        if wall_polylines:
+            base = layout.grid
+            grid = geom.Grid(chain(*wall_polylines), base.scale)
+            k = grid.scale // base.scale
+            self.vertices = base.vertices if k == 1 else \
+                tuple((x * k, y * k) for x, y in base.vertices)
+            self.spokes = [s.scaled(k) for s in base.spokes]
+            self.cuts = [c.scaled(k) for c in base.cuts]
+        else:
+            disk = layout.disk
+            spokes = [disk.spoke(i) for i in range(disk.fan.n)]
+            cuts = [c.polyline for c in layout.cuts]
+            grid = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts))
+            self.vertices = tuple(map(grid.point, disk.polytope.vertices))
+            self.spokes = [grid.polyline(s) for s in spokes]
+            self.cuts = [grid.polyline(c) for c in cuts]
+        self.scale = grid.scale
         self.walls = [grid.polyline(w) for w in wall_polylines]
 
     def interior(self, p):
@@ -258,12 +270,11 @@ class GridPoints:
 
 def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
     """Check cut k of the layout; ``g`` holds the layout's grid points."""
-    poly = disk.polytope
     pts = list(cut.polyline)
     if len(pts) < 2:
         raise CutEndpointNotBarycenter("cut polyline needs two points")
     end = pts[-1]
-    target = poly.edge_barycenter(cut.edge)
+    target = disk.spoke(cut.edge)[1]
     if end != target:
         raise CutEndpointNotBarycenter(
             f"cut ends at {end}, not at barycenter {target} of edge {cut.edge}")

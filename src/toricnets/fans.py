@@ -152,10 +152,10 @@ class Polytope:
 
     def edge_barycenter(self, i):
         a, b = self.edge(i)
-        return geom.midpoint(a, b)
+        return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
 
     def barycenter(self):
-        return geom.polygon_barycenter(self.vertices)
+        return tuple(sum(c) / self.n for c in zip(*self.vertices))
 
     def __repr__(self):
         return f"Polytope({self.vertices})"

@@ -10,9 +10,9 @@ on points put on one integer grid by ``Grid``: every coordinate times a
 positive common denominator D.  That map multiplies every signed area by
 D^2 > 0, so every orientation sign is unchanged, and it is injective, so
 every point equality is unchanged too; the predicates give the same
-answers on plain ``int``s, exactly.  Only the predicates see the grid:
-emitted points, report witnesses and error messages keep the original
-``Fraction`` points.
+answers on plain ``int``s, exactly.  Beyond the predicates only the SVG
+writer reads the grid: emitted points, report witnesses and error
+messages keep the original ``Fraction`` points.
 
 Point location runs on the same grid: ``cover.GridPoints`` is the only
 caller of ``point_in_convex_polygon``, finds a point's region with
@@ -27,7 +27,6 @@ to the pairs it yields.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 Point = tuple  # (Fraction, Fraction)
@@ -49,16 +48,6 @@ def cross(a, b):
 
 def sub(a, b) -> Point:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def lerp(a, b, t) -> Point:
-    """Point a + t*(b-a) with exact rational t."""
-    t = Fraction(t)
-    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
-
-
-def midpoint(a, b) -> Point:
-    return lerp(a, b, Fraction(1, 2))
 
 
 def angular_half(v) -> int:
@@ -157,16 +146,25 @@ class Polyline(tuple):
         self.boxes = tuple(map(box, self, self[1:]))
         return self
 
+    def scaled(self, k):
+        """The polyline on a grid k times finer; k times a box is a box."""
+        if k == 1:
+            return self
+        out = tuple.__new__(Polyline, ((x * k, y * k) for x, y in self))
+        out.boxes = tuple(tuple(c * k for c in b) for b in self.boxes)
+        return out
+
 
 class Grid:
     """One integer grid for a finite set of rational points.
 
-    ``scale`` is the least positive common denominator of every
-    coordinate, and ``point(p)`` is the integer point scale * p.
+    ``scale`` is the least positive multiple of ``base`` that clears the
+    denominator of every coordinate, and ``point(p)`` is the integer point
+    scale * p.
     """
 
-    def __init__(self, points):
-        self.scale = lcm(*(c.denominator for p in points for c in p))
+    def __init__(self, points, base=1):
+        self.scale = lcm(base, *(c.denominator for p in points for c in p))
 
     def point(self, p):
         s = self.scale
@@ -190,9 +188,3 @@ def point_in_convex_polygon(p, vertices):
             on_edge = True
     return 0 if on_edge else 1
 
-
-def polygon_barycenter(vertices) -> Point:
-    n = len(vertices)
-    sx = sum((v[0] for v in vertices), Fraction(0))
-    sy = sum((v[1] for v in vertices), Fraction(0))
-    return (sx / n, sy / n)

@@ -74,8 +74,9 @@ class SpectralNetwork:
 
     @functools.cached_property
     def grid(self):
-        """Every point of the network on one integer grid (``GridPoints``)."""
-        return GridPoints(self.layout, [w.polyline for w in self.walls])
+        """Every point on the layout's grid, extended by the walls."""
+        walls = [w.polyline for w in self.walls]
+        return GridPoints(self.layout, walls) if walls else self.layout.grid
 
     @functools.cached_property
     def walls_disjoint(self):

@@ -1,76 +1,78 @@
-"""Deterministic SVG rendering of the polygon, spokes, walls, and cuts."""
+"""Deterministic SVG rendering of the polygon, spokes, walls, and cuts.
+
+Points are drawn from an integer grid (``cover.GridPoints``).  A screen
+coordinate is one int true division, which CPython rounds correctly, as it
+does ``float`` of the same ``Fraction``.
+"""
 from __future__ import annotations
 
-from fractions import Fraction
+from .cover import BranchCutLayout
 
 _WALL_COLORS = {(0, 1): "#1f5fbf", (1, 0): "#bf1f2f"}
 VIEW = 640
 MARGIN = 40
 
 
-def _mapper(polytope):
-    xs = [v[0] for v in polytope.vertices]
-    ys = [v[1] for v in polytope.vertices]
-    lo = (min(xs), min(ys))
-    hi = (max(xs), max(ys))
-    span = max(hi[0] - lo[0], hi[1] - lo[1], Fraction(1))
-    scale = Fraction(VIEW - 2 * MARGIN) / span
+def _mapper(grid):
+    """Screen coordinates ("%.3f" strings) of the points of ``grid``."""
+    xs, ys = zip(*grid.vertices)
+    lo_x, lo_y = min(xs), min(ys)
+    span = max(max(xs) - lo_x, max(ys) - lo_y, grid.scale)
+    width = VIEW - 2 * MARGIN
 
     def to_screen(p):
-        x = MARGIN + float((p[0] - lo[0]) * scale)
-        y = VIEW - MARGIN - float((p[1] - lo[1]) * scale)
-        return f"{x:.3f},{y:.3f}"
+        return (f"{MARGIN + (p[0] - lo_x) * width / span:.3f}",
+                f"{VIEW - MARGIN - (p[1] - lo_y) * width / span:.3f}")
 
     return to_screen
 
 
 def _polyline(points, to_screen, stroke, extra=""):
-    pts = " ".join(to_screen(p) for p in points)
+    pts = " ".join(",".join(to_screen(p)) for p in points)
     return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="1.6" {extra}/>')
 
 
 def render_svg(disk, net=None, layout=None) -> str:
     """Figure of the disk model plus an optional network and cut layout."""
-    polytope = disk.polytope
-    to_screen = _mapper(polytope)
+    grid = (net if net is not None else layout if layout is not None
+            else BranchCutLayout(disk, ())).grid
+    to_screen = _mapper(grid)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" '
              f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">',
              '<rect width="100%" height="100%" fill="white"/>']
-    boundary = list(polytope.vertices) + [polytope.vertices[0]]
+    boundary = grid.vertices + grid.vertices[:1]
     parts.append(_polyline(boundary, to_screen, "#202020"))
-    for i in range(disk.fan.n):
-        a, b = disk.spoke(i)
-        parts.append(_polyline([a, b], to_screen, "#b0b0b0",
+    for spoke in grid.spokes:
+        parts.append(_polyline(spoke, to_screen, "#b0b0b0",
                                'stroke-dasharray="2,3"'))
-        mid = polytope.edge_barycenter(i)
-        parts.append(f'<circle cx="{to_screen(mid).split(",")[0]}" '
-                     f'cy="{to_screen(mid).split(",")[1]}" r="2.5" '
-                     f'fill="#b0b0b0"/>')
-    for i, v in enumerate(polytope.vertices):
-        x, y = to_screen(v).split(",")
+        x, y = to_screen(spoke[1])
+        parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#b0b0b0"/>')
+    for i, v in enumerate(grid.vertices):
+        x, y = to_screen(v)
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#202020"/>')
         parts.append(f'<text x="{float(x) + 6:.3f}" y="{float(y) - 6:.3f}" '
                      f'font-size="12" fill="#202020">s{i}</text>')
     if layout is not None:
-        for cut in layout.cuts:
-            parts.append(_polyline(cut.polyline, to_screen, "#707070",
+        cuts, cut_screen = layout.grid.cuts, _mapper(layout.grid)
+        for cut in cuts:
+            parts.append(_polyline(cut, cut_screen, "#707070",
                                    'stroke-dasharray="6,4"'))
-        for p in layout.branch_points:
-            x, y = to_screen(p).split(",")
+        for cut in cuts:
+            x, y = cut_screen(cut[0])
             parts.append(f'<g stroke="#202020" stroke-width="1.4">'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) - 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) + 4:.3f}"/>'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) + 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) - 4:.3f}"/></g>')
     if net is not None:
-        for w in net.walls:
+        for w, points in zip(net.walls, grid.walls):
             color = _WALL_COLORS.get(tuple(w.label), "#3f8f3f")
-            parts.append(_polyline(w.polyline, to_screen, color))
-            end = to_screen(w.end).split(",")
+            parts.append(_polyline(points, to_screen, color))
+            x, y = to_screen(points[-1])
             lbl = f"{w.label[0] + 1}{w.label[1] + 1}"
-            parts.append(f'<text x="{float(end[0]) + 4:.3f}" '
-                         f'y="{float(end[1]) - 4:.3f}" font-size="10" '
+            parts.append(f'<text x="{float(x) + 4:.3f}" '
+                         f'y="{float(y) - 4:.3f}" font-size="10" '
                          f'fill="{color}">{lbl}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -31,10 +31,6 @@ def _frac(x):
         raise SchemaError(f"bad rational {x!r}: {exc}")
 
 
-def _frac_str(x):
-    return str(Fraction(x))
-
-
 def _point(obj):
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"bad point {obj!r}")
@@ -65,7 +61,7 @@ def _int_pair(obj, what):
 
 
 def _point_out(p):
-    return [_frac_str(p[0]), _frac_str(p[1])]
+    return [str(p[0]), str(p[1])]
 
 
 @dataclass

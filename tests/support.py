@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from toricnets import errors, fans, geom, multisection, schema
-from toricnets.cover import (Crossing, SheetedSurface, SurfacePath,
+from toricnets.cover import (Crossing, Cut, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
 from toricnets.errors import (InvalidPath, NotRegular, NotSupported,
@@ -31,6 +31,23 @@ REALIZABLE = ("fan5_n5", "fan7_n7", "line_bundle_r1", "p1p1_n4", "p2_n3")
 
 def load(name):
     return schema.load_problem(FIXTURES / f"{name}.json")
+
+
+def lerp(a, b, t):
+    """Point a + t*(b-a) with exact rational t."""
+    t = Fraction(t)
+    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+
+
+def midpoint(a, b):
+    return lerp(a, b, Fraction(1, 2))
+
+
+def polygon_barycenter(vertices):
+    n = len(vertices)
+    sx = sum((v[0] for v in vertices), Fraction(0))
+    sy = sum((v[1] for v in vertices), Fraction(0))
+    return (sx / n, sy / n)
 
 
 def count_calls(monkeypatch, module, name):
@@ -721,6 +738,128 @@ def quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
                 out.append((d, e, t))
     out.sort()
     return [(e, t) for _, e, t in out]
+
+
+# -- reference placement and drawing -----------------------------------------
+# The builder's placement and the SVG writer in ``Fraction`` arithmetic, as
+# they were before both moved onto the integer grid: every point a ``lerp``
+# of ``Fraction`` points, every screen coordinate a ``Fraction`` product
+# turned into a float.
+
+
+def _ref_edge_point(polytope, e, t):
+    a, b = polytope.edge(e)
+    return lerp(a, b, t)
+
+
+def _ref_depth_point(disk, boundary_point, s):
+    return lerp(boundary_point, disk.center, s)
+
+
+def reference_build_geometry(disk, plans, shrink):
+    """``builder._build_geometry`` in ``Fraction`` arithmetic.
+
+    Returns the raw walls (branch index, polyline, end edge, end
+    parameter) and the cuts, in the order the builder places them.
+    """
+    polytope = disk.polytope
+    walls_raw = []
+    cuts = []
+    base_depth = Fraction(1, 3) * shrink
+    for p in plans:
+        s = base_depth * Fraction(1, 2) ** p.depth_index
+        q_long = _ref_edge_point(polytope, p.w3_edge, Fraction(1, 4))
+        b = _ref_depth_point(disk, q_long, s)
+        w3 = (b, q_long)
+        cut_poly = (b, polytope.edge_barycenter(p.w3_edge))
+        w2 = (b, _ref_edge_point(polytope, p.w2_edge, Fraction(3, 4)))
+        w1_target = _ref_edge_point(polytope, p.w1_edge, p.w1_t)
+        pts = [b]
+        for e, t in quarter_points_cw(polytope, p.w3_edge, Fraction(1, 4),
+                                      p.w1_edge, Fraction(3, 4)):
+            pts.append(_ref_depth_point(
+                disk, _ref_edge_point(polytope, e, t), s))
+        pts.append(w1_target)
+        bi = p.depth_index
+        walls_raw.append((bi, tuple(pts), p.w1_edge, p.w1_t))
+        walls_raw.append((bi, w2, p.w2_edge, Fraction(3, 4)))
+        walls_raw.append((bi, w3, p.w3_edge, Fraction(1, 4)))
+        cuts.append(Cut(cut_poly, (0, 1), p.w3_edge))
+    return walls_raw, tuple(cuts)
+
+
+_REF_WALL_COLORS = {(0, 1): "#1f5fbf", (1, 0): "#bf1f2f"}
+_REF_VIEW = 640
+_REF_MARGIN = 40
+
+
+def _ref_mapper(polytope):
+    xs = [v[0] for v in polytope.vertices]
+    ys = [v[1] for v in polytope.vertices]
+    lo = (min(xs), min(ys))
+    hi = (max(xs), max(ys))
+    span = max(hi[0] - lo[0], hi[1] - lo[1], Fraction(1))
+    scale = Fraction(_REF_VIEW - 2 * _REF_MARGIN) / span
+
+    def to_screen(p):
+        x = _REF_MARGIN + float((p[0] - lo[0]) * scale)
+        y = _REF_VIEW - _REF_MARGIN - float((p[1] - lo[1]) * scale)
+        return f"{x:.3f},{y:.3f}"
+
+    return to_screen
+
+
+def _ref_polyline(points, to_screen, stroke, extra=""):
+    pts = " ".join(to_screen(p) for p in points)
+    return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+            f'stroke-width="1.6" {extra}/>')
+
+
+def reference_render_svg(disk, net=None, layout=None) -> str:
+    """``render.render_svg`` drawing from the ``Fraction`` points."""
+    view = _REF_VIEW
+    polytope = disk.polytope
+    to_screen = _ref_mapper(polytope)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{view}" '
+             f'height="{view}" viewBox="0 0 {view} {view}">',
+             '<rect width="100%" height="100%" fill="white"/>']
+    boundary = list(polytope.vertices) + [polytope.vertices[0]]
+    parts.append(_ref_polyline(boundary, to_screen, "#202020"))
+    for i in range(disk.fan.n):
+        a, b = disk.spoke(i)
+        parts.append(_ref_polyline([a, b], to_screen, "#b0b0b0",
+                                   'stroke-dasharray="2,3"'))
+        mid = polytope.edge_barycenter(i)
+        parts.append(f'<circle cx="{to_screen(mid).split(",")[0]}" '
+                     f'cy="{to_screen(mid).split(",")[1]}" r="2.5" '
+                     f'fill="#b0b0b0"/>')
+    for i, v in enumerate(polytope.vertices):
+        x, y = to_screen(v).split(",")
+        parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#202020"/>')
+        parts.append(f'<text x="{float(x) + 6:.3f}" y="{float(y) - 6:.3f}" '
+                     f'font-size="12" fill="#202020">s{i}</text>')
+    if layout is not None:
+        for cut in layout.cuts:
+            parts.append(_ref_polyline(cut.polyline, to_screen, "#707070",
+                                       'stroke-dasharray="6,4"'))
+        for p in layout.branch_points:
+            x, y = to_screen(p).split(",")
+            parts.append(f'<g stroke="#202020" stroke-width="1.4">'
+                         f'<line x1="{float(x) - 4:.3f}" y1="{float(y) - 4:.3f}" '
+                         f'x2="{float(x) + 4:.3f}" y2="{float(y) + 4:.3f}"/>'
+                         f'<line x1="{float(x) - 4:.3f}" y1="{float(y) + 4:.3f}" '
+                         f'x2="{float(x) + 4:.3f}" y2="{float(y) - 4:.3f}"/></g>')
+    if net is not None:
+        for w in net.walls:
+            color = _REF_WALL_COLORS.get(tuple(w.label), "#3f8f3f")
+            parts.append(_ref_polyline(w.polyline, to_screen, color))
+            end = to_screen(w.end).split(",")
+            lbl = f"{w.label[0] + 1}{w.label[1] + 1}"
+            parts.append(f'<text x="{float(end[0]) + 4:.3f}" '
+                         f'y="{float(end[1]) - 4:.3f}" font-size="10" '
+                         f'fill="{color}">{lbl}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # -- reference contact geometry ----------------------------------------------

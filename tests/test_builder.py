@@ -143,9 +143,9 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # fan7_n7: 15 walls (50 segments), 5 cuts and 7 spokes.  Testing every
     # segment pair of walls, cuts and spokes takes 1710 exact tests; after
     # the bounding-box reject 114 remain.  The points are scaled onto the
-    # integer grid once for the layout and once for the network, and each
-    # segment box is computed once per grid: 7 spokes and 5 cuts for the
-    # layout, and those again with the 50 wall segments for the network.
+    # integer grid once for the layout; the network's grid extends it by
+    # the walls, multiplying the layout's points and boxes, so each segment
+    # box is computed once: 7 spokes and 5 cuts, then 50 wall segments.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
@@ -161,7 +161,7 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
     assert [len(walls) for _, walls in grids] == [0, 15]
-    assert len(boxes) == (7 + 5) + (7 + 5 + 50) == 74
+    assert len(boxes) == (7 + 5) + 50 == 62
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
     # the network and the layout keep their grids: building a cover again
     # and validating against it scales no point again

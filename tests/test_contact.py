@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FIXTURES, generated_problems, load,
-                     reference_build_cover, reference_validate_network,
-                     region_polygon)
+from support import (FIXTURES, generated_problems, lerp, load, midpoint,
+                     polygon_barycenter, reference_build_cover,
+                     reference_validate_network, region_polygon)
 
 from toricnets import builder, cover as cover_module, errors
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, build_cover
-from toricnets.geom import lerp, midpoint, polygon_barycenter
 from toricnets.network import SpectralNetwork, Wall, validate_network
 
 

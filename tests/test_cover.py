@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import concat_paths, generator_loops, is_closed, reversed_path
+from support import (concat_paths, generator_loops, is_closed, lerp,
+                     reversed_path)
 
 from toricnets.cover import (BranchCutLayout, Crossing, Cut, SurfacePath,
                              betti_one, build_cover, make_local_system,
@@ -12,7 +13,6 @@ from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               OpenPath, OverlappingCuts, WrongCount,
                               ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
-from toricnets.geom import lerp
 from toricnets.laurent import TPoly
 
 

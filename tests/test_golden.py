@@ -6,9 +6,9 @@ bytes of ``network.json``, ``network.svg`` or ``cocycle.json`` (or in the
 verdict of a non-realizable fixture) fails here.  ``VERIFY_STAGES`` pins
 the stage list of ``toricnets verify --seed 0 --report json`` (names,
 statuses, details and order), hashed as the benchmark's holonomy-sweep
-gate hashes it.  ``GENERATED_COCYCLES`` pins ``cocycle.json`` beyond the
-fixtures, on three seeded generated problems.  Refactors must leave every
-digest unchanged.
+gate hashes it.  ``GENERATED_ARTIFACTS`` pins the three artifacts beyond
+the fixtures, on three seeded generated problems.  Refactors must leave
+every digest unchanged.
 
 To print the table for the current code (only when an output change is
 intended): ``PYTHONPATH=src python tests/test_golden.py``.
@@ -187,35 +187,53 @@ VERIFY_STAGES = {
 }
 
 
+# ``network.json`` and ``network.svg`` of ``toricnets build`` and
 # ``cocycle.json`` of ``toricnets nonabelianize`` on seeded generated
 # problems, with the holonomies the generator chose: shape -> sha256
-GENERATED_COCYCLES = {
-    (12, 12):
-        "13298cf0732165383c9dc18ce434ec7832003e44155b5d537f8099fc153249d8",
-    (9, 6):
-        "49cee14a4cb7ea39ac7ea3ead6d5922ccaef8833e4bedf2b5f1b65933c120a8f",
-    (7, 5):
-        "2645fa289dc56bfdc1266b4f2ee927591cdcc248e40b3192d4e6593d38acd9ff",
+GENERATED_ARTIFACTS = {
+    (12, 12): {
+        "network.json":
+        "b262deb49b5847829035317ef66abd78b0ee3270bd80aa084158ad940307292f",
+        "network.svg":
+        "5d78b44f0236befb18e5ce7bd4d2e493a2fc263f3f163a87247dab0cf7c4544f",
+        "cocycle.json":
+        "13298cf0732165383c9dc18ce434ec7832003e44155b5d537f8099fc153249d8"},
+    (9, 6): {
+        "network.json":
+        "d64efef3fb3f7b5361b356b98b0e43a4aff7e067965f557c690ceb187e88982e",
+        "network.svg":
+        "0d9aa8e6c263620f1903304dee3bbf29e0d5a31bf2b9b82c3560659f4204ee95",
+        "cocycle.json":
+        "49cee14a4cb7ea39ac7ea3ead6d5922ccaef8833e4bedf2b5f1b65933c120a8f"},
+    (7, 5): {
+        "network.json":
+        "f3cde5c614a97515cf37b6768f1ed5e09e953f7556367e5eea6d6a630cff8452",
+        "network.svg":
+        "0c7827e4a97f708d5fa80373e63725810d1e96b69917722321fcca8323f5926e",
+        "cocycle.json":
+        "2645fa289dc56bfdc1266b4f2ee927591cdcc248e40b3192d4e6593d38acd9ff"},
 }
 
 
-def generated_cocycles(outdir):
-    """sha256 of the cocycle.json written for each generated problem."""
+def generated_artifacts(outdir):
+    """sha256 of every artifact written for each generated problem."""
     out = {}
     for shape, spec in generated_problems("cocycle", 16, 2):
         problem = outdir / f"problem{shape}.json"
         problem.write_text(json.dumps(spec.raw))
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["nonabelianize", "--input", str(problem),
-                         "--out", str(outdir / f"out{shape}")])
-        assert code == 0, shape
-        out[shape] = hashlib.sha256(
-            (outdir / f"out{shape}" / "cocycle.json").read_bytes()).hexdigest()
+        for command in ("build", "nonabelianize"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--input", str(problem),
+                             "--out", str(outdir / f"out{shape}")])
+            assert code == 0, (shape, command)
+        out[shape] = {a: hashlib.sha256(
+            (outdir / f"out{shape}" / a).read_bytes()).hexdigest()
+            for a in ARTIFACTS}
     return out
 
 
-def test_golden_generated_cocycles(tmp_path):
-    assert generated_cocycles(tmp_path) == GENERATED_COCYCLES
+def test_golden_generated_artifacts(tmp_path):
+    assert generated_artifacts(tmp_path) == GENERATED_ARTIFACTS
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -245,4 +263,4 @@ if __name__ == "__main__":
                       for p in sorted(FIXTURES.glob("*.json"))},
                      indent=4, sort_keys=True))
     with tempfile.TemporaryDirectory() as d:
-        print(generated_cocycles(Path(d)))
+        print(generated_artifacts(Path(d)))

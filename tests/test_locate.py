@@ -19,13 +19,12 @@ import random
 from fractions import Fraction
 
 from support import (FIXTURES, edge_parameter, generated_problems,
-                     half_edge_of_boundary_point, load,
+                     half_edge_of_boundary_point, lerp, load,
                      region_of_interior_point)
 
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
 from toricnets.errors import NotRealizable, UnknownCone
-from toricnets.geom import lerp
 
 
 def _outcome(locate, *args):

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from support import (chambers, generated_problems, load,
+from support import (chambers, generated_problems, lerp, load,
                      reference_validate_network)
 
 from toricnets import network
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotSupported
-from toricnets.geom import lerp
 from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
                                enumerate_solitons, track_events,
                                validate_network, walls_pairwise_disjoint)

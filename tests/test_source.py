@@ -127,6 +127,14 @@ def test_network_names_no_fraction():
     assert _names("network.py", "Fraction") == []
 
 
+def test_render_names_no_fraction():
+    # the figure is drawn from the integer grid (GridPoints): every screen
+    # coordinate is one int true division, so the render module neither
+    # imports nor names Fraction
+    assert _names("render.py", "Fraction") == []
+    assert _names("render.py", "grid")
+
+
 def test_nonabelian_names_no_fraction():
     # every numeric constant is an integer matrix over one denominator
     # (laurent.Constant): numeric coefficients enter only through laurent,
