@@ -12,24 +12,92 @@ arms the boundary label flips an odd number of times (vertices count one
 flip each, cuts one each), which is exactly the alternation the wall
 factors around a branch point need.
 
-Geometry: every Y hangs at its own depth below the boundary (deeper for
-outer Y-graphs); the long first arm travels as a polyline through
-constant-depth waypoints over the quarter points of the boundary edges,
-crossing spokes transversely, and descends at its target.  All placement
-is exact; if the polygon is shaped so that some arms collide, all depths
-are halved and the layout retried (the structure localizes toward the
-boundary, so this terminates).
+Geometry.  Write P for the polygon, with vertex a dual to cone a and edge
+e = [vertex e-1, vertex e] dual to ray e, B(e, t) for the point t of edge e,
+M_e = B(e, 1/2) for its barycenter and c for the center, the mean of the
+vertices (and of the M_e).  H_s is the homothety p -> p + s(c - p), and Q
+is the polygon of the quarter points B(e, 1/4), B(e, 3/4): P with its
+corners cut off along the chords B(a, 3/4)-B(a+1, 1/4).  The Y of depth d
+has depth s = 2^-d / 3, anchor a and e0 = V_1:
+
+- its branch point is b = H_s(B(a+1, 1/4));
+- its first wall w1 is an arc along Q_s = H_s(Q) from b cw through the
+  quarter points (a, 3/4), (a, 1/4), ..., (e0, 3/4), then a descent to
+  B(e0, 1/2 + (d+1)/(4(N-1))) on edge e0;
+- its second and third walls w2, w3 run straight from b to B(a, 3/4) and
+  B(a+1, 1/4), and its cut from b to M_{a+1}.
+
+This placement passes every check that ``validate_network`` and
+``build_cover`` make, so it is placed once.  One fact carries the proof:
+c lies strictly on the far side of every chord B(a, 3/4)-B(a+1, 1/4) from
+vertex a.  (Measure u linearly with u = 1 at vertex a and u = 0 at
+vertices a-1, a+1; the other vertices have u < 0, so u(c) <= 1/3, while
+the chord has u = 3/4 and the segment M_a-M_{a+1} u = 1/2.)  Hence c is
+interior to Q, which is strictly convex, and every region (c, M_a,
+vertex a, M_{a+1}) is convex.  The argument holds for any strictly
+decreasing depths in (0, 1).
+
+(a) Q_s = c + (1-s)(Q - c).  For s > s', Q_s is Q_{s'} shrunk by
+    (1-s)/(1-s') about c, an interior point, so it lies in the interior
+    of conv Q_{s'}: arcs at different depths are disjoint.
+(b) w2, w3 and the cut run from b = H_s(p), p = B(a+1, 1/4), to the
+    boundary.  w3 and the cut end on edge a+1, beyond the line of Q_s's
+    edge-(a+1) piece through b; w2 ends at B(a, 3/4), beyond the line of
+    Q_s's corner chord through b.  Each lies in a closed half-plane beyond
+    a supporting line of conv Q_s, so it meets conv Q_s only at b: it
+    misses every shallower arc (inside conv Q_s by (a)) and meets its own
+    only at b.
+(c) Every descent runs in the triangle T = (c, B(e0, 1/4), B(e0, 3/4)).  A
+    deeper Y's arc arrives at its 3/4 corner by a corner chord, so a
+    descent crosses each deeper Q_{s'} on its edge-e0 piece, strictly
+    inside it and on no arc, and lies beyond conv Q_s otherwise.  Two
+    descents join nested points of the two sides of T at the apex
+    B(e0, 3/4), the deeper one nearer the apex on both sides; its line
+    separates the apex from both ends of the shallower one, so they are
+    disjoint.
+(d) The anchors are V_2 .. V_{N-1}, so e0 = V_1 < a < V_N <= n-1.  So
+    the corner sectors from c over the boundary arcs B(a, 3/4) .. M_{a+1},
+    which hold each Y's w2, w3 and cut, meet each other and T only at c,
+    which none of these segments holds.  A deeper Y's arc
+    spans the arc B(e0, 3/4) .. B(a'+1, 1/4) with a' < a, outside every
+    shallower Y's sector.
+(e) A sector lies in region a, which is convex: the cut touches spoke
+    a+1 only at its own barycenter, where it ends from inside the region,
+    and w2, w3 touch no spoke.  Each corner chord of an arc lies inside
+    one region, each descent inside region e0, and the edge-e piece of an
+    arc crosses spoke e properly at H_s(M_e).
+(f) At b the four directions are pairwise distinct: the line through c
+    and p (which holds b and w3) separates B(a, 3/4), and w1's chord
+    direction, from M_{a+1}, since region a's angle at c is below pi; and
+    w1 runs along the chord while w2 climbs to it.  So the arms and the
+    cut share only b.
+
+Validation's conditions follow.  (1) Every vertex but a wall's landing
+is H_s of a boundary point, 0 < s < 1, so interior; walls touch cuts only
+at their own branch point and cross spokes only properly, by (b)-(f).  (2)
+The labels are (0, 1) or (1, 0) on two sheets.  (3) Each branch point has
+three walls and walls meet only there, by (a)-(d) and (f).  (4) The wall
+ids are their positions.  (5) Each wall starts at its own branch point,
+the cut's first point, and meets no other cut.  (6) Each landing is
+inside the half-edge its parameter names (1/4 and 3/4 are off the
+barycenters and vertices, as is every w1 parameter in (1/2, 3/4)), and
+each label is the one of positive slope pairing there, computed from the
+same sheet/lift matching the check reads.  ``build_cover``'s checks hold
+too: each cut ends at its barycenter from an interior branch point,
+touches a spoke only at that end (e), the cut edges a+1 are distinct, and
+cuts lie in disjoint sectors (d).  ``build_network`` still validates the
+placement once, and a violation raises ``InvariantViolated``.
 
 Placement runs on an integer grid of scale D, fixed before any point is
 placed: a point is an int pair X and leaves once as ``Fraction(X, D)``.
-With count = N-2 Y-graphs at depths 2^-d * shrink / 3 (d < count), D =
-lcm(4(count+1), lcm(4, n) * 3 * 2^(count-1) / shrink) makes every division
-exact.  The vertices are lattice points (the fan is smooth, phi integral),
-so an edge vector is D times an integer vector and divides by any edge
+With count = N-2 Y-graphs at depths 2^-d / 3 (d < count), D =
+lcm(4(count+1), lcm(4, n) * 3 * 2^(count-1)) makes every division exact.
+The vertices are lattice points (the fan is smooth, phi integral), so an
+edge vector is D times an integer vector and divides by any edge
 parameter's denominator: 4, or 4(count+1) where a first arm lands.  The
 center (mean of n vertices) has denominator n and a boundary point 4, so
 their difference is D / lcm(4, n) times an integer vector and divides by
-any depth's denominator, 3 * 2^d / shrink.
+any depth's denominator, 3 * 2^d.
 """
 from __future__ import annotations
 
@@ -39,7 +107,7 @@ from math import lcm
 
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
-                     SlopeTie, ToricNetsError)
+                     SlopeTie)
 from .multisection import parity_and_realizability
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
 
@@ -94,11 +162,10 @@ def _quarter_points_cw(n, start_edge, end_edge):
         out.append((e, Fraction(1, 4)))
 
 
-def _build_geometry(disk, plans, shrink):
+def _build_geometry(disk, plans):
     """Walls and cut layout of the planned Y-graphs, placed on the scale D."""
     n, count = disk.fan.n, len(plans)
-    scale = lcm(4 * (count + 1),
-                lcm(4, n) * 3 * 2 ** (count - 1) * shrink.denominator)
+    scale = lcm(4 * (count + 1), lcm(4, n) * 3 * 2 ** (count - 1))
     verts = [(x.numerator * scale, y.numerator * scale)
              for x, y in disk.polytope.vertices]
     center = (sum(x for x, _ in verts) // n, sum(y for _, y in verts) // n)
@@ -117,7 +184,7 @@ def _build_geometry(disk, plans, shrink):
     cuts = []
     quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     for p in plans:
-        s = shrink / (3 * 2 ** p.depth_index)
+        s = Fraction(1, 3 * 2 ** p.depth_index)
         b = place(p.w3_edge, quarter, s)
         w1 = (b, *(place(e, t, s) for e, t in
                    _quarter_points_cw(n, p.w3_edge, p.w1_edge)),
@@ -135,27 +202,6 @@ def empty_network(disk):
     """Wall-free network for covers that need no walls (rank 1)."""
     layout = BranchCutLayout(disk, ())
     return SpectralNetwork((), layout), layout
-
-
-def _assemble(tms, disk, plans, shrink):
-    """The network and cover of one placement of the planned Y-graphs.
-
-    Each wall lands at the parameter t of its edge that the plan chose, so
-    the half-edge it lands on is read from t: the one at the vertex of
-    cone e-1 for t < 1/2, of cone e for t > 1/2.
-    """
-    walls_raw, layout = _build_geometry(disk, plans, shrink)
-    cover = layout.cover(tms.degree)
-    half = Fraction(1, 2)
-    walls = []
-    for wid, (bi, poly, end_edge, t) in enumerate(walls_raw):
-        if not (0 < t < 1 and t != half):
-            raise InvariantViolated(f"wall {wid} does not land inside a "
-                                    f"half-edge of edge {end_edge}")
-        cone = (end_edge - 1) % disk.fan.n if t < half else end_edge
-        label = _label_from_slopes(tms, cover, cone, end_edge)
-        walls.append(Wall(wid, poly, label, bi, end_edge, cone))
-    return SpectralNetwork(walls, layout), cover
 
 
 def build_network(tms, disk):
@@ -178,18 +224,29 @@ def build_network(tms, disk):
     if not result.realizable:
         raise NotRealizable(f"N = {n_value} < 3 admits no embedded realization")
 
-    # A placement is accepted when the assembled network validates, so
-    # every disjointness and interiority check runs once per placement.
-    plans = _plan(tms, vees)
-    shrink = Fraction(1)
-    for _ in range(40):
-        net, cover = _assemble(tms, disk, plans, shrink)
-        report = validate_network(net, tms, cover)
-        if report.ok:
-            break
-        shrink /= 2
-    else:
-        raise ToricNetsError(f"could not place a valid layout: {report}")
+    # The module docstring proves this placement valid, so it is placed
+    # once; a violation means the construction is wrong.  Each wall lands
+    # at the parameter t of its edge that the plan chose, so the half-edge
+    # it lands on is read from t: the one at the vertex of cone e-1 for
+    # t < 1/2, of cone e for t > 1/2.
+    walls_raw, layout = _build_geometry(disk, _plan(tms, vees))
+    cover = layout.cover(tms.degree)
+    half = Fraction(1, 2)
+    walls = []
+    for wid, (bi, poly, end_edge, t) in enumerate(walls_raw):
+        if not (0 < t < 1 and t != half):
+            raise InvariantViolated(f"wall {wid} does not land inside a "
+                                    f"half-edge of edge {end_edge}")
+        cone = (end_edge - 1) % disk.fan.n if t < half else end_edge
+        label = _label_from_slopes(tms, cover, cone, end_edge)
+        walls.append(Wall(wid, poly, label, bi, end_edge, cone))
+    net = SpectralNetwork(walls, layout)
+    report = validate_network(net, tms, cover)
+    if not report.ok:
+        v = report.violations[0]
+        raise InvariantViolated(
+            f"the placed network violates condition {v.condition}: "
+            f"{v.message} (witness {v.witness!r})")
 
     # Wall labels around every branch point must alternate; this is forced
     # by the flip structure, so a failure means the geometry is wrong.

@@ -10,9 +10,11 @@ on points put on one integer grid by ``Grid``: every coordinate times a
 positive common denominator D.  That map multiplies every signed area by
 D^2 > 0, so every orientation sign is unchanged, and it is injective, so
 every point equality is unchanged too; the predicates give the same
-answers on plain ``int``s, exactly.  Beyond the predicates only the SVG
-writer reads the grid: emitted points, report witnesses and error
-messages keep the original ``Fraction`` points.
+answers on plain ``int``s, exactly.  Beyond the predicates the SVG
+writer and the arm order of a branch point (``network.branch_point_arms``,
+by ``angle_less``: a grid direction is a positive multiple of the rational
+one) read the grid: emitted points, report witnesses and error messages
+keep the original ``Fraction`` points.
 
 Point location runs on the same grid: ``cover.GridPoints`` is the only
 caller of ``point_in_convex_polygon``, finds a point's region with

@@ -49,10 +49,11 @@ class CoverClass:
 class TropicalMultiSection:
     """Lifted cones, lifted rays and slopes over a fan.
 
-    The cones and rays are fixed at construction, so the facts derived
-    from them (the validation report, the two-fold cover class and the
-    intersection cones) are computed once, on first use, and then read by
-    everything that needs them.
+    The cones and rays are fixed at construction, so they are grouped by
+    cone and by ray once there, and the facts derived from them (the
+    validation report, the two-fold cover class and the intersection
+    cones) are computed once, on first use, and then read by everything
+    that needs them.
     """
 
     def __init__(self, fan, degree, lifted_cones, lifted_rays):
@@ -61,6 +62,8 @@ class TropicalMultiSection:
         self.lifted_cones = tuple(lifted_cones)
         self.lifted_rays = tuple(lifted_rays)
         self.by_id = {c.id: c for c in self.lifted_cones}
+        self._lifts = _group(self.lifted_cones, "base", fan.n)
+        self._rays = _group(self.lifted_rays, "ray", fan.n)
 
     @cached_property
     def report(self):
@@ -78,10 +81,10 @@ class TropicalMultiSection:
         return intersection_cones(self)
 
     def lifts_of_cone(self, i):
-        return [c for c in self.lifted_cones if c.base == i % self.fan.n]
+        return self._lifts[i % self.fan.n]
 
     def rays_over(self, i):
-        return [r for r in self.lifted_rays if r.ray == i % self.fan.n]
+        return self._rays[i % self.fan.n]
 
     def slope(self, cone_id):
         return self.by_id[cone_id].slope
@@ -94,6 +97,19 @@ class TropicalMultiSection:
         """<m, v_ray> along a lifted ray (same for both adjacent lifts)."""
         v = self.fan.ray(lifted_ray.ray)
         return geom.dot(self.slope(lifted_ray.src), v)
+
+
+def _group(items, key, n):
+    """Tuples of ``items`` by their index ``key`` in 0..n-1, in input order.
+
+    An item with an index outside 0..n-1 joins no group.
+    """
+    groups = [[] for _ in range(n)]
+    for item in items:
+        i = getattr(item, key)
+        if 0 <= i < n:
+            groups[i].append(item)
+    return tuple(map(tuple, groups))
 
 
 def validate(tms: TropicalMultiSection) -> ValidationReport:

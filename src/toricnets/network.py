@@ -224,13 +224,15 @@ def branch_point_arms(net: SpectralNetwork, b: int):
     """Walls of a branch point in ccw order starting after its cut.
 
     Returns the walls as a tuple; position j (0-based) in it is the
-    winding count of the wall's soliton, which fixes its sign.
+    winding count of the wall's soliton, which fixes its sign.  The
+    directions are read on the network's grid (``net.grid``), where each
+    is a positive multiple of the rational one, so the order is the same.
     """
-    walls = net.walls_of_branch(b)
-    cut = net.cuts[b]
-    arms = [("cut", None, _initial_direction(cut.polyline))]
-    for w in walls:
-        arms.append(("wall", w, _initial_direction(w.polyline)))
+    g = net.grid
+    arms = [("cut", None, _initial_direction(g.cuts[b]))]
+    for w, pts in zip(net.walls, g.walls):
+        if w.start_branch == b:
+            arms.append(("wall", w, _initial_direction(pts)))
     by_angle = functools.cmp_to_key(_angle_cmp)
     arms.sort(key=lambda arm: by_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")

@@ -148,9 +148,13 @@ def parse_layout(data, disk) -> BranchCutLayout:
         poly = _polyline(c["polyline"], f"cut {k}")
         if len(poly) < 2:
             raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
+        edge = _int(c["edge"], "a cut edge")
+        if not 0 <= edge < disk.fan.n:
+            raise SchemaError(f"cut {k} lands on edge {edge}, not one of "
+                              f"the {disk.fan.n} edges 0..{disk.fan.n - 1}")
         cuts.append(Cut(poly,
                         _int_pair(c["transposition"], "a cut transposition"),
-                        _int(c["edge"], "a cut edge")))
+                        edge))
     if points != [c.branch_point for c in cuts]:
         raise SchemaError("the layout needs one cut per branch point, "
                           "starting at it")

@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, oracles, random multi-sections."""
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import random
@@ -8,6 +9,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -71,6 +73,10 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+GEN_TOOLKIT = SimpleNamespace(errors=errors, fans=fans,
+                              multisection=multisection, schema=schema)
+
+
 def perfbench_gen():
     """The benchmark's problem generator, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
@@ -83,14 +89,77 @@ def generated_problems(label, seed, count):
     """Seeded generated problems: ((n, N), spec) for (12, 12), then for
     ``count`` random smaller shapes."""
     gen = perfbench_gen()
-    tk = SimpleNamespace(errors=errors, fans=fans, multisection=multisection,
-                         schema=schema)
     rng = random.Random(seed)
     shapes = [(12, 12)] + [(n, rng.randint(3, n))
                            for n in rng.sample(range(4, 12), count)]
     for n, big_n in shapes:
-        doc = gen.generate(n, big_n, f"{label}:{rng.randrange(10 ** 6)}", tk)
+        doc = gen.generate(n, big_n, f"{label}:{rng.randrange(10 ** 6)}",
+                           GEN_TOOLKIT)
         yield (n, big_n), schema.parse_problem(json.loads(gen.serialize(doc)))
+
+
+def skewed_fan_and_support(rng, n):
+    """A random smooth n-ray fan and a skewed, strictly convex support.
+
+    The fan is a random blow-up of the projective plane's (each step
+    inserts v_i + v_{i+1} between a random adjacent pair), turned by a
+    random SL(2, Z) map.  The support is phi_i = -ceil(K * sqrt(v_i^T A
+    v_i)) - j_i for a random positive-definite integer A and jitters j_i
+    in 0..2, at the first K in 1, 2, 4, ... that makes the polygon
+    strictly convex.
+    """
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < n:
+        i = rng.randrange(len(rays))
+        a, b = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            rays = [(x + k * y, y) for x, y in rays]
+        else:
+            rays = [(x, y + k * x) for x, y in rays]
+    a, c = rng.randint(1, 9), rng.randint(1, 9)
+    b = rng.randint(-isqrt(a * c - 1), isqrt(a * c - 1))
+    jitter = [rng.randint(0, 2) for _ in rays]
+    fan = fans.make_fan(rays)
+    for k in (2 ** e for e in range(40)):
+        values = []
+        for (x, y), j in zip(rays, jitter):
+            t = k * k * (a * x * x + 2 * b * x * y + c * y * y)
+            values.append(-(isqrt(t - 1) + 1) - j)
+        try:
+            fans.dual_polytope(fan, fans.SupportFunction(fan, values))
+        except errors.NotStrictlyConvex:
+            continue
+        return fan, values
+    raise AssertionError("no K < 2^40 gives a strictly convex support")
+
+
+def skewed_problem(rng, n, crossings):
+    """A realizable 2-fold problem with N = ``crossings`` on a skewed fan.
+
+    The fan and support are ``skewed_fan_and_support``'s; the
+    multi-section is the benchmark generator's ``two_fold_problem``, with
+    its N sign changes at random transitions instead of evenly spread
+    ones, so the crossing cones are a random N-subset of the cones.
+    """
+    gen = perfbench_gen()
+    fan, support = skewed_fan_and_support(rng, n)
+    flips = set(rng.sample(range(n), crossings))
+
+    def random_flip_pattern(n, crossings):
+        signs = [1]
+        for k in range(n - 1):
+            signs.append(-signs[-1] if k in flips else signs[-1])
+        return signs
+
+    gen.flip_pattern = random_flip_pattern   # this copy of the module only
+    doc = gen.two_fold_problem(fan.rays, support, crossings, rng)
+    gen.check_problem(doc, crossings, GEN_TOOLKIT)
+    spec = schema.parse_problem(doc)
+    assert spec.tms.crossing_cones == sorted(flips)
+    return spec
 
 
 def solve_2x2(a, b, target):
@@ -740,10 +809,11 @@ def quarter_points_cw(polytope, start_edge, start_t, end_edge, end_t):
     return [(e, t) for _, e, t in out]
 
 
-# -- reference placement and drawing -----------------------------------------
-# The builder's placement and the SVG writer in ``Fraction`` arithmetic, as
-# they were before both moved onto the integer grid: every point a ``lerp``
-# of ``Fraction`` points, every screen coordinate a ``Fraction`` product
+# -- reference placement, arm order and drawing -------------------------------
+# The builder's placement, the arm order of a branch point and the SVG writer
+# in ``Fraction`` arithmetic, as they were before they moved onto the integer
+# grid: every point a ``lerp`` of ``Fraction`` points, every direction a
+# ``Fraction`` difference, every screen coordinate a ``Fraction`` product
 # turned into a float.
 
 
@@ -756,7 +826,7 @@ def _ref_depth_point(disk, boundary_point, s):
     return lerp(boundary_point, disk.center, s)
 
 
-def reference_build_geometry(disk, plans, shrink):
+def reference_build_geometry(disk, plans):
     """``builder._build_geometry`` in ``Fraction`` arithmetic.
 
     Returns the raw walls (branch index, polyline, end edge, end
@@ -765,7 +835,7 @@ def reference_build_geometry(disk, plans, shrink):
     polytope = disk.polytope
     walls_raw = []
     cuts = []
-    base_depth = Fraction(1, 3) * shrink
+    base_depth = Fraction(1, 3)
     for p in plans:
         s = base_depth * Fraction(1, 2) ** p.depth_index
         q_long = _ref_edge_point(polytope, p.w3_edge, Fraction(1, 4))
@@ -786,6 +856,27 @@ def reference_build_geometry(disk, plans, shrink):
         walls_raw.append((bi, w3, p.w3_edge, Fraction(1, 4)))
         cuts.append(Cut(cut_poly, (0, 1), p.w3_edge))
     return walls_raw, tuple(cuts)
+
+
+def reference_branch_point_arms(net, b):
+    """``network.branch_point_arms`` on the ``Fraction`` points.
+
+    The walls of branch point b in ccw order of their first directions,
+    starting after its cut's, as it was before the order was read on the
+    network's grid.
+    """
+    def direction(polyline):
+        return sub(polyline[1], polyline[0])
+
+    def angle_cmp(u, v):
+        return geom.angle_less(v, u) - geom.angle_less(u, v)
+
+    arms = [("cut", None, direction(net.cuts[b].polyline))]
+    arms += [("wall", w, direction(w.polyline)) for w in net.walls_of_branch(b)]
+    by_angle = functools.cmp_to_key(angle_cmp)
+    arms.sort(key=lambda arm: by_angle(arm[2]))
+    cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
+    return tuple(a[1] for a in arms[cut_pos + 1:] + arms[:cut_pos])
 
 
 _REF_WALL_COLORS = {(0, 1): "#1f5fbf", (1, 0): "#bf1f2f"}

@@ -1,14 +1,15 @@
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from support import (boundary_labels, count_calls, load,
+from support import (FIXTURES, boundary_labels, count_calls, load,
                      quarter_points_cw)
 
 from toricnets.builder import _quarter_points_cw, build_network
 from toricnets.cover import build_cover
-from toricnets.errors import NotRealizable, NotTwoFold
+from toricnets.errors import InvariantViolated, NotRealizable, NotTwoFold
 from toricnets.network import branch_point_arms, validate_network, \
     walls_pairwise_disjoint
 
@@ -100,16 +101,32 @@ def test_betti_matches_n_minus_three(p2, p2_built, p1p1, p1p1_built,
         assert betti_one(cover) == n_genericity(spec.tms) - 3
 
 
-def test_builder_on_random_realizable_covers():
+def test_builder_on_random_realizable_covers(monkeypatch):
+    # every rank-2 build places its network once and validates it once,
+    # on the fixed fans and on skewed polygons (``skewed_fan_and_support``):
+    # random multi-sections there, and the generator's at random crossing
+    # cones with N from 3 to n-1
     import random
     from fractions import Fraction
 
-    from support import random_two_fold
+    from support import random_two_fold, skewed_fan_and_support, \
+        skewed_problem
+    from toricnets import network
     from toricnets.cover import betti_one, make_local_system
     from toricnets.fans import SupportFunction, disk_model, dual_polytope, \
         make_fan
     from toricnets.multisection import n_genericity
     from toricnets.nonabelian import Factors, loop_identity_check
+
+    validations = count_calls(monkeypatch, network, "validate_network")
+
+    def build_once(tms, disk):
+        before = len(validations)
+        net, layout = build_network(tms, disk)
+        assert len(validations) == before + 1
+        cover = build_cover(disk, layout, 2)
+        assert validate_network(net, tms, cover).ok
+        return net, cover
 
     fans = [
         (make_fan([(1, 0), (0, 1), (-1, -1)]), [0, 0, -1]),
@@ -118,6 +135,7 @@ def test_builder_on_random_realizable_covers():
          [0, 0, -1, -2, -2]),
     ]
     rng = random.Random(31337)
+    fans += [skewed_fan_and_support(rng, n) for n in (4, 5, 6, 7)]
     for fan, phi_vals in fans:
         disk = disk_model(fan, dual_polytope(fan,
                                              SupportFunction(fan, phi_vals)))
@@ -127,9 +145,7 @@ def test_builder_on_random_realizable_covers():
             tms = random_two_fold(fan, rng)
             if n_genericity(tms) < 3:
                 continue
-            net, layout = build_network(tms, disk)
-            cover = build_cover(disk, layout, 2)
-            assert validate_network(net, tms, cover).ok
+            net, cover = build_once(tms, disk)
             b1 = betti_one(cover)
             hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                    for _ in range(b1)]
@@ -137,6 +153,54 @@ def test_builder_on_random_realizable_covers():
             assert loop_identity_check(Factors(net, tms, cover, ls))
             built += 1
         assert built == 5
+    shapes = set()
+    for _ in range(24):
+        n = rng.randint(4, 12)
+        big_n = rng.randint(3, n - 1)
+        spec = skewed_problem(rng, n, big_n)
+        net, _ = build_once(spec.tms, spec.disk)
+        assert len(net.walls) == 3 * (big_n - 2)
+        shapes.add((n, big_n))
+    assert len(shapes) > 12
+
+
+def _swap_landings(place, i, j):
+    """``place`` with the landings (last point, edge, parameter) of raw
+    walls i and j swapped."""
+    def defective(disk, plans):
+        walls, layout = place(disk, plans)
+        walls = list(walls)
+        (bi, pi, ei, ti), (bj, pj, ej, tj) = walls[i], walls[j]
+        walls[i] = (bi, pi[:-1] + pj[-1:], ej, tj)
+        walls[j] = (bj, pj[:-1] + pi[-1:], ei, ti)
+        return walls, layout
+    return defective
+
+
+def test_defective_placement_raises_its_first_violation(monkeypatch,
+                                                        tmp_path, capsys):
+    # p1p1_n4 with the third walls of its two Y-graphs swapping landings:
+    # wall 2 then runs from branch point 0 across cut 1.  The build names
+    # the first violation's condition, message and witness, and the CLI
+    # reports it as a failed build stage
+    from toricnets import builder
+    from toricnets.cli import main
+    spec = load("p1p1_n4")
+    monkeypatch.setattr(builder, "_build_geometry",
+                        _swap_landings(builder._build_geometry, 2, 5))
+    message = ("the placed network violates condition 1: wall 2 meets a "
+               "branch cut (witness 2)")
+    with pytest.raises(InvariantViolated) as exc:
+        build_network(spec.tms, spec.disk)
+    assert str(exc.value) == message
+    code = main(["build", "--input", str(FIXTURES / "p1p1_n4.json"),
+                 "--out", str(tmp_path), "--report", "json"])
+    out, err = capsys.readouterr()
+    stage = json.loads(out)["stages"][-1]
+    assert code == 1
+    assert stage == {"name": "build", "status": "fail", "detail": message}
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "network.json").exists()
 
 
 def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):

@@ -302,6 +302,19 @@ def test_moved_branch_point_is_a_schema_error():
         schema.parse_problem(data)
 
 
+@pytest.mark.parametrize("edge", [3, -1])
+def test_cut_edge_out_of_range_is_a_schema_error(edge):
+    # p2_n3 has edges 0..2 and its cut lands on edge 2.  Read mod 3, edge
+    # -1 is that edge, and the cut failed validation as meeting the spoke
+    # of ray 2 where it lands on its barycenter exactly
+    data = json.loads((FIXTURES / "p2_n3.json").read_text())
+    _with_network(lambda d: d["layout"]["cuts"][0].update(edge=edge))(data)
+    with pytest.raises(SchemaError,
+                       match=f"^cut 0 lands on edge {edge}, not one of the "
+                             r"3 edges 0\.\.2$"):
+        schema.parse_problem(data)
+
+
 def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
     # a sheet label or a branch-point index outside the network is a
     # violation of its condition, with the wall as witness

@@ -159,3 +159,24 @@ def test_invalid_multisection_is_reported_from_one_validation(
         {"condition": "continuity",
          "message": "slopes across lifted ray c2->c3 pair to -1 with ray 2",
          "witness": "LiftedRay(ray=2, src='c2', dst='c3')"}]
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_out_of_range_indices_join_no_group(index):
+    # the lifts over each cone and the lifted rays over each ray are
+    # grouped once, in input order; a cone or ray index outside 0..n-1
+    # joins no group, as when each call filtered the lists, and
+    # validation reports such a cone
+    good = section(P2, [(0, 0)] * 3)
+    assert good.lifts_of_cone(4) == good.lifts_of_cone(1) == \
+        (good.lifted_cones[1],)
+    assert good.rays_over(-1) == (good.lifted_rays[2],)
+    cones = list(good.lifted_cones) + [LiftedCone("x", index, (0, 0))]
+    tms = TropicalMultiSection(P2, 1, cones, good.lifted_rays)
+    assert [c.id for i in range(3) for c in tms.lifts_of_cone(i)] == \
+        ["s0", "s1", "s2"]
+    assert [v.condition for v in validate(tms).violations] == ["structure"]
+    rays = list(good.lifted_rays) + [LiftedRay(index, "s2", "s0")]
+    tms = TropicalMultiSection(P2, 1, good.lifted_cones, rays)
+    assert [r for i in range(3) for r in tms.rays_over(i)] == \
+        list(good.lifted_rays)
