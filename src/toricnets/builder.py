@@ -89,12 +89,13 @@ cuts lie in disjoint sectors (d).  ``build_network`` still validates the
 placement once, and a violation raises ``InvariantViolated``.
 
 Placement runs on an integer grid of scale D, fixed before any point is
-placed: a point is an int pair X and leaves once as ``Fraction(X, D)``.
+placed: a point is an int pair X standing for X / D, and the layout
+carries D as its scale.  Edge parameters and depths are int ratios.
 With count = N-2 Y-graphs at depths 2^-d / 3 (d < count), D =
 lcm(4(count+1), lcm(4, n) * 3 * 2^(count-1)) makes every division exact.
 The vertices are lattice points (the fan is smooth, phi integral), so an
 edge vector is D times an integer vector and divides by any edge
-parameter's denominator: 4, or 4(count+1) where a first arm lands.  The
+parameter's denominator: 2, 4, or 4(count+1) where a first arm lands.  The
 center (mean of n vertices) has denominator n and a boundary point 4, so
 their difference is D / lcm(4, n) times an integer vector and divides by
 any depth's denominator, 3 * 2^d.
@@ -102,12 +103,12 @@ any depth's denominator, 3 * 2^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie)
+from .geom import Polyline
 from .multisection import parity_and_realizability
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
 
@@ -128,11 +129,15 @@ def _label_from_slopes(tms, cover, cone, edge):
         "input is not separated")
 
 
+# An edge parameter or a depth t is an int ratio (numerator, denominator).
+QUARTER, HALF, THREE_QUARTERS = (1, 4), (1, 2), (3, 4)
+
+
 @dataclass
 class _YPlan:
     depth_index: int
     w1_edge: int         # the first arm lands at w1_t of this edge
-    w1_t: Fraction
+    w1_t: tuple          # in (1/2, 3/4): 1/2 + (d+1)/(4(count+1))
     w2_edge: int         # ends at the anchor vertex; second arm lands at 3/4
     w3_edge: int         # starts there; third arm lands at 1/4, cut at 1/2
 
@@ -140,7 +145,7 @@ class _YPlan:
 def _plan(tms, vees):
     """One plan per nesting depth d, anchored at V_{N-1-d}."""
     count = len(vees) - 2
-    return [_YPlan(d, vees[0], Fraction(1, 2) + Fraction(d + 1, 4 * count + 4),
+    return [_YPlan(d, vees[0], (2 * count + 3 + d, 4 * count + 4),
                    anchor, (anchor + 1) % tms.fan.n)
             for d, anchor in enumerate(vees[count:0:-1])]
 
@@ -156,10 +161,10 @@ def _quarter_points_cw(n, start_edge, end_edge):
     e = start_edge
     while True:
         e = (e - 1) % n
-        out.append((e, Fraction(3, 4)))
+        out.append((e, THREE_QUARTERS))
         if e == end_edge:
             return out
-        out.append((e, Fraction(1, 4)))
+        out.append((e, QUARTER))
 
 
 def _build_geometry(disk, plans):
@@ -171,36 +176,37 @@ def _build_geometry(disk, plans):
     center = (sum(x for x, _ in verts) // n, sum(y for _, y in verts) // n)
 
     def lerp(a, b, t):
-        return (a[0] + (b[0] - a[0]) * t.numerator // t.denominator,
-                a[1] + (b[1] - a[1]) * t.numerator // t.denominator)
+        num, den = t
+        return (a[0] + (b[0] - a[0]) * num // den,
+                a[1] + (b[1] - a[1]) * num // den)
 
     def place(e, t, s=None):
         """Point t of edge e, taken the fraction s towards the center."""
         p = lerp(verts[e - 1], verts[e], t)
-        p = lerp(p, center, s) if s else p
-        return (Fraction(p[0], scale), Fraction(p[1], scale))
+        return lerp(p, center, s) if s else p
 
     walls_raw = []   # (branch index, polyline, end edge, end parameter)
     cuts = []
-    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     for p in plans:
-        s = Fraction(1, 3 * 2 ** p.depth_index)
-        b = place(p.w3_edge, quarter, s)
+        s = (1, 3 * 2 ** p.depth_index)
+        b = place(p.w3_edge, QUARTER, s)
         w1 = (b, *(place(e, t, s) for e, t in
                    _quarter_points_cw(n, p.w3_edge, p.w1_edge)),
               place(p.w1_edge, p.w1_t))
         walls_raw += [
-            (p.depth_index, w1, p.w1_edge, p.w1_t),
-            (p.depth_index, (b, place(p.w2_edge, three_quarters)),
-             p.w2_edge, three_quarters),
-            (p.depth_index, (b, place(p.w3_edge, quarter)), p.w3_edge, quarter)]
-        cuts.append(Cut((b, disk.spoke(p.w3_edge)[1]), (0, 1), p.w3_edge))
-    return walls_raw, BranchCutLayout(disk, tuple(cuts))
+            (p.depth_index, Polyline(w1), p.w1_edge, p.w1_t),
+            (p.depth_index, Polyline((b, place(p.w2_edge, THREE_QUARTERS))),
+             p.w2_edge, THREE_QUARTERS),
+            (p.depth_index, Polyline((b, place(p.w3_edge, QUARTER))),
+             p.w3_edge, QUARTER)]
+        cuts.append(Cut(Polyline((b, place(p.w3_edge, HALF))), (0, 1),
+                        p.w3_edge))
+    return walls_raw, BranchCutLayout(disk, tuple(cuts), scale)
 
 
 def empty_network(disk):
     """Wall-free network for covers that need no walls (rank 1)."""
-    layout = BranchCutLayout(disk, ())
+    layout = BranchCutLayout(disk, (), disk.scale)
     return SpectralNetwork((), layout), layout
 
 
@@ -226,18 +232,17 @@ def build_network(tms, disk):
 
     # The module docstring proves this placement valid, so it is placed
     # once; a violation means the construction is wrong.  Each wall lands
-    # at the parameter t of its edge that the plan chose, so the half-edge
-    # it lands on is read from t: the one at the vertex of cone e-1 for
-    # t < 1/2, of cone e for t > 1/2.
+    # at the parameter t = num/den of its edge that the plan chose, so the
+    # half-edge it lands on is read from t: the one at the vertex of cone
+    # e-1 for t < 1/2, of cone e for t > 1/2.
     walls_raw, layout = _build_geometry(disk, _plan(tms, vees))
     cover = layout.cover(tms.degree)
-    half = Fraction(1, 2)
     walls = []
-    for wid, (bi, poly, end_edge, t) in enumerate(walls_raw):
-        if not (0 < t < 1 and t != half):
+    for wid, (bi, poly, end_edge, (num, den)) in enumerate(walls_raw):
+        if not (0 < num < den and 2 * num != den):
             raise InvariantViolated(f"wall {wid} does not land inside a "
                                     f"half-edge of edge {end_edge}")
-        cone = (end_edge - 1) % disk.fan.n if t < half else end_edge
+        cone = (end_edge - 1) % disk.fan.n if 2 * num < den else end_edge
         label = _label_from_slopes(tms, cover, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))
     net = SpectralNetwork(walls, layout)

@@ -8,11 +8,13 @@ of one boundary edge; its relative interior avoids all spokes, so sheet
 labels are constant on every region minus its cut.
 
 A ``BranchCutLayout`` owns the facts of its cuts: the disk model, the
-cuts, the branch points (each cut's first point), their integer grid
-(``GridPoints``), the region of every cut, located once on that grid,
-and its validated cover for each sheet count, built once; covers,
-networks and validators read them.  A cover in turn keeps its
-sheet/lift matching with each multi-section, computed once.
+cuts, the branch points (each cut's first point), the one integer scale
+every point of the cuts and of a network on the layout is given on, the
+disk model on that grid with the point locators (``GridPoints``), the
+region of every cut, located once on that grid, and its validated cover
+for each sheet count, built once; covers, networks and validators read
+them.  A cover in turn keeps its sheet/lift matching with each
+multi-section, computed once.
 
 Rank-1 local systems are stored in the gauge where all transport weights
 sit on the cuts: crossing cut k positively from the lower sheet of its
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
@@ -51,7 +52,8 @@ from .laurent import coefficient
 @dataclass(frozen=True)
 class Cut:
     """Branch cut: polyline from a branch point to an edge barycenter."""
-    polyline: tuple           # tuple of points, [branch point, ..., barycenter]
+    polyline: tuple           # geom.Polyline on the layout's grid,
+                              # [branch point, ..., barycenter]
     transposition: tuple      # pair of swapped sheets (lo, hi)
     edge: int                 # index of the landed edge (= its dual ray)
 
@@ -72,13 +74,15 @@ class Cut:
 class BranchCutLayout:
     """Cuts on a disk model, one per branch point, in branch-point order.
 
-    Its derived facts are computed once, on first use: the branch points,
-    the disk model and cuts on one integer grid (``grid``), which every
-    cover built on the layout reads, and the region of each cut, located
-    on that grid.
+    Every point of the cuts, and of the walls of a network on the layout,
+    is an int pair: the rational point times ``scale``.  Its derived facts
+    are computed once, on first use: the branch points, the disk model on
+    the same grid (``grid``), which every cover built on the layout reads,
+    and the region of each cut, located on that grid.
     """
     disk: object              # the DiskModel the cuts are drawn on
     cuts: tuple               # Cut, one per branch point
+    scale: int                # the grid: every point times it is an int pair
 
     @functools.cached_property
     def branch_points(self):
@@ -86,20 +90,17 @@ class BranchCutLayout:
 
     @functools.cached_property
     def grid(self):
-        """The disk model and the cuts on one integer grid (``GridPoints``)."""
-        return GridPoints(self, ())
+        """The disk model on the layout's grid (``GridPoints``)."""
+        return GridPoints(self.disk, self.scale)
 
     @functools.cached_property
     def cut_region(self):
         """Region of each cut's branch point, located once on the grid."""
-        regions = []
-        for p, cut in zip(self.branch_points, self.grid.cuts):
-            region = self.grid.region(cut[0])
-            if region is None:
-                raise UnknownCone(
-                    f"point {p} is not interior to a unique region")
-            regions.append(region)
-        return tuple(regions)
+        regions = tuple(map(self.grid.region, self.branch_points))
+        if None in regions:
+            p = self.grid.rational(self.branch_points[regions.index(None)])
+            raise UnknownCone(f"point {p} is not interior to a unique region")
+        return regions
 
     @functools.cached_property
     def _covers(self):
@@ -180,41 +181,36 @@ def betti_one(cover: SheetedSurface) -> int:
 
 
 class GridPoints:
-    """A cut layout, its disk model and walls, scaled once onto one grid.
+    """The disk model on one integer grid, and the point locators on it.
 
-    The lists keep the order of their sources: ``vertices`` (ccw),
-    ``spokes`` (center, barycenter), ``cuts`` (each from its branch
-    point) and ``walls``.  Each spoke, cut and wall is a
-    ``geom.Polyline``, which stores the bounding box of each of its
-    segments once, as it is scaled; every contact test reads them through
-    ``geom.touching_segments``.  Point location runs here too, and only
-    here: ``interior``, ``region``, ``edge_position`` and ``half_edge``
-    test grid points against the scaled polygon and spokes.  The
-    barycenter of edge e is the grid end of spoke e.  ``scale`` is the
-    least common denominator of every coordinate, so a grid with walls is
-    its layout's grid k-fold: the layout's points and boxes times k, kept
-    as they are when k = 1.
+    ``vertices`` (ccw) and ``spokes`` (center, barycenter; each a
+    ``geom.Polyline``) are the disk model's points times ``scale``, which
+    ``DiskModel.scale`` must divide (else ``InvariantViolated``), and
+    ``mids`` each barycenter's ``edge_position``.  The cuts and walls on
+    the grid are their own ``Polyline``s.  Point location runs here only:
+    ``interior``, ``region``, ``edge_position`` and ``half_edge``.
+    ``rational`` is the rational point a grid point stands for, made only
+    to be written into a message or an artifact.
     """
 
-    def __init__(self, layout, wall_polylines):
-        if wall_polylines:
-            base = layout.grid
-            grid = geom.Grid(chain(*wall_polylines), base.scale)
-            k = grid.scale // base.scale
-            self.vertices = base.vertices if k == 1 else \
-                tuple((x * k, y * k) for x, y in base.vertices)
-            self.spokes = [s.scaled(k) for s in base.spokes]
-            self.cuts = [c.scaled(k) for c in base.cuts]
-        else:
-            disk = layout.disk
-            spokes = [disk.spoke(i) for i in range(disk.fan.n)]
-            cuts = [c.polyline for c in layout.cuts]
-            grid = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts))
-            self.vertices = tuple(map(grid.point, disk.polytope.vertices))
-            self.spokes = [grid.polyline(s) for s in spokes]
-            self.cuts = [grid.polyline(c) for c in cuts]
-        self.scale = grid.scale
-        self.walls = [grid.polyline(w) for w in wall_polylines]
+    def __init__(self, disk, scale):
+        def on_grid(p):
+            x, y = p[0] * scale, p[1] * scale
+            if x.denominator != 1 or y.denominator != 1:
+                raise InvariantViolated(
+                    f"scale {scale} does not clear the disk model's point {p}")
+            return x.numerator, y.numerator
+
+        self.scale = scale
+        self.vertices = tuple(map(on_grid, disk.polytope.vertices))
+        self.spokes = tuple(geom.Polyline(map(on_grid, disk.spoke(i)))
+                            for i in range(disk.fan.n))
+        self.mids = tuple(self.edge_position(s[-1], e)
+                          for e, s in enumerate(self.spokes))
+
+    def rational(self, p):
+        """The rational point that grid point p stands for."""
+        return tuple(Fraction(c, self.scale) for c in p)
 
     def interior(self, p):
         """True iff grid point p is interior to the polygon."""
@@ -261,65 +257,64 @@ class GridPoints:
         for e in range(n):
             t = self.edge_position(p, e)
             if t is not None:
-                mid = self.edge_position(self.spokes[e][-1], e)
+                mid = self.mids[e]
                 if t in (0, mid, 2 * mid):
                     return None
                 return e, (e - 1) % n if t < mid else e
         return None
 
 
-def _validate_cut_geometry(disk, cut: Cut, g: GridPoints, k):
-    """Check cut k of the layout; ``g`` holds the layout's grid points."""
-    pts = list(cut.polyline)
+def _validate_cut_geometry(cut: Cut, g: GridPoints):
+    """Check one cut of a layout; ``g`` is the layout's grid."""
+    pts = cut.polyline
     if len(pts) < 2:
         raise CutEndpointNotBarycenter("cut polyline needs two points")
-    end = pts[-1]
-    target = disk.spoke(cut.edge)[1]
+    end, target = pts[-1], g.spokes[cut.edge % len(g.spokes)][-1]
     if end != target:
         raise CutEndpointNotBarycenter(
-            f"cut ends at {end}, not at barycenter {target} of edge {cut.edge}")
-    grid_pts = g.cuts[k]
-    for p, q in zip(pts[:-1], grid_pts):
-        if not g.interior(q):
-            raise CutHitsRay(f"cut vertex {p} is not interior to the polygon")
+            f"cut ends at {g.rational(end)}, not at barycenter "
+            f"{g.rational(target)} of edge {cut.edge}")
+    for p in pts[:-1]:
+        if not g.interior(p):
+            raise CutHitsRay(
+                f"cut vertex {g.rational(p)} is not interior to the polygon")
     # Relative interior must avoid every spoke; contact with the landing
     # spoke is allowed exactly at the shared barycenter endpoint.
     for si, spoke in enumerate(g.spokes):
-        for j, _ in geom.touching_segments(grid_pts, spoke):
+        for j, _ in geom.touching_segments(pts, spoke):
             last = j == len(pts) - 2
-            if last and si == cut.edge and \
-                    geom.orient(*spoke, grid_pts[j]) != 0:
+            if last and si == cut.edge and geom.orient(*spoke, pts[j]) != 0:
                 # proper contact at the barycenter only
                 continue
-            raise CutHitsRay(f"cut segment {pts[j]}-{pts[j + 1]} meets the "
+            raise CutHitsRay(f"cut segment {g.rational(pts[j])}-"
+                             f"{g.rational(pts[j + 1])} meets the "
                              f"spoke of ray {si}")
 
 
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     """Assemble and validate the branched cover over the layout's disk model.
 
-    Contact tests run on the layout's grid points (``layout.grid``), through
+    Contact tests run on the layout's grid, through
     ``geom.touching_segments``: a cut may touch a spoke only where it lands
     on its own barycenter, and two cuts may not touch at all.
     """
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
     g = layout.grid
-    for k, c in enumerate(layout.cuts):
+    for c in layout.cuts:
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
-        _validate_cut_geometry(disk, c, g, k)
+        _validate_cut_geometry(c, g)
     for i, a in enumerate(layout.cuts):
-        for k in range(i + 1, len(layout.cuts)):
-            b = layout.cuts[k]
+        for b in layout.cuts[i + 1:]:
             if a.edge == b.edge:
                 raise OverlappingCuts(
                     f"two cuts land on the barycenter of edge {a.edge}")
             if not geom.polyline_pairwise_disjoint(
-                    g.cuts[i], g.cuts[k],
-                    geom.touching_segments(g.cuts[i], g.cuts[k]),
+                    a.polyline, b.polyline,
+                    geom.touching_segments(a.polyline, b.polyline),
                     skip_shared_endpoints=False):
                 raise OverlappingCuts("cut polylines intersect")
     return SheetedSurface(layout, r)

@@ -8,13 +8,15 @@ the polygon we keep a "disk model": straight segments from the barycenter
 of the polygon to the edge midpoints, one per ray, cutting the polygon into
 one region per maximal cone.
 
-All coordinates are exact rationals (gcd-reduced Fractions).  Nothing here
-locates points: polygon and region membership are tested on the integer
-grid of ``cover.GridPoints``.
+The polygon's vertices and the disk model's center and barycenters are
+exact rationals (gcd-reduced Fractions); every layout puts them on its
+integer grid (``cover.GridPoints``), where points are located and contacts
+tested.  Nothing here locates points.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import geom
 from .errors import (NonPrimitiveRay, NotComplete, NotSmooth,
@@ -192,6 +194,9 @@ class DiskModel:
     ``i``) is the quadrilateral (center, midpoint_i, vertex_i,
     midpoint_{i+1}).  The center is also the barycenter of the edge
     midpoints, so every region's angle at the center is less than pi.
+
+    ``scale`` is the least common denominator of every coordinate (the
+    center's divide n, the barycenters' 2; the vertices are integral).
     """
 
     def __init__(self, fan: Fan, polytope: Polytope):
@@ -201,6 +206,8 @@ class DiskModel:
         self.ray_segments = {
             i: (self.center, polytope.edge_barycenter(i)) for i in range(fan.n)
         }
+        self.scale = lcm(*(c.denominator for seg in self.ray_segments.values()
+                           for p in seg for c in p))
 
     def spoke(self, i):
         return self.ray_segments[i % self.fan.n]

@@ -1,41 +1,35 @@
-"""Exact planar geometry helpers.
+"""Exact planar geometry helpers on the integer grid.
 
-Points are pairs of ``Fraction``; lattice vectors are pairs of ``int``.
-Everything here is a pure predicate or constructor on those tuples, so the
-rest of the package never touches floating point.
+Points are pairs of ``int``: a cut layout's points, and its network's,
+times the layout's one ``scale`` (``cover.BranchCutLayout``); lattice
+vectors are pairs of ``int`` too.  Everything here is a pure predicate or
+constructor on those tuples, so the package never touches floating point.
 
-The segment-contact predicates (``orient``, ``on_segment``,
-``proper_crossing``, ``segments_cross``, ``point_in_convex_polygon``) run
-on points put on one integer grid by ``Grid``: every coordinate times a
-positive common denominator D.  That map multiplies every signed area by
-D^2 > 0, so every orientation sign is unchanged, and it is injective, so
-every point equality is unchanged too; the predicates give the same
-answers on plain ``int``s, exactly.  Beyond the predicates the SVG
-writer and the arm order of a branch point (``network.branch_point_arms``,
-by ``angle_less``: a grid direction is a positive multiple of the rational
-one) read the grid: emitted points, report witnesses and error messages
-keep the original ``Fraction`` points.
+The map p -> scale * p multiplies every signed area by scale^2 > 0 and is
+injective, so every orientation sign and every point equality is that of
+the rational points: the segment-contact predicates (``orient``,
+``on_segment``, ``proper_crossing``, ``segments_cross``,
+``point_in_convex_polygon``) and the arm order of a branch point
+(``network.branch_point_arms``, by ``angle_less``) give the rational
+answers exactly.  A rational point is made only where a point is written
+out (``cover.GridPoints.rational``).
 
 Point location runs on the same grid: ``cover.GridPoints`` is the only
 caller of ``point_in_convex_polygon``, finds a point's region with
 ``orient`` against the spokes, and a boundary point's position along its
-edge and its half-edge with ``on_segment`` and ``dot``.  No point is
-located in ``Fraction`` arithmetic.
+edge and its half-edge with ``on_segment`` and ``dot``.
 
-``Grid.polyline`` stores each segment's bounding box once, and
-``touching_segments``, the one contact query, tests exactly only the
+A ``Polyline`` stores each segment's bounding box once, when it is made,
+and ``touching_segments``, the one contact query, tests exactly only the
 segment pairs whose boxes meet; each caller applies its own tolerance rule
 to the pairs it yields.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
-
-Point = tuple  # (Fraction, Fraction)
-IVec = tuple   # (int, int)
+from math import gcd
 
 
-def is_primitive(v: IVec) -> bool:
+def is_primitive(v) -> bool:
     x, y = v
     return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
 
@@ -48,7 +42,7 @@ def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def sub(a, b) -> Point:
+def sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
@@ -147,34 +141,6 @@ class Polyline(tuple):
         self = super().__new__(cls, points)
         self.boxes = tuple(map(box, self, self[1:]))
         return self
-
-    def scaled(self, k):
-        """The polyline on a grid k times finer; k times a box is a box."""
-        if k == 1:
-            return self
-        out = tuple.__new__(Polyline, ((x * k, y * k) for x, y in self))
-        out.boxes = tuple(tuple(c * k for c in b) for b in self.boxes)
-        return out
-
-
-class Grid:
-    """One integer grid for a finite set of rational points.
-
-    ``scale`` is the least positive multiple of ``base`` that clears the
-    denominator of every coordinate, and ``point(p)`` is the integer point
-    scale * p.
-    """
-
-    def __init__(self, points, base=1):
-        self.scale = lcm(base, *(c.denominator for p in points for c in p))
-
-    def point(self, p):
-        s = self.scale
-        return (p[0].numerator * (s // p[0].denominator),
-                p[1].numerator * (s // p[1].denominator))
-
-    def polyline(self, points):
-        return Polyline(map(self.point, points))
 
 
 def point_in_convex_polygon(p, vertices):

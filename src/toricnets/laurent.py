@@ -1,11 +1,11 @@
-"""Exact constant matrices over Q or Q[t^±], integer-scaled.
+"""Exact constant matrices over Q or Q[t^±], as ints over one denominator.
 
 Coefficients come from one exact ring: the rationals, or Q[t_1^±, ...,
 t_c^±] (``TPoly``) when the holonomies of a local system are left as
 symbols.  The code never calls anything float-specific.
 
 A constant matrix is a ``Constant(rows, den)``: the square matrix
-rows / den, integer-scaled.  Its canonical form: den is a positive int,
+rows / den, with integer rows.  Its canonical form: den is a positive int,
 coprime to the entries together, and every t-free integral entry is an
 ``int``.  A numeric constant has ``int`` entries only; a constant with a
 ``TPoly`` entry has den 1 (its t-free entries may then be non-integral
@@ -190,7 +190,7 @@ def constant(rows, den=1):
     """The canonical constant rows / den, for rows of exact coefficients
     (``int``, ``Fraction`` or ``TPoly``) and a positive int den.
 
-    Rational rows are scaled to ints once, by the lcm of their
+    Rational rows are multiplied to ints once, by the lcm of their
     denominators; rows with a ``TPoly`` entry are divided through by den.
     """
     r = len(rows)

@@ -102,7 +102,8 @@ class TropicalMultiSection:
 def _group(items, key, n):
     """Tuples of ``items`` by their index ``key`` in 0..n-1, in input order.
 
-    An item with an index outside 0..n-1 joins no group.
+    An item with an index outside 0..n-1 joins no group; ``validate``
+    reports it as a ``structure`` violation.
     """
     groups = [[] for _ in range(n)]
     for item in items:
@@ -123,6 +124,11 @@ def validate(tms: TropicalMultiSection) -> ValidationReport:
     for c in tms.lifted_cones:
         if not (0 <= c.base < fan.n):
             report.add("structure", f"lifted cone {c.id} over unknown cone {c.base}")
+            return report
+    for r in tms.lifted_rays:
+        if not (0 <= r.ray < fan.n):
+            report.add("structure", f"lifted ray {r.src}->{r.dst} over "
+                                    f"unknown ray {r.ray}", r)
             return report
     for i in range(fan.n):
         if len(tms.lifts_of_cone(i)) != tms.degree:

@@ -1,22 +1,26 @@
 """Spectral networks subordinate to a 2-fold multi-section.
 
-Walls are oriented rational polylines from a branch point to the boundary
-of the polygon; each carries an ordered sheet pair (a, b) meaning its
-solitons travel from sheet a to sheet b.  The package works in the regime
-where walls are pairwise disjoint (one Y-graph per branch point), which is
-what the rank-2 construction produces; joint-fed walls are detected and
-rejected rather than propagated.
+Walls are oriented polylines from a branch point to the boundary of the
+polygon, on their layout's integer grid (``geom.Polyline``s of the
+rational points times ``BranchCutLayout.scale``); each carries an ordered
+sheet pair (a, b) meaning its solitons travel from sheet a to sheet b.
+The package works in the regime where walls are pairwise disjoint (one
+Y-graph per branch point), which is what the rank-2 construction
+produces; joint-fed walls are detected and rejected rather than
+propagated.
 
 A network is its walls plus a ``BranchCutLayout``; it reads the disk
-model, fan, polygon, cuts, branch points and cut regions from the layout.
+model, fan, polygon, cuts, branch points, cut regions and grid from the
+layout.
 
 The boundary-track machinery turns the ccw cyclic order of boundary
 landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
 sequences for path-ordered products: a loop just inside the boundary
 crosses exactly these curves in exactly this order.  Every landing is read
-on the network's integer grid (``GridPoints``): its order along its edge
+on the layout's integer grid (``GridPoints``): its order along its edge
 by ``edge_position``, its half-edge by ``half_edge``.  Nothing here
-locates a point off the grid.
+locates a point off the grid, and a rational point is made only for a
+report witness (``GridPoints.rational``).
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import functools
 from dataclasses import dataclass
 
 from . import geom
-from .cover import Crossing, GridPoints, SurfacePath
+from .cover import Crossing, SurfacePath
 from .errors import NoSharedLift, NotSupported
 from .reporting import ValidationReport
 
@@ -33,7 +37,7 @@ from .reporting import ValidationReport
 @dataclass(frozen=True)
 class Wall:
     id: int
-    polyline: tuple          # oriented, start -> end
+    polyline: tuple          # geom.Polyline on the layout's grid, start -> end
     label: tuple             # (source sheet, target sheet), solitons a -> b
     start_branch: int | None  # branch point index, None for joint-fed walls
     end_edge: int            # polygon edge carrying the endpoint
@@ -51,11 +55,11 @@ class Wall:
 class SpectralNetwork:
     """Walls plus their branch-cut layout.
 
-    The walls are fixed at construction, so the facts derived from them
-    and the layout (the points on one integer grid, the
-    pairwise-disjointness verdict, the ccw-sorted track events, the arm
-    order of every branch point) are computed once, on first use, and
-    then read by everything that needs them.
+    The walls are fixed at construction, on the layout's grid, so the
+    facts derived from them and the layout (the pairwise-disjointness
+    verdict, the ccw-sorted track events, the arm order of every branch
+    point) are computed once, on first use, and then read by everything
+    that needs them.
     """
 
     def __init__(self, walls, layout):
@@ -71,12 +75,6 @@ class SpectralNetwork:
     @property
     def walls(self):
         return self._walls
-
-    @functools.cached_property
-    def grid(self):
-        """Every point on the layout's grid, extended by the walls."""
-        walls = [w.polyline for w in self.walls]
-        return GridPoints(self.layout, walls) if walls else self.layout.grid
 
     @functools.cached_property
     def walls_disjoint(self):
@@ -111,17 +109,17 @@ def track_events(net: SpectralNetwork):
     """All boundary-track crossings in ccw cyclic order, as a tuple.
 
     Each event is keyed by its edge and its ``GridPoints.edge_position``
-    there, read on the network's grid: a wall's at its end on its own
-    edge, ``w.end_edge``, a cut's and a spoke's at the barycenter.  At a
-    barycenter the order is: cut hugging from the earlier region, then
-    the spoke, then a cut hugging from the later region.
+    there, read on the layout's grid: a wall's at its end on its own
+    edge, ``w.end_edge``, a cut's and a spoke's at the barycenter
+    (``GridPoints.mids``).  At a barycenter the order is: cut hugging from
+    the earlier region, then the spoke, then a cut hugging from the later
+    region.
     """
     n = net.fan.n
-    g = net.grid
-    mid = [g.edge_position(s[-1], e) for e, s in enumerate(g.spokes)]
+    g = net.layout.grid
     events = []
-    for w, pts in zip(net.walls, g.walls):
-        t = g.edge_position(pts[-1], w.end_edge)
+    for w in net.walls:
+        t = g.edge_position(w.end, w.end_edge)
         if t is None:
             raise NotSupported(
                 f"wall {w.id} does not end on edge {w.end_edge}")
@@ -136,9 +134,9 @@ def track_events(net: SpectralNetwork):
         else:
             raise NotSupported(
                 f"cut {k} lands on edge {e} from non-adjacent region {region}")
-        events.append(TrackEvent((e, mid[e % n], tier), "cut", k, region))
+        events.append(TrackEvent((e, g.mids[e % n], tier), "cut", k, region))
     for e in range(n):
-        events.append(TrackEvent((e, mid[e], 1), "spoke", e, e % n))
+        events.append(TrackEvent((e, g.mids[e], 1), "spoke", e, e % n))
     events.sort(key=_event_key)
     return tuple(events)
 
@@ -216,28 +214,20 @@ class Soliton:
                            turns=self.turns)
 
 
-def _initial_direction(polyline):
-    return geom.sub(polyline[1], polyline[0])
-
-
 def branch_point_arms(net: SpectralNetwork, b: int):
     """Walls of a branch point in ccw order starting after its cut.
 
     Returns the walls as a tuple; position j (0-based) in it is the
     winding count of the wall's soliton, which fixes its sign.  The
-    directions are read on the network's grid (``net.grid``), where each
-    is a positive multiple of the rational one, so the order is the same.
+    directions are read on the layout's grid, where each is a positive
+    multiple of the rational one, so the order is the same.
     """
-    g = net.grid
-    arms = [("cut", None, _initial_direction(g.cuts[b]))]
-    for w, pts in zip(net.walls, g.walls):
-        if w.start_branch == b:
-            arms.append(("wall", w, _initial_direction(pts)))
+    arms = [(None, net.cuts[b].polyline)]
+    arms += [(w, w.polyline) for w in net.walls if w.start_branch == b]
     by_angle = functools.cmp_to_key(_angle_cmp)
-    arms.sort(key=lambda arm: by_angle(arm[2]))
-    cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
-    rotated = arms[cut_pos + 1:] + arms[:cut_pos]
-    return tuple(a[1] for a in rotated)
+    arms.sort(key=lambda arm: by_angle(geom.sub(arm[1][1], arm[1][0])))
+    cut_pos = next(i for i, (w, _) in enumerate(arms) if w is None)
+    return tuple(w for w, _ in arms[cut_pos + 1:] + arms[:cut_pos])
 
 
 def _angle_cmp(u, v):
@@ -248,19 +238,17 @@ def _angle_cmp(u, v):
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     """True iff no two walls meet, except arms at their common branch point.
 
-    Runs ``geom.touching_segments`` on the network's grid points for every
-    wall pair; the shared-endpoint tolerance is
+    Runs ``geom.touching_segments`` on the grid polylines of every wall
+    pair; the shared-endpoint tolerance is
     ``geom.polyline_pairwise_disjoint``'s.
     """
-    g = net.grid
     walls = net.walls
     for i, a in enumerate(walls):
-        for j in range(i + 1, len(walls)):
-            b = walls[j]
+        for b in walls[i + 1:]:
             shared = a.start_branch is not None and a.start_branch == b.start_branch
             if not geom.polyline_pairwise_disjoint(
-                    g.walls[i], g.walls[j],
-                    geom.touching_segments(g.walls[i], g.walls[j]),
+                    a.polyline, b.polyline,
+                    geom.touching_segments(a.polyline, b.polyline),
                     skip_shared_endpoints=shared):
                 return False
     return True
@@ -305,7 +293,7 @@ def slope_pairing(tms, lift, cone, edge, label):
 def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     """Check the six defining conditions of a subordinate network.
 
-    Contact tests run on the network's grid points (``net.grid``) through
+    Contact tests run on the layout's grid through
     ``geom.touching_segments``, and each condition applies its own rule to
     the touching segment pairs: a wall may touch a cut only at a shared
     endpoint (1), cross a spoke only properly (1), and contain no branch
@@ -313,22 +301,24 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     branch point's cut.  Condition 6 finds each wall's landing half-edge
     from its grid end with ``GridPoints.half_edge`` and compares it with
     the wall's claim (``end_edge``, ``end_cone``).  Witnesses are the
-    original points.
+    rational points (``GridPoints.rational``).
     """
     report = ValidationReport()
-    g = net.grid
+    g = net.layout.grid
     bad_labels = set()
 
-    for wi, w in enumerate(net.walls):
-        pts = g.walls[wi]
+    for w in net.walls:
+        pts = w.polyline
         # (1) interior in the open polygon, away from cuts, transverse to spokes
-        for p, q in zip(w.polyline[1:-1], pts[1:-1]):
-            if not g.interior(q):
-                report.add("1", f"wall {w.id} has a non-interior vertex", p)
-        if not g.interior(pts[0]) and w.start_branch is not None:
-            report.add("1", f"wall {w.id} starts outside the open polygon", w.start)
+        for p in pts[1:-1]:
+            if not g.interior(p):
+                report.add("1", f"wall {w.id} has a non-interior vertex",
+                           g.rational(p))
+        if not g.interior(w.start) and w.start_branch is not None:
+            report.add("1", f"wall {w.id} starts outside the open polygon",
+                       g.rational(w.start))
         through_branch_point = False
-        for k, cut in enumerate(g.cuts):
+        for k, cut in enumerate(c.polyline for c in net.cuts):
             touching = list(geom.touching_segments(pts, cut))
             if not geom.polyline_pairwise_disjoint(
                     pts, cut, touching,
@@ -362,9 +352,10 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                 report.add("5", f"wall {w.id} does not start at its branch point")
 
     # (3) interior endpoints must be branch points with the Y local model
-    for wi, w in enumerate(net.walls):
-        if w.start_branch is None and g.interior(g.walls[wi][0]):
-            report.add("3", f"wall {w.id} starts at an undeclared joint", w.start)
+    for w in net.walls:
+        if w.start_branch is None and g.interior(w.start):
+            report.add("3", f"wall {w.id} starts at an undeclared joint",
+                       g.rational(w.start))
     for b in range(len(net.branch_points)):
         arms = net.walls_of_branch(b)
         if len(arms) != 3:
@@ -384,12 +375,12 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     except NoSharedLift as exc:  # report, do not raise: validators collect
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None
-    for w, pts in zip(net.walls, g.walls):
-        he = g.half_edge(pts[-1])
+    for w in net.walls:
+        he = g.half_edge(w.end)
         if he is None:
             report.add("6",
                        f"wall {w.id} endpoint is not in the relative interior "
-                       "of a boundary half-edge", w.end)
+                       "of a boundary half-edge", g.rational(w.end))
             continue
         e, cone = he
         if (e, cone) != (w.end_edge, w.end_cone):

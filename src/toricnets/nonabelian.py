@@ -86,8 +86,8 @@ def wall_factor(wall, region, factors) -> Framed:
 
     Boundary-track paths cross a wall in its landing region
     ``wall.end_cone``; the loop around a branch point crosses its arms in
-    the region of its cut.  The transports are scaled to one integer
-    constant once, after the last soliton.
+    the region of its cut.  The transports become one integer constant
+    once, after the last soliton.
     """
     if wall.start_branch is None:
         raise NotSupported("joint-fed walls are outside this regime")
@@ -409,8 +409,8 @@ def _factored(coc, report):
     joined, through the nonzero entries, to the anchor (0, s0) of its
     component of the cover, s0 its least sheet: the entries then pin every
     slope to the input, given the anchor's.  All these failures are
-    ``tropicalization`` violations.  Each factored matrix is scaled to its
-    integer constant by the lcm of its denominators, so every later check
+    ``tropicalization`` violations.  Each factored matrix is stored as
+    integer rows over the lcm of its denominators, so every later check
     runs on ints.
     """
     frames, written, r = coc.frames, coc.written, coc.cover.r

@@ -1,8 +1,8 @@
 """Deterministic SVG rendering of the polygon, spokes, walls, and cuts.
 
-Points are drawn from an integer grid (``cover.GridPoints``).  A screen
-coordinate is one int true division, which CPython rounds correctly, as it
-does ``float`` of the same ``Fraction``.
+Points are drawn from a layout's integer grid.  A screen coordinate is one
+int true division, which CPython rounds correctly, as it does ``float`` of
+the same ``Fraction``, so it does not depend on the grid's scale.
 """
 from __future__ import annotations
 
@@ -34,9 +34,14 @@ def _polyline(points, to_screen, stroke, extra=""):
 
 
 def render_svg(disk, net=None, layout=None) -> str:
-    """Figure of the disk model plus an optional network and cut layout."""
-    grid = (net if net is not None else layout if layout is not None
-            else BranchCutLayout(disk, ())).grid
+    """Figure of the disk model plus an optional network and cut layout.
+
+    A network and its own layout share one grid, so one mapper draws
+    them; a layout not the network's own draws its cuts with its own.
+    """
+    own = (net.layout if net is not None else layout if layout is not None
+           else BranchCutLayout(disk, (), disk.scale))
+    grid = own.grid
     to_screen = _mapper(grid)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" '
              f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">',
@@ -54,22 +59,22 @@ def render_svg(disk, net=None, layout=None) -> str:
         parts.append(f'<text x="{float(x) + 6:.3f}" y="{float(y) - 6:.3f}" '
                      f'font-size="12" fill="#202020">s{i}</text>')
     if layout is not None:
-        cuts, cut_screen = layout.grid.cuts, _mapper(layout.grid)
-        for cut in cuts:
-            parts.append(_polyline(cut, cut_screen, "#707070",
+        cut_screen = to_screen if layout is own else _mapper(layout.grid)
+        for cut in layout.cuts:
+            parts.append(_polyline(cut.polyline, cut_screen, "#707070",
                                    'stroke-dasharray="6,4"'))
-        for cut in cuts:
-            x, y = cut_screen(cut[0])
+        for p in layout.branch_points:
+            x, y = cut_screen(p)
             parts.append(f'<g stroke="#202020" stroke-width="1.4">'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) - 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) + 4:.3f}"/>'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) + 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) - 4:.3f}"/></g>')
     if net is not None:
-        for w, points in zip(net.walls, grid.walls):
+        for w in net.walls:
             color = _WALL_COLORS.get(tuple(w.label), "#3f8f3f")
-            parts.append(_polyline(points, to_screen, color))
-            x, y = to_screen(points[-1])
+            parts.append(_polyline(w.polyline, to_screen, color))
+            x, y = to_screen(w.end)
             lbl = f"{w.label[0] + 1}{w.label[1] + 1}"
             parts.append(f'<text x="{float(x) + 4:.3f}" '
                          f'y="{float(y) - 4:.3f}" font-size="10" '

@@ -4,6 +4,12 @@ One self-describing document format (``toricnets/problem.v1``) carries the
 fan, the support function, the multi-section, optional holonomies, and an
 optional explicit network+layout.  All rationals are strings accepted by
 ``Fraction`` ("p/q" or "p"), so round-trips are exact.
+
+A document's layout and network are parsed together onto one integer
+grid, the least one holding the disk model and every cut and wall point,
+which may be coarser than the builder's (every predicate and drawn
+coordinate is scale-invariant); emitting writes each grid point as its
+rational point (``GridPoints.rational``).
 """
 from __future__ import annotations
 
@@ -11,10 +17,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
 from .fans import Fan, SupportFunction, dual_polytope, disk_model, make_fan
+from .geom import Polyline
 from .multisection import LiftedCone, LiftedRay, TropicalMultiSection
 from .network import SpectralNetwork, Wall
 
@@ -60,8 +68,14 @@ def _int_pair(obj, what):
     return tuple(obj)
 
 
-def _point_out(p):
-    return [str(p[0]), str(p[1])]
+def _on_grid(poly, scale):
+    """The int polyline ``scale`` times ``poly``; the scale clears it."""
+    return Polyline((x.numerator * (scale // x.denominator),
+                     y.numerator * (scale // y.denominator)) for x, y in poly)
+
+
+def _points_out(points, grid):
+    return [[str(c) for c in grid.rational(p)] for p in points]
 
 
 @dataclass
@@ -132,19 +146,21 @@ def _parse_sections(data) -> ProblemSpec:
     if not isinstance(holonomies, list):
         raise SchemaError(f"holonomies must be a list, got {holonomies!r}")
     spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies], raw=data)
+    if "network" in data and "layout" not in data:
+        raise SchemaError("an explicit network requires a layout")
     if "layout" in data:
-        spec.layout = parse_layout(data["layout"], spec.disk)
-    if "network" in data:
-        if spec.layout is None:
-            raise SchemaError("an explicit network requires a layout")
-        spec.network = parse_network(data["network"], spec)
+        spec.layout, spec.network = parse_geometry(
+            spec.disk, data["layout"], data.get("network"))
     return spec
 
 
-def parse_layout(data, disk) -> BranchCutLayout:
-    points = [_point(p) for p in data["branch_points"]]
+def parse_geometry(disk, layout, network=None):
+    """The layout and explicit network (None without ``network``) of one
+    document, on the scale lcm(``disk.scale``, every coordinate's
+    denominator)."""
+    points = [_point(p) for p in layout["branch_points"]]
     cuts = []
-    for k, c in enumerate(data["cuts"]):
+    for k, c in enumerate(layout["cuts"]):
         poly = _polyline(c["polyline"], f"cut {k}")
         if len(poly) < 2:
             raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
@@ -152,40 +168,45 @@ def parse_layout(data, disk) -> BranchCutLayout:
         if not 0 <= edge < disk.fan.n:
             raise SchemaError(f"cut {k} lands on edge {edge}, not one of "
                               f"the {disk.fan.n} edges 0..{disk.fan.n - 1}")
-        cuts.append(Cut(poly,
-                        _int_pair(c["transposition"], "a cut transposition"),
-                        edge))
-    if points != [c.branch_point for c in cuts]:
+        cuts.append((poly,
+                     _int_pair(c["transposition"], "a cut transposition"),
+                     edge))
+    if points != [poly[0] for poly, _, _ in cuts]:
         raise SchemaError("the layout needs one cut per branch point, "
                           "starting at it")
-    return BranchCutLayout(disk, tuple(cuts))
-
-
-def emit_layout(layout: BranchCutLayout) -> dict:
-    return {
-        "branch_points": [_point_out(p) for p in layout.branch_points],
-        "cuts": [
-            {"polyline": [_point_out(p) for p in c.polyline],
-             "transposition": list(c.transposition),
-             "edge": c.edge}
-            for c in layout.cuts],
-    }
-
-
-def parse_network(data, spec: ProblemSpec) -> SpectralNetwork:
     walls = []
-    for w in data["walls"]:
+    for w in network["walls"] if network is not None else ():
         wid = _int(w["id"], "a wall id")
         poly = _polyline(w["polyline"], f"wall {wid}")
         if not poly:
             raise SchemaError(f"wall {wid} has an empty polyline")
         branch = w.get("branch")
-        walls.append(Wall(
+        walls.append((
             wid, poly, _int_pair(w["label"], f"the label of wall {wid}"),
             None if branch is None else _int(branch, f"the branch of wall {wid}"),
             _int(w["end_edge"], f"the end edge of wall {wid}"),
             _int(w["end_cone"], f"the end cone of wall {wid}")))
-    return SpectralNetwork(walls, spec.layout)
+    polys = [c[0] for c in cuts] + [w[1] for w in walls]
+    scale = lcm(disk.scale, *(c.denominator for poly in polys
+                              for p in poly for c in p))
+    grid_layout = BranchCutLayout(
+        disk, tuple(Cut(_on_grid(poly, scale), transposition, edge)
+                    for poly, transposition, edge in cuts), scale)
+    walls = [Wall(wid, _on_grid(poly, scale), *rest)
+             for wid, poly, *rest in walls]
+    return grid_layout, (None if network is None
+                         else SpectralNetwork(walls, grid_layout))
+
+
+def emit_layout(layout: BranchCutLayout) -> dict:
+    return {
+        "branch_points": _points_out(layout.branch_points, layout.grid),
+        "cuts": [
+            {"polyline": _points_out(c.polyline, layout.grid),
+             "transposition": list(c.transposition),
+             "edge": c.edge}
+            for c in layout.cuts],
+    }
 
 
 def emit_network(net: SpectralNetwork) -> dict:
@@ -197,7 +218,7 @@ def emit_network(net: SpectralNetwork) -> dict:
              "branch": w.start_branch,
              "end_edge": w.end_edge,
              "end_cone": w.end_cone,
-             "polyline": [_point_out(p) for p in w.polyline]}
+             "polyline": _points_out(w.polyline, net.layout.grid)}
             for w in net.walls],
         "layout": emit_layout(net.layout),
     }

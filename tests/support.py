@@ -52,6 +52,64 @@ def polygon_barycenter(vertices):
     return (sx / n, sy / n)
 
 
+def rational(layout, points):
+    """Grid points of ``layout`` as the ``Fraction`` points they stand for."""
+    return tuple((Fraction(x, layout.scale), Fraction(y, layout.scale))
+                 for x, y in points)
+
+
+def rational_cuts(layout):
+    """The cuts of ``layout`` with ``Fraction`` polylines."""
+    return tuple(replace(c, polyline=rational(layout, c.polyline))
+                 for c in layout.cuts)
+
+
+def rational_walls(net):
+    """The walls of ``net`` with ``Fraction`` polylines."""
+    return tuple(replace(w, polyline=rational(net.layout, w.polyline))
+                 for w in net.walls)
+
+
+def _points_doc(points):
+    return [[str(x), str(y)] for x, y in points]
+
+
+def geometry_doc(cuts, walls=None):
+    """The layout and network sections of a problem document holding cuts
+    and walls with ``Fraction`` polylines; no network without ``walls``."""
+    layout = {"branch_points": _points_doc(c.polyline[0] for c in cuts),
+              "cuts": [{"polyline": _points_doc(c.polyline),
+                        "transposition": list(c.transposition),
+                        "edge": c.edge} for c in cuts]}
+    network = None if walls is None else {"walls": [
+        {"id": w.id, "label": list(w.label), "branch": w.start_branch,
+         "end_edge": w.end_edge, "end_cone": w.end_cone,
+         "polyline": _points_doc(w.polyline)} for w in walls]}
+    return layout, network
+
+
+def on_grid(disk, cuts, walls=None):
+    """(layout, network) of cuts and walls with ``Fraction`` polylines.
+
+    They are written as a problem document's layout and network
+    (``geometry_doc``) and read back together by
+    ``schema.parse_geometry``, so they land on one grid as every
+    document's do; without ``walls`` the network is None.
+    """
+    return schema.parse_geometry(disk, *geometry_doc(cuts, walls))
+
+
+def edited_network(net, walls=None, cuts=None):
+    """``net`` with its walls or its cuts replaced, through ``on_grid``.
+
+    ``walls`` and ``cuts`` hold ``Fraction`` polylines; the ones not
+    given are ``net``'s own.
+    """
+    return on_grid(net.disk,
+                   rational_cuts(net.layout) if cuts is None else cuts,
+                   rational_walls(net) if walls is None else walls)[1]
+
+
 def count_calls(monkeypatch, module, name):
     """Calls of ``module.name`` from anywhere in the package, as a list.
 
@@ -826,24 +884,28 @@ def _ref_depth_point(disk, boundary_point, s):
     return lerp(boundary_point, disk.center, s)
 
 
-def reference_build_geometry(disk, plans):
+def reference_build_geometry(disk, plans, depths=None):
     """``builder._build_geometry`` in ``Fraction`` arithmetic.
 
-    Returns the raw walls (branch index, polyline, end edge, end
-    parameter) and the cuts, in the order the builder places them.
+    The Y-graph of depth index d sits at depth ``depths[d]``, by default
+    the builder's 1/3 * 2^-d.  Returns the raw walls (branch index,
+    polyline, end edge, end parameter) and the cuts, with ``Fraction``
+    points and parameters, in the order the builder places them.
     """
     polytope = disk.polytope
     walls_raw = []
     cuts = []
     base_depth = Fraction(1, 3)
     for p in plans:
-        s = base_depth * Fraction(1, 2) ** p.depth_index
+        s = depths[p.depth_index] if depths else \
+            base_depth * Fraction(1, 2) ** p.depth_index
         q_long = _ref_edge_point(polytope, p.w3_edge, Fraction(1, 4))
         b = _ref_depth_point(disk, q_long, s)
         w3 = (b, q_long)
         cut_poly = (b, polytope.edge_barycenter(p.w3_edge))
         w2 = (b, _ref_edge_point(polytope, p.w2_edge, Fraction(3, 4)))
-        w1_target = _ref_edge_point(polytope, p.w1_edge, p.w1_t)
+        w1_t = Fraction(*p.w1_t)
+        w1_target = _ref_edge_point(polytope, p.w1_edge, w1_t)
         pts = [b]
         for e, t in quarter_points_cw(polytope, p.w3_edge, Fraction(1, 4),
                                       p.w1_edge, Fraction(3, 4)):
@@ -851,7 +913,7 @@ def reference_build_geometry(disk, plans):
                 disk, _ref_edge_point(polytope, e, t), s))
         pts.append(w1_target)
         bi = p.depth_index
-        walls_raw.append((bi, tuple(pts), p.w1_edge, p.w1_t))
+        walls_raw.append((bi, tuple(pts), p.w1_edge, w1_t))
         walls_raw.append((bi, w2, p.w2_edge, Fraction(3, 4)))
         walls_raw.append((bi, w3, p.w3_edge, Fraction(1, 4)))
         cuts.append(Cut(cut_poly, (0, 1), p.w3_edge))
@@ -863,7 +925,7 @@ def reference_branch_point_arms(net, b):
 
     The walls of branch point b in ccw order of their first directions,
     starting after its cut's, as it was before the order was read on the
-    network's grid.
+    layout's grid.
     """
     def direction(polyline):
         return sub(polyline[1], polyline[0])
@@ -871,8 +933,10 @@ def reference_branch_point_arms(net, b):
     def angle_cmp(u, v):
         return geom.angle_less(v, u) - geom.angle_less(u, v)
 
-    arms = [("cut", None, direction(net.cuts[b].polyline))]
-    arms += [("wall", w, direction(w.polyline)) for w in net.walls_of_branch(b)]
+    cut = rational(net.layout, net.cuts[b].polyline)
+    arms = [("cut", None, direction(cut))]
+    arms += [("wall", w, direction(rational(net.layout, w.polyline)))
+             for w in net.walls_of_branch(b)]
     by_angle = functools.cmp_to_key(angle_cmp)
     arms.sort(key=lambda arm: by_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
@@ -930,10 +994,11 @@ def reference_render_svg(disk, net=None, layout=None) -> str:
         parts.append(f'<text x="{float(x) + 6:.3f}" y="{float(y) - 6:.3f}" '
                      f'font-size="12" fill="#202020">s{i}</text>')
     if layout is not None:
-        for cut in layout.cuts:
+        cuts = rational_cuts(layout)
+        for cut in cuts:
             parts.append(_ref_polyline(cut.polyline, to_screen, "#707070",
                                        'stroke-dasharray="6,4"'))
-        for p in layout.branch_points:
+        for p in (cut.polyline[0] for cut in cuts):
             x, y = to_screen(p).split(",")
             parts.append(f'<g stroke="#202020" stroke-width="1.4">'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) - 4:.3f}" '
@@ -941,7 +1006,7 @@ def reference_render_svg(disk, net=None, layout=None) -> str:
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) + 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) - 4:.3f}"/></g>')
     if net is not None:
-        for w in net.walls:
+        for w in rational_walls(net):
             color = _REF_WALL_COLORS.get(tuple(w.label), "#3f8f3f")
             parts.append(_ref_polyline(w.polyline, to_screen, color))
             end = to_screen(w.end).split(",")
@@ -1014,9 +1079,9 @@ def ref_polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True):
     return True
 
 
-def ref_walls_pairwise_disjoint(net):
-    for i, a in enumerate(net.walls):
-        for b in net.walls[i + 1:]:
+def ref_walls_pairwise_disjoint(walls):
+    for i, a in enumerate(walls):
+        for b in walls[i + 1:]:
             shared = a.start_branch is not None and \
                 a.start_branch == b.start_branch
             if not ref_polyline_pairwise_disjoint(
@@ -1044,15 +1109,18 @@ def reference_validate_network(net, tms, cover):
     fan = net.fan
     n = fan.n
     bad_labels = set()
+    walls = rational_walls(net)
+    cuts = rational_cuts(net.layout)
+    branch_points = [c.polyline[0] for c in cuts]
 
-    for w in net.walls:
+    for w in walls:
         for p in w.polyline[1:-1]:
             if contains(poly, p) != 1:
                 report.add("1", f"wall {w.id} has a non-interior vertex", p)
         if contains(poly, w.start) != 1 and w.start_branch is not None:
             report.add("1", f"wall {w.id} starts outside the open polygon",
                        w.start)
-        for cut in net.cuts:
+        for cut in cuts:
             if not ref_polyline_pairwise_disjoint(
                     list(w.polyline), list(cut.polyline),
                     skip_shared_endpoints=(w.start_branch is not None)):
@@ -1071,7 +1139,7 @@ def reference_validate_network(net, tms, cover):
             report.add("2", f"wall {w.id} carries a bad label {w.label}")
             bad_labels.add(w.id)
         interior_hits = 0
-        for bi, bp in enumerate(net.branch_points):
+        for bi, bp in enumerate(branch_points):
             for j in range(len(w.polyline) - 1):
                 if ref_on_segment(bp, w.polyline[j], w.polyline[j + 1]):
                     if not (j == 0 and w.start_branch == bi
@@ -1080,27 +1148,27 @@ def reference_validate_network(net, tms, cover):
         if interior_hits:
             report.add("5", f"wall {w.id} passes through a branch point")
         if w.start_branch is not None:
-            if not 0 <= w.start_branch < len(net.branch_points):
+            if not 0 <= w.start_branch < len(branch_points):
                 report.add("5", f"wall {w.id} names an unknown branch point "
                                 f"{w.start_branch}", w.id)
-            elif w.start != tuple(net.branch_points[w.start_branch]):
+            elif w.start != tuple(branch_points[w.start_branch]):
                 report.add("5",
                            f"wall {w.id} does not start at its branch point")
 
-    for w in net.walls:
+    for w in walls:
         if w.start_branch is None and contains(poly, w.start) == 1:
             report.add("3", f"wall {w.id} starts at an undeclared joint",
                        w.start)
-    for b in range(len(net.branch_points)):
+    for b in range(len(branch_points)):
         arms = net.walls_of_branch(b)
         if len(arms) != 3:
             report.add("3", f"branch point {b} has {len(arms)} walls, not 3",
                        b)
-    if not ref_walls_pairwise_disjoint(net):
+    if not ref_walls_pairwise_disjoint(walls):
         report.add("3", "walls intersect away from branch points "
                         "(joint local models not realized here)")
 
-    ids = [w.id for w in net.walls]
+    ids = [w.id for w in walls]
     if len(set(ids)) != len(ids):
         report.add("4", "duplicate wall ids")
 
@@ -1109,7 +1177,7 @@ def reference_validate_network(net, tms, cover):
     except NoSharedLift as exc:
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None
-    for w in net.walls:
+    for w in walls:
         he = half_edge_of_boundary_point(poly, w.end)
         if he is None:
             report.add("6",
@@ -1173,14 +1241,15 @@ def reference_build_cover(disk, layout, r):
 
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
-    for c in layout.cuts:
+    cuts = rational_cuts(layout)
+    for c in cuts:
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
         _ref_validate_cut_geometry(disk, c)
-    for i, a in enumerate(layout.cuts):
-        for b in layout.cuts[i + 1:]:
+    for i, a in enumerate(cuts):
+        for b in cuts[i + 1:]:
             if a.edge == b.edge:
                 raise OverlappingCuts(
                     f"two cuts land on the barycenter of edge {a.edge}")
@@ -1422,7 +1491,8 @@ def chambers(net):
         return [Chamber(0, (0,), ())]
     if not net.walls_disjoint:
         raise NotSupported("chamber decomposition requires disjoint walls")
-    landings = sorted(((boundary_position(net.polytope, w.end), w)
+    landings = sorted(((boundary_position(net.polytope,
+                                          rational(net.layout, [w.end])[0]), w)
                        for w in net.walls), key=lambda x: x[0])
     m = len(landings)
     tripods = {}

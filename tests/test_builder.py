@@ -10,6 +10,7 @@ from support import (FIXTURES, boundary_labels, count_calls, load,
 from toricnets.builder import _quarter_points_cw, build_network
 from toricnets.cover import build_cover
 from toricnets.errors import InvariantViolated, NotRealizable, NotTwoFold
+from toricnets.geom import Polyline
 from toricnets.network import branch_point_arms, validate_network, \
     walls_pairwise_disjoint
 
@@ -171,8 +172,8 @@ def _swap_landings(place, i, j):
         walls, layout = place(disk, plans)
         walls = list(walls)
         (bi, pi, ei, ti), (bj, pj, ej, tj) = walls[i], walls[j]
-        walls[i] = (bi, pi[:-1] + pj[-1:], ej, tj)
-        walls[j] = (bj, pj[:-1] + pi[-1:], ei, ti)
+        walls[i] = (bi, Polyline(pi[:-1] + pj[-1:]), ej, tj)
+        walls[j] = (bj, Polyline(pj[:-1] + pi[-1:]), ei, ti)
         return walls, layout
     return defective
 
@@ -206,10 +207,11 @@ def test_defective_placement_raises_its_first_violation(monkeypatch,
 def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # fan7_n7: 15 walls (50 segments), 5 cuts and 7 spokes.  Testing every
     # segment pair of walls, cuts and spokes takes 1710 exact tests; after
-    # the bounding-box reject 114 remain.  The points are scaled onto the
-    # integer grid once for the layout; the network's grid extends it by
-    # the walls, multiplying the layout's points and boxes, so each segment
-    # box is computed once: 7 spokes and 5 cuts, then 50 wall segments.
+    # the bounding-box reject 114 remain.  The builder places the cuts and
+    # walls on the layout's one grid, and the layout puts the disk model
+    # on it once (one GridPoints per build), so each segment box is
+    # computed once: 5 cuts and 50 wall segments as they are placed, and
+    # 7 spokes.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
@@ -224,13 +226,13 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     net, layout = build_network(spec.tms, spec.disk)
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
-    assert [len(walls) for _, walls in grids] == [0, 15]
+    assert grids == [(spec.disk, layout.scale)]
     assert len(boxes) == (7 + 5) + 50 == 62
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
-    # the network and the layout keep their grids: building a cover again
-    # and validating against it scales no point again
+    # the layout keeps its grid: building a cover again and validating
+    # against it scales no point again
     validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
-    assert [len(walls) for _, walls in grids] == [0, 15]
+    assert len(grids) == 1
 
 
 def test_build_matches_sheets_and_lifts_once(monkeypatch):
@@ -271,5 +273,6 @@ def test_quarter_point_walk_matches_sorted_reference():
             for end in range(n):
                 want = quarter_points_cw(poly, start, Fraction(1, 4),
                                          end, Fraction(3, 4))
-                assert _quarter_points_cw(n, start, end) == want, \
+                assert [(e, Fraction(*t)) for e, t in
+                        _quarter_points_cw(n, start, end)] == want, \
                     (n, start, end)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from support import (FIXTURES, REALIZABLE, count_calls, emit_matrix, pair,
-                     parse_matrix)
+                     parse_matrix, rational)
 
 from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
@@ -118,12 +118,16 @@ def test_json_report_mode(capsys):
 
 
 def test_network_round_trip(p2, p2_built, tmp_path):
+    # the layout and network are parsed onto the least grid of their
+    # points, which may be coarser than the builder's: the rational points
+    # are the same
     net, layout, cover = p2_built
     doc = schema.emit_network(net)
     spec = schema.load_problem(fx("p2_n3"))
-    spec.layout = schema.parse_layout(doc["layout"], spec.disk)
-    net2 = schema.parse_network(doc, spec)
-    assert [w.polyline for w in net2.walls] == [w.polyline for w in net.walls]
+    layout2, net2 = schema.parse_geometry(spec.disk, doc["layout"], doc)
+    assert net2.layout is layout2
+    assert [rational(layout2, w.polyline) for w in net2.walls] == \
+        [rational(layout, w.polyline) for w in net.walls]
     assert [w.label for w in net2.walls] == [w.label for w in net.walls]
     assert schema.emit_network(net2) == doc
 
@@ -300,6 +304,26 @@ def test_moved_branch_point_is_a_schema_error():
     _moved_branch_point(data)
     with pytest.raises(SchemaError, match="one cut per branch point"):
         schema.parse_problem(data)
+
+
+@pytest.mark.parametrize("ray", [3, -1])
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_lifted_ray_out_of_range_fails_with_a_report(command, ray, tmp_path,
+                                                     capsys):
+    # p2_n3 with an extra lifted ray over ray 3 or -1: it joins no ray's
+    # matching, and validated clean with the ray dropped; it is a
+    # structure violation naming the ray
+    path = _write_edited(tmp_path, lambda d: d["multisection"][
+        "lifted_rays"].append({"ray": ray, "from": "c6", "to": "c1"}))
+    code = main([command, "--input", path, "--out", str(tmp_path / "out"),
+                 "--report", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    stages = json.loads(out)["stages"]
+    message = f"lifted ray c6->c1 over unknown ray {ray}"
+    assert message in json.dumps(stages[-1]["detail"])
+    assert not (tmp_path / "out" / "network.json").exists()
 
 
 @pytest.mark.parametrize("edge", [3, -1])

@@ -2,24 +2,29 @@
 
 ``validate_network`` and ``build_cover`` test contacts on integer grid
 points and only for pairs whose bounding boxes meet.  The references in
-``support`` test every pair on the original ``Fraction`` points.  Both
-must give the same reports (condition, message, witness, multiplicity,
-order) and the same cover errors (class and message) on every fixture,
-on generated networks up to (12, 12) and on perturbed networks.
+``support`` test every pair on the rational points the grid points stand
+for.  Both must give the same reports (condition, message, witness,
+multiplicity, order) and the same cover errors (class and message) on
+every fixture, on generated networks up to (12, 12) and on perturbed
+networks.  A perturbed network is written as a document's layout and
+network with ``Fraction`` points off the built layout's grid and read back
+by ``schema`` (``support.on_grid``), which puts both on one grid.
 """
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from support import (FIXTURES, generated_problems, lerp, load, midpoint,
-                     polygon_barycenter, reference_build_cover,
+from support import (FIXTURES, edited_network, generated_problems, lerp,
+                     load, midpoint, on_grid, polygon_barycenter,
+                     rational_cuts, rational_walls, reference_build_cover,
                      reference_validate_network, region_polygon)
 
 from toricnets import builder, cover as cover_module, errors
 from toricnets.builder import build_network
-from toricnets.cover import BranchCutLayout, Cut, build_cover
-from toricnets.network import SpectralNetwork, Wall, validate_network
+from toricnets.cover import Cut, build_cover
+from toricnets.network import validate_network
 
 
 def _violations(report):
@@ -88,18 +93,17 @@ def test_generated_networks_match_reference(monkeypatch):
 
 
 def _replace_wall(net, index, polyline):
-    w = net.walls[index]
-    walls = list(net.walls)
-    walls[index] = Wall(w.id, tuple(polyline), w.label, w.start_branch,
-                        w.end_edge, w.end_cone)
-    return SpectralNetwork(walls, net.layout)
+    """``net`` with wall ``index`` moved onto ``Fraction`` points."""
+    walls = list(rational_walls(net))
+    walls[index] = replace(walls[index], polyline=tuple(polyline))
+    return edited_network(net, walls=walls)
 
 
 def _replace_cut(net, k, polyline):
-    cuts = list(net.cuts)
-    c = cuts[k]
-    cuts[k] = Cut(tuple(polyline), c.transposition, c.edge)
-    return BranchCutLayout(net.disk, tuple(cuts))
+    """``net``'s cuts, with cut k moved onto ``Fraction`` points."""
+    cuts = list(rational_cuts(net.layout))
+    cuts[k] = replace(cuts[k], polyline=tuple(polyline))
+    return tuple(cuts)
 
 
 def _through(a, p):
@@ -109,7 +113,7 @@ def _through(a, p):
 
 def _wall_perturbations(net, rng):
     """(kind, network) pairs, each with one wall moved."""
-    walls = net.walls
+    walls = rational_walls(net)
     for _ in range(2):
         i = rng.randrange(len(walls))
         a = walls[i]
@@ -124,7 +128,8 @@ def _wall_perturbations(net, rng):
                      lerp(b1, b2, Fraction(3, 4))))
         yield "endpoint touch", _replace_wall(net, i, (a.start, m))
         yield "vertex touch", _replace_wall(net, i, (a.start, b2))
-        foreign = [p for p in net.branch_points if p != a.start]
+        foreign = [c.polyline[0] for c in rational_cuts(net.layout)
+                   if c.polyline[0] != a.start]
         if foreign:
             yield "foreign branch point", _replace_wall(
                 net, i, _through(a.start, rng.choice(foreign)))
@@ -145,22 +150,23 @@ def _wall_perturbations(net, rng):
 
 
 def _crossing_cuts(net, k, m):
-    """Layout with cuts k and m moved into the region of cut k, crossing."""
+    """Cuts with k and m moved into the region of cut k, crossing."""
     poly = net.polytope
     n = net.fan.n
     i = net.layout.cut_region[k]
     b0, b1 = poly.edge_barycenter(i), poly.edge_barycenter(i + 1)
     mid = polygon_barycenter(region_polygon(net.disk, i))
     p0, p1 = midpoint(mid, b0), midpoint(mid, b1)
-    cuts = list(net.cuts)
+    cuts = list(rational_cuts(net.layout))
     cuts[k] = Cut((p0, b1), cuts[k].transposition, (i + 1) % n)
     cuts[m] = Cut((p1, b0), cuts[m].transposition, i)
-    return BranchCutLayout(net.disk, tuple(cuts))
+    return tuple(cuts)
 
 
 def _cut_perturbations(net, rng):
-    """(kind, layout) pairs, each with one or two cuts rerouted."""
-    cuts = net.cuts
+    """(kind, cuts) pairs, each with one or two of ``net``'s cuts
+    rerouted, with ``Fraction`` points."""
+    cuts = rational_cuts(net.layout)
     for _ in range(2):
         k = rng.randrange(len(cuts))
         start, end = cuts[k].polyline[0], cuts[k].polyline[-1]
@@ -174,7 +180,7 @@ def _cut_perturbations(net, rng):
         corner = net.polytope.vertex(rng.randrange(net.fan.n))
         yield "cut touches boundary", _replace_cut(net, k,
                                                    (start, corner, end))
-        w = rng.choice(net.walls)
+        w = rng.choice(rational_walls(net))
         yield "cut across wall", _replace_cut(
             net, k, (start, midpoint(w.polyline[0], w.polyline[1]), end))
         if len(cuts) > 1:
@@ -188,15 +194,17 @@ def test_perturbed_networks_match_reference(name):
     net, layout = build_network(spec.tms, spec.disk)
     cover = build_cover(spec.disk, layout, 2)
     rng = random.Random(f"contact:{name}")
-    kinds, cover_errors = set(), set()
+    kinds, cover_errors, scales = set(), set(), set()
     for kind, bad in _wall_perturbations(net, rng):
+        scales.add(bad.layout.scale)
         if assert_same_report(bad, spec.tms, cover):
             kinds.add(kind)
-    for kind, bad_layout in _cut_perturbations(net, rng):
+    for kind, cuts in _cut_perturbations(net, rng):
+        bad_layout, bad = on_grid(spec.disk, cuts, rational_walls(net))
+        scales.add(bad_layout.scale)
         error = assert_same_cover(spec.disk, bad_layout, 2)
         if error:
             cover_errors.add(" ".join(error[1].split()[:2]))
-        bad = SpectralNetwork(net.walls, bad_layout)
         if error or assert_same_report(bad, spec.tms, cover):
             kinds.add(kind)
     # every perturbation is caught, by each kind of check
@@ -207,3 +215,7 @@ def test_perturbed_networks_match_reference(name):
                      "cut along spoke", "cut leaves polygon",
                      "cut touches boundary", "cut across wall", "cuts cross"}
     assert cover_errors == {"cut segment", "cut vertex", "cut polylines"}
+    # the perturbed points put the layout and network on other grids than
+    # the builder's D: some multiples of D, some that D is no multiple of
+    assert any(s % layout.scale == 0 and s > layout.scale for s in scales)
+    assert any(layout.scale % s for s in scales)

@@ -3,16 +3,18 @@ from fractions import Fraction
 import pytest
 
 from support import (concat_paths, generator_loops, is_closed, lerp,
-                     reversed_path)
+                     on_grid, rational, reversed_path)
 
-from toricnets.cover import (BranchCutLayout, Crossing, Cut, SurfacePath,
-                             betti_one, build_cover, make_local_system,
-                             parallel_transport, sheet_lift_map, winding_sign)
+from toricnets.cover import (BranchCutLayout, Crossing, Cut, GridPoints,
+                             SurfacePath, betti_one, build_cover,
+                             make_local_system, parallel_transport,
+                             sheet_lift_map, winding_sign)
 from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               InvalidPath, InvariantViolated, NoSharedLift,
                               OpenPath, OverlappingCuts, WrongCount,
                               ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
+from toricnets.geom import Polyline
 from toricnets.laurent import TPoly
 
 
@@ -23,7 +25,8 @@ def p1p1_disk():
 
 
 def straight_cut(disk, region, edge, depth=Fraction(1, 4)):
-    """Cut hanging below the landing barycenter of its region."""
+    """Cut hanging below the landing barycenter of its region, with
+    ``Fraction`` points (``on_grid`` puts it on a layout's grid)."""
     poly = disk.polytope
     target = poly.edge_barycenter(edge)
     anchor = lerp(poly.vertex(region), target, Fraction(1, 2))
@@ -34,7 +37,7 @@ def straight_cut(disk, region, edge, depth=Fraction(1, 4)):
 def test_single_branch_point_cover():
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
-    cover = build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
+    cover = build_cover(disk, on_grid(disk, (cut,))[0], 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 0
 
@@ -43,7 +46,7 @@ def test_two_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    cover = build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
+    cover = build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 1
 
@@ -52,13 +55,13 @@ def test_three_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    cover = build_cover(disk, BranchCutLayout(disk, tuple(cuts)), 2)
+    cover = build_cover(disk, on_grid(disk, cuts)[0], 2)
     assert betti_one(cover) == 2
 
 
 def test_no_branch_points_splits():
     fan, poly, disk = p1p1_disk()
-    cover = build_cover(disk, BranchCutLayout(disk, ()), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, (), disk.scale), 2)
     assert cover.component_count() == 2
     assert betti_one(cover) == 0
 
@@ -68,11 +71,29 @@ def test_cover_is_built_on_the_layouts_disk_model():
     # first points
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
-    layout = BranchCutLayout(disk, (cut,))
-    assert layout.branch_points == (cut.polyline[0],)
+    layout = on_grid(disk, (cut,))[0]
+    assert layout.branch_points == (layout.cuts[0].polyline[0],)
+    assert rational(layout, layout.branch_points) == (cut.polyline[0],)
     assert build_cover(disk, layout, 2).cut_region == layout.cut_region == (0,)
     with pytest.raises(InvariantViolated):
         build_cover(p1p1_disk()[2], layout, 2)
+
+
+@pytest.mark.parametrize("name, scale", [("p2_n3", 6), ("fan7_n7", 14)])
+def test_a_scale_that_does_not_clear_the_disk_model_raises(name, scale):
+    # the disk model's scale is the least common denominator of its
+    # coordinates: the center's divide n, the barycenters' 2.  A layout on
+    # a grid that does not clear them is refused, not truncated
+    from support import load
+    disk = load(name).disk
+    assert disk.scale == scale
+    assert GridPoints(disk, 2 * scale).vertices == \
+        tuple((int(x) * 2 * scale, int(y) * 2 * scale)
+              for x, y in disk.polytope.vertices)
+    for coarse in (1, scale // 2):
+        with pytest.raises(InvariantViolated, match=f"scale {coarse} does "
+                                                    "not clear"):
+            BranchCutLayout(disk, (), coarse).grid
 
 
 def test_cut_must_end_at_barycenter():
@@ -81,13 +102,17 @@ def test_cut_must_end_at_barycenter():
     b = lerp(target, disk.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutEndpointNotBarycenter):
-        build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
+        build_cover(disk, on_grid(disk, (cut,))[0], 2)
 
 
 def test_cut_needs_two_points():
+    # a document's cut needs two points (a SchemaError): a layout made in
+    # code is checked again when its cover is built
     fan, poly, disk = p1p1_disk()
-    for polyline in ((), (poly.edge_barycenter(1),)):
-        layout = BranchCutLayout(disk, (Cut(polyline, (0, 1), 1),))
+    barycenter = GridPoints(disk, disk.scale).spokes[1][-1]
+    for polyline in ((), (barycenter,)):
+        cut = Cut(Polyline(polyline), (0, 1), 1)
+        layout = BranchCutLayout(disk, (cut,), disk.scale)
         with pytest.raises(CutEndpointNotBarycenter):
             build_cover(disk, layout, 2)
 
@@ -100,7 +125,7 @@ def test_cut_may_not_cross_a_spoke():
     b = lerp(poly.vertex(2), disk.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutHitsRay):
-        build_cover(disk, BranchCutLayout(disk, (cut,)), 2)
+        build_cover(disk, on_grid(disk, (cut,))[0], 2)
 
 
 def test_cuts_may_not_share_a_barycenter():
@@ -108,14 +133,14 @@ def test_cuts_may_not_share_a_barycenter():
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 1, 1)
     with pytest.raises(OverlappingCuts):
-        build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
+        build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
 
 
 def two_cut_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    return build_cover(disk, BranchCutLayout(disk, (c1, c2)), 2)
+    return build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
 
 
 def test_transport_constant_path_is_one():
@@ -154,7 +179,7 @@ def test_symbolic_generator_loop_holonomy(fan7_built):
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    three_cut = build_cover(disk, BranchCutLayout(disk, tuple(cuts)), 2)
+    three_cut = build_cover(disk, on_grid(disk, cuts)[0], 2)
     for cover in (two_cut_cover(), three_cut, fan7_built[2]):
         t = TPoly.symbols(betti_one(cover))
         ls = make_local_system(cover, t)
@@ -180,7 +205,7 @@ def test_make_local_system_errors():
 
 def test_trivial_local_system_on_trivial_cover():
     fan, poly, disk = p1p1_disk()
-    cover = build_cover(disk, BranchCutLayout(disk, ()), 2)
+    cover = build_cover(disk, BranchCutLayout(disk, (), disk.scale), 2)
     ls = make_local_system(cover, [])
     assert parallel_transport(ls, SurfacePath(1, 0, [])) == 1
 
@@ -234,7 +259,8 @@ def test_sheet_lift_map_closure_failure():
     # cannot match it
     from support import load
     spec = load("p2_n3")
-    cover = build_cover(spec.disk, BranchCutLayout(spec.disk, ()), 2)
+    cover = build_cover(spec.disk,
+                        BranchCutLayout(spec.disk, (), spec.disk.scale), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(spec.tms, cover)
 
@@ -247,6 +273,7 @@ def test_sheet_lift_map_needs_a_lift_per_sheet_over_cone_zero():
     tms = TropicalMultiSection(
         spec.fan, 2, [c for c in spec.tms.lifted_cones if c.id != dropped],
         spec.tms.lifted_rays)
-    cover = build_cover(spec.disk, BranchCutLayout(spec.disk, ()), 2)
+    cover = build_cover(spec.disk,
+                        BranchCutLayout(spec.disk, (), spec.disk.scale), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(tms, cover)

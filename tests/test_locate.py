@@ -17,14 +17,23 @@ inside and just outside it.
 """
 import random
 from fractions import Fraction
+from math import lcm
 
 from support import (FIXTURES, edge_parameter, generated_problems,
-                     half_edge_of_boundary_point, lerp, load,
+                     half_edge_of_boundary_point, lerp, load, rational,
                      region_of_interior_point)
 
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
 from toricnets.errors import NotRealizable, UnknownCone
+from toricnets.geom import Polyline
+
+
+def _on_one_grid(disk, points):
+    """The scale of the least grid holding the disk model and ``points``,
+    and the points on it."""
+    scale = lcm(disk.scale, *(c.denominator for p in points for c in p))
+    return scale, [(int(x * scale), int(y * scale)) for x, y in points]
 
 
 def _outcome(locate, *args):
@@ -64,15 +73,14 @@ def assert_locators_agree(disk, points):
     reference raises), and the ``cut_region`` of a layout with one cut from
     the point the same region or ``UnknownCone`` message.
     """
-    cuts = [Cut((p, disk.polytope.edge_barycenter(0)), (0, 1), 0)
-            for p in points]
-    g = GridPoints(BranchCutLayout(disk, tuple(cuts)), ())
+    scale, grid_points = _on_one_grid(disk, points)
+    g = GridPoints(disk, scale)
     outcomes = []
-    for p, cut, grid_cut in zip(points, cuts, g.cuts):
+    for p, q in zip(points, grid_points):
         want = _outcome(region_of_interior_point, disk, p)
-        assert g.region(grid_cut[0]) == \
-            (want if isinstance(want, int) else None), p
-        alone = BranchCutLayout(disk, (cut,))
+        assert g.region(q) == (want if isinstance(want, int) else None), p
+        cut = Cut(Polyline((q, g.spokes[0][-1])), (0, 1), 0)
+        alone = BranchCutLayout(disk, (cut,), scale)
         assert _outcome(lambda: alone.cut_region[0]) == want
         outcomes.append(want)
     return outcomes
@@ -94,10 +102,10 @@ def test_grid_locator_matches_fraction_reference():
     for name, spec, layout in _layouts():
         disk = spec.disk
         if layout is not None and layout.cuts:
+            points = rational(layout, layout.branch_points)
             assert list(layout.cut_region) == [
-                region_of_interior_point(disk, p)
-                for p in layout.branch_points]
-            assert_locators_agree(disk, layout.branch_points)
+                region_of_interior_point(disk, p) for p in points]
+            assert_locators_agree(disk, points)
         rng = random.Random(f"locate:{name}")
         outcomes = assert_locators_agree(disk, _probe_points(disk, rng))
         kinds |= {type(o) for o in outcomes}
@@ -142,12 +150,13 @@ def test_grid_half_edges_match_fraction_reference():
         poly = disk.polytope
         n = disk.fan.n
         kinds, points = zip(*_edge_probes(disk, random.Random(f"edge:{name}")))
-        g = GridPoints(BranchCutLayout(disk, ()), [points])
+        scale, grid_points = _on_one_grid(disk, points)
+        g = GridPoints(disk, scale)
         # every edge index, also below 0 and from n on: the grid position
         # is the reference parameter times the squared grid edge length
         lengths = {e: g.edge_position(g.vertices[e % n], e)
                    for k in (-n, 0, n) for e in range(k, k + n)}
-        for kind, p, q in zip(kinds, points, g.walls[0]):
+        for kind, p, q in zip(kinds, points, grid_points):
             he = half_edge_of_boundary_point(poly, p)
             assert g.half_edge(q) == he, (name, kind, p)
             assert (he is not None) == (kind == "edge"), (name, kind, p)
@@ -156,9 +165,10 @@ def test_grid_half_edges_match_fraction_reference():
                 assert g.edge_position(q, e) == \
                     (None if t is None else t * length), (name, e, p)
                 seen.add((kind, t is None))
-        # the grid barycenter is the end of the spoke
+        # the grid barycenter is the end of the spoke, and ``mids`` holds
+        # its position
         assert [g.edge_position(s[-1], e) * 2 for e, s in
-                enumerate(g.spokes)] == \
+                enumerate(g.spokes)] == [m * 2 for m in g.mids] == \
             [g.edge_position(g.vertices[e], e) for e in range(n)]
     assert seen == {(kind, on) for kind in ("vertex", "barycenter", "edge")
                     for on in (False, True)} | {("inside", True),

@@ -166,7 +166,7 @@ def test_out_of_range_indices_join_no_group(index):
     # the lifts over each cone and the lifted rays over each ray are
     # grouped once, in input order; a cone or ray index outside 0..n-1
     # joins no group, as when each call filtered the lists, and
-    # validation reports such a cone
+    # validation reports such a cone or ray
     good = section(P2, [(0, 0)] * 3)
     assert good.lifts_of_cone(4) == good.lifts_of_cone(1) == \
         (good.lifted_cones[1],)
@@ -180,3 +180,8 @@ def test_out_of_range_indices_join_no_group(index):
     tms = TropicalMultiSection(P2, 1, good.lifted_cones, rays)
     assert [r for i in range(3) for r in tms.rays_over(i)] == \
         list(good.lifted_rays)
+    # such a lifted ray is reported, naming the ray, not silently dropped
+    assert [(v.condition, v.message, v.witness)
+            for v in validate(tms).violations] == [
+        ("structure", f"lifted ray s2->s0 over unknown ray {index}",
+         rays[-1])]

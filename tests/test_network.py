@@ -1,15 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from support import (chambers, generated_problems, lerp, load,
-                     reference_validate_network)
+from support import (chambers, edited_network, generated_problems, lerp,
+                     load, rational_walls, reference_validate_network)
 
 from toricnets import network
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotSupported
+from toricnets.geom import Polyline
 from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
                                enumerate_solitons, track_events,
                                validate_network, walls_pairwise_disjoint)
@@ -31,8 +33,8 @@ def test_builder_output_is_valid(p2_built, p2):
 def test_wall_ending_at_lattice_vertex_violates_condition_6(p2_built, p2):
     net, layout, cover = p2_built
     bad_wall = net.walls[0]
-    vertex = p2.polytope.vertex(0)
-    tampered = Wall(bad_wall.id, (bad_wall.polyline[0], vertex),
+    vertex = layout.grid.vertices[0]
+    tampered = Wall(bad_wall.id, Polyline((bad_wall.polyline[0], vertex)),
                     bad_wall.label, bad_wall.start_branch,
                     bad_wall.end_edge, bad_wall.end_cone)
     walls = [tampered] + [w for w in net.walls if w.id != bad_wall.id]
@@ -46,12 +48,11 @@ def test_wall_back_through_its_own_branch_point_violates_condition_5(
     # only the wall's start may lie on it: a wall that turns back through
     # its branch point passes through it, on its second segment
     net, layout, cover = p2_built
-    w = net.walls[0]
+    w, *others = rational_walls(net)
     out = lerp(w.start, w.polyline[1], Fraction(1, 100))
     back = (2 * w.start[0] - out[0], 2 * w.start[1] - out[1])
-    tampered = Wall(w.id, (w.start, out, back), w.label, w.start_branch,
-                    w.end_edge, w.end_cone)
-    net2 = SpectralNetwork([tampered] + list(net.walls[1:]), net.layout)
+    tampered = replace(w, polyline=(w.start, out, back))
+    net2 = edited_network(net, walls=[tampered] + others)
     violations = validate_network(net2, p2.tms, cover).violations
     assert [(v.condition, v.message, v.witness) for v in violations] == \
         [(v.condition, v.message, v.witness) for v in
@@ -121,7 +122,8 @@ def test_crossed_walls_are_rejected(p2, p2_built):
     net, layout, cover = p2_built
     # an artificial wall crossing wall 0 transversely at one of its
     # segment midpoints
-    w0 = net.walls[0]
+    walls = rational_walls(net)
+    w0 = walls[0]
     a = w0.polyline[0]
     b = w0.polyline[1]
     mid = lerp(a, b, Fraction(1, 2))
@@ -129,7 +131,7 @@ def test_crossed_walls_are_rejected(p2, p2_built):
     # reflect through mid to get a crossing segment
     off2 = (2 * mid[0] - off1[0], 2 * mid[1] - off1[1])
     crossing = Wall(99, (off1, off2), (0, 1), None, w0.end_edge, w0.end_cone)
-    net2 = SpectralNetwork(list(net.walls) + [crossing], net.layout)
+    net2 = edited_network(net, walls=walls + (crossing,))
     assert not walls_pairwise_disjoint(net2)
     with pytest.raises(NotSupported):
         enumerate_solitons(net2, net2.walls[0])
@@ -188,11 +190,12 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
 
 def _end_claims(net, rng):
     """(kind, wall index, wall) triples: one wall's end or its claimed
-    landing (edge, cone) changed."""
+    landing (edge, cone) changed, with ``Fraction`` points."""
     poly, n = net.polytope, net.fan.n
+    walls = rational_walls(net)
     for _ in range(3):
-        i = rng.randrange(len(net.walls))
-        w = net.walls[i]
+        i = rng.randrange(len(walls))
+        w = walls[i]
         e, cone = w.end_edge, w.end_cone
         other_cone = e if cone == (e - 1) % n else (e - 1) % n
         other_edge = rng.choice([k for k in range(n) if k != e])
@@ -235,9 +238,9 @@ def test_claimed_landings_match_reference(name):
     rng = random.Random(f"claims:{name}")
     kinds = set()
     for kind, i, wall in _end_claims(net, rng):
-        walls = list(net.walls)
+        walls = list(rational_walls(net))
         walls[i] = wall
-        bad = SpectralNetwork(walls, net.layout)
+        bad = edited_network(net, walls=walls)
         got = [(v.condition, v.message, v.witness)
                for v in validate_network(bad, spec.tms, cover).violations]
         want = [(v.condition, v.message, v.witness) for v in

@@ -1,40 +1,52 @@
 """Integer placement, arm order and drawing against ``Fraction`` references.
 
-``builder._build_geometry`` places every point as an int pair on one scale,
-``network.branch_point_arms`` orders a branch point's arms by their grid
-directions and ``render.render_svg`` draws from the integer grid.
-``support`` keeps all three as they were in ``Fraction`` arithmetic.  The
-placed points must be equal, in order, the arms in the same order and every
-figure byte-identical, on every realizable fixture, on generated problems
-up to (12, 12) and on the perturbed networks of ``test_contact``, whose
-points are rational off the lattice.  A network's grid extends its
-layout's: the same ints and boxes as one grid scaled from every point at
-once.
+``builder._build_geometry`` places every point as an int pair on one scale
+D and hands the ints and D to the layout, ``network.branch_point_arms``
+orders a branch point's arms by their grid directions and
+``render.render_svg`` draws from the integer grid.  ``support`` keeps all
+three as they were in ``Fraction`` arithmetic.  The rational points the
+grid points stand for must be equal, in order, the arms in the same order
+and every figure byte-identical, on every realizable fixture, on generated
+problems up to (12, 12) and on the perturbed networks of ``test_contact``,
+whose points are rational off the built layout's grid.
+
+A built network written out and parsed back as an explicit network sits
+on the least grid of its points, which may be coarser than D: its
+``network.json``, validation report and figure are the built network's.
+The placement proof holds for any strictly decreasing depths in (0, 1):
+the reference placement at seeded random depths, written as a problem
+document and parsed, validates clean against the package and the
+reference, and its cover builds.
 """
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 
-from support import (REALIZABLE, generated_problems, load,
+from support import (REALIZABLE, generated_problems, geometry_doc, load,
+                     on_grid, rational, rational_cuts, rational_walls,
                      reference_branch_point_arms, reference_build_geometry,
-                     reference_render_svg)
+                     reference_render_svg, reference_validate_network)
 from test_contact import _cut_perturbations, _wall_perturbations
 
-from toricnets import builder, geom
+from toricnets import builder, schema
 from toricnets.builder import build_network
-from toricnets.network import SpectralNetwork
+from toricnets.network import validate_network
 from toricnets.render import render_svg
+
 
 def assert_same_placement(spec):
     plans = builder._plan(spec.tms, spec.tms.crossing_cones)
     walls, layout = builder._build_geometry(spec.disk, plans)
     want_walls, want_cuts = reference_build_geometry(spec.disk, plans)
-    assert walls == want_walls
-    assert layout.cuts == want_cuts
-    points = chain(*(w[1] for w in walls), *(c.polyline for c in layout.cuts))
-    assert all(type(c) is Fraction for p in points for c in p)
+    assert [(bi, rational(layout, poly), e, Fraction(*t))
+            for bi, poly, e, t in walls] == want_walls
+    assert rational_cuts(layout) == want_cuts
+    points = [p for w in walls for p in w[1]] + \
+        [p for c in layout.cuts for p in c.polyline]
+    assert all(type(c) is int for p in points for c in p)
 
 
 def assert_same_arms(net):
@@ -50,23 +62,53 @@ def assert_same_figures(disk, net, layout):
     assert render_svg(disk) == reference_render_svg(disk)
 
 
-def assert_grid_extends_layout(net):
-    """``net.grid`` equals one grid of every point, reusing at k = 1."""
-    disk, g, base = net.disk, net.grid, net.layout.grid
-    spokes = [disk.spoke(i) for i in range(disk.fan.n)]
-    cuts = [c.polyline for c in net.cuts]
-    walls = [w.polyline for w in net.walls]
-    fresh = geom.Grid(chain(disk.polytope.vertices, *spokes, *cuts, *walls))
-    assert g.scale == fresh.scale
-    assert g.vertices == tuple(map(fresh.point, disk.polytope.vertices))
-    for got, want in zip((g.spokes, g.cuts, g.walls), (spokes, cuts, walls)):
-        want = [fresh.polyline(p) for p in want]
-        assert got == want
-        assert [p.boxes for p in got] == [p.boxes for p in want]
-    reused = [a is b for a, b in zip(g.spokes + g.cuts,
-                                     base.spokes + base.cuts)]
-    assert all(reused) if g.scale == base.scale else not any(reused)
-    return g.scale // base.scale
+def _dump(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def assert_round_trip(spec, net, layout):
+    """The built network, parsed back as an explicit network, gives the
+    same bytes, report and figure; returns the two scales."""
+    doc = schema.emit_network(net)
+    parsed = schema.parse_problem(
+        dict(spec.raw, layout=doc["layout"], network=doc))
+    again = parsed.network
+    assert again.layout is parsed.layout
+    assert _dump(schema.emit_network(again)) == _dump(doc)
+    cover = layout.cover(spec.tms.degree)
+    assert validate_network(again, spec.tms,
+                            parsed.layout.cover(spec.tms.degree)) == \
+        validate_network(net, spec.tms, cover)
+    assert render_svg(parsed.disk, again, parsed.layout) == \
+        render_svg(spec.disk, net, layout)
+    assert layout.scale % parsed.layout.scale == 0
+    return layout.scale, parsed.layout.scale
+
+
+def _random_depths(rng, count):
+    """``count`` strictly decreasing seeded rationals in (0, 1)."""
+    depths = set()
+    while len(depths) < count:
+        den = rng.randint(2, 60)
+        depths.add(Fraction(rng.randint(1, den - 1), den))
+    return sorted(depths, reverse=True)
+
+
+def assert_placed_valid_at_random_depths(spec, net, rng):
+    """The reference placement at random depths, written as a problem
+    document and parsed, validates clean and builds its cover."""
+    plans = builder._plan(spec.tms, spec.tms.crossing_cones)
+    depths = _random_depths(rng, len(plans))
+    walls_raw, cuts = reference_build_geometry(spec.disk, plans, depths)
+    walls = [replace(w, polyline=poly) for w, (_, poly, _, _) in
+             zip(rational_walls(net), walls_raw, strict=True)]
+    layout_doc, network_doc = geometry_doc(cuts, walls)
+    parsed = schema.parse_problem(json.loads(json.dumps(
+        dict(spec.raw, layout=layout_doc, network=network_doc))))
+    cover = parsed.layout.cover(2)
+    assert validate_network(parsed.network, parsed.tms, cover).ok
+    assert reference_validate_network(parsed.network, parsed.tms, cover).ok
+    return depths
 
 
 @pytest.mark.parametrize("name", REALIZABLE)
@@ -77,21 +119,36 @@ def test_fixture_placement_and_figures_match_reference(name):
     net, layout = build_network(spec.tms, spec.disk)
     assert_same_arms(net)
     assert_same_figures(spec.disk, net, layout)
-    assert_grid_extends_layout(net)
+    assert_round_trip(spec, net, layout)
 
 
 def test_generated_placement_and_figures_match_reference():
-    ks, shapes = set(), []
+    coarser, shapes = set(), []
     for shape, spec in generated_problems("placement", 20261019, 5):
         assert_same_placement(spec)
         net, layout = build_network(spec.tms, spec.disk)
         assert_same_arms(net)
         assert_same_figures(spec.disk, net, layout)
-        ks.add(assert_grid_extends_layout(net) == 1)
+        built, parsed = assert_round_trip(spec, net, layout)
+        coarser.add(parsed < built)
         shapes.append(shape)
     assert shapes[0] == (12, 12)
-    # the walls refine the layout's grid on some problems and not on others
-    assert ks == {True, False}
+    # the parsed grid is a proper divisor of D on some problems only
+    assert coarser == {True, False}
+
+
+def test_placement_is_valid_at_random_depths():
+    # the builder's proof assumes only strictly decreasing depths in
+    # (0, 1): place at seeded random ones, on every realizable rank-2
+    # fixture and on generated problems up to (12, 12)
+    rng = random.Random("depths")
+    specs = [load(name) for name in REALIZABLE]
+    specs = [s for s in specs if s.tms.degree == 2]
+    specs += [spec for _, spec in generated_problems("depths", 20261020, 5)]
+    for spec in specs:
+        net, _ = build_network(spec.tms, spec.disk)
+        depths = assert_placed_valid_at_random_depths(spec, net, rng)
+        assert depths != [Fraction(1, 3 * 2 ** d) for d in range(len(depths))]
 
 
 @pytest.mark.parametrize("name", ["p1p1_n4", "fan7_n7"])
@@ -102,11 +159,9 @@ def test_perturbed_figures_match_reference(name):
     for _, bad in _wall_perturbations(net, rng):
         assert_same_arms(bad)
         assert_same_figures(spec.disk, bad, bad.layout)
-        assert_grid_extends_layout(bad)
-    for _, bad_layout in _cut_perturbations(net, rng):
+    for _, cuts in _cut_perturbations(net, rng):
+        bad_layout, bad = on_grid(spec.disk, cuts, rational_walls(net))
         # the cuts drawn from a layout that is not the network's own
         assert_same_figures(spec.disk, net, bad_layout)
-        bad = SpectralNetwork(net.walls, bad_layout)
         assert_same_arms(bad)
         assert_same_figures(spec.disk, bad, bad_layout)
-        assert_grid_extends_layout(bad)

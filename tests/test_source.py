@@ -135,6 +135,50 @@ def test_render_names_no_fraction():
     assert _names("render.py", "grid")
 
 
+def test_builder_and_geom_name_no_fraction():
+    # the builder places every point as ints on its scale D, with int
+    # ratios for edge parameters and depths, and hands the ints and D to
+    # the layout; geom's predicates run on those grid points
+    assert _names("builder.py", "Fraction") == []
+    assert _names("geom.py", "Fraction") == []
+
+
+def _enclosing(tree, node_type, name):
+    """The top-level definition ``name`` of ``tree``."""
+    return next(node for node in tree.body
+                if isinstance(node, node_type) and node.name == name)
+
+
+def test_rational_points_are_made_only_in_schema_and_grid_rational():
+    # after parsing, every cut and wall point is an int pair on its
+    # layout's grid: a rational point is made again only where a point is
+    # written out, by cover.GridPoints.rational (messages, witnesses and
+    # schema's emitters).  Besides schema's reader and the disk model
+    # (fans), Fraction is named only for coefficients: laurent, cli's
+    # holonomies and cover's local systems
+    naming = sorted(path.name for path in SRC.glob("*.py")
+                    if _names(path.name, "Fraction"))
+    assert naming == ["cli.py", "cover.py", "fans.py", "laurent.py",
+                      "schema.py"]
+    tree = ast.parse((SRC / "cover.py").read_text())
+    grid = _enclosing(tree, ast.ClassDef, "GridPoints")
+    rational = _enclosing(grid, ast.FunctionDef, "rational")
+    inside = {id(node) for node in ast.walk(rational)}
+    geometry = [_enclosing(tree, ast.ClassDef, name)
+                for name in ("Cut", "BranchCutLayout", "GridPoints")] + \
+        [_enclosing(tree, ast.FunctionDef, name)
+         for name in ("_validate_cut_geometry", "build_cover")]
+    found = [(node.lineno, id(node) in inside) for part in geometry
+             for node in ast.walk(part)
+             if isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert found and all(ok for _, ok in found)
+    tree = ast.parse((SRC / "schema.py").read_text())
+    for name in ("emit_layout", "emit_network", "_points_out"):
+        emit = _enclosing(tree, ast.FunctionDef, name)
+        assert not any(isinstance(node, ast.Name) and node.id == "Fraction"
+                       for node in ast.walk(emit)), name
+
+
 def test_nonabelian_names_no_fraction():
     # every numeric constant is an integer matrix over one denominator
     # (laurent.Constant): numeric coefficients enter only through laurent,
