@@ -86,7 +86,8 @@ same sheet/lift matching the check reads.  ``build_cover``'s checks hold
 too: each cut ends at its barycenter from an interior branch point,
 touches a spoke only at that end (e), the cut edges a+1 are distinct, and
 cuts lie in disjoint sectors (d).  ``build_network`` still validates the
-placement once, and a violation raises ``InvariantViolated``.
+placement once, by one contact sweep of the cover and one of the network
+(``geom.contacts``), and a violation raises ``InvariantViolated``.
 
 Placement runs on an integer grid of scale D, fixed before any point is
 placed: a point is an int pair X standing for X / D, and the layout
@@ -108,7 +109,6 @@ from math import lcm
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie)
-from .geom import Polyline
 from .multisection import parity_and_realizability
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
 
@@ -194,13 +194,12 @@ def _build_geometry(disk, plans):
                    _quarter_points_cw(n, p.w3_edge, p.w1_edge)),
               place(p.w1_edge, p.w1_t))
         walls_raw += [
-            (p.depth_index, Polyline(w1), p.w1_edge, p.w1_t),
-            (p.depth_index, Polyline((b, place(p.w2_edge, THREE_QUARTERS))),
+            (p.depth_index, w1, p.w1_edge, p.w1_t),
+            (p.depth_index, (b, place(p.w2_edge, THREE_QUARTERS)),
              p.w2_edge, THREE_QUARTERS),
-            (p.depth_index, Polyline((b, place(p.w3_edge, QUARTER))),
+            (p.depth_index, (b, place(p.w3_edge, QUARTER)),
              p.w3_edge, QUARTER)]
-        cuts.append(Cut(Polyline((b, place(p.w3_edge, HALF))), (0, 1),
-                        p.w3_edge))
+        cuts.append(Cut((b, place(p.w3_edge, HALF)), (0, 1), p.w3_edge))
     return walls_raw, BranchCutLayout(disk, tuple(cuts), scale)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands:
-  validate       run fan / multi-section / (optional) network validators
+  validate       run fan / multi-section / (optional) network validators,
+                 and check a document's holonomies as nonabelianize would
   build          run the rank-2 construction, emit network JSON + SVG
   nonabelianize  full pipeline with chosen holonomies, emit cocycle JSON
   verify         prove the loop identities for all local systems at once
@@ -25,9 +26,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
-from .cover import make_local_system, betti_one
-from .errors import (LoopIdentityFailed, NotRealizable, ParityViolation,
-                     ParseError, ToricNetsError)
+from .cover import betti_one, check_holonomies, make_local_system
+from .errors import (LoopIdentityFailed, NotRealizable, NotTwoFold,
+                     ParityViolation, ParseError, SlopeTie, ToricNetsError,
+                     WrongCount, ZeroHolonomy)
 from .laurent import TPoly
 from .render import render_svg
 from .reporting import ValidationReport
@@ -73,7 +75,31 @@ def cmd_validate(spec, report):
         _validator_stage(report, "network",
                          lambda: network.validate_network(spec.network,
                                                           spec.tms, cover))
+    # the holonomies nonabelianize would take are checked as it checks
+    # them; a passing check adds no stage
+    b1 = (_betti_one(spec.tms)
+          if spec.holonomies and spec.tms is not None else None)
+    if b1 is not None:
+        try:
+            check_holonomies(b1, spec.holonomies)
+        except (WrongCount, ZeroHolonomy) as exc:
+            report["stages"].append({"name": "holonomies", "status": "fail",
+                                     "detail": str(exc)})
     return report
+
+
+def _betti_one(tms):
+    """b1 of the domain of a valid, realizable multi-section, else None."""
+    if not tms.report.ok or tms.degree not in (1, 2):
+        return None
+    if tms.degree == 1:
+        return 0
+    try:
+        res = multisection.parity_and_realizability(
+            tms, multisection.n_genericity(tms))
+    except (NotTwoFold, SlopeTie):
+        return None
+    return res.betti_one if res.parity_ok else None
 
 
 def _fan_report(spec):

@@ -52,7 +52,7 @@ from .laurent import coefficient
 @dataclass(frozen=True)
 class Cut:
     """Branch cut: polyline from a branch point to an edge barycenter."""
-    polyline: tuple           # geom.Polyline on the layout's grid,
+    polyline: tuple           # grid points on the layout's grid,
                               # [branch point, ..., barycenter]
     transposition: tuple      # pair of swapped sheets (lo, hi)
     edge: int                 # index of the landed edge (= its dual ray)
@@ -183,11 +183,10 @@ def betti_one(cover: SheetedSurface) -> int:
 class GridPoints:
     """The disk model on one integer grid, and the point locators on it.
 
-    ``vertices`` (ccw) and ``spokes`` (center, barycenter; each a
-    ``geom.Polyline``) are the disk model's points times ``scale``, which
-    ``DiskModel.scale`` must divide (else ``InvariantViolated``), and
-    ``mids`` each barycenter's ``edge_position``.  The cuts and walls on
-    the grid are their own ``Polyline``s.  Point location runs here only:
+    ``vertices`` (ccw) and ``spokes`` (center, barycenter) are the disk
+    model's points times ``scale``, which ``DiskModel.scale`` must divide
+    (else ``InvariantViolated``), and ``mids`` each barycenter's
+    ``edge_position``.  Point location runs here only:
     ``interior``, ``region``, ``edge_position`` and ``half_edge``.
     ``rational`` is the rational point a grid point stands for, made only
     to be written into a message or an artifact.
@@ -203,7 +202,7 @@ class GridPoints:
 
         self.scale = scale
         self.vertices = tuple(map(on_grid, disk.polytope.vertices))
-        self.spokes = tuple(geom.Polyline(map(on_grid, disk.spoke(i)))
+        self.spokes = tuple(tuple(map(on_grid, disk.spoke(i)))
                             for i in range(disk.fan.n))
         self.mids = tuple(self.edge_position(s[-1], e)
                           for e, s in enumerate(self.spokes))
@@ -264,8 +263,9 @@ class GridPoints:
         return None
 
 
-def _validate_cut_geometry(cut: Cut, g: GridPoints):
-    """Check one cut of a layout; ``g`` is the layout's grid."""
+def _validate_cut_geometry(cut: Cut, g: GridPoints, touching):
+    """Check one cut of a layout on its grid ``g``; the cut touches spoke
+    si at the segment pairs ``touching[si]``."""
     pts = cut.polyline
     if len(pts) < 2:
         raise CutEndpointNotBarycenter("cut polyline needs two points")
@@ -281,7 +281,7 @@ def _validate_cut_geometry(cut: Cut, g: GridPoints):
     # Relative interior must avoid every spoke; contact with the landing
     # spoke is allowed exactly at the shared barycenter endpoint.
     for si, spoke in enumerate(g.spokes):
-        for j, _ in geom.touching_segments(pts, spoke):
+        for j, _ in touching[si]:
             last = j == len(pts) - 2
             if last and si == cut.edge and geom.orient(*spoke, pts[j]) != 0:
                 # proper contact at the barycenter only
@@ -294,29 +294,30 @@ def _validate_cut_geometry(cut: Cut, g: GridPoints):
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     """Assemble and validate the branched cover over the layout's disk model.
 
-    Contact tests run on the layout's grid, through
-    ``geom.touching_segments``: a cut may touch a spoke only where it lands
-    on its own barycenter, and two cuts may not touch at all.
+    One sweep (``geom.contacts``) finds the contacts of the cuts with each
+    other and with the spokes: a cut may touch a spoke only where it lands
+    on its own barycenter, and two cuts may not touch at all (two landing
+    on one barycenter touch there), so the first touching pair is at fault.
     """
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
-    g = layout.grid
-    for c in layout.cuts:
+    g, cuts = layout.grid, layout.cuts
+    touching = geom.contacts([c.polyline for c in cuts], g.spokes)
+    for k, c in enumerate(cuts):
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
-        _validate_cut_geometry(c, g)
-    for i, a in enumerate(layout.cuts):
-        for b in layout.cuts[i + 1:]:
-            if a.edge == b.edge:
-                raise OverlappingCuts(
-                    f"two cuts land on the barycenter of edge {a.edge}")
-            if not geom.polyline_pairwise_disjoint(
-                    a.polyline, b.polyline,
-                    geom.touching_segments(a.polyline, b.polyline),
-                    skip_shared_endpoints=False):
-                raise OverlappingCuts("cut polylines intersect")
+        _validate_cut_geometry(c, g, [touching.get((k, len(cuts) + si), ())
+                                      for si in range(len(g.spokes))])
+    overlap = min((pair for pair in touching if pair[1] < len(cuts)),
+                  default=None)
+    if overlap is not None:
+        a, b = (cuts[k] for k in overlap)
+        if a.edge == b.edge:
+            raise OverlappingCuts(
+                f"two cuts land on the barycenter of edge {a.edge}")
+        raise OverlappingCuts("cut polylines intersect")
     return SheetedSurface(layout, r)
 
 
@@ -429,10 +430,7 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
     """
     b1 = betti_one(cover)
     holonomies = [coefficient(h) for h in holonomies]
-    if len(holonomies) != b1:
-        raise WrongCount(f"need {b1} holonomies, got {len(holonomies)}")
-    if any(h == 0 for h in holonomies):
-        raise ZeroHolonomy("holonomies must be nonzero")
+    check_holonomies(b1, holonomies)
     if not cover.cuts:
         return RankOneLocalSystem(cover, [])
     weights = [Fraction(1)] + holonomies
@@ -445,6 +443,14 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
             raise WrongCount(
                 "generator-loop gauge needs a connected 2-fold cover")
     return RankOneLocalSystem(cover, weights)
+
+
+def check_holonomies(b1, holonomies):
+    """Raise unless there are ``b1`` holonomies, all nonzero."""
+    if len(holonomies) != b1:
+        raise WrongCount(f"need {b1} holonomies, got {len(holonomies)}")
+    if any(h == 0 for h in holonomies):
+        raise ZeroHolonomy("holonomies must be nonzero")
 
 
 def winding_sign(path: SurfacePath) -> int:

@@ -19,10 +19,10 @@ caller of ``point_in_convex_polygon``, finds a point's region with
 ``orient`` against the spokes, and a boundary point's position along its
 edge and its half-edge with ``on_segment`` and ``dot``.
 
-A ``Polyline`` stores each segment's bounding box once, when it is made,
-and ``touching_segments``, the one contact query, tests exactly only the
-segment pairs whose boxes meet; each caller applies its own tolerance rule
-to the pairs it yields.
+``contacts``, the one contact query, is the only code that chooses which
+segment pairs to test: one sweep over the segments of polylines (tuples of
+grid points) tests exactly only the pairs whose boxes meet; each caller
+applies its own tolerance rule to the pairs it finds.
 """
 from __future__ import annotations
 
@@ -81,11 +81,6 @@ def box(p, q):
     return (min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
 
 
-def boxes_meet(a, b) -> bool:
-    """True iff two closed bounding boxes share a point."""
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
 def proper_crossing(p1, p2, q1, q2) -> bool:
     """True iff [p1,p2] and [q1,q2] cross at one point interior to both."""
     return (orient(q1, q2, p1) * orient(q1, q2, p2) < 0
@@ -99,23 +94,36 @@ def segments_cross(p1, p2, q1, q2) -> bool:
             or on_segment(q1, p1, p2) or on_segment(q2, p1, p2))
 
 
-def touching_segments(a, b):
-    """Index pairs (i, j) of segments a[i]a[i+1], b[j]b[j+1] that touch.
+def contacts(curves, fixed=()):
+    """Touching segment pairs of every two polylines, found in one sweep.
 
-    ``a`` and ``b`` are grid polylines (``Polyline``); the pairs come in
-    order of i, then j.  A pair whose stored boxes miss is not tested.
+    Polylines are numbered ``curves`` first, then ``fixed``.  Returns
+    {(a, b): [(i, j), ...]}, a < b, listing in (i, j) order each touching
+    pair of segments a[i]a[i+1], b[j]b[j+1].  Each segment is boxed once
+    and, by its box's left side, tested against the active segments (boxes
+    reaching that far right) where the boxes meet (Shamos-Hoey 1976).
+    Pairs within one polyline, or within ``fixed``, are never tested.
     """
-    for i, box_a in enumerate(a.boxes):
-        for j, box_b in enumerate(b.boxes):
-            if boxes_meet(box_a, box_b) and \
-                    segments_cross(a[i], a[i + 1], b[j], b[j + 1]):
-                yield i, j
+    polys, m = (*curves, *fixed), len(curves)
+    segments = sorted((box(p, q), a, i) for a, poly in enumerate(polys)
+                      for i, (p, q) in enumerate(zip(poly, poly[1:])))
+    found, active = {}, []
+    for seg in segments:
+        (left, bottom, _, top), a, i = seg
+        active = [s for s in active if s[0][2] >= left]
+        for (_, low, _, high), b, j in active:
+            if (low <= top and bottom <= high and a != b and min(a, b) < m
+                    and segments_cross(*polys[a][i:i + 2], *polys[b][j:j + 2])):
+                key, pair = ((a, b), (i, j)) if a < b else ((b, a), (j, i))
+                found.setdefault(key, []).append(pair)
+        active.append(seg)
+    return {key: sorted(pairs) for key, pairs in found.items()}
 
 
 def polyline_pairwise_disjoint(a, b, touching, skip_shared_endpoints=True) -> bool:
-    """True iff the pairs ``touching_segments(a, b)`` yields are all tolerated.
+    """True iff the touching segment pairs of a and b are all tolerated.
 
-    ``touching`` is that query, or the list of it.  With
+    ``touching`` lists them, as ``contacts`` finds them.  With
     ``skip_shared_endpoints`` a single common endpoint of the two
     polylines is tolerated (arms meeting at a branch point): a touching
     pair passes when both segments end there and touch nowhere else.
@@ -132,15 +140,6 @@ def _touch_only_at(s, seg_a, seg_b):
     others = [p for p in seg_a if p != s] + [p for p in seg_b if p != s]
     return not (any(on_segment(o, *seg_b) for o in others[:1])
                 or any(on_segment(o, *seg_a) for o in others[1:]))
-
-
-class Polyline(tuple):
-    """Grid points of a polyline and its segment boxes, computed once."""
-
-    def __new__(cls, points):
-        self = super().__new__(cls, points)
-        self.boxes = tuple(map(box, self, self[1:]))
-        return self
 
 
 def point_in_convex_polygon(p, vertices):

@@ -1,8 +1,8 @@
 """Spectral networks subordinate to a 2-fold multi-section.
 
 Walls are oriented polylines from a branch point to the boundary of the
-polygon, on their layout's integer grid (``geom.Polyline``s of the
-rational points times ``BranchCutLayout.scale``); each carries an ordered
+polygon, on their layout's integer grid (tuples of the rational points
+times ``BranchCutLayout.scale``); each carries an ordered
 sheet pair (a, b) meaning its solitons travel from sheet a to sheet b.
 The package works in the regime where walls are pairwise disjoint (one
 Y-graph per branch point), which is what the rank-2 construction
@@ -37,7 +37,7 @@ from .reporting import ValidationReport
 @dataclass(frozen=True)
 class Wall:
     id: int
-    polyline: tuple          # geom.Polyline on the layout's grid, start -> end
+    polyline: tuple          # grid points on the layout's grid, start -> end
     label: tuple             # (source sheet, target sheet), solitons a -> b
     start_branch: int | None  # branch point index, None for joint-fed walls
     end_edge: int            # polygon edge carrying the endpoint
@@ -56,10 +56,10 @@ class SpectralNetwork:
     """Walls plus their branch-cut layout.
 
     The walls are fixed at construction, on the layout's grid, so the
-    facts derived from them and the layout (the pairwise-disjointness
-    verdict, the ccw-sorted track events, the arm order of every branch
-    point) are computed once, on first use, and then read by everything
-    that needs them.
+    facts derived from them and the layout (the segment contacts, the
+    pairwise-disjointness verdict, the ccw-sorted track events, the arm
+    order of every branch point) are computed once, on first use, and then
+    read by everything that needs them.
     """
 
     def __init__(self, walls, layout):
@@ -75,6 +75,12 @@ class SpectralNetwork:
     @property
     def walls(self):
         return self._walls
+
+    @functools.cached_property
+    def contacts(self):
+        """``geom.contacts`` of the walls, then the cuts and the spokes."""
+        fixed = [c.polyline for c in self.cuts] + list(self.layout.grid.spokes)
+        return geom.contacts([w.polyline for w in self.walls], fixed)
 
     @functools.cached_property
     def walls_disjoint(self):
@@ -238,17 +244,16 @@ def _angle_cmp(u, v):
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     """True iff no two walls meet, except arms at their common branch point.
 
-    Runs ``geom.touching_segments`` on the grid polylines of every wall
-    pair; the shared-endpoint tolerance is
-    ``geom.polyline_pairwise_disjoint``'s.
+    Reads the wall pairs of the network's sweep (``net.contacts``); the
+    shared-endpoint tolerance is ``geom.polyline_pairwise_disjoint``'s.
     """
     walls = net.walls
-    for i, a in enumerate(walls):
-        for b in walls[i + 1:]:
+    for (i, j), touching in net.contacts.items():
+        if j < len(walls):
+            a, b = walls[i], walls[j]
             shared = a.start_branch is not None and a.start_branch == b.start_branch
             if not geom.polyline_pairwise_disjoint(
-                    a.polyline, b.polyline,
-                    geom.touching_segments(a.polyline, b.polyline),
+                    a.polyline, b.polyline, touching,
                     skip_shared_endpoints=shared):
                 return False
     return True
@@ -293,9 +298,9 @@ def slope_pairing(tms, lift, cone, edge, label):
 def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     """Check the six defining conditions of a subordinate network.
 
-    Contact tests run on the layout's grid through
-    ``geom.touching_segments``, and each condition applies its own rule to
-    the touching segment pairs: a wall may touch a cut only at a shared
+    Contacts are read from the network's one sweep (``net.contacts``), on
+    the layout's grid, and each condition applies its own rule to the
+    touching segment pairs: a wall may touch a cut only at a shared
     endpoint (1), cross a spoke only properly (1), and contain no branch
     point but its own start (5), which lies on the first segment of that
     branch point's cut.  Condition 6 finds each wall's landing half-edge
@@ -306,8 +311,9 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     report = ValidationReport()
     g = net.layout.grid
     bad_labels = set()
+    first_cut, first_spoke = len(net.walls), len(net.walls) + len(net.cuts)
 
-    for w in net.walls:
+    for wi, w in enumerate(net.walls):
         pts = w.polyline
         # (1) interior in the open polygon, away from cuts, transverse to spokes
         for p in pts[1:-1]:
@@ -319,7 +325,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                        g.rational(w.start))
         through_branch_point = False
         for k, cut in enumerate(c.polyline for c in net.cuts):
-            touching = list(geom.touching_segments(pts, cut))
+            touching = net.contacts.get((wi, first_cut + k), ())
             if not geom.polyline_pairwise_disjoint(
                     pts, cut, touching,
                     skip_shared_endpoints=(w.start_branch is not None)):
@@ -331,8 +337,8 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
                 and not (i == 0 and w.start_branch == k and cut[0] == pts[0])
                 for i, j in touching)
         for si, spoke in enumerate(g.spokes):
-            for j, _ in geom.touching_segments(pts, spoke):
-                if not geom.proper_crossing(pts[j], pts[j + 1], *spoke):
+            for i, _ in net.contacts.get((wi, first_spoke + si), ()):
+                if not geom.proper_crossing(pts[i], pts[i + 1], *spoke):
                     report.add("1",
                                f"wall {w.id} meets the spoke of ray {si} "
                                "non-transversely", si)

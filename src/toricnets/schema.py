@@ -8,8 +8,9 @@ optional explicit network+layout.  All rationals are strings accepted by
 A document's layout and network are parsed together onto one integer
 grid, the least one holding the disk model and every cut and wall point,
 which may be coarser than the builder's (every predicate and drawn
-coordinate is scale-invariant); emitting writes each grid point as its
-rational point (``GridPoints.rational``).
+coordinate is scale-invariant).  Cuts and walls are int tuples there, as
+the builder's are; emitting writes each grid point as its rational point
+(``GridPoints.rational``).
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from math import lcm
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
 from .fans import Fan, SupportFunction, dual_polytope, disk_model, make_fan
-from .geom import Polyline
 from .multisection import LiftedCone, LiftedRay, TropicalMultiSection
 from .network import SpectralNetwork, Wall
 
@@ -70,8 +70,8 @@ def _int_pair(obj, what):
 
 def _on_grid(poly, scale):
     """The int polyline ``scale`` times ``poly``; the scale clears it."""
-    return Polyline((x.numerator * (scale // x.denominator),
-                     y.numerator * (scale // y.denominator)) for x, y in poly)
+    return tuple((x.numerator * (scale // x.denominator),
+                  y.numerator * (scale // y.denominator)) for x, y in poly)
 
 
 def _points_out(points, grid):

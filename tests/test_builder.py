@@ -10,7 +10,6 @@ from support import (FIXTURES, boundary_labels, count_calls, load,
 from toricnets.builder import _quarter_points_cw, build_network
 from toricnets.cover import build_cover
 from toricnets.errors import InvariantViolated, NotRealizable, NotTwoFold
-from toricnets.geom import Polyline
 from toricnets.network import branch_point_arms, validate_network, \
     walls_pairwise_disjoint
 
@@ -172,8 +171,8 @@ def _swap_landings(place, i, j):
         walls, layout = place(disk, plans)
         walls = list(walls)
         (bi, pi, ei, ti), (bj, pj, ej, tj) = walls[i], walls[j]
-        walls[i] = (bi, Polyline(pi[:-1] + pj[-1:]), ej, tj)
-        walls[j] = (bj, Polyline(pj[:-1] + pi[-1:]), ei, ti)
+        walls[i] = (bi, pi[:-1] + pj[-1:], ej, tj)
+        walls[j] = (bj, pj[:-1] + pi[-1:], ei, ti)
         return walls, layout
     return defective
 
@@ -209,15 +208,16 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # segment pair of walls, cuts and spokes takes 1710 exact tests; after
     # the bounding-box reject 114 remain.  The builder places the cuts and
     # walls on the layout's one grid, and the layout puts the disk model
-    # on it once (one GridPoints per build), so each segment box is
-    # computed once: 5 cuts and 50 wall segments as they are placed, and
-    # 7 spokes.
+    # on it once (one GridPoints per build).  A build runs two contact
+    # sweeps, each boxing its segments once: the cover's boxes 5 cuts and
+    # 7 spokes, the network's 50 wall segments, 5 cuts and 7 spokes.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
     segments_cross = geom.segments_cross
     grid_points = cover.GridPoints.__init__
     boxes = count_calls(monkeypatch, geom, "box")
+    sweeps = count_calls(monkeypatch, geom, "contacts")
     monkeypatch.setattr(geom, "segments_cross",
                         lambda *a: tests.append(a) or segments_cross(*a))
     monkeypatch.setattr(
@@ -227,12 +227,16 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
     assert grids == [(spec.disk, layout.scale)]
-    assert len(boxes) == (7 + 5) + 50 == 62
+    assert len(boxes) == (5 + 7) + (50 + 5 + 7) == 74
+    assert len(sweeps) == 2
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
     # the layout keeps its grid: building a cover again and validating
     # against it scales no point again
     validate_network(net, spec.tms, build_cover(spec.disk, layout, 2))
     assert len(grids) == 1
+    # the new cover sweeps its cuts again; validation reads the sweep the
+    # network keeps
+    assert len(sweeps) == 3
 
 
 def test_build_matches_sheets_and_lifts_once(monkeypatch):

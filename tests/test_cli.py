@@ -269,6 +269,42 @@ def test_holonomies_must_be_a_list(value):
         schema.parse_problem(data)
 
 
+@pytest.mark.parametrize("name, holonomies, detail", [
+    ("p2_n3", ["1", "2", "3", "4"], "need 0 holonomies, got 4"),
+    ("p1p1_n4", ["2", "3"], "need 1 holonomies, got 2"),
+    ("p1p1_n4", ["0"], "holonomies must be nonzero"),
+    ("line_bundle_r1", ["2"], "need 0 holonomies, got 1")])
+def test_validate_checks_the_document_holonomies(name, holonomies, detail,
+                                                 tmp_path, capsys):
+    # validate rejects the holonomies nonabelianize rejects, with its
+    # message, in a last failed stage; b1 is read from the multi-section
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data["holonomies"] = holonomies
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    for command, last in (("validate", "holonomies"),
+                          ("nonabelianize", "error")):
+        code = main([command, "--input", str(path), "--out", str(tmp_path),
+                     "--report", "json"])
+        assert code == 1
+        assert _json_stages(capsys)[-1] == \
+            {"name": last, "status": "fail", "detail": detail}
+
+
+def test_validate_adds_no_stage_for_good_holonomies(tmp_path, capsys):
+    # p1p1_n4 gives its one holonomy: the report is that of the document
+    # without holonomies
+    data = json.loads((FIXTURES / "p1p1_n4.json").read_text())
+    path = tmp_path / "doc.json"
+    reports = []
+    for holonomies in (["2"], []):
+        path.write_text(json.dumps(dict(data, holonomies=holonomies)))
+        assert main(["validate", "--input", str(path), "--report", "json"]) \
+            == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("holonomy", ["1,,2", "1,2,"])
 def test_empty_holonomy_entry_is_a_parse_error(holonomy, tmp_path, capsys):
     # fan5_n5 takes two holonomies, so dropping the empty entry would pass

@@ -14,7 +14,6 @@ from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               OpenPath, OverlappingCuts, WrongCount,
                               ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
-from toricnets.geom import Polyline
 from toricnets.laurent import TPoly
 
 
@@ -111,7 +110,7 @@ def test_cut_needs_two_points():
     fan, poly, disk = p1p1_disk()
     barycenter = GridPoints(disk, disk.scale).spokes[1][-1]
     for polyline in ((), (barycenter,)):
-        cut = Cut(Polyline(polyline), (0, 1), 1)
+        cut = Cut(polyline, (0, 1), 1)
         layout = BranchCutLayout(disk, (cut,), disk.scale)
         with pytest.raises(CutEndpointNotBarycenter):
             build_cover(disk, layout, 2)
@@ -132,7 +131,10 @@ def test_cuts_may_not_share_a_barycenter():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 1, 1)
-    with pytest.raises(OverlappingCuts):
+    # the two cuts touch at the barycenter, and that pair is named by
+    # the barycenter they share
+    with pytest.raises(OverlappingCuts,
+                       match="two cuts land on the barycenter of edge 1"):
         build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
 
 

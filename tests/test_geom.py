@@ -1,11 +1,12 @@
 """The one contact query against the all-pairs reference.
 
-``geom.touching_segments`` tests exactly only the segment pairs whose
-stored boxes meet; ``support.ref_segments_cross`` tests every pair.  On
-seeded random integer polylines (small coordinates, so collinear
-overlaps, shared endpoints and vertex touches are common) and on
-hand-made cases of each kind, both must find the same pairs in the same
-order, and the shared-endpoint tolerance must decide like the reference.
+``geom.contacts`` sweeps every segment of a list of polylines once and
+tests exactly only the pairs whose boxes meet; ``support.ref_segments_cross``
+tests every pair.  On seeded random integer polylines (small coordinates,
+so collinear overlaps, shared endpoints and vertex touches are common) and
+on hand-made cases of each kind, both must find the same pairs in the same
+order, never a pair of two ``fixed`` polylines, and the shared-endpoint
+tolerance must decide like the reference.
 """
 import random
 
@@ -13,13 +14,19 @@ import pytest
 
 from support import ref_polyline_pairwise_disjoint, ref_segments_cross
 
-from toricnets.geom import (Polyline, polyline_pairwise_disjoint,
-                            touching_segments)
+from toricnets.geom import contacts, polyline_pairwise_disjoint
 
 
 def _reference_pairs(a, b):
     return [(i, j) for i in range(len(a) - 1) for j in range(len(b) - 1)
             if ref_segments_cross(a[i], a[i + 1], b[j], b[j + 1])]
+
+
+def _reference_contacts(curves, fixed):
+    polys = curves + fixed
+    found = {(a, b): _reference_pairs(polys[a], polys[b])
+             for b in range(len(polys)) for a in range(min(b, len(curves)))}
+    return {key: pairs for key, pairs in found.items() if pairs}
 
 
 def _random_polyline(rng, size):
@@ -44,44 +51,46 @@ CASES = {
 }
 
 
-def _assert_agrees(a, b):
-    pa, pb = Polyline(a), Polyline(b)
-    pairs = list(touching_segments(pa, pb))
-    assert pairs == _reference_pairs(a, b)
-    for skip in (True, False):
-        assert polyline_pairwise_disjoint(
-            pa, pb, touching_segments(pa, pb), skip) == \
-            ref_polyline_pairwise_disjoint(a, b, skip)
-    return pairs
+def _assert_agrees(curves, fixed):
+    found = contacts(curves, fixed)
+    assert found == _reference_contacts(curves, fixed)
+    assert all(a < len(curves) for a, _ in found)
+    polys = curves + fixed
+    for (a, b), touching in found.items():
+        for skip in (True, False):
+            assert polyline_pairwise_disjoint(
+                polys[a], polys[b], touching, skip) == \
+                ref_polyline_pairwise_disjoint(polys[a], polys[b], skip)
+    return found
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_touching_segments_on_contact_cases(name):
     a, b = CASES[name]
-    pairs = _assert_agrees(a, b)
-    assert sorted(_assert_agrees(b, a)) == sorted((j, i) for i, j in pairs)
+    pairs = _assert_agrees([a, b], []).get((0, 1), [])
+    assert _assert_agrees([a], [b]).get((0, 1), []) == pairs
+    assert sorted(_assert_agrees([b, a], []).get((0, 1), [])) == \
+        sorted((j, i) for i, j in pairs)
+    assert _assert_agrees([], [a, b]) == {}
 
 
 def test_touching_segments_matches_reference_on_random_polylines():
-    rng = random.Random("touching-segments")
+    rng = random.Random("contacts")
     kinds = set()
     for _ in range(3000):
-        a, b = _random_polyline(rng, 5), _random_polyline(rng, 5)
-        pairs = _assert_agrees(a, b)
-        if pairs:
+        polys = [_random_polyline(rng, 5) for _ in range(rng.randint(2, 6))]
+        m = rng.randint(0, len(polys))
+        found = _assert_agrees(polys[:m], polys[m:])
+        for a, b in found:
             kinds.add("touch")
-            if not ref_polyline_pairwise_disjoint(a, b, True):
+            if not ref_polyline_pairwise_disjoint(polys[a], polys[b], True):
                 kinds.add("not tolerated")
-            elif {a[0], a[-1]} & {b[0], b[-1]}:
+            elif {polys[a][0], polys[a][-1]} & {polys[b][0], polys[b][-1]}:
                 kinds.add("tolerated shared endpoint")
-        else:
+        if any(_reference_pairs(polys[a], polys[b])
+               for b in range(m, len(polys)) for a in range(m, b)):
+            kinds.add("untested fixed pair")
+        if not found:
             kinds.add("apart")
     assert kinds == {"touch", "not tolerated", "tolerated shared endpoint",
-                     "apart"}
-
-
-def test_polyline_stores_one_box_per_segment():
-    p = Polyline([(0, 3), (2, 1), (2, 5)])
-    assert p == ((0, 3), (2, 1), (2, 5))
-    assert p.boxes == ((0, 1, 2, 3), (2, 1, 2, 5))
-    assert Polyline([(1, 1)]).boxes == ()
+                     "untested fixed pair", "apart"}

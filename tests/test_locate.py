@@ -26,7 +26,6 @@ from support import (FIXTURES, edge_parameter, generated_problems,
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
 from toricnets.errors import NotRealizable, UnknownCone
-from toricnets.geom import Polyline
 
 
 def _on_one_grid(disk, points):
@@ -79,7 +78,7 @@ def assert_locators_agree(disk, points):
     for p, q in zip(points, grid_points):
         want = _outcome(region_of_interior_point, disk, p)
         assert g.region(q) == (want if isinstance(want, int) else None), p
-        cut = Cut(Polyline((q, g.spokes[0][-1])), (0, 1), 0)
+        cut = Cut((q, g.spokes[0][-1]), (0, 1), 0)
         alone = BranchCutLayout(disk, (cut,), scale)
         assert _outcome(lambda: alone.cut_region[0]) == want
         outcomes.append(want)

@@ -11,7 +11,6 @@ from toricnets import network
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import build_cover
 from toricnets.errors import NotSupported
-from toricnets.geom import Polyline
 from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
                                enumerate_solitons, track_events,
                                validate_network, walls_pairwise_disjoint)
@@ -34,7 +33,7 @@ def test_wall_ending_at_lattice_vertex_violates_condition_6(p2_built, p2):
     net, layout, cover = p2_built
     bad_wall = net.walls[0]
     vertex = layout.grid.vertices[0]
-    tampered = Wall(bad_wall.id, Polyline((bad_wall.polyline[0], vertex)),
+    tampered = Wall(bad_wall.id, (bad_wall.polyline[0], vertex),
                     bad_wall.label, bad_wall.start_branch,
                     bad_wall.end_edge, bad_wall.end_cone)
     walls = [tampered] + [w for w in net.walls if w.id != bad_wall.id]

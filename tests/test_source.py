@@ -93,21 +93,39 @@ def test_only_grid_points_locates_points():
 
 
 def test_only_geom_tests_segment_contact():
-    # every curve-pair contact check reads the segment boxes that
-    # geom.Polyline stores once, through geom.touching_segments; no other
-    # module computes a box or tests a segment pair itself
-    contact = {"box", "boxes_meet", "segments_cross"}
-    found = []
+    # geom.contacts is the only code that picks the segment pairs to test:
+    # no other module computes a box or tests a segment pair itself, and
+    # it runs in two places only, the cover's sweep of its cuts against
+    # the spokes and the network's of its walls against cuts and spokes.
+    # The pairwise query and the polylines that stored boxes for it are gone
+    from toricnets import geom
+    contact = {"box", "segments_cross"}
+    found, sweeps = [], []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "geom.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {id(node): f"{path.name}:{part.name}" for part in tree.body
+                  if isinstance(part, (ast.FunctionDef, ast.ClassDef))
+                  for node in ast.walk(part)}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                owners.update({id(node): f"{path.name}:{cls.name}.{fn.name}"
+                               for fn in cls.body
+                               if isinstance(fn, ast.FunctionDef)
+                               for node in ast.walk(fn)})
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                if _called_name(node) in contact:
+                if _called_name(node) in contact and path.name != "geom.py":
                     found.append(f"{path.name}:{node.lineno}")
+                if _called_name(node) == "contacts":
+                    sweeps.append(owners.get(id(node)))
     assert (SRC / "geom.py").is_file()
     assert found == []
+    assert sorted(sweeps) == ["cover.py:build_cover",
+                              "network.py:SpectralNetwork.contacts"]
+    for gone in ("touching_segments", "boxes_meet", "Polyline"):
+        assert not hasattr(geom, gone)
+        assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                for line in _names(path.name, gone)] == []
 
 
 def _names(module, *idents):
