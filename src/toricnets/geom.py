@@ -68,12 +68,15 @@ def orient(a, b, c):
     return (s > 0) - (s < 0)
 
 
-def on_segment(p, a, b) -> bool:
-    """True iff p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
+def _in_box(p, a, b) -> bool:
+    """True iff p lies in the closed bounding box of [a, b]."""
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def on_segment(p, a, b) -> bool:
+    """True iff p lies on the closed segment [a, b]."""
+    return orient(a, b, p) == 0 and _in_box(p, a, b)
 
 
 def box(p, q):
@@ -88,10 +91,21 @@ def proper_crossing(p1, p2, q1, q2) -> bool:
 
 
 def segments_cross(p1, p2, q1, q2) -> bool:
-    """True iff closed segments [p1,p2], [q1,q2] share at least one point."""
-    return (proper_crossing(p1, p2, q1, q2)
-            or on_segment(p1, q1, q2) or on_segment(p2, q1, q2)
-            or on_segment(q1, p1, p2) or on_segment(q2, p1, p2))
+    """True iff closed segments [p1,p2], [q1,q2] share at least one point.
+
+    Four orientations decide it, each computed once: ends strictly on one
+    side of the other segment's line cannot touch it; the segments cross
+    properly when each splits the other's ends, and touch otherwise
+    exactly when an end of one is collinear with the other (a zero
+    orientation) and in its box.
+    """
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if d1 * d2 > 0:
+        return False
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    return (d1 * d2 < 0 and d3 * d4 < 0
+            or not d1 and _in_box(p1, q1, q2) or not d2 and _in_box(p2, q1, q2)
+            or not d3 and _in_box(q1, p1, p2) or not d4 and _in_box(q2, p1, p2))
 
 
 def contacts(curves, fixed=()):

@@ -38,6 +38,17 @@ system reads it.  The cocycle is written once, as the term lists of
 ``cocycle.json``: one Laurent monomial per nonzero entry of D_j P_ij
 D_i^-1 (``KaneyamaCocycle.written``).  ``verify_bundle`` certifies exactly
 those lists, factoring them back into their constants.
+
+Every product of two constants is ``_product``, which does not multiply
+by the identity.  Away from the walls a boundary step is a bare spoke
+crossing, the identity constant, so the n^2 constants P_ij take only a
+few distinct values.  ``compose_steps`` and ``verify_bundle`` each keep a
+product table for one call (``functools.cache`` of ``_product``), so each
+distinct pair of constants is multiplied once, however many cone pairs
+hold it.  Constants are canonical (``laurent``): two are equal exactly
+when their tuples are, so the table returns the exact product of the
+constants it is given, and every check decides what it would decide
+multiplying each pair anew.
 """
 from __future__ import annotations
 
@@ -201,10 +212,11 @@ def path_ordered(factors, path) -> Framed:
 def _left_product(framed):
     """F_k ... F_1 F_0 of a nonempty sequence F_0, ..., F_k: each later
     factor multiplies on the left, and the first is not multiplied into
-    the identity.  Only the constants are multiplied; the frames must
-    telescope.  A factor with the identity constant, such as a spoke's
-    (Id, i-1, i) or its inverse, changes only the frame: the product
-    takes its region without a multiplication, first factor or later."""
+    the identity.  Only the constants are multiplied (``_product``); the
+    frames must telescope.  A factor with the identity constant, such as
+    a spoke's (Id, i-1, i) or its inverse, changes only the frame: the
+    product takes its region without a multiplication, first factor or
+    later."""
     framed = iter(framed)
     total = next(framed)
     for f in framed:
@@ -212,14 +224,18 @@ def _left_product(framed):
             raise InvariantViolated(
                 f"a factor from region {f.source} follows a product that "
                 f"ends in region {total.target}")
-        if is_identity(f.const):
-            const = total.const
-        elif is_identity(total.const):
-            const = f.const
-        else:
-            const = mat_mul(f.const, total.const)
-        total = Framed(const, total.source, f.target)
+        total = Framed(_product(f.const, total.const), total.source, f.target)
     return total
+
+
+def _product(a, b):
+    """The constant a b; a factor that is the identity is not multiplied."""
+    one = identity(len(a.rows))
+    if a == one:
+        return b
+    if b == one:
+        return a
+    return mat_mul(a, b)
 
 
 def _closes(f) -> bool:
@@ -288,13 +304,16 @@ def compose_steps(steps, r):
 
     P_ii = Id and P_ij = P_{j-1,j} ... P_{i,i+1}, going ccw from i to j;
     keyed in (i, j) order, the order in which consumers walk the pairs.
+    The compositions read one product table (see the module docstring),
+    so each distinct pair of constants is multiplied once.
     """
     n = len(steps)
+    mul = functools.cache(_product)
     constants = {}
     for i in range(n):
         constants[(i, i)] = g = identity(r)
         for k in range(i + 1, i + n):
-            g = steps[i] if k == i + 1 else mat_mul(steps[(k - 1) % n], g)
+            g = mul(steps[(k - 1) % n], g)
             constants[(i, k % n)] = g
     return dict(sorted(constants.items()))
 
@@ -536,6 +555,10 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     product and one comparison of canonical entries per star triple, no
     sampling.  Only when a pair or a star triple fails is every ordered
     triple multiplied out, to name each failing one, in (i, j, k) order.
+
+    All these products read one product table (see the module docstring),
+    keyed on the factored constants themselves, so an edited term is a new
+    key and never reads a neighbour's product.
     """
     report = ValidationReport()
     fan = tms.fan
@@ -544,13 +567,14 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     p = _factored(coc, report)
     if not report:
         return report
+    mul = functools.cache(_product)
     for i in range(n):
         if not is_identity(p[(i, i)]):
             report.add("identity", f"G_({i},{i}) is not the identity", i)
     # ordered (i, j) with G_ij G_ji = Id; one product per unordered pair
     inverse_pairs = set()
     for i, j in combinations(range(n), 2):
-        if is_identity(mat_mul(p[(i, j)], p[(j, i)])):
+        if is_identity(mul(p[(i, j)], p[(j, i)])):
             inverse_pairs |= {(i, j), (j, i)}
     for i, j in permutations(range(n), 2):
         if (i, j) not in inverse_pairs:
@@ -572,11 +596,10 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
                        f"G over the ray-{i} overlap is not a unit there", i)
 
     if len(inverse_pairs) < n * (n - 1) or not all(
-            mat_mul(p[(j, k)], p[(0, j)]) == p[(0, k)]
+            mul(p[(j, k)], p[(0, j)]) == p[(0, k)]
             for j, k in combinations(range(1, n), 2)):
         for i, j, k in permutations(range(n), 3):
-            if not is_identity(mat_mul(mat_mul(p[(k, i)], p[(j, k)]),
-                                       p[(i, j)])):
+            if not is_identity(mul(mul(p[(k, i)], p[(j, k)]), p[(i, j)])):
                 report.add("cocycle",
                            f"triple ({i},{j},{k}) fails the cocycle condition",
                            (i, j, k))

@@ -3,7 +3,10 @@
 One self-describing document format (``toricnets/problem.v1``) carries the
 fan, the support function, the multi-section, optional holonomies, and an
 optional explicit network+layout.  All rationals are strings accepted by
-``Fraction`` ("p/q" or "p"), so round-trips are exact.
+``Fraction`` ("p/q" or "p"), so round-trips are exact.  An unknown key at
+the top level, in ``fan``, in ``multisection`` or in a lifted cone or ray
+is a ``SchemaError`` naming its path, so a misspelt field is never
+silently ignored.
 
 A document's layout and network are parsed together onto one integer
 grid, the least one holding the disk model and every cut and wall point,
@@ -68,6 +71,16 @@ def _int_pair(obj, what):
     return tuple(obj)
 
 
+def _known(obj, keys, path):
+    """SchemaError if ``obj`` is an object with a key not in ``keys``;
+    ``path`` names it.  Anything other than an object is left to the
+    reader of its fields."""
+    if isinstance(obj, dict) and not obj.keys() <= keys:
+        unknown = min(obj.keys() - keys)
+        raise SchemaError(f"unknown key {unknown!r} in {path}; expected "
+                          f"one of {', '.join(sorted(keys))}")
+
+
 def _on_grid(poly, scale):
     """The int polyline ``scale`` times ``poly``; the scale clears it."""
     return tuple((x.numerator * (scale // x.denominator),
@@ -123,12 +136,20 @@ def parse_problem(data) -> ProblemSpec:
 
 
 def _parse_sections(data) -> ProblemSpec:
+    _known(data, {"schema", "fan", "support", "multisection", "holonomies",
+                  "layout", "network"}, "the problem document")
+    _known(data["fan"], {"rays"}, "fan")
     fan = make_fan([_int_pair(v, "a fan ray") for v in data["fan"]["rays"]])
     phi = SupportFunction(fan, [_int(v, "a support value")
                                 for v in data["support"]])
     tms = None
     if "multisection" in data:
         ms = data["multisection"]
+        _known(ms, {"degree", "lifted_cones", "lifted_rays"}, "multisection")
+        for section, keys in (("lifted_cones", {"id", "cone", "slope"}),
+                             ("lifted_rays", {"ray", "from", "to"})):
+            for k, item in enumerate(ms[section]):
+                _known(item, keys, f"multisection.{section}[{k}]")
         cones = [LiftedCone(str(c["id"]), _int(c["cone"], "a lifted cone"),
                             _int_pair(c["slope"], "a lifted-cone slope"))
                  for c in ms["lifted_cones"]]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -360,6 +361,38 @@ def test_lifted_ray_out_of_range_fails_with_a_report(command, ray, tmp_path,
     message = f"lifted ray c6->c1 over unknown ray {ray}"
     assert message in json.dumps(stages[-1]["detail"])
     assert not (tmp_path / "out" / "network.json").exists()
+
+
+@pytest.mark.parametrize("edit, path, key", [
+    (lambda d: d.update(holonomy=["2"]), "the problem document", "holonomy"),
+    (lambda d: d["fan"].update(ray=[]), "fan", "ray"),
+    (lambda d: d["multisection"].update(lifted_cone=[]), "multisection",
+     "lifted_cone"),
+    (lambda d: d["multisection"]["lifted_cones"][2].update(slopes=[0, 0]),
+     "multisection.lifted_cones[2]", "slopes"),
+    (lambda d: d["multisection"]["lifted_rays"][0].update(rays=0),
+     "multisection.lifted_rays[0]", "rays"),
+], ids=["top-level", "fan", "multisection", "lifted-cone", "lifted-ray"])
+def test_unknown_key_is_a_schema_error(edit, path, key, tmp_path, capsys):
+    # p1p1_n4 takes one holonomy: a misspelt top-level "holonomy" ran with
+    # the all-one system, and an unknown key at any of these levels was
+    # ignored; each is a schema error naming its path, so every command
+    # ends in exit 1 on a failed last stage
+    data = json.loads((FIXTURES / "p1p1_n4.json").read_text())
+    edit(data)
+    message = f"unknown key {key!r} in {path}; expected one of "
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
+        schema.parse_problem(data)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data))
+    for command in ("validate", "nonabelianize"):
+        code = main([command, "--input", str(doc), "--out", str(tmp_path),
+                     "--report", "json"])
+        stage = _json_stages(capsys)[-1]
+        assert code == 1
+        assert stage["status"] == "fail"
+        assert stage["detail"].startswith(message)
+    assert not (tmp_path / "cocycle.json").exists()
 
 
 @pytest.mark.parametrize("edge", [3, -1])

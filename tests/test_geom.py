@@ -9,12 +9,14 @@ order, never a pair of two ``fixed`` polylines, and the shared-endpoint
 tolerance must decide like the reference.
 """
 import random
+from itertools import permutations, product
 
 import pytest
 
 from support import ref_polyline_pairwise_disjoint, ref_segments_cross
 
-from toricnets.geom import contacts, polyline_pairwise_disjoint
+from toricnets.geom import (contacts, polyline_pairwise_disjoint,
+                            segments_cross)
 
 
 def _reference_pairs(a, b):
@@ -94,3 +96,18 @@ def test_touching_segments_matches_reference_on_random_polylines():
             kinds.add("apart")
     assert kinds == {"touch", "not tolerated", "tolerated shared endpoint",
                      "untested fixed pair", "apart"}
+
+
+def test_segments_cross_matches_reference_on_a_small_grid():
+    # every ordered pair of segments between the points of a 3 x 3 grid:
+    # proper crossings, collinear overlaps and touches, shared ends, and
+    # ends on the other segment's line but outside it
+    grid = list(product(range(3), repeat=2))
+    segments = list(permutations(grid, 2))
+    crossing = 0
+    for p1, p2 in segments:
+        for q1, q2 in segments:
+            want = ref_segments_cross(p1, p2, q1, q2)
+            assert segments_cross(p1, p2, q1, q2) == want
+            crossing += want
+    assert 0 < crossing < len(segments) ** 2

@@ -1,21 +1,26 @@
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from support import (LaurentMatrix, LaurentPoly, boundary_restriction_equiv,
-                     chambers, count_calls, fraction_rows, generated_problems,
-                     laurent_form, matrices, near_identities, pair,
+from support import (GEN_TOOLKIT, LaurentMatrix, LaurentPoly,
+                     boundary_restriction_equiv, chambers, count_calls,
+                     fraction_rows, generated_problems, laurent_form,
+                     matrices, near_identities, pair, perfbench_gen,
                      ref_identity, ref_is_invertible_on, ref_product,
                      ref_regular_on, ref_with_entry, reference_verify_bundle,
                      with_matrices)
 
+from toricnets import schema
 from toricnets.builder import build_network, empty_network
-from toricnets.cover import (build_cover, make_local_system, sheet_lift_map,
-                             Crossing, SurfacePath)
+from toricnets.cover import (betti_one, build_cover, make_local_system,
+                             sheet_lift_map, Crossing, SurfacePath)
 from toricnets.errors import InvariantViolated
 from toricnets.fans import ray_cone
-from toricnets.laurent import identity, mat_mul
+from toricnets.laurent import identity, is_identity, mat_mul
 from toricnets.network import boundary_loop, branch_point_arms, track_path
 from toricnets.nonabelian import (Factors, Framed, cut_factor,
                                   kaneyama_cocycle, loop_identity_check,
@@ -582,11 +587,13 @@ def test_unjoined_sheets_are_reported_per_cone(p2, p2_built):
 
 def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
                                                           monkeypatch):
-    # fan7_n7: n = 7, so C(7, 2) = 21 inverse products (one per unordered
+    # fan7_n7: n = 7, so C(7, 2) = 21 inverse checks (one per unordered
     # pair; n(n-1) = 42 would check each pair twice) and, with every pair
-    # and every star triple passing, C(6, 2) = 15 star-triple products;
-    # one product per unordered triple would add 20 more, two per ordered
-    # triple 420.  The loop check multiplies out the 5 branch-point loops
+    # and every star triple passing, C(6, 2) = 15 star-triple checks; one
+    # product per unordered triple would add 20 more, two per ordered
+    # triple 420.  The 36 checks read one product table, and 3 of the
+    # inverse pairs multiply the same two constants as an earlier pair:
+    # 33 products.  The loop check multiplies out the 5 branch-point loops
     # and the one boundary loop from cone 0, not one boundary loop per cone.
     # Every product of constants starts from its first factor, and a spoke
     # crossing (the identity constant) changes only the frame: each
@@ -608,7 +615,7 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     monkeypatch.setattr(laurent, "mat_mul", counting)
     monkeypatch.setattr(nonabelian, "mat_mul", counting)
     assert verify_bundle(coc, fan7.tms).ok
-    assert len(calls) == 36
+    assert len(calls) == 33
     calls.clear()
     assert loop_identity_check(Factors(net, fan7.tms, cover, ls))
     assert len(calls) == 44
@@ -622,7 +629,9 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     # 5 walls that land in region 0, away from their cuts: 20 wall
     # factors.  Products of constants: the 44 of the loop check (pinned
     # above), which build the 7 adjacent steps the cocycle keeps, and the
-    # 35 compositions made on the first read of its matrices.
+    # compositions made on the first read of its matrices: 35, of which 2
+    # multiply the same two constants as an earlier one and read them
+    # from the composition's product table, so 33.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -632,9 +641,75 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     kaneyama_cocycle(net, fan7.tms, cover, ls).written
     assert {name: len(c) for name, c in calls.items()} == {
         "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
-        "mat_mul": 79}
+        "mat_mul": 77}
     assert sorted(region for w, region, _ in calls["wall_factor"]
                   if region != cover.cut_region[w.start_branch]) == [0] * 5
+
+
+def _generated_cocycle(n, big_n, key, rng):
+    """(spec, cocycle) of the benchmark's generated (n, N) problem, with
+    holonomies drawn from ``rng``."""
+    gen = perfbench_gen()
+    spec = schema.parse_problem(json.loads(gen.serialize(
+        gen.generate(n, big_n, key, GEN_TOOLKIT))))
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = build_cover(spec.disk, layout, spec.tms.degree)
+    hol = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+           for _ in range(betti_one(cover))]
+    return spec, kaneyama_cocycle(net, spec.tms, cover,
+                                  make_local_system(cover, hol))
+
+
+def test_cocycle_products_do_not_grow_with_the_rays(monkeypatch):
+    # the generated (n, 3) fans differ only in how many bare spokes (the
+    # identity step) separate their few walls, so their constants P_ij
+    # take the same few values at every n: composing and verifying them
+    # multiplies each distinct pair of constants once, and the count of
+    # products stays put while the n^2 pairs grow
+    from toricnets import laurent
+    counts = []
+    for n in (12, 16, 20):
+        spec, coc = _generated_cocycle(n, 3, f"products:{n}",
+                                       random.Random(n))
+        calls = count_calls(monkeypatch, laurent, "mat_mul")
+        coc.written
+        assert verify_bundle(coc, spec.tms).ok
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] < 12 * 11 // 2
+    assert counts == [counts[0]] * 3
+
+
+def test_product_table_masks_no_edit_of_a_shared_constant():
+    # n20_N3: the 400 constants P_ij take a handful of values, each shared
+    # by many pairs.  One written coefficient of a pair holding the
+    # identity, and of one holding the most shared other constant, moves
+    # on its frame: the edited constant is a new key of the product table,
+    # and the report must be exactly the Laurent reference's over all
+    # 6840 ordered triples
+    rng = random.Random(20263)
+    spec, coc = _generated_cocycle(20, 3, "shared", rng)
+    shared = Counter(coc.constants.values()).most_common()
+    assert shared[0][1] > 100 and shared[1][1] > 50
+    ident = next(c for c, _ in shared if is_identity(c))
+    other = next(c for c, _ in shared if not is_identity(c))
+    for const in (ident, other):
+        i, j = rng.choice([(i, j) for (i, j), c in coc.constants.items()
+                           if c == const and i != j])
+        terms = list(coc.written[(i, j)])
+        k = rng.randrange(len(terms))
+        row, col, num, den, ex, ey = terms[k]
+        c = Fraction(num, den) + rng.choice([-2, -1, 1, 2])
+        c = c or Fraction(3)
+        terms[k] = (row, col, c.numerator, c.denominator, ex, ey)
+        bad = replace(coc)
+        bad.written = {**coc.written, (i, j): tuple(terms)}
+        rep = verify_bundle(bad, spec.tms)
+        assert rep.violations == \
+            reference_verify_bundle(bad, spec.tms).violations
+        assert ("inverses", (i, j)) in {(v.condition, v.witness)
+                                       for v in rep.violations}
+        assert "cocycle" in _conditions(rep)
 
 
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,

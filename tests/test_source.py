@@ -213,3 +213,62 @@ def test_no_module_names_a_laurent_matrix():
              for line in _names(path.name, "LaurentMatrix", "LaurentPoly")]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_nonabelian_multiplies_constants_only_in_product():
+    # every product of two constants in nonabelian is _product, which
+    # skips the identity; it reads mat_mul from the module namespace at
+    # each call, so rebinding nonabelian.mat_mul (as a tracer does) sees
+    # every product
+    from toricnets import laurent, nonabelian
+    tree = ast.parse((SRC / "nonabelian.py").read_text())
+    product = _enclosing(tree, ast.FunctionDef, "_product")
+    inside = {id(node) for node in ast.walk(product)}
+    named = [(node.lineno, id(node) in inside, type(node.ctx).__name__)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "mat_mul"]
+    calls = [node for node in ast.walk(product) if isinstance(node, ast.Call)
+             and _called_name(node) == "mat_mul"]
+    assert len(calls) == 1
+    assert named and all(ok and ctx == "Load" for _, ok, ctx in named)
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "laurent"
+               and "mat_mul" in [a.name for a in node.names]
+               for node in tree.body)
+    assert _enclosing(ast.parse((SRC / "laurent.py").read_text()),
+                      ast.FunctionDef, "mat_mul")
+    assert vars(nonabelian)["mat_mul"] is laurent.mat_mul
+
+
+def _is_cache(node):
+    """True iff ``node`` names functools.cache or functools.lru_cache."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None)) in (
+        "cache", "lru_cache")
+
+
+def test_no_product_table_outlives_its_call():
+    # a product table is made per call (compose_steps, verify_bundle) and
+    # dropped with it, so none grows with the constants a process has
+    # seen: the one module-level cache is laurent.identity, keyed on the
+    # matrix size
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        local = {id(node) for fn in functions for node in ast.walk(fn)
+                 if node is not fn}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and \
+                    any(map(_is_cache, node.decorator_list)):
+                found.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Call) and _is_cache(node.func) and \
+                    id(node) not in local:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == ["laurent.py:identity"]
+    tree = ast.parse((SRC / "nonabelian.py").read_text())
+    tables = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and _is_cache(node.func)]
+    assert tables == ["compose_steps", "verify_bundle"]
