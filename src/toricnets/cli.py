@@ -114,17 +114,13 @@ def _pipeline(spec, report):
         raise ParseError("this command needs a multisection")
     _stage(report, "validate",
            lambda: "ok" if tms.report.ok else _raise_invalid(tms))
-    if tms.degree == 1:
-        net, layout = _stage(report, "build",
-                             lambda: builder.build_network(tms, spec.disk))
-        return net, layout, None
-    _stage(report, "classify", lambda: tms.cover_class.tag)
-    n_value = _stage(report, "n_genericity",
-                     lambda: multisection.n_genericity(tms))
-    _stage(report, "parity", lambda: _parity_detail(tms, n_value))
-    net, layout = _stage(report, "build",
-                         lambda: builder.build_network(tms, spec.disk))
-    return net, layout, n_value
+    if tms.degree != 1:
+        _stage(report, "classify", lambda: tms.cover_class.tag)
+        n_value = _stage(report, "n_genericity",
+                         lambda: multisection.n_genericity(tms))
+        _stage(report, "parity", lambda: _parity_detail(tms, n_value))
+    return _stage(report, "build",
+                  lambda: builder.build_network(tms, spec.disk))
 
 
 def _raise_invalid(tms):
@@ -140,7 +136,7 @@ def _parity_detail(tms, n_value):
 
 
 def cmd_build(spec, report, outdir):
-    net, layout, _ = _pipeline(spec, report)
+    net, layout = _pipeline(spec, report)
     outdir.mkdir(parents=True, exist_ok=True)
     net_path = outdir / "network.json"
     svg_path = outdir / "network.svg"
@@ -167,7 +163,7 @@ def _local_system(spec, cover, holonomy_arg):
 
 
 def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
-    net, layout, _ = _pipeline(spec, report)
+    net, layout = _pipeline(spec, report)
     cover = layout.cover(spec.tms.degree)
     ls, hol = _local_system(spec, cover, holonomy_arg)
     report["holonomies"] = [str(h) for h in hol]
@@ -183,7 +179,7 @@ def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
 
 
 def cmd_verify(spec, report, seed, count=25):
-    net, layout, n_value = _pipeline(spec, report)
+    net, layout = _pipeline(spec, report)
     cover = layout.cover(spec.tms.degree)
     b1 = betti_one(cover)
     rng = random.Random(seed)

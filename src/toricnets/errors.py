@@ -100,10 +100,6 @@ class ParityViolation(ToricNetsError):
     pass
 
 
-class PathHitsJointRegion(ToricNetsError):
-    pass
-
-
 class NonTransverseCrossing(ToricNetsError):
     pass
 

@@ -6,8 +6,8 @@ times ``BranchCutLayout.scale``); each carries an ordered
 sheet pair (a, b) meaning its solitons travel from sheet a to sheet b.
 The package works in the regime where walls are pairwise disjoint (one
 Y-graph per branch point), which is what the rank-2 construction
-produces; joint-fed walls are detected and rejected rather than
-propagated.
+produces.  Every wall starts at its declared branch point: ``schema``
+rejects a wall without one.
 
 A network is its walls plus a ``BranchCutLayout``; it reads the disk
 model, fan, polygon, cuts, branch points, cut regions and grid from the
@@ -39,7 +39,7 @@ class Wall:
     id: int
     polyline: tuple          # grid points on the layout's grid, start -> end
     label: tuple             # (source sheet, target sheet), solitons a -> b
-    start_branch: int | None  # branch point index, None for joint-fed walls
+    start_branch: int        # index of the branch point the wall starts at
     end_edge: int            # polygon edge carrying the endpoint
     end_cone: int            # cone of the half-edge's vertex endpoint
 
@@ -107,8 +107,6 @@ class TrackEvent:
     key: tuple               # (edge, position, tier) ccw sort key
     kind: str                # 'wall' | 'spoke' | 'cut'
     index: int
-    region: int              # region in which the crossing happens (walls,
-                             # cuts) or the ccw-target region (spokes)
 
 
 def track_events(net: SpectralNetwork):
@@ -129,8 +127,7 @@ def track_events(net: SpectralNetwork):
         if t is None:
             raise NotSupported(
                 f"wall {w.id} does not end on edge {w.end_edge}")
-        events.append(TrackEvent((w.end_edge, t, 1), "wall", w.id,
-                                 w.end_cone))
+        events.append(TrackEvent((w.end_edge, t, 1), "wall", w.id))
     for k, (cut, region) in enumerate(zip(net.cuts, net.layout.cut_region)):
         e = cut.edge
         if region == (e - 1) % n:
@@ -140,9 +137,9 @@ def track_events(net: SpectralNetwork):
         else:
             raise NotSupported(
                 f"cut {k} lands on edge {e} from non-adjacent region {region}")
-        events.append(TrackEvent((e, g.mids[e % n], tier), "cut", k, region))
+        events.append(TrackEvent((e, g.mids[e % n], tier), "cut", k))
     for e in range(n):
-        events.append(TrackEvent((e, g.mids[e], 1), "spoke", e, e % n))
+        events.append(TrackEvent((e, g.mids[e], 1), "spoke", e))
     events.sort(key=_event_key)
     return tuple(events)
 
@@ -209,7 +206,6 @@ class Soliton:
     wall_id: int
     source_sheet: int
     target_sheet: int
-    branch_point: int
     cut_index: int
     turns: int               # full tangent turns of the closed-up loop
 
@@ -251,10 +247,9 @@ def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     for (i, j), touching in net.contacts.items():
         if j < len(walls):
             a, b = walls[i], walls[j]
-            shared = a.start_branch is not None and a.start_branch == b.start_branch
             if not geom.polyline_pairwise_disjoint(
                     a.polyline, b.polyline, touching,
-                    skip_shared_endpoints=shared):
+                    skip_shared_endpoints=a.start_branch == b.start_branch):
                 return False
     return True
 
@@ -268,8 +263,6 @@ def enumerate_solitons(net: SpectralNetwork, wall: Wall):
     Its winding count is the wall's ccw position after the cut among the
     branch point's arms.
     """
-    if wall.start_branch is None:
-        raise NotSupported("joint-fed walls carry no computable solitons here")
     if not net.walls_disjoint:
         raise NotSupported("soliton enumeration requires pairwise-disjoint walls")
     arms = net.arms[wall.start_branch]
@@ -278,7 +271,7 @@ def enumerate_solitons(net: SpectralNetwork, wall: Wall):
     except StopIteration:
         raise NotSupported(f"wall {wall.id} is not an arm of its branch point")
     a, b = wall.label
-    return [Soliton(wall.id, a, b, wall.start_branch, wall.start_branch, j)]
+    return [Soliton(wall.id, a, b, wall.start_branch, j)]
 
 
 # -- validation ---------------------------------------------------------------
@@ -320,15 +313,13 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             if not g.interior(p):
                 report.add("1", f"wall {w.id} has a non-interior vertex",
                            g.rational(p))
-        if not g.interior(w.start) and w.start_branch is not None:
+        if not g.interior(w.start):
             report.add("1", f"wall {w.id} starts outside the open polygon",
                        g.rational(w.start))
         through_branch_point = False
         for k, cut in enumerate(c.polyline for c in net.cuts):
             touching = net.contacts.get((wi, first_cut + k), ())
-            if not geom.polyline_pairwise_disjoint(
-                    pts, cut, touching,
-                    skip_shared_endpoints=(w.start_branch is not None)):
+            if not geom.polyline_pairwise_disjoint(pts, cut, touching):
                 report.add("1", f"wall {w.id} meets a branch cut", w.id)
             # (5) a wall segment through branch point k touches the first
             # segment of cut k there
@@ -350,18 +341,13 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         # (5) at most one branch point on the wall
         if through_branch_point:
             report.add("5", f"wall {w.id} passes through a branch point")
-        if w.start_branch is not None:
-            if not 0 <= w.start_branch < len(net.branch_points):
-                report.add("5", f"wall {w.id} names an unknown branch point "
-                                f"{w.start_branch}", w.id)
-            elif w.start != tuple(net.branch_points[w.start_branch]):
-                report.add("5", f"wall {w.id} does not start at its branch point")
+        if not 0 <= w.start_branch < len(net.branch_points):
+            report.add("5", f"wall {w.id} names an unknown branch point "
+                            f"{w.start_branch}", w.id)
+        elif w.start != tuple(net.branch_points[w.start_branch]):
+            report.add("5", f"wall {w.id} does not start at its branch point")
 
-    # (3) interior endpoints must be branch points with the Y local model
-    for w in net.walls:
-        if w.start_branch is None and g.interior(w.start):
-            report.add("3", f"wall {w.id} starts at an undeclared joint",
-                       g.rational(w.start))
+    # (3) every branch point carries the Y local model
     for b in range(len(net.branch_points)):
         arms = net.walls_of_branch(b)
         if len(arms) != 3:

@@ -61,7 +61,7 @@ from typing import NamedTuple
 from .cover import (Crossing, SurfacePath, parallel_transport,
                     winding_sign)
 from .errors import (InvariantViolated, LoopIdentityFailed,
-                     NonTransverseCrossing, NotSupported, PathHitsJointRegion)
+                     NonTransverseCrossing, NotSupported)
 from .fans import ray_cone
 from .geom import dot, sub
 from .laurent import (Constant, TPoly, constant, det, identity, inverse,
@@ -100,8 +100,6 @@ def wall_factor(wall, region, factors) -> Framed:
     the region of its cut.  The transports become one integer constant
     once, after the last soliton.
     """
-    if wall.start_branch is None:
-        raise NotSupported("joint-fed walls are outside this regime")
     rows = [list(row) for row in identity(factors.cover.r).rows]
     for sol in enumerate_solitons(factors.net, wall):
         path = sol.transport_path(factors.cover)
@@ -173,9 +171,6 @@ class Factors:
         if key[0] == "cut":
             return cut_factor(key[1], self)
         wall = next(w for w in self.net.walls if w.id == key[1])
-        if wall.start_branch is None:
-            raise PathHitsJointRegion(
-                f"wall {key[1]} is joint-fed; paths must avoid joint regions")
         return wall_factor(wall, key[2], self)
 
     @functools.cached_property

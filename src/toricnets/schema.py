@@ -4,9 +4,10 @@ One self-describing document format (``toricnets/problem.v1``) carries the
 fan, the support function, the multi-section, optional holonomies, and an
 optional explicit network+layout.  All rationals are strings accepted by
 ``Fraction`` ("p/q" or "p"), so round-trips are exact.  An unknown key at
-the top level, in ``fan``, in ``multisection`` or in a lifted cone or ray
-is a ``SchemaError`` naming its path, so a misspelt field is never
-silently ignored.
+any level (the document, ``fan``, ``multisection``, a lifted cone or ray,
+``layout``, a cut, ``network`` or a wall) is a ``SchemaError`` naming its
+path, so a misspelt field is never silently ignored.  Every wall names
+its branch point, an integer: a wall is an arm of the Y-graph there.
 
 A document's layout and network are parsed together onto one integer
 grid, the least one holding the disk model and every cut and wall point,
@@ -99,7 +100,6 @@ class ProblemSpec:
     holonomies: list = field(default_factory=list)
     network: SpectralNetwork | None = None
     layout: BranchCutLayout | None = None
-    raw: dict = field(default_factory=dict)
 
     # the fan and the support function are fixed once parsed, so the
     # polygon and the disk model are built once, on first use
@@ -166,7 +166,7 @@ def _parse_sections(data) -> ProblemSpec:
     holonomies = data.get("holonomies", [])
     if not isinstance(holonomies, list):
         raise SchemaError(f"holonomies must be a list, got {holonomies!r}")
-    spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies], raw=data)
+    spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies])
     if "network" in data and "layout" not in data:
         raise SchemaError("an explicit network requires a layout")
     if "layout" in data:
@@ -179,9 +179,11 @@ def parse_geometry(disk, layout, network=None):
     """The layout and explicit network (None without ``network``) of one
     document, on the scale lcm(``disk.scale``, every coordinate's
     denominator)."""
+    _known(layout, {"branch_points", "cuts"}, "layout")
     points = [_point(p) for p in layout["branch_points"]]
     cuts = []
     for k, c in enumerate(layout["cuts"]):
+        _known(c, {"polyline", "transposition", "edge"}, f"layout.cuts[{k}]")
         poly = _polyline(c["polyline"], f"cut {k}")
         if len(poly) < 2:
             raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
@@ -195,16 +197,18 @@ def parse_geometry(disk, layout, network=None):
     if points != [poly[0] for poly, _, _ in cuts]:
         raise SchemaError("the layout needs one cut per branch point, "
                           "starting at it")
+    _known(network, {"walls", "schema", "layout"}, "network")
     walls = []
-    for w in network["walls"] if network is not None else ():
+    for k, w in enumerate(network["walls"] if network is not None else ()):
+        _known(w, {"id", "label", "branch", "end_edge", "end_cone",
+                   "polyline"}, f"network.walls[{k}]")
         wid = _int(w["id"], "a wall id")
         poly = _polyline(w["polyline"], f"wall {wid}")
         if not poly:
             raise SchemaError(f"wall {wid} has an empty polyline")
-        branch = w.get("branch")
         walls.append((
             wid, poly, _int_pair(w["label"], f"the label of wall {wid}"),
-            None if branch is None else _int(branch, f"the branch of wall {wid}"),
+            _int(w["branch"], f"the branch of wall {wid}"),
             _int(w["end_edge"], f"the end edge of wall {wid}"),
             _int(w["end_cone"], f"the end cone of wall {wid}")))
     polys = [c[0] for c in cuts] + [w[1] for w in walls]

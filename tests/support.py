@@ -143,9 +143,9 @@ def perfbench_gen():
     return module
 
 
-def generated_problems(label, seed, count):
-    """Seeded generated problems: ((n, N), spec) for (12, 12), then for
-    ``count`` random smaller shapes."""
+def generated_documents(label, seed, count):
+    """Seeded generated problem documents: ((n, N), document) for
+    (12, 12), then for ``count`` random smaller shapes."""
     gen = perfbench_gen()
     rng = random.Random(seed)
     shapes = [(12, 12)] + [(n, rng.randint(3, n))
@@ -153,7 +153,13 @@ def generated_problems(label, seed, count):
     for n, big_n in shapes:
         doc = gen.generate(n, big_n, f"{label}:{rng.randrange(10 ** 6)}",
                            GEN_TOOLKIT)
-        yield (n, big_n), schema.parse_problem(json.loads(gen.serialize(doc)))
+        yield (n, big_n), json.loads(gen.serialize(doc))
+
+
+def generated_problems(label, seed, count):
+    """``generated_documents``, each parsed: ((n, N), spec)."""
+    for shape, doc in generated_documents(label, seed, count):
+        yield shape, schema.parse_problem(doc)
 
 
 def skewed_fan_and_support(rng, n):

@@ -372,12 +372,21 @@ def test_lifted_ray_out_of_range_fails_with_a_report(command, ray, tmp_path,
      "multisection.lifted_cones[2]", "slopes"),
     (lambda d: d["multisection"]["lifted_rays"][0].update(rays=0),
      "multisection.lifted_rays[0]", "rays"),
-], ids=["top-level", "fan", "multisection", "lifted-cone", "lifted-ray"])
+    (_with_network(lambda d: d["layout"].update(cut=[])), "layout", "cut"),
+    (_with_network(lambda d: d["layout"]["cuts"][0].update(edges=0)),
+     "layout.cuts[0]", "edges"),
+    (_with_network(lambda d: d["network"].update(wall=[])), "network",
+     "wall"),
+    (_with_network(lambda d: d["network"]["walls"][2].update(branch_point=0)),
+     "network.walls[2]", "branch_point"),
+], ids=["top-level", "fan", "multisection", "lifted-cone", "lifted-ray",
+        "layout", "cut", "network", "wall"])
 def test_unknown_key_is_a_schema_error(edit, path, key, tmp_path, capsys):
     # p1p1_n4 takes one holonomy: a misspelt top-level "holonomy" ran with
     # the all-one system, and an unknown key at any of these levels was
     # ignored; each is a schema error naming its path, so every command
-    # ends in exit 1 on a failed last stage
+    # ends in exit 1 on a failed last stage.  The network levels hold
+    # p1p1_n4's built network, as ``emit_network`` writes it
     data = json.loads((FIXTURES / "p1p1_n4.json").read_text())
     edit(data)
     message = f"unknown key {key!r} in {path}; expected one of "
@@ -393,6 +402,33 @@ def test_unknown_key_is_a_schema_error(edit, path, key, tmp_path, capsys):
         assert stage["status"] == "fail"
         assert stage["detail"].startswith(message)
     assert not (tmp_path / "cocycle.json").exists()
+
+
+_CORNER_CHORD = {"id": 7, "label": [0, 1], "end_edge": 1, "end_cone": 0,
+                 "polyline": [["0", "1/8"], ["1/8", "0"]]}
+
+
+@pytest.mark.parametrize("wall, message", [
+    (dict(_CORNER_CHORD, branch=None),
+     "the branch of wall 7 must be an integer, got None"),
+    (_CORNER_CHORD, "missing required field 'branch'"),
+], ids=["null-branch", "missing-branch"])
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_wall_without_a_branch_point_is_a_schema_error(command, wall, message,
+                                                       tmp_path, capsys):
+    # p2_n3's built network plus a chord across the corner at vertex
+    # (0, 0) naming no branch point: it validated clean and was drawn as
+    # a wall.  Every wall is an arm of its declared branch point
+    path = _write_edited(tmp_path, _with_network(
+        lambda d: d["network"]["walls"].append(dict(wall))))
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        schema.load_problem(path)
+    code = main([command, "--input", path, "--out",
+                 str(tmp_path / "out.svg"), "--report", "json"])
+    stage = _json_stages(capsys)[-1]
+    assert code == 1
+    assert stage == {"name": "error", "status": "fail", "detail": message}
+    assert not (tmp_path / "out.svg").exists()
 
 
 @pytest.mark.parametrize("edge", [3, -1])

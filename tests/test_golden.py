@@ -27,7 +27,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from support import FIXTURES, generated_problems  # noqa: E402
+from support import FIXTURES, generated_documents  # noqa: E402
 
 from toricnets.cli import main  # noqa: E402
 
@@ -218,9 +218,9 @@ GENERATED_ARTIFACTS = {
 def generated_artifacts(outdir):
     """sha256 of every artifact written for each generated problem."""
     out = {}
-    for shape, spec in generated_problems("cocycle", 16, 2):
+    for shape, doc in generated_documents("cocycle", 16, 2):
         problem = outdir / f"problem{shape}.json"
-        problem.write_text(json.dumps(spec.raw))
+        problem.write_text(json.dumps(doc))
         for command in ("build", "nonabelianize"):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([command, "--input", str(problem),

@@ -129,7 +129,8 @@ def test_crossed_walls_are_rejected(p2, p2_built):
     off1 = lerp(mid, p2.disk.center, Fraction(1, 5))
     # reflect through mid to get a crossing segment
     off2 = (2 * mid[0] - off1[0], 2 * mid[1] - off1[1])
-    crossing = Wall(99, (off1, off2), (0, 1), None, w0.end_edge, w0.end_cone)
+    # declared on p2's one branch point, which it does not start at
+    crossing = Wall(99, (off1, off2), (0, 1), 0, w0.end_edge, w0.end_cone)
     net2 = edited_network(net, walls=walls + (crossing,))
     assert not walls_pairwise_disjoint(net2)
     with pytest.raises(NotSupported):

@@ -281,7 +281,7 @@ def test_flipped_sign_breaks_loop_identity(p2, p2_built, monkeypatch):
         sols = enumerate_solitons(net_, w)
         if w.id == 0:
             sols = [Soliton(s.wall_id, s.source_sheet, s.target_sheet,
-                            s.branch_point, s.cut_index, s.turns + 1)
+                            s.cut_index, s.turns + 1)
                     for s in sols]
         return sols
 
@@ -749,20 +749,12 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
 
 
 def test_path_errors(p2, p2_built):
-    from toricnets.errors import NonTransverseCrossing, PathHitsJointRegion
-    from toricnets.network import Wall
+    from toricnets.errors import NonTransverseCrossing
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     bad = SurfacePath(0, 0, [Crossing("spoke", 1, 0)])
     with pytest.raises(NonTransverseCrossing):
         path_ordered(Factors(net, p2.tms, cover, ls), bad)
-    # a joint-fed wall may not be crossed by extraction paths
-    w0 = net.walls[0]
-    jointed = Wall(50, w0.polyline, w0.label, None, w0.end_edge, w0.end_cone)
-    net2 = type(net)(list(net.walls) + [jointed], net.layout)
-    p = SurfacePath(w0.end_cone, 0, [Crossing("wall", 50, +1)])
-    with pytest.raises(PathHitsJointRegion):
-        path_ordered(Factors(net2, p2.tms, cover, ls), p)
 
 
 def test_slope_tie_guard(p2, p2_built):

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import pytest
 
-from support import (REALIZABLE, generated_problems, geometry_doc, load,
-                     on_grid, rational, rational_cuts, rational_walls,
+from support import (FIXTURES, REALIZABLE, generated_documents, geometry_doc,
+                     load, on_grid, rational, rational_cuts, rational_walls,
                      reference_branch_point_arms, reference_build_geometry,
                      reference_render_svg, reference_validate_network)
 from test_contact import _cut_perturbations, _wall_perturbations
@@ -66,12 +66,17 @@ def _dump(doc):
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def assert_round_trip(spec, net, layout):
-    """The built network, parsed back as an explicit network, gives the
-    same bytes, report and figure; returns the two scales."""
+def _fixture_document(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def assert_round_trip(problem, spec, net, layout):
+    """The network built from the ``problem`` document (parsed: ``spec``),
+    parsed back with it as an explicit network, gives the same bytes,
+    report and figure; returns the two scales."""
     doc = schema.emit_network(net)
     parsed = schema.parse_problem(
-        dict(spec.raw, layout=doc["layout"], network=doc))
+        dict(problem, layout=doc["layout"], network=doc))
     again = parsed.network
     assert again.layout is parsed.layout
     assert _dump(schema.emit_network(again)) == _dump(doc)
@@ -94,9 +99,10 @@ def _random_depths(rng, count):
     return sorted(depths, reverse=True)
 
 
-def assert_placed_valid_at_random_depths(spec, net, rng):
-    """The reference placement at random depths, written as a problem
-    document and parsed, validates clean and builds its cover."""
+def assert_placed_valid_at_random_depths(problem, spec, net, rng):
+    """The reference placement at random depths, written into the
+    ``problem`` document (parsed: ``spec``) and parsed, validates clean
+    and builds its cover."""
     plans = builder._plan(spec.tms, spec.tms.crossing_cones)
     depths = _random_depths(rng, len(plans))
     walls_raw, cuts = reference_build_geometry(spec.disk, plans, depths)
@@ -104,7 +110,7 @@ def assert_placed_valid_at_random_depths(spec, net, rng):
              zip(rational_walls(net), walls_raw, strict=True)]
     layout_doc, network_doc = geometry_doc(cuts, walls)
     parsed = schema.parse_problem(json.loads(json.dumps(
-        dict(spec.raw, layout=layout_doc, network=network_doc))))
+        dict(problem, layout=layout_doc, network=network_doc))))
     cover = parsed.layout.cover(2)
     assert validate_network(parsed.network, parsed.tms, cover).ok
     assert reference_validate_network(parsed.network, parsed.tms, cover).ok
@@ -113,23 +119,25 @@ def assert_placed_valid_at_random_depths(spec, net, rng):
 
 @pytest.mark.parametrize("name", REALIZABLE)
 def test_fixture_placement_and_figures_match_reference(name):
-    spec = load(name)
+    problem = _fixture_document(name)
+    spec = schema.parse_problem(problem)
     if spec.tms.degree == 2:
         assert_same_placement(spec)
     net, layout = build_network(spec.tms, spec.disk)
     assert_same_arms(net)
     assert_same_figures(spec.disk, net, layout)
-    assert_round_trip(spec, net, layout)
+    assert_round_trip(problem, spec, net, layout)
 
 
 def test_generated_placement_and_figures_match_reference():
     coarser, shapes = set(), []
-    for shape, spec in generated_problems("placement", 20261019, 5):
+    for shape, problem in generated_documents("placement", 20261019, 5):
+        spec = schema.parse_problem(problem)
         assert_same_placement(spec)
         net, layout = build_network(spec.tms, spec.disk)
         assert_same_arms(net)
         assert_same_figures(spec.disk, net, layout)
-        built, parsed = assert_round_trip(spec, net, layout)
+        built, parsed = assert_round_trip(problem, spec, net, layout)
         coarser.add(parsed < built)
         shapes.append(shape)
     assert shapes[0] == (12, 12)
@@ -142,12 +150,13 @@ def test_placement_is_valid_at_random_depths():
     # (0, 1): place at seeded random ones, on every realizable rank-2
     # fixture and on generated problems up to (12, 12)
     rng = random.Random("depths")
-    specs = [load(name) for name in REALIZABLE]
-    specs = [s for s in specs if s.tms.degree == 2]
-    specs += [spec for _, spec in generated_problems("depths", 20261020, 5)]
-    for spec in specs:
+    problems = [_fixture_document(name) for name in REALIZABLE]
+    problems = [p for p in problems if p["multisection"]["degree"] == 2]
+    problems += [p for _, p in generated_documents("depths", 20261020, 5)]
+    for problem in problems:
+        spec = schema.parse_problem(problem)
         net, _ = build_network(spec.tms, spec.disk)
-        depths = assert_placed_valid_at_random_depths(spec, net, rng)
+        depths = assert_placed_valid_at_random_depths(problem, spec, net, rng)
         assert depths != [Fraction(1, 3 * 2 ** d) for d in range(len(depths))]
 
 

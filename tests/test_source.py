@@ -161,6 +161,28 @@ def test_builder_and_geom_name_no_fraction():
     assert _names("geom.py", "Fraction") == []
 
 
+def test_no_wall_is_asked_for_its_branch_point_after_the_parse():
+    # schema reads every wall's branch as an integer, so no later layer
+    # compares ``start_branch`` with None, and no error is kept for a
+    # path through a wall without a branch point
+    compared, with_none = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(getattr(o, "attr", None) == "start_branch"
+                   for o in operands):
+                compared.append(f"{path.name}:{node.lineno}")
+                if any(isinstance(o, ast.Constant) and o.value is None
+                       for o in operands):
+                    with_none.append(compared[-1])
+    assert compared
+    assert with_none == []
+    assert _names("errors.py", "PathHitsJointRegion") == []
+
+
 def _enclosing(tree, node_type, name):
     """The top-level definition ``name`` of ``tree``."""
     return next(node for node in tree.body

@@ -74,7 +74,7 @@ def flipped_sign(monkeypatch, wall_id):
         sols = enumerate_solitons(net_, w)
         if w.id == wall_id:
             sols = [Soliton(s.wall_id, s.source_sheet, s.target_sheet,
-                            s.branch_point, s.cut_index, s.turns + 1)
+                            s.cut_index, s.turns + 1)
                     for s in sols]
         return sols
 
