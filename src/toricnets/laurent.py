@@ -12,8 +12,10 @@ coprime to the entries together, and every t-free integral entry is an
 ``Fraction``s).  ``constant`` brings exact rows to that form, scaling
 rational rows once by the lcm of their denominators.  ``mat_mul`` is the
 one product: on numeric constants it multiplies ints and the two
-denominators, and reduces by one gcd, skipped when the denominator is 1.
-``det`` expands by cofactors, ``inverse`` scales the adjugate by a unit
+denominators, and reduces by one gcd, skipped when the denominator is 1;
+on rows with a ``TPoly`` entry it sums the nonzero products of each entry
+into one term dict and brings that to canonical form once.  ``det``
+expands by cofactors, ``inverse`` scales the adjugate by a unit
 determinant, and ``substitute`` is the one substitution of rational
 holonomies for t.  So two constants are equal exactly when their tuples
 are, and ``is_identity`` is one tuple comparison.
@@ -22,6 +24,9 @@ The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
 ``Fraction`` instead, so a coefficient is zero exactly when it is falsy;
 ``constant`` writes such a result as an ``int`` when it is integral.
+Inside a ``TPoly`` an integral coefficient is an ``int`` too, and only a
+non-integral one a ``Fraction``: the symbolic constants of a local system
+lie in Z[t^±], so their products run on ints.
 
 The z-twist of a toric bundle never enters a product: the construction
 holds every factor as a constant between two torus frames (see
@@ -43,6 +48,11 @@ from typing import NamedTuple
 from .errors import NotRegular, SizeMismatch
 
 
+def _entry(x):
+    """A t-free integral coefficient as an ``int``, any other as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def _tpoly(terms):
     """A TPoly around ``terms``, which must already be canonical."""
     p = object.__new__(TPoly)
@@ -50,27 +60,34 @@ def _tpoly(terms):
     return p
 
 
-def _tcanonical(acc):
+def _collected(acc):
     """Canonical coefficient from collected sums: zeros dropped, keys
-    sorted, and a t-free result returned as a Fraction."""
-    terms = {e: acc[e] for e in sorted(acc) if acc[e]}
-    if not terms:
-        return Fraction(0)
+    sorted and integral coefficients as ints; a t-free result is the
+    rational itself, an ``int`` when it is integral."""
+    terms = {e: _entry(acc[e]) for e in sorted(acc) if acc[e]}
     if len(terms) == 1:
         ((e, c),) = terms.items()
         if not any(e):
             return c
-    return _tpoly(terms)
+    return _tpoly(terms) if terms else 0
+
+
+def _tcanonical(acc):
+    """``_collected``, with a t-free result returned as a Fraction."""
+    c = _collected(acc)
+    return c if type(c) is TPoly else Fraction(c)
 
 
 class TPoly:
     """A Laurent polynomial sum of c * t^(e) with e in Z^c, c in Q.
 
     ``terms`` maps exponent tuples, all of one length c, to nonzero
-    ``Fraction`` coefficients, in sorted key order, and holds at least one
-    nonzero exponent: t-free values are plain ``Fraction``s (see the
-    module docstring).  Supports +, -, *, == with other TPolys and with
-    rationals, and ``x / m`` for a monomial m, the only units of the ring.
+    coefficients, in sorted key order: an ``int`` when it is integral, else
+    a ``Fraction``.  It holds at least one nonzero exponent: t-free values
+    are plain ``Fraction``s (see the module docstring).  Supports +, -, *,
+    == with other TPolys and with rationals, and ``x / m`` for a monomial
+    m, the only units of the ring.  A matrix product does not chain these
+    operators: ``mat_mul`` collects each entry's terms itself.
     """
 
     __slots__ = ("terms",)
@@ -78,7 +95,7 @@ class TPoly:
     @staticmethod
     def symbols(c):
         """The generators t_1, ..., t_c."""
-        return [_tpoly({tuple(int(i == k) for i in range(c)): Fraction(1)})
+        return [_tpoly({tuple(int(i == k) for i in range(c)): 1})
                 for k in range(c)]
 
     def _terms_of(self, other):
@@ -87,7 +104,7 @@ class TPoly:
             return other.terms
         if isinstance(other, (int, Fraction)):
             zero = (0,) * len(next(iter(self.terms)))
-            return {zero: Fraction(other)} if other else {}
+            return {zero: _entry(other)} if other else {}
         return None
 
     def __add__(self, other):
@@ -128,7 +145,7 @@ class TPoly:
         if len(self.terms) != 1:
             raise NotRegular(f"{self!r} is not a unit of Q[t^±]")
         ((e, c),) = self.terms.items()
-        return _tpoly({tuple(-x for x in e): 1 / c}) * other
+        return _tpoly({tuple(-x for x in e): Fraction(1, c)}) * other
 
     def __eq__(self, other):
         return isinstance(other, TPoly) and self.terms == other.terms
@@ -161,11 +178,6 @@ class Constant(NamedTuple):
     """rows / den, in the canonical form of the module docstring."""
     rows: tuple      # r x r tuple of tuples of coefficients
     den: int         # positive common denominator
-
-
-def _entry(x):
-    """A t-free integral coefficient as an ``int``, any other as it is."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _numeric(rows):
@@ -222,16 +234,48 @@ def mat_mul(a, b):
     """The product a b of two constants of one size.
 
     On int rows: the integer products, one multiply of the denominators and
-    one gcd reduction.  Rows over Q[t^±] are brought to canonical form by
-    ``constant``.
+    one gcd reduction.  With a ``TPoly`` entry: the nonzero products of
+    each entry summed into one term dict, a rational factor scaling the
+    other's terms, and brought to canonical form once (``_collected``);
+    rows that hold a ``TPoly`` over den 1 are then canonical as they are,
+    and any others go through ``constant``.
     """
     if len(a.rows) != len(b.rows):
         raise SizeMismatch(f"sizes {len(a.rows)} and {len(b.rows)} differ")
-    cols = [*zip(*b.rows)]
-    rows = tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                  for row in a.rows])
     den = a.den * b.den
-    return _reduced(rows, den) if _numeric(rows) else constant(rows, den)
+    cols = [*zip(*b.rows)]
+    if _numeric(a.rows) and _numeric(b.rows):
+        return _reduced(tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                               for row in a.rows]), den)
+    zero = next((0,) * len(next(iter(x.terms)))
+                for x in chain.from_iterable(a.rows + b.rows)
+                if type(x) is TPoly)
+    products = []
+    for row in a.rows:
+        out = []
+        for col in cols:
+            acc = {}
+            for x, y in zip(row, col):
+                if not x or not y:
+                    continue
+                if type(x) is not TPoly:
+                    x, y = y, x         # x is a TPoly if either factor is
+                if type(x) is not TPoly:
+                    acc[zero] = acc.get(zero, 0) + x * y
+                elif type(y) is not TPoly:
+                    for e, c in x.terms.items():
+                        acc[e] = acc.get(e, 0) + c * y
+                else:
+                    for e1, c1 in x.terms.items():
+                        for e2, c2 in y.terms.items():
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + c1 * c2
+            out.append(_collected(acc))
+        products.append(tuple(out))
+    products = tuple(products)
+    if den == 1 and TPoly in map(type, chain.from_iterable(products)):
+        return Constant(products, 1)
+    return constant(products, den)
 
 
 def _minor(a, i, j):

@@ -238,10 +238,12 @@ def _angle_cmp(u, v):
 
 
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
-    """True iff no two walls meet, except arms at their common branch point.
+    """True iff no two walls meet, except arms at their common start.
 
     Reads the wall pairs of the network's sweep (``net.contacts``); the
-    shared-endpoint tolerance is ``geom.polyline_pairwise_disjoint``'s.
+    shared-endpoint tolerance is ``geom.polyline_pairwise_disjoint``'s,
+    for two walls that start at the same point, whatever branch point
+    they name (condition 5 judges the names).
     """
     walls = net.walls
     for (i, j), touching in net.contacts.items():
@@ -249,7 +251,7 @@ def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
             a, b = walls[i], walls[j]
             if not geom.polyline_pairwise_disjoint(
                     a.polyline, b.polyline, touching,
-                    skip_shared_endpoints=a.start_branch == b.start_branch):
+                    skip_shared_endpoints=a.start == b.start):
                 return False
     return True
 
@@ -325,7 +327,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             # segment of cut k there
             through_branch_point |= any(
                 j == 0 and geom.on_segment(cut[0], pts[i], pts[i + 1])
-                and not (i == 0 and w.start_branch == k and cut[0] == pts[0])
+                and not (i == 0 and cut[0] == pts[0])
                 for i, j in touching)
         for si, spoke in enumerate(g.spokes):
             for i, _ in net.contacts.get((wi, first_spoke + si), ()):

@@ -34,21 +34,28 @@ exactly the identity.
 
 One ``Factors`` table per local system builds each factor and inverse on
 first use, and the n adjacent boundary steps once; every product over that
-system reads it.  The cocycle is written once, as the term lists of
-``cocycle.json``: one Laurent monomial per nonzero entry of D_j P_ij
-D_i^-1 (``KaneyamaCocycle.written``).  ``verify_bundle`` certifies exactly
-those lists, factoring them back into their constants.
+system reads it.  A wall's constant does not depend on the region where
+the wall is crossed, so the table builds one per wall and frames it in
+each region: on fan7_n7, 15 wall factors for 15 walls.  The cocycle is
+written once, as the term lists of ``cocycle.json``: one Laurent monomial
+per nonzero entry of D_j P_ij D_i^-1 (``KaneyamaCocycle.written``).
+``verify_bundle`` certifies exactly those lists, factoring them back into
+their constants.
 
 Every product of two constants is ``_product``, which does not multiply
-by the identity.  Away from the walls a boundary step is a bare spoke
-crossing, the identity constant, so the n^2 constants P_ij take only a
-few distinct values.  ``compose_steps`` and ``verify_bundle`` each keep a
-product table for one call (``functools.cache`` of ``_product``), so each
-distinct pair of constants is multiplied once, however many cone pairs
-hold it.  Constants are canonical (``laurent``): two are equal exactly
-when their tuples are, so the table returns the exact product of the
-constants it is given, and every check decides what it would decide
-multiplying each pair anew.
+by the identity, read through a product table (``functools.cache`` of
+``_product``), so each distinct pair of constants is multiplied once per
+table.  A ``Factors`` table holds one for its lifetime (``Factors.mul``):
+the branch-point loops reuse the products their cut factors took, and on
+fan7_n7 the loop check takes 20 products.  Away from the walls a boundary
+step is a bare spoke crossing, the identity constant, so the n^2
+constants P_ij take only a few distinct values.  ``compose_steps`` and
+``verify_bundle`` each keep a table for one call, so a constant costs its
+products once however many cone pairs hold it; the certificate's table
+is keyed on the constants it factored from the written terms.  Constants
+are canonical (``laurent``): two are equal exactly when their tuples are,
+so a table returns the exact product of the constants it is given, and
+every check decides what it would decide multiplying each pair anew.
 """
 from __future__ import annotations
 
@@ -124,7 +131,8 @@ def cut_factor(k, factors) -> Framed:
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
     c = inverse(_left_product(
-        factors.of(Crossing("wall", w.id, +1), region) for w in arms).const)
+        (factors.of(Crossing("wall", w.id, +1), region) for w in arms),
+        factors.mul).const)
     cut = cover.cuts[k]
     for i in range(cover.r):
         for j in range(cover.r):
@@ -139,39 +147,45 @@ def cut_factor(k, factors) -> Framed:
 class Factors:
     """The crossing factors of one local system, each built on first use.
 
-    Spoke factors are keyed by ray, cut factors by cut, wall factors by
-    wall and region; an inverse is built on the first backward crossing.
-    The n adjacent steps of the ccw boundary track, from the vertex chamber
-    of cone i to that of cone i+1, are built once too: ``step_paths`` and
-    their products ``steps``.
+    Spoke factors are keyed by ray, cut factors by cut and wall factors by
+    wall; an inverse is built on the first backward crossing.  A wall's
+    constant does not depend on the region it is crossed in: it is built
+    once, in the region of its first crossing, and framed as (C, R, R) in
+    each region R where the wall is crossed.  The n adjacent steps of the
+    ccw boundary track, from the vertex chamber of cone i to that of cone
+    i+1, are built once too: ``step_paths`` and their products ``steps``.
+    Every product over the system reads one product table, ``mul`` (see
+    the module docstring), so a branch-point loop reuses the products its
+    cut factor took.
     """
 
     def __init__(self, net, tms, cover, ls):
         self.net, self.tms, self.cover, self.ls = net, tms, cover, ls
+        self.mul = functools.cache(_product)
         self._built = {}
 
     def of(self, crossing, region) -> Framed:
         """Factor of a spoke, cut or wall ``crossing`` made from ``region``."""
         kind, index = crossing.kind, crossing.index
-        key = ((kind, index % self.tms.fan.n) if kind == "spoke" else
-               (kind, index) if kind == "cut" else (kind, index, region))
+        key = (kind, index % self.tms.fan.n if kind == "spoke" else index)
         if key not in self._built:
-            self._built[key] = self._build(key)
+            self._built[key] = self._build(key, region)
         if crossing.direction < 0:
             key += ("inv",)
             if key not in self._built:
                 f = self._built[key[:-1]]
                 self._built[key] = Framed(inverse(f.const), f.target,
                                           f.source)
-        return self._built[key]
+        f = self._built[key]
+        return f if kind != "wall" else Framed(f.const, region, region)
 
-    def _build(self, key):
+    def _build(self, key, region):
         if key[0] == "spoke":
             return semiflat_factor(key[1], self)
         if key[0] == "cut":
             return cut_factor(key[1], self)
         wall = next(w for w in self.net.walls if w.id == key[1])
-        return wall_factor(wall, key[2], self)
+        return wall_factor(wall, region, self)
 
     @functools.cached_property
     def step_paths(self):
@@ -200,18 +214,19 @@ def path_ordered(factors, path) -> Framed:
     if not path.crossings:
         region = states[0][0]
         return Framed(identity(factors.cover.r), region, region)
-    return _left_product(factors.of(crossing, region) for crossing, (region, _)
-                         in zip(path.crossings, states[:-1]))
+    return _left_product((factors.of(crossing, region)
+                          for crossing, (region, _)
+                          in zip(path.crossings, states[:-1])), factors.mul)
 
 
-def _left_product(framed):
+def _left_product(framed, mul):
     """F_k ... F_1 F_0 of a nonempty sequence F_0, ..., F_k: each later
     factor multiplies on the left, and the first is not multiplied into
-    the identity.  Only the constants are multiplied (``_product``); the
-    frames must telescope.  A factor with the identity constant, such as
-    a spoke's (Id, i-1, i) or its inverse, changes only the frame: the
-    product takes its region without a multiplication, first factor or
-    later."""
+    the identity.  Only the constants are multiplied, by ``mul``, a
+    product table of ``_product``; the frames must telescope.  A factor
+    with the identity constant, such as a spoke's (Id, i-1, i) or its
+    inverse, changes only the frame: the product takes its region without
+    a multiplication, first factor or later."""
     framed = iter(framed)
     total = next(framed)
     for f in framed:
@@ -219,7 +234,7 @@ def _left_product(framed):
             raise InvariantViolated(
                 f"a factor from region {f.source} follows a product that "
                 f"ends in region {total.target}")
-        total = Framed(_product(f.const, total.const), total.source, f.target)
+        total = Framed(mul(f.const, total.const), total.source, f.target)
     return total
 
 
@@ -288,7 +303,7 @@ def loop_identity_check(factors) -> ValidationReport:
         raise InvariantViolated(
             "the boundary loop from cone 0 is not the adjacent steps "
             "concatenated")
-    if not _closes(_left_product(factors.steps)):
+    if not _closes(_left_product(factors.steps, factors.mul)):
         report.add("loop", "boundary loop from cone 0 is not the identity",
                    ("boundary", 0))
     return report

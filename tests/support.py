@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -567,6 +568,16 @@ def ref_mat_mul(a, b):
     return out
 
 
+def ref_constant_mat_mul(a, b):
+    """The product of two ``laurent`` constants, each entry the running
+    sum of its products (``sum(map(mul, row, col))``, canonical after every
+    product and partial sum), brought to canonical form by ``constant``.
+    ``laurent.mat_mul`` must agree with it exactly, as tuples."""
+    cols = [*zip(*b.rows)]
+    return constant([[sum(map(mul, row, col)) for col in cols]
+                     for row in a.rows], a.den * b.den)
+
+
 def ref_matrix(rows):
     """A LaurentMatrix from rows of term dicts."""
     return LaurentMatrix([[LaurentPoly(t) for t in row] for row in rows])
@@ -1088,8 +1099,7 @@ def ref_polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True):
 def ref_walls_pairwise_disjoint(walls):
     for i, a in enumerate(walls):
         for b in walls[i + 1:]:
-            shared = a.start_branch is not None and \
-                a.start_branch == b.start_branch
+            shared = a.polyline[0] == b.polyline[0]
             if not ref_polyline_pairwise_disjoint(
                     list(a.polyline), list(b.polyline),
                     skip_shared_endpoints=shared):
@@ -1145,11 +1155,10 @@ def reference_validate_network(net, tms, cover):
             report.add("2", f"wall {w.id} carries a bad label {w.label}")
             bad_labels.add(w.id)
         interior_hits = 0
-        for bi, bp in enumerate(branch_points):
+        for bp in branch_points:
             for j in range(len(w.polyline) - 1):
                 if ref_on_segment(bp, w.polyline[j], w.polyline[j + 1]):
-                    if not (j == 0 and w.start_branch == bi
-                            and bp == w.start):
+                    if not (j == 0 and bp == w.start):
                         interior_hits += 1
         if interior_hits:
             report.add("5", f"wall {w.id} passes through a branch point")

@@ -468,6 +468,36 @@ def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
                                         for v in violations]
 
 
+@pytest.mark.parametrize("name, branch, violations", [
+    ("p2_n3", 5, [("5", "wall 0 names an unknown branch point 5", "0"),
+                  ("3", "branch point 0 has 2 walls, not 3", "0")]),
+    ("p2_n3", -1, [("5", "wall 0 names an unknown branch point -1", "0"),
+                   ("3", "branch point 0 has 2 walls, not 3", "0")]),
+    ("fan5_n5", 1, [("5", "wall 0 does not start at its branch point", None),
+                    ("3", "branch point 0 has 2 walls, not 3", "0"),
+                    ("3", "branch point 1 has 4 walls, not 3", "1")])])
+def test_wrong_branch_name_reports_only_the_name(name, branch, violations,
+                                                 tmp_path, capsys):
+    # wall 0 still starts at branch point 0 and meets the other walls only
+    # there: naming another branch point, or an unknown one, breaks
+    # conditions 5 and 3 by the name alone, and neither a wall passing
+    # through a branch point nor walls intersecting away from one is
+    # reported
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    spec = schema.parse_problem(data)
+    net, layout = build_network(spec.tms, spec.disk)
+    data["layout"] = schema.emit_layout(layout)
+    data["network"] = schema.emit_network(net)
+    data["network"]["walls"][0]["branch"] = branch
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--input", str(path), "--report", "json"]) == 1
+    stage = _json_stages(capsys)[-1]
+    assert (stage["name"], stage["status"]) == ("network", "fail")
+    assert [(v["condition"], v["message"], v["witness"])
+            for v in stage["detail"]["violations"]] == violations
+
+
 @pytest.mark.parametrize("command", ["nonabelianize", "verify"])
 def test_cli_run_builds_the_polygon_and_validates_once(command, tmp_path,
                                                        monkeypatch, capsys):
@@ -518,15 +548,15 @@ def test_verify_builds_each_wall_factor_once_per_system(tmp_path,
                                                          monkeypatch):
     # fan5_n5: 9 walls, all of them arms of its 3 cuts.  verify builds one
     # factor table, the symbolic one of the loop proof, whose steps the
-    # seeded cocycle evaluates.  It builds the 9 arm factors in their
-    # cuts' regions, where the branch-point loops read them again, and the
-    # 3 factors of the walls the boundary track crosses elsewhere: 12.
+    # seeded cocycle evaluates.  It builds each wall's constant once, in
+    # its cut's region, where the branch-point loop crosses it first; the
+    # boundary track frames the same constant where it crosses the wall
+    # elsewhere: 9.
     walls = count_calls(monkeypatch, nonabelian, "wall_factor")
     assert main(["verify", "--input", fx("fan5_n5"),
                  "--out", str(tmp_path)]) == 0
-    assert len(walls) == 12
-    keys = [(wall.id, region, factors) for wall, region, factors in walls]
-    assert len(set(keys)) == 12
+    assert len(walls) == 9
+    assert len({wall.id for wall, _, _ in walls}) == 9
     assert len({id(factors) for _, _, factors in walls}) == 1
 
 

@@ -19,9 +19,9 @@ import pytest
 from support import (ZERO_CONE, LaurentMatrix, LaurentPoly,
                      evaluate_coefficient, fraction_rows, max_cone,
                      near_identities, ref_add, ref_clean, ref_det,
-                     ref_identity, ref_is_identity, ref_is_invertible_on,
-                     ref_mat_mul, ref_matrix, ref_mul, ref_neg, ref_product,
-                     ref_regular_on, ref_with_entry)
+                     ref_constant_mat_mul, ref_identity, ref_is_identity,
+                     ref_is_invertible_on, ref_mat_mul, ref_matrix, ref_mul,
+                     ref_neg, ref_product, ref_regular_on, ref_with_entry)
 
 from toricnets.errors import NotRegular, SizeMismatch
 from toricnets.fans import make_fan, ray_cone
@@ -445,3 +445,109 @@ def test_evaluation_is_canonical():
     assert framed(got, [(0, 0), (1, 0)], [(0, 1), (2, 2)]) == LaurentMatrix(
         [[0, 0], [mono(-2, (2, 2)), mono(1, (1, 2))]])
     assert substitute(m, [2, 2]) == constant([[2, 0], [1, 2]])
+
+
+def rand_coefficient(rng, t):
+    """A seeded coefficient of Q[t^±]: 0, ±1, a t-free integral or
+    non-integral rational, a monomial, or a sum of up to three monomials,
+    with integral and non-integral coefficients."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice([1, -1])
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9) or 2)
+    if kind == 3:
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 5))
+    total = 0
+    for _ in range(1 if kind == 4 else rng.randint(2, 3)):
+        term = rng.choice([rng.randint(-4, 4) or 1, Fraction(
+            rng.randint(-4, 4) or 1, rng.randint(2, 4))])
+        for x in t:
+            for _ in range(rng.randint(0, 2)):
+                term = term * (x if rng.random() < 0.6 else 1 / x)
+        total = total + term
+    return total
+
+
+def tpoly_coefficients(c):
+    """The coefficients of every ``TPoly`` entry of a constant."""
+    return [v for row in c.rows for x in row if isinstance(x, TPoly)
+            for v in x.terms.values()]
+
+
+def test_symbolic_mat_mul_matches_running_sum_reference():
+    # one accumulation per entry gives exactly the constant of the running
+    # sums, canonical after every product and partial sum; and the
+    # substitution of nonzero rationals commutes with mat_mul, det and
+    # inverse
+    rng = random.Random(2025)
+    t = TPoly.symbols(2)
+    symbolic = inverted = 0
+    for _ in range(150):
+        r = rng.randint(1, 3)
+        a, b = (constant([[rand_coefficient(rng, t) for _ in range(r)]
+                          for _ in range(r)]) for _ in range(2))
+        got = mat_mul(a, b)
+        assert got == ref_constant_mat_mul(a, b)
+        assert is_canonical(got)
+        symbolic += any(isinstance(x, TPoly) for row in got.rows for x in row)
+        v = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+             for _ in t]
+        assert substitute(got, v) == mat_mul(substitute(a, v),
+                                             substitute(b, v))
+        for m in (a, b, got):
+            assert substitute(constant([[det(m)]]), v) == \
+                constant([[det(substitute(m, v))]])
+        # an invertible symbolic constant: a signed monomial permutation
+        # times a unipotent
+        perm = list(range(r))
+        rng.shuffle(perm)
+        unit = constant([[rng.choice([1, -1, 2]) * t[rng.randrange(2)]
+                          if j == perm[i] else 0 for j in range(r)]
+                         for i in range(r)])
+        unipotent = constant([[1 if i == j else
+                               rand_coefficient(rng, t) if i > j else 0
+                               for j in range(r)] for i in range(r)])
+        m = mat_mul(unit, unipotent)
+        assert m == ref_constant_mat_mul(unit, unipotent)
+        inv = inverse(m)
+        assert is_identity(mat_mul(m, inv)) and is_identity(mat_mul(inv, m))
+        assert substitute(inv, v) == inverse(substitute(m, v))
+        inverted += 1
+    assert symbolic > 100 and inverted == 150
+
+
+def test_tpoly_integral_coefficients_are_ints():
+    t1, t2 = TPoly.symbols(2)
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(100):
+        r = rng.randint(1, 3)
+        a, b = (constant([[rand_coefficient(rng, (t1, t2)) for _ in range(r)]
+                          for _ in range(r)]) for _ in range(2))
+        for c in (a, b, mat_mul(a, b)):
+            for x in tpoly_coefficients(c):
+                assert type(x) is int or \
+                    type(x) is Fraction and x.denominator != 1
+                seen.add(type(x))
+    assert seen == {int, Fraction}
+    assert all(type(x) is int for x in ((t1 + 3) * (t1 - t2)).terms.values())
+    # a TPoly built from Fraction(2) is the one built from 2
+    for two, other in [(Fraction(2) * t1, 2 * t1),
+                       (t1 + Fraction(2), t1 + 2),
+                       (t1 * Fraction(4, 2) - t2, t1 * 2 - t2)]:
+        assert two == other and hash(two) == hash(other)
+        assert repr(two) == repr(other)
+        assert [type(x) for x in two.terms.values()] == \
+            [type(x) for x in other.terms.values()]
+    assert Fraction(2) * t1 == constant([[2 * t1]]).rows[0][0]
+    # the inverse of a monomial goes through Fraction: no float
+    half = 1 / (2 * t1)
+    ((e, c),) = half.terms.items()
+    assert e == (-1, 0) and type(c) is Fraction and c == Fraction(1, 2)
+    ((e, c),) = (1 / (-t1)).terms.items()
+    assert e == (-1, 0) and type(c) is int and c == -1
+    ((e, c),) = (Fraction(3, 2) / (3 * t2)).terms.items()
+    assert e == (0, -1) and type(c) is Fraction and c == Fraction(1, 2)

@@ -595,11 +595,15 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     # inverse pairs multiply the same two constants as an earlier pair:
     # 33 products.  The loop check multiplies out the 5 branch-point loops
     # and the one boundary loop from cone 0, not one boundary loop per cone.
-    # Every product of constants starts from its first factor, and a spoke
-    # crossing (the identity constant) changes only the frame: each
-    # branch-point loop takes 3 products and each of the 5 cut factors 2,
-    # and the boundary loop is the 7 adjacent steps (27 crossings, of
-    # them 7 spokes: 13 products) composed with 6 more: 44.
+    # Every product of constants starts from its first factor, a spoke
+    # crossing (the identity constant) changes only the frame, and all the
+    # products of the check read the one product table of its factor
+    # table.  Each cut factor multiplies its 3 arm constants (2 products)
+    # and its loop reads those 2 from the table and takes 1 more; with
+    # every holonomy 2, branch points 2, 3 and 4 carry the arm constants of
+    # an earlier one, so their cuts and loops take none: 6.  The boundary
+    # loop is the 7 adjacent steps (27 crossings, of them 7 spokes: 13
+    # products, 5 of them in the table already) composed with 6 more: 20.
     from toricnets import laurent, nonabelian
     net, layout, cover = fan7_built
     ls = make_local_system(cover, [Fraction(2)] * 4)
@@ -618,17 +622,18 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
     assert len(calls) == 33
     calls.clear()
     assert loop_identity_check(Factors(net, fan7.tms, cover, ls))
-    assert len(calls) == 44
+    assert len(calls) == 20
 
 
 def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
                                                    monkeypatch):
-    # fan7_n7: 15 walls, 5 cuts, 7 spokes, and one factor table.  The 5
-    # cut factors build the 15 arm factors in their cuts' regions, where
-    # the branch-point loops read them again; the boundary track adds the
-    # 5 walls that land in region 0, away from their cuts: 20 wall
-    # factors.  Products of constants: the 44 of the loop check (pinned
-    # above), which build the 7 adjacent steps the cocycle keeps, and the
+    # fan7_n7: 15 walls, 5 cuts, 7 spokes, and one factor table.  Each
+    # wall's constant is built once, in the region of its first crossing:
+    # the branch-point loops cross the 15 arms in their cuts' regions
+    # first, and the boundary track, crossing 5 of them in region 0, away
+    # from their cuts, frames the same constants there: 15 wall factors.
+    # Products of constants: the 20 of the loop check (pinned above),
+    # which build the 7 adjacent steps the cocycle keeps, and the
     # compositions made on the first read of its matrices: 35, of which 2
     # multiply the same two constants as an earlier one and read them
     # from the composition's product table, so 33.
@@ -640,10 +645,11 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     calls["mat_mul"] = count_calls(monkeypatch, laurent, "mat_mul")
     kaneyama_cocycle(net, fan7.tms, cover, ls).written
     assert {name: len(c) for name, c in calls.items()} == {
-        "wall_factor": 20, "cut_factor": 5, "semiflat_factor": 7,
-        "mat_mul": 77}
-    assert sorted(region for w, region, _ in calls["wall_factor"]
-                  if region != cover.cut_region[w.start_branch]) == [0] * 5
+        "wall_factor": 15, "cut_factor": 5, "semiflat_factor": 7,
+        "mat_mul": 53}
+    assert sorted(w.id for w, _, _ in calls["wall_factor"]) == list(range(15))
+    assert all(region == cover.cut_region[w.start_branch]
+               for w, region, _ in calls["wall_factor"])
 
 
 def _generated_cocycle(n, big_n, key, rng):

@@ -271,9 +271,10 @@ def _is_cache(node):
 
 def test_no_product_table_outlives_its_call():
     # a product table is made per call (compose_steps, verify_bundle) and
-    # dropped with it, so none grows with the constants a process has
-    # seen: the one module-level cache is laurent.identity, keyed on the
-    # matrix size
+    # dropped with it, or per local system (the factor table's, made in
+    # Factors.__init__) and dropped with its Factors, so none grows with
+    # the constants a process has seen: the one module-level cache is
+    # laurent.identity, keyed on the matrix size
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -290,7 +291,12 @@ def test_no_product_table_outlives_its_call():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == ["laurent.py:identity"]
     tree = ast.parse((SRC / "nonabelian.py").read_text())
-    tables = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-              for node in ast.walk(fn)
+    functions = [(fn.name, fn) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)]
+    tables = [name for name, fn in functions for node in ast.walk(fn)
               if isinstance(node, ast.Call) and _is_cache(node.func)]
-    assert tables == ["compose_steps", "verify_bundle"]
+    assert sorted(tables) == ["Factors.__init__", "compose_steps",
+                              "verify_bundle"]

@@ -226,20 +226,25 @@ def test_symbolic_steps_evaluate_to_numeric_steps(instances):
 
 def flipped_track_sign(monkeypatch, wall_id):
     """Flip the soliton sign of one wall where the boundary track crosses
-    it, away from its cut, so the branch-point loops still close."""
-    true_factor = nonabelian.wall_factor
+    it, away from its cut, so the branch-point loops still close.  The
+    factor table builds a wall's constant once and frames it in each
+    region where the wall is crossed (``Factors.of``), so the flip wraps
+    that framing."""
+    true_of = Factors.of
 
-    def flipped(wall, region, factors):
-        m = true_factor(wall, region, factors)
-        if wall.id != wall_id or \
-                region == factors.cover.cut_region[wall.start_branch]:
+    def flipped(factors, crossing, region):
+        m = true_of(factors, crossing, region)
+        if crossing.kind != "wall" or crossing.index != wall_id:
+            return m
+        wall = next(w for w in factors.net.walls if w.id == wall_id)
+        if region == factors.cover.cut_region[wall.start_branch]:
             return m
         a, b = wall.label
         rows = [list(row) for row in m.const.rows]
         rows[b][a] = -rows[b][a]
         return m._replace(const=constant(rows, m.const.den))
 
-    monkeypatch.setattr(nonabelian, "wall_factor", flipped)
+    monkeypatch.setattr(Factors, "of", flipped)
 
 
 @pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan5_n5", "fan7_n7"])
