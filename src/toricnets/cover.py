@@ -139,8 +139,10 @@ class SheetedSurface:
 
     # -- topology ---------------------------------------------------------
 
+    @functools.cached_property
     def sheet_orbits(self):
-        """Connected components of the cover, as sheet-label orbits."""
+        """Connected components of the cover, as sheet-label orbits (a
+        tuple of tuples), found once."""
         parent = list(range(self.r))
 
         def find(x):
@@ -156,10 +158,10 @@ class SheetedSurface:
         orbits = {}
         for s in range(self.r):
             orbits.setdefault(find(s), []).append(s)
-        return list(orbits.values())
+        return tuple(map(tuple, orbits.values()))
 
     def component_count(self):
-        return len(self.sheet_orbits())
+        return len(self.sheet_orbits)
 
     def euler_characteristic(self):
         # chi = r * chi(disk) - sum over branch points of (r - #orbits(tau));
@@ -184,21 +186,23 @@ class GridPoints:
     """The disk model on one integer grid, and the point locators on it.
 
     ``vertices`` (ccw) and ``spokes`` (center, barycenter) are the disk
-    model's points times ``scale``, which ``DiskModel.scale`` must divide
-    (else ``InvariantViolated``), and ``mids`` each barycenter's
+    model's points times ``scale``, one ``divmod`` per coordinate, which
+    ``DiskModel.scale`` must divide (a nonzero remainder is
+    ``InvariantViolated``), and ``mids`` each barycenter's
     ``edge_position``.  Point location runs here only:
     ``interior``, ``region``, ``edge_position`` and ``half_edge``.
     ``rational`` is the rational point a grid point stands for, made only
-    to be written into a message or an artifact.
+    to be written into a message or a witness.
     """
 
     def __init__(self, disk, scale):
         def on_grid(p):
-            x, y = p[0] * scale, p[1] * scale
-            if x.denominator != 1 or y.denominator != 1:
+            x, rx = divmod(p[0].numerator * scale, p[0].denominator)
+            y, ry = divmod(p[1].numerator * scale, p[1].denominator)
+            if rx or ry:
                 raise InvariantViolated(
                     f"scale {scale} does not clear the disk model's point {p}")
-            return x.numerator, y.numerator
+            return x, y
 
         self.scale = scale
         self.vertices = tuple(map(on_grid, disk.polytope.vertices))
@@ -241,7 +245,8 @@ class GridPoints:
         a, b = self.vertices[(e - 1) % n], self.vertices[e % n]
         if not geom.on_segment(p, a, b):
             return None
-        return geom.dot(geom.sub(p, a), geom.sub(b, a))
+        (px, py), (ax, ay), (bx, by) = p, a, b
+        return (px - ax) * (bx - ax) + (py - ay) * (by - ay)
 
     def half_edge(self, p):
         """(edge, cone) of the open half-edge holding grid point p, or None.

@@ -11,7 +11,11 @@ one region per maximal cone.
 The polygon's vertices and the disk model's center and barycenters are
 exact rationals (gcd-reduced Fractions); every layout puts them on its
 integer grid (``cover.GridPoints``), where points are located and contacts
-tested.  Nothing here locates points.
+tested.  Nothing here locates points.  The polygon keeps its vertices as
+int pairs over one denominator (1, as a smooth fan's vertices are
+integral): the strict-convexity check runs on those ints, and the center
+and each edge barycenter are one int sum over one denominator (n times it,
+and 2 times it), made one Fraction per coordinate.
 """
 from __future__ import annotations
 
@@ -144,6 +148,11 @@ class Polytope:
         self.phi = phi
         self.vertices = vertices
         self.n = len(vertices)
+        # the vertices as int pairs over one denominator (1: a smooth
+        # fan's vertices are integral), which the barycenters sum
+        self._den = lcm(*(c.denominator for v in vertices for c in v))
+        self._ints = [tuple(c.numerator * (self._den // c.denominator)
+                            for c in v) for v in vertices]
 
     def vertex(self, i):
         return self.vertices[i % self.n]
@@ -153,11 +162,13 @@ class Polytope:
         return (self.vertices[(i - 1) % self.n], self.vertices[i % self.n])
 
     def edge_barycenter(self, i):
-        a, b = self.edge(i)
-        return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        n, den = self.n, 2 * self._den
+        (ax, ay), (bx, by) = self._ints[(i - 1) % n], self._ints[i % n]
+        return (Fraction(ax + bx, den), Fraction(ay + by, den))
 
     def barycenter(self):
-        return tuple(sum(c) / self.n for c in zip(*self.vertices))
+        den = self.n * self._den
+        return tuple(Fraction(sum(c), den) for c in zip(*self._ints))
 
     def __repr__(self):
         return f"Polytope({self.vertices})"
@@ -175,14 +186,14 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
     if phi.fan is not fan and phi.fan != fan:
         raise NotStrictlyConvex("support function belongs to another fan")
     n = fan.n
-    for i in range(n):
-        m = _vertex_for_cone(fan, phi, i)
-        v3 = fan.ray(i + 2)
-        if geom.dot(m, v3) <= phi[i + 2]:
+    poly = Polytope(fan, phi, [_vertex_for_cone(fan, phi, i)
+                               for i in range(n)])
+    # <m_i, v_{i+2}> > phi_{i+2}, on the int vertices over their denominator
+    for i, m in enumerate(poly._ints):
+        if geom.dot(m, fan.ray(i + 2)) <= phi[i + 2] * poly._den:
             raise NotStrictlyConvex(
                 f"support function is not strictly convex across ray {(i + 2) % n}")
-    return Polytope(fan, phi, [_vertex_for_cone(fan, phi, i)
-                               for i in range(n)])
+    return poly
 
 
 class DiskModel:

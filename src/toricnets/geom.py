@@ -11,8 +11,14 @@ the rational points: the segment-contact predicates (``orient``,
 ``on_segment``, ``proper_crossing``, ``segments_cross``,
 ``point_in_convex_polygon``) and the arm order of a branch point
 (``network.branch_point_arms``, by ``angle_less``) give the rational
-answers exactly.  A rational point is made only where a point is written
-out (``cover.GridPoints.rational``).
+answers exactly.  A rational point is made only for a message or a
+witness (``cover.GridPoints.rational``); an emitted coordinate is written
+from its grid int and the scale (``schema._points_out``).
+
+The contact predicates are straight-line kernels (Shewchuk 1997): each
+unpacks its points into ints and computes every cross product it needs
+inline, once, calling no helper but the box test ``_in_box``; the answer
+is a ``bool`` or an int sign, never a float.
 
 Point location runs on the same grid: ``cover.GridPoints`` is the only
 caller of ``point_in_convex_polygon``, finds a point's region with
@@ -64,7 +70,8 @@ def angle_less(a, b) -> bool:
 
 def orient(a, b, c):
     """Sign of the signed area of triangle abc: +1 ccw, -1 cw, 0 collinear."""
-    s = cross(sub(b, a), sub(c, a))
+    ax, ay = a
+    s = (b[0] - ax) * (c[1] - ay) - (b[1] - ay) * (c[0] - ax)
     return (s > 0) - (s < 0)
 
 
@@ -76,7 +83,9 @@ def _in_box(p, a, b) -> bool:
 
 def on_segment(p, a, b) -> bool:
     """True iff p lies on the closed segment [a, b]."""
-    return orient(a, b, p) == 0 and _in_box(p, a, b)
+    ax, ay = a
+    return ((b[0] - ax) * (p[1] - ay) == (b[1] - ay) * (p[0] - ax)
+            and _in_box(p, a, b))
 
 
 def box(p, q):
@@ -86,8 +95,14 @@ def box(p, q):
 
 def proper_crossing(p1, p2, q1, q2) -> bool:
     """True iff [p1,p2] and [q1,q2] cross at one point interior to both."""
-    return (orient(q1, q2, p1) * orient(q1, q2, p2) < 0
-            and orient(p1, p2, q1) * orient(p1, p2, q2) < 0)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, q1, q2
+    ux, uy, vx, vy = x4 - x3, y4 - y3, x2 - x1, y2 - y1
+    s1 = ux * (y1 - y3) - uy * (x1 - x3)
+    s2 = ux * (y2 - y3) - uy * (x2 - x3)
+    s3 = vx * (y3 - y1) - vy * (x3 - x1)
+    s4 = vx * (y4 - y1) - vy * (x4 - x1)
+    return ((s1 < 0 < s2 or s2 < 0 < s1)
+            and (s3 < 0 < s4 or s4 < 0 < s3))
 
 
 def segments_cross(p1, p2, q1, q2) -> bool:
@@ -99,13 +114,18 @@ def segments_cross(p1, p2, q1, q2) -> bool:
     exactly when an end of one is collinear with the other (a zero
     orientation) and in its box.
     """
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if d1 * d2 > 0:
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, q1, q2
+    ux, uy = x4 - x3, y4 - y3
+    s1 = ux * (y1 - y3) - uy * (x1 - x3)
+    s2 = ux * (y2 - y3) - uy * (x2 - x3)
+    if s1 > 0 < s2 or s1 < 0 > s2:
         return False
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return (d1 * d2 < 0 and d3 * d4 < 0
-            or not d1 and _in_box(p1, q1, q2) or not d2 and _in_box(p2, q1, q2)
-            or not d3 and _in_box(q1, p1, p2) or not d4 and _in_box(q2, p1, p2))
+    vx, vy = x2 - x1, y2 - y1
+    s3 = vx * (y3 - y1) - vy * (x3 - x1)
+    s4 = vx * (y4 - y1) - vy * (x4 - x1)
+    return ((s1 < 0 < s2 or s2 < 0 < s1) and (s3 < 0 < s4 or s4 < 0 < s3)
+            or not s1 and _in_box(p1, q1, q2) or not s2 and _in_box(p2, q1, q2)
+            or not s3 and _in_box(q1, p1, p2) or not s4 and _in_box(q2, p1, p2))
 
 
 def contacts(curves, fixed=()):
@@ -158,14 +178,15 @@ def _touch_only_at(s, seg_a, seg_b):
 
 def point_in_convex_polygon(p, vertices):
     """Location of p in a ccw convex polygon: 1 inside, 0 boundary, -1 outside."""
-    n = len(vertices)
+    x, y = p
     on_edge = False
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        o = orient(a, b, p)
-        if o < 0:
+    a = vertices[-1]
+    for b in vertices:
+        (ax, ay), (bx, by) = a, b
+        s = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        if s < 0:
             return -1
-        if o == 0 and on_segment(p, a, b):
+        if not s and _in_box(p, a, b):
             on_edge = True
+        a = b
     return 0 if on_edge else 1
-

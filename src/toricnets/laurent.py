@@ -162,8 +162,9 @@ class TPoly:
 
 
 def coefficient(x):
-    """``x`` as an exact coefficient: a TPoly as it is, else a Fraction."""
-    return x if isinstance(x, TPoly) else Fraction(x)
+    """``x`` as an exact coefficient: a TPoly or a Fraction as it is, else
+    a Fraction."""
+    return x if isinstance(x, (TPoly, Fraction)) else Fraction(x)
 
 
 def is_unit(c) -> bool:

@@ -298,10 +298,12 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     touching segment pairs: a wall may touch a cut only at a shared
     endpoint (1), cross a spoke only properly (1), and contain no branch
     point but its own start (5), which lies on the first segment of that
-    branch point's cut.  Condition 6 finds each wall's landing half-edge
-    from its grid end with ``GridPoints.half_edge`` and compares it with
-    the wall's claim (``end_edge``, ``end_cone``).  Witnesses are the
-    rational points (``GridPoints.rational``).
+    branch point's cut; a (wall, cut) pair with no touching pair is
+    skipped, as neither rule has anything to judge there.  Condition 6
+    finds each wall's landing half-edge from its grid end with
+    ``GridPoints.half_edge`` and compares it with the wall's claim
+    (``end_edge``, ``end_cone``).  Witnesses are the rational points
+    (``GridPoints.rational``).
     """
     report = ValidationReport()
     g = net.layout.grid
@@ -319,8 +321,11 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             report.add("1", f"wall {w.id} starts outside the open polygon",
                        g.rational(w.start))
         through_branch_point = False
-        for k, cut in enumerate(c.polyline for c in net.cuts):
-            touching = net.contacts.get((wi, first_cut + k), ())
+        for k, c in enumerate(net.cuts):
+            touching = net.contacts.get((wi, first_cut + k))
+            if not touching:
+                continue
+            cut = c.polyline
             if not geom.polyline_pairwise_disjoint(pts, cut, touching):
                 report.add("1", f"wall {w.id} meets a branch cut", w.id)
             # (5) a wall segment through branch point k touches the first

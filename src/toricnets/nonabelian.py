@@ -371,29 +371,45 @@ class KaneyamaCocycle:
         constant's denominator, reduced by one gcd, and (ex, ey) =
         m(lift(j, row)) - m(lift(i, col)) is the frame exponent.  A
         constant of the symbolic system has den 1, so its ``TPoly`` entries
-        are written over 1.  Tuples, so that no reader edits what
-        ``verify_bundle`` certified.
+        are written over 1.  Many pairs share a constant, so the entries
+        (row, col, num, den) of each distinct constant are written once;
+        each pair adds only its exponents.  Tuples, so that no reader
+        edits what ``verify_bundle`` certified.
         """
-        frames, written = self.frames, {}
-        for (i, j), (rows, den) in self.constants.items():
-            terms = []
-            for row, (values, (tx, ty)) in enumerate(zip(rows, frames[j])):
-                for col, (c, (sx, sy)) in enumerate(zip(values, frames[i])):
-                    if not c:
-                        continue
-                    if den == 1:
-                        num, d = c, 1
-                    else:
-                        g = gcd(c, den)
-                        num, d = c // g, den // g
-                    terms.append((row, col, num, d, tx - sx, ty - sy))
-            written[(i, j)] = tuple(terms)
+        frames, written, entries = self.frames, {}, {}
+        for (i, j), const in self.constants.items():
+            cells = entries.get(const)
+            if cells is None:
+                entries[const] = cells = _entries(const)
+            fi, fj = frames[i], frames[j]
+            written[(i, j)] = tuple(
+                (row, col, num, d, fj[row][0] - fi[col][0],
+                 fj[row][1] - fi[col][1])
+                for row, col, num, d in cells)
         return written
 
     def evaluated(self, values):
         """The cocycle with t_k replaced by ``values[k - 1]`` in each step."""
         return replace(self, steps=tuple(substitute(s, values)
                                          for s in self.steps))
+
+
+def _entries(const):
+    """(row, col, num, den) of each nonzero entry of a constant, in (row,
+    col) order, with num/den the entry over the constant's denominator
+    reduced by one gcd."""
+    rows, den = const
+    cells = []
+    for row, values in enumerate(rows):
+        for col, c in enumerate(values):
+            if not c:
+                continue
+            if den == 1:
+                cells.append((row, col, c, 1))
+            else:
+                g = gcd(c, den)
+                cells.append((row, col, c // g, den // g))
+    return cells
 
 
 def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
@@ -519,7 +535,7 @@ def _factored(coc, report):
         rows = tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)])
         constants[(i, j)] = (constant(rows, den) if symbolic
                              else Constant(rows, den))
-    anchor = {s: min(orbit) for orbit in coc.cover.sheet_orbits()
+    anchor = {s: min(orbit) for orbit in coc.cover.sheet_orbits
               for s in orbit}
     for i in range(n):
         unjoined = [s for s in range(r)

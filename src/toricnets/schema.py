@@ -13,8 +13,8 @@ A document's layout and network are parsed together onto one integer
 grid, the least one holding the disk model and every cut and wall point,
 which may be coarser than the builder's (every predicate and drawn
 coordinate is scale-invariant).  Cuts and walls are int tuples there, as
-the builder's are; emitting writes each grid point as its rational point
-(``GridPoints.rational``).
+the builder's are; emitting writes each grid coordinate c as the rational
+c / scale, reduced by one gcd, with no Fraction made.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .cover import BranchCutLayout, Cut
 from .errors import ParseError, SchemaError
@@ -89,7 +89,18 @@ def _on_grid(poly, scale):
 
 
 def _points_out(points, grid):
-    return [[str(c) for c in grid.rational(p)] for p in points]
+    """Each grid point's coordinates as the strings of its rational point
+    (``GridPoints.rational``): c/scale reduced by one gcd, "num/den", or
+    "num" over 1."""
+    scale = grid.scale
+    out = []
+    for p in points:
+        row = []
+        for c in p:
+            g = gcd(c, scale)
+            row.append(str(c // g) if g == scale else f"{c // g}/{scale // g}")
+        out.append(row)
+    return out
 
 
 @dataclass

@@ -20,7 +20,7 @@ from toricnets.cover import (Crossing, Cut, SheetedSurface, SurfacePath,
                              sheet_lift_map)
 from toricnets.errors import (InvalidPath, NotRegular, NotSupported,
                               SizeMismatch, UnknownCone)
-from toricnets.geom import cross, dot, point_in_convex_polygon, sub
+from toricnets.geom import cross, dot, sub
 from toricnets.laurent import TPoly, constant, identity, substitute
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
@@ -701,7 +701,7 @@ def reference_verify_bundle(coc, tms):
                                    f"exponents {list(terms)}, not the frame "
                                    f"exponent {frame}", (i, j, row, col))
     reached = {}
-    for orbit in coc.cover.sheet_orbits():
+    for orbit in coc.cover.sheet_orbits:
         anchor = (0, min(orbit))
         seen, todo = {anchor}, [anchor]
         while todo:
@@ -760,7 +760,7 @@ def reference_verify_bundle(coc, tms):
 
 def contains(poly, p):
     """1 interior, 0 boundary, -1 outside."""
-    return point_in_convex_polygon(p, poly.vertices)
+    return ref_point_in_convex_polygon(p, poly.vertices)
 
 
 def _direction_in_sector(a, b, d):
@@ -1071,6 +1071,15 @@ def ref_segments_cross(p1, p2, q1, q2):
     return False
 
 
+def ref_point_in_convex_polygon(p, vertices):
+    """1 interior, 0 boundary, -1 outside, for a ccw convex polygon."""
+    edges = [(vertices[i], vertices[(i + 1) % len(vertices)])
+             for i in range(len(vertices))]
+    if any(ref_orient(a, b, p) < 0 for a, b in edges):
+        return -1
+    return 0 if any(ref_on_segment(p, a, b) for a, b in edges) else 1
+
+
 def ref_polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True):
     shared = set()
     if skip_shared_endpoints:
@@ -1107,7 +1116,7 @@ def ref_walls_pairwise_disjoint(walls):
     return True
 
 
-def _ref_proper_crossing(a1, a2, b1, b2):
+def ref_proper_crossing(a1, a2, b1, b2):
     d1 = ref_orient(b1, b2, a1)
     d2 = ref_orient(b1, b2, a2)
     d3 = ref_orient(a1, a2, b1)
@@ -1146,7 +1155,7 @@ def reference_validate_network(net, tms, cover):
             for j in range(len(w.polyline) - 1):
                 a, b = w.polyline[j], w.polyline[j + 1]
                 if ref_segments_cross(a, b, s1, s2) and \
-                        not _ref_proper_crossing(a, b, s1, s2):
+                        not ref_proper_crossing(a, b, s1, s2):
                     report.add("1",
                                f"wall {w.id} meets the spoke of ray {si} "
                                "non-transversely", si)

@@ -1,4 +1,11 @@
-"""The one contact query against the all-pairs reference.
+"""The contact kernels and the one contact query against the references.
+
+The predicates of ``geom`` (``orient``, ``on_segment``,
+``proper_crossing``, ``segments_cross``, ``point_in_convex_polygon``) are
+straight-line int arithmetic; ``support``'s ``ref_*`` predicates compute
+the same orientations through plain helper formulas.  On seeded random int
+points, small and up to 70 bits, with every degenerate kind built in, the
+kernels must answer as the references do, in the same types.
 
 ``geom.contacts`` sweeps every segment of a list of polylines once and
 tests exactly only the pairs whose boxes meet; ``support.ref_segments_cross``
@@ -13,10 +20,13 @@ from itertools import permutations, product
 
 import pytest
 
-from support import ref_polyline_pairwise_disjoint, ref_segments_cross
+from support import (ref_on_segment, ref_orient,
+                     ref_point_in_convex_polygon, ref_polyline_pairwise_disjoint,
+                     ref_proper_crossing, ref_segments_cross)
 
-from toricnets.geom import (contacts, polyline_pairwise_disjoint,
-                            segments_cross)
+from toricnets.geom import (contacts, on_segment, orient,
+                            point_in_convex_polygon, polyline_pairwise_disjoint,
+                            proper_crossing, segments_cross)
 
 
 def _reference_pairs(a, b):
@@ -111,3 +121,90 @@ def test_segments_cross_matches_reference_on_a_small_grid():
             assert segments_cross(p1, p2, q1, q2) == want
             crossing += want
     assert 0 < crossing < len(segments) ** 2
+
+
+def _segment_pairs(rng, bits):
+    """A seeded segment pair (p1, p2, q1, q2) with coordinates below
+    2**bits: random, or built to be collinear and overlapping, vertical,
+    sharing an endpoint, or T-touching (an end inside the other)."""
+    def point():
+        return (rng.randrange(-2 ** bits, 2 ** bits),
+                rng.randrange(-2 ** bits, 2 ** bits))
+
+    def along(a, d, k):
+        return (a[0] + k * d[0], a[1] + k * d[1])
+
+    kind = rng.choice(("random", "collinear", "vertical", "shared", "T"))
+    p1, p2, q1, q2 = point(), point(), point(), point()
+    d = (rng.randrange(-2 ** (bits // 2), 2 ** (bits // 2)) or 1,
+         rng.randrange(-2 ** (bits // 2), 2 ** (bits // 2)))
+    if kind == "collinear":
+        ks = [rng.randint(-4, 4) for _ in range(4)]
+        p1, p2, q1, q2 = (along(p1, d, k) for k in ks)
+    elif kind == "vertical":
+        x = p1[0]
+        p2, q1, q2 = (x, p2[1]), (x + rng.randint(-1, 1), q1[1]), (x, q2[1])
+    elif kind == "shared":
+        q1 = rng.choice((p1, p2))
+    elif kind == "T":
+        p2 = along(p1, d, rng.randint(2, 6))
+        q1 = along(p1, d, rng.randint(-1, 7))
+    points = [p1, p2, q1, q2]
+    if rng.random() < 0.2:
+        rng.shuffle(points)
+    return kind, points
+
+
+@pytest.mark.parametrize("bits", [3, 20, 70])
+def test_kernels_match_the_references(bits):
+    rng = random.Random(f"kernels:{bits}")
+    seen = set()
+    for _ in range(4000):
+        kind, (p1, p2, q1, q2) = _segment_pairs(rng, bits)
+        if p1 == p2 or q1 == q2:
+            continue
+        o = orient(p1, p2, q1)
+        assert type(o) is int and o == ref_orient(p1, p2, q1)
+        on = on_segment(q1, p1, p2)
+        assert type(on) is bool and on == ref_on_segment(q1, p1, p2)
+        proper = proper_crossing(p1, p2, q1, q2)
+        assert type(proper) is bool
+        assert proper == ref_proper_crossing(p1, p2, q1, q2)
+        cross = segments_cross(p1, p2, q1, q2)
+        assert type(cross) is bool
+        assert cross == ref_segments_cross(p1, p2, q1, q2)
+        seen.add((kind, o, on, proper, cross))
+    # every degenerate kind occurs, touching and apart
+    assert {k for k, *_ in seen} == {"random", "collinear", "vertical",
+                                     "shared", "T"}
+    assert {(o, on, cross) for _, o, on, _, cross in seen} >= {
+        (0, True, True), (0, False, False), (0, False, True),
+        (1, False, False), (-1, False, True)}
+    assert {proper for *_, proper, _ in seen} == {True, False}
+
+
+@pytest.mark.parametrize("bits", [3, 70])
+def test_point_in_convex_polygon_matches_the_reference(bits):
+    # a convex lattice polygon scaled by a large factor and shifted, and
+    # points inside, outside, at vertices and along (and beyond) edges
+    rng = random.Random(f"polygon:{bits}")
+    shape = [(0, 0), (4, -1), (7, 1), (6, 5), (2, 6), (-1, 3)]
+    found = set()
+    for _ in range(300):
+        k = rng.randrange(1, 2 ** bits)
+        o = (rng.randrange(-2 ** bits, 2 ** bits),
+             rng.randrange(-2 ** bits, 2 ** bits))
+        vertices = [(o[0] + 6 * k * x, o[1] + 6 * k * y) for x, y in shape]
+        for _ in range(20):
+            a, b = rng.sample(vertices, 2)
+            t = rng.randint(-2, 8)
+            p = rng.choice((
+                (a[0] + (b[0] - a[0]) * t // 6, a[1] + (b[1] - a[1]) * t // 6),
+                (o[0] + rng.randint(-6 * k, 48 * k),
+                 o[1] + rng.randint(-12 * k, 42 * k)),
+                a))
+            where = point_in_convex_polygon(p, vertices)
+            assert type(where) is int
+            assert where == ref_point_in_convex_polygon(p, vertices)
+            found.add(where)
+    assert found == {-1, 0, 1}

@@ -14,18 +14,27 @@ and ``GridPoints.half_edge`` must agree with the reference edge parameter
 and half-edge search on every edge of the same disk models, for vertices,
 barycenters, quarter points, seeded points of each edge, and points just
 inside and just outside it.
+
+The disk model's center and barycenters, each one int sum over one
+denominator, must equal the ``Fraction`` formulas (vertex sums divided by
+n and by 2), and the grid must hold them times the scale; an emitted
+coordinate, one gcd with the scale, must read as ``str(Fraction(c,
+scale))``.
 """
 import random
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 from support import (FIXTURES, edge_parameter, generated_problems,
                      half_edge_of_boundary_point, lerp, load, rational,
-                     region_of_interior_point)
+                     region_of_interior_point, skewed_fan_and_support)
 
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
 from toricnets.errors import NotRealizable, UnknownCone
+from toricnets.fans import SupportFunction, disk_model, dual_polytope
+from toricnets.schema import _points_out
 
 
 def _on_one_grid(disk, points):
@@ -172,3 +181,53 @@ def test_grid_half_edges_match_fraction_reference():
     assert seen == {(kind, on) for kind in ("vertex", "barycenter", "edge")
                     for on in (False, True)} | {("inside", True),
                                                 ("outside", True)}
+
+
+def _blowup_disks():
+    """The disk models of seeded skewed blow-up fans, 3 to 12 rays."""
+    rng = random.Random("int disk")
+    for n in [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] * 2:
+        fan, values = skewed_fan_and_support(rng, n)
+        poly = dual_polytope(fan, SupportFunction(fan, values))
+        yield fan.rays, disk_model(fan, poly)
+
+
+def test_int_disk_model_matches_the_fraction_formulas():
+    disks = list(_disks()) + list(_blowup_disks())
+    scales = set()
+    for name, disk in disks:
+        vertices, n = disk.polytope.vertices, disk.fan.n
+        center = tuple(sum(c) / n for c in zip(*vertices))
+        assert disk.center == center, name
+        for i in range(n):
+            a, b = vertices[(i - 1) % n], vertices[i]
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            assert disk.spoke(i) == (center, mid), (name, i)
+        points = [p for i in range(n) for p in disk.spoke(i)] + vertices
+        assert all(type(c) is Fraction for p in points for c in p)
+        assert disk.scale == lcm(*(c.denominator for p in points for c in p))
+        scales.add(disk.scale)
+        for scale in (disk.scale, 3 * disk.scale):
+            g = GridPoints(disk, scale)
+            assert g.vertices == tuple((int(x * scale), int(y * scale))
+                                       for x, y in vertices)
+            assert g.spokes == tuple(
+                tuple((int(x * scale), int(y * scale)) for x, y in spoke)
+                for spoke in map(disk.spoke, range(n)))
+    # centers over 2, 3, 4, ... and both parities of n occur
+    assert len(scales) > 4
+
+
+def test_points_out_writes_each_rational_point():
+    rng = random.Random("points out")
+    for scale in [1, 2, 3, 12, 2 ** 40 * 3 ** 5, rng.randrange(1, 10 ** 9)]:
+        points = [(0, 0), (scale, -scale), (-1, 1)] + [
+            (rng.randint(-10 ** 12, 10 ** 12), rng.randint(-3, 3) * scale)
+            for _ in range(200)]
+        assert _points_out(points, SimpleNamespace(scale=scale)) == [
+            [str(Fraction(c, scale)) for c in p] for p in points]
+    for name, spec, layout in _layouts():
+        if layout is not None:
+            points = [p for c in layout.cuts for p in c.polyline]
+            assert _points_out(points, layout.grid) == [
+                [str(c) for c in layout.grid.rational(p)] for p in points]

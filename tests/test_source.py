@@ -191,9 +191,9 @@ def _enclosing(tree, node_type, name):
 
 def test_rational_points_are_made_only_in_schema_and_grid_rational():
     # after parsing, every cut and wall point is an int pair on its
-    # layout's grid: a rational point is made again only where a point is
-    # written out, by cover.GridPoints.rational (messages, witnesses and
-    # schema's emitters).  Besides schema's reader and the disk model
+    # layout's grid: a rational point is made again only for a message or
+    # a witness, by cover.GridPoints.rational; schema's emitters write
+    # num/den from the grid ints.  Besides schema's reader and the disk model
     # (fans), Fraction is named only for coefficients: laurent, cli's
     # holonomies and cover's local systems
     naming = sorted(path.name for path in SRC.glob("*.py")
@@ -217,6 +217,24 @@ def test_rational_points_are_made_only_in_schema_and_grid_rational():
         emit = _enclosing(tree, ast.FunctionDef, name)
         assert not any(isinstance(node, ast.Name) and node.id == "Fraction"
                        for node in ast.walk(emit)), name
+    # the emitter writes num/den from one gcd with the scale: it neither
+    # makes a Fraction nor asks the grid for its rational point
+    calls = {_called_name(node) for node in
+             ast.walk(_enclosing(tree, ast.FunctionDef, "_points_out"))
+             if isinstance(node, ast.Call)}
+    assert "gcd" in calls and not calls & {"Fraction", "rational"}
+
+
+def test_contact_kernels_are_straight_line():
+    # each orientation is computed inline on unpacked ints: the kernels
+    # call no helper (orient, sub, cross) but the box test and min/max
+    tree = ast.parse((SRC / "geom.py").read_text())
+    for name in ("orient", "on_segment", "proper_crossing", "segments_cross",
+                 "point_in_convex_polygon"):
+        fn = _enclosing(tree, ast.FunctionDef, name)
+        calls = {_called_name(node) for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)}
+        assert calls <= {"_in_box", "min", "max"}, (name, calls)
 
 
 def test_nonabelian_names_no_fraction():
