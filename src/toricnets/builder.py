@@ -103,8 +103,8 @@ any depth's denominator, 3 * 2^d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
@@ -133,8 +133,7 @@ def _label_from_slopes(tms, cover, cone, edge):
 QUARTER, HALF, THREE_QUARTERS = (1, 4), (1, 2), (3, 4)
 
 
-@dataclass
-class _YPlan:
+class _YPlan(NamedTuple):
     depth_index: int
     w1_edge: int         # the first arm lands at w1_t of this edge
     w1_t: tuple          # in (1/2, 3/4): 1/2 + (d+1)/(4(count+1))

@@ -39,8 +39,8 @@ identity (see ``toricnets.nonabelian``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
@@ -49,8 +49,7 @@ from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
 from .laurent import coefficient
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """Branch cut: polyline from a branch point to an edge barycenter."""
     polyline: tuple           # grid points on the layout's grid,
                               # [branch point, ..., barycenter]
@@ -70,19 +69,22 @@ class Cut:
         return max(self.transposition)
 
 
-@dataclass(frozen=True)
-class BranchCutLayout:
+class _LayoutFields(NamedTuple):
+    disk: object              # the DiskModel the cuts are drawn on
+    cuts: tuple               # Cut, one per branch point
+    scale: int                # the grid: every point times it is an int pair
+
+
+class BranchCutLayout(_LayoutFields):
     """Cuts on a disk model, one per branch point, in branch-point order.
 
     Every point of the cuts, and of the walls of a network on the layout,
     is an int pair: the rational point times ``scale``.  Its derived facts
     are computed once, on first use: the branch points, the disk model on
     the same grid (``grid``), which every cover built on the layout reads,
-    and the region of each cut, located on that grid.
+    and the region of each cut, located on that grid.  The fields are a
+    read-only ``NamedTuple``; this subclass's ``__dict__`` holds the facts.
     """
-    disk: object              # the DiskModel the cuts are drawn on
-    cuts: tuple               # Cut, one per branch point
-    scale: int                # the grid: every point times it is an int pair
 
     @functools.cached_property
     def branch_points(self):
@@ -328,15 +330,13 @@ def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
 
 # -- paths and transport ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     kind: str        # 'spoke' | 'cut' | 'wall'
     index: int       # spoke/ray index, cut index, or wall index
     direction: int   # +1 right-to-left of the oriented curve, -1 reverse
 
 
-@dataclass
-class SurfacePath:
+class SurfacePath(NamedTuple):
     """Combinatorial path on the cover.
 
     The path starts at a basepoint on a given sheet inside a given region
@@ -347,7 +347,7 @@ class SurfacePath:
     """
     start_region: int
     start_sheet: int
-    crossings: list = field(default_factory=list)
+    crossings: tuple = ()     # Crossing, in order (a list or a tuple)
     turns: int | None = None
 
     def states(self, cover):

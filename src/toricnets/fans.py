@@ -11,11 +11,11 @@ one region per maximal cone.
 The polygon's vertices and the disk model's center and barycenters are
 exact rationals (gcd-reduced Fractions); every layout puts them on its
 integer grid (``cover.GridPoints``), where points are located and contacts
-tested.  Nothing here locates points.  The polygon keeps its vertices as
-int pairs over one denominator (1, as a smooth fan's vertices are
-integral): the strict-convexity check runs on those ints, and the center
-and each edge barycenter are one int sum over one denominator (n times it,
-and 2 times it), made one Fraction per coordinate.
+tested.  Nothing here locates points.  Strict convexity is decided on
+each vertex's integer solve, before any Fraction is made.  The polygon
+keeps its vertices as int pairs over one denominator (1 on a smooth fan):
+the center and each edge barycenter are one int sum over one denominator
+(n times it, and 2 times it), made one Fraction per coordinate.
 """
 from __future__ import annotations
 
@@ -124,17 +124,6 @@ class SupportFunction:
         return self.values[i % self.fan.n]
 
 
-def _vertex_for_cone(fan: Fan, phi: SupportFunction, i):
-    """Solve <x, v_i> = phi_i, <x, v_{i+1}> = phi_{i+1} (unimodular system)."""
-    v1 = fan.ray(i)
-    v2 = fan.ray(i + 1)
-    det = geom.cross(v1, v2)  # == 1 for a smooth fan
-    a, b = phi[i], phi[i + 1]
-    x = Fraction(a * v2[1] - b * v1[1], det)
-    y = Fraction(b * v1[0] - a * v2[0], det)
-    return (x, y)
-
-
 class Polytope:
     """The lattice polygon dual to (fan, support function).
 
@@ -185,15 +174,26 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
     """
     if phi.fan is not fan and phi.fan != fan:
         raise NotStrictlyConvex("support function belongs to another fan")
-    n = fan.n
-    poly = Polytope(fan, phi, [_vertex_for_cone(fan, phi, i)
-                               for i in range(n)])
-    # <m_i, v_{i+2}> > phi_{i+2}, on the int vertices over their denominator
-    for i, m in enumerate(poly._ints):
-        if geom.dot(m, fan.ray(i + 2)) <= phi[i + 2] * poly._den:
+    n, rays, values = fan.n, fan.rays, phi.values
+    # vertex i solves <x, v_i> = phi_i, <x, v_{i+1}> = phi_{i+1}: it is
+    # (X, Y) / det with det = v_i x v_{i+1} (1 on a smooth fan)
+    solved = []
+    for (ax, ay), (bx, by), a, b in zip(rays, rays[1:] + rays[:1], values,
+                                        values[1:] + values[:1]):
+        det = ax * by - ay * bx
+        x, y = a * by - b * ay, b * ax - a * bx
+        if not det:  # a Fan built without make_fan; as Fraction(x, 0)
+            raise ZeroDivisionError(f"Fraction({x}, 0)")
+        solved.append((x, y, det))
+    # <(X, Y) / det, v_{i+2}> > phi_{i+2}, decided on the ints
+    for i, ((x, y, det), (cx, cy), c) in enumerate(zip(
+            solved, rays[2:] + rays[:2], values[2:] + values[:2])):
+        lhs, rhs = x * cx + y * cy, c * det
+        if (lhs <= rhs) if det > 0 else (lhs >= rhs):
             raise NotStrictlyConvex(
                 f"support function is not strictly convex across ray {(i + 2) % n}")
-    return poly
+    return Polytope(fan, phi, [(Fraction(x, det), Fraction(y, det))
+                               for x, y, det in solved])
 
 
 class DiskModel:

@@ -18,30 +18,27 @@ the cyclic ray sequence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import geom
 from .errors import NotTwoFold, SlopeTie
 from .reporting import ValidationReport
 
 
-@dataclass(frozen=True)
-class LiftedCone:
+class LiftedCone(NamedTuple):
     id: str
     base: int            # index of the base maximal cone
     slope: tuple         # lattice vector in M, two ints
 
 
-@dataclass(frozen=True)
-class LiftedRay:
+class LiftedRay(NamedTuple):
     ray: int             # base ray index; links cones (ray-1) and (ray)
     src: str             # lift of maximal cone ray-1
     dst: str             # lift of maximal cone ray
 
 
-@dataclass(frozen=True)
-class CoverClass:
+class CoverClass(NamedTuple):
     tag: str             # 'O' or 'E'
     cycles: tuple        # cyclic sequences of lifted-cone ids
 
@@ -244,8 +241,7 @@ def intersection_cones(tms: TropicalMultiSection):
                    if (diffs[k] > 0) != (diffs[(k + 1) % m] > 0)})
 
 
-@dataclass(frozen=True)
-class RealizabilityResult:
+class RealizabilityResult(NamedTuple):
     parity_ok: bool
     realizable: bool
     betti_one: int | None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geom
 from .cover import Crossing, SurfacePath
@@ -34,8 +34,7 @@ from .errors import NoSharedLift, NotSupported
 from .reporting import ValidationReport
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     id: int
     polyline: tuple          # grid points on the layout's grid, start -> end
     label: tuple             # (source sheet, target sheet), solitons a -> b
@@ -101,8 +100,7 @@ class SpectralNetwork:
         return [w for w in self.walls if w.start_branch == b]
 
 
-@dataclass(frozen=True)
-class TrackEvent:
+class TrackEvent(NamedTuple):
     """One crossing of the near-boundary ccw track."""
     key: tuple               # (edge, position, tier) ccw sort key
     kind: str                # 'wall' | 'spoke' | 'cut'
@@ -201,8 +199,7 @@ def boundary_loop(net: SpectralNetwork, base_cone, ccw=True) -> SurfacePath:
 
 # -- solitons ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Soliton:
+class Soliton(NamedTuple):
     wall_id: int
     source_sheet: int
     target_sheet: int

@@ -60,7 +60,6 @@ every check decides what it would decide multiplying each pair anew.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple
@@ -328,7 +327,6 @@ def compose_steps(steps, r):
     return dict(sorted(constants.items()))
 
 
-@dataclass
 class KaneyamaCocycle:
     """A Kaneyama cocycle, held as the constants of its n adjacent steps.
 
@@ -343,10 +341,11 @@ class KaneyamaCocycle:
     evaluates, step by step, to the cocycle of every rational system
     (``evaluated``).
     """
-    tms: object
-    cover: object
-    steps: tuple         # P_{i,i+1} for i = 0, ..., n-1
-    lift: dict           # (region, sheet) -> lifted-cone id, the map used
+
+    def __init__(self, tms, cover, steps, lift):
+        self.tms, self.cover = tms, cover
+        self.steps = steps   # P_{i,i+1} for i = 0, ..., n-1
+        self.lift = lift     # (region, sheet) -> lifted-cone id, the map used
 
     @functools.cached_property
     def frames(self):
@@ -390,8 +389,8 @@ class KaneyamaCocycle:
 
     def evaluated(self, values):
         """The cocycle with t_k replaced by ``values[k - 1]`` in each step."""
-        return replace(self, steps=tuple(substitute(s, values)
-                                         for s in self.steps))
+        steps = tuple(substitute(s, values) for s in self.steps)
+        return KaneyamaCocycle(self.tms, self.cover, steps, self.lift)
 
 
 def _entries(const):

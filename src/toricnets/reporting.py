@@ -1,11 +1,10 @@
 """Report containers used by the validators and the CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     message: str
     witness: object = None
@@ -15,9 +14,14 @@ class Violation:
                 "witness": repr(self.witness) if self.witness is not None else None}
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __init__(self, violations=None):
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.violations == other.violations
 
     def add(self, condition, message, witness=None):
         self.violations.append(Violation(condition, message, witness))

@@ -19,7 +19,6 @@ c / scale, reduced by one gcd, with no Fraction made.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -103,14 +102,16 @@ def _points_out(points, grid):
     return out
 
 
-@dataclass
 class ProblemSpec:
-    fan: Fan
-    phi: SupportFunction
-    tms: TropicalMultiSection | None = None
-    holonomies: list = field(default_factory=list)
-    network: SpectralNetwork | None = None
-    layout: BranchCutLayout | None = None
+    """A parsed problem document (``parse_problem``)."""
+
+    def __init__(self, fan: Fan, phi: SupportFunction,
+                 tms: TropicalMultiSection | None = None, holonomies=None,
+                 network: SpectralNetwork | None = None,
+                 layout: BranchCutLayout | None = None):
+        self.fan, self.phi, self.tms = fan, phi, tms
+        self.holonomies = [] if holonomies is None else holonomies
+        self.network, self.layout = network, layout
 
     # the fan and the support function are fixed once parsed, so the
     # polygon and the disk model are built once, on first use

@@ -6,10 +6,10 @@ import importlib.util
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +25,7 @@ from toricnets.laurent import TPoly, constant, identity, substitute
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
-from toricnets.nonabelian import Factors, loop_identity_check
+from toricnets.nonabelian import Factors, KaneyamaCocycle, loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -61,13 +61,13 @@ def rational(layout, points):
 
 def rational_cuts(layout):
     """The cuts of ``layout`` with ``Fraction`` polylines."""
-    return tuple(replace(c, polyline=rational(layout, c.polyline))
+    return tuple(c._replace(polyline=rational(layout, c.polyline))
                  for c in layout.cuts)
 
 
 def rational_walls(net):
     """The walls of ``net`` with ``Fraction`` polylines."""
-    return tuple(replace(w, polyline=rational(net.layout, w.polyline))
+    return tuple(w._replace(polyline=rational(net.layout, w.polyline))
                  for w in net.walls)
 
 
@@ -384,6 +384,31 @@ def brute_force_polytope_vertices(fan, phi):
                    for k in range(n)):
                 pts.add((x, y))
     return pts
+
+
+def ref_dual_polytope(fan, phi):
+    """``fans.dual_polytope`` on Fractions: every vertex is solved as a
+    Fraction pair first, put over the lcm of the denominators, and strict
+    convexity is then checked on those int pairs."""
+    if phi.fan is not fan and phi.fan != fan:
+        raise errors.NotStrictlyConvex(
+            "support function belongs to another fan")
+    n = fan.n
+    vertices = []
+    for i in range(n):
+        v1, v2 = fan.ray(i), fan.ray(i + 1)
+        det = cross(v1, v2)
+        a, b = phi[i], phi[i + 1]
+        vertices.append((Fraction(a * v2[1] - b * v1[1], det),
+                         Fraction(b * v1[0] - a * v2[0], det)))
+    den = lcm(*(c.denominator for v in vertices for c in v))
+    for i, v in enumerate(vertices):
+        m = tuple(c.numerator * (den // c.denominator) for c in v)
+        if dot(m, fan.ray(i + 2)) <= phi[i + 2] * den:
+            raise errors.NotStrictlyConvex(
+                "support function is not strictly convex across ray "
+                f"{(i + 2) % n}")
+    return fans.Polytope(fan, phi, vertices)
 
 
 def emit_matrix(m):
@@ -1376,7 +1401,7 @@ def with_matrices(coc, mats):
     """A copy of a cocycle whose written terms are those of the
     LaurentMatrix values ``mats`` (``emit_matrix``), in their order,
     instead of the ones its steps compose to."""
-    out = replace(coc)
+    out = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
     out.written = {k: emit_matrix(m) for k, m in mats.items()}
     return out
 

@@ -11,7 +11,6 @@ network with ``Fraction`` points off the built layout's grid and read back
 by ``schema`` (``support.on_grid``), which puts both on one grid.
 """
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -95,14 +94,14 @@ def test_generated_networks_match_reference(monkeypatch):
 def _replace_wall(net, index, polyline):
     """``net`` with wall ``index`` moved onto ``Fraction`` points."""
     walls = list(rational_walls(net))
-    walls[index] = replace(walls[index], polyline=tuple(polyline))
+    walls[index] = walls[index]._replace(polyline=tuple(polyline))
     return edited_network(net, walls=walls)
 
 
 def _replace_cut(net, k, polyline):
     """``net``'s cuts, with cut k moved onto ``Fraction`` points."""
     cuts = list(rational_cuts(net.layout))
-    cuts[k] = replace(cuts[k], polyline=tuple(polyline))
+    cuts[k] = cuts[k]._replace(polyline=tuple(polyline))
     return tuple(cuts)
 
 

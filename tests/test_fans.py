@@ -6,12 +6,13 @@ import pytest
 
 from support import (ZERO_CONE, barycentric_boundary,
                      brute_force_polytope_vertices, dual_cell, locate,
-                     max_cone, region_of_interior_point, region_polygon)
+                     max_cone, perfbench_gen, ref_dual_polytope,
+                     region_of_interior_point, region_polygon)
 
 from toricnets.errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                               NotStrictlyConvex, UnknownCone)
 from toricnets.geom import dot
-from toricnets.fans import (SupportFunction, disk_model, dual_polytope,
+from toricnets.fans import (Fan, SupportFunction, disk_model, dual_polytope,
                             make_fan, ray_cone)
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
@@ -110,6 +111,46 @@ def test_dual_polytope_vertices_satisfy_every_half_plane():
         assert len(set(poly.vertices)) == fan.n
         assert set(poly.vertices) == brute_force_polytope_vertices(fan, phi)
     assert accepted >= 300 and rejected >= 300
+
+
+def _polytope_outcome(build, fan, phi):
+    """The vertices ``build`` returns, or the type and message it raises."""
+    try:
+        return build(fan, phi).vertices
+    except (NotStrictlyConvex, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_dual_polytope_matches_the_fraction_reference():
+    # the integer-first check against the Fraction/lcm reference: balanced
+    # blow-up fans (the benchmark's) at K around the accepting one, with
+    # jitter, and fans built without make_fan: every cone of det 2, a det 0
+    # cone after cones that may reject, every cone of det -1 (clockwise)
+    rng = random.Random(20261020)
+    gen = perfbench_gen()
+    accepted = 0
+    for _ in range(400):
+        fan = make_fan(gen.blowup_fan(rng.randint(3, 20)))
+        k = rng.randint(1, 12)
+        values = [-isqrt(k * k * dot(v, v)) - rng.randint(0, 2)
+                  for v in fan.rays]
+        phi = SupportFunction(fan, values)
+        want = _polytope_outcome(ref_dual_polytope, fan, phi)
+        assert _polytope_outcome(dual_polytope, fan, phi) == want
+        accepted += isinstance(want, list)
+    assert 100 <= accepted <= 300
+    direct = [[(1, 0), (1, 2), (-1, 0), (-1, -2)],
+              [(1, 0), (0, 1), (-1, 0), (1, 0), (0, -1)],
+              [(0, 1), (1, 0), (0, -1), (-1, 0)]]
+    seen = set()
+    for rays in direct:
+        fan = Fan(rays)
+        for _ in range(60):
+            phi = SupportFunction(fan, [rng.randint(-6, 6) for _ in rays])
+            want = _polytope_outcome(ref_dual_polytope, fan, phi)
+            assert _polytope_outcome(dual_polytope, fan, phi) == want
+            seen.add(want[0] if isinstance(want, tuple) else list)
+    assert seen == {list, NotStrictlyConvex, ZeroDivisionError}
 
 
 def test_dual_polytope_rejects_linear_support():

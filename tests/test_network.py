@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,7 +49,7 @@ def test_wall_back_through_its_own_branch_point_violates_condition_5(
     w, *others = rational_walls(net)
     out = lerp(w.start, w.polyline[1], Fraction(1, 100))
     back = (2 * w.start[0] - out[0], 2 * w.start[1] - out[1])
-    tampered = replace(w, polyline=(w.start, out, back))
+    tampered = w._replace(polyline=(w.start, out, back))
     net2 = edited_network(net, walls=[tampered] + others)
     violations = validate_network(net2, p2.tms, cover).violations
     assert [(v.condition, v.message, v.witness) for v in violations] == \

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,10 +21,10 @@ from toricnets.errors import InvariantViolated
 from toricnets.fans import ray_cone
 from toricnets.laurent import identity, is_identity, mat_mul
 from toricnets.network import boundary_loop, branch_point_arms, track_path
-from toricnets.nonabelian import (Factors, Framed, cut_factor,
-                                  kaneyama_cocycle, loop_identity_check,
-                                  path_ordered, semiflat_factor, verify_bundle,
-                                  wall_factor)
+from toricnets.nonabelian import (Factors, Framed, KaneyamaCocycle,
+                                  cut_factor, kaneyama_cocycle,
+                                  loop_identity_check, path_ordered,
+                                  semiflat_factor, verify_bundle, wall_factor)
 from toricnets.reporting import Violation
 
 
@@ -708,7 +707,7 @@ def test_product_table_masks_no_edit_of_a_shared_constant():
         c = Fraction(num, den) + rng.choice([-2, -1, 1, 2])
         c = c or Fraction(3)
         terms[k] = (row, col, c.numerator, c.denominator, ex, ey)
-        bad = replace(coc)
+        bad = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
         bad.written = {**coc.written, (i, j): tuple(terms)}
         rep = verify_bundle(bad, spec.tms)
         assert rep.violations == \

@@ -20,7 +20,6 @@ reference, and its cover builds.
 """
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -106,7 +105,7 @@ def assert_placed_valid_at_random_depths(problem, spec, net, rng):
     plans = builder._plan(spec.tms, spec.tms.crossing_cones)
     depths = _random_depths(rng, len(plans))
     walls_raw, cuts = reference_build_geometry(spec.disk, plans, depths)
-    walls = [replace(w, polyline=poly) for w, (_, poly, _, _) in
+    walls = [w._replace(polyline=poly) for w, (_, poly, _, _) in
              zip(rational_walls(net), walls_raw, strict=True)]
     layout_doc, network_doc = geometry_doc(cuts, walls)
     parsed = schema.parse_problem(json.loads(json.dumps(

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricnets"
@@ -64,6 +66,35 @@ def test_no_import_inside_a_function():
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(SRC.glob("*.py"))
     assert sorted(found) == []
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples and objects with cached facts plain classes,
+    # so importing the package generates no class code
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] == "dataclasses"]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook loads either module, so only the package could
+    code = ("import sys, toricnets.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={"PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def _called_name(node):

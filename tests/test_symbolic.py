@@ -296,7 +296,7 @@ def test_a_step_missing_a_crossing_is_an_invariant_violation(instances,
             def short(net_, i, j, ccw=True, k=k):
                 path = true_path(net_, i, j, ccw)
                 if i == k:
-                    path.crossings = path.crossings[:-1]
+                    path = path._replace(crossings=path.crossings[:-1])
                 return path
 
             with monkeypatch.context() as m:

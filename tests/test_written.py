@@ -9,7 +9,6 @@ edit single terms of the lists, with no Laurent matrix involved, to reach
 every non-canonical kind the verifier reports.
 """
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,8 @@ from toricnets import schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, build_cover, make_local_system
 from toricnets.laurent import TPoly
-from toricnets.nonabelian import Framed, kaneyama_cocycle, verify_bundle
+from toricnets.nonabelian import (Framed, KaneyamaCocycle, kaneyama_cocycle,
+                                  verify_bundle)
 from toricnets.reporting import Violation
 
 
@@ -107,7 +107,7 @@ def fan5_cocycle(fan5, fan5_built):
 
 def _edited(coc, terms):
     """A copy of the cocycle whose written G_01 is ``terms``."""
-    out = replace(coc)
+    out = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
     out.written = {**coc.written, (0, 1): tuple(terms)}
     return out
 
