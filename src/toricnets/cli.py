@@ -71,7 +71,7 @@ def cmd_validate(spec, report):
     if spec.tms is not None:
         _validator_stage(report, "multisection", lambda: spec.tms.report)
     if spec.network is not None and spec.tms is not None:
-        cover = spec.layout.cover(spec.tms.degree)
+        cover = spec.network.layout.cover(spec.tms.degree)
         _validator_stage(report, "network",
                          lambda: network.validate_network(spec.network,
                                                           spec.tms, cover))
@@ -224,14 +224,13 @@ def cmd_verify(spec, report, seed, count=25):
 
 
 def cmd_render(spec, report, out_path):
-    layout = spec.layout
     net = spec.network
     if net is None and spec.tms is not None:
         try:
-            net, layout = builder.build_network(spec.tms, spec.disk)
+            net, _ = builder.build_network(spec.tms, spec.disk)
         except ToricNetsError:
-            net, layout = None, None
-    svg = render_svg(spec.disk, net, layout)
+            pass
+    svg = render_svg(spec.disk, net, None if net is None else net.layout)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg)
     report["stages"].append({"name": "render", "status": "pass",

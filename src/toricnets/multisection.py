@@ -189,13 +189,6 @@ def classify_two_fold(tms: TropicalMultiSection) -> CoverClass:
     raise NotTwoFold(f"unexpected lifted circle structure {cycles}")
 
 
-def _lifted_ray_between(tms, a_id, b_id):
-    for r in tms.lifted_rays:
-        if r.src == a_id and r.dst == b_id:
-            return r
-    raise NotTwoFold(f"no lifted ray from {a_id} to {b_id}")
-
-
 def n_genericity(tms: TropicalMultiSection) -> int:
     """Transverse intersection count N of the two sheet graphs.
 
@@ -221,8 +214,8 @@ def intersection_cones(tms: TropicalMultiSection):
     n = tms.fan.n
     if cls.tag == "O":
         cyc = cls.cycles[0]
-        rays = [_lifted_ray_between(tms, cyc[k], cyc[(k + 1) % (2 * n)])
-                for k in range(2 * n)]
+        between = {(r.src, r.dst): r for r in tms.lifted_rays}
+        rays = [between[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
         values = [tms.ray_value(r) for r in rays]
         diffs = [values[k] - values[(k + n) % (2 * n)] for k in range(2 * n)]
         bases = [r.ray for r in rays]

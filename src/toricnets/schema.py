@@ -2,18 +2,21 @@
 
 One self-describing document format (``toricnets/problem.v1``) carries the
 fan, the support function, the multi-section, optional holonomies, and an
-optional explicit network+layout.  All rationals are strings accepted by
-``Fraction`` ("p/q" or "p"), so round-trips are exact.  An unknown key at
-any level (the document, ``fan``, ``multisection``, a lifted cone or ray,
-``layout``, a cut, ``network`` or a wall) is a ``SchemaError`` naming its
-path, so a misspelt field is never silently ignored.  Every wall names
-its branch point, an integer: a wall is an arm of the Y-graph there.
+optional ``network``: the ``toricnets/network.v1`` object ``build`` writes
+(``emit_network``), its walls and its own ``layout``, exactly as written.
+All rationals are strings accepted by ``Fraction`` ("p/q" or "p"), so
+round-trips are exact.  An unknown key at any level (the document,
+``fan``, ``multisection``, a lifted cone or ray, ``network``, its
+``layout``, a cut or a wall) is a ``SchemaError`` naming its path, so a
+misspelt field is never silently ignored.  Every wall names its branch
+point, an integer: a wall is an arm of the Y-graph there.  Every cut and
+wall polyline has at least two points.
 
-A document's layout and network are parsed together onto one integer
-grid, the least one holding the disk model and every cut and wall point,
-which may be coarser than the builder's (every predicate and drawn
-coordinate is scale-invariant).  Cuts and walls are int tuples there, as
-the builder's are; emitting writes each grid coordinate c as the rational
+A network's layout and walls are parsed together onto one integer grid,
+the least one holding the disk model and every cut and wall point, which
+may be coarser than the builder's (every predicate and drawn coordinate
+is scale-invariant).  Cuts and walls are int tuples there, as the
+builder's are; emitting writes each grid coordinate c as the rational
 c / scale, reduced by one gcd, with no Fraction made.
 """
 from __future__ import annotations
@@ -49,8 +52,11 @@ def _point(obj):
 
 
 def _polyline(obj, what):
-    """A polyline with no two equal consecutive points; ``what`` names it."""
+    """A polyline of at least two points, no two equal consecutive ones;
+    ``what`` names it."""
     poly = tuple(_point(p) for p in obj)
+    if len(poly) < 2:
+        raise SchemaError(f"{what} needs two points, got {len(poly)}")
     if any(p == q for p, q in zip(poly, poly[1:])):
         raise SchemaError(f"{what} has two equal consecutive points")
     return poly
@@ -107,11 +113,10 @@ class ProblemSpec:
 
     def __init__(self, fan: Fan, phi: SupportFunction,
                  tms: TropicalMultiSection | None = None, holonomies=None,
-                 network: SpectralNetwork | None = None,
-                 layout: BranchCutLayout | None = None):
+                 network: SpectralNetwork | None = None):
         self.fan, self.phi, self.tms = fan, phi, tms
         self.holonomies = [] if holonomies is None else holonomies
-        self.network, self.layout = network, layout
+        self.network = network
 
     # the fan and the support function are fixed once parsed, so the
     # polygon and the disk model are built once, on first use
@@ -149,7 +154,7 @@ def parse_problem(data) -> ProblemSpec:
 
 def _parse_sections(data) -> ProblemSpec:
     _known(data, {"schema", "fan", "support", "multisection", "holonomies",
-                  "layout", "network"}, "the problem document")
+                  "network"}, "the problem document")
     _known(data["fan"], {"rays"}, "fan")
     fan = make_fan([_int_pair(v, "a fan ray") for v in data["fan"]["rays"]])
     phi = SupportFunction(fan, [_int(v, "a support value")
@@ -179,26 +184,26 @@ def _parse_sections(data) -> ProblemSpec:
     if not isinstance(holonomies, list):
         raise SchemaError(f"holonomies must be a list, got {holonomies!r}")
     spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies])
-    if "network" in data and "layout" not in data:
-        raise SchemaError("an explicit network requires a layout")
-    if "layout" in data:
-        spec.layout, spec.network = parse_geometry(
-            spec.disk, data["layout"], data.get("network"))
+    if "network" in data:
+        spec.network = parse_network(spec.disk, data["network"])
     return spec
 
 
-def parse_geometry(disk, layout, network=None):
-    """The layout and explicit network (None without ``network``) of one
-    document, on the scale lcm(``disk.scale``, every coordinate's
-    denominator)."""
-    _known(layout, {"branch_points", "cuts"}, "layout")
+def parse_network(disk, network) -> SpectralNetwork:
+    """The network ``emit_network`` writes, its layout and walls on the
+    scale lcm(``disk.scale``, every coordinate's denominator)."""
+    if network["schema"] != NETWORK_SCHEMA:
+        raise SchemaError(f"unknown network schema {network['schema']!r}; "
+                          f"expected {NETWORK_SCHEMA}")
+    _known(network, {"schema", "walls", "layout"}, "network")
+    layout = network["layout"]
+    _known(layout, {"branch_points", "cuts"}, "network.layout")
     points = [_point(p) for p in layout["branch_points"]]
     cuts = []
     for k, c in enumerate(layout["cuts"]):
-        _known(c, {"polyline", "transposition", "edge"}, f"layout.cuts[{k}]")
+        _known(c, {"polyline", "transposition", "edge"},
+               f"network.layout.cuts[{k}]")
         poly = _polyline(c["polyline"], f"cut {k}")
-        if len(poly) < 2:
-            raise SchemaError(f"a cut polyline needs two points, got {len(poly)}")
         edge = _int(c["edge"], "a cut edge")
         if not 0 <= edge < disk.fan.n:
             raise SchemaError(f"cut {k} lands on edge {edge}, not one of "
@@ -209,15 +214,12 @@ def parse_geometry(disk, layout, network=None):
     if points != [poly[0] for poly, _, _ in cuts]:
         raise SchemaError("the layout needs one cut per branch point, "
                           "starting at it")
-    _known(network, {"walls", "schema", "layout"}, "network")
     walls = []
-    for k, w in enumerate(network["walls"] if network is not None else ()):
+    for k, w in enumerate(network["walls"]):
         _known(w, {"id", "label", "branch", "end_edge", "end_cone",
                    "polyline"}, f"network.walls[{k}]")
         wid = _int(w["id"], "a wall id")
         poly = _polyline(w["polyline"], f"wall {wid}")
-        if not poly:
-            raise SchemaError(f"wall {wid} has an empty polyline")
         walls.append((
             wid, poly, _int_pair(w["label"], f"the label of wall {wid}"),
             _int(w["branch"], f"the branch of wall {wid}"),
@@ -231,8 +233,7 @@ def parse_geometry(disk, layout, network=None):
                     for poly, transposition, edge in cuts), scale)
     walls = [Wall(wid, _on_grid(poly, scale), *rest)
              for wid, poly, *rest in walls]
-    return grid_layout, (None if network is None
-                         else SpectralNetwork(walls, grid_layout))
+    return SpectralNetwork(walls, grid_layout)
 
 
 def emit_layout(layout: BranchCutLayout) -> dict:

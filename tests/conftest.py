@@ -8,7 +8,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from support import load  # noqa: E402
 
 from toricnets.builder import build_network  # noqa: E402
-from toricnets.cover import build_cover  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +42,7 @@ def split_e():
 
 def built(spec):
     net, layout = build_network(spec.tms, spec.disk)
-    cover = build_cover(spec.disk, layout, spec.tms.degree)
-    return net, layout, cover
+    return net, layout, layout.cover(spec.tms.degree)
 
 
 @pytest.fixture(scope="session")

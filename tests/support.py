@@ -75,29 +75,29 @@ def _points_doc(points):
     return [[str(x), str(y)] for x, y in points]
 
 
-def geometry_doc(cuts, walls=None):
-    """The layout and network sections of a problem document holding cuts
-    and walls with ``Fraction`` polylines; no network without ``walls``."""
-    layout = {"branch_points": _points_doc(c.polyline[0] for c in cuts),
-              "cuts": [{"polyline": _points_doc(c.polyline),
-                        "transposition": list(c.transposition),
-                        "edge": c.edge} for c in cuts]}
-    network = None if walls is None else {"walls": [
-        {"id": w.id, "label": list(w.label), "branch": w.start_branch,
-         "end_edge": w.end_edge, "end_cone": w.end_cone,
-         "polyline": _points_doc(w.polyline)} for w in walls]}
-    return layout, network
+def geometry_doc(cuts, walls=()):
+    """The network document, as ``schema.emit_network`` writes it, of cuts
+    and walls with ``Fraction`` polylines."""
+    return {"schema": schema.NETWORK_SCHEMA,
+            "walls": [{"id": w.id, "label": list(w.label),
+                       "branch": w.start_branch, "end_edge": w.end_edge,
+                       "end_cone": w.end_cone,
+                       "polyline": _points_doc(w.polyline)} for w in walls],
+            "layout": {"branch_points": _points_doc(c.polyline[0]
+                                                    for c in cuts),
+                       "cuts": [{"polyline": _points_doc(c.polyline),
+                                 "transposition": list(c.transposition),
+                                 "edge": c.edge} for c in cuts]}}
 
 
-def on_grid(disk, cuts, walls=None):
-    """(layout, network) of cuts and walls with ``Fraction`` polylines.
+def on_grid(disk, cuts, walls=()):
+    """The network of cuts and walls with ``Fraction`` polylines.
 
-    They are written as a problem document's layout and network
-    (``geometry_doc``) and read back together by
-    ``schema.parse_geometry``, so they land on one grid as every
-    document's do; without ``walls`` the network is None.
+    They are written as a problem document's network (``geometry_doc``)
+    and read back by ``schema.parse_network``, so they land on one grid
+    as every document's do.
     """
-    return schema.parse_geometry(disk, *geometry_doc(cuts, walls))
+    return schema.parse_network(disk, geometry_doc(cuts, walls))
 
 
 def edited_network(net, walls=None, cuts=None):
@@ -108,7 +108,7 @@ def edited_network(net, walls=None, cuts=None):
     """
     return on_grid(net.disk,
                    rational_cuts(net.layout) if cuts is None else cuts,
-                   rational_walls(net) if walls is None else walls)[1]
+                   rational_walls(net) if walls is None else walls)
 
 
 def count_calls(monkeypatch, module, name):

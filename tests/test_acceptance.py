@@ -14,7 +14,7 @@ from support import (FIXTURES, LaurentMatrix, LaurentPoly,
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
-from toricnets.cover import betti_one, build_cover, make_local_system
+from toricnets.cover import betti_one, make_local_system
 from toricnets.fans import make_fan, ray_cone
 from toricnets.multisection import classify_two_fold, n_genericity
 from toricnets.network import branch_point_arms, track_path, validate_network
@@ -34,8 +34,7 @@ REALIZABLE = ["p2_n3", "p1p1_n4", "fan5_n5"]
 def _built(name):
     spec = load(name)
     net, layout = build_network(spec.tms, spec.disk)
-    cover = build_cover(spec.disk, layout, spec.tms.degree)
-    return spec, net, layout, cover
+    return spec, net, layout, layout.cover(spec.tms.degree)
 
 
 def test_acceptance_1_parity_theorem():
@@ -119,7 +118,7 @@ def test_acceptance_5_kaneyama_verification():
     # rank-1 degenerate input: pure line-bundle monomial cocycle
     r1 = load("line_bundle_r1")
     net, layout = empty_network(r1.disk)
-    cover = build_cover(r1.disk, layout, 1)
+    cover = layout.cover(1)
     ls = make_local_system(cover, [])
     coc = kaneyama_cocycle(net, r1.tms, cover, ls)
     for i in range(3):
@@ -160,7 +159,7 @@ def test_acceptance_7_tropicalization_round_trip():
             net, layout = empty_network(spec.disk)
         else:
             net, layout = build_network(spec.tms, spec.disk)
-        cover = build_cover(spec.disk, layout, spec.tms.degree)
+        cover = layout.cover(spec.tms.degree)
         b1 = betti_one(cover)
         ls = make_local_system(cover, [Fraction(7, 4)] * b1)
         coc = kaneyama_cocycle(net, spec.tms, cover, ls)

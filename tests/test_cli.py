@@ -119,15 +119,14 @@ def test_json_report_mode(capsys):
 
 
 def test_network_round_trip(p2, p2_built, tmp_path):
-    # the layout and network are parsed onto the least grid of their
+    # the network and its layout are parsed onto the least grid of their
     # points, which may be coarser than the builder's: the rational points
     # are the same
     net, layout, cover = p2_built
     doc = schema.emit_network(net)
     spec = schema.load_problem(fx("p2_n3"))
-    layout2, net2 = schema.parse_geometry(spec.disk, doc["layout"], doc)
-    assert net2.layout is layout2
-    assert [rational(layout2, w.polyline) for w in net2.walls] == \
+    net2 = schema.parse_network(spec.disk, doc)
+    assert [rational(net2.layout, w.polyline) for w in net2.walls] == \
         [rational(layout, w.polyline) for w in net.walls]
     assert [w.label for w in net2.walls] == [w.label for w in net.walls]
     assert schema.emit_network(net2) == doc
@@ -157,12 +156,12 @@ def _write_edited(tmp_path, edit):
 
 
 def _with_network(edit):
-    """An edit that adds p2_n3's built network and layout, then ``edit``s."""
+    """An edit that adds the built network, as ``build`` writes it, then
+    ``edit``s."""
     def apply(data):
         spec = schema.parse_problem(data)
-        net, layout = build_network(spec.tms, spec.disk)
-        data["layout"] = schema.emit_layout(layout)
-        data["network"] = schema.emit_network(net)
+        data["network"] = schema.emit_network(
+            build_network(spec.tms, spec.disk)[0])
         edit(data)
     return apply
 
@@ -172,7 +171,8 @@ def _slope(value):
 
 
 def _cut(**fields):
-    return _with_network(lambda d: d["layout"]["cuts"][0].update(fields))
+    return _with_network(
+        lambda d: d["network"]["layout"]["cuts"][0].update(fields))
 
 
 def _move_branch_point_and_walls(data):
@@ -181,7 +181,7 @@ def _move_branch_point_and_walls(data):
     def moved(p):
         return [str(Fraction(p[0]) + Fraction(1, 1000)), p[1]]
 
-    points = data["layout"]["branch_points"]
+    points = data["network"]["layout"]["branch_points"]
     for w in data["network"]["walls"]:
         if w["branch"] == 0:
             w["polyline"][0] = moved(w["polyline"][0])
@@ -191,6 +191,9 @@ def _move_branch_point_and_walls(data):
 _moved_branch_point = _with_network(_move_branch_point_and_walls)
 _empty_wall_polyline = _with_network(
     lambda d: d["network"]["walls"][0].update(polyline=[]))
+_one_point_wall = _with_network(
+    lambda d: d["network"]["walls"][0].update(
+        polyline=d["network"]["walls"][0]["polyline"][:1]))
 _short_wall_label = _with_network(
     lambda d: d["network"]["walls"][0].update(label=[0]))
 
@@ -202,7 +205,8 @@ def _doubled_first_point(polyline):
 _doubled_wall_point = _with_network(
     lambda d: _doubled_first_point(d["network"]["walls"][0]["polyline"]))
 _doubled_cut_point = _with_network(
-    lambda d: _doubled_first_point(d["layout"]["cuts"][0]["polyline"]))
+    lambda d: _doubled_first_point(
+        d["network"]["layout"]["cuts"][0]["polyline"]))
 
 
 @pytest.mark.parametrize("edit, argv", [
@@ -210,7 +214,8 @@ _doubled_cut_point = _with_network(
      ["validate"]),
     (lambda d: d["multisection"]["lifted_rays"][0].update(ray="one"),
      ["validate"]),
-    (lambda d: d.update(layout={"branch_points": []}), ["validate"]),
+    (_with_network(lambda d: d["network"].update(
+        layout={"branch_points": []})), ["validate"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "abc"]),
     (lambda d: None, ["nonabelianize", "--holonomy", "1/0"]),
     (lambda d: d.update(holonomies=""), ["nonabelianize"]),
@@ -372,9 +377,10 @@ def test_lifted_ray_out_of_range_fails_with_a_report(command, ray, tmp_path,
      "multisection.lifted_cones[2]", "slopes"),
     (lambda d: d["multisection"]["lifted_rays"][0].update(rays=0),
      "multisection.lifted_rays[0]", "rays"),
-    (_with_network(lambda d: d["layout"].update(cut=[])), "layout", "cut"),
-    (_with_network(lambda d: d["layout"]["cuts"][0].update(edges=0)),
-     "layout.cuts[0]", "edges"),
+    (_with_network(lambda d: d["network"]["layout"].update(cut=[])),
+     "network.layout", "cut"),
+    (_with_network(lambda d: d["network"]["layout"]["cuts"][0].update(
+        edges=0)), "network.layout.cuts[0]", "edges"),
     (_with_network(lambda d: d["network"].update(wall=[])), "network",
      "wall"),
     (_with_network(lambda d: d["network"]["walls"][2].update(branch_point=0)),
@@ -402,6 +408,88 @@ def test_unknown_key_is_a_schema_error(edit, path, key, tmp_path, capsys):
         assert stage["status"] == "fail"
         assert stage["detail"].startswith(message)
     assert not (tmp_path / "cocycle.json").exists()
+
+
+@pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan5_n5", "fan7_n7"])
+def test_built_network_embeds_as_written(name, tmp_path, capsys):
+    # the network.json build writes, spliced byte for byte into the
+    # document as its network, validates clean and draws as build drew it
+    built = tmp_path / "built"
+    assert main(["build", "--input", fx(name), "--out", str(built)]) == 0
+    problem = (FIXTURES / f"{name}.json").read_text().lstrip()
+    path = tmp_path / "doc.json"
+    path.write_text('{"network": ' + (built / "network.json").read_text()
+                    + ", " + problem[1:])
+    capsys.readouterr()
+    assert main(["validate", "--input", str(path), "--report", "json"]) == 0
+    assert {"name": "network", "status": "pass",
+            "detail": {"ok": True, "violations": []}} in _json_stages(capsys)
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", str(path), "--out", str(figure)]) == 0
+    assert figure.read_bytes() == (built / "network.svg").read_bytes()
+
+
+def _layout_given_twice(data):
+    # the layout copied to the top level; the network's own moves branch
+    # point 0, swaps (0, 0) at cut 0 and names another schema
+    data["layout"] = json.loads(json.dumps(data["network"]["layout"]))
+    _move_branch_point_and_walls(data)
+    data["network"]["layout"]["cuts"][0]["transposition"] = [0, 0]
+    data["network"]["schema"] = "not/a.schema"
+
+
+def _layout_without_network(data):
+    data["layout"] = data.pop("network")["layout"]
+    data["layout"]["cuts"][0]["transposition"] = [0, 0]
+
+
+_TOP_LEVEL_LAYOUT = ("unknown key 'layout' in the problem document; "
+                     "expected one of fan, holonomies, multisection, network, "
+                     "schema, support")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_with_network(_layout_given_twice), _TOP_LEVEL_LAYOUT),
+    (_with_network(_layout_without_network), _TOP_LEVEL_LAYOUT),
+    (_with_network(lambda d: d["network"].pop("layout")),
+     "missing required field 'layout'"),
+    (_with_network(lambda d: d["network"].update(schema="not/a.schema")),
+     "unknown network schema 'not/a.schema'; expected "
+     "toricnets/network.v1"),
+    (_with_network(lambda d: d["network"].pop("schema")),
+     "missing required field 'schema'"),
+    (_one_point_wall, "wall 0 needs two points, got 1"),
+    (_cut(polyline=[["0", "0"]]), "cut 0 needs two points, got 1"),
+], ids=["layout-given-twice", "layout-only",
+        "network-without-layout", "other-network-schema",
+        "network-without-schema", "one-point-wall", "one-point-cut"])
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_embedded_network_is_read_whole(command, edit, message, tmp_path,
+                                        capsys):
+    # p2_n3 with its built network: a document embeds the network as
+    # build writes it and nothing else.  A layout at the top level was the
+    # one read, with or without a network, while the network's own layout
+    # and schema went unread: a broken one validated clean and was drawn.
+    # A one-point wall parsed, and was drawn
+    path = _write_edited(tmp_path, edit)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        schema.load_problem(path)
+    code = main([command, "--input", path, "--out",
+                 str(tmp_path / "out.svg"), "--report", "json"])
+    assert code == 1
+    assert _json_stages(capsys)[-1] == \
+        {"name": "error", "status": "fail", "detail": message}
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_embedded_layout_is_the_one_validated(tmp_path, capsys):
+    # p2_n3's built network with cut 0 swapping (0, 0): the network's own
+    # layout is the one validate builds the cover on, so the swap fails
+    path = _write_edited(tmp_path, _cut(transposition=[0, 0]))
+    assert main(["validate", "--input", path, "--report", "json"]) == 1
+    assert _json_stages(capsys)[-1] == {
+        "name": "error", "status": "fail",
+        "detail": "cut transposition (0, 0) is not a valid swap"}
 
 
 _CORNER_CHORD = {"id": 7, "label": [0, 1], "end_edge": 1, "end_cone": 0,
@@ -437,7 +525,7 @@ def test_cut_edge_out_of_range_is_a_schema_error(edge):
     # -1 is that edge, and the cut failed validation as meeting the spoke
     # of ray 2 where it lands on its barycenter exactly
     data = json.loads((FIXTURES / "p2_n3.json").read_text())
-    _with_network(lambda d: d["layout"]["cuts"][0].update(edge=edge))(data)
+    _cut(edge=edge)(data)
     with pytest.raises(SchemaError,
                        match=f"^cut 0 lands on edge {edge}, not one of the "
                              r"3 edges 0\.\.2$"):
@@ -447,11 +535,10 @@ def test_cut_edge_out_of_range_is_a_schema_error(edge):
 def test_validate_reports_out_of_range_wall_label(p2_built, tmp_path, capsys):
     # a sheet label or a branch-point index outside the network is a
     # violation of its condition, with the wall as witness
-    net, layout, _ = p2_built
+    net, _, _ = p2_built
     for key, value, condition in [("label", [0, 5], "2"), ("branch", 7, "5"),
                                   ("branch", -1, "5")]:
         def edited(data):
-            data["layout"] = schema.emit_layout(layout)
             data["network"] = schema.emit_network(net)
             data["network"]["walls"][0][key] = value
 
@@ -485,9 +572,8 @@ def test_wrong_branch_name_reports_only_the_name(name, branch, violations,
     # reported
     data = json.loads((FIXTURES / f"{name}.json").read_text())
     spec = schema.parse_problem(data)
-    net, layout = build_network(spec.tms, spec.disk)
-    data["layout"] = schema.emit_layout(layout)
-    data["network"] = schema.emit_network(net)
+    data["network"] = schema.emit_network(
+        build_network(spec.tms, spec.disk)[0])
     data["network"]["walls"][0]["branch"] = branch
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
@@ -598,16 +684,15 @@ def _mutated(doc, rng):
 
 def _fuzz_documents():
     """Every fixture document, and each realizable one with its built
-    layout and network."""
+    network, as ``build`` writes it."""
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
         yield path.stem, doc
         if path.stem in REALIZABLE:
             spec = schema.parse_problem(doc)
-            net, layout = build_network(spec.tms, spec.disk)
+            net, _ = build_network(spec.tms, spec.disk)
             yield f"{path.stem}+network", dict(
-                doc, layout=schema.emit_layout(layout),
-                network=schema.emit_network(net))
+                doc, network=schema.emit_network(net))
 
 
 def test_fuzzed_fixtures_end_in_a_report(tmp_path, capsys):

@@ -6,9 +6,10 @@ points and only for pairs whose bounding boxes meet.  The references in
 for.  Both must give the same reports (condition, message, witness,
 multiplicity, order) and the same cover errors (class and message) on
 every fixture, on generated networks up to (12, 12) and on perturbed
-networks.  A perturbed network is written as a document's layout and
-network with ``Fraction`` points off the built layout's grid and read back
-by ``schema`` (``support.on_grid``), which puts both on one grid.
+networks.  A perturbed network is written as a document's network, its
+layout included, with ``Fraction`` points off the built layout's grid and
+read back by ``schema`` (``support.on_grid``), which puts both on one
+grid.
 """
 import random
 from fractions import Fraction
@@ -199,9 +200,9 @@ def test_perturbed_networks_match_reference(name):
         if assert_same_report(bad, spec.tms, cover):
             kinds.add(kind)
     for kind, cuts in _cut_perturbations(net, rng):
-        bad_layout, bad = on_grid(spec.disk, cuts, rational_walls(net))
-        scales.add(bad_layout.scale)
-        error = assert_same_cover(spec.disk, bad_layout, 2)
+        bad = on_grid(spec.disk, cuts, rational_walls(net))
+        scales.add(bad.layout.scale)
+        error = assert_same_cover(spec.disk, bad.layout, 2)
         if error:
             cover_errors.add(" ".join(error[1].split()[:2]))
         if error or assert_same_report(bad, spec.tms, cover):

@@ -36,7 +36,7 @@ def straight_cut(disk, region, edge, depth=Fraction(1, 4)):
 def test_single_branch_point_cover():
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
-    cover = build_cover(disk, on_grid(disk, (cut,))[0], 2)
+    cover = build_cover(disk, on_grid(disk, (cut,)).layout, 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 0
 
@@ -45,7 +45,7 @@ def test_two_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    cover = build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
+    cover = build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
     assert cover.component_count() == 1
     assert betti_one(cover) == 1
 
@@ -54,7 +54,7 @@ def test_three_branch_points_cover():
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    cover = build_cover(disk, on_grid(disk, cuts)[0], 2)
+    cover = build_cover(disk, on_grid(disk, cuts).layout, 2)
     assert betti_one(cover) == 2
 
 
@@ -70,7 +70,7 @@ def test_cover_is_built_on_the_layouts_disk_model():
     # first points
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
-    layout = on_grid(disk, (cut,))[0]
+    layout = on_grid(disk, (cut,)).layout
     assert layout.branch_points == (layout.cuts[0].polyline[0],)
     assert rational(layout, layout.branch_points) == (cut.polyline[0],)
     assert build_cover(disk, layout, 2).cut_region == layout.cut_region == (0,)
@@ -101,7 +101,7 @@ def test_cut_must_end_at_barycenter():
     b = lerp(target, disk.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutEndpointNotBarycenter):
-        build_cover(disk, on_grid(disk, (cut,))[0], 2)
+        build_cover(disk, on_grid(disk, (cut,)).layout, 2)
 
 
 def test_cut_needs_two_points():
@@ -124,7 +124,7 @@ def test_cut_may_not_cross_a_spoke():
     b = lerp(poly.vertex(2), disk.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutHitsRay):
-        build_cover(disk, on_grid(disk, (cut,))[0], 2)
+        build_cover(disk, on_grid(disk, (cut,)).layout, 2)
 
 
 def test_cuts_may_not_share_a_barycenter():
@@ -135,14 +135,14 @@ def test_cuts_may_not_share_a_barycenter():
     # the barycenter they share
     with pytest.raises(OverlappingCuts,
                        match="two cuts land on the barycenter of edge 1"):
-        build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
+        build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
 
 
 def two_cut_cover():
     fan, poly, disk = p1p1_disk()
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
-    return build_cover(disk, on_grid(disk, (c1, c2))[0], 2)
+    return build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
 
 
 def test_transport_constant_path_is_one():
@@ -181,7 +181,7 @@ def test_symbolic_generator_loop_holonomy(fan7_built):
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
             straight_cut(disk, 2, 3)]
-    three_cut = build_cover(disk, on_grid(disk, cuts)[0], 2)
+    three_cut = build_cover(disk, on_grid(disk, cuts).layout, 2)
     for cover in (two_cut_cover(), three_cut, fan7_built[2]):
         t = TPoly.symbols(betti_one(cover))
         ls = make_local_system(cover, t)

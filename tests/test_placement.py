@@ -10,7 +10,7 @@ and every figure byte-identical, on every realizable fixture, on generated
 problems up to (12, 12) and on the perturbed networks of ``test_contact``,
 whose points are rational off the built layout's grid.
 
-A built network written out and parsed back as an explicit network sits
+A built network written out and parsed back as a document's network sits
 on the least grid of its points, which may be coarser than D: its
 ``network.json``, validation report and figure are the built network's.
 The placement proof holds for any strictly decreasing depths in (0, 1):
@@ -71,22 +71,20 @@ def _fixture_document(name):
 
 def assert_round_trip(problem, spec, net, layout):
     """The network built from the ``problem`` document (parsed: ``spec``),
-    parsed back with it as an explicit network, gives the same bytes,
-    report and figure; returns the two scales."""
+    parsed back as its network, gives the same bytes, report and figure;
+    returns the two scales."""
     doc = schema.emit_network(net)
-    parsed = schema.parse_problem(
-        dict(problem, layout=doc["layout"], network=doc))
+    parsed = schema.parse_problem(dict(problem, network=doc))
     again = parsed.network
-    assert again.layout is parsed.layout
     assert _dump(schema.emit_network(again)) == _dump(doc)
     cover = layout.cover(spec.tms.degree)
     assert validate_network(again, spec.tms,
-                            parsed.layout.cover(spec.tms.degree)) == \
+                            again.layout.cover(spec.tms.degree)) == \
         validate_network(net, spec.tms, cover)
-    assert render_svg(parsed.disk, again, parsed.layout) == \
+    assert render_svg(parsed.disk, again, again.layout) == \
         render_svg(spec.disk, net, layout)
-    assert layout.scale % parsed.layout.scale == 0
-    return layout.scale, parsed.layout.scale
+    assert layout.scale % again.layout.scale == 0
+    return layout.scale, again.layout.scale
 
 
 def _random_depths(rng, count):
@@ -107,10 +105,9 @@ def assert_placed_valid_at_random_depths(problem, spec, net, rng):
     walls_raw, cuts = reference_build_geometry(spec.disk, plans, depths)
     walls = [w._replace(polyline=poly) for w, (_, poly, _, _) in
              zip(rational_walls(net), walls_raw, strict=True)]
-    layout_doc, network_doc = geometry_doc(cuts, walls)
     parsed = schema.parse_problem(json.loads(json.dumps(
-        dict(problem, layout=layout_doc, network=network_doc))))
-    cover = parsed.layout.cover(2)
+        dict(problem, network=geometry_doc(cuts, walls)))))
+    cover = parsed.network.layout.cover(2)
     assert validate_network(parsed.network, parsed.tms, cover).ok
     assert reference_validate_network(parsed.network, parsed.tms, cover).ok
     return depths
@@ -168,8 +165,8 @@ def test_perturbed_figures_match_reference(name):
         assert_same_arms(bad)
         assert_same_figures(spec.disk, bad, bad.layout)
     for _, cuts in _cut_perturbations(net, rng):
-        bad_layout, bad = on_grid(spec.disk, cuts, rational_walls(net))
+        bad = on_grid(spec.disk, cuts, rational_walls(net))
         # the cuts drawn from a layout that is not the network's own
-        assert_same_figures(spec.disk, net, bad_layout)
+        assert_same_figures(spec.disk, net, bad.layout)
         assert_same_arms(bad)
-        assert_same_figures(spec.disk, bad, bad_layout)
+        assert_same_figures(spec.disk, bad, bad.layout)
