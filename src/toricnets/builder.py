@@ -109,7 +109,6 @@ from typing import NamedTuple
 from .cover import BranchCutLayout, Cut
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie)
-from .multisection import parity_and_realizability
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
 
 
@@ -221,7 +220,7 @@ def build_network(tms, disk):
         return empty_network(disk)
     vees = tms.crossing_cones  # raises NotTwoFold for other degrees
     n_value = len(vees)
-    result = parity_and_realizability(tms, n_value)
+    result = tms.realizability
     if not result.parity_ok:
         raise ParityViolation(
             f"N = {n_value} has the wrong parity for this cover class")

@@ -2,7 +2,8 @@
 
 Commands:
   validate       run fan / multi-section / (optional) network validators,
-                 and check a document's holonomies as nonabelianize would
+                 and check a document's holonomies as nonabelianize would;
+                 a network is validated against the multi-section
   build          run the rank-2 construction, emit network JSON + SVG
   nonabelianize  full pipeline with chosen holonomies, emit cocycle JSON
   verify         prove the loop identities for all local systems at once
@@ -12,9 +13,10 @@ Commands:
                  at its holonomies
   render         figure of the polygon, spokes, walls, and cuts
 
-Exit status is 0 iff every requested check passed.  Outputs are
-deterministic for fixed inputs: fixed iteration orders, seeded randomness
-recorded in the report.
+Each check fails the stage it runs in (``_stage``), and an error outside
+every stage fails a last ``error`` stage.  Exit status is 0 iff every
+stage passed.  Outputs are deterministic for fixed inputs: fixed iteration
+orders, seeded randomness recorded in the report.
 """
 from __future__ import annotations
 
@@ -36,17 +38,26 @@ from .reporting import ValidationReport
 
 
 def _stage(report, name, fn):
+    """Record stage ``name`` from ``fn()`` and return that result.
+
+    A ``ValidationReport`` passes or fails on its verdict; a returned
+    ``ToricNetsError`` fails; a raised one fails and propagates; anything
+    else passes, with itself as detail if it is JSON-shaped.
+    """
     try:
-        detail = fn()
-        report["stages"].append(
-            {"name": name, "status": "pass",
-             "detail": detail if isinstance(detail, (str, int, list, dict))
-             else None})
-        return detail
+        result = fn()
     except ToricNetsError as exc:
-        report["stages"].append(
-            {"name": name, "status": "fail", "detail": str(exc)})
+        _stage(report, name, lambda: exc)
         raise
+    if isinstance(result, ValidationReport):
+        status, detail = ("pass" if result.ok else "fail"), result.as_dict()
+    elif isinstance(result, ToricNetsError):
+        status, detail = "fail", str(result)
+    else:
+        status = "pass"
+        detail = result if isinstance(result, (str, int, list, dict)) else None
+    report["stages"].append({"name": name, "status": status, "detail": detail})
+    return result
 
 
 def _new_report(seed=None):
@@ -58,54 +69,41 @@ def _ok(report):
     return all(s["status"] == "pass" for s in report["stages"])
 
 
-def _validator_stage(report, name, run):
-    rep = run()
-    status = "pass" if rep.ok else "fail"
-    report["stages"].append({"name": name, "status": status,
-                             "detail": rep.as_dict()})
-    return rep
-
-
 def cmd_validate(spec, report):
-    _validator_stage(report, "fan", lambda: _fan_report(spec))
-    if spec.tms is not None:
-        _validator_stage(report, "multisection", lambda: spec.tms.report)
-    if spec.network is not None and spec.tms is not None:
-        cover = spec.network.layout.cover(spec.tms.degree)
-        _validator_stage(report, "network",
-                         lambda: network.validate_network(spec.network,
-                                                          spec.tms, cover))
-    # the holonomies nonabelianize would take are checked as it checks
-    # them; a passing check adds no stage
-    b1 = (_betti_one(spec.tms)
-          if spec.holonomies and spec.tms is not None else None)
-    if b1 is not None:
+    tms = spec.tms
+    _stage(report, "fan", lambda: _fan_report(spec))
+    if tms is not None:
+        _stage(report, "multisection", lambda: tms.report)
+    if spec.network is not None:
+        _stage(report, "network", lambda: _network_report(spec))
+    # on a valid, realizable multi-section the holonomies nonabelianize
+    # would take are checked as it checks them; a passing check adds no
+    # stage
+    if spec.holonomies and tms is not None and tms.report.ok:
         try:
-            check_holonomies(b1, spec.holonomies)
+            res = None if tms.degree == 1 else tms.realizability
+            if res is None or res.parity_ok and res.realizable:
+                check_holonomies(0 if res is None else res.betti_one,
+                                 spec.holonomies)
+        except (NotTwoFold, SlopeTie):
+            pass
         except (WrongCount, ZeroHolonomy) as exc:
-            report["stages"].append({"name": "holonomies", "status": "fail",
-                                     "detail": str(exc)})
+            _stage(report, "holonomies", lambda: exc)
     return report
 
 
-def _betti_one(tms):
-    """b1 of the domain of a valid, realizable multi-section, else None."""
-    if not tms.report.ok or tms.degree not in (1, 2):
-        return None
-    if tms.degree == 1:
-        return 0
-    try:
-        res = multisection.parity_and_realizability(
-            tms, multisection.n_genericity(tms))
-    except (NotTwoFold, SlopeTie):
-        return None
-    return res.betti_one if res.parity_ok else None
-
-
 def _fan_report(spec):
-    # construction already validated the fan and the support function
+    # construction validated the fan; the polygon checks strict convexity
     spec.polytope
     return ValidationReport()
+
+
+def _network_report(spec):
+    if spec.tms is None:
+        raise ParseError("an embedded network needs a multisection to be "
+                         "validated against")
+    cover = spec.network.layout.cover(spec.tms.degree)
+    return network.validate_network(spec.network, spec.tms, cover)
 
 
 def _pipeline(spec, report):
@@ -128,7 +126,7 @@ def _raise_invalid(tms):
 
 
 def _parity_detail(tms, n_value):
-    res = multisection.parity_and_realizability(tms, n_value)
+    res = tms.realizability
     if not res.parity_ok:
         raise ParityViolation(f"N = {n_value} parity mismatch")
     return {"N": n_value, "parity_ok": res.parity_ok,
@@ -169,8 +167,8 @@ def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
     report["holonomies"] = [str(h) for h in hol]
     coc = _stage(report, "nonabelianize",
                  lambda: nonabelian.kaneyama_cocycle(net, spec.tms, cover, ls))
-    _validator_stage(report, "verify_bundle",
-                     lambda: nonabelian.verify_bundle(coc, spec.tms))
+    _stage(report, "verify_bundle",
+           lambda: nonabelian.verify_bundle(coc, spec.tms))
     outdir.mkdir(parents=True, exist_ok=True)
     coc_path = outdir / "cocycle.json"
     schema.dump_json(schema.emit_cocycle(coc), coc_path)
@@ -233,8 +231,7 @@ def cmd_render(spec, report, out_path):
     svg = render_svg(spec.disk, net, None if net is None else net.layout)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg)
-    report["stages"].append({"name": "render", "status": "pass",
-                             "detail": str(out_path)})
+    _stage(report, "render", lambda: str(out_path))
     report["artifacts"].append(str(out_path))
     return svg
 
@@ -272,9 +269,9 @@ def main(argv=None):
                 out = out / "figure.svg"
             cmd_render(spec, report, out)
     except ToricNetsError as exc:
+        # an error a stage raised failed that stage already
         if not report["stages"] or report["stages"][-1]["status"] == "pass":
-            report["stages"].append({"name": "error", "status": "fail",
-                                     "detail": str(exc)})
+            _stage(report, "error", lambda: exc)
     if not _ok(report):
         status = 1
     if args.report == "json":

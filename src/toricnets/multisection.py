@@ -48,9 +48,9 @@ class TropicalMultiSection:
 
     The cones and rays are fixed at construction, so they are grouped by
     cone and by ray once there, and the facts derived from them (the
-    validation report, the two-fold cover class and the intersection
-    cones) are computed once, on first use, and then read by everything
-    that needs them.
+    validation report, the two-fold cover class, the intersection cones
+    and the realizability decision) are computed once, on first use, and
+    then read by everything that needs them.
     """
 
     def __init__(self, fan, degree, lifted_cones, lifted_rays):
@@ -76,6 +76,11 @@ class TropicalMultiSection:
     def crossing_cones(self):
         """The ``intersection_cones`` list; raises NotTwoFold or SlopeTie."""
         return intersection_cones(self)
+
+    @cached_property
+    def realizability(self):
+        """``parity_and_realizability`` at N = len(crossing_cones)."""
+        return parity_and_realizability(self, len(self.crossing_cones))
 
     def lifts_of_cone(self, i):
         return self._lifts[i % self.fan.n]

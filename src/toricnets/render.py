@@ -7,6 +7,7 @@ the same ``Fraction``, so it does not depend on the grid's scale.
 from __future__ import annotations
 
 from .cover import BranchCutLayout
+from .errors import InvariantViolated
 
 _WALL_COLORS = {(0, 1): "#1f5fbf", (1, 0): "#bf1f2f"}
 VIEW = 640
@@ -34,14 +35,12 @@ def _polyline(points, to_screen, stroke, extra=""):
 
 
 def render_svg(disk, net=None, layout=None) -> str:
-    """Figure of the disk model plus an optional network and cut layout.
-
-    A network and its own layout share one grid, so one mapper draws
-    them; a layout not the network's own draws its cuts with its own.
-    """
-    own = (net.layout if net is not None else layout if layout is not None
-           else BranchCutLayout(disk, (), disk.scale))
-    grid = own.grid
+    """Figure of the disk model, plus an optional network drawn on the
+    grid of its own layout, which ``layout`` must be (None without one)."""
+    if layout is not (None if net is None else net.layout):
+        raise InvariantViolated("a network is drawn with its own layout")
+    grid = (BranchCutLayout(disk, (), disk.scale) if net is None
+            else layout).grid
     to_screen = _mapper(grid)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" '
              f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">',
@@ -58,19 +57,17 @@ def render_svg(disk, net=None, layout=None) -> str:
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#202020"/>')
         parts.append(f'<text x="{float(x) + 6:.3f}" y="{float(y) - 6:.3f}" '
                      f'font-size="12" fill="#202020">s{i}</text>')
-    if layout is not None:
-        cut_screen = to_screen if layout is own else _mapper(layout.grid)
+    if net is not None:
         for cut in layout.cuts:
-            parts.append(_polyline(cut.polyline, cut_screen, "#707070",
+            parts.append(_polyline(cut.polyline, to_screen, "#707070",
                                    'stroke-dasharray="6,4"'))
         for p in layout.branch_points:
-            x, y = cut_screen(p)
+            x, y = to_screen(p)
             parts.append(f'<g stroke="#202020" stroke-width="1.4">'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) - 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) + 4:.3f}"/>'
                          f'<line x1="{float(x) - 4:.3f}" y1="{float(y) + 4:.3f}" '
                          f'x2="{float(x) + 4:.3f}" y2="{float(y) - 4:.3f}"/></g>')
-    if net is not None:
         for w in net.walls:
             color = _WALL_COLORS.get(tuple(w.label), "#3f8f3f")
             parts.append(_polyline(w.polyline, to_screen, color))

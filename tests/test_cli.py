@@ -12,6 +12,7 @@ from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
 from toricnets.errors import ParseError, SchemaError
+from toricnets.render import render_svg
 
 
 def fx(name):
@@ -484,12 +485,50 @@ def test_embedded_network_is_read_whole(command, edit, message, tmp_path,
 
 def test_embedded_layout_is_the_one_validated(tmp_path, capsys):
     # p2_n3's built network with cut 0 swapping (0, 0): the network's own
-    # layout is the one validate builds the cover on, so the swap fails
+    # layout is the one validate builds the cover on, so the swap fails,
+    # and it fails the network stage, where the cover is built
     path = _write_edited(tmp_path, _cut(transposition=[0, 0]))
     assert main(["validate", "--input", path, "--report", "json"]) == 1
     assert _json_stages(capsys)[-1] == {
-        "name": "error", "status": "fail",
+        "name": "network", "status": "fail",
         "detail": "cut transposition (0, 0) is not a valid swap"}
+
+
+def _without_multisection(data):
+    del data["multisection"]
+    data["network"]["walls"][0]["label"] = [0, 5]
+
+
+def test_a_network_without_a_multisection_fails_its_stage(tmp_path, capsys):
+    # p2_n3 with no multisection and its built network embedded, wall 0
+    # labelled (0, 5): the network has nothing to be validated against.
+    # It passed validate with only a fan stage; render still draws it
+    path = _write_edited(tmp_path, _with_network(_without_multisection))
+    assert main(["validate", "--input", path, "--report", "json"]) == 1
+    assert _json_stages(capsys) == [
+        {"name": "fan", "status": "pass",
+         "detail": {"ok": True, "violations": []}},
+        {"name": "network", "status": "fail",
+         "detail": "an embedded network needs a multisection to be "
+                   "validated against"}]
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", path, "--out", str(figure)]) == 0
+    spec = schema.load_problem(path)
+    assert figure.read_text() == render_svg(spec.disk, spec.network,
+                                            spec.network.layout)
+
+
+def test_a_support_that_is_not_strictly_convex_fails_the_fan_stage(
+        tmp_path, capsys):
+    # p2_n3 with support value 2 at ray 2 and no network: the polygon is
+    # built in the fan stage, which fails; it was a generic error stage
+    def edit(data):
+        data["support"][2] = 2
+    path = _write_edited(tmp_path, edit)
+    assert main(["validate", "--input", path, "--report", "json"]) == 1
+    assert _json_stages(capsys) == [
+        {"name": "fan", "status": "fail",
+         "detail": "support function is not strictly convex across ray 2"}]
 
 
 _CORNER_CHORD = {"id": 7, "label": [0, 1], "end_edge": 1, "end_cone": 0,

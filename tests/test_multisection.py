@@ -185,3 +185,27 @@ def test_out_of_range_indices_join_no_group(index):
             for v in validate(tms).violations] == [
         ("structure", f"lifted ray s2->s0 over unknown ray {index}",
          rays[-1])]
+
+
+def test_realizability_is_decided_once_per_multisection(
+        p2, p1p1, fan5, p2_n1, split_e, r1, monkeypatch):
+    # the parity / N >= 3 / b1 decision at N = len(crossing_cones) is
+    # stored on the multi-section, and the builder's gate reads it
+    specs = (p2, p1p1, fan5, p2_n1, split_e)
+    wants = [parity_and_realizability(spec.tms, n_genericity(spec.tms))
+             for spec in specs]
+    decided = count_calls(monkeypatch, multisection,
+                          "parity_and_realizability")
+    for spec, want in zip(specs, wants):
+        tms = TropicalMultiSection(spec.fan, spec.tms.degree,
+                                   spec.tms.lifted_cones,
+                                   spec.tms.lifted_rays)
+        assert tms.realizability == want
+        assert tms.realizability is tms.realizability
+        try:
+            build_network(tms, spec.disk)
+        except NotRealizable:
+            assert not want.realizable
+    assert len(decided) == len(specs)
+    with pytest.raises(NotTwoFold):
+        r1.tms.realizability

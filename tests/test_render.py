@@ -1,8 +1,11 @@
 import hashlib
 
+import pytest
+
 from support import load
 
 from toricnets.builder import build_network, empty_network
+from toricnets.errors import InvariantViolated
 from toricnets.render import render_svg
 
 GOLDEN = {
@@ -34,3 +37,12 @@ def test_wall_count_in_figure(fan5, fan5_built):
     colored = svg.count('stroke="#1f5fbf"') + svg.count('stroke="#bf1f2f"')
     assert colored == 9
     assert svg.count("stroke-dasharray") >= 3 + 5  # cuts dashed + spokes
+
+def test_a_network_is_drawn_only_with_its_own_layout(p2, p2_built):
+    # one drawing path: the disk alone, or a network with its own layout
+    net, layout, _ = p2_built
+    other, _ = empty_network(p2.disk)
+    for drawn, cuts in ((None, layout), (net, other.layout), (net, None)):
+        with pytest.raises(InvariantViolated):
+            render_svg(p2.disk, drawn, cuts)
+    assert render_svg(p2.disk) == render_svg(p2.disk, None, None)

@@ -349,3 +349,36 @@ def test_no_product_table_outlives_its_call():
               if isinstance(node, ast.Call) and _is_cache(node.func)]
     assert sorted(tables) == ["Factors.__init__", "compose_steps",
                               "verify_bundle"]
+
+
+def test_cli_records_a_stage_only_in_the_stage_recorder():
+    # every stage, passing or failing, raised or returned, holonomies,
+    # render and error included, is recorded by cli._stage: no other
+    # code in the CLI writes a stage dict
+    tree = ast.parse((SRC / "cli.py").read_text())
+    recorder = {id(node) for node in
+                ast.walk(_enclosing(tree, ast.FunctionDef, "_stage"))}
+    found = [(node.lineno, id(node) in recorder) for node in ast.walk(tree)
+             if isinstance(node, ast.Dict)
+             and any(isinstance(k, ast.Constant) and k.value == "status"
+                     for k in node.keys)]
+    assert len(found) == 1 and found[0][1], found
+
+
+def test_realizability_is_decided_only_on_the_multisection():
+    # parity, N >= 3 and b1 are decided once per multi-section, by its
+    # cached realizability; the builder and the CLI read that
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        owners.update({id(node): f"{cls.name}.{fn.name}"
+                                       for node in ast.walk(fn)})
+        calls += [f"{path.name}:{owners.get(id(node))}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and _called_name(node) == "parity_and_realizability"]
+    assert calls == ["multisection.py:TropicalMultiSection.realizability"]
