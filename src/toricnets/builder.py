@@ -207,6 +207,17 @@ def empty_network(disk):
     return SpectralNetwork((), layout), layout
 
 
+def checked_realizability(tms):
+    """``tms.realizability``, or ParityViolation when N has the wrong
+    parity for the cover class (odd in case O, even in case E), which the
+    parity theorem rules out on a valid two-fold multi-section."""
+    result = tms.realizability
+    if not result.parity_ok:
+        raise ParityViolation(f"N = {len(tms.crossing_cones)} has the wrong "
+                              "parity for this cover class")
+    return result
+
+
 def build_network(tms, disk):
     """Run the rank-2 construction; returns (network, layout).
 
@@ -219,13 +230,9 @@ def build_network(tms, disk):
     if tms.degree == 1:
         return empty_network(disk)
     vees = tms.crossing_cones  # raises NotTwoFold for other degrees
-    n_value = len(vees)
-    result = tms.realizability
-    if not result.parity_ok:
-        raise ParityViolation(
-            f"N = {n_value} has the wrong parity for this cover class")
-    if not result.realizable:
-        raise NotRealizable(f"N = {n_value} < 3 admits no embedded realization")
+    if not checked_realizability(tms).realizable:
+        raise NotRealizable(
+            f"N = {len(vees)} < 3 admits no embedded realization")
 
     # The module docstring proves this placement valid, so it is placed
     # once; a violation means the construction is wrong.  Each wall lands

@@ -30,8 +30,8 @@ from pathlib import Path
 from . import builder, multisection, nonabelian, network, schema
 from .cover import betti_one, check_holonomies, make_local_system
 from .errors import (LoopIdentityFailed, NotRealizable, NotTwoFold,
-                     ParityViolation, ParseError, SlopeTie, ToricNetsError,
-                     WrongCount, ZeroHolonomy)
+                     ParseError, SlopeTie, ToricNetsError, WrongCount,
+                     ZeroHolonomy)
 from .laurent import TPoly
 from .render import render_svg
 from .reporting import ValidationReport
@@ -126,9 +126,7 @@ def _raise_invalid(tms):
 
 
 def _parity_detail(tms, n_value):
-    res = tms.realizability
-    if not res.parity_ok:
-        raise ParityViolation(f"N = {n_value} parity mismatch")
+    res = builder.checked_realizability(tms)
     return {"N": n_value, "parity_ok": res.parity_ok,
             "realizable": res.realizable, "betti_one": res.betti_one}
 
@@ -222,18 +220,21 @@ def cmd_verify(spec, report, seed, count=25):
 
 
 def cmd_render(spec, report, out_path):
-    net = spec.network
-    if net is None and spec.tms is not None:
-        try:
-            net, _ = builder.build_network(spec.tms, spec.disk)
-        except ToricNetsError:
-            pass
-    svg = render_svg(spec.disk, net, None if net is None else net.layout)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(svg)
-    _stage(report, "render", lambda: str(out_path))
+    def draw():
+        # the polygon is built here, so a bad support fails this stage
+        disk, net = spec.disk, spec.network
+        if net is None and spec.tms is not None:
+            try:
+                net, _ = builder.build_network(spec.tms, disk)
+            except ToricNetsError:
+                pass
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(
+            render_svg(disk, net, None if net is None else net.layout))
+        return str(out_path)
+
+    _stage(report, "render", draw)
     report["artifacts"].append(str(out_path))
-    return svg
 
 
 def main(argv=None):

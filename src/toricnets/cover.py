@@ -162,14 +162,6 @@ class SheetedSurface:
             orbits.setdefault(find(s), []).append(s)
         return tuple(map(tuple, orbits.values()))
 
-    def component_count(self):
-        return len(self.sheet_orbits)
-
-    def euler_characteristic(self):
-        # chi = r * chi(disk) - sum over branch points of (r - #orbits(tau));
-        # every transposition has deficiency exactly 1.
-        return self.r - len(self.cuts)
-
     def apply_cut(self, k, sheet):
         a, b = self.cuts[k].transposition
         if sheet == a:
@@ -181,7 +173,9 @@ class SheetedSurface:
 
 def betti_one(cover: SheetedSurface) -> int:
     """First Betti number of the covering surface (with boundary)."""
-    return cover.component_count() - cover.euler_characteristic()
+    # b1 = #components - chi, where chi = r * chi(disk) - sum over branch
+    # points of (r - #orbits(tau)); every transposition has deficiency 1.
+    return len(cover.sheet_orbits) - cover.r + len(cover.cuts)
 
 
 class GridPoints:
@@ -431,22 +425,14 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
     gauge with t_0 = 1 its holonomy is exactly t_{k+1}, so the weights are
     [1, h_1, ..., h_{b1}].  The holonomies are rationals, or the
     symbols ``TPoly.symbols(b1)`` for the system that stands for all of
-    them at once.
+    them at once.  This gauge covers the builder's covers: a connected
+    2-fold cover, with b1 = #cuts - 1, and the cut-free rank-1 cover, with
+    no weights.  On any other cover the weight count is wrong, and
+    ``RankOneLocalSystem`` raises WrongCount.
     """
-    b1 = betti_one(cover)
     holonomies = [coefficient(h) for h in holonomies]
-    check_holonomies(b1, holonomies)
-    if not cover.cuts:
-        return RankOneLocalSystem(cover, [])
-    weights = [Fraction(1)] + holonomies
-    if len(weights) != len(cover.cuts):
-        # disconnected or higher-rank covers fall outside the b1 = B - 1
-        # bookkeeping; only the trivial system is supported there
-        if b1 == 0:
-            weights = [Fraction(1)] * len(cover.cuts)
-        else:
-            raise WrongCount(
-                "generator-loop gauge needs a connected 2-fold cover")
+    check_holonomies(betti_one(cover), holonomies)
+    weights = [Fraction(1)] + holonomies if cover.cuts else []
     return RankOneLocalSystem(cover, weights)
 
 

@@ -24,11 +24,7 @@ from math import lcm
 
 from . import geom
 from .errors import (NonPrimitiveRay, NotComplete, NotSmooth,
-                     NotStrictlyConvex, UnknownCone)
-
-
-def ray_cone(i):
-    return ("ray", i)
+                     NotStrictlyConvex)
 
 
 class Fan:
@@ -45,25 +41,6 @@ class Fan:
 
     def ray(self, i):
         return self.rays[i % self.n]
-
-    def max_cone_rays(self, i):
-        """Generators (v_i, v_{i+1}) of maximal cone i."""
-        return (self.rays[i % self.n], self.rays[(i + 1) % self.n])
-
-    def cone_generators(self, cone):
-        """Generators of a cone reference ('zero',) | ('ray', i) | ('max', i)."""
-        kind = cone[0]
-        if kind == "zero":
-            return ()
-        if kind == "ray":
-            if not (0 <= cone[1] < self.n):
-                raise UnknownCone(f"ray index {cone[1]} out of range")
-            return (self.rays[cone[1]],)
-        if kind == "max":
-            if not (0 <= cone[1] < self.n):
-                raise UnknownCone(f"maximal cone index {cone[1]} out of range")
-            return self.max_cone_rays(cone[1])
-        raise UnknownCone(f"unknown cone reference {cone!r}")
 
     def __eq__(self, other):
         return isinstance(other, Fan) and self.rays == other.rays

@@ -133,24 +133,26 @@ def contacts(curves, fixed=()):
 
     Polylines are numbered ``curves`` first, then ``fixed``.  Returns
     {(a, b): [(i, j), ...]}, a < b, listing in (i, j) order each touching
-    pair of segments a[i]a[i+1], b[j]b[j+1].  Each segment is boxed once
-    and, by its box's left side, tested against the active segments (boxes
-    reaching that far right) where the boxes meet (Shamos-Hoey 1976).
-    Pairs within one polyline, or within ``fixed``, are never tested.
+    pair of segments a[i]a[i+1], b[j]b[j+1].  Each segment is boxed once,
+    the boxes sorted by their left sides, and each segment is tested
+    against the ones after it whose boxes start before its box ends and
+    meet it (Shamos-Hoey 1976): the scan stops at the first box that
+    starts past its right side.  Pairs within one polyline, or within
+    ``fixed``, are never tested.
     """
     polys, m = (*curves, *fixed), len(curves)
     segments = sorted((box(p, q), a, i) for a, poly in enumerate(polys)
                       for i, (p, q) in enumerate(zip(poly, poly[1:])))
-    found, active = {}, []
-    for seg in segments:
-        (left, bottom, _, top), a, i = seg
-        active = [s for s in active if s[0][2] >= left]
-        for (_, low, _, high), b, j in active:
+    found = {}
+    for k, ((_, bottom, right, top), a, i) in enumerate(segments):
+        for later in range(k + 1, len(segments)):
+            (left, low, _, high), b, j = segments[later]
+            if left > right:
+                break
             if (low <= top and bottom <= high and a != b and min(a, b) < m
                     and segments_cross(*polys[a][i:i + 2], *polys[b][j:j + 2])):
                 key, pair = ((a, b), (i, j)) if a < b else ((b, a), (j, i))
                 found.setdefault(key, []).append(pair)
-        active.append(seg)
     return {key: sorted(pairs) for key, pairs in found.items()}
 
 

@@ -16,11 +16,12 @@ layout.
 The boundary-track machinery turns the ccw cyclic order of boundary
 landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
 sequences for path-ordered products: a loop just inside the boundary
-crosses exactly these curves in exactly this order.  Every landing is read
-on the layout's integer grid (``GridPoints``): its order along its edge
-by ``edge_position``, its half-edge by ``half_edge``.  Nothing here
-locates a point off the grid, and a rational point is made only for a
-report witness (``GridPoints.rational``).
+crosses exactly these curves in exactly this order.  The track is walked
+ccw only, every crossing positive; a cw path is the reverse of a ccw one.
+Every landing is read on the layout's integer grid (``GridPoints``): its
+order along its edge by ``edge_position``, its half-edge by
+``half_edge``.  Nothing here locates a point off the grid, and a rational
+point is made only for a report witness (``GridPoints.rational``).
 """
 from __future__ import annotations
 
@@ -96,9 +97,6 @@ class SpectralNetwork:
         return tuple(branch_point_arms(self, b)
                      for b in range(len(self.branch_points)))
 
-    def walls_of_branch(self, b):
-        return [w for w in self.walls if w.start_branch == b]
-
 
 class TrackEvent(NamedTuple):
     """One crossing of the near-boundary ccw track."""
@@ -168,33 +166,26 @@ def _cyclic_slice(events, from_key, to_key):
     return events[i:] + events[:j]
 
 
-def track_path(net: SpectralNetwork, from_cone, to_cone,
-               ccw=True) -> SurfacePath:
+def track_path(net: SpectralNetwork, from_cone, to_cone) -> SurfacePath:
     """Boundary-track path between two vertex chambers, as a SurfacePath.
 
     The path starts on sheet 0 at the basepoint near the vertex dual to
-    ``from_cone`` and crosses everything the ccw (or cw) track crosses.
+    ``from_cone`` and crosses, positively, everything the ccw track
+    crosses on its way to the vertex dual to ``to_cone``.
     """
     n = net.fan.n
-    a = vertex_chamber_key(from_cone, n)
-    b = vertex_chamber_key(to_cone, n)
-    if ccw:
-        chosen, d = _cyclic_slice(net.events, a, b), +1
-    else:
-        chosen, d = _cyclic_slice(net.events, b, a)[::-1], -1
+    chosen = _cyclic_slice(net.events, vertex_chamber_key(from_cone, n),
+                           vertex_chamber_key(to_cone, n))
     return SurfacePath(from_cone % n, 0,
-                       [Crossing(ev.kind, ev.index, d) for ev in chosen])
+                       [Crossing(ev.kind, ev.index, +1) for ev in chosen])
 
 
-def boundary_loop(net: SpectralNetwork, base_cone, ccw=True) -> SurfacePath:
-    """Full boundary-parallel loop based at a vertex chamber."""
+def boundary_loop(net: SpectralNetwork, base_cone) -> SurfacePath:
+    """Full ccw boundary-parallel loop based at a vertex chamber."""
     n = net.fan.n
     ordered = _loop_from(net.events, vertex_chamber_key(base_cone, n))
-    if not ccw:
-        ordered = ordered[::-1]
-    d = +1 if ccw else -1
-    crossings = [Crossing(ev.kind, ev.index, d) for ev in ordered]
-    return SurfacePath(base_cone % n, 0, crossings)
+    return SurfacePath(base_cone % n, 0,
+                       [Crossing(ev.kind, ev.index, +1) for ev in ordered])
 
 
 # -- solitons ----------------------------------------------------------------
@@ -352,8 +343,7 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             report.add("5", f"wall {w.id} does not start at its branch point")
 
     # (3) every branch point carries the Y local model
-    for b in range(len(net.branch_points)):
-        arms = net.walls_of_branch(b)
+    for b, arms in enumerate(net.arms):
         if len(arms) != 3:
             report.add("3", f"branch point {b} has {len(arms)} walls, not 3", b)
     if not net.walls_disjoint:

@@ -68,7 +68,6 @@ from .cover import (Crossing, SurfacePath, parallel_transport,
                     winding_sign)
 from .errors import (InvariantViolated, LoopIdentityFailed,
                      NonTransverseCrossing, NotSupported)
-from .fans import ray_cone
 from .geom import dot, sub
 from .laurent import (Constant, TPoly, constant, det, identity, inverse,
                       is_identity, is_unit, mat_mul, substitute)
@@ -297,7 +296,7 @@ def loop_identity_check(factors) -> ValidationReport:
             report.add("loop", f"loop around branch point {b} is not the "
                        "identity", ("branch", b))
             return report
-    if boundary_loop(net, 0, ccw=True).crossings != [
+    if boundary_loop(net, 0).crossings != [
             c for p in factors.step_paths for c in p.crossings]:
         raise InvariantViolated(
             "the boundary loop from cone 0 is not the adjacent steps "
@@ -608,15 +607,14 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     for i in range(n):
         h = (i - 1) % n
         c = p[(h, i)]
-        gens = fan.cone_generators(ray_cone(i))
+        v = fan.rays[i]
         if any(dot(sub(frames[i][row], frames[h][col]), v) < 0
                for row, col in product(range(len(c.rows)), repeat=2)
-               if c.rows[row][col] for v in gens):
+               if c.rows[row][col]):
             report.add("regularity",
                        f"G over the ray-{i} overlap has negative exponents", i)
             continue
-        if not (is_unit(det(c)) and
-                all(dot(sub(sums[i], sums[h]), v) == 0 for v in gens)):
+        if not (is_unit(det(c)) and dot(sub(sums[i], sums[h]), v) == 0):
             report.add("invertibility",
                        f"G over the ray-{i} overlap is not a unit there", i)
 

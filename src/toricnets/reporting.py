@@ -15,8 +15,8 @@ class Violation(NamedTuple):
 
 
 class ValidationReport:
-    def __init__(self, violations=None):
-        self.violations = [] if violations is None else violations
+    def __init__(self):
+        self.violations = []
 
     def __eq__(self, other):
         if type(other) is not type(self):

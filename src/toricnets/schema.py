@@ -112,11 +112,11 @@ class ProblemSpec:
     """A parsed problem document (``parse_problem``)."""
 
     def __init__(self, fan: Fan, phi: SupportFunction,
-                 tms: TropicalMultiSection | None = None, holonomies=None,
-                 network: SpectralNetwork | None = None):
+                 tms: TropicalMultiSection | None = None, holonomies=None):
         self.fan, self.phi, self.tms = fan, phi, tms
         self.holonomies = [] if holonomies is None else holonomies
-        self.network = network
+        # the embedded network, which ``parse_problem`` reads last
+        self.network = None
 
     # the fan and the support function are fixed once parsed, so the
     # polygon and the disk model are built once, on first use

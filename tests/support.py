@@ -652,7 +652,7 @@ def ref_det(m):
 
 def ref_regular_on(m, fan, cone):
     """True iff every exponent pairs >= 0 with every cone generator."""
-    gens = fan.cone_generators(cone)
+    gens = cone_generators(fan, cone)
     return all(dot(e, v) >= 0 for row in m.rows for p in row
                for e in p.terms for v in gens)
 
@@ -669,7 +669,7 @@ def ref_is_invertible_on(m, fan, cone):
     ((e, c),) = d.items()
     if isinstance(c, TPoly) and len(c.terms) != 1:
         return False
-    return all(dot(e, v) == 0 for v in fan.cone_generators(cone))
+    return all(dot(e, v) == 0 for v in cone_generators(fan, cone))
 
 
 def fraction_rows(c):
@@ -699,7 +699,6 @@ def laurent_form(factor, tms, cover):
 # report holds exactly those violations.
 
 def reference_verify_bundle(coc, tms):
-    from toricnets.fans import ray_cone
     from toricnets.reporting import ValidationReport
 
     report = ValidationReport()
@@ -978,7 +977,7 @@ def reference_branch_point_arms(net, b):
     cut = rational(net.layout, net.cuts[b].polyline)
     arms = [("cut", None, direction(cut))]
     arms += [("wall", w, direction(rational(net.layout, w.polyline)))
-             for w in net.walls_of_branch(b)]
+             for w in net.walls if w.start_branch == b]
     by_angle = functools.cmp_to_key(angle_cmp)
     arms.sort(key=lambda arm: by_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
@@ -1209,7 +1208,7 @@ def reference_validate_network(net, tms, cover):
             report.add("3", f"wall {w.id} starts at an undeclared joint",
                        w.start)
     for b in range(len(branch_points)):
-        arms = net.walls_of_branch(b)
+        arms = [w for w in walls if w.start_branch == b]
         if len(arms) != 3:
             report.add("3", f"branch point {b} has {len(arms)} walls, not 3",
                        b)
@@ -1325,7 +1324,7 @@ def reference_loop_identity_check(factors):
                     branch_point_loop(net, cover, b))
                    for b in range(len(cover.cuts))),
                   ((f"boundary loop from cone {base}", ("boundary", base),
-                    boundary_loop(net, base, ccw=True))
+                    boundary_loop(net, base))
                    for base in range(factors.tms.fan.n)))
     for name, witness, loop in loops:
         product = path_ordered(factors, loop)
@@ -1420,6 +1419,26 @@ def max_cone(i):
     return ("max", i)
 
 
+def ray_cone(i):
+    return ("ray", i)
+
+
+def cone_generators(fan, cone):
+    """Generators of a cone reference ZERO_CONE, ``ray_cone(i)`` or
+    ``max_cone(i)``: none, v_i, or (v_i, v_{i+1}); UnknownCone for an
+    index out of range or another reference."""
+    kind = cone[0]
+    if kind == "zero":
+        return ()
+    if kind in ("ray", "max") and not 0 <= cone[1] < fan.n:
+        raise UnknownCone(f"{kind} index {cone[1]} out of range")
+    if kind == "ray":
+        return (fan.rays[cone[1]],)
+    if kind == "max":
+        return (fan.rays[cone[1]], fan.rays[(cone[1] + 1) % fan.n])
+    raise UnknownCone(f"unknown cone reference {cone!r}")
+
+
 def dual_cell(polytope, cone):
     """Face of the polygon dual to a cone of its fan.
 
@@ -1428,7 +1447,7 @@ def dual_cell(polytope, cone):
     """
     if cone[0] == "zero":
         return tuple(polytope.vertices)
-    polytope.fan.cone_generators(cone)  # UnknownCone for a bad reference
+    cone_generators(polytope.fan, cone)  # UnknownCone for a bad reference
     if cone[0] == "max":
         return (polytope.vertex(cone[1]),)
     return polytope.edge(cone[1])

@@ -9,13 +9,14 @@ from fractions import Fraction
 
 from support import (FIXTURES, LaurentMatrix, LaurentPoly,
                      boundary_restriction_equiv, laurent_form, load, matrices,
-                     pair, random_two_fold, ref_identity, ref_is_invertible_on,
-                     ref_product, ref_regular_on, with_matrices)
+                     pair, random_two_fold, ray_cone, ref_identity,
+                     ref_is_invertible_on, ref_product, ref_regular_on,
+                     reversed_path, with_matrices)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
 from toricnets.cover import betti_one, make_local_system
-from toricnets.fans import make_fan, ray_cone
+from toricnets.fans import make_fan
 from toricnets.multisection import classify_two_fold, n_genericity
 from toricnets.network import branch_point_arms, track_path, validate_network
 from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
@@ -145,7 +146,9 @@ def test_acceptance_6_well_definedness():
             for j in range(n):
                 if i == j:
                     continue
-                alt = path_ordered(factors, track_path(net, i, j, ccw=False))
+                # the cw path from i to j: the ccw one from j, reversed
+                alt = path_ordered(factors,
+                                   reversed_path(track_path(net, j, i), cover))
                 assert laurent_form(alt, spec.tms, cover) == pair(coc, i, j), \
                     f"{name}: path dependence at ({i},{j})"
     print("ACCEPTANCE 6 well-definedness: homotopic extraction paths give "

@@ -1,15 +1,20 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from support import (FIXTURES, boundary_labels, count_calls, load,
-                     quarter_points_cw)
+from support import (FIXTURES, boundary_labels, count_calls,
+                     generated_problems, load, quarter_points_cw,
+                     random_two_fold, skewed_fan_and_support)
 
-from toricnets.builder import _quarter_points_cw, build_network
+from toricnets.builder import (_quarter_points_cw, build_network,
+                               checked_realizability)
 from toricnets.cover import build_cover
 from toricnets.errors import InvariantViolated, NotRealizable, NotTwoFold
+from toricnets.fans import make_fan
 from toricnets.network import branch_point_arms, validate_network, \
     walls_pairwise_disjoint
 
@@ -280,3 +285,27 @@ def test_quarter_point_walk_matches_sorted_reference():
                 assert [(e, Fraction(*t)) for e, t in
                         _quarter_points_cw(n, start, end)] == want, \
                     (n, start, end)
+
+
+def test_the_parity_gate_never_fires_on_a_valid_multisection():
+    # the builder's ParityViolation gate guards the parity theorem, so no
+    # valid input reaches it: in case O the sign sequence that
+    # intersection_cones reads flips sign under k -> k+n, so its first n
+    # pairs change sign an odd number of times; in case E the changes
+    # around a cycle are even.  Random multi-sections of each class on P2,
+    # P1xP1 and blow-ups of P2, and generated problems, all pass it
+    rng = random.Random(30)
+    fans = [make_fan([(1, 0), (0, 1), (-1, -1)]),
+            make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])]
+    fans += [skewed_fan_and_support(rng, n)[0] for n in (4, 5, 6, 7, 9)]
+    sections = [random_two_fold(fan, rng, force_class=tag)
+                for fan in fans for tag in "OE" for _ in range(5)]
+    sections += [spec.tms for _, spec in generated_problems("parity", 30, 4)]
+    tags = Counter()
+    for tms in sections:
+        tag = tms.cover_class.tag
+        assert len(tms.crossing_cones) % 2 == (tag == "O")
+        assert checked_realizability(tms) is tms.realizability
+        assert tms.realizability.parity_ok
+        tags[tag] += 1
+    assert tags["O"] >= 35 and tags["E"] >= 35

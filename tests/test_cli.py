@@ -531,6 +531,24 @@ def test_a_support_that_is_not_strictly_convex_fails_the_fan_stage(
          "detail": "support function is not strictly convex across ray 2"}]
 
 
+def test_a_support_that_is_not_strictly_convex_fails_the_render_stage(
+        tmp_path, capsys):
+    # the same support at render: the polygon, the network and the figure
+    # are built in the render stage, which fails and writes no figure; it
+    # was a generic error stage
+    def edit(data):
+        data["support"][2] = 2
+    path = _write_edited(tmp_path, edit)
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", path, "--out", str(figure),
+                 "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["stages"] == [
+        {"name": "render", "status": "fail",
+         "detail": "support function is not strictly convex across ray 2"}]
+    assert report["artifacts"] == [] and not figure.exists()
+
+
 _CORNER_CHORD = {"id": 7, "label": [0, 1], "end_edge": 1, "end_cone": 0,
                  "polyline": [["0", "1/8"], ["1/8", "0"]]}
 

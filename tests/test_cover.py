@@ -37,7 +37,7 @@ def test_single_branch_point_cover():
     fan, poly, disk = p1p1_disk()
     cut = straight_cut(disk, 0, 1)
     cover = build_cover(disk, on_grid(disk, (cut,)).layout, 2)
-    assert cover.component_count() == 1
+    assert len(cover.sheet_orbits) == 1
     assert betti_one(cover) == 0
 
 
@@ -46,7 +46,7 @@ def test_two_branch_points_cover():
     c1 = straight_cut(disk, 0, 1)
     c2 = straight_cut(disk, 2, 3)
     cover = build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
-    assert cover.component_count() == 1
+    assert len(cover.sheet_orbits) == 1
     assert betti_one(cover) == 1
 
 
@@ -61,7 +61,7 @@ def test_three_branch_points_cover():
 def test_no_branch_points_splits():
     fan, poly, disk = p1p1_disk()
     cover = build_cover(disk, BranchCutLayout(disk, (), disk.scale), 2)
-    assert cover.component_count() == 2
+    assert len(cover.sheet_orbits) == 2
     assert betti_one(cover) == 0
 
 
@@ -203,6 +203,20 @@ def test_make_local_system_errors():
         make_local_system(cover, [Fraction(1), Fraction(2)])
     with pytest.raises(ZeroHolonomy):
         make_local_system(cover, [0])
+
+
+def test_no_gauge_outside_connected_two_fold_and_rank_one_covers():
+    # three sheets joined by the cuts (0, 1) and (1, 2): connected, so
+    # b1 = 1 - 3 + 2 = 0, and the one weight [1] does not fit two cuts.
+    # The generator-loop gauge covers no such cover, so the count check
+    # of RankOneLocalSystem refuses it rather than weighting every cut 1
+    fan, poly, disk = p1p1_disk()
+    cuts = [straight_cut(disk, 0, 1),
+            straight_cut(disk, 2, 3)._replace(transposition=(1, 2))]
+    cover = build_cover(disk, on_grid(disk, cuts).layout, 3)
+    assert len(cover.sheet_orbits) == 1 and betti_one(cover) == 0
+    with pytest.raises(WrongCount, match="one weight per cut"):
+        make_local_system(cover, [])
 
 
 def test_trivial_local_system_on_trivial_cover():

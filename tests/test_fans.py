@@ -6,14 +6,14 @@ import pytest
 
 from support import (ZERO_CONE, barycentric_boundary,
                      brute_force_polytope_vertices, dual_cell, locate,
-                     max_cone, perfbench_gen, ref_dual_polytope,
+                     max_cone, perfbench_gen, ray_cone, ref_dual_polytope,
                      region_of_interior_point, region_polygon)
 
 from toricnets.errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                               NotStrictlyConvex, UnknownCone)
 from toricnets.geom import dot
 from toricnets.fans import (Fan, SupportFunction, disk_model, dual_polytope,
-                            make_fan, ray_cone)
+                            make_fan)
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
 P1P1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]

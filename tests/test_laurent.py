@@ -18,13 +18,13 @@ import pytest
 
 from support import (ZERO_CONE, LaurentMatrix, LaurentPoly,
                      evaluate_coefficient, fraction_rows, max_cone,
-                     near_identities, ref_add, ref_clean, ref_det,
+                     near_identities, ray_cone, ref_add, ref_clean, ref_det,
                      ref_constant_mat_mul, ref_identity, ref_is_identity,
                      ref_is_invertible_on, ref_mat_mul, ref_matrix, ref_mul,
                      ref_neg, ref_product, ref_regular_on, ref_with_entry)
 
 from toricnets.errors import NotRegular, SizeMismatch
-from toricnets.fans import make_fan, ray_cone
+from toricnets.fans import make_fan
 from toricnets.laurent import (Constant, TPoly, constant, det, identity,
                                inverse, is_identity, is_unit, mat_mul,
                                substitute)

@@ -179,7 +179,7 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
     ls = make_local_system(cover, [Fraction(3)])
     assert loop_identity_check(Factors(net, p1p1.tms, cover, ls))
     kaneyama_cocycle(net, p1p1.tms, cover, ls)
-    network.track_path(net, 0, 2, ccw=False)
+    network.track_path(net, 2, 0)
     assert validate_network(net, p1p1.tms, cover).ok
     chambers(net)
     assert seen == {"disjoint": [net], "events": [net], "arms": [0, 1]}

@@ -9,16 +9,15 @@ from support import (GEN_TOOLKIT, LaurentMatrix, LaurentPoly,
                      boundary_restriction_equiv, chambers, count_calls,
                      fraction_rows, generated_problems, laurent_form,
                      matrices, near_identities, pair, perfbench_gen,
-                     ref_identity, ref_is_invertible_on, ref_product,
-                     ref_regular_on, ref_with_entry, reference_verify_bundle,
-                     with_matrices)
+                     ray_cone, ref_identity, ref_is_invertible_on,
+                     ref_product, ref_regular_on, ref_with_entry,
+                     reference_verify_bundle, reversed_path, with_matrices)
 
 from toricnets import schema
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (betti_one, build_cover, make_local_system,
                              sheet_lift_map, Crossing, SurfacePath)
 from toricnets.errors import InvariantViolated
-from toricnets.fans import ray_cone
 from toricnets.laurent import identity, is_identity, mat_mul
 from toricnets.network import boundary_loop, branch_point_arms, track_path
 from toricnets.nonabelian import (Factors, Framed, KaneyamaCocycle,
@@ -161,8 +160,7 @@ def test_wall_factor_single_soliton_slot(p2, p2_built):
 
 def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
     net, layout, cover = p1p1_built
-    walls_of_second = net.walls_of_branch(1)
-    w = walls_of_second[0]
+    w = next(w for w in net.walls if w.start_branch == 1)
     entries = {}
     for t in (1, 3):
         ls = make_local_system(cover, [Fraction(t)])
@@ -250,8 +248,8 @@ def test_path_ordered_frames_must_telescope(p2, p2_built, monkeypatch):
 def test_boundary_loop_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
-    for ccw in (True, False):
-        loop = boundary_loop(net, 0, ccw=ccw)
+    ccw = boundary_loop(net, 0)
+    for loop in (ccw, reversed_path(ccw, cover)):
         assert path_ordered(factors, loop) == Framed(identity(2), 0, 0)
 
 
@@ -347,7 +345,9 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
             for j in range(n):
                 if i == j:
                     continue
-                cw = path_ordered(factors, track_path(net, i, j, ccw=False))
+                # the cw path from i to j: the ccw one from j, reversed
+                cw = path_ordered(factors,
+                                  reversed_path(track_path(net, j, i), cover))
                 assert laurent_form(cw, spec.tms, cover) == pair(coc, i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
@@ -577,7 +577,7 @@ def test_unjoined_sheets_are_reported_per_cone(p2, p2_built):
     diagonal = {(i, j): LaurentMatrix.framed(identity(2), frames[i],
                                              frames[j])
                 for i in range(3) for j in range(3)}
-    assert cover.component_count() == 1
+    assert len(cover.sheet_orbits) == 1
     assert verify_bundle(with_matrices(coc, diagonal), p2.tms).violations == [
         Violation("tropicalization",
                   f"no chain of nonzero entries joins sheets [1] over cone "

@@ -382,3 +382,80 @@ def test_realizability_is_decided_only_on_the_multisection():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and _called_name(node) == "parity_and_realizability"]
     assert calls == ["multisection.py:TropicalMultiSection.realizability"]
+
+
+def test_parity_violation_is_raised_only_by_the_builders_gate():
+    # the parity gate is one check with one message, the builder's; the
+    # CLI's parity stage calls that gate
+    raised = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            raised += [f"{path.name}:{getattr(fn, 'name', None)}"
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and _called_name(node) == "ParityViolation"]
+    assert raised == ["builder.py:checked_realizability"]
+
+
+# Default-valued parameters that no package call sets, with the reason.
+_UNSET_OPTIONS = {
+    "cli.py:main(argv)": "the entry point: the console script calls main()",
+    "cli.py:cmd_verify(count)": "perfbench's holonomy-sweep calls it with "
+                                "four arguments",
+}
+
+
+def _options():
+    """(name, call name, position, parameter, default) of every
+    default-valued parameter of a package function.  A method's position
+    does not count ``self``, and ``__init__`` is called by its class's
+    name; a keyword-only parameter has no position."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(fn): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(id(fn))
+            call = owner if fn.name == "__init__" else fn.name
+            name = path.name + ":" + (call if owner in (None, call)
+                                      else f"{owner}.{call}")
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 0 if owner is None or static else 1
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for pos, (arg, default) in enumerate(
+                    zip(args[first:], fn.args.defaults), first):
+                yield f"{name}({arg.arg})", call, pos - skip, arg.arg, default
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{name}({arg.arg})", call, None, arg.arg, default
+
+
+def _sets(call, pos, arg, default):
+    """True iff ``call`` may pass ``arg`` a value other than ``default``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    given = [k.value for k in call.keywords if k.arg == arg]
+    if pos is not None and pos < len(call.args):
+        given.append(call.args[pos])
+    return any(ast.dump(v) != ast.dump(default) for v in given)
+
+
+def test_every_option_is_set_by_some_package_call():
+    # an option no package call sets is a code path only tests reach:
+    # every default-valued parameter must be given another value by some
+    # call in src/, but for the listed exceptions
+    calls = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    options = list(_options())
+    unset = [name for name, callee, pos, arg, default in options
+             if not any(_called_name(c) == callee and _sets(c, pos, arg, default)
+                        for c in calls)]
+    assert len(options) > len(_UNSET_OPTIONS)
+    assert sorted(unset) == sorted(_UNSET_OPTIONS)

@@ -279,7 +279,7 @@ def test_flipped_soliton_sign_fails_both_gates(name, monkeypatch, capsys,
 def test_boundary_loop_is_the_steps_concatenated(instances):
     for label, spec, net, cover in instances:
         n = spec.fan.n
-        loop = boundary_loop(net, 0, ccw=True)
+        loop = boundary_loop(net, 0)
         steps = [track_path(net, i, (i + 1) % n) for i in range(n)]
         assert (loop.start_region, loop.start_sheet) == \
             (steps[0].start_region, steps[0].start_sheet) == (0, 0)
@@ -293,8 +293,8 @@ def test_a_step_missing_a_crossing_is_an_invariant_violation(instances,
     true_path = nonabelian.track_path
     for label, spec, net, cover in instances[:4]:
         for k in {0, spec.fan.n - 1}:
-            def short(net_, i, j, ccw=True, k=k):
-                path = true_path(net_, i, j, ccw)
+            def short(net_, i, j, k=k):
+                path = true_path(net_, i, j)
                 if i == k:
                     path = path._replace(crossings=path.crossings[:-1])
                 return path
