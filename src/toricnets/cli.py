@@ -11,7 +11,8 @@ Commands:
                  cocycle's adjacent steps; then check the Kaneyama cocycle
                  of one seeded random local system, those steps evaluated
                  at its holonomies
-  render         figure of the polygon, spokes, walls, and cuts
+  render         figure of the polygon, spokes, walls, and cuts; an
+                 embedded network's layout must give a cover first
 
 Each check fails the stage it runs in (``_stage``), and an error outside
 every stage fails a last ``error`` stage.  Exit status is 0 iff every
@@ -221,9 +222,13 @@ def cmd_verify(spec, report, seed, count=25):
 
 def cmd_render(spec, report, out_path):
     def draw():
-        # the polygon is built here, so a bad support fails this stage
+        # the polygon is built here, so a bad support fails this stage; so
+        # does an embedded layout whose cover the multi-section's degree
+        # rejects, as validate's network stage rejects it
         disk, net = spec.disk, spec.network
-        if net is None and spec.tms is not None:
+        if net is not None and spec.tms is not None:
+            net.layout.cover(spec.tms.degree)
+        elif spec.tms is not None:
             try:
                 net, _ = builder.build_network(spec.tms, disk)
             except ToricNetsError:

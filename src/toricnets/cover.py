@@ -2,10 +2,13 @@
 
 The cover of the disk-model polygon is presented in a cut trivialization:
 away from the branch cuts the r sheets are globally labelled 0..r-1, and
-crossing a cut permutes labels by that cut's transposition.  A cut is a
-polyline from its branch point (inside a single region) to the barycenter
-of one boundary edge; its relative interior avoids all spokes, so sheet
-labels are constant on every region minus its cut.
+crossing a cut permutes labels by that cut's transposition.  A cover has
+one or two sheets (``build_cover`` raises NotTwoFold on any other count),
+so every cut swaps sheets 0 and 1: its transposition is (0, 1) or (1, 0),
+and crossing it sends sheet s to 1 - s.  A cut is a polyline from its
+branch point (inside a single region) to the barycenter of one boundary
+edge; its relative interior avoids all spokes, so sheet labels are
+constant on every region minus its cut.
 
 A ``BranchCutLayout`` owns the facts of its cuts: the disk model, the
 cuts, the branch points (each cut's first point), the one integer scale
@@ -17,9 +20,8 @@ them.  A cover in turn keeps its sheet/lift matching with each
 multi-section, computed once.
 
 Rank-1 local systems are stored in the gauge where all transport weights
-sit on the cuts: crossing cut k positively from the lower sheet of its
-transposition multiplies by t_k, from the upper sheet by 1/t_k, and fixed
-sheets are unaffected.  Every loop around a ramification point then has
+sit on the cuts: crossing cut k positively from sheet 0 multiplies by t_k,
+from sheet 1 by 1/t_k.  Every loop around a ramification point then has
 holonomy 1 automatically, so the data descends to an honest local system
 on the covering surface.  Moduli: (t_1, ..., t_B) modulo a common rescale,
 which matches b_1 = B - 1 for a connected 2-fold cover.
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
-                     InvariantViolated, NoSharedLift, OpenPath,
+                     InvariantViolated, NoSharedLift, NotTwoFold, OpenPath,
                      OverlappingCuts, UnknownCone, WrongCount, ZeroHolonomy)
 from .laurent import coefficient
 
@@ -53,20 +55,12 @@ class Cut(NamedTuple):
     """Branch cut: polyline from a branch point to an edge barycenter."""
     polyline: tuple           # grid points on the layout's grid,
                               # [branch point, ..., barycenter]
-    transposition: tuple      # pair of swapped sheets (lo, hi)
+    transposition: tuple      # the swapped sheets: (0, 1) or (1, 0)
     edge: int                 # index of the landed edge (= its dual ray)
 
     @property
     def branch_point(self):
         return self.polyline[0]
-
-    @property
-    def lo(self):
-        return min(self.transposition)
-
-    @property
-    def hi(self):
-        return max(self.transposition)
 
 
 class _LayoutFields(NamedTuple):
@@ -128,9 +122,7 @@ class SheetedSurface:
         self.r = int(r)
         self.cuts = layout.cuts
         self.cut_region = layout.cut_region
-        self.cut_at_edge = {}
-        for k, c in enumerate(self.cuts):
-            self.cut_at_edge.setdefault(c.edge, []).append(k)
+        self.landed = {c.edge for c in self.cuts}
         self._lifts = {}
 
     def lift_map(self, tms):
@@ -141,34 +133,14 @@ class SheetedSurface:
 
     # -- topology ---------------------------------------------------------
 
-    @functools.cached_property
+    @property
     def sheet_orbits(self):
         """Connected components of the cover, as sheet-label orbits (a
-        tuple of tuples), found once."""
-        parent = list(range(self.r))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.cuts:
-            a, b = find(c.transposition[0]), find(c.transposition[1])
-            if a != b:
-                parent[a] = b
-        orbits = {}
-        for s in range(self.r):
-            orbits.setdefault(find(s), []).append(s)
-        return tuple(map(tuple, orbits.values()))
-
-    def apply_cut(self, k, sheet):
-        a, b = self.cuts[k].transposition
-        if sheet == a:
-            return b
-        if sheet == b:
-            return a
-        return sheet
+        tuple of tuples): every cut swaps the two sheets, so one orbit
+        when there is a cut, and r singletons when there is none."""
+        if self.cuts:
+            return (tuple(range(self.r)),)
+        return tuple((s,) for s in range(self.r))
 
 
 def betti_one(cover: SheetedSurface) -> int:
@@ -300,13 +272,15 @@ def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     on its own barycenter, and two cuts may not touch at all (two landing
     on one barycenter touch there), so the first touching pair is at fault.
     """
+    if r not in (1, 2):
+        raise NotTwoFold(f"a cover has one or two sheets, not {r}")
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
     g, cuts = layout.grid, layout.cuts
     touching = geom.contacts([c.polyline for c in cuts], g.spokes)
     for k, c in enumerate(cuts):
-        if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
-                and c.transposition[0] != c.transposition[1]):
+        # the one check of a transposition: it must swap sheets 0 and 1
+        if r == 1 or sorted(c.transposition) != [0, 1]:
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
         _validate_cut_geometry(c, g, [touching.get((k, len(cuts) + si), ())
@@ -362,7 +336,7 @@ class SurfacePath(NamedTuple):
                     raise InvalidPath(
                         f"cut {c.index} lives in region "
                         f"{cover.cut_region[c.index]}, path is in {region}")
-                sheet = cover.apply_cut(c.index, sheet)
+                sheet = 1 - sheet
             elif c.kind == "wall":
                 pass
             else:
@@ -383,38 +357,27 @@ class RankOneLocalSystem:
         self.cover = cover
         self.cut_weights = [coefficient(w) for w in cut_weights]
 
-    def cut_crossing_weight(self, k, from_sheet, direction):
+    def cut_crossing_weight(self, k, from_sheet):
         """Scalar picked up crossing cut k from a given sheet.
 
-        Positive crossings from the lower sheet of the transposition carry
-        t_k, from the upper sheet 1/t_k; fixed sheets carry 1.  Reverse
-        crossings are the inverses of the crossings they undo.
+        Positive crossings from sheet 0 carry t_k, from sheet 1 1/t_k.  A
+        reverse crossing undoes the positive one from the other sheet, so
+        it carries the same weight: t_k from sheet 0, 1/t_k from sheet 1.
         """
-        cut = self.cover.cuts[k]
         t = self.cut_weights[k]
-        if direction > 0:
-            if from_sheet == cut.lo:
-                return t
-            if from_sheet == cut.hi:
-                return Fraction(1) / t
-            return Fraction(1)
-        # reverse of the positive crossing from apply_cut(from_sheet)
-        src = self.cover.apply_cut(k, from_sheet)
-        if src == cut.lo:
-            return Fraction(1) / t
-        if src == cut.hi:
-            return t
-        return Fraction(1)
+        return t if from_sheet == 0 else 1 / t
 
 
 def parallel_transport(ls: RankOneLocalSystem, path: SurfacePath):
-    """Product of edge weights along the path (cuts are the only carriers)."""
+    """Product of edge weights along the path (cuts are the only carriers);
+    the first weight starts the product, so no unit is multiplied in."""
     states = path.states(ls.cover)
-    total = Fraction(1)
+    total = None
     for c, (region, sheet) in zip(path.crossings, states[:-1]):
         if c.kind == "cut":
-            total *= ls.cut_crossing_weight(c.index, sheet, c.direction)
-    return total
+            w = ls.cut_crossing_weight(c.index, sheet)
+            total = w if total is None else total * w
+    return Fraction(1) if total is None else total
 
 
 def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
@@ -458,8 +421,8 @@ def sheet_lift_map(tms, cover: SheetedSurface):
     sheet s over region 0 to the s-th listed lift and propagating ccw: the
     lifted-ray matching over ray i pairs the deep tail of (region i-1,
     sheet s) with the deep tail of (region i, tau_i(s)), where tau_i is the
-    transposition of the cut landing at the barycenter of edge i (identity
-    when there is none).  Raises NoSharedLift when the cut transpositions
+    swap of the cut landing at the barycenter of edge i (identity when
+    there is none).  Raises NoSharedLift when the cut transpositions
     do not realize the multi-section's monodromy.
     """
     n = cover.disk.fan.n
@@ -468,9 +431,7 @@ def sheet_lift_map(tms, cover: SheetedSurface):
             f"cover has {cover.r} sheets, multi-section degree {tms.degree}")
 
     def tau(i, sheet):
-        for k in cover.cut_at_edge.get(i % n, []):
-            sheet = cover.apply_cut(k, sheet)
-        return sheet
+        return 1 - sheet if i % n in cover.landed else sheet
 
     lift = {}
     base_lifts = tms.lifts_of_cone(0)

@@ -10,15 +10,19 @@ coprime to the entries together, and every t-free integral entry is an
 ``int``.  A numeric constant has ``int`` entries only; a constant with a
 ``TPoly`` entry has den 1 (its t-free entries may then be non-integral
 ``Fraction``s).  ``constant`` brings exact rows to that form, scaling
-rational rows once by the lcm of their denominators.  ``mat_mul`` is the
-one product: on numeric constants it multiplies ints and the two
-denominators, and reduces by one gcd, skipped when the denominator is 1;
-on rows with a ``TPoly`` entry it sums the nonzero products of each entry
-into one term dict and brings that to canonical form once.  ``det``
-expands by cofactors, ``inverse`` scales the adjugate by a unit
-determinant, and ``substitute`` is the one substitution of rational
-holonomies for t.  So two constants are equal exactly when their tuples
-are, and ``is_identity`` is one tuple comparison.
+rational rows once by the lcm of their denominators.  So two constants
+are equal exactly when their tuples are, and ``is_identity`` is one tuple
+comparison.
+
+A cover has one or two sheets, so ``mat_mul``, ``det`` and ``inverse``
+are closed forms for 1 x 1 and 2 x 2 constants and raise ``NotSupported``
+on any other size.  ``mat_mul`` is the one product: on int rows the
+integer products, one multiply of the denominators and one gcd reduction,
+skipped when the denominator is 1; with a ``TPoly`` entry each entry is
+one ``_dot``, which collects its terms once.  ``det`` of [[p, q], [r, s]]
+is ps - qr, ``inverse`` is den times the adjugate [[s, -q], [-r, p]] over
+a unit determinant, and ``substitute`` is the one substitution of
+rational holonomies for t.
 
 The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
@@ -42,10 +46,10 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 from typing import NamedTuple
 
-from .errors import NotRegular, SizeMismatch
+from .errors import NotRegular, NotSupported, SizeMismatch
 
 
 def _entry(x):
@@ -72,9 +76,8 @@ def _collected(acc):
     return _tpoly(terms) if terms else 0
 
 
-def _tcanonical(acc):
-    """``_collected``, with a t-free result returned as a Fraction."""
-    c = _collected(acc)
+def _tcanonical(c):
+    """A canonical coefficient, with a t-free one as a Fraction."""
     return c if type(c) is TPoly else Fraction(c)
 
 
@@ -87,7 +90,7 @@ class TPoly:
     are plain ``Fraction``s (see the module docstring).  Supports +, -, *,
     == with other TPolys and with rationals, and ``x / m`` for a monomial
     m, the only units of the ring.  A matrix product does not chain these
-    operators: ``mat_mul`` collects each entry's terms itself.
+    operators: ``mat_mul`` collects each entry's terms once (``_dot``).
     """
 
     __slots__ = ("terms",)
@@ -98,23 +101,10 @@ class TPoly:
         return [_tpoly({tuple(int(i == k) for i in range(c)): 1})
                 for k in range(c)]
 
-    def _terms_of(self, other):
-        """Terms of a TPoly or rational operand; None for anything else."""
-        if isinstance(other, TPoly):
-            return other.terms
-        if isinstance(other, (int, Fraction)):
-            zero = (0,) * len(next(iter(self.terms)))
-            return {zero: _entry(other)} if other else {}
-        return None
-
     def __add__(self, other):
-        terms = self._terms_of(other)
-        if terms is None:
+        if not isinstance(other, (TPoly, int, Fraction)):
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in terms.items():
-            acc[e] = acc[e] + c if e in acc else c
-        return _tcanonical(acc)
+        return _tcanonical(_dot(self, 1, other, 1))
 
     __radd__ = __add__
 
@@ -128,15 +118,13 @@ class TPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        terms = self._terms_of(other)
-        if terms is None:
+        if type(other) is TPoly:
+            return _tcanonical(_dot(self, other, 0, 0))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in terms.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        return _tcanonical(acc)
+        # a nonzero rational scales the coefficients; the keys stay sorted
+        return _tpoly({e: _entry(c * other) for e, c in self.terms.items()}
+                      ) if other else Fraction(0)
 
     __rmul__ = __mul__
 
@@ -209,8 +197,10 @@ def constant(rows, den=1):
     r = len(rows)
     flat = [x for row in rows for x in row]
     if TPoly in map(type, flat):
-        q = Fraction(1, den)
-        flat, den = [_entry(x * q if den != 1 else x) for x in flat], 1
+        if den != 1:
+            q = Fraction(1, den)
+            flat = [x * q for x in flat]
+        flat, den = list(map(_entry, flat)), 1
     else:
         ratios = [x.as_integer_ratio() for x in flat]
         scale = lcm(*[d for _, d in ratios])
@@ -231,75 +221,81 @@ def is_identity(a) -> bool:
     return a == identity(len(a.rows))
 
 
-def mat_mul(a, b):
-    """The product a b of two constants of one size.
+def _dot(x1, y1, x2, y2):
+    """x1 y1 + x2 y2 of exact coefficients, canonical: a rational factor
+    scales a ``TPoly``'s terms, and every term goes into one dict, brought
+    to canonical form once (``_collected``)."""
+    acc, scalar = {}, 0
+    for x, y in ((x1, y1), (x2, y2)):
+        if type(y) is TPoly:
+            x, y = y, x         # x is a TPoly if either factor is
+        if type(x) is not TPoly:
+            scalar += x * y
+        elif type(y) is TPoly:
+            for e1, c1 in x.terms.items():
+                for e2, c2 in y.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        elif y:
+            for e, c in x.terms.items():
+                acc[e] = acc.get(e, 0) + c * y
+    if not acc:
+        return _entry(scalar)
+    if scalar:
+        zero = (0,) * len(next(iter(acc)))
+        acc[zero] = acc.get(zero, 0) + scalar
+    return _collected(acc)
 
-    On int rows: the integer products, one multiply of the denominators and
-    one gcd reduction.  With a ``TPoly`` entry: the nonzero products of
-    each entry summed into one term dict, a rational factor scaling the
-    other's terms, and brought to canonical form once (``_collected``);
-    rows that hold a ``TPoly`` over den 1 are then canonical as they are,
-    and any others go through ``constant``.
+
+def mat_mul(a, b):
+    """The product a b of two constants of one size, 1 or 2.
+
+    On 2 x 2 int rows: the integer products, one multiply of the
+    denominators and one gcd reduction.  Otherwise each entry is one
+    ``_dot``; rows that hold a ``TPoly`` over den 1 are then canonical as
+    they are, and any others go through ``constant``.
     """
     if len(a.rows) != len(b.rows):
         raise SizeMismatch(f"sizes {len(a.rows)} and {len(b.rows)} differ")
     den = a.den * b.den
-    cols = [*zip(*b.rows)]
-    if _numeric(a.rows) and _numeric(b.rows):
-        return _reduced(tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                               for row in a.rows]), den)
-    zero = next((0,) * len(next(iter(x.terms)))
-                for x in chain.from_iterable(a.rows + b.rows)
-                if type(x) is TPoly)
-    products = []
-    for row in a.rows:
-        out = []
-        for col in cols:
-            acc = {}
-            for x, y in zip(row, col):
-                if not x or not y:
-                    continue
-                if type(x) is not TPoly:
-                    x, y = y, x         # x is a TPoly if either factor is
-                if type(x) is not TPoly:
-                    acc[zero] = acc.get(zero, 0) + x * y
-                elif type(y) is not TPoly:
-                    for e, c in x.terms.items():
-                        acc[e] = acc.get(e, 0) + c * y
-                else:
-                    for e1, c1 in x.terms.items():
-                        for e2, c2 in y.terms.items():
-                            e = tuple(map(add, e1, e2))
-                            acc[e] = acc.get(e, 0) + c1 * c2
-            out.append(_collected(acc))
-        products.append(tuple(out))
-    products = tuple(products)
-    if den == 1 and TPoly in map(type, chain.from_iterable(products)):
-        return Constant(products, 1)
-    return constant(products, den)
+    if len(a.rows) == 2:
+        (p, q), (r, s) = a.rows
+        (w, x), (y, z) = b.rows
+        if type(p) is type(q) is type(r) is type(s) is type(w) is type(x) \
+                is type(y) is type(z) is int:
+            return _reduced(((p * w + q * y, p * x + q * z),
+                             (r * w + s * y, r * x + s * z)), den)
+        rows = ((_dot(p, w, q, y), _dot(p, x, q, z)),
+                (_dot(r, w, s, y), _dot(r, x, s, z)))
+    elif len(a.rows) == 1:
+        rows = ((_dot(a.rows[0][0], b.rows[0][0], 0, 0),),)
+    else:
+        raise _unsupported(a.rows)
+    if den == 1 and TPoly in map(type, chain.from_iterable(rows)):
+        return Constant(rows, 1)
+    return constant(rows, den)
 
 
-def _minor(a, i, j):
-    """``a`` without row i and column j."""
-    return tuple(row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i)
+def _unsupported(rows):
+    return NotSupported(f"{len(rows)} x {len(rows)} constant: a cover has "
+                        "one or two sheets")
 
 
-def _det(rows):
-    """Determinant of the rows by cofactor expansion along the first row."""
+def _adjugate(rows):
+    """(adjugate, determinant) of the rows: ([[s, -q], [-r, p]], ps - qr)
+    for [[p, q], [r, s]], and ([[1]], p) for [[p]]."""
+    if len(rows) == 2:
+        (p, q), (r, s) = rows
+        return ((s, -q), (-r, p)), _dot(p, s, -q, r)
     if len(rows) == 1:
-        return rows[0][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x:
-            term = x * _det(_minor(rows, 0, j))
-            total = total - term if j % 2 else total + term
-    return total
+        return ((1,),), rows[0][0]
+    raise _unsupported(rows)
 
 
 def det(a):
     """The determinant of a constant: an exact coefficient, an ``int``
     when it is t-free and integral."""
-    d = _det(a.rows)
+    d = _adjugate(a.rows)[1]
     return _entry(d if a.den == 1 else Fraction(d, a.den ** len(a.rows)))
 
 
@@ -309,17 +305,14 @@ def inverse(a):
 
     NotRegular unless the determinant is a unit of the coefficient ring.
     """
-    rows, r = a.rows, len(a.rows)
-    d = _det(rows)
+    adjugate, d = _adjugate(a.rows)
     if not is_unit(d):
         raise NotRegular(f"determinant {det(a)!r} is not a unit")
-    if _numeric(rows):
+    if _numeric(a.rows):
         u, d = (a.den, d) if d > 0 else (-a.den, -d)
     else:
         u, d = Fraction(a.den) / d, 1
-    return constant([[u] if r == 1 else
-                     [(-1) ** (i + j) * u * _det(_minor(rows, j, i))
-                      for j in range(r)] for i in range(r)], d)
+    return constant([[x * u for x in row] for row in adjugate], d)
 
 
 def _substitute(c, values):
@@ -329,7 +322,8 @@ def _substitute(c, values):
     total = Fraction(0)
     for exponents, a in c.terms.items():
         for v, k in zip(values, exponents):
-            a *= v ** k
+            if k:
+                a *= v ** k
         total += a
     return total
 

@@ -103,14 +103,17 @@ def wall_factor(wall, region, factors) -> Framed:
     Boundary-track paths cross a wall in its landing region
     ``wall.end_cone``; the loop around a branch point crosses its arms in
     the region of its cut.  The transports become one integer constant
-    once, after the last soliton.
+    once, after the last soliton; a transport goes into a zero entry as
+    it is, signed, with no addition.
     """
     rows = [list(row) for row in identity(factors.cover.r).rows]
     for sol in enumerate_solitons(factors.net, wall):
         path = sol.transport_path(factors.cover)
         lam = parallel_transport(factors.ls, path)
+        if winding_sign(path) < 0:
+            lam = -lam
         a, b = sol.source_sheet, sol.target_sheet
-        rows[b][a] = rows[b][a] + winding_sign(path) * lam
+        rows[b][a] = rows[b][a] + lam if rows[b][a] else lam
     return Framed(constant(rows), region, region)
 
 
@@ -120,8 +123,9 @@ def cut_factor(k, factors) -> Framed:
     Defined as the inverse of the ordered product of the three wall
     factors around the cut's branch point, so the branch-point loop is the
     identity by construction; InvariantViolated is raised unless the
-    result is supported on the cut's transposition.  The wall factors
-    come from ``factors``, where the branch-point loop reads them again.
+    result is anti-diagonal: the swap of the two sheets, which every cut
+    makes.  The wall factors come from ``factors``, where the branch-point
+    loop reads them again.
     """
     cover = factors.cover
     region = cover.cut_region[k]
@@ -131,14 +135,10 @@ def cut_factor(k, factors) -> Framed:
     c = inverse(_left_product(
         (factors.of(Crossing("wall", w.id, +1), region) for w in arms),
         factors.mul).const)
-    cut = cover.cuts[k]
-    for i in range(cover.r):
-        for j in range(cover.r):
-            expected_nonzero = i == cover.apply_cut(k, j) and i != j \
-                or (i == j and i not in cut.transposition)
-            if bool(c.rows[i][j]) != expected_nonzero:
-                raise InvariantViolated(
-                    f"cut factor of cut {k} has unexpected support at {(i, j)}")
+    for (i, j), x in zip(product(range(2), repeat=2), c.rows[0] + c.rows[1]):
+        if bool(x) != (i != j):
+            raise InvariantViolated(
+                f"cut factor of cut {k} has unexpected support at {(i, j)}")
     return Framed(c, region, region)
 
 
@@ -440,9 +440,10 @@ def _factored(coc, report):
 
     Each term list ``coc.written[(i, j)]`` must be canonical: terms in
     (row, col) order, each naming an entry of the r x r matrix, no exponent
-    twice in one entry, and each coefficient num/den nonzero and reduced
-    over a positive denominator (a ``TPoly`` over 1).  A term that is not
-    is reported with its (i, j, row, col) and left out.
+    twice in one entry, each coefficient num/den nonzero and reduced over a
+    positive denominator (a ``TPoly`` over the int 1), and each exponent a
+    pair of ints (``True`` and ``1.0`` equal 1, but are not written as it).
+    A term that is not is reported with its (i, j, row, col) and left out.
 
     Two checks make the tropicalization round trip; each reads a set of
     entries, so neither depends on the order of ``coc.written``.  Every
@@ -451,21 +452,15 @@ def _factored(coc, report):
     reported with its exponents, sorted.  And every (cone, sheet) must be
     joined, through the nonzero entries, to the anchor (0, s0) of its
     component of the cover, s0 its least sheet: the entries then pin every
-    slope to the input, given the anchor's.  All these failures are
+    slope to the input, given the anchor's; a search from each anchor
+    along the entries decides it.  All these failures are
     ``tropicalization`` violations.  Each factored matrix is stored as
     integer rows over the lcm of its denominators, so every later check
     runs on ints.
     """
     frames, written, r = coc.frames, coc.written, coc.cover.r
     n = len(frames)
-    parent = list(range(n * r))     # union-find over (cone, sheet)
-    joins = n * r - 1               # joins left until one class holds all
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    links = [[] for _ in range(n * r)]  # (cone i, sheet s) at i * r + s
 
     def bad_term(i, j, row, col, what):
         report.add("tropicalization", f"G_({i},{j}) {what}", (i, j, row, col))
@@ -492,19 +487,21 @@ def _factored(coc, report):
                 canonical = num and type(den) is int and (
                     den == 1 or den > 0 and gcd(num, den) == 1)
             else:
-                canonical = symbolic = type(num) is TPoly and den == 1
+                canonical = symbolic = type(num) is TPoly and \
+                    type(den) is int and den == 1
             if not canonical:
                 bad_term(i, j, row, col, f"entry ({row},{col}) has "
                          f"coefficient {num!r}/{den!r}, not a reduced nonzero "
                          "fraction over a positive denominator")
                 continue
+            if not (type(ex) is int and type(ey) is int):
+                bad_term(i, j, row, col, f"entry ({row},{col}) has exponent "
+                         f"{(ex, ey)!r}, not a pair of ints")
+                continue
             if k != last:
                 last, exponents = k, [(ex, ey)]
-                if joins:
-                    a, b = root(i * r + col), root(j * r + row)
-                    if a != b:
-                        parent[a] = b
-                        joins -= 1
+                links[i * r + col].append(j * r + row)
+                links[j * r + row].append(i * r + col)
             elif (ex, ey) in exponents:
                 bad_term(i, j, row, col, f"entry ({row},{col}) names the "
                          f"exponent {(ex, ey)} twice")
@@ -533,11 +530,18 @@ def _factored(coc, report):
         rows = tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)])
         constants[(i, j)] = (constant(rows, den) if symbolic
                              else Constant(rows, den))
-    anchor = {s: min(orbit) for orbit in coc.cover.sheet_orbits
-              for s in orbit}
+    joined = {}     # sheet -> the (cone, sheet)s joined to its anchor
+    for orbit in coc.cover.sheet_orbits:
+        seen = {orbit[0]}           # the anchor (0, s0), s0 = min(orbit)
+        todo = [orbit[0]]
+        while todo:
+            for x in links[todo.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    todo.append(x)
+        joined.update(dict.fromkeys(orbit, seen))
     for i in range(n):
-        unjoined = [s for s in range(r)
-                    if root(i * r + s) != root(anchor[s])]
+        unjoined = [s for s in range(r) if i * r + s not in joined[s]]
         if unjoined:
             report.add("tropicalization",
                        f"no chain of nonzero entries joins sheets {unjoined} "

@@ -1358,7 +1358,7 @@ def generator_loops(cover: SheetedSurface):
     """Loops whose holonomies coordinatize the local-system moduli.
 
     Loop k encircles branch points k+1 and 0: it crosses cut k+1
-    positively from the lower sheet, walks ccw back to cut 0's region,
+    positively from sheet 0, walks ccw back to cut 0's region,
     crosses cut 0 positively, and returns.  Requires a connected 2-fold
     cover (the only case with more than one cut in this package).
     """
@@ -1366,14 +1366,13 @@ def generator_loops(cover: SheetedSurface):
     if not cover.cuts:
         return loops
     for k in range(1, len(cover.cuts)):
-        cut = cover.cuts[k]
         r_k = cover.cut_region[k]
         r_0 = cover.cut_region[0]
         crossings = [Crossing("cut", k, +1)]
         crossings += _spoke_run(cover, r_k, r_0)
         crossings.append(Crossing("cut", 0, +1))
         crossings += _spoke_run(cover, r_0, r_k)
-        loops.append(SurfacePath(r_k, cut.lo, crossings, turns=0))
+        loops.append(SurfacePath(r_k, 0, crossings, turns=0))
     return loops
 
 

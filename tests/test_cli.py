@@ -494,6 +494,50 @@ def test_embedded_layout_is_the_one_validated(tmp_path, capsys):
         "detail": "cut transposition (0, 0) is not a valid swap"}
 
 
+def test_render_fails_on_a_layout_the_cover_rejects(tmp_path, capsys):
+    # the same network: render builds the cover of the embedded layout in
+    # its stage, so the swap fails render with exit 1 and no figure
+    path = _write_edited(tmp_path, _cut(transposition=[0, 0]))
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", path, "--out", str(figure),
+                 "--report", "json"]) == 1
+    assert _json_stages(capsys) == [
+        {"name": "render", "status": "fail",
+         "detail": "cut transposition (0, 0) is not a valid swap"}]
+    assert not figure.exists()
+
+
+def _degree_three(data):
+    # p2_split_n0 with a third global sheet of slope (3, 3): a valid
+    # degree-3 split multi-section, with p2_n3's built network embedded
+    split = json.loads((FIXTURES / "p2_split_n0.json").read_text())
+    ms = split["multisection"]
+    ms["degree"] = 3
+    ms["lifted_cones"] += [{"id": f"v{i}", "cone": i, "slope": [3, 3]}
+                           for i in range(3)]
+    ms["lifted_rays"] += [{"ray": i, "from": f"v{(i - 1) % 3}",
+                           "to": f"v{i}"} for i in range(3)]
+    data["multisection"] = ms
+
+
+@pytest.mark.parametrize("command, stage", [("validate", "network"),
+                                            ("render", "render")])
+def test_a_network_of_degree_three_is_not_two_fold(command, stage, tmp_path,
+                                                   capsys):
+    # no cover of three sheets is built: the stage that would build it
+    # fails with NotTwoFold first
+    path = _write_edited(tmp_path, _with_network(_degree_three))
+    figure = tmp_path / "figure.svg"
+    assert main([command, "--input", path, "--out", str(figure),
+                 "--report", "json"]) == 1
+    stages = _json_stages(capsys)
+    assert [s["status"] for s in stages] == ["pass"] * (len(stages) - 1) + [
+        "fail"]
+    assert stages[-1] == {"name": stage, "status": "fail",
+                          "detail": "a cover has one or two sheets, not 3"}
+    assert not figure.exists()
+
+
 def _without_multisection(data):
     del data["multisection"]
     data["network"]["walls"][0]["label"] = [0, 5]

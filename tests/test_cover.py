@@ -11,8 +11,8 @@ from toricnets.cover import (BranchCutLayout, Crossing, Cut, GridPoints,
                              sheet_lift_map, winding_sign)
 from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               InvalidPath, InvariantViolated, NoSharedLift,
-                              OpenPath, OverlappingCuts, WrongCount,
-                              ZeroHolonomy)
+                              NotTwoFold, OpenPath, OverlappingCuts,
+                              WrongCount, ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
 from toricnets.laurent import TPoly
 
@@ -206,17 +206,26 @@ def test_make_local_system_errors():
 
 
 def test_no_gauge_outside_connected_two_fold_and_rank_one_covers():
-    # three sheets joined by the cuts (0, 1) and (1, 2): connected, so
-    # b1 = 1 - 3 + 2 = 0, and the one weight [1] does not fit two cuts.
-    # The generator-loop gauge covers no such cover, so the count check
-    # of RankOneLocalSystem refuses it rather than weighting every cut 1
+    # the gauge covers one- and two-sheeted covers, and no other cover is
+    # built: three sheets joined by the cuts (0, 1) and (1, 2) are refused
+    # as not two-fold before any cover exists, and on two sheets the swap
+    # (1, 2) names a sheet that is not there.  One sheet has no swap at all
     fan, poly, disk = p1p1_disk()
     cuts = [straight_cut(disk, 0, 1),
             straight_cut(disk, 2, 3)._replace(transposition=(1, 2))]
-    cover = build_cover(disk, on_grid(disk, cuts).layout, 3)
-    assert len(cover.sheet_orbits) == 1 and betti_one(cover) == 0
-    with pytest.raises(WrongCount, match="one weight per cut"):
-        make_local_system(cover, [])
+    layout = on_grid(disk, cuts).layout
+    for r in (3, 4):
+        with pytest.raises(NotTwoFold, match="one or two sheets"):
+            build_cover(disk, layout, r)
+        with pytest.raises(NotTwoFold, match="one or two sheets"):
+            layout.cover(r)
+    with pytest.raises(OverlappingCuts, match="not a valid swap"):
+        build_cover(disk, layout, 2)
+    with pytest.raises(OverlappingCuts, match="not a valid swap"):
+        build_cover(disk, on_grid(disk, cuts[:1]).layout, 1)
+    # both orders of the one valid swap are accepted
+    flipped = [c._replace(transposition=(1, 0)) for c in cuts]
+    assert len(build_cover(disk, on_grid(disk, flipped).layout, 2).cuts) == 2
 
 
 def test_trivial_local_system_on_trivial_cover():

@@ -2,7 +2,10 @@
 
 A constant is an integer matrix over one positive denominator, or a
 matrix of ``TPoly`` coefficients over 1; ``mat_mul``, ``det``,
-``inverse`` and ``substitute`` act on constants only.  The checks run the
+``inverse`` and ``substitute`` act on constants only.  A cover has one or
+two sheets, so the kernels are closed forms for 1 x 1 and 2 x 2
+constants, and ``mat_mul``, ``det`` and ``inverse`` of a 3 x 3 constant
+raise the typed ``NotSupported``.  The checks run the
 reference kernel of ``tests/support.py`` (the ``ref_*`` helpers), which
 the bundle oracles use, in ``Fraction`` arithmetic: the kernel agrees
 with it exactly and leaves every result canonical.  The Laurent form
@@ -23,13 +26,23 @@ from support import (ZERO_CONE, LaurentMatrix, LaurentPoly,
                      ref_is_invertible_on, ref_mat_mul, ref_matrix, ref_mul,
                      ref_neg, ref_product, ref_regular_on, ref_with_entry)
 
-from toricnets.errors import NotRegular, SizeMismatch
+from toricnets.errors import NotRegular, NotSupported, SizeMismatch
 from toricnets.fans import make_fan
 from toricnets.laurent import (Constant, TPoly, constant, det, identity,
                                inverse, is_identity, is_unit, mat_mul,
                                substitute)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
+
+
+def assert_rank_three_raises(a, b=None):
+    """``mat_mul``, ``det`` and ``inverse`` of a 3 x 3 constant raise the
+    typed error, never an assert or an unpacking ValueError."""
+    assert len(a.rows) == 3
+    for kernel in (lambda: mat_mul(a, b or a), lambda: det(a),
+                   lambda: inverse(a)):
+        with pytest.raises(NotSupported, match="one or two sheets"):
+            kernel()
 
 
 def is_canonical(c):
@@ -175,7 +188,7 @@ def test_mat_mul_associative_random():
 
     # rational rows scaled by the constructor, then seeded scaled
     # constants of sizes 1 to 3 over denominators up to 72, some of them
-    # with TPoly entries
+    # with TPoly entries; a 3 x 3 product raises the typed error
     triples = []
     for trial in range(25):
         r = 2 if trial % 3 else 3
@@ -184,6 +197,9 @@ def test_mat_mul_associative_random():
         r, symbols = trial % 3 + 1, [(), (t1,), (t1, t2)][trial // 12]
         triples.append([rand_scaled(rng, r, symbols) for _ in range(3)])
     for a, b, c in triples:
+        if len(a.rows) == 3:
+            assert_rank_three_raises(a, b)
+            continue
         r = len(a.rows)
         left, right = mat_mul(mat_mul(a, b), c), mat_mul(a, mat_mul(b, c))
         assert left == right and is_canonical(left)
@@ -266,6 +282,11 @@ def test_cocycle_check_examples():
     rng = random.Random(8)
     for r in (2, 3):
         f1, f2, f3 = (rand_frame(rng, r) for _ in range(3))
+        if r == 3:
+            assert_rank_three_raises(constant(
+                [[i + 1 if i == j else 0 for j in range(r)]
+                 for i in range(r)]))
+            continue
         d = constant([[i + 1 if i == j else 0 for j in range(r)]
                    for i in range(r)])
         g12, g23 = framed(d, f1, f2), framed(identity(r), f2, f3)
@@ -313,6 +334,9 @@ def test_kernel_matches_constructor_based_reference():
         n = 2 if trial % 2 else 3
         a = rand_rows(n)
         b, row = cancelling_rows(a) if trial % 3 == 0 else (rand_rows(n), None)
+        if n == 3:
+            assert_rank_three_raises(constant(a), constant(b))
+            continue
         got = mat_mul(constant(a), constant(b))
         assert is_canonical(got)
         want = ref_mat_mul(as_terms(a), as_terms(b))
@@ -335,14 +359,18 @@ def test_kernel_matches_constructor_based_reference():
 
     # seeded scaled constants, sizes 1 to 3 over denominators up to 72
     # with zero and TPoly entries: the product, determinant, inverse and
-    # substitution of the kernel equal the Fraction reference exactly
+    # substitution of the kernel equal the Fraction reference exactly, and
+    # a 3 x 3 constant raises the typed error
     rng = random.Random(72)
     t1, t2 = TPoly.symbols(2)
     dens, inverted, symbolic = set(), 0, 0
-    for trial in range(90):
-        r, symbols = trial % 3 + 1, [(), (t1,), (t1, t2)][trial // 30]
+    for trial in range(135):
+        r, symbols = trial % 3 + 1, [(), (t1,), (t1, t2)][trial // 45]
         a, b = rand_scaled(rng, r, symbols), rand_scaled(rng, r, symbols)
         dens |= {a.den, b.den}
+        if r == 3:
+            assert_rank_three_raises(a, b)
+            continue
         assert is_canonical(a) and is_canonical(b)
         fa, fb = fraction_rows(a), fraction_rows(b)
         symbolic += any(isinstance(x, TPoly) for row in fa for x in row)
@@ -372,6 +400,70 @@ def test_kernel_matches_constructor_based_reference():
         assert fraction_rows(sub) == tuple(tuple(evaluated(x, values)
                                                  for x in row) for row in fa)
     assert max(dens) == 72 and inverted > 30 and symbolic > 20
+
+
+def test_closed_forms_match_the_reference():
+    """The 1 x 1 and 2 x 2 closed forms of ``mat_mul``, ``det``,
+    ``inverse`` and ``substitute`` against the cofactor and running-sum
+    reference (``ref_mat_mul``, ``ref_det``), on seeded entries of every
+    kind: zero, int, non-integral Fraction and TPoly, over denominators 1,
+    2 and 6; with rational, monomial and non-monomial determinants, the
+    last refused with NotRegular."""
+    rng = random.Random(3107)
+    t = TPoly.symbols(2)
+    entries, dets = set(), set()
+
+    def kind(x):
+        if isinstance(x, TPoly):
+            return "monomial" if len(x.terms) == 1 else "sum"
+        return "zero" if not x else type(x).__name__
+
+    def draw(r):
+        if rng.random() < 0.5:
+            rows = [[rand_coefficient(rng, t) for _ in range(r)]
+                    for _ in range(r)]
+        else:   # a signed monomial permutation times a unipotent
+            perm = rng.sample(range(r), r)
+            unit = constant([[rng.choice([1, -2, Fraction(1, 3)])
+                              * rng.choice([1, t[0], 1 / t[1]])
+                              if j == perm[i] else 0 for j in range(r)]
+                             for i in range(r)])
+            rows = fraction_rows(mat_mul(unit, constant(
+                [[1 if i == j else rand_coefficient(rng, t) if i > j else 0
+                  for j in range(r)] for i in range(r)])))
+        symbolic = any(isinstance(x, TPoly) for row in rows for x in row)
+        return constant(rows, 1 if symbolic else rng.choice([1, 2, 6]))
+
+    for trial in range(240):
+        r = trial % 2 + 1
+        a, b = draw(r), draw(r)
+        fa, fb = fraction_rows(a), fraction_rows(b)
+        entries |= {kind(x) for row in a.rows + b.rows for x in row}
+        got = mat_mul(a, b)
+        assert is_canonical(got)
+        assert as_terms(fraction_rows(got)) == ref_mat_mul(as_terms(fa),
+                                                            as_terms(fb))
+        d = det(a)
+        assert d == ref_det(ref_matrix(as_terms(fa))).get((0, 0), 0)
+        dets.add(kind(d))
+        if is_unit(d):
+            inv = inverse(a)
+            assert is_canonical(inv)
+            ident = [[dict(p.terms) for p in row]
+                     for row in ref_identity(r).rows]
+            assert ref_mat_mul(as_terms(fraction_rows(inv)),
+                               as_terms(fa)) == ident
+        else:
+            with pytest.raises(NotRegular):
+                inverse(a)
+        values = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                  for _ in t]
+        sub = substitute(a, values)
+        assert is_canonical(sub)
+        assert fraction_rows(sub) == tuple(tuple(evaluated(x, values)
+                                                 for x in row) for row in fa)
+    assert entries == {"zero", "int", "Fraction", "monomial", "sum"}
+    assert dets == {"zero", "int", "Fraction", "monomial", "sum"}
 
 
 # -- symbolic coefficients -----------------------------------------------------
@@ -484,11 +576,15 @@ def test_symbolic_mat_mul_matches_running_sum_reference():
     # inverse
     rng = random.Random(2025)
     t = TPoly.symbols(2)
-    symbolic = inverted = 0
-    for _ in range(150):
+    symbolic = inverted = rank_three = 0
+    for _ in range(225):
         r = rng.randint(1, 3)
         a, b = (constant([[rand_coefficient(rng, t) for _ in range(r)]
                           for _ in range(r)]) for _ in range(2))
+        if r == 3:
+            assert_rank_three_raises(a, b)
+            rank_three += 1
+            continue
         got = mat_mul(a, b)
         assert got == ref_constant_mat_mul(a, b)
         assert is_canonical(got)
@@ -516,7 +612,7 @@ def test_symbolic_mat_mul_matches_running_sum_reference():
         assert is_identity(mat_mul(m, inv)) and is_identity(mat_mul(inv, m))
         assert substitute(inv, v) == inverse(substitute(m, v))
         inverted += 1
-    assert symbolic > 100 and inverted == 150
+    assert symbolic > 100 and inverted == 225 - rank_three > 140
 
 
 def test_tpoly_integral_coefficients_are_ints():
@@ -527,6 +623,9 @@ def test_tpoly_integral_coefficients_are_ints():
         r = rng.randint(1, 3)
         a, b = (constant([[rand_coefficient(rng, (t1, t2)) for _ in range(r)]
                           for _ in range(r)]) for _ in range(2))
+        if r == 3:
+            assert_rank_three_raises(a, b)
+            continue
         for c in (a, b, mat_mul(a, b)):
             for x in tpoly_coefficients(c):
                 assert type(x) is int or \

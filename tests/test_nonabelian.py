@@ -195,8 +195,10 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
         assert ref_product(*(laurent_form(f, spec.tms, cover)
                              for f in [c] + factors[::-1])) == \
             ref_identity(cover.r)
-        # the cut factor is a signed permutation on the swap
-        lo, hi = cover.cuts[b].lo, cover.cuts[b].hi
+        # the cut factor is a signed permutation on the swap of the two
+        # sheets, which every cut's transposition names
+        lo, hi = sorted(cover.cuts[b].transposition)
+        assert (lo, hi) == (0, 1)
         rows = fraction_rows(c.const)
         assert rows[lo][lo] == 0 and rows[hi][hi] == 0
         for i, j in ((lo, hi), (hi, lo)):

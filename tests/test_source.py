@@ -459,3 +459,44 @@ def test_every_option_is_set_by_some_package_call():
                         for c in calls)]
     assert len(options) > len(_UNSET_OPTIONS)
     assert sorted(unset) == sorted(_UNSET_OPTIONS)
+
+
+def test_the_rank_is_said_once():
+    # a cover has one or two sheets: the Laurent kernels are closed 1 x 1
+    # and 2 x 2 forms, with no minor and no cofactor recursion, and the
+    # sheet orbits are read off the cuts, with no union-find.  No package
+    # code indexes a table by its own entry (parent[parent[x]])
+    assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _names(path.name, "_minor")] == []
+    tree = ast.parse((SRC / "laurent.py").read_text())
+    recursive = [fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and any(isinstance(node, ast.Call)
+                         and _called_name(node) == fn.name
+                         for node in ast.walk(fn))]
+    assert recursive == []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name)
+                  and isinstance(node.slice, ast.Subscript)
+                  and isinstance(node.slice.value, ast.Name)
+                  and node.slice.value.id == node.value.id]
+    assert found == []
+
+
+def test_an_optimized_run_reports_the_same():
+    # no check of the package is an assert, so ``python -O`` strips none:
+    # verify on fan5_n5 prints the same report either way
+    fixture = SRC.parent.parent / "fixtures" / "fan5_n5.json"
+    runs = [subprocess.run([sys.executable, *flags, "-m", "toricnets.cli",
+                            "verify", "--input", str(fixture),
+                            "--report", "json"],
+                           env={"PYTHONPATH": str(SRC.parent)},
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"])]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert '"name": "kaneyama"' in runs[0].stdout

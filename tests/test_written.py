@@ -138,7 +138,7 @@ def test_an_entry_of_several_terms_reports_its_exponents_sorted(
 
 @pytest.mark.parametrize("kind", [
     "twice", "order", "row", "col", "zero", "unreduced", "negative_den",
-    "zero_den"])
+    "zero_den", "bool_exponent", "float_exponent"])
 def test_non_canonical_written_terms_are_reported(fan5, fan5_cocycle, kind):
     # each kind edits one term of the written G_01; the term is reported
     # under its (i, j, row, col) and left out, and nothing raises
@@ -163,6 +163,35 @@ def test_non_canonical_written_terms_are_reported(fan5, fan5_cocycle, kind):
                          "entry (1,0) " + coefficient.format("2/-3")),
         "zero_den": ([a, b[:2] + (-2, 0) + b[4:], c], (1, 0),
                      "entry (1,0) " + coefficient.format("-2/0")),
+        # True and 1.0 equal the frame exponent's 1, but are not ints, and
+        # cocycle.json would write them as true and 1.0
+        "bool_exponent": ([a, b[:4] + (True, 1), c], (1, 0),
+                          "entry (1,0) has exponent (True, 1), not a pair "
+                          "of ints"),
+        "float_exponent": ([a, b[:5] + (1.0,), c], (1, 0),
+                           "entry (1,0) has exponent (1, 1.0), not a pair "
+                           "of ints"),
     }[kind]
     assert _report(fan5_cocycle, fan5.tms, terms) == [
         Violation("tropicalization", f"G_(0,1) {what}", (0, 1) + witness)]
+
+
+def test_a_symbolic_term_over_true_is_not_canonical(fan5, fan5_built):
+    # True equals 1, but a TPoly coefficient is written over the int 1:
+    # the term is reported under its witness, not certified
+    net, layout, cover = fan5_built
+    coc = kaneyama_cocycle(net, fan5.tms, cover, make_local_system(
+        cover, TPoly.symbols(betti_one(cover))))
+    assert verify_bundle(coc, fan5.tms).ok
+    (i, j), terms = next((key, terms) for key, terms in coc.written.items()
+                         if any(isinstance(t[2], TPoly) for t in terms))
+    k = next(k for k, t in enumerate(terms) if isinstance(t[2], TPoly))
+    row, col, num, den, ex, ey = terms[k]
+    edited = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
+    edited.written = {**coc.written, (i, j): terms[:k] + (
+        (row, col, num, True, ex, ey),) + terms[k + 1:]}
+    assert verify_bundle(edited, fan5.tms).violations == [
+        Violation("tropicalization",
+                  f"G_({i},{j}) entry ({row},{col}) has coefficient "
+                  f"{num!r}/True, not a reduced nonzero fraction over a "
+                  "positive denominator", (i, j, row, col))]
