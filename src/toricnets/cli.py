@@ -12,7 +12,8 @@ Commands:
                  of one seeded random local system, those steps evaluated
                  at its holonomies
   render         figure of the polygon, spokes, walls, and cuts; an
-                 embedded network's layout must give a cover first
+                 embedded network's layout must give a cover first, and
+                 a multi-section without one must build a network
 
 Each check fails the stage it runs in (``_stage``), and an error outside
 every stage fails a last ``error`` stage.  Exit status is 0 iff every
@@ -224,15 +225,13 @@ def cmd_render(spec, report, out_path):
     def draw():
         # the polygon is built here, so a bad support fails this stage; so
         # does an embedded layout whose cover the multi-section's degree
-        # rejects, as validate's network stage rejects it
+        # rejects, as validate's network stage rejects it, and a
+        # multi-section the builder cannot realize, as build fails it
         disk, net = spec.disk, spec.network
         if net is not None and spec.tms is not None:
             net.layout.cover(spec.tms.degree)
         elif spec.tms is not None:
-            try:
-                net, _ = builder.build_network(spec.tms, disk)
-            except ToricNetsError:
-                pass
+            net, _ = builder.build_network(spec.tms, disk)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(
             render_svg(disk, net, None if net is None else net.layout))

@@ -34,9 +34,9 @@ from that system has coefficients in the same ring.  Substituting nonzero
 rationals for the t_k is a ring homomorphism, so an identity proved for
 the symbolic system holds for every rational system as well.
 
-Winding data for solitons is bookkept as an integer count of full tangent
-turns; the sign convention is pinned by the branch-point consistency
-identity (see ``toricnets.nonabelian``).
+Every crossing of a ``SurfacePath`` is positive, right to left of the
+oriented curve crossed: the pipeline walks the boundary track ccw and a
+branch point's loop ccw, and a cw product is the inverse of a ccw one.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from . import geom
 from .errors import (CutEndpointNotBarycenter, CutHitsRay, InvalidPath,
-                     InvariantViolated, NoSharedLift, NotTwoFold, OpenPath,
+                     InvariantViolated, NoSharedLift, NotTwoFold,
                      OverlappingCuts, UnknownCone, WrongCount, ZeroHolonomy)
 from .laurent import coefficient
 
@@ -296,12 +296,12 @@ def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     return SheetedSurface(layout, r)
 
 
-# -- paths and transport ----------------------------------------------------
+# -- paths -------------------------------------------------------------------
 
 class Crossing(NamedTuple):
+    """A positive crossing, right to left of the oriented curve."""
     kind: str        # 'spoke' | 'cut' | 'wall'
     index: int       # spoke/ray index, cut index, or wall index
-    direction: int   # +1 right-to-left of the oriented curve, -1 reverse
 
 
 class SurfacePath(NamedTuple):
@@ -310,25 +310,28 @@ class SurfacePath(NamedTuple):
     The path starts at a basepoint on a given sheet inside a given region
     and performs the listed crossings in order.  Sheet changes happen only
     at cut crossings (by the cut's transposition); region changes only at
-    spoke crossings.  ``turns`` is the accumulated count of full tangent
-    turns of the closed-up tangent loop, when the path carries one.
+    spoke crossings, ccw from region i-1 to region i across spoke i.
     """
     start_region: int
     start_sheet: int
     crossings: tuple = ()     # Crossing, in order (a list or a tuple)
-    turns: int | None = None
 
     def states(self, cover):
+        """The (region, sheet) before the first crossing and after each.
+
+        InvalidPath is raised for a spoke crossed from a region other
+        than the one before it, a cut crossed outside its own region, an
+        unknown cut or an unknown kind of crossing.
+        """
         n = cover.disk.fan.n
         states = [(self.start_region % n, self.start_sheet)]
         region, sheet = self.start_region % n, self.start_sheet
         for c in self.crossings:
             if c.kind == "spoke":
-                expect = c.index % n if c.direction > 0 else (c.index - 1) % n
-                if region != ((c.index - 1) % n if c.direction > 0 else c.index % n):
+                if region != (c.index - 1) % n:
                     raise InvalidPath(
                         f"spoke {c.index} crossed from region {region}")
-                region = expect
+                region = c.index % n
             elif c.kind == "cut":
                 if not (0 <= c.index < len(cover.cuts)):
                     raise InvalidPath(f"unknown cut {c.index}")
@@ -360,24 +363,13 @@ class RankOneLocalSystem:
     def cut_crossing_weight(self, k, from_sheet):
         """Scalar picked up crossing cut k from a given sheet.
 
-        Positive crossings from sheet 0 carry t_k, from sheet 1 1/t_k.  A
-        reverse crossing undoes the positive one from the other sheet, so
-        it carries the same weight: t_k from sheet 0, 1/t_k from sheet 1.
+        A positive crossing from sheet 0 carries t_k, one from sheet 1
+        carries 1/t_k.  It is the only weight a soliton picks up: its
+        transport is this weight at its one crossing, of its branch
+        point's cut, from its source sheet.
         """
         t = self.cut_weights[k]
         return t if from_sheet == 0 else 1 / t
-
-
-def parallel_transport(ls: RankOneLocalSystem, path: SurfacePath):
-    """Product of edge weights along the path (cuts are the only carriers);
-    the first weight starts the product, so no unit is multiplied in."""
-    states = path.states(ls.cover)
-    total = None
-    for c, (region, sheet) in zip(path.crossings, states[:-1]):
-        if c.kind == "cut":
-            w = ls.cut_crossing_weight(c.index, sheet)
-            total = w if total is None else total * w
-    return Fraction(1) if total is None else total
 
 
 def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
@@ -405,13 +397,6 @@ def check_holonomies(b1, holonomies):
         raise WrongCount(f"need {b1} holonomies, got {len(holonomies)}")
     if any(h == 0 for h in holonomies):
         raise ZeroHolonomy("holonomies must be nonzero")
-
-
-def winding_sign(path: SurfacePath) -> int:
-    """Parity sign (-1)^w of the path's tangent-loop turn count."""
-    if path.turns is None:
-        raise OpenPath("path carries no closed tangent-loop data")
-    return -1 if path.turns % 2 else 1
 
 
 def sheet_lift_map(tms, cover: SheetedSurface):

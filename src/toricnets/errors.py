@@ -78,10 +78,6 @@ class WrongCount(ToricNetsError):
     pass
 
 
-class OpenPath(ToricNetsError):
-    pass
-
-
 class NoSharedLift(ToricNetsError):
     """Cover sheets and multi-section lifts cannot be matched consistently."""
 
@@ -97,10 +93,6 @@ class NotRealizable(ToricNetsError):
 
 
 class ParityViolation(ToricNetsError):
-    pass
-
-
-class NonTransverseCrossing(ToricNetsError):
     pass
 
 

@@ -17,7 +17,8 @@ The boundary-track machinery turns the ccw cyclic order of boundary
 landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
 sequences for path-ordered products: a loop just inside the boundary
 crosses exactly these curves in exactly this order.  The track is walked
-ccw only, every crossing positive; a cw path is the reverse of a ccw one.
+ccw only, every crossing positive; the product along a cw path is the
+inverse of the product along the ccw one.
 Every landing is read on the layout's integer grid (``GridPoints``): its
 order along its edge by ``edge_position``, its half-edge by
 ``half_edge``.  Nothing here locates a point off the grid, and a rational
@@ -177,7 +178,7 @@ def track_path(net: SpectralNetwork, from_cone, to_cone) -> SurfacePath:
     chosen = _cyclic_slice(net.events, vertex_chamber_key(from_cone, n),
                            vertex_chamber_key(to_cone, n))
     return SurfacePath(from_cone % n, 0,
-                       [Crossing(ev.kind, ev.index, +1) for ev in chosen])
+                       [Crossing(ev.kind, ev.index) for ev in chosen])
 
 
 def boundary_loop(net: SpectralNetwork, base_cone) -> SurfacePath:
@@ -185,7 +186,7 @@ def boundary_loop(net: SpectralNetwork, base_cone) -> SurfacePath:
     n = net.fan.n
     ordered = _loop_from(net.events, vertex_chamber_key(base_cone, n))
     return SurfacePath(base_cone % n, 0,
-                       [Crossing(ev.kind, ev.index, +1) for ev in ordered])
+                       [Crossing(ev.kind, ev.index) for ev in ordered])
 
 
 # -- solitons ----------------------------------------------------------------
@@ -196,12 +197,6 @@ class Soliton(NamedTuple):
     target_sheet: int
     cut_index: int
     turns: int               # full tangent turns of the closed-up loop
-
-    def transport_path(self, cover) -> SurfacePath:
-        region = cover.cut_region[self.cut_index]
-        return SurfacePath(region, self.source_sheet,
-                           [Crossing("cut", self.cut_index, +1)],
-                           turns=self.turns)
 
 
 def branch_point_arms(net: SpectralNetwork, b: int):

@@ -2,27 +2,27 @@
 
 All factors act target-from-source on the r sheets: entry (row, col) =
 (target sheet, source sheet).  The bundle is toric, so every factor is a
-constant r x r matrix C between two torus frames (``Framed``): over Q,
-held as an integer matrix over one denominator, or over Q[t^±] for the
-symbolic system (``laurent.Constant``).  The frame of region R is D_R =
-diag(z^m(lift(R, s))), and the factor from region S to region T is
-D_T C D_S^-1, whose entry (row, col) is C[row][col] z^(m(lift(T, row)) -
-m(lift(S, col))).  A product of factors is defined when each factor
-starts in the region where the one before it ends; the frames then
-telescope, (C2, R1, R2)(C1, R0, R1) = (C2 C1, R0, R2), and only the
+constant r x r matrix C, a ``laurent.Constant``: over Q, held as an
+integer matrix over one denominator, or over Q[t^±] for the symbolic
+system.  The frame of region R is D_R = diag(z^m(lift(R, s))), and a
+factor crossed from region S into region T stands for D_T C D_S^-1, whose
+entry (row, col) is C[row][col] z^(m(lift(T, row)) - m(lift(S, col))).
+Along a path each crossing starts in the region where the one before it
+ends (``SurfacePath.states`` checks it), so the frames telescope,
+(D_R2 C2 D_R1^-1)(D_R1 C1 D_R0^-1) = D_R2 C2 C1 D_R0^-1, and only the
 constants are multiplied (``laurent.mat_mul``).  A path-ordered product
 multiplies later factors on the left, so the cocycle matrix
 G_ij = D_j P_ij D_i^-1 (product along the ccw boundary track from the
 vertex chamber of cone i to that of cone j) composes as
 G_ki * G_jk * G_ij = Id over closed triangles.
 
-Factor inventory, for a positive (right-to-left) crossing:
+Every crossing is positive (right to left).  Factor inventory:
 
-* spoke i: (Id, i-1, i); the semi-flat transition data
+* spoke i: Id, from region i-1 to region i; the semi-flat transition data
   diag(z^(m(lift(i, s)) - m(lift(i-1, s)))) is the frame change itself;
-* wall w with label (a, b), crossed in region R: the unipotent
-  (Id + eps * lambda * E_{b a}, R, R), where lambda is the soliton's
-  rank-1 transport and eps its winding sign;
+* wall w with label (a, b): the unipotent Id + eps * lambda * E_{b a}, in
+  the region where it is crossed, where lambda is the weight of the
+  soliton's one cut crossing and eps = (-1)^turns its winding sign;
 * cut k: the signed permutation forced by the branch-point consistency
   identity: the inverse of the ordered product of the three wall
   unipotents around the cut's branch point.
@@ -32,15 +32,14 @@ positions after the cut, so the three wall factors carry signs +, -, +,
 their product is anti-diagonal, and the loop around every branch point is
 exactly the identity.
 
-One ``Factors`` table per local system builds each factor and inverse on
-first use, and the n adjacent boundary steps once; every product over that
-system reads it.  A wall's constant does not depend on the region where
-the wall is crossed, so the table builds one per wall and frames it in
-each region: on fan7_n7, 15 wall factors for 15 walls.  The cocycle is
-written once, as the term lists of ``cocycle.json``: one Laurent monomial
-per nonzero entry of D_j P_ij D_i^-1 (``KaneyamaCocycle.written``).
-``verify_bundle`` certifies exactly those lists, factoring them back into
-their constants.
+One ``Factors`` table per local system builds each factor on first use,
+and the n adjacent boundary steps once; every product over that system
+reads it.  A wall's constant does not depend on the region where the wall
+is crossed, so the table builds one per wall: on fan7_n7, 15 wall factors
+for 15 walls.  The cocycle is written once, as the term lists of
+``cocycle.json``: one Laurent monomial per nonzero entry of
+D_j P_ij D_i^-1 (``KaneyamaCocycle.written``).  ``verify_bundle``
+certifies exactly those lists, factoring them back into their constants.
 
 Every product of two constants is ``_product``, which does not multiply
 by the identity, read through a product table (``functools.cache`` of
@@ -62,12 +61,9 @@ from __future__ import annotations
 import functools
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from typing import NamedTuple
 
-from .cover import (Crossing, SurfacePath, parallel_transport,
-                    winding_sign)
-from .errors import (InvariantViolated, LoopIdentityFailed,
-                     NonTransverseCrossing, NotSupported)
+from .cover import Crossing, SurfacePath
+from .errors import InvariantViolated, LoopIdentityFailed, NotSupported
 from .geom import dot, sub
 from .laurent import (Constant, TPoly, constant, det, identity, inverse,
                       is_identity, is_unit, mat_mul, substitute)
@@ -75,49 +71,41 @@ from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
 
 
-class Framed(NamedTuple):
-    """The factor D_target const D_source^-1 between two region frames."""
-    const: tuple     # r x r constant matrix (``laurent.Constant``)
-    source: int      # region the factor starts in
-    target: int      # region the factor ends in
-
-
-def semiflat_factor(ray, factors) -> Framed:
+def semiflat_factor(ray, factors) -> Constant:
     """Factor for the ccw crossing of the spoke of a ray.
 
     In the cut trivialization the crossing preserves sheets, so the
     transition data is diagonal with entries z^(m(lift(i, s)) -
     m(lift(i-1, s))): the change from the frame of region i-1 to that of
-    region i, around the identity constant.  The underlying lifted cones
-    share a lifted ray exactly when no cut lands on this spoke's
+    region i, so the constant is the identity.  The underlying lifted
+    cones share a lifted ray exactly when no cut lands on this spoke's
     barycenter, which is what makes the entries regular there.  Transports
     are 1 in the cuts-carry-weights gauge.
     """
-    n = factors.tms.fan.n
-    return Framed(identity(factors.cover.r), (ray - 1) % n, ray % n)
+    return identity(factors.cover.r)
 
 
-def wall_factor(wall, region, factors) -> Framed:
-    """Unipotent wall-crossing factor at a given region of the wall.
+def wall_factor(wall, factors) -> Constant:
+    """Unipotent wall-crossing factor of a wall, in any region it is
+    crossed in.
 
-    Boundary-track paths cross a wall in its landing region
-    ``wall.end_cone``; the loop around a branch point crosses its arms in
-    the region of its cut.  The transports become one integer constant
-    once, after the last soliton; a transport goes into a zero entry as
-    it is, signed, with no addition.
+    A soliton's transport is the weight of its one positive crossing of
+    its branch point's cut, from its source sheet
+    (``cut_crossing_weight``), negated when its turn count is odd.  The
+    transports become one integer constant once, after the last soliton;
+    a transport goes into a zero entry as it is, signed, with no addition.
     """
     rows = [list(row) for row in identity(factors.cover.r).rows]
     for sol in enumerate_solitons(factors.net, wall):
-        path = sol.transport_path(factors.cover)
-        lam = parallel_transport(factors.ls, path)
-        if winding_sign(path) < 0:
+        lam = factors.ls.cut_crossing_weight(sol.cut_index, sol.source_sheet)
+        if sol.turns % 2:
             lam = -lam
         a, b = sol.source_sheet, sol.target_sheet
         rows[b][a] = rows[b][a] + lam if rows[b][a] else lam
-    return Framed(constant(rows), region, region)
+    return constant(rows)
 
 
-def cut_factor(k, factors) -> Framed:
+def cut_factor(k, factors) -> Constant:
     """Signed permutation for the positive crossing of cut k.
 
     Defined as the inverse of the ordered product of the three wall
@@ -127,31 +115,26 @@ def cut_factor(k, factors) -> Framed:
     makes.  The wall factors come from ``factors``, where the branch-point
     loop reads them again.
     """
-    cover = factors.cover
-    region = cover.cut_region[k]
     arms = factors.net.arms[k]
     if len(arms) != 3:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
-    c = inverse(_left_product(
-        (factors.of(Crossing("wall", w.id, +1), region) for w in arms),
-        factors.mul).const)
+    c = inverse(_left_product((factors.of(Crossing("wall", w.id))
+                               for w in arms), factors.mul))
     for (i, j), x in zip(product(range(2), repeat=2), c.rows[0] + c.rows[1]):
         if bool(x) != (i != j):
             raise InvariantViolated(
                 f"cut factor of cut {k} has unexpected support at {(i, j)}")
-    return Framed(c, region, region)
+    return c
 
 
 class Factors:
     """The crossing factors of one local system, each built on first use.
 
     Spoke factors are keyed by ray, cut factors by cut and wall factors by
-    wall; an inverse is built on the first backward crossing.  A wall's
-    constant does not depend on the region it is crossed in: it is built
-    once, in the region of its first crossing, and framed as (C, R, R) in
-    each region R where the wall is crossed.  The n adjacent steps of the
-    ccw boundary track, from the vertex chamber of cone i to that of cone
-    i+1, are built once too: ``step_paths`` and their products ``steps``.
+    wall, whose constant does not depend on the region it is crossed in.
+    The n adjacent steps of the ccw boundary track, from the vertex
+    chamber of cone i to that of cone i+1, are built once too:
+    ``step_paths`` and their products ``steps``.
     Every product over the system reads one product table, ``mul`` (see
     the module docstring), so a branch-point loop reuses the products its
     cut factor took.
@@ -162,28 +145,21 @@ class Factors:
         self.mul = functools.cache(_product)
         self._built = {}
 
-    def of(self, crossing, region) -> Framed:
-        """Factor of a spoke, cut or wall ``crossing`` made from ``region``."""
-        kind, index = crossing.kind, crossing.index
+    def of(self, crossing) -> Constant:
+        """Factor of a spoke, cut or wall ``crossing``."""
+        kind, index = crossing
         key = (kind, index % self.tms.fan.n if kind == "spoke" else index)
         if key not in self._built:
-            self._built[key] = self._build(key, region)
-        if crossing.direction < 0:
-            key += ("inv",)
-            if key not in self._built:
-                f = self._built[key[:-1]]
-                self._built[key] = Framed(inverse(f.const), f.target,
-                                          f.source)
-        f = self._built[key]
-        return f if kind != "wall" else Framed(f.const, region, region)
+            self._built[key] = self._build(*key)
+        return self._built[key]
 
-    def _build(self, key, region):
-        if key[0] == "spoke":
-            return semiflat_factor(key[1], self)
-        if key[0] == "cut":
-            return cut_factor(key[1], self)
-        wall = next(w for w in self.net.walls if w.id == key[1])
-        return wall_factor(wall, region, self)
+    def _build(self, kind, index):
+        if kind == "spoke":
+            return semiflat_factor(index, self)
+        if kind == "cut":
+            return cut_factor(index, self)
+        return wall_factor(next(w for w in self.net.walls if w.id == index),
+                           self)
 
     @functools.cached_property
     def step_paths(self):
@@ -197,42 +173,29 @@ class Factors:
         return tuple(path_ordered(self, p) for p in self.step_paths)
 
 
-def path_ordered(factors, path) -> Framed:
+def path_ordered(factors, path) -> Constant:
     """Ordered product along a surface path of the factors in ``factors``.
 
-    The product starts from the first factor; an empty path gives Id in
-    the frame of its region.  InvariantViolated is raised if a factor does
-    not start in the region where the one before it ends.
+    The product starts from the first factor; an empty path gives Id.
+    ``path.states`` raises InvalidPath unless each crossing starts in the
+    region where the one before it ends.
     """
-    for c in path.crossings:
-        if c.direction not in (1, -1):
-            raise NonTransverseCrossing(
-                f"crossing of {c.kind} {c.index} with direction {c.direction}")
-    states = path.states(factors.cover)
+    path.states(factors.cover)
     if not path.crossings:
-        region = states[0][0]
-        return Framed(identity(factors.cover.r), region, region)
-    return _left_product((factors.of(crossing, region)
-                          for crossing, (region, _)
-                          in zip(path.crossings, states[:-1])), factors.mul)
+        return identity(factors.cover.r)
+    return _left_product((factors.of(c) for c in path.crossings),
+                         factors.mul)
 
 
-def _left_product(framed, mul):
-    """F_k ... F_1 F_0 of a nonempty sequence F_0, ..., F_k: each later
-    factor multiplies on the left, and the first is not multiplied into
-    the identity.  Only the constants are multiplied, by ``mul``, a
-    product table of ``_product``; the frames must telescope.  A factor
-    with the identity constant, such as a spoke's (Id, i-1, i) or its
-    inverse, changes only the frame: the product takes its region without
-    a multiplication, first factor or later."""
-    framed = iter(framed)
-    total = next(framed)
-    for f in framed:
-        if f.source != total.target:
-            raise InvariantViolated(
-                f"a factor from region {f.source} follows a product that "
-                f"ends in region {total.target}")
-        total = Framed(mul(f.const, total.const), total.source, f.target)
+def _left_product(consts, mul):
+    """C_k ... C_1 C_0 of a nonempty sequence C_0, ..., C_k: each later
+    constant multiplies on the left, by ``mul``, a product table of
+    ``_product``, and the first is not multiplied into the identity.  A
+    spoke's identity constant takes no multiplication, first or later."""
+    consts = iter(consts)
+    total = next(consts)
+    for c in consts:
+        total = mul(c, total)
     return total
 
 
@@ -246,17 +209,12 @@ def _product(a, b):
     return mat_mul(a, b)
 
 
-def _closes(f) -> bool:
-    """True iff a loop's product D_T C D_S^-1 is exactly the identity."""
-    return f.source == f.target and is_identity(f.const)
-
-
 def branch_point_loop(net, cover, b) -> SurfacePath:
     """Small ccw loop around branch point b, starting just after its cut."""
     region = cover.cut_region[b]
-    crossings = [Crossing("wall", w.id, +1) for w in net.arms[b]]
-    crossings.append(Crossing("cut", b, +1))
-    return SurfacePath(region, 0, crossings, turns=1)
+    crossings = [Crossing("wall", w.id) for w in net.arms[b]]
+    crossings.append(Crossing("cut", b))
+    return SurfacePath(region, 0, crossings)
 
 
 def loop_identity_check(factors) -> ValidationReport:
@@ -292,7 +250,8 @@ def loop_identity_check(factors) -> ValidationReport:
     net, cover = factors.net, factors.cover
     report = ValidationReport()
     for b in range(len(cover.cuts)):
-        if not _closes(path_ordered(factors, branch_point_loop(net, cover, b))):
+        if not is_identity(path_ordered(factors,
+                                        branch_point_loop(net, cover, b))):
             report.add("loop", f"loop around branch point {b} is not the "
                        "identity", ("branch", b))
             return report
@@ -301,7 +260,7 @@ def loop_identity_check(factors) -> ValidationReport:
         raise InvariantViolated(
             "the boundary loop from cone 0 is not the adjacent steps "
             "concatenated")
-    if not _closes(_left_product(factors.steps, factors.mul)):
+    if not is_identity(_left_product(factors.steps, factors.mul)):
         report.add("loop", "boundary loop from cone 0 is not the identity",
                    ("boundary", 0))
     return report
@@ -431,8 +390,7 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
     report = loop_identity_check(factors)
     if not report:
         raise LoopIdentityFailed(report.violations[0].message)
-    return KaneyamaCocycle(tms, cover, tuple(s.const for s in factors.steps),
-                           cover.lift_map(tms))
+    return KaneyamaCocycle(tms, cover, factors.steps, cover.lift_map(tms))
 
 
 def _factored(coc, report):

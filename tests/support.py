@@ -18,8 +18,8 @@ from toricnets import errors, fans, geom, multisection, schema
 from toricnets.cover import (Crossing, Cut, SheetedSurface, SurfacePath,
                              betti_one, build_cover, make_local_system,
                              sheet_lift_map)
-from toricnets.errors import (InvalidPath, NotRegular, NotSupported,
-                              SizeMismatch, UnknownCone)
+from toricnets.errors import (NotRegular, NotSupported, SizeMismatch,
+                              UnknownCone)
 from toricnets.geom import cross, dot, sub
 from toricnets.laurent import TPoly, constant, identity, substitute
 from toricnets.multisection import (LiftedCone, LiftedRay,
@@ -679,13 +679,14 @@ def fraction_rows(c):
                        for x in row) for row in c.rows)
 
 
-def laurent_form(factor, tms, cover):
-    """The Laurent matrix D_target C D_source^-1 of a ``nonabelian.Framed``
-    factor, with the frames D_R = diag(z^m(lift(R, s))) written out."""
+def laurent_form(const, source, target, tms, cover):
+    """The Laurent matrix D_target C D_source^-1 of a constant C crossed
+    from region ``source`` into region ``target``, with the frames
+    D_R = diag(z^m(lift(R, s))) written out."""
     lift = sheet_lift_map(tms, cover)
-    c, r = fraction_rows(factor.const), cover.r
-    return ref_matrix([[{sub(tms.slope(lift[(factor.target, row)]),
-                             tms.slope(lift[(factor.source, col)])):
+    c, r = fraction_rows(const), cover.r
+    return ref_matrix([[{sub(tms.slope(lift[(target, row)]),
+                             tms.slope(lift[(source, col)])):
                          c[row][col]} if c[row][col] else {}
                         for col in range(r)] for row in range(r)])
 
@@ -1327,9 +1328,7 @@ def reference_loop_identity_check(factors):
                     boundary_loop(net, base))
                    for base in range(factors.tms.fan.n)))
     for name, witness, loop in loops:
-        product = path_ordered(factors, loop)
-        if (product.source != product.target
-                or product.const != identity(cover.r)):
+        if path_ordered(factors, loop) != identity(cover.r):
             report.add("loop", f"{name} is not the identity", witness)
             break
     return report
@@ -1349,7 +1348,7 @@ def _spoke_run(cover, start_region, end_region):
     region = start_region % n
     while region != end_region % n:
         nxt = (region + 1) % n
-        crossings.append(Crossing("spoke", nxt, +1))
+        crossings.append(Crossing("spoke", nxt))
         region = nxt
     return crossings
 
@@ -1368,11 +1367,11 @@ def generator_loops(cover: SheetedSurface):
     for k in range(1, len(cover.cuts)):
         r_k = cover.cut_region[k]
         r_0 = cover.cut_region[0]
-        crossings = [Crossing("cut", k, +1)]
+        crossings = [Crossing("cut", k)]
         crossings += _spoke_run(cover, r_k, r_0)
-        crossings.append(Crossing("cut", 0, +1))
+        crossings.append(Crossing("cut", 0))
         crossings += _spoke_run(cover, r_0, r_k)
-        loops.append(SurfacePath(r_k, 0, crossings, turns=0))
+        loops.append(SurfacePath(r_k, 0, crossings))
     return loops
 
 
@@ -1596,23 +1595,28 @@ def chambers(net):
             for prof, arcs in sorted(profiles.items())]
 
 
-def reversed_path(path, cover):
-    """The path walked backwards, from its end state."""
-    rev = [Crossing(c.kind, c.index, -c.direction)
-           for c in reversed(path.crossings)]
-    region, sheet = path.states(cover)[-1]
-    return SurfacePath(region, sheet, rev, path.turns)
+def parallel_transport(ls, path, reverse=False):
+    """Product of the cut weights along a surface path (cuts are the only
+    carriers); the first weight starts the product, so no unit is
+    multiplied in.  The reference the wall factors' transports are held
+    to.
 
-
-def concat_paths(first, second, cover):
-    """``first`` then ``second``; InvalidPath unless they compose."""
-    if first.states(cover)[-1] != (second.start_region, second.start_sheet):
-        raise InvalidPath("paths are not composable")
-    turns = None
-    if first.turns is not None and second.turns is not None:
-        turns = first.turns + second.turns
-    return SurfacePath(first.start_region, first.start_sheet,
-                       list(first.crossings) + list(second.crossings), turns)
+    With ``reverse`` the path is walked backwards from its end state: a
+    reverse crossing of cut k from sheet s undoes the positive crossing
+    from the other sheet, so it carries the inverse of that crossing's
+    weight.
+    """
+    states = path.states(ls.cover)
+    steps = zip(path.crossings, states[:-1])
+    if reverse:
+        steps = zip(reversed(path.crossings), reversed(states[1:]))
+    total = None
+    for c, (_, sheet) in steps:
+        if c.kind == "cut":
+            w = (1 / ls.cut_crossing_weight(c.index, 1 - sheet) if reverse
+                 else ls.cut_crossing_weight(c.index, sheet))
+            total = w if total is None else total * w
+    return Fraction(1) if total is None else total
 
 
 def is_closed(path, cover):

@@ -11,12 +11,13 @@ from support import (FIXTURES, LaurentMatrix, LaurentPoly,
                      boundary_restriction_equiv, laurent_form, load, matrices,
                      pair, random_two_fold, ray_cone, ref_identity,
                      ref_is_invertible_on, ref_product, ref_regular_on,
-                     reversed_path, with_matrices)
+                     with_matrices)
 
 from toricnets.builder import build_network, empty_network
 from toricnets.cli import main
 from toricnets.cover import betti_one, make_local_system
 from toricnets.fans import make_fan
+from toricnets.laurent import inverse
 from toricnets.multisection import classify_two_fold, n_genericity
 from toricnets.network import branch_point_arms, track_path, validate_network
 from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
@@ -78,9 +79,10 @@ def test_acceptance_3_branch_point_consistency():
         for b in range(len(layout.branch_points)):
             region = cover.cut_region[b]
             arms = branch_point_arms(net, b)
-            fs = [wall_factor(w, region, factors) for w in arms]
+            fs = [wall_factor(w, factors) for w in arms]
             c = cut_factor(b, factors)
-            product = ref_product(*(laurent_form(f, spec.tms, cover)
+            product = ref_product(*(laurent_form(f, region, region, spec.tms,
+                                                 cover)
                                     for f in (c, fs[2], fs[1], fs[0])))
             assert product == ref_identity(cover.r)
             total += 1
@@ -146,11 +148,11 @@ def test_acceptance_6_well_definedness():
             for j in range(n):
                 if i == j:
                     continue
-                # the cw path from i to j: the ccw one from j, reversed
-                alt = path_ordered(factors,
-                                   reversed_path(track_path(net, j, i), cover))
-                assert laurent_form(alt, spec.tms, cover) == pair(coc, i, j), \
-                    f"{name}: path dependence at ({i},{j})"
+                # the cw path from i to j is the ccw one from j, reversed:
+                # its product is the inverse of that one's
+                alt = inverse(path_ordered(factors, track_path(net, j, i)))
+                assert laurent_form(alt, i, j, spec.tms, cover) == \
+                    pair(coc, i, j), f"{name}: path dependence at ({i},{j})"
     print("ACCEPTANCE 6 well-definedness: homotopic extraction paths give "
           "identical matrices: PASS")
 

@@ -507,6 +507,28 @@ def test_render_fails_on_a_layout_the_cover_rejects(tmp_path, capsys):
     assert not figure.exists()
 
 
+@pytest.mark.parametrize("name, message", [
+    ("p2_n1", "N = 1 < 3 admits no embedded realization"),
+    ("p2_split_n0", "N = 0 < 3 admits no embedded realization")])
+def test_render_fails_on_a_multisection_the_builder_rejects(
+        name, message, tmp_path, capsys):
+    # with a multi-section and no embedded network, render draws the
+    # network the builder builds: a multi-section the builder cannot
+    # realize fails render with the builder's error, exit 1 and no
+    # figure, as it fails build
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", fx(name), "--out", str(figure),
+                 "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["stages"] == [
+        {"name": "render", "status": "fail", "detail": message}]
+    assert report["artifacts"] == [] and not figure.exists()
+    assert main(["build", "--input", fx(name), "--out",
+                 str(tmp_path / "build"), "--report", "json"]) == 1
+    assert _json_stages(capsys)[-1] == {
+        "name": "build", "status": "fail", "detail": message}
+
+
 def _degree_three(data):
     # p2_split_n0 with a third global sheet of slope (3, 3): a valid
     # degree-3 split multi-section, with p2_n3's built network embedded
@@ -735,16 +757,15 @@ def test_verify_builds_each_wall_factor_once_per_system(tmp_path,
                                                          monkeypatch):
     # fan5_n5: 9 walls, all of them arms of its 3 cuts.  verify builds one
     # factor table, the symbolic one of the loop proof, whose steps the
-    # seeded cocycle evaluates.  It builds each wall's constant once, in
-    # its cut's region, where the branch-point loop crosses it first; the
-    # boundary track frames the same constant where it crosses the wall
-    # elsewhere: 9.
+    # seeded cocycle evaluates.  It builds each wall's constant once, where
+    # the branch-point loop crosses it first; the boundary track reads the
+    # same constant where it crosses the wall elsewhere: 9.
     walls = count_calls(monkeypatch, nonabelian, "wall_factor")
     assert main(["verify", "--input", fx("fan5_n5"),
                  "--out", str(tmp_path)]) == 0
     assert len(walls) == 9
-    assert len({wall.id for wall, _, _ in walls}) == 9
-    assert len({id(factors) for _, _, factors in walls}) == 1
+    assert len({wall.id for wall, _ in walls}) == 9
+    assert len({id(factors) for _, factors in walls}) == 1
 
 
 # -- seeded fuzz of fixture documents through every command --------------------

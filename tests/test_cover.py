@@ -2,19 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from support import (concat_paths, generator_loops, is_closed, lerp,
-                     on_grid, rational, reversed_path)
+from support import (generator_loops, is_closed, lerp, on_grid,
+                     parallel_transport, rational)
 
+from toricnets import nonabelian
 from toricnets.cover import (BranchCutLayout, Crossing, Cut, GridPoints,
                              SurfacePath, betti_one, build_cover,
-                             make_local_system, parallel_transport,
-                             sheet_lift_map, winding_sign)
+                             make_local_system, sheet_lift_map)
 from toricnets.errors import (CutEndpointNotBarycenter, CutHitsRay,
                               InvalidPath, InvariantViolated, NoSharedLift,
-                              NotTwoFold, OpenPath, OverlappingCuts,
-                              WrongCount, ZeroHolonomy)
+                              NotTwoFold, OverlappingCuts, WrongCount,
+                              ZeroHolonomy)
 from toricnets.fans import SupportFunction, disk_model, dual_polytope, make_fan
 from toricnets.laurent import TPoly
+from toricnets.network import Soliton
 
 
 def p1p1_disk():
@@ -155,15 +156,12 @@ def test_transport_constant_path_is_one():
 def test_transport_reversal_inverts():
     cover = two_cut_cover()
     ls = make_local_system(cover, [Fraction(5)])
-    path = SurfacePath(0, 0, [Crossing("cut", 0, +1),
-                              Crossing("spoke", 1, +1),
-                              Crossing("spoke", 2, +1),
-                              Crossing("cut", 1, +1)])
+    path = SurfacePath(0, 0, [Crossing("cut", 0), Crossing("spoke", 1),
+                              Crossing("spoke", 2), Crossing("cut", 1)])
     there = parallel_transport(ls, path)
-    back = parallel_transport(ls, reversed_path(path, cover))
+    back = parallel_transport(ls, path, reverse=True)
+    assert there == Fraction(1, 5)
     assert there * back == 1
-    loop = concat_paths(path, reversed_path(path, cover), cover)
-    assert parallel_transport(ls, loop) == 1
 
 
 def test_generator_loop_holonomy():
@@ -191,8 +189,7 @@ def test_symbolic_generator_loop_holonomy(fan7_built):
             assert is_closed(loop, cover)
             hol = parallel_transport(ls, loop)
             assert isinstance(hol, TPoly) and hol == t[k]
-            assert parallel_transport(ls, reversed_path(loop, cover)) \
-                * hol == 1
+            assert parallel_transport(ls, loop, reverse=True) * hol == 1
 
 
 def test_make_local_system_errors():
@@ -237,14 +234,14 @@ def test_trivial_local_system_on_trivial_cover():
 
 def test_sheet_changes_only_at_cuts():
     cover = two_cut_cover()
-    path = SurfacePath(0, 0, [Crossing("cut", 0, +1)])
+    path = SurfacePath(0, 0, [Crossing("cut", 0)])
     assert path.states(cover)[-1] == (0, 1)
     with pytest.raises(InvalidPath):
         # cut 1 lives in region 2, not region 0
-        SurfacePath(0, 0, [Crossing("cut", 1, +1)]).states(cover)
+        SurfacePath(0, 0, [Crossing("cut", 1)]).states(cover)
     with pytest.raises(InvalidPath):
         # spoke 3 is not adjacent to region 0
-        SurfacePath(0, 0, [Crossing("spoke", 3, +1)]).states(cover)
+        SurfacePath(0, 0, [Crossing("spoke", 3)]).states(cover)
 
 
 def test_gauge_rescaling_preserves_loop_holonomy():
@@ -262,21 +259,30 @@ def test_gauge_rescaling_preserves_loop_holonomy():
             parallel_transport(rescaled, loop)
 
 
-def test_winding_sign():
-    p = SurfacePath(0, 0, [], turns=0)
-    assert winding_sign(p) == 1
-    p = SurfacePath(0, 0, [], turns=1)
-    assert winding_sign(p) == -1
-    p = SurfacePath(0, 0, [], turns=3)
-    assert winding_sign(p) == -1
-    with pytest.raises(OpenPath):
-        winding_sign(SurfacePath(0, 0, []))
+def soliton_sign(built, tms, turns, monkeypatch):
+    """Entry (b, a) of the wall factor of wall 0 of a built network, under
+    the trivial local system, when its soliton makes ``turns`` turns."""
+    net, layout, cover = built
+    w = net.walls[0]
+    a, b = w.label
+    monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [
+        Soliton(w.id, a, b, w.start_branch, turns)])
+    ls = make_local_system(cover, [1] * betti_one(cover))
+    return nonabelian.wall_factor(w, nonabelian.Factors(net, tms, cover,
+                                                        ls)).rows[b][a]
 
 
-def test_winding_extra_full_turn_flips():
-    base = SurfacePath(0, 0, [], turns=0)
-    bumped = SurfacePath(0, 0, [], turns=base.turns + 1)
-    assert winding_sign(base) == -winding_sign(bumped)
+def test_winding_sign(p1p1, p1p1_built, monkeypatch):
+    # the soliton's transport is signed by the parity (-1)^turns of its
+    # turn count
+    assert [soliton_sign(p1p1_built, p1p1.tms, turns, monkeypatch)
+            for turns in (0, 1, 2, 3)] == [1, -1, 1, -1]
+
+
+def test_winding_extra_full_turn_flips(p1p1, p1p1_built, monkeypatch):
+    for turns in range(3):
+        assert soliton_sign(p1p1_built, p1p1.tms, turns, monkeypatch) == \
+            -soliton_sign(p1p1_built, p1p1.tms, turns + 1, monkeypatch)
 
 
 def test_sheet_lift_map_closure_failure():

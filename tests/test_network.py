@@ -8,7 +8,7 @@ from support import (chambers, edited_network, generated_problems, lerp,
 
 from toricnets import network
 from toricnets.builder import build_network, empty_network
-from toricnets.cover import build_cover
+from toricnets.cover import Crossing, SurfacePath, build_cover
 from toricnets.errors import NotSupported
 from toricnets.network import (SpectralNetwork, Wall, branch_point_arms,
                                enumerate_solitons, track_events,
@@ -100,12 +100,12 @@ def test_solitons_one_per_builder_wall(p2_built):
         assert len(sols) == 1
         s = sols[0]
         assert (s.source_sheet, s.target_sheet) == tuple(w.label)
-        path = s.transport_path(cover)
-        # exactly one sheet change, at the branch-point encirclement
-        states = path.states(cover)
-        assert states[0][1] == w.label[0]
-        assert states[-1][1] == w.label[1]
-        assert len(path.crossings) == 1 and path.crossings[0].kind == "cut"
+        # exactly one sheet change, at the branch-point encirclement: one
+        # positive crossing of the cut, from its region, on the source sheet
+        path = SurfacePath(cover.cut_region[s.cut_index], s.source_sheet,
+                           [Crossing("cut", s.cut_index)])
+        assert s.cut_index == w.start_branch
+        assert path.states(cover)[-1][1] == w.label[1]
 
 
 def test_soliton_windings_are_arm_positions(fan5_built):

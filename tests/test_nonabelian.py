@@ -5,22 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from support import (GEN_TOOLKIT, LaurentMatrix, LaurentPoly,
+from support import (GEN_TOOLKIT, REALIZABLE, LaurentMatrix, LaurentPoly,
                      boundary_restriction_equiv, chambers, count_calls,
-                     fraction_rows, generated_problems, laurent_form,
-                     matrices, near_identities, pair, perfbench_gen,
+                     fraction_rows, generated_problems, laurent_form, load,
+                     matrices, near_identities, pair, parallel_transport,
+                     perfbench_gen,
                      ray_cone, ref_identity, ref_is_invertible_on,
                      ref_product, ref_regular_on, ref_with_entry,
-                     reference_verify_bundle, reversed_path, with_matrices)
+                     reference_verify_bundle, with_matrices)
 
 from toricnets import schema
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (betti_one, build_cover, make_local_system,
                              sheet_lift_map, Crossing, SurfacePath)
-from toricnets.errors import InvariantViolated
-from toricnets.laurent import identity, is_identity, mat_mul
-from toricnets.network import boundary_loop, branch_point_arms, track_path
-from toricnets.nonabelian import (Factors, Framed, KaneyamaCocycle,
+from toricnets.errors import InvalidPath, InvariantViolated
+from toricnets.laurent import TPoly, identity, inverse, is_identity, mat_mul
+from toricnets.network import (boundary_loop, branch_point_arms,
+                               enumerate_solitons, track_path)
+from toricnets.nonabelian import (Factors, KaneyamaCocycle,
                                   cut_factor, kaneyama_cocycle,
                                   loop_identity_check, path_ordered,
                                   semiflat_factor, verify_bundle, wall_factor)
@@ -52,9 +54,10 @@ def test_semiflat_rank_one_constant(r1):
     ls = make_local_system(cover, [])
     f = semiflat_factor(1, Factors(net, r1.tms, cover, ls))
     # the frame change from region 0 to region 1 around the identity
-    assert f == Framed(identity(1), 0, 1)
+    assert f == identity(1)
     # slopes (0,0) -> (1,0) across ray 1
-    assert laurent_form(f, r1.tms, cover) == LaurentMatrix([[mono(1, (1, 0))]])
+    assert laurent_form(f, 0, 1, r1.tms, cover) == \
+        LaurentMatrix([[mono(1, (1, 0))]])
 
 
 def test_semiflat_p2_fixture_frozen(p2, p2_built):
@@ -68,22 +71,24 @@ def test_semiflat_p2_fixture_frozen(p2, p2_built):
     assert cover.lift_map(p2.tms) == lift
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
     f0 = semiflat_factor(0, factors)
-    assert f0 == Framed(identity(2), 2, 0)
-    assert laurent_form(f0, p2.tms, cover) == \
+    assert f0 == identity(2)
+    assert laurent_form(f0, 2, 0, p2.tms, cover) == \
         LaurentMatrix([[mono(1, (0, -1)), 0], [0, mono(1, (0, 0))]])
     f1 = semiflat_factor(1, factors)
-    assert laurent_form(f1, p2.tms, cover) == \
+    assert laurent_form(f1, 0, 1, p2.tms, cover) == \
         LaurentMatrix([[mono(1, (0, 0)), 0], [0, mono(1, (1, 0))]])
     f2 = semiflat_factor(2, factors)
-    assert laurent_form(f2, p2.tms, cover) == \
+    assert laurent_form(f2, 1, 2, p2.tms, cover) == \
         LaurentMatrix([[mono(1, (0, 1)), 0], [0, mono(1, (-1, 0))]])
 
 
 def test_semiflat_generalized_permutation(fan5, fan5_built):
     net, layout, cover = fan5_built
     factors = Factors(net, fan5.tms, cover, trivial_ls(cover))
-    for i in range(fan5.fan.n):
-        m = laurent_form(semiflat_factor(i, factors), fan5.tms, cover)
+    n = fan5.fan.n
+    for i in range(n):
+        m = laurent_form(semiflat_factor(i, factors), (i - 1) % n, i,
+                         fan5.tms, cover)
         for r in range(2):
             row_nonzero = sum(1 for c in range(2) if m.entry(r, c).terms)
             col_nonzero = sum(1 for c in range(2) if m.entry(c, r).terms)
@@ -100,11 +105,12 @@ def test_cut_composite_carries_holonomy(p1p1, p1p1_built):
         factors = Factors(net, p1p1.tms, cover,
                           make_local_system(cover, [Fraction(t)]))
         k = 1  # second cut, weight t
-        edge = cover.cuts[k].edge
+        edge, region = cover.cuts[k].edge, cover.cut_region[k]
         spoke = semiflat_factor(edge, factors)
         cut = cut_factor(k, factors)
-        composites[t] = ref_product(laurent_form(spoke, p1p1.tms, cover),
-                                    laurent_form(cut, p1p1.tms, cover))
+        composites[t] = ref_product(
+            laurent_form(spoke, (edge - 1) % 4, edge, p1p1.tms, cover),
+            laurent_form(cut, region, region, p1p1.tms, cover))
     assert composites[1] != composites[5]
     # entries scale by t or 1/t
     ratios = set()
@@ -131,8 +137,8 @@ def test_wall_factor_empty_soliton_set_is_identity(p2, p2_built,
     ls = trivial_ls(cover)
     w = net.walls[0]
     monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [])
-    f = wall_factor(w, w.end_cone, Factors(net, p2.tms, cover, ls))
-    assert f == Framed(identity(2), w.end_cone, w.end_cone)
+    f = wall_factor(w, Factors(net, p2.tms, cover, ls))
+    assert f == identity(2)
 
 
 def test_wall_factor_single_soliton_slot(p2, p2_built):
@@ -140,15 +146,14 @@ def test_wall_factor_single_soliton_slot(p2, p2_built):
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
     lift = sheet_lift_map(p2.tms, cover)
     for w in net.walls:
-        f = wall_factor(w, w.end_cone, factors)
-        assert f.source == f.target == w.end_cone
+        f = wall_factor(w, factors)
         a, b = w.label
-        c = fraction_rows(f.const)
+        c = fraction_rows(f)
         assert c[b][a] in (Fraction(1), Fraction(-1))
         # unipotent: identity elsewhere
         assert c[a][b] == 0
         assert c[a][a] == c[b][b] == 1
-        m = laurent_form(f, p2.tms, cover)
+        m = laurent_form(f, w.end_cone, w.end_cone, p2.tms, cover)
         ((exp, coeff),) = m.entry(b, a).terms.items()
         assert coeff == c[b][a]
         ma = p2.tms.slope(lift[(w.end_cone, a)])
@@ -164,10 +169,41 @@ def test_wall_factor_scales_with_holonomy(p1p1, p1p1_built):
     entries = {}
     for t in (1, 3):
         ls = make_local_system(cover, [Fraction(t)])
-        f = wall_factor(w, w.end_cone, Factors(net, p1p1.tms, cover, ls))
+        f = wall_factor(w, Factors(net, p1p1.tms, cover, ls))
         a, b = w.label
-        entries[t] = fraction_rows(f.const)[b][a]
+        entries[t] = fraction_rows(f)[b][a]
     assert entries[3] == entries[1] * 3 or entries[3] == entries[1] / 3
+
+
+def test_wall_factor_matches_reference_transport():
+    # the wall factor reads its soliton's transport off the cut weight of
+    # the soliton's source sheet; the reference walks the soliton's one
+    # positive crossing of its branch point's cut on the cover.  Entry
+    # (b, a) of every wall factor is that transport times (-1)^turns,
+    # under the trivial, a rational and the symbolic local system
+    checked = 0
+    for name in REALIZABLE:
+        spec = load(name)
+        net, layout = build_network(spec.tms, spec.disk)
+        cover = layout.cover(spec.tms.degree)
+        b1 = betti_one(cover)
+        for hol in ([Fraction(1)] * b1,
+                    [Fraction(k + 2, 2 * k + 5) for k in range(b1)],
+                    TPoly.symbols(b1)):
+            ls = make_local_system(cover, hol)
+            factors = Factors(net, spec.tms, cover, ls)
+            for w in net.walls:
+                (sol,) = enumerate_solitons(net, w)
+                a, b = sol.source_sheet, sol.target_sheet
+                path = SurfacePath(cover.cut_region[sol.cut_index], a,
+                                   [Crossing("cut", sol.cut_index)])
+                want = parallel_transport(ls, path)
+                if sol.turns % 2:
+                    want = -want
+                assert fraction_rows(wall_factor(w, factors))[b][a] == \
+                    want, (name, hol, w.id)
+                checked += 1
+    assert checked == 3 * (9 + 15 + 6 + 3)
 
 
 # -- branch-point consistency (I-1) ------------------------------------------
@@ -177,29 +213,29 @@ def assert_branch_point_identity(spec, net, layout, cover, ls):
     for b in range(len(layout.branch_points)):
         arms = branch_point_arms(net, b)
         region = cover.cut_region[b]
-        factors = [wall_factor(w, region, table) for w in arms]
+        factors = [wall_factor(w, table) for w in arms]
         # unipotent signs alternate +,-,+ in ccw order after the cut
         signs = []
         for w, f in zip(arms, factors):
             a, bb = w.label
-            signs.append(1 if fraction_rows(f.const)[bb][a] > 0 else -1)
+            signs.append(1 if fraction_rows(f)[bb][a] > 0 else -1)
         assert signs == [1, -1, 1]
         c = cut_factor(b, table)
-        assert c.source == c.target == region
         # F(cut) F(w3) F(w2) F(w1), the crossing order of the loop, is Id:
-        # on the constants, and written out in Laurent arithmetic
-        product = c.const
+        # on the constants, and written out in Laurent arithmetic in the
+        # region of the cut, where the loop crosses all four
+        product = c
         for f in reversed(factors):
-            product = mat_mul(product, f.const)
+            product = mat_mul(product, f)
         assert product == identity(cover.r)
-        assert ref_product(*(laurent_form(f, spec.tms, cover)
+        assert ref_product(*(laurent_form(f, region, region, spec.tms, cover)
                              for f in [c] + factors[::-1])) == \
             ref_identity(cover.r)
         # the cut factor is a signed permutation on the swap of the two
         # sheets, which every cut's transposition names
         lo, hi = sorted(cover.cuts[b].transposition)
         assert (lo, hi) == (0, 1)
-        rows = fraction_rows(c.const)
+        rows = fraction_rows(c)
         assert rows[lo][lo] == 0 and rows[hi][hi] == 0
         for i, j in ((lo, hi), (hi, lo)):
             assert rows[i][j] != 0
@@ -223,36 +259,51 @@ def test_path_ordered_empty_is_identity(p2, p2_built):
     net, layout, cover = p2_built
     ls = trivial_ls(cover)
     p = SurfacePath(0, 0, [])
-    assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
-        Framed(identity(2), 0, 0)
+    assert path_ordered(Factors(net, p2.tms, cover, ls), p) == identity(2)
 
 
 def test_path_ordered_there_and_back(p2, p2_built):
+    # the cw product back from cone 1 to cone 0 is the inverse of the ccw
+    # product there: written out on their frames, there and back again is
+    # the identity
     net, layout, cover = p2_built
-    ls = trivial_ls(cover)
-    p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 1, -1)])
-    assert path_ordered(Factors(net, p2.tms, cover, ls), p) == \
-        Framed(identity(2), 0, 0)
+    factors = Factors(net, p2.tms, cover, make_local_system(cover, []))
+    there = path_ordered(factors, track_path(net, 0, 1))
+    assert there != identity(2)
+    back = inverse(there)
+    assert mat_mul(back, there) == identity(2)
+    assert ref_product(laurent_form(back, 1, 0, p2.tms, cover),
+                       laurent_form(there, 0, 1, p2.tms, cover)) == \
+        ref_identity(2)
 
 
-def test_path_ordered_frames_must_telescope(p2, p2_built, monkeypatch):
-    # spoke factors that do not change the frame: the factor of spoke 2
-    # starts in region 2, but the product of spoke 1 ends in region 1
-    from toricnets import nonabelian
+def test_path_ordered_frames_must_telescope(p2, p2_built):
+    # each crossing must start in the region where the one before it ends:
+    # path_ordered checks that once, through SurfacePath.states, for a
+    # spoke crossed from the wrong region and for a cut crossed outside
+    # its own region
     net, layout, cover = p2_built
-    monkeypatch.setattr(nonabelian, "semiflat_factor",
-                        lambda ray, factors: Framed(identity(2), ray, ray))
-    p = SurfacePath(0, 0, [Crossing("spoke", 1, +1), Crossing("spoke", 2, +1)])
-    with pytest.raises(InvariantViolated, match="region"):
-        path_ordered(Factors(net, p2.tms, cover, trivial_ls(cover)), p)
+    factors = Factors(net, p2.tms, cover, trivial_ls(cover))
+    outside = (cover.cut_region[0] + 1) % 3
+    for path, message in [
+            (SurfacePath(0, 0, [Crossing("spoke", 2)]),
+             "spoke 2 crossed from region 0"),
+            (SurfacePath(0, 0, [Crossing("spoke", 1), Crossing("spoke", 1)]),
+             "spoke 1 crossed from region 1"),
+            (SurfacePath(outside, 0, [Crossing("cut", 0)]),
+             f"cut 0 lives in region {cover.cut_region[0]}, path is in "
+             f"{outside}")]:
+        with pytest.raises(InvalidPath, match=f"^{message}$"):
+            path_ordered(factors, path)
 
 
 def test_boundary_loop_is_identity(p2, p2_built):
+    # the cw loop's product is the inverse of the ccw loop's
     net, layout, cover = p2_built
     factors = Factors(net, p2.tms, cover, trivial_ls(cover))
-    ccw = boundary_loop(net, 0)
-    for loop in (ccw, reversed_path(ccw, cover)):
-        assert path_ordered(factors, loop) == Framed(identity(2), 0, 0)
+    ccw = path_ordered(factors, boundary_loop(net, 0))
+    for product in (ccw, inverse(ccw)):
+        assert product == identity(2)
 
 
 def test_loop_identities_random_systems(p2, p2_built, p1p1, p1p1_built,
@@ -347,14 +398,15 @@ def test_cocycle_path_independence(p2, p2_built, p1p1, p1p1_built):
             for j in range(n):
                 if i == j:
                     continue
-                # the cw path from i to j: the ccw one from j, reversed
-                cw = path_ordered(factors,
-                                  reversed_path(track_path(net, j, i), cover))
-                assert laurent_form(cw, spec.tms, cover) == pair(coc, i, j)
+                # the cw path from i to j is the ccw one from j, reversed:
+                # its product is the inverse of that one's
+                cw = inverse(path_ordered(factors, track_path(net, j, i)))
+                assert laurent_form(cw, i, j, spec.tms, cover) == \
+                    pair(coc, i, j)
         # a third representative: ccw with an extra full boundary loop
         extra = SurfacePath(0, 0, boundary_loop(net, 0).crossings
                             + track_path(net, 0, 1).crossings)
-        assert laurent_form(path_ordered(factors, extra), spec.tms,
+        assert laurent_form(path_ordered(factors, extra), 0, 1, spec.tms,
                             cover) == pair(coc, 0, 1)
 
 
@@ -629,10 +681,10 @@ def test_verify_bundle_decides_each_triple_with_one_product(fan7, fan7_built,
 def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
                                                    monkeypatch):
     # fan7_n7: 15 walls, 5 cuts, 7 spokes, and one factor table.  Each
-    # wall's constant is built once, in the region of its first crossing:
-    # the branch-point loops cross the 15 arms in their cuts' regions
-    # first, and the boundary track, crossing 5 of them in region 0, away
-    # from their cuts, frames the same constants there: 15 wall factors.
+    # wall's constant is built once, at its first crossing: the
+    # branch-point loops cross the 15 arms in their cuts' regions first,
+    # and the boundary track, crossing 5 of them in region 0, away from
+    # their cuts, reads the same constants there: 15 wall factors.
     # Products of constants: the 20 of the loop check (pinned above),
     # which build the 7 adjacent steps the cocycle keeps, and the
     # compositions made on the first read of its matrices: 35, of which 2
@@ -648,9 +700,8 @@ def test_kaneyama_cocycle_builds_each_factor_once(fan7, fan7_built,
     assert {name: len(c) for name, c in calls.items()} == {
         "wall_factor": 15, "cut_factor": 5, "semiflat_factor": 7,
         "mat_mul": 53}
-    assert sorted(w.id for w, _, _ in calls["wall_factor"]) == list(range(15))
-    assert all(region == cover.cut_region[w.start_branch]
-               for w, region, _ in calls["wall_factor"])
+    assert sorted(w.id for w, _ in calls["wall_factor"]) == list(range(15))
+    assert len({id(table) for _, table in calls["wall_factor"]}) == 1
 
 
 def _generated_cocycle(n, big_n, key, rng):
@@ -756,12 +807,17 @@ def test_injectivity_and_gauge(p1p1, p1p1_built):
 
 
 def test_path_errors(p2, p2_built):
-    from toricnets.errors import NonTransverseCrossing
+    # a crossing of a cut that is not there, or of no known kind of curve,
+    # is no path: path_ordered builds no factor for it
     net, layout, cover = p2_built
-    ls = trivial_ls(cover)
-    bad = SurfacePath(0, 0, [Crossing("spoke", 1, 0)])
-    with pytest.raises(NonTransverseCrossing):
-        path_ordered(Factors(net, p2.tms, cover, ls), bad)
+    factors = Factors(net, p2.tms, cover, trivial_ls(cover))
+    region = cover.cut_region[0]
+    for crossing, message in [(Crossing("cut", 1), "unknown cut 1"),
+                              (Crossing("ray", 1), "unknown crossing kind "
+                                                   "'ray'")]:
+        with pytest.raises(InvalidPath, match=f"^{message}$"):
+            path_ordered(factors, SurfacePath(region, 0, [crossing]))
+    assert factors._built == {}
 
 
 def test_slope_tie_guard(p2, p2_built):
@@ -813,13 +869,13 @@ def test_cocycle_equals_direct_track_products(fan5, fan5_built):
         for j in range(n):
             if i != j:
                 direct = path_ordered(factors, track_path(net, i, j))
-                assert direct == Framed(coc.constants[(i, j)], i, j), (i, j)
+                assert direct == coc.constants[(i, j)], (i, j)
                 # the one monomial of each written entry has the entry of
                 # the constant over its denominator as its coefficient
                 assert fraction_rows(coc.constants[(i, j)]) == tuple(
                     tuple(sum(p.terms.values(), Fraction(0)) for p in row)
                     for row in pair(coc, i, j).rows), (i, j)
-                assert laurent_form(direct, fan5.tms, cover) == \
+                assert laurent_form(direct, i, j, fan5.tms, cover) == \
                     pair(coc, i, j), (i, j)
 
 
@@ -829,8 +885,8 @@ def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
     from toricnets.errors import ToricNetsError
     net, layout, cover = p2_built
 
-    def identity_factor(wall, region, factors):
-        return Framed(identity(factors.cover.r), region, region)
+    def identity_factor(wall, factors):
+        return identity(factors.cover.r)
 
     monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
     with pytest.raises(ToricNetsError):

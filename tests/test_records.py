@@ -48,9 +48,9 @@ def test_every_record_is_read_only_with_a_field_repr(records):
                      "SurfacePath", "Wall", "TrackEvent", "Soliton", "_YPlan"}
     assert repr(Violation("cocycle", "m", (0, 1))) == \
         "Violation(condition='cocycle', message='m', witness=(0, 1))"
-    assert repr(SurfacePath(2, 1, [Crossing("cut", 0, 1)], turns=0)) == (
+    assert repr(SurfacePath(2, 1, [Crossing("cut", 0)])) == (
         "SurfacePath(start_region=2, start_sheet=1, crossings=[Crossing("
-        "kind='cut', index=0, direction=1)], turns=0)")
+        "kind='cut', index=0)])")
 
 
 def test_a_layout_keeps_its_fields_read_only_under_cached_facts(

@@ -24,10 +24,11 @@ from support import (FIXTURES, REALIZABLE, fraction_rows, generated_problems,
 from toricnets import nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
-from toricnets.cover import betti_one, build_cover, make_local_system
+from toricnets.cover import (Crossing, betti_one, build_cover,
+                             make_local_system)
 from toricnets.errors import (InvariantViolated, LoopIdentityFailed,
                               ToricNetsError)
-from toricnets.laurent import TPoly, constant
+from toricnets.laurent import TPoly, constant, identity, mat_mul
 from toricnets.network import (Soliton, boundary_loop, enumerate_solitons,
                                track_path)
 from toricnets.nonabelian import (Factors, cut_factor, kaneyama_cocycle,
@@ -61,9 +62,7 @@ def doubled_spoke(monkeypatch, spoke):
         m = true_factor(ray, factors)
         if ray % factors.tms.fan.n != spoke:
             return m
-        return m._replace(const=constant([[c * 2 for c in row]
-                                          for row in m.const.rows],
-                                         m.const.den))
+        return constant([[c * 2 for c in row] for row in m.rows], m.den)
 
     monkeypatch.setattr(nonabelian, "semiflat_factor", doubled)
 
@@ -227,24 +226,25 @@ def test_symbolic_steps_evaluate_to_numeric_steps(instances):
 def flipped_track_sign(monkeypatch, wall_id):
     """Flip the soliton sign of one wall where the boundary track crosses
     it, away from its cut, so the branch-point loops still close.  The
-    factor table builds a wall's constant once and frames it in each
-    region where the wall is crossed (``Factors.of``), so the flip wraps
-    that framing."""
-    true_of = Factors.of
-
-    def flipped(factors, crossing, region):
-        m = true_of(factors, crossing, region)
-        if crossing.kind != "wall" or crossing.index != wall_id:
-            return m
+    factor table builds one constant per wall, whatever region the wall
+    is crossed in, so the flip wraps the path-ordered products: a
+    crossing of the wall outside its cut's region takes the flipped
+    constant, multiplied on the left as ``path_ordered`` does."""
+    def flipped(factors, path):
         wall = next(w for w in factors.net.walls if w.id == wall_id)
-        if region == factors.cover.cut_region[wall.start_branch]:
-            return m
+        home = factors.cover.cut_region[wall.start_branch]
+        m = factors.of(Crossing("wall", wall_id))
         a, b = wall.label
-        rows = [list(row) for row in m.const.rows]
+        rows = [list(row) for row in m.rows]
         rows[b][a] = -rows[b][a]
-        return m._replace(const=constant(rows, m.const.den))
+        total = identity(factors.cover.r)
+        for c, (region, _) in zip(path.crossings, path.states(factors.cover)):
+            away = c == Crossing("wall", wall_id) and region != home
+            total = mat_mul(constant(rows, m.den) if away else factors.of(c),
+                            total)
+        return total
 
-    monkeypatch.setattr(Factors, "of", flipped)
+    monkeypatch.setattr(nonabelian, "path_ordered", flipped)
 
 
 @pytest.mark.parametrize("name", ["p2_n3", "p1p1_n4", "fan5_n5", "fan7_n7"])

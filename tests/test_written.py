@@ -20,7 +20,7 @@ from toricnets import schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, build_cover, make_local_system
 from toricnets.laurent import TPoly
-from toricnets.nonabelian import (Framed, KaneyamaCocycle, kaneyama_cocycle,
+from toricnets.nonabelian import (KaneyamaCocycle, kaneyama_cocycle,
                                   verify_bundle)
 from toricnets.reporting import Violation
 
@@ -61,8 +61,8 @@ def test_written_terms_match_reference():
         assert list(coc.written) == [(i, j) for i in range(n)
                                      for j in range(n)], label
         for (i, j), terms in coc.written.items():
-            framed = Framed(coc.constants[(i, j)], i, j)
-            want = emit_matrix(laurent_form(framed, spec.tms, cover))
+            want = emit_matrix(laurent_form(coc.constants[(i, j)], i, j,
+                                            spec.tms, cover))
             assert terms == want, (label, i, j)
             assert type(terms) is tuple and all(type(t) is tuple
                                                 for t in terms)
