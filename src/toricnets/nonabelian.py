@@ -42,19 +42,18 @@ D_j P_ij D_i^-1 (``KaneyamaCocycle.written``).  ``verify_bundle``
 certifies exactly those lists, factoring them back into their constants.
 
 Every product of two constants is ``_product``, which does not multiply
-by the identity, read through a product table (``functools.cache`` of
-``_product``), so each distinct pair of constants is multiplied once per
-table.  A ``Factors`` table holds one for its lifetime (``Factors.mul``):
-the branch-point loops reuse the products their cut factors took, and on
-fan7_n7 the loop check takes 20 products.  Away from the walls a boundary
-step is a bare spoke crossing, the identity constant, so the n^2
-constants P_ij take only a few distinct values.  ``compose_steps`` and
-``verify_bundle`` each keep a table for one call, so a constant costs its
-products once however many cone pairs hold it; the certificate's table
-is keyed on the constants it factored from the written terms.  Constants
-are canonical (``laurent``): two are equal exactly when their tuples are,
-so a table returns the exact product of the constants it is given, and
-every check decides what it would decide multiplying each pair anew.
+by the identity, read through a product table (``functools.cache``), so
+each distinct pair of constants is multiplied once per table.  A
+``Factors`` table holds one for its lifetime (``Factors.mul``): the
+branch-point loops reuse the products their cut factors took.  Away from
+the walls a boundary step is the identity, so the n^2 constants P_ij
+take few distinct values (one wide-fan pass: 1 600 pairs, 78 constants).
+``compose_steps`` skips identity steps.  ``verify_bundle`` reads the
+written terms in one pass and labels each distinct constant with an
+int, so the per-pair work of every check is on ints and each fact is
+decided once per distinct constant.  Constants are canonical
+(``laurent``): equal exactly when their tuples are, so a label names one
+value and every check decides as it would multiplying each pair anew.
 """
 from __future__ import annotations
 
@@ -63,7 +62,8 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from .cover import Crossing, SurfacePath
-from .errors import InvariantViolated, LoopIdentityFailed, NotSupported
+from .errors import (InvalidPath, InvariantViolated, LoopIdentityFailed,
+                     NotSupported)
 from .geom import dot, sub
 from .laurent import (Constant, TPoly, constant, det, identity, inverse,
                       is_identity, is_unit, mat_mul, substitute)
@@ -131,19 +131,20 @@ class Factors:
     """The crossing factors of one local system, each built on first use.
 
     Spoke factors are keyed by ray, cut factors by cut and wall factors by
-    wall, whose constant does not depend on the region it is crossed in.
-    The n adjacent steps of the ccw boundary track, from the vertex
-    chamber of cone i to that of cone i+1, are built once too:
-    ``step_paths`` and their products ``steps``.
-    Every product over the system reads one product table, ``mul`` (see
-    the module docstring), so a branch-point loop reuses the products its
-    cut factor took.
+    wall id, whose constant does not depend on the region it is crossed
+    in; a wall id the network does not hold is InvalidPath.  The n
+    adjacent steps of the ccw boundary track, from the vertex chamber of
+    cone i to that of cone i+1, are built once too: ``step_paths`` and
+    their products ``steps``.  Every product over the system reads one
+    product table, ``mul`` (see the module docstring), so a branch-point
+    loop reuses the products its cut factor took.
     """
 
     def __init__(self, net, tms, cover, ls):
         self.net, self.tms, self.cover, self.ls = net, tms, cover, ls
         self.mul = functools.cache(_product)
         self._built = {}
+        self._walls = {w.id: w for w in net.walls}
 
     def of(self, crossing) -> Constant:
         """Factor of a spoke, cut or wall ``crossing``."""
@@ -158,8 +159,9 @@ class Factors:
             return semiflat_factor(index, self)
         if kind == "cut":
             return cut_factor(index, self)
-        return wall_factor(next(w for w in self.net.walls if w.id == index),
-                           self)
+        if index not in self._walls:
+            raise InvalidPath(f"unknown wall {index}")
+        return wall_factor(self._walls[index], self)
 
     @functools.cached_property
     def step_paths(self):
@@ -222,30 +224,21 @@ def loop_identity_check(factors) -> ValidationReport:
 
     The fundamental group of the polygon minus the branch-point
     neighborhoods is generated by the small loop around each branch point
-    together with the boundary-parallel loop; all must multiply to Id.
-    The report is true when they do; otherwise it names the first loop
-    whose product is not the identity, and the check stops there.  With
-    the table of the symbolic system
-    ``make_local_system(cover, TPoly.symbols(b1))`` each product is exact
-    in Q[z^±, t^±], so a passing report holds for every rational local
-    system.  The factors and steps built here stay in ``factors`` for
-    later products over the same system.
+    and the boundary-parallel loop; all must multiply to Id.  Otherwise
+    the report names the first loop that does not, and the check stops
+    there.  With the symbolic system ``make_local_system(cover,
+    TPoly.symbols(b1))`` each product is exact in Q[z^±, t^±], so a
+    passing report holds for every rational local system.  The factors
+    and steps built here stay in ``factors`` for later products.
 
-    One boundary loop decides them all.  The loop from cone b crosses the
-    events of the loop from cone 0 in cyclically rotated order, each in
-    the same region and so with the same factor: if the loop from cone 0
-    multiplies to B A, the loop from cone b multiplies to A B.  Over the
-    commutative coefficient ring B A = Id forces det A to be a unit, so A
-    is invertible with inverse B and A B = Id.  A failing boundary loop
-    is therefore always reported from cone 0.
-
-    The loop from cone 0 is the adjacent steps concatenated.  No track
-    event sits at a vertex chamber, so the loop crosses the events of the
-    steps 0 -> 1 -> ... -> n-1 -> 0 in order, each from the same region:
-    its product is S_{n-1} ... S_1 S_0, built from the table's ``steps``
-    instead of a second walk along the track.  InvariantViolated is raised
-    if the crossings of ``boundary_loop(net, 0)`` are not those of the
-    steps in order.
+    One boundary loop decides them all: the loop from cone b crosses the
+    events of the loop from cone 0 rotated, with the same factors, so if
+    one multiplies to B A the other multiplies to A B, and over the
+    commutative coefficient ring B A = Id forces A B = Id.  The loop from
+    cone 0 is the adjacent steps concatenated (no track event sits at a
+    vertex chamber), so its product is S_{n-1} ... S_1 S_0, built from
+    the table's ``steps``; InvariantViolated is raised if the crossings of
+    ``boundary_loop(net, 0)`` are not those of the steps in order.
     """
     net, cover = factors.net, factors.cover
     report = ValidationReport()
@@ -271,18 +264,24 @@ def compose_steps(steps, r):
 
     P_ii = Id and P_ij = P_{j-1,j} ... P_{i,i+1}, going ccw from i to j;
     keyed in (i, j) order, the order in which consumers walk the pairs.
-    The compositions read one product table (see the module docstring),
-    so each distinct pair of constants is multiplied once.
+    Across an identity step the running product stays as it is; every
+    other step reads one product table (see the module docstring), so
+    each distinct pair of constants is multiplied once.
     """
     n = len(steps)
     mul = functools.cache(_product)
+    one = identity(r)
+    moves = [s != one for s in steps]
     constants = {}
     for i in range(n):
-        constants[(i, i)] = g = identity(r)
+        row = [one] * n     # P_ij in j order
+        g = one
         for k in range(i + 1, i + n):
-            g = mul(steps[(k - 1) % n], g)
-            constants[(i, k % n)] = g
-    return dict(sorted(constants.items()))
+            if moves[(k - 1) % n]:
+                g = mul(steps[(k - 1) % n], g)
+            row[k % n] = g
+        constants.update({(i, j): g for j, g in enumerate(row)})
+    return constants
 
 
 class KaneyamaCocycle:
@@ -290,13 +289,11 @@ class KaneyamaCocycle:
 
     ``steps[i]`` is P_{i,i+1}, the constant of the path-ordered product
     along the ccw boundary track from the vertex chamber of cone i to that
-    of cone i+1; ``lift`` is the sheet/lift map of the frames.  Each of
-    the following is built once, on first read: the frames of the cones
-    (``frames``), the constants of all ordered cone pairs composed from the
-    steps (``constants``), and the written form of G_ij = D_j P_ij D_i^-1
-    (``written``), which is the term list of ``cocycle.json`` and what
-    ``verify_bundle`` certifies.  A cocycle of the symbolic system
-    evaluates, step by step, to the cocycle of every rational system
+    of cone i+1; ``lift`` is the sheet/lift map of the frames.  Built once,
+    on first read: the cones' ``frames``, the ``constants`` of all ordered
+    cone pairs, and the ``written`` form of G_ij = D_j P_ij D_i^-1, the
+    term lists of ``cocycle.json`` that ``verify_bundle`` certifies.  A
+    symbolic cocycle evaluates, step by step, to every rational system's
     (``evaluated``).
     """
 
@@ -356,35 +353,23 @@ def _entries(const):
     col) order, with num/den the entry over the constant's denominator
     reduced by one gcd."""
     rows, den = const
-    cells = []
-    for row, values in enumerate(rows):
-        for col, c in enumerate(values):
-            if not c:
-                continue
-            if den == 1:
-                cells.append((row, col, c, 1))
-            else:
-                g = gcd(c, den)
-                cells.append((row, col, c // g, den // g))
-    return cells
+    return [(row, col, c, 1) if den == 1 else
+            (row, col, c // gcd(c, den), den // gcd(c, den))
+            for row, values in enumerate(rows)
+            for col, c in enumerate(values) if c]
 
 
 def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
     """Transition matrices between all vertex chambers.
 
     G_{ij} is the path-ordered product along the ccw boundary track from
-    the vertex chamber of cone i to that of cone j; the loop identities
-    make this independent of the chosen representative path.  No track
-    event sits at a vertex chamber, so that track is the concatenation of
-    the adjacent steps i -> i+1 -> ... -> j, and the same factors in the
-    same order give G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.
-
-    The loop check gates the cocycle: LoopIdentityFailed names the first
-    loop that is not the identity.  The check builds the n steps in the
-    factor table, as the boundary loop's product; the cocycle keeps their
-    constants and composes the other pairs on first read.  On the symbolic
-    system this is the universal cocycle, whose evaluation at rational
-    holonomies is the cocycle of that system.
+    the vertex chamber of cone i to that of cone j, independent of the
+    path by the loop identities; that track is the adjacent steps
+    i -> i+1 -> ... -> j, so G_{ij} = G_{j-1,j} ... G_{i,i+1} exactly.
+    The loop check gates the cocycle (LoopIdentityFailed names the first
+    loop that is not the identity) and builds the n steps, whose constants
+    the cocycle keeps.  On the symbolic system this is the universal
+    cocycle, whose evaluation at rational holonomies is that system's.
     """
     factors = Factors(net, tms, cover, ls)
     report = loop_identity_check(factors)
@@ -394,7 +379,10 @@ def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
 
 
 def _factored(coc, report):
-    """The constants P_ij of the written terms of G_ij = D_j P_ij D_i^-1.
+    """The constants P_ij of the written terms of G_ij = D_j P_ij D_i^-1,
+    interned: ``(labels, index)``, with ``index`` mapping each distinct
+    constant to its label, from the identity's 0, and ``labels[i * n + j]``
+    the label of P_ij.
 
     Each term list ``coc.written[(i, j)]`` must be canonical: terms in
     (row, col) order, each naming an entry of the r x r matrix, no exponent
@@ -403,32 +391,67 @@ def _factored(coc, report):
     pair of ints (``True`` and ``1.0`` equal 1, but are not written as it).
     A term that is not is reported with its (i, j, row, col) and left out.
 
-    Two checks make the tropicalization round trip; each reads a set of
-    entries, so neither depends on the order of ``coc.written``.  Every
-    nonzero entry (row, col) of G_ij must be one term at the frame
-    exponent m(lift(j, row)) - m(lift(i, col)); each entry that is not is
-    reported with its exponents, sorted.  And every (cone, sheet) must be
-    joined, through the nonzero entries, to the anchor (0, s0) of its
-    component of the cover, s0 its least sheet: the entries then pin every
-    slope to the input, given the anchor's; a search from each anchor
-    along the entries decides it.  All these failures are
-    ``tropicalization`` violations.  Each factored matrix is stored as
-    integer rows over the lcm of its denominators, so every later check
-    runs on ints.
+    Two checks, neither dependent on the order of ``coc.written``, make
+    the tropicalization round trip.  Every nonzero entry (row, col) of
+    G_ij must be one term at the frame exponent m(lift(j, row)) -
+    m(lift(i, col)), or it is reported with its exponents, sorted.  And
+    every (cone, sheet) must be joined, through the nonzero entries, to
+    the anchor (0, s0) of its component of the cover, s0 its least sheet,
+    so that the entries pin every slope to the anchor's.  All these
+    failures are ``tropicalization`` violations.
+
+    One pass reads each term once; the checks are the failure arms of its
+    loop.  A pair fills a list of numerators, makes an entry's exponent
+    list only when the entry repeats or is off its frame, and takes one
+    lcm of its denominators; equal numerators over one denominator are
+    one constant, made once.  The join labels each anchor's component as
+    the entries' links arrive, holding a link between two unlabelled
+    (cone, sheet)s until one end is labelled, and records no more links
+    once every (cone, sheet) is joined to its anchor.
     """
     frames, written, r = coc.frames, coc.written, coc.cover.r
-    n = len(frames)
-    links = [[] for _ in range(n * r)]  # (cone i, sheet s) at i * r + s
+    n, rr = len(frames), r * r
+    # the frame exponent m(lift(i, s)) of (cone i, sheet s) at i * r + s
+    fx = [m[0] for frame in frames for m in frame]
+    fy = [m[1] for frame in frames for m in frame]
+    home = {s: orbit[0] for orbit in coc.cover.sheet_orbits for s in orbit}
+    # (cone, sheet) -> the anchor labelling its component, None if none
+    part = [x if x in home.values() else None for x in range(n * r)]
+    waiting = [[] for _ in part]        # links between unlabelled ends
+    unjoined = part.count(None)
+
+    def link(a, b):
+        """Join (cone, sheet)s a and b."""
+        nonlocal unjoined
+        la, lb = part[a], part[b]
+        if la is None and lb is None:
+            waiting[a].append(b)
+            waiting[b].append(a)
+        elif la is None or lb is None:
+            todo, lab = [a, b], lb if la is None else la
+            while todo:
+                x = todo.pop()
+                if part[x] is None:
+                    part[x] = lab
+                    if lab == part[home[x % r]]:
+                        unjoined -= 1
+                    todo += waiting[x]
+        elif la != lb:      # two anchors' components meet: relabel one
+            part[:] = [la if x == lb else x for x in part]
+            unjoined = sum(x != part[home[y % r]]
+                           for y, x in enumerate(part))
 
     def bad_term(i, j, row, col, what):
         report.add("tropicalization", f"G_({i},{j}) {what}", (i, j, row, col))
 
-    constants = {}
+    index = {identity(r): 0}
+    interned = {}       # (den, *numerators) -> label
+    labels = []
     for i, j in product(range(n), repeat=2):
-        source, target = frames[i], frames[j]
-        flat, dens = [0] * (r * r), {}      # numerators; denominators != 1
-        off = {}            # entry -> its exponents, for entries off frame
-        last, symbolic = -1, False
+        ir, jr = i * r, j * r
+        cells = [0] * rr
+        dens = off = None
+        last = -1
         for row, col, num, den, ex, ey in written[(i, j)]:
             if not (type(row) is int and type(col) is int
                     and 0 <= row < r and 0 <= col < r):
@@ -445,8 +468,8 @@ def _factored(coc, report):
                 canonical = num and type(den) is int and (
                     den == 1 or den > 0 and gcd(num, den) == 1)
             else:
-                canonical = symbolic = type(num) is TPoly and \
-                    type(den) is int and den == 1
+                canonical = type(num) is TPoly and type(den) is int and \
+                    den == 1
             if not canonical:
                 bad_term(i, j, row, col, f"entry ({row},{col}) has "
                          f"coefficient {num!r}/{den!r}, not a reduced nonzero "
@@ -457,54 +480,50 @@ def _factored(coc, report):
                          f"{(ex, ey)!r}, not a pair of ints")
                 continue
             if k != last:
-                last, exponents = k, [(ex, ey)]
-                links[i * r + col].append(j * r + row)
-                links[j * r + row].append(i * r + col)
-            elif (ex, ey) in exponents:
-                bad_term(i, j, row, col, f"entry ({row},{col}) names the "
-                         f"exponent {(ex, ey)} twice")
-                continue
+                last, first, exponents = k, (ex, ey), None
+                if unjoined:
+                    link(ir + col, jr + row)
             else:           # an entry of several terms is off its frame
+                exponents = exponents or [first]
+                if (ex, ey) in exponents:
+                    bad_term(i, j, row, col, f"entry ({row},{col}) names "
+                             f"the exponent {(ex, ey)} twice")
+                    continue
                 exponents.append((ex, ey))
-                off[k] = exponents
-            (tx, ty), (sx, sy) = target[row], source[col]
-            if ex == tx - sx and ey == ty - sy:
-                flat[k] = num
+            on = ex == fx[jr + row] - fx[ir + col] and \
+                ey == fy[jr + row] - fy[ir + col]
+            if on:
+                cells[k] = num
                 if den != 1:
+                    dens = dens or [1] * rr
                     dens[k] = den
-            else:
+            if exponents or not on:
+                exponents = exponents or [first]
+                off = off or {}
                 off[k] = exponents
-        for k, exponents in off.items():
+        for k in off or ():
             row, col = divmod(k, r)
-            (tx, ty), (sx, sy) = target[row], source[col]
+            frame = (fx[jr + row] - fx[ir + col], fy[jr + row] - fy[ir + col])
             bad_term(i, j, row, col, f"entry ({row},{col}) has exponents "
-                     f"{sorted(exponents)}, not the frame exponent "
-                     f"{(tx - sx, ty - sy)}")
-        # reduced fractions over the lcm of their denominators: a canonical
-        # constant as it is
-        den = lcm(*dens.values())
-        if den != 1:
-            flat = [x * (den // dens.get(k, 1)) for k, x in enumerate(flat)]
-        rows = tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)])
-        constants[(i, j)] = (constant(rows, den) if symbolic
-                             else Constant(rows, den))
-    joined = {}     # sheet -> the (cone, sheet)s joined to its anchor
-    for orbit in coc.cover.sheet_orbits:
-        seen = {orbit[0]}           # the anchor (0, s0), s0 = min(orbit)
-        todo = [orbit[0]]
-        while todo:
-            for x in links[todo.pop()]:
-                if x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        joined.update(dict.fromkeys(orbit, seen))
+                     f"{sorted(off[k])}, not the frame exponent {frame}")
+        den = lcm(*dens) if dens else 1
+        if dens:
+            cells = [x * (den // d) for x, d in zip(cells, dens)]
+        key = (den, *cells)
+        label = interned.get(key)
+        if label is None:   # reduced fractions over their lcm: canonical
+            rows = tuple([tuple(cells[k:k + r]) for k in range(0, rr, r)])
+            label = interned[key] = index.setdefault(
+                constant(rows, den) if TPoly in map(type, cells)
+                else Constant(rows, den), len(index))
+        labels.append(label)
     for i in range(n):
-        unjoined = [s for s in range(r) if i * r + s not in joined[s]]
-        if unjoined:
+        loose = [s for s in range(r) if part[i * r + s] != part[home[s]]]
+        if loose:
             report.add("tropicalization",
-                       f"no chain of nonzero entries joins sheets {unjoined} "
+                       f"no chain of nonzero entries joins sheets {loose} "
                        f"over cone {i} to their anchor over cone 0", i)
-    return constants
+    return labels, index
 
 
 def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
@@ -532,59 +551,67 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
 
     The cocycle condition G_ki G_jk G_ij = Id is decided for every
     ordered triple of distinct cones.  When every pair passes its inverses
-    check, so that G_ab G_ba = G_ba G_ab = Id, the condition for (i, j, k)
-    holds if and only if G_jk G_ij = G_ik (multiply on the left by G_ik,
-    or back by G_ki), and the C(n-1, 2) star triples (0, j, k) decide all
-    the others: if each of them closes, then G_ij = G_0j G_i0 for all
-    i, j, so for every triple G_jk G_ij = G_0k (G_j0 G_0j) G_i0 =
-    G_0k G_i0 = G_ik, and no ordered triple can fail.  This is exact: one
-    product and one comparison of canonical entries per star triple, no
+    check, the condition for (i, j, k) holds if and only if G_jk G_ij =
+    G_ik, and the C(n-1, 2) star triples (0, j, k) decide all the others:
+    if each closes, then G_ij = G_0j G_i0 for all i, j, so G_jk G_ij =
+    G_0k (G_j0 G_0j) G_i0 = G_ik for every triple.  This is exact, no
     sampling.  Only when a pair or a star triple fails is every ordered
     triple multiplied out, to name each failing one, in (i, j, k) order.
 
-    All these products read one product table (see the module docstring),
-    keyed on the factored constants themselves, so an edited term is a new
-    key and never reads a neighbour's product.
+    Every check reads the labels of the interned constants: the identity
+    is label 0, det P is taken once per distinct P_{i-1,i}, and the
+    product table, keyed on labels, labels each product by value, so a
+    star triple compares two labels and an edited term makes a constant
+    of its own that never reads a neighbour's product.
     """
     report = ValidationReport()
-    fan = tms.fan
+    fan, frames = tms.fan, coc.frames
     n = fan.n
-    frames = coc.frames
-    p = _factored(coc, report)
+    labels, index = _factored(coc, report)
     if not report:
         return report
-    mul = functools.cache(_product)
+    consts = list(index)
+
+    def labelled_product(a, b):
+        c = _product(consts[a], consts[b])
+        if c not in index:
+            index[c] = len(consts)
+            consts.append(c)
+        return index[c]
+
+    mul = functools.cache(labelled_product)
     for i in range(n):
-        if not is_identity(p[(i, i)]):
+        if labels[i * n + i]:
             report.add("identity", f"G_({i},{i}) is not the identity", i)
-    # ordered (i, j) with G_ij G_ji = Id; one product per unordered pair
-    inverse_pairs = set()
-    for i, j in combinations(range(n), 2):
-        if is_identity(mul(p[(i, j)], p[(j, i)])):
-            inverse_pairs |= {(i, j), (j, i)}
-    for i, j in permutations(range(n), 2):
-        if (i, j) not in inverse_pairs:
-            report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
+    # ordered (i, j) with G_ij G_ji != Id; one product per unordered pair
+    failed = sorted(pair for i, j in combinations(range(n), 2)
+                    if mul(labels[i * n + j], labels[j * n + i])
+                    for pair in ((i, j), (j, i)))
+    for i, j in failed:
+        report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     sums = [tuple(map(sum, zip(*frame))) for frame in frames]
+    units = {}      # label -> whether det P is a unit
     for i in range(n):
         h = (i - 1) % n
-        c = p[(h, i)]
-        v = fan.rays[i]
+        a = labels[h * n + i]
+        c, v = consts[a], fan.rays[i]
         if any(dot(sub(frames[i][row], frames[h][col]), v) < 0
                for row, col in product(range(len(c.rows)), repeat=2)
                if c.rows[row][col]):
             report.add("regularity",
                        f"G over the ray-{i} overlap has negative exponents", i)
             continue
-        if not (is_unit(det(c)) and dot(sub(sums[i], sums[h]), v) == 0):
+        if a not in units:
+            units[a] = is_unit(det(c))
+        if not (units[a] and dot(sub(sums[i], sums[h]), v) == 0):
             report.add("invertibility",
                        f"G over the ray-{i} overlap is not a unit there", i)
 
-    if len(inverse_pairs) < n * (n - 1) or not all(
-            mul(p[(j, k)], p[(0, j)]) == p[(0, k)]
-            for j, k in combinations(range(1, n), 2)):
+    if failed or not all(mul(labels[j * n + k], labels[j]) == labels[k]
+                         for j, k in combinations(range(1, n), 2)):
         for i, j, k in permutations(range(n), 3):
-            if not is_identity(mul(mul(p[(k, i)], p[(j, k)]), p[(i, j)])):
+            if mul(mul(labels[k * n + i], labels[j * n + k]),
+                   labels[i * n + j]):
                 report.add("cocycle",
                            f"triple ({i},{j},{k}) fails the cocycle condition",
                            (i, j, k))

@@ -14,7 +14,9 @@ pairs, counted with ``support.count_calls``:
   ``verify_bundle``, no two ``mat_mul`` calls take the same pair;
 * a passing ``verify_bundle`` takes at most C(n, 2) + C(n - 1, 2)
   products: one per unordered pair and one per star triple;
-* the counts are equal over two runs.
+* the counts are equal over two runs;
+* the composition never multiplies by an identity step, and a passing
+  ``verify_bundle`` takes det at most once per distinct P_{i-1,i}.
 """
 import json
 import random
@@ -28,6 +30,7 @@ from support import GEN_TOOLKIT, count_calls, perfbench_gen
 from toricnets import laurent, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, make_local_system
+from toricnets.laurent import identity
 from toricnets.nonabelian import (Factors, branch_point_loop,
                                   kaneyama_cocycle, verify_bundle)
 
@@ -91,3 +94,30 @@ def test_work_counts_meet_their_contracts(shape, monkeypatch):
         runs.append(({kind: len(c) for kind, c in builds.items()},
                      {phase: len(c) for phase, c in phases.items()}))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (16, 4)])
+def test_identity_steps_and_determinants_are_not_repeated(shape,
+                                                          monkeypatch):
+    # across an identity step the composition keeps its running product,
+    # with no product call, and the certificate decides whether det P is
+    # a unit once per distinct constant P_{i-1,i}
+    spec = schema.parse_problem(_document(*shape))
+    n = spec.fan.n
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = layout.cover(spec.tms.degree)
+    rng = random.Random(31)
+    coc = kaneyama_cocycle(net, spec.tms, cover, make_local_system(
+        cover, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for _ in range(betti_one(cover))]))
+    one = identity(cover.r)
+    # only the few walls of (16, 4) leave bare spokes between them
+    assert (one in coc.steps) == (shape == (16, 4))
+    products = count_calls(monkeypatch, nonabelian, "_product")
+    coc.constants
+    assert products and all(step != one for step, _ in products)
+    monkeypatch.undo()
+    dets = count_calls(monkeypatch, nonabelian, "det")
+    assert verify_bundle(coc, spec.tms).ok
+    overlaps = {coc.constants[((i - 1) % n, i)] for i in range(n)}
+    assert 0 < len(dets) <= len(overlaps)

@@ -770,6 +770,58 @@ def test_product_table_masks_no_edit_of_a_shared_constant():
         assert "cocycle" in _conditions(rep)
 
 
+class _SplitSheets:
+    """A cover read as if each of its sheets were a component of its own:
+    two anchors, (0, 0) and (0, 1)."""
+
+    sheet_orbits = ((0,), (1,))
+
+    def __init__(self, cover):
+        self._cover = cover
+
+    def __getattr__(self, name):
+        return getattr(self._cover, name)
+
+
+@pytest.mark.parametrize("name", ["p1p1_n4", "fan5_n5"])
+def test_the_join_holds_links_until_a_label_reaches_them(name):
+    # every G_0j (j != 0) becomes the diagonal constant on its frames, so
+    # row 0 joins no two sheets: its links (0, 1)-(j, 1) wait until a
+    # later row labels sheet 1, and the join records links until every
+    # (cone, sheet) is joined, however many it took
+    spec = load(name)
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = build_cover(spec.disk, layout, spec.tms.degree)
+    coc = kaneyama_cocycle(net, spec.tms, cover, make_local_system(
+        cover, [Fraction(2, 3)] * betti_one(cover)))
+    frames, n = coc.frames, spec.fan.n
+    diagonal = KaneyamaCocycle(coc.tms, cover, coc.steps, coc.lift)
+    diagonal.written = {**coc.written, **{
+        (0, j): tuple((s, s, 1, 1, frames[j][s][0] - frames[0][s][0],
+                       frames[j][s][1] - frames[0][s][1]) for s in range(2))
+        for j in range(1, n)}}
+    report = verify_bundle(diagonal, spec.tms)
+    assert report.violations == \
+        reference_verify_bundle(diagonal, spec.tms).violations
+    assert "inverses" in _conditions(report)
+    assert "tropicalization" not in _conditions(report)
+    # with two anchors, the entries that join the sheets join their two
+    # components, and every (cone, sheet) is joined to its own anchor
+    split = KaneyamaCocycle(coc.tms, _SplitSheets(cover), coc.steps,
+                            coc.lift)
+    split.written = coc.written
+    assert verify_bundle(split, spec.tms).ok
+    assert reference_verify_bundle(split, spec.tms).ok
+    # row 0 alone leaves sheet 1 of every cone unjoined
+    alone = KaneyamaCocycle(coc.tms, cover, coc.steps, coc.lift)
+    alone.written = {key: terms if key[0] == 0 else ()
+                     for key, terms in diagonal.written.items()}
+    assert verify_bundle(alone, spec.tms).violations == [
+        Violation("tropicalization", f"no chain of nonzero entries joins "
+                  f"sheets [1] over cone {i} to their anchor over cone 0", i)
+        for i in range(n)]
+
+
 def test_tropicalization_round_trip(p2, p2_built, p1p1, p1p1_built,
                                     fan5, fan5_built):
     for spec, (net, layout, cover) in [(p2, p2_built), (p1p1, p1p1_built),
@@ -818,6 +870,11 @@ def test_path_errors(p2, p2_built):
         with pytest.raises(InvalidPath, match=f"^{message}$"):
             path_ordered(factors, SurfacePath(region, 0, [crossing]))
     assert factors._built == {}
+    # a wall the network does not hold is no path either, even after a
+    # wall it does hold
+    with pytest.raises(InvalidPath, match="^unknown wall 99$"):
+        path_ordered(factors, SurfacePath(region, 0, [Crossing("wall", 0),
+                                                      Crossing("wall", 99)]))
 
 
 def test_slope_tie_guard(p2, p2_built):

@@ -8,13 +8,14 @@ that ``schema.emit_cocycle`` writes the lists ``verify_bundle`` read, and
 edit single terms of the lists, with no Laurent matrix involved, to reach
 every non-canonical kind the verifier reports.
 """
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from support import (REALIZABLE, emit_matrix, generated_problems,
-                     laurent_form, load)
+from support import (GEN_TOOLKIT, REALIZABLE, emit_matrix, generated_problems,
+                     laurent_form, load, perfbench_gen)
 
 from toricnets import schema
 from toricnets.builder import build_network
@@ -195,3 +196,56 @@ def test_a_symbolic_term_over_true_is_not_canonical(fan5, fan5_built):
                   f"G_({i},{j}) entry ({row},{col}) has coefficient "
                   f"{num!r}/True, not a reduced nonzero fraction over a "
                   "positive denominator", (i, j, row, col))]
+
+
+def _read_back(coc, text):
+    """A copy of the cocycle whose ``written`` is ``text``, the bytes of
+    its cocycle.json, read back: lists, not tuples, in the file's key
+    order, with the "i,j" keys mapped back to (i, j)."""
+    out = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
+    out.written = {tuple(map(int, key.split(","))): terms
+                   for key, terms in json.loads(text)["pairs"].items()}
+    return out
+
+
+def test_a_cocycle_read_back_from_its_bytes_reports_the_same(tmp_path):
+    # verify_bundle certifies the terms by value: the lists cocycle.json
+    # reads back as, which share no term object and come in the file's
+    # key order, give the report of the written tuples, clean, with one
+    # coefficient edited on its frame, and with one edited off its frame
+    rng = random.Random(33)
+    gen = perfbench_gen()
+    specs = [(name, load(name)) for name in REALIZABLE]
+    specs.append(("generated (20, 4)", schema.parse_problem(json.loads(
+        gen.serialize(gen.generate(20, 4, "read back", GEN_TOOLKIT))))))
+    for label, spec in specs:
+        net, layout = build_network(spec.tms, spec.disk)
+        cover = build_cover(spec.disk, layout, spec.tms.degree)
+        coc = kaneyama_cocycle(net, spec.tms, cover, make_local_system(
+            cover, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    for _ in range(betti_one(cover))]))
+        text = schema.dump_json(schema.emit_cocycle(coc),
+                                tmp_path / "cocycle.json")
+        assert verify_bundle(_read_back(coc, text), spec.tms) == \
+            verify_bundle(coc, spec.tms) and verify_bundle(coc, spec.tms).ok
+        n = spec.fan.n
+        i, j = rng.choice([(i, j) for i in range(n) for j in range(n)
+                           if i != j])
+        terms = coc.written[(i, j)]
+        k = rng.randrange(len(terms))
+        row, col, num, den, ex, ey = terms[k]
+        c = Fraction(num, den) + rng.choice([-2, -1, 1, 2]) or Fraction(3)
+        for moved, condition in [(0, "inverses"), (1, "tropicalization")]:
+            edit = (row, col, c.numerator, c.denominator, ex + moved, ey)
+            want = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
+            want.written = {**coc.written,
+                            (i, j): terms[:k] + (edit,) + terms[k + 1:]}
+            got = _read_back(coc, text)
+            assert type(got.written[(i, j)][k]) is list
+            got.written[(i, j)][k] = list(edit)
+            report = verify_bundle(got, spec.tms)
+            assert report == verify_bundle(want, spec.tms), (label, moved)
+            assert condition in {v.condition for v in report.violations}
+        if n > 10:
+            # "1,0" < "10,0" < "2,0": the file's order is not (i, j) order
+            assert list(got.written) != list(coc.written)
