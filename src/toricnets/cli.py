@@ -15,10 +15,11 @@ Commands:
                  embedded network's layout must give a cover first, and
                  a multi-section without one must build a network
 
-Each check fails the stage it runs in (``_stage``), and an error outside
-every stage fails a last ``error`` stage.  Exit status is 0 iff every
-stage passed.  Outputs are deterministic for fixed inputs: fixed iteration
-orders, seeded randomness recorded in the report.
+Each check fails the stage it runs in (``_stage``), a wrong count or a
+zero among the holonomies fails ``holonomies`` (``_holonomies``), and an
+error outside every stage fails a last ``error`` stage.  Exit status is
+0 iff every stage passed.  Outputs are deterministic for fixed inputs:
+fixed iteration orders, seeded randomness recorded in the report.
 """
 from __future__ import annotations
 
@@ -79,19 +80,26 @@ def cmd_validate(spec, report):
     if spec.network is not None:
         _stage(report, "network", lambda: _network_report(spec))
     # on a valid, realizable multi-section the holonomies nonabelianize
-    # would take are checked as it checks them; a passing check adds no
-    # stage
+    # would take are checked as it checks them
     if spec.holonomies and tms is not None and tms.report.ok:
         try:
             res = None if tms.degree == 1 else tms.realizability
             if res is None or res.parity_ok and res.realizable:
-                check_holonomies(0 if res is None else res.betti_one,
-                                 spec.holonomies)
+                b1 = 0 if res is None else res.betti_one
+                _holonomies(report, check_holonomies, b1, spec.holonomies)
         except (NotTwoFold, SlopeTie):
             pass
-        except (WrongCount, ZeroHolonomy) as exc:
-            _stage(report, "holonomies", lambda: exc)
     return report
+
+
+def _holonomies(report, check, *args):
+    """``check(*args)``, whose wrong holonomy count or zero holonomy fails
+    a ``holonomies`` stage and propagates; a pass adds no stage."""
+    try:
+        return check(*args)
+    except (WrongCount, ZeroHolonomy) as exc:
+        _stage(report, "holonomies", lambda: exc)
+        raise
 
 
 def _fan_report(spec):
@@ -144,7 +152,7 @@ def cmd_build(spec, report, outdir):
     return net, layout
 
 
-def _local_system(spec, cover, holonomy_arg):
+def _local_system(spec, report, cover, holonomy_arg):
     b1 = betti_one(cover)
     if holonomy_arg:
         try:
@@ -157,13 +165,13 @@ def _local_system(spec, cover, holonomy_arg):
         hol = list(spec.holonomies)
     else:
         hol = [Fraction(1)] * b1
-    return make_local_system(cover, hol), hol
+    return _holonomies(report, make_local_system, cover, hol), hol
 
 
 def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
     net, layout = _pipeline(spec, report)
     cover = layout.cover(spec.tms.degree)
-    ls, hol = _local_system(spec, cover, holonomy_arg)
+    ls, hol = _local_system(spec, report, cover, holonomy_arg)
     report["holonomies"] = [str(h) for h in hol]
     coc = _stage(report, "nonabelianize",
                  lambda: nonabelian.kaneyama_cocycle(net, spec.tms, cover, ls))

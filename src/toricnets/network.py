@@ -13,12 +13,12 @@ A network is its walls plus a ``BranchCutLayout``; it reads the disk
 model, fan, polygon, cuts, branch points, cut regions and grid from the
 layout.
 
-The boundary-track machinery turns the ccw cyclic order of boundary
-landings (wall endpoints, cut endpoints, spoke barycenters) into crossing
-sequences for path-ordered products: a loop just inside the boundary
-crosses exactly these curves in exactly this order.  The track is walked
-ccw only, every crossing positive; the product along a cw path is the
-inverse of the product along the ccw one.
+The boundary track is the ccw order of the boundary landings (wall
+endpoints, cut endpoints, spoke barycenters) on each edge: a loop just
+inside the boundary crosses exactly these curves in this order, and a
+path from the vertex chamber of cone i, between edges i and i+1, crosses
+the edges after it.  The track is walked ccw only, every crossing
+positive; the product along a cw path is the inverse of the ccw one.
 Every landing is read on the layout's integer grid (``GridPoints``): its
 order along its edge by ``edge_position``, its half-edge by
 ``half_edge``.  Nothing here locates a point off the grid, and a rational
@@ -26,8 +26,8 @@ point is made only for a report witness (``GridPoints.rational``).
 """
 from __future__ import annotations
 
-import bisect
 import functools
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import geom
@@ -58,8 +58,8 @@ class SpectralNetwork:
 
     The walls are fixed at construction, on the layout's grid, so the
     facts derived from them and the layout (the segment contacts, the
-    pairwise-disjointness verdict, the ccw-sorted track events, the arm
-    order of every branch point) are computed once, on first use, and then
+    pairwise-disjointness verdict, the track's crossings on each edge, the
+    arm order of every branch point) are computed once, on first use, and then
     read by everything that needs them.
     """
 
@@ -89,7 +89,7 @@ class SpectralNetwork:
 
     @functools.cached_property
     def events(self):
-        """Boundary-track events in ccw order (see ``track_events``)."""
+        """Boundary-track crossings of each edge (see ``track_events``)."""
         return track_events(self)
 
     @functools.cached_property
@@ -99,32 +99,26 @@ class SpectralNetwork:
                      for b in range(len(self.branch_points)))
 
 
-class TrackEvent(NamedTuple):
-    """One crossing of the near-boundary ccw track."""
-    key: tuple               # (edge, position, tier) ccw sort key
-    kind: str                # 'wall' | 'spoke' | 'cut'
-    index: int
-
-
 def track_events(net: SpectralNetwork):
-    """All boundary-track crossings in ccw cyclic order, as a tuple.
+    """The crossings of the near-boundary ccw track, edge by edge.
 
-    Each event is keyed by its edge and its ``GridPoints.edge_position``
-    there, read on the layout's grid: a wall's at its end on its own
-    edge, ``w.end_edge``, a cut's and a spoke's at the barycenter
+    Entry e of the returned tuple is the tuple of ``Crossing``s on edge e
+    in ccw order, each placed by its ``GridPoints.edge_position`` there,
+    read on the layout's grid: a wall's at its end on its own edge,
+    ``w.end_edge``, a cut's and a spoke's at the barycenter
     (``GridPoints.mids``).  At a barycenter the order is: cut hugging from
     the earlier region, then the spoke, then a cut hugging from the later
     region.
     """
     n = net.fan.n
     g = net.layout.grid
-    events = []
+    edges = [[] for _ in range(n)]
     for w in net.walls:
         t = g.edge_position(w.end, w.end_edge)
         if t is None:
             raise NotSupported(
                 f"wall {w.id} does not end on edge {w.end_edge}")
-        events.append(TrackEvent((w.end_edge, t, 1), "wall", w.id))
+        edges[w.end_edge % n].append((t, 1, Crossing("wall", w.id)))
     for k, (cut, region) in enumerate(zip(net.cuts, net.layout.cut_region)):
         e = cut.edge
         if region == (e - 1) % n:
@@ -134,37 +128,21 @@ def track_events(net: SpectralNetwork):
         else:
             raise NotSupported(
                 f"cut {k} lands on edge {e} from non-adjacent region {region}")
-        events.append(TrackEvent((e, g.mids[e % n], tier), "cut", k))
+        edges[e % n].append((g.mids[e % n], tier, Crossing("cut", k)))
     for e in range(n):
-        events.append(TrackEvent((e, g.mids[e], 1), "spoke", e))
-    events.sort(key=_event_key)
-    return tuple(events)
+        edges[e].append((g.mids[e], 1, Crossing("spoke", e)))
+    # stable: at one (position, tier), walls in wall order, then cuts
+    return tuple(tuple([c for _, _, c in sorted(edge, key=itemgetter(0, 1))])
+                 for edge in edges)
 
 
-def vertex_chamber_key(cone_index, n):
-    """Track sort key of the basepoint at the polygon vertex of a cone."""
-    return ((cone_index + 1) % n, 0, -1)
-
-
-def _event_key(ev):
-    return ev.key
-
-
-def _loop_from(events, key):
-    """The full ccw loop of sorted events, starting just after a key."""
-    i = bisect.bisect_right(events, key, key=_event_key)
-    return events[i:] + events[:i]
-
-
-def _cyclic_slice(events, from_key, to_key):
-    """Sorted events strictly between two keys going ccw, in crossing order."""
-    if from_key == to_key:
-        return ()
-    i = bisect.bisect_right(events, from_key, key=_event_key)
-    j = bisect.bisect_left(events, to_key, key=_event_key)
-    if from_key < to_key:
-        return events[i:j]
-    return events[i:] + events[:j]
+def _across(net, cone, count):
+    """Sheet 0 at the vertex chamber of ``cone``, between edges cone and
+    cone+1, then the crossings of the next ``count`` edges."""
+    n = net.fan.n
+    crossings = [c for e in range(cone + 1, cone + 1 + count)
+                 for c in net.events[e % n]]
+    return SurfacePath(cone % n, 0, crossings)
 
 
 def track_path(net: SpectralNetwork, from_cone, to_cone) -> SurfacePath:
@@ -172,21 +150,15 @@ def track_path(net: SpectralNetwork, from_cone, to_cone) -> SurfacePath:
 
     The path starts on sheet 0 at the basepoint near the vertex dual to
     ``from_cone`` and crosses, positively, everything the ccw track
-    crosses on its way to the vertex dual to ``to_cone``.
+    crosses on its way to the vertex dual to ``to_cone``: the crossings
+    of edges from_cone+1, ..., to_cone, read cyclically.
     """
-    n = net.fan.n
-    chosen = _cyclic_slice(net.events, vertex_chamber_key(from_cone, n),
-                           vertex_chamber_key(to_cone, n))
-    return SurfacePath(from_cone % n, 0,
-                       [Crossing(ev.kind, ev.index) for ev in chosen])
+    return _across(net, from_cone, (to_cone - from_cone) % net.fan.n)
 
 
 def boundary_loop(net: SpectralNetwork, base_cone) -> SurfacePath:
     """Full ccw boundary-parallel loop based at a vertex chamber."""
-    n = net.fan.n
-    ordered = _loop_from(net.events, vertex_chamber_key(base_cone, n))
-    return SurfacePath(base_cone % n, 0,
-                       [Crossing(ev.kind, ev.index) for ev in ordered])
+    return _across(net, base_cone, net.fan.n)
 
 
 # -- solitons ----------------------------------------------------------------

@@ -231,14 +231,14 @@ def loop_identity_check(factors) -> ValidationReport:
     passing report holds for every rational local system.  The factors
     and steps built here stay in ``factors`` for later products.
 
-    One boundary loop decides them all: the loop from cone b crosses the
-    events of the loop from cone 0 rotated, with the same factors, so if
-    one multiplies to B A the other multiplies to A B, and over the
+    One boundary loop decides them all: the loop from cone b makes the
+    crossings of the loop from cone 0 rotated, with the same factors, so
+    if one multiplies to B A the other multiplies to A B, and over the
     commutative coefficient ring B A = Id forces A B = Id.  The loop from
-    cone 0 is the adjacent steps concatenated (no track event sits at a
-    vertex chamber), so its product is S_{n-1} ... S_1 S_0, built from
-    the table's ``steps``; InvariantViolated is raised if the crossings of
-    ``boundary_loop(net, 0)`` are not those of the steps in order.
+    cone 0 crosses edges 1, ..., n, and the step from cone i edge i+1, so
+    it is the steps concatenated and its product is S_{n-1} ... S_1 S_0,
+    from the table's ``steps``; InvariantViolated is raised if the
+    crossings of ``boundary_loop(net, 0)`` are not the steps' in order.
     """
     net, cover = factors.net, factors.cover
     report = ValidationReport()

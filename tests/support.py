@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, oracles, random multi-sections."""
 from __future__ import annotations
 
+import bisect
 import functools
 import importlib.util
 import json
@@ -1332,6 +1333,53 @@ def reference_loop_identity_check(factors):
             report.add("loop", f"{name} is not the identity", witness)
             break
     return report
+
+
+# -- reference boundary track -------------------------------------------------
+# The track as ``network`` held it before it was kept edge by edge: one ccw
+# list of every crossing keyed (edge, position, tier), the vertex chamber of
+# cone i found by the sentinel key ((i + 1) % n, 0, -1), and each path cut
+# out of the list with two bisections and a wrap-around.
+
+def reference_track_events(net):
+    """(key, Crossing) of every boundary-track crossing, sorted by key."""
+    n, g = net.fan.n, net.layout.grid
+    events = [((w.end_edge, g.edge_position(w.end, w.end_edge), 1),
+               Crossing("wall", w.id)) for w in net.walls]
+    for k, (cut, region) in enumerate(zip(net.cuts, net.layout.cut_region)):
+        tier = 0 if region == (cut.edge - 1) % n else 2
+        events.append(((cut.edge, g.mids[cut.edge % n], tier),
+                       Crossing("cut", k)))
+    events += [((e, g.mids[e], 1), Crossing("spoke", e)) for e in range(n)]
+    return sorted(events, key=_track_key)
+
+
+def _track_key(event):
+    return event[0]
+
+
+def _chamber_key(cone, n):
+    return ((cone + 1) % n, 0, -1)
+
+
+def reference_track_path(net, from_cone, to_cone):
+    n = net.fan.n
+    events = reference_track_events(net)
+    lo, hi = _chamber_key(from_cone, n), _chamber_key(to_cone, n)
+    i = bisect.bisect_right(events, lo, key=_track_key)
+    j = bisect.bisect_left(events, hi, key=_track_key)
+    chosen = ([] if lo == hi else events[i:j] if lo < hi
+              else events[i:] + events[:j])
+    return SurfacePath(from_cone % n, 0, [c for _, c in chosen])
+
+
+def reference_boundary_loop(net, base_cone):
+    n = net.fan.n
+    events = reference_track_events(net)
+    i = bisect.bisect_right(events, _chamber_key(base_cone, n),
+                            key=_track_key)
+    return SurfacePath(base_cone % n, 0,
+                       [c for _, c in events[i:] + events[:i]])
 
 
 # -- generator loops and the sampled loop-identity sweep ----------------------

@@ -290,7 +290,7 @@ def test_validate_checks_the_document_holonomies(name, holonomies, detail,
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(data))
     for command, last in (("validate", "holonomies"),
-                          ("nonabelianize", "error")):
+                          ("nonabelianize", "holonomies")):
         code = main([command, "--input", str(path), "--out", str(tmp_path),
                      "--report", "json"])
         assert code == 1
@@ -310,6 +310,22 @@ def test_validate_adds_no_stage_for_good_holonomies(tmp_path, capsys):
             == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, holonomy, detail", [
+    ("p1p1_n4", "2,3", "need 1 holonomies, got 2"),
+    ("p2_n3", "3/2,2,5/7,4", "need 0 holonomies, got 4"),
+    ("fan5_n5", "1,0", "holonomies must be nonzero")])
+def test_nonabelianize_fails_the_holonomies_stage_on_bad_holonomies(
+        name, holonomy, detail, tmp_path, capsys):
+    # --holonomy is checked as a document's holonomies are, in a last
+    # failed stage, and no cocycle is written
+    code = main(["nonabelianize", "--input", fx(name), "--out",
+                 str(tmp_path), "--holonomy", holonomy, "--report", "json"])
+    assert code == 1
+    assert _json_stages(capsys)[-1] == \
+        {"name": "holonomies", "status": "fail", "detail": detail}
+    assert not (tmp_path / "cocycle.json").exists()
 
 
 @pytest.mark.parametrize("holonomy", ["1,,2", "1,2,"])

@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from support import (chambers, edited_network, generated_problems, lerp,
-                     load, rational_walls, reference_validate_network)
+from support import (GEN_TOOLKIT, REALIZABLE, chambers, edited_network,
+                     generated_problems, lerp, load, perfbench_gen,
+                     rational_cuts, rational_walls, reference_boundary_loop,
+                     reference_track_path, reference_validate_network)
 
-from toricnets import network
+from toricnets import network, schema
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import Crossing, SurfacePath, build_cover
 from toricnets.errors import NotSupported
@@ -144,11 +147,105 @@ def test_track_events_cover_everything(p2_built, p2):
     net, layout, cover = p2_built
     events = track_events(net)
     kinds = {}
-    for ev in events:
-        kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+    for c in (c for on_edge in events for c in on_edge):
+        kinds[c.kind] = kinds.get(c.kind, 0) + 1
     assert kinds == {"wall": 3, "spoke": 3, "cut": 1}
-    keys = [ev.key for ev in events]
-    assert keys == sorted(keys)
+    g = layout.grid
+    walls = {w.id: w for w in net.walls}
+    for e, on_edge in enumerate(events):
+        positions = [g.edge_position(walls[c.index].end, e)
+                     if c.kind == "wall" else g.mids[e] for c in on_edge]
+        assert positions == sorted(positions)
+
+
+def _later_region_cut(net, rng):
+    """``net`` with one cut, chosen by ``rng``, landing on the edge of its
+    own region: from the later region, which the builder never does."""
+    cuts = list(rational_cuts(net.layout))
+    k = rng.randrange(len(cuts))
+    region = net.layout.cut_region[k]
+    cuts[k] = cuts[k]._replace(
+        polyline=(cuts[k].polyline[0], net.disk.spoke(region)[-1]),
+        edge=region)
+    return edited_network(net, cuts=cuts)
+
+
+def _walls_sharing_an_edge(net, rng):
+    """``net`` with two walls added on the edge of a wall chosen by
+    ``rng``: one ending where it ends, put first in wall order with a
+    larger id, and one ending halfway from there to the edge's start."""
+    walls = list(rational_walls(net))
+    i = rng.randrange(len(walls))
+    w = walls[i]
+    start = net.polytope.vertices[(w.end_edge - 1) % net.fan.n]
+    halfway = lerp(w.end, start, Fraction(1, 2))
+    walls.append(w._replace(id=w.id + 1000, polyline=(w.start, halfway)))
+    walls[i:i] = [w._replace(id=w.id + 999)]
+    return edited_network(net, walls=walls)
+
+
+def _track_networks():
+    """(name, network): the realizable fixtures, generated (8, 8),
+    (16, 4) and (12, 12), and hand edits of the fixtures."""
+    rng = random.Random("track")
+    gen = perfbench_gen()
+    for name in REALIZABLE:
+        spec = load(name)
+        net, _ = build_network(spec.tms, spec.disk)
+        yield name, net
+        if net.walls:
+            yield f"{name} two walls on an edge", \
+                _walls_sharing_an_edge(net, rng)
+            yield f"{name} later-region cut", _later_region_cut(net, rng)
+    for n, big_n in [(8, 8), (16, 4), (12, 12)]:
+        spec = schema.parse_problem(json.loads(gen.serialize(
+            gen.generate(n, big_n, "track", GEN_TOOLKIT))))
+        yield (n, big_n), build_network(spec.tms, spec.disk)[0]
+
+
+def test_track_paths_match_the_sorted_key_reference():
+    # every path and loop the track gives is the one the reference cuts
+    # out of its sorted key list, for reduced and unreduced cone indices;
+    # the n steps concatenated are the loop from cone 0, each crossing once
+    seen = set()
+    for name, net in _track_networks():
+        n = net.fan.n
+        for i in range(n):
+            for j in range(n):
+                assert network.track_path(net, i, j) == \
+                    reference_track_path(net, i, j), (name, i, j)
+                assert network.track_path(net, i + n, j) == \
+                    reference_track_path(net, i + n, j), (name, i + n, j)
+                assert network.track_path(net, i, j - n) == \
+                    reference_track_path(net, i, j - n), (name, i, j - n)
+            assert network.boundary_loop(net, i) == \
+                reference_boundary_loop(net, i), (name, i)
+        loop = network.boundary_loop(net, 0).crossings
+        steps = [c for i in range(n)
+                 for c in network.track_path(net, i, (i + 1) % n).crossings]
+        assert steps == loop, name
+        assert sorted(loop) == sorted(
+            [Crossing("wall", w.id) for w in net.walls]
+            + [Crossing("cut", k) for k in range(len(net.cuts))]
+            + [Crossing("spoke", e) for e in range(n)]), name
+        seen.add(name)
+    # 5 fixtures, two edits of each of the 4 with walls, 3 generated
+    assert len(seen) == 16
+
+
+def test_a_track_landing_off_its_edges_is_not_supported(p2_built):
+    # p2_n3: wall 1 ends on edge 1, and cut 0 lands on edge 2 from region
+    # 1; a wall claiming edge 2 and a cut landing on edge 0 are refused
+    net, _, _ = p2_built
+    walls = list(rational_walls(net))
+    walls[1] = walls[1]._replace(end_edge=2)
+    with pytest.raises(NotSupported,
+                       match=r"^wall 1 does not end on edge 2$"):
+        track_events(edited_network(net, walls=walls))
+    cuts = [c._replace(edge=0) for c in rational_cuts(net.layout)]
+    with pytest.raises(NotSupported, match=r"^cut 0 lands on edge 0 from "
+                       r"non-adjacent region 1$"):
+        track_events(edited_network(net, cuts=cuts))
 
 
 def test_two_y_graphs_give_five_chambers(p1p1_built):

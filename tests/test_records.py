@@ -28,7 +28,7 @@ def records(p1p1, p1p1_built):
     return [Violation("structure", "a message", (0, 1)),
             tms.lifted_cones[0], tms.lifted_rays[0], tms.cover_class,
             parity_and_realizability(tms, 4), layout.cuts[0],
-            path.crossings[0], path, net.walls[0], net.events[0],
+            path.crossings[0], path, net.walls[0], net.events[0][0],
             enumerate_solitons(net, net.walls[0])[0],
             builder._plan(tms, tms.crossing_cones)[0]]
 
@@ -45,7 +45,7 @@ def test_every_record_is_read_only_with_a_field_repr(records):
         assert repr(rec) == f"{type(rec).__name__}({fields})"
     assert names == {"Violation", "LiftedCone", "LiftedRay", "CoverClass",
                      "RealizabilityResult", "Cut", "Crossing",
-                     "SurfacePath", "Wall", "TrackEvent", "Soliton", "_YPlan"}
+                     "SurfacePath", "Wall", "Soliton", "_YPlan"}
     assert repr(Violation("cocycle", "m", (0, 1))) == \
         "Violation(condition='cocycle', message='m', witness=(0, 1))"
     assert repr(SurfacePath(2, 1, [Crossing("cut", 0)])) == (
