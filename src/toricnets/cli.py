@@ -17,7 +17,9 @@ Commands:
 
 Each check fails the stage it runs in (``_stage``), a wrong count or a
 zero among the holonomies fails ``holonomies`` (``_holonomies``), and an
-error outside every stage fails a last ``error`` stage.  Exit status is
+error outside every stage fails a last ``error`` stage.  ``nonabelianize``
+decides its holonomies (parse, count, nonzero) once b1 is read from the
+multi-section, after the parity stage and before the build.  Exit status is
 0 iff every stage passed.  Outputs are deterministic for fixed inputs:
 fixed iteration orders, seeded randomness recorded in the report.
 """
@@ -83,20 +85,29 @@ def cmd_validate(spec, report):
     # would take are checked as it checks them
     if spec.holonomies and tms is not None and tms.report.ok:
         try:
-            res = None if tms.degree == 1 else tms.realizability
-            if res is None or res.parity_ok and res.realizable:
-                b1 = 0 if res is None else res.betti_one
-                _holonomies(report, check_holonomies, b1, spec.holonomies)
+            b1 = _betti_one(tms)
         except (NotTwoFold, SlopeTie):
-            pass
+            b1 = None
+        if b1 is not None:
+            _holonomies(report, b1, spec.holonomies)
     return report
 
 
-def _holonomies(report, check, *args):
-    """``check(*args)``, whose wrong holonomy count or zero holonomy fails
-    a ``holonomies`` stage and propagates; a pass adds no stage."""
+def _betti_one(tms):
+    """b1 of the cover the builder makes for a valid multi-section, read
+    from the multi-section: 0 in degree 1, and None when no network is
+    realizable."""
+    if tms.degree == 1:
+        return 0
+    res = tms.realizability
+    return res.betti_one if res.parity_ok and res.realizable else None
+
+
+def _holonomies(report, b1, holonomies):
+    """``check_holonomies``, whose wrong holonomy count or zero holonomy
+    fails a ``holonomies`` stage and propagates; a pass adds no stage."""
     try:
-        return check(*args)
+        check_holonomies(b1, holonomies)
     except (WrongCount, ZeroHolonomy) as exc:
         _stage(report, "holonomies", lambda: exc)
         raise
@@ -117,6 +128,12 @@ def _network_report(spec):
 
 
 def _pipeline(spec, report):
+    _checked(spec, report)
+    return _build(spec, report)
+
+
+def _checked(spec, report):
+    """The stages before the build; returns the multi-section."""
     tms = spec.tms
     if tms is None:
         raise ParseError("this command needs a multisection")
@@ -127,8 +144,12 @@ def _pipeline(spec, report):
         n_value = _stage(report, "n_genericity",
                          lambda: multisection.n_genericity(tms))
         _stage(report, "parity", lambda: _parity_detail(tms, n_value))
+    return tms
+
+
+def _build(spec, report):
     return _stage(report, "build",
-                  lambda: builder.build_network(tms, spec.disk))
+                  lambda: builder.build_network(spec.tms, spec.disk))
 
 
 def _raise_invalid(tms):
@@ -152,8 +173,9 @@ def cmd_build(spec, report, outdir):
     return net, layout
 
 
-def _local_system(spec, report, cover, holonomy_arg):
-    b1 = betti_one(cover)
+def _chosen_holonomies(spec, report, holonomy_arg, b1):
+    """The holonomies of ``nonabelianize``: ``--holonomy``, else the
+    document's, else all 1; parsed and checked against b1."""
     if holonomy_arg:
         try:
             hol = [Fraction(h) for h in holonomy_arg.split(",")]
@@ -165,13 +187,19 @@ def _local_system(spec, report, cover, holonomy_arg):
         hol = list(spec.holonomies)
     else:
         hol = [Fraction(1)] * b1
-    return _holonomies(report, make_local_system, cover, hol), hol
+    _holonomies(report, b1, hol)
+    return hol
 
 
 def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
-    net, layout = _pipeline(spec, report)
+    # the holonomies are decided once b1 is known, before the build; a
+    # multi-section with no realizable network fails the build first
+    b1 = _betti_one(_checked(spec, report))
+    hol = None if b1 is None else \
+        _chosen_holonomies(spec, report, holonomy_arg, b1)
+    net, layout = _build(spec, report)
     cover = layout.cover(spec.tms.degree)
-    ls, hol = _local_system(spec, report, cover, holonomy_arg)
+    ls = make_local_system(cover, hol)
     report["holonomies"] = [str(h) for h in hol]
     coc = _stage(report, "nonabelianize",
                  lambda: nonabelian.kaneyama_cocycle(net, spec.tms, cover, ls))

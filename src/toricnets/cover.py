@@ -159,6 +159,12 @@ class GridPoints:
     ``InvariantViolated``), and ``mids`` each barycenter's
     ``edge_position``.  Point location runs here only:
     ``interior``, ``region``, ``edge_position`` and ``half_edge``.
+    ``interior`` reads each ccw edge as (ax, ay, dx, dy), stored once: a
+    point is interior iff every cross product with an edge is positive.
+    On the strictly convex polygons of the disk models that is
+    ``point_in_convex_polygon(p, vertices) == 1``, since a point on an
+    edge's line beyond the edge lies strictly outside a neighbouring
+    edge.
     ``rational`` is the rational point a grid point stands for, made only
     to be written into a message or a witness.
     """
@@ -174,6 +180,10 @@ class GridPoints:
 
         self.scale = scale
         self.vertices = tuple(map(on_grid, disk.polytope.vertices))
+        # each ccw edge [a, b] as (ax, ay, bx - ax, by - ay)
+        self._edges = tuple((ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by)
+                            in zip(self.vertices[-1:] + self.vertices,
+                                   self.vertices))
         self.spokes = tuple(tuple(map(on_grid, disk.spoke(i)))
                             for i in range(disk.fan.n))
         self.mids = tuple(self.edge_position(s[-1], e)
@@ -184,8 +194,13 @@ class GridPoints:
         return tuple(Fraction(c, self.scale) for c in p)
 
     def interior(self, p):
-        """True iff grid point p is interior to the polygon."""
-        return geom.point_in_convex_polygon(p, self.vertices) == 1
+        """True iff grid point p is interior to the polygon: strictly left
+        of every ccw edge."""
+        x, y = p
+        for ax, ay, dx, dy in self._edges:
+            if dx * (y - ay) <= dy * (x - ax):
+                return False
+        return True
 
     def region(self, p):
         """Region of grid point p of the closed polygon, or None.
@@ -349,7 +364,12 @@ class SurfacePath(NamedTuple):
 
 
 class RankOneLocalSystem:
-    """Rank-1 local system in the cuts-carry-the-weights gauge."""
+    """Rank-1 local system in the cuts-carry-the-weights gauge.
+
+    The weights are checked and coerced once: by ``__init__``, or by
+    ``make_local_system``, which checks the holonomies itself.  The
+    inverse 1/t_k of a weight is taken on first use, once per cut.
+    """
 
     def __init__(self, cover: SheetedSurface, cut_weights):
         if len(cut_weights) != len(cover.cuts):
@@ -357,8 +377,12 @@ class RankOneLocalSystem:
         for w in cut_weights:
             if w == 0:
                 raise ZeroHolonomy("cut weight must be invertible")
+        self._set(cover, [coefficient(w) for w in cut_weights])
+
+    def _set(self, cover, cut_weights):
         self.cover = cover
-        self.cut_weights = [coefficient(w) for w in cut_weights]
+        self.cut_weights = cut_weights
+        self._inverses = {}
 
     def cut_crossing_weight(self, k, from_sheet):
         """Scalar picked up crossing cut k from a given sheet.
@@ -368,8 +392,15 @@ class RankOneLocalSystem:
         transport is this weight at its one crossing, of its branch
         point's cut, from its source sheet.
         """
-        t = self.cut_weights[k]
-        return t if from_sheet == 0 else 1 / t
+        if from_sheet == 0:
+            return self.cut_weights[k]
+        inverse = self._inverses.get(k)
+        if inverse is None:
+            inverse = self._inverses[k] = 1 / self.cut_weights[k]
+        return inverse
+
+
+_ONE = Fraction(1)
 
 
 def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
@@ -380,15 +411,17 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
     gauge with t_0 = 1 its holonomy is exactly t_{k+1}, so the weights are
     [1, h_1, ..., h_{b1}].  The holonomies are rationals, or the
     symbols ``TPoly.symbols(b1)`` for the system that stands for all of
-    them at once.  This gauge covers the builder's covers: a connected
+    them at once.  Each holonomy is coerced once and the list checked once
+    (``check_holonomies``), and the system is made on those weights with
+    no second check.  This gauge covers the builder's covers: a connected
     2-fold cover, with b1 = #cuts - 1, and the cut-free rank-1 cover, with
-    no weights.  On any other cover the weight count is wrong, and
-    ``RankOneLocalSystem`` raises WrongCount.
+    no weights.
     """
     holonomies = [coefficient(h) for h in holonomies]
     check_holonomies(betti_one(cover), holonomies)
-    weights = [Fraction(1)] + holonomies if cover.cuts else []
-    return RankOneLocalSystem(cover, weights)
+    ls = RankOneLocalSystem.__new__(RankOneLocalSystem)
+    ls._set(cover, [_ONE, *holonomies] if cover.cuts else [])
+    return ls
 
 
 def check_holonomies(b1, holonomies):

@@ -20,18 +20,23 @@ unpacks its points into ints and computes every cross product it needs
 inline, once, calling no helper but the box test ``_in_box``; the answer
 is a ``bool`` or an int sign, never a float.
 
-Point location runs on the same grid: ``cover.GridPoints`` is the only
-caller of ``point_in_convex_polygon``, finds a point's region with
-``orient`` against the spokes, and a boundary point's position along its
-edge and its half-edge with ``on_segment`` and ``dot``.
+Point location runs on the same grid, in ``cover.GridPoints`` only: its
+``region`` is the one caller of ``point_in_convex_polygon`` and reads
+``orient`` against the spokes, its ``interior`` tests the signs of the
+cross products with the polygon's edges, stored once, and a boundary
+point's position along its edge and its half-edge come from
+``on_segment`` and ``dot``.
 
 ``contacts``, the one contact query, is the only code that chooses which
 segment pairs to test: one sweep over the segments of polylines (tuples of
-grid points) tests exactly only the pairs whose boxes meet; each caller
-applies its own tolerance rule to the pairs it finds.
+grid points), each boxed once into a flat tuple, bounds each segment's
+scan by one bisection and tests exactly only the pairs whose boxes meet;
+its keys come back sorted, and each caller applies its own tolerance rule
+to the pairs it finds.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd
 
 
@@ -88,11 +93,6 @@ def on_segment(p, a, b) -> bool:
             and _in_box(p, a, b))
 
 
-def box(p, q):
-    """Closed bounding box (xmin, ymin, xmax, ymax) of the segment [p, q]."""
-    return (min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
-
-
 def proper_crossing(p1, p2, q1, q2) -> bool:
     """True iff [p1,p2] and [q1,q2] cross at one point interior to both."""
     (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, q1, q2
@@ -132,28 +132,36 @@ def contacts(curves, fixed=()):
     """Touching segment pairs of every two polylines, found in one sweep.
 
     Polylines are numbered ``curves`` first, then ``fixed``.  Returns
-    {(a, b): [(i, j), ...]}, a < b, listing in (i, j) order each touching
-    pair of segments a[i]a[i+1], b[j]b[j+1].  Each segment is boxed once,
-    the boxes sorted by their left sides, and each segment is tested
-    against the ones after it whose boxes start before its box ends and
-    meet it (Shamos-Hoey 1976): the scan stops at the first box that
-    starts past its right side.  Pairs within one polyline, or within
+    {(a, b): [(i, j), ...]}, a < b, with the keys in sorted order, listing
+    in (i, j) order each touching pair of segments a[i]a[i+1], b[j]b[j+1].
+    Each segment is boxed once, inline, into one flat tuple (left, low,
+    right, high, polyline, index, p, q), and the tuples sorted once by
+    their boxes (Shamos-Hoey 1976): a segment is tested against the later
+    ones whose boxes start before its box ends, a slice bounded by one
+    bisection of the sorted left sides, and of those only the ones whose
+    boxes meet its own in y.  Pairs within one polyline, or within
     ``fixed``, are never tested.
     """
-    polys, m = (*curves, *fixed), len(curves)
-    segments = sorted((box(p, q), a, i) for a, poly in enumerate(polys)
-                      for i, (p, q) in enumerate(zip(poly, poly[1:])))
+    m = len(curves)
+    segments = []
+    for a, poly in enumerate((*curves, *fixed)):
+        for i in range(len(poly) - 1):
+            p, q = poly[i], poly[i + 1]
+            (px, py), (qx, qy) = p, q
+            segments.append((px if px < qx else qx, py if py < qy else qy,
+                             qx if px < qx else px, qy if py < qy else py,
+                             a, i, p, q))
+    segments.sort()
+    lefts = [s[0] for s in segments]
     found = {}
-    for k, ((_, bottom, right, top), a, i) in enumerate(segments):
-        for later in range(k + 1, len(segments)):
-            (left, low, _, high), b, j = segments[later]
-            if left > right:
-                break
-            if (low <= top and bottom <= high and a != b and min(a, b) < m
-                    and segments_cross(*polys[a][i:i + 2], *polys[b][j:j + 2])):
+    for k, (_, bottom, right, top, a, i, p1, p2) in enumerate(segments):
+        for _, low, _, high, b, j, q1, q2 in \
+                segments[k + 1:bisect_right(lefts, right, k + 1)]:
+            if (low <= top and bottom <= high and a != b
+                    and (a < m or b < m) and segments_cross(p1, p2, q1, q2)):
                 key, pair = ((a, b), (i, j)) if a < b else ((b, a), (j, i))
                 found.setdefault(key, []).append(pair)
-    return {key: sorted(pairs) for key, pairs in found.items()}
+    return {key: sorted(found[key]) for key in sorted(found)}
 
 
 def polyline_pairwise_disjoint(a, b, touching, skip_shared_endpoints=True) -> bool:

@@ -21,8 +21,10 @@ integer products, one multiply of the denominators and one gcd reduction,
 skipped when the denominator is 1; with a ``TPoly`` entry each entry is
 one ``_dot``, which collects its terms once.  ``det`` of [[p, q], [r, s]]
 is ps - qr, ``inverse`` is den times the adjugate [[s, -q], [-r, p]] over
-a unit determinant, and ``substitute`` is the one substitution of
-rational holonomies for t.
+a unit determinant, ``unipotent`` makes a wall factor Id + x E_{row, col}
+canonical as it is, with no ``constant`` pass, and ``substitute`` is the
+one substitution of rational holonomies for t, on int numerators and
+denominators.
 
 The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
@@ -209,6 +211,17 @@ def constant(rows, den=1):
                     den)
 
 
+def unipotent(row, col, x):
+    """The canonical 2 x 2 constant Id + x E_{row, col}, row != col, for a
+    nonzero coefficient x: over the denominator q of a rational x = p/q,
+    and over 1 for a ``TPoly``."""
+    if type(x) is TPoly:
+        p, q = x, 1
+    else:
+        p, q = x.as_integer_ratio()
+    return Constant(((q, p), (0, q)) if col else ((q, 0), (p, q)), q)
+
+
 @functools.cache
 def identity(r):
     """The r x r identity constant."""
@@ -315,24 +328,38 @@ def inverse(a):
     return constant([[x * u for x in row] for row in adjugate], d)
 
 
-def _substitute(c, values):
-    """A coefficient with t_k replaced by ``values[k - 1]``: a rational."""
-    if not isinstance(c, TPoly):
-        return c
-    total = Fraction(0)
+def _evaluated(c, values):
+    """(num, den), den > 0, of a coefficient with t_k replaced by the
+    rational ``values[k - 1]``, given as (num, den) int pairs: each
+    monomial on ints, added over the product of their denominators."""
+    if type(c) is not TPoly:
+        return c.as_integer_ratio()
+    total, den = 0, 1
     for exponents, a in c.terms.items():
-        for v, k in zip(values, exponents):
-            if k:
-                a *= v ** k
-        total += a
-    return total
+        p, q = a.as_integer_ratio()
+        for (vp, vq), k in zip(values, exponents):
+            if k > 0:
+                p, q = p * vp ** k, q * vq ** k
+            elif k:
+                p, q = p * vq ** -k, q * vp ** -k
+        total, den = total * q + p * den, den * q
+    return (total, den) if den > 0 else (-total, -den)
 
 
 def substitute(a, values):
     """The constant with t_k replaced by ``values[k - 1]`` in every entry:
-    the substitution homomorphism Q[t^±] -> Q at nonzero rationals."""
+    the substitution homomorphism Q[t^±] -> Q at nonzero rationals.
+
+    Each entry is evaluated on int numerators and denominators
+    (``_evaluated``); the entries are brought over one lcm once and the
+    constant reduced by one gcd (``_reduced``).
+    """
     if _numeric(a.rows):
         return a
-    values = [Fraction(v) for v in values]
-    return constant([[_substitute(c, values) for c in row] for row in a.rows],
-                    a.den)
+    values = [v.as_integer_ratio() for v in values]
+    ratios = [_evaluated(c, values) for row in a.rows for c in row]
+    den = lcm(*[q for _, q in ratios])
+    flat = [p * (den // q) for p, q in ratios]
+    r = len(a.rows)
+    return _reduced(tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)]),
+                    den * a.den)

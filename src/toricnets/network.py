@@ -253,8 +253,10 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     touching segment pairs: a wall may touch a cut only at a shared
     endpoint (1), cross a spoke only properly (1), and contain no branch
     point but its own start (5), which lies on the first segment of that
-    branch point's cut; a (wall, cut) pair with no touching pair is
-    skipped, as neither rule has anything to judge there.  Condition 6
+    branch point's cut.  The contacts are grouped by wall once, so each
+    wall walks only the cuts and spokes it touches, cuts in index order
+    and then spokes; a (wall, cut) pair with no touching pair has nothing
+    for either rule to judge.  Condition 6
     finds each wall's landing half-edge from its grid end with
     ``GridPoints.half_edge`` and compares it with the wall's claim
     (``end_edge``, ``end_cone``).  Witnesses are the rational points
@@ -264,6 +266,12 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     g = net.layout.grid
     bad_labels = set()
     first_cut, first_spoke = len(net.walls), len(net.walls) + len(net.cuts)
+    # each wall's (other curve, touching pairs) with a cut or a spoke, in
+    # the order of the other curve: the sweep's keys are sorted
+    met = [[] for _ in net.walls]
+    for (wi, other), touching in net.contacts.items():
+        if other >= first_cut:
+            met[wi].append((other, touching))
 
     for wi, w in enumerate(net.walls):
         pts = w.polyline
@@ -276,25 +284,24 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
             report.add("1", f"wall {w.id} starts outside the open polygon",
                        g.rational(w.start))
         through_branch_point = False
-        for k, c in enumerate(net.cuts):
-            touching = net.contacts.get((wi, first_cut + k))
-            if not touching:
-                continue
-            cut = c.polyline
-            if not geom.polyline_pairwise_disjoint(pts, cut, touching):
-                report.add("1", f"wall {w.id} meets a branch cut", w.id)
-            # (5) a wall segment through branch point k touches the first
-            # segment of cut k there
-            through_branch_point |= any(
-                j == 0 and geom.on_segment(cut[0], pts[i], pts[i + 1])
-                and not (i == 0 and cut[0] == pts[0])
-                for i, j in touching)
-        for si, spoke in enumerate(g.spokes):
-            for i, _ in net.contacts.get((wi, first_spoke + si), ()):
-                if not geom.proper_crossing(pts[i], pts[i + 1], *spoke):
-                    report.add("1",
-                               f"wall {w.id} meets the spoke of ray {si} "
-                               "non-transversely", si)
+        for other, touching in met[wi]:
+            if other < first_spoke:
+                cut = net.cuts[other - first_cut].polyline
+                if not geom.polyline_pairwise_disjoint(pts, cut, touching):
+                    report.add("1", f"wall {w.id} meets a branch cut", w.id)
+                # (5) a wall segment through branch point k touches the
+                # first segment of cut k there
+                through_branch_point |= any(
+                    j == 0 and geom.on_segment(cut[0], pts[i], pts[i + 1])
+                    and not (i == 0 and cut[0] == pts[0])
+                    for i, j in touching)
+            else:
+                si = other - first_spoke
+                for i, _ in touching:
+                    if not geom.proper_crossing(pts[i], pts[i + 1],
+                                                *g.spokes[si]):
+                        report.add("1", f"wall {w.id} meets the spoke of "
+                                   f"ray {si} non-transversely", si)
         # (2) labels name two distinct sheets
         a, b = w.label
         if a == b or not (0 <= a < cover.r and 0 <= b < cover.r):

@@ -22,7 +22,8 @@ Every crossing is positive (right to left).  Factor inventory:
   diag(z^(m(lift(i, s)) - m(lift(i-1, s)))) is the frame change itself;
 * wall w with label (a, b): the unipotent Id + eps * lambda * E_{b a}, in
   the region where it is crossed, where lambda is the weight of the
-  soliton's one cut crossing and eps = (-1)^turns its winding sign;
+  soliton's one cut crossing and eps = (-1)^turns its winding sign, made
+  as one canonical constant in closed form (``laurent.unipotent``);
 * cut k: the signed permutation forced by the branch-point consistency
   identity: the inverse of the ordered product of the three wall
   unipotents around the cut's branch point.
@@ -66,7 +67,7 @@ from .errors import (InvalidPath, InvariantViolated, LoopIdentityFailed,
                      NotSupported)
 from .geom import dot, sub
 from .laurent import (Constant, TPoly, constant, det, identity, inverse,
-                      is_identity, is_unit, mat_mul, substitute)
+                      is_identity, is_unit, mat_mul, substitute, unipotent)
 from .network import boundary_loop, enumerate_solitons, track_path
 from .reporting import ValidationReport
 
@@ -89,20 +90,19 @@ def wall_factor(wall, factors) -> Constant:
     """Unipotent wall-crossing factor of a wall, in any region it is
     crossed in.
 
-    A soliton's transport is the weight of its one positive crossing of
-    its branch point's cut, from its source sheet
-    (``cut_crossing_weight``), negated when its turn count is odd.  The
-    transports become one integer constant once, after the last soliton;
-    a transport goes into a zero entry as it is, signed, with no addition.
+    The wall carries one soliton (``enumerate_solitons``), whose transport
+    lambda is the weight of its one positive crossing of its branch
+    point's cut, from its source sheet (``cut_crossing_weight``), negated
+    when its turn count is odd.  The factor Id + lambda E_{b a} is made in
+    one closed form (``laurent.unipotent``); a wall with no soliton has
+    the identity.
     """
-    rows = [list(row) for row in identity(factors.cover.r).rows]
-    for sol in enumerate_solitons(factors.net, wall):
-        lam = factors.ls.cut_crossing_weight(sol.cut_index, sol.source_sheet)
-        if sol.turns % 2:
-            lam = -lam
-        a, b = sol.source_sheet, sol.target_sheet
-        rows[b][a] = rows[b][a] + lam if rows[b][a] else lam
-    return constant(rows)
+    sols = enumerate_solitons(factors.net, wall)
+    if not sols:
+        return identity(factors.cover.r)
+    ((_, a, b, k, turns),) = sols
+    lam = factors.ls.cut_crossing_weight(k, a)
+    return unipotent(b, a, -lam if turns % 2 else lam)
 
 
 def cut_factor(k, factors) -> Constant:

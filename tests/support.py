@@ -26,6 +26,7 @@ from toricnets.laurent import TPoly, constant, identity, substitute
 from toricnets.multisection import (LiftedCone, LiftedRay,
                                     TropicalMultiSection, classify_two_fold,
                                     validate)
+from toricnets.network import enumerate_solitons
 from toricnets.nonabelian import Factors, KaneyamaCocycle, loop_identity_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -678,6 +679,55 @@ def fraction_rows(c):
     of ``Fraction``s; a ``TPoly`` entry (over denominator 1) as it is."""
     return tuple(tuple(x if isinstance(x, TPoly) else Fraction(x, c.den)
                        for x in row) for row in c.rows)
+
+
+# -- reference factor and substitution ----------------------------------------
+# The generic paths the closed forms replaced: a wall factor accumulated
+# from its solitons into identity rows and brought to canonical form by
+# one ``laurent.constant`` pass, with each transport read from the cut
+# weights directly, and the substitution of holonomies for t in
+# ``Fraction`` arithmetic.
+
+def reference_unipotent(row, col, x):
+    """Id + x E_{row, col}, 2 x 2, through ``laurent.constant``."""
+    rows = [[1, 0], [0, 1]]
+    rows[row][col] = x
+    return constant(rows)
+
+
+def reference_wall_factor(wall, factors):
+    """The factor of ``wall`` in the table ``factors``: each soliton's
+    transport, the weight t of its cut from sheet 0 and 1/t from sheet 1,
+    signed by its turns, added into the identity rows."""
+    rows = [list(row) for row in identity(factors.cover.r).rows]
+    for sol in enumerate_solitons(factors.net, wall):
+        t = factors.ls.cut_weights[sol.cut_index]
+        lam = t if sol.source_sheet == 0 else 1 / t
+        if sol.turns % 2:
+            lam = -lam
+        a, b = sol.source_sheet, sol.target_sheet
+        rows[b][a] = rows[b][a] + lam if rows[b][a] else lam
+    return constant(rows)
+
+
+def reference_substitute(a, values):
+    """A constant with t_k replaced by ``values[k - 1]``, in ``Fraction``
+    arithmetic: each monomial as a product of powers, each entry summed,
+    and the rows brought to canonical form by ``laurent.constant``."""
+    values = [Fraction(v) for v in values]
+
+    def evaluated(c):
+        if not isinstance(c, TPoly):
+            return c
+        total = Fraction(0)
+        for exponents, x in c.terms.items():
+            for v, k in zip(values, exponents):
+                if k:
+                    x *= v ** k
+            total += x
+        return total
+
+    return constant([[evaluated(c) for c in row] for row in a.rows], a.den)
 
 
 def laurent_form(const, source, target, tms, cover):

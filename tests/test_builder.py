@@ -214,14 +214,15 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     # the bounding-box reject 114 remain.  The builder places the cuts and
     # walls on the layout's one grid, and the layout puts the disk model
     # on it once (one GridPoints per build).  A build runs two contact
-    # sweeps, each boxing its segments once: the cover's boxes 5 cuts and
+    # sweeps, each boxing its segments once, inline, and bounding each
+    # segment's scan by one bisection: the cover's sweep scans 5 cuts and
     # 7 spokes, the network's 50 wall segments, 5 cuts and 7 spokes.
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
     segments_cross = geom.segments_cross
     grid_points = cover.GridPoints.__init__
-    boxes = count_calls(monkeypatch, geom, "box")
+    scans = count_calls(monkeypatch, geom, "bisect_right")
     sweeps = count_calls(monkeypatch, geom, "contacts")
     monkeypatch.setattr(geom, "segments_cross",
                         lambda *a: tests.append(a) or segments_cross(*a))
@@ -232,7 +233,8 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     assert (len(net.walls), len(layout.cuts)) == (15, 5)
     assert len(tests) == 114
     assert grids == [(spec.disk, layout.scale)]
-    assert len(boxes) == (5 + 7) + (50 + 5 + 7) == 74
+    assert len(scans) == (5 + 7) + (50 + 5 + 7) == 74
+    assert not hasattr(geom, "box")
     assert len(sweeps) == 2
     assert all(isinstance(c, int) for a in tests for p in a for c in p)
     # the layout keeps its grid: building a cover again and validating

@@ -91,16 +91,18 @@ def observe(root):
 
 # Recorded before the track was kept edge by edge.  The nonabelianize
 # entries of p2_n3, p1p1_n4, fan5_n5 and line_bundle_r1 were re-pinned
-# once, when a wrong holonomy count given by --holonomy moved from the
-# error stage to a holonomies stage: their --holonomy 3/2,2,5/7,4 runs
-# name their last stage "holonomies", and nothing else in them changed.
+# twice, each time for their --holonomy 3/2,2,5/7,4 runs alone: once when
+# a wrong holonomy count given by --holonomy moved from the error stage
+# to a holonomies stage, and once when the holonomies came to be checked
+# before the build, so those runs lose their passed "build" stage and
+# nothing else in them changed.
 GOLDEN = {
     'fan5_n5 validate':
         '2f319f4b756657aa42567b42f5c41d703cc77bd1be4e75abd5e989bf2e7d078d',
     'fan5_n5 build':
         '149e9b51252515fde51ac7ae0c581e1f79996513acdfdf42a2396fb280fafe6b',
     'fan5_n5 nonabelianize':
-        '835ae6d9939a3cb791bc4e58cad7acc89467878c867ad184da8bc76fb215a546',
+        '2656e71922e069f74dc8e575fe9017b9f21b1ef276f144150a5faafdc1a7bfd6',
     'fan5_n5 verify':
         '0ab18425193842fb28f4826d95fc2f81265cf685cde24e10b20fe4ed2ac329a9',
     'fan5_n5 render':
@@ -120,7 +122,7 @@ GOLDEN = {
     'line_bundle_r1 build':
         '585dfc4b12b521bb048e6ab6b0f5bd7fa44682dd9120a447b825e6e2510bd607',
     'line_bundle_r1 nonabelianize':
-        '837dd2bda9a9f00017f810aac8a26099d54cad14271f675a0e7ee23b1e4fcec5',
+        '26c79aa79d334dc133fa68164693c1e7571748980d4be54bdbb7704b8f03f5f6',
     'line_bundle_r1 verify':
         '7ab81e3b8f1f37c85b0c29a99df5345452b12d36c384a14988b14f5f30347060',
     'line_bundle_r1 render':
@@ -130,7 +132,7 @@ GOLDEN = {
     'p1p1_n4 build':
         '573cbcbc1b4d24cf3b8bef73009618eb6f1c80ae5507176898456a36101f6861',
     'p1p1_n4 nonabelianize':
-        '42d373d4d15d7b384b6937f7e321b0d6ce1040d241421f8dd877c76f762152bd',
+        'bc4cbc111f926c8c85a59fe3016cc8089c5e6a20891c0821131c89644cb208e8',
     'p1p1_n4 verify':
         'e6954aa28924647d2f9b47a27e9f6ddf64d6704b8406571905c9424d3c9a02ab',
     'p1p1_n4 render':
@@ -150,7 +152,7 @@ GOLDEN = {
     'p2_n3 build':
         '9d0ba930fd8f313b19efa88723f3de83da7153e50bee74ff26fa9048a0414494',
     'p2_n3 nonabelianize':
-        'c3534efd988fd65f2d972b13c703e2785e8920d8af0f290ed1194437ddec168a',
+        '03b2c5744524eb21b0ee26dbb3ae836ce727245462c86c7cefe9cea896443e4d',
     'p2_n3 verify':
         '71558be2dcd6aad01ce12ff069c7520fac2b7956fc7cb38709591e938b6a6a04',
     'p2_n3 render':

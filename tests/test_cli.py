@@ -328,6 +328,41 @@ def test_nonabelianize_fails_the_holonomies_stage_on_bad_holonomies(
     assert not (tmp_path / "cocycle.json").exists()
 
 
+CHECKS = ["validate", "classify", "n_genericity", "parity"]
+
+
+@pytest.mark.parametrize("name, holonomy, stages, detail", [
+    ("p1p1_n4", "3/2,2,5/7,4", CHECKS + ["holonomies"],
+     "need 1 holonomies, got 4"),
+    ("p1p1_n4", "0", CHECKS + ["holonomies"], "holonomies must be nonzero"),
+    ("p1p1_n4", "3/2,x", CHECKS + ["error"],
+     "--holonomy '3/2,x' is not a list of rationals"),
+    ("fan5_n5", "2", CHECKS + ["holonomies"], "need 2 holonomies, got 1"),
+    ("line_bundle_r1", "2", ["validate", "holonomies"],
+     "need 0 holonomies, got 1"),
+    ("p2_n1", "3/2,x", CHECKS + ["build"], "N = 1 < 3 admits no embedded")],
+    ids=["wrong-count", "zero", "unparsed", "too-few", "degree-1",
+         "not-realizable"])
+def test_nonabelianize_decides_its_holonomies_before_the_build(
+        name, holonomy, stages, detail, tmp_path, capsys, monkeypatch):
+    # b1 is read from the multi-section once the parity stage passes (0 in
+    # degree 1), so a bad --holonomy fails with no build stage before it
+    # and no network built; a multi-section with no realizable network
+    # still fails its build first
+    from toricnets import builder
+    builds = count_calls(monkeypatch, builder, "build_network")
+    code = main(["nonabelianize", "--input", fx(name), "--out",
+                 str(tmp_path), "--holonomy", holonomy, "--report", "json"])
+    got = _json_stages(capsys)
+    assert code == 1
+    assert [s["name"] for s in got] == stages
+    assert [s["status"] for s in got] == ["pass"] * (len(stages) - 1) + \
+        ["fail"]
+    assert got[-1]["detail"].startswith(detail)
+    assert len(builds) == (stages[-1] == "build")
+    assert not (tmp_path / "cocycle.json").exists()
+
+
 @pytest.mark.parametrize("holonomy", ["1,,2", "1,2,"])
 def test_empty_holonomy_entry_is_a_parse_error(holonomy, tmp_path, capsys):
     # fan5_n5 takes two holonomies, so dropping the empty entry would pass

@@ -16,21 +16,29 @@ pairs, counted with ``support.count_calls``:
   products: one per unordered pair and one per star triple;
 * the counts are equal over two runs;
 * the composition never multiplies by an identity step, and a passing
-  ``verify_bundle`` takes det at most once per distinct P_{i-1,i}.
+  ``verify_bundle`` takes det at most once per distinct P_{i-1,i};
+* a local system inverts each cut weight at most once, however many
+  wall factors read the inverse;
+* the contact scan of a build (the cover's sweep and the network's) calls
+  ``segments_cross`` exactly once per pair of segments of two polylines,
+  not both fixed, whose closed boxes meet, as a brute-force count over
+  all pairs finds them, and returns its keys sorted.
 """
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from support import GEN_TOOLKIT, count_calls, perfbench_gen
 
-from toricnets import laurent, nonabelian, schema
+from toricnets import geom, laurent, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, make_local_system
-from toricnets.laurent import identity
+from toricnets.laurent import TPoly, identity
 from toricnets.nonabelian import (Factors, branch_point_loop,
                                   kaneyama_cocycle, verify_bundle)
 
@@ -121,3 +129,72 @@ def test_identity_steps_and_determinants_are_not_repeated(shape,
     assert verify_bundle(coc, spec.tms).ok
     overlaps = {coc.constants[((i - 1) % n, i)] for i in range(n)}
     assert 0 < len(dets) <= len(overlaps)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (16, 4)])
+def test_each_cut_weight_is_inverted_at_most_once(shape, monkeypatch):
+    # a wall factor crossed from sheet 1 reads 1/t_k of its branch point's
+    # cut; the system takes that inverse on first use, once per cut, under
+    # a seeded rational system and the symbolic one
+    spec = schema.parse_problem(_document(*shape))
+    net, layout = build_network(spec.tms, spec.disk)
+    cover = layout.cover(spec.tms.degree)
+    b1 = betti_one(cover)
+    rng = random.Random(37)
+    for hol in ([Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(b1)], TPoly.symbols(b1)):
+        ls = make_local_system(cover, hol)
+        inverted = []
+        for cls in (Fraction, TPoly):
+            def counted(self, other, original=cls.__rtruediv__):
+                inverted.extend(k for k, w in enumerate(ls.cut_weights)
+                                if w is self)
+                return original(self, other)
+            monkeypatch.setattr(cls, "__rtruediv__", counted)
+        kaneyama_cocycle(net, spec.tms, cover, ls)
+        monkeypatch.undo()
+        assert inverted and max(Counter(inverted).values()) == 1
+
+
+def _box_pairs(curves, fixed):
+    """Brute force: the pairs of segments of two polylines, not both in
+    ``fixed``, whose closed bounding boxes meet."""
+    m = len(curves)
+    boxes = [(a, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]),
+              max(p[1], q[1]))
+             for a, poly in enumerate((*curves, *fixed))
+             for p, q in zip(poly, poly[1:])]
+    return sum(a != b and min(a, b) < m and x0 <= x3 and x2 <= x1
+               and y0 <= y3 and y2 <= y1
+               for (a, x0, y0, x1, y1), (b, x2, y2, x3, y3)
+               in combinations(boxes, 2))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16)])
+def test_the_contact_scan_tests_exactly_the_pairs_whose_boxes_meet(
+        shape, monkeypatch):
+    doc = _document(*shape)
+    contacts, segments_cross = geom.contacts, geom.segments_cross
+    runs = []
+    for _ in range(2):
+        tests, sweeps = [], []
+
+        def counted(curves, fixed=()):
+            before = len(tests)
+            found = contacts(curves, fixed)
+            sweeps.append((len(tests) - before, _box_pairs(curves, fixed)))
+            assert list(found) == sorted(found)
+            return found
+
+        monkeypatch.setattr(geom, "segments_cross",
+                            lambda *a: tests.append(a) or segments_cross(*a))
+        monkeypatch.setattr(geom, "contacts", counted)
+        spec = schema.parse_problem(doc)
+        build_network(spec.tms, spec.disk)
+        monkeypatch.undo()
+        # the cover's sweep of its cuts, the network's of its walls
+        assert len(sweeps) == 2
+        assert all(calls == pairs > 0 for calls, pairs in sweeps), sweeps
+        runs.append(sweeps)
+    assert runs[0] == runs[1]
+

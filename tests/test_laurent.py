@@ -24,13 +24,14 @@ from support import (ZERO_CONE, LaurentMatrix, LaurentPoly,
                      near_identities, ray_cone, ref_add, ref_clean, ref_det,
                      ref_constant_mat_mul, ref_identity, ref_is_identity,
                      ref_is_invertible_on, ref_mat_mul, ref_matrix, ref_mul,
-                     ref_neg, ref_product, ref_regular_on, ref_with_entry)
+                     ref_neg, ref_product, ref_regular_on, ref_with_entry,
+                     reference_substitute, reference_unipotent)
 
 from toricnets.errors import NotRegular, NotSupported, SizeMismatch
 from toricnets.fans import make_fan
 from toricnets.laurent import (Constant, TPoly, constant, det, identity,
                                inverse, is_identity, is_unit, mat_mul,
-                               substitute)
+                               substitute, unipotent)
 
 FAN = make_fan([(1, 0), (0, 1), (-1, -1)])
 
@@ -650,3 +651,53 @@ def test_tpoly_integral_coefficients_are_ints():
     assert e == (-1, 0) and type(c) is int and c == -1
     ((e, c),) = (Fraction(3, 2) / (3 * t2)).terms.items()
     assert e == (0, -1) and type(c) is Fraction and c == Fraction(1, 2)
+
+
+def test_unipotent_matches_the_generic_constant():
+    # Id + x E_{row, col} in one closed form, in both label orders, against
+    # the rows-plus-constant() reference: int, +-p/q, integral Fraction and
+    # TPoly weights, each canonical, a rational p/q over den q and a TPoly
+    # over 1
+    rng = random.Random("unipotent")
+    t1, t2 = TPoly.symbols(2)
+    weights = [1, -1, 7, -12, Fraction(3), Fraction(-8), Fraction(1, 2),
+               Fraction(-5, 3)]
+    weights += [Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
+                         rng.randint(1, 99)) for _ in range(40)]
+    weights += [t1, -t1, 1 / t2, -(1 / t2), t1 * t2 * Fraction(-3, 5),
+                Fraction(2, 7) / t1, t1 + 1]
+    kinds = set()
+    for x in weights:
+        for row, col in ((0, 1), (1, 0)):
+            got, want = unipotent(row, col, x), reference_unipotent(row, col, x)
+            assert got == want, (x, row, col)
+            assert [type(c) for r in got.rows for c in r] == \
+                [type(c) for r in want.rows for c in r]
+            assert is_canonical(got)
+            q = 1 if isinstance(x, TPoly) else Fraction(x).denominator
+            assert got.den == q
+            kinds.add(type(x).__name__ if q == 1 else "p/q")
+    assert kinds == {"int", "Fraction", "p/q", "TPoly"}
+
+
+def test_substitute_matches_the_fraction_reference():
+    # the substitution runs on int numerators and denominators and brings
+    # the entries over one lcm; the reference evaluates each monomial in
+    # Fraction arithmetic.  Seeded constants of every kind of entry, at
+    # seeded nonzero rationals and ints of both signs
+    rng = random.Random("substitute")
+    t = TPoly.symbols(3)
+    signs = set()
+    for trial in range(400):
+        r = trial % 2 + 1
+        a = constant([[rand_coefficient(rng, t) for _ in range(r)]
+                      for _ in range(r)])
+        values = [rng.choice([-1, 1]) * (
+            rng.randint(1, 12) if rng.random() < 0.3 else
+            Fraction(rng.randint(1, 12), rng.randint(1, 12))) for _ in t]
+        got = substitute(a, values)
+        assert got == reference_substitute(a, values), (a, values)
+        assert is_canonical(got)
+        signs |= {v > 0 for v in values}
+    assert signs == {False, True}
+

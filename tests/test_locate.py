@@ -8,6 +8,9 @@ give the same region, or the same ``UnknownCone`` message, for the branch
 points of every fixture and generated layout up to (12, 12), and for
 seeded random points, the center, points on spokes, edge midpoints,
 vertices, other boundary points and outside points of their disk models.
+``GridPoints.interior``, on precomputed edges, must agree with the
+reference polygon test on the same kinds of points, points on an edge's
+line beyond its ends among them, and on a generated (20, 4) disk model.
 
 Boundary landings are read on the grid too: ``GridPoints.edge_position``
 and ``GridPoints.half_edge`` must agree with the reference edge parameter
@@ -21,20 +24,23 @@ n and by 2), and the grid must hold them times the scale; an emitted
 coordinate, one gcd with the scale, must read as ``str(Fraction(c,
 scale))``.
 """
+import json
 import random
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from support import (FIXTURES, edge_parameter, generated_problems,
-                     half_edge_of_boundary_point, lerp, load, rational,
-                     region_of_interior_point, skewed_fan_and_support)
+from support import (FIXTURES, GEN_TOOLKIT, edge_parameter,
+                     generated_problems, half_edge_of_boundary_point, lerp,
+                     load, perfbench_gen, rational,
+                     ref_point_in_convex_polygon, region_of_interior_point,
+                     skewed_fan_and_support)
 
 from toricnets.builder import build_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
 from toricnets.errors import NotRealizable, UnknownCone
 from toricnets.fans import SupportFunction, disk_model, dual_polytope
-from toricnets.schema import _points_out
+from toricnets.schema import _points_out, parse_problem
 
 
 def _on_one_grid(disk, points):
@@ -181,6 +187,55 @@ def test_grid_half_edges_match_fraction_reference():
     assert seen == {(kind, on) for kind in ("vertex", "barycenter", "edge")
                     for on in (False, True)} | {("inside", True),
                                                 ("outside", True)}
+
+
+def _interior_probes(disk, rng):
+    """Points of every kind ``GridPoints.interior`` must tell apart."""
+    poly = disk.polytope
+    c = disk.center
+    (x0, y0), (x1, y1) = (tuple(map(f, zip(*poly.vertices)))
+                          for f in (min, max))
+    yield "center", c
+    for e in range(disk.fan.n):
+        a, b = poly.edge(e)
+        for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                  Fraction(rng.randint(1, 999), 1000)):
+            q = lerp(a, b, t)
+            yield ("vertex" if t == 0 else "barycenter"
+                   if t == Fraction(1, 2) else "edge"), q
+            yield "inside", lerp(q, c, Fraction(1, 997))
+            yield "outside", lerp(c, q, Fraction(1001, 1000))
+        # on the edge's line, beyond its ends
+        yield "beyond", lerp(a, b, Fraction(-1, 4))
+        yield "beyond", lerp(a, b, Fraction(5, 4))
+        yield "inside", lerp(c, a, Fraction(1, 4))
+    for _ in range(8 * disk.fan.n):
+        u, v = (Fraction(rng.randint(0, 1000), 1000) for _ in "uv")
+        yield "random", (x0 - 1 + (x1 - x0 + 2) * u,
+                         y0 - 1 + (y1 - y0 + 2) * v)
+
+
+def test_grid_interior_matches_the_polygon_reference():
+    # GridPoints.interior reads its precomputed edges: a point is interior
+    # iff it is strictly left of every ccw edge, which on the strictly
+    # convex polygons of the disk models is the reference's interior
+    gen = perfbench_gen()
+    wide = parse_problem(json.loads(gen.serialize(
+        gen.generate(20, 4, "interior", GEN_TOOLKIT))))
+    seen = set()
+    for name, disk in [*_disks(), ((20, 4), wide.disk)]:
+        kinds, points = zip(*_interior_probes(
+            disk, random.Random(f"interior:{name}")))
+        scale, grid_points = _on_one_grid(disk, points)
+        g = GridPoints(disk, scale)
+        for kind, q in zip(kinds, grid_points):
+            want = ref_point_in_convex_polygon(q, g.vertices) == 1
+            assert g.interior(q) == want, (name, kind, q)
+            seen.add((kind, want))
+    assert seen >= {("center", True), ("inside", True), ("random", True),
+                    ("random", False), ("outside", False),
+                    ("beyond", False), ("vertex", False),
+                    ("barycenter", False), ("edge", False)}
 
 
 def _blowup_disks():

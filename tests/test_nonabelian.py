@@ -12,7 +12,8 @@ from support import (GEN_TOOLKIT, REALIZABLE, LaurentMatrix, LaurentPoly,
                      perfbench_gen,
                      ray_cone, ref_identity, ref_is_invertible_on,
                      ref_product, ref_regular_on, ref_with_entry,
-                     reference_verify_bundle, with_matrices)
+                     reference_verify_bundle, reference_wall_factor,
+                     with_matrices)
 
 from toricnets import schema
 from toricnets.builder import build_network, empty_network
@@ -204,6 +205,44 @@ def test_wall_factor_matches_reference_transport():
                     want, (name, hol, w.id)
                 checked += 1
     assert checked == 3 * (9 + 15 + 6 + 3)
+
+
+def _wall_factor_instances():
+    for name in REALIZABLE:
+        yield name, load(name)
+    gen = perfbench_gen()
+    for shape in ((8, 8), (16, 4)):
+        yield shape, schema.parse_problem(json.loads(gen.serialize(
+            gen.generate(*shape, "wall factors", GEN_TOOLKIT))))
+
+
+def test_wall_factors_match_the_generic_reference():
+    # each wall factor is one closed-form constant (laurent.unipotent);
+    # the reference accumulates the wall's solitons into identity rows and
+    # makes the constant in one generic pass.  Every wall of every
+    # realizable fixture and of generated (8, 8) and (16, 4), under a
+    # seeded rational system with signs and the symbolic one
+    seen = set()
+    for name, spec in _wall_factor_instances():
+        net, layout = build_network(spec.tms, spec.disk)
+        cover = layout.cover(spec.tms.degree)
+        b1 = betti_one(cover)
+        rng = random.Random(f"wall factors:{name}")
+        numeric = [rng.choice([-1, 1]) * Fraction(rng.randint(1, 9),
+                                                  rng.randint(1, 9))
+                   for _ in range(b1)]
+        for hol in (numeric, TPoly.symbols(b1)):
+            factors = Factors(net, spec.tms, cover,
+                              make_local_system(cover, hol))
+            for w in net.walls:
+                got = wall_factor(w, factors)
+                want = reference_wall_factor(w, factors)
+                assert got == want, (name, w.id)
+                assert [type(c) for r in got.rows for c in r] == \
+                    [type(c) for r in want.rows for c in r]
+                seen.add((hol is numeric, w.label, got.den > 1))
+    assert seen >= {(True, (0, 1), True), (True, (1, 0), True),
+                    (False, (0, 1), False), (False, (1, 0), False)}
 
 
 # -- branch-point consistency (I-1) ------------------------------------------
