@@ -236,16 +236,14 @@ def build_network(tms, disk):
 
     # The module docstring proves this placement valid, so it is placed
     # once; a violation means the construction is wrong.  Each wall lands
-    # at the parameter t = num/den of its edge that the plan chose, so the
-    # half-edge it lands on is read from t: the one at the vertex of cone
-    # e-1 for t < 1/2, of cone e for t > 1/2.
+    # at the parameter t = num/den of its edge that the plan chose, 1/4,
+    # 3/4 or in (1/2, 3/4), so the half-edge it lands on is read from t:
+    # the one at the vertex of cone e-1 for t < 1/2, of cone e for
+    # t > 1/2.  Condition 6 of ``validate_network`` checks each landing.
     walls_raw, layout = _build_geometry(disk, _plan(tms, vees))
     cover = layout.cover(tms.degree)
     walls = []
     for wid, (bi, poly, end_edge, (num, den)) in enumerate(walls_raw):
-        if not (0 < num < den and 2 * num != den):
-            raise InvariantViolated(f"wall {wid} does not land inside a "
-                                    f"half-edge of edge {end_edge}")
         cone = (end_edge - 1) % disk.fan.n if 2 * num < den else end_edge
         label = _label_from_slopes(tms, cover, cone, end_edge)
         walls.append(Wall(wid, poly, label, bi, end_edge, cone))

@@ -6,11 +6,12 @@ Commands:
                  a network is validated against the multi-section
   build          run the rank-2 construction, emit network JSON + SVG
   nonabelianize  full pipeline with chosen holonomies, emit cocycle JSON
-  verify         prove the loop identities for all local systems at once
-                 (symbolic holonomies), which builds the universal
-                 cocycle's adjacent steps; then check the Kaneyama cocycle
-                 of one seeded random local system, those steps evaluated
-                 at its holonomies
+  verify         build seeded random local systems, then prove the loop
+                 identities for all local systems at once (symbolic
+                 holonomies), which builds the universal cocycle's
+                 adjacent steps; then check the Kaneyama cocycle at one
+                 more seeded draw of holonomies, those steps evaluated
+                 there directly, with no local system built for the draw
   render         figure of the polygon, spokes, walls, and cuts; an
                  embedded network's layout must give a cover first, and
                  a multi-section without one must build a network
@@ -35,8 +36,7 @@ from pathlib import Path
 from . import builder, multisection, nonabelian, network, schema
 from .cover import betti_one, check_holonomies, make_local_system
 from .errors import (LoopIdentityFailed, NotRealizable, NotTwoFold,
-                     ParseError, SlopeTie, ToricNetsError, WrongCount,
-                     ZeroHolonomy)
+                     ParseError, ToricNetsError, WrongCount, ZeroHolonomy)
 from .laurent import TPoly
 from .render import render_svg
 from .reporting import ValidationReport
@@ -86,7 +86,7 @@ def cmd_validate(spec, report):
     if spec.holonomies and tms is not None and tms.report.ok:
         try:
             b1 = _betti_one(tms)
-        except (NotTwoFold, SlopeTie):
+        except NotTwoFold:
             b1 = None
         if b1 is not None:
             _holonomies(report, b1, spec.holonomies)
@@ -199,6 +199,10 @@ def cmd_nonabelianize(spec, report, outdir, holonomy_arg):
         _chosen_holonomies(spec, report, holonomy_arg, b1)
     net, layout = _build(spec, report)
     cover = layout.cover(spec.tms.degree)
+    # make_local_system checks hol once more, as it checks every caller's:
+    # against betti_one(cover), which equals the b1 the holonomies stage
+    # read (#cuts - 1 = N - 3, a theorem test_builder.py pins), so this
+    # check passes whenever that stage did
     ls = make_local_system(cover, hol)
     report["holonomies"] = [str(h) for h in hol]
     coc = _stage(report, "nonabelianize",
@@ -245,9 +249,9 @@ def cmd_verify(spec, report, seed, count=25):
     _stage(report, "loop_identities", sweep)
 
     def cocycle_checks():
-        hol = random_holonomies()
-        make_local_system(cover, hol)
-        coc = universal.evaluated(hol)
+        # b1 draws from 1/9..9 are nonzero rationals by construction, so
+        # the universal cocycle is evaluated there with no system built
+        coc = universal.evaluated(random_holonomies())
         rep = nonabelian.verify_bundle(coc, spec.tms)
         if not rep.ok:
             raise ToricNetsError(f"bundle verification failed: {rep}")

@@ -25,6 +25,9 @@ from sheet 1 by 1/t_k.  Every loop around a ramification point then has
 holonomy 1 automatically, so the data descends to an honest local system
 on the covering surface.  Moduli: (t_1, ..., t_B) modulo a common rescale,
 which matches b_1 = B - 1 for a connected 2-fold cover.
+``make_local_system`` is the one maker of a local system in the package:
+it checks the holonomies once, against b_1 of the cover, and the
+``RankOneLocalSystem`` constructor stores the weights it is handed.
 
 A weight is a nonzero rational, or a symbol: ``make_local_system(cover,
 TPoly.symbols(b1))`` gives the cut weights 1, t_1, ..., t_b1 in the
@@ -159,12 +162,13 @@ class GridPoints:
     ``InvariantViolated``), and ``mids`` each barycenter's
     ``edge_position``.  Point location runs here only:
     ``interior``, ``region``, ``edge_position`` and ``half_edge``.
-    ``interior`` reads each ccw edge as (ax, ay, dx, dy), stored once: a
-    point is interior iff every cross product with an edge is positive.
-    On the strictly convex polygons of the disk models that is
-    ``point_in_convex_polygon(p, vertices) == 1``, since a point on an
-    edge's line beyond the edge lies strictly outside a neighbouring
-    edge.
+    Both ``interior`` and ``region`` read each ccw edge as (ax, ay, dx,
+    dy), stored once, and decide by the signs of the cross products with
+    the edges: a point is outside the closed polygon iff one of them is
+    negative, and interior iff all of them are positive.  On the strictly
+    convex polygons of the disk models that second test needs no
+    collinear case: a point on an edge's line beyond the edge lies
+    strictly outside a neighbouring edge.
     ``rational`` is the rational point a grid point stands for, made only
     to be written into a message or a witness.
     """
@@ -210,7 +214,9 @@ class GridPoints:
         p lies in region i exactly when it is strictly left of spoke i and
         strictly right of spoke i+1.
         """
-        if geom.point_in_convex_polygon(p, self.vertices) < 0:
+        x, y = p
+        if any(dx * (y - ay) < dy * (x - ax)
+               for ax, ay, dx, dy in self._edges):
             return None
         s = self.spokes
         return next((i for i in range(len(s))
@@ -366,20 +372,13 @@ class SurfacePath(NamedTuple):
 class RankOneLocalSystem:
     """Rank-1 local system in the cuts-carry-the-weights gauge.
 
-    The weights are checked and coerced once: by ``__init__``, or by
-    ``make_local_system``, which checks the holonomies itself.  The
-    inverse 1/t_k of a weight is taken on first use, once per cut.
+    The constructor only stores its weights, one nonzero coefficient per
+    cut; ``make_local_system`` is the one checked maker, which coerces and
+    checks the holonomies once.  The inverse 1/t_k of a weight is taken on
+    first use, once per cut.
     """
 
     def __init__(self, cover: SheetedSurface, cut_weights):
-        if len(cut_weights) != len(cover.cuts):
-            raise WrongCount("one weight per cut required")
-        for w in cut_weights:
-            if w == 0:
-                raise ZeroHolonomy("cut weight must be invertible")
-        self._set(cover, [coefficient(w) for w in cut_weights])
-
-    def _set(self, cover, cut_weights):
         self.cover = cover
         self.cut_weights = cut_weights
         self._inverses = {}
@@ -411,17 +410,15 @@ def make_local_system(cover: SheetedSurface, holonomies) -> RankOneLocalSystem:
     gauge with t_0 = 1 its holonomy is exactly t_{k+1}, so the weights are
     [1, h_1, ..., h_{b1}].  The holonomies are rationals, or the
     symbols ``TPoly.symbols(b1)`` for the system that stands for all of
-    them at once.  Each holonomy is coerced once and the list checked once
-    (``check_holonomies``), and the system is made on those weights with
-    no second check.  This gauge covers the builder's covers: a connected
-    2-fold cover, with b1 = #cuts - 1, and the cut-free rank-1 cover, with
-    no weights.
+    them at once.  This is the one checked maker of a local system: each
+    holonomy is coerced once and the list checked once
+    (``check_holonomies``) before the system is constructed.  This gauge
+    covers the builder's covers: a connected 2-fold cover, with
+    b1 = #cuts - 1, and the cut-free rank-1 cover, with no weights.
     """
     holonomies = [coefficient(h) for h in holonomies]
     check_holonomies(betti_one(cover), holonomies)
-    ls = RankOneLocalSystem.__new__(RankOneLocalSystem)
-    ls._set(cover, [_ONE, *holonomies] if cover.cuts else [])
-    return ls
+    return RankOneLocalSystem(cover, [_ONE, *holonomies] if cover.cuts else [])
 
 
 def check_holonomies(b1, holonomies):

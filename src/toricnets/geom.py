@@ -8,24 +8,24 @@ constructor on those tuples, so the package never touches floating point.
 The map p -> scale * p multiplies every signed area by scale^2 > 0 and is
 injective, so every orientation sign and every point equality is that of
 the rational points: the segment-contact predicates (``orient``,
-``on_segment``, ``proper_crossing``, ``segments_cross``,
-``point_in_convex_polygon``) and the arm order of a branch point
-(``network.branch_point_arms``, by ``angle_less``) give the rational
-answers exactly.  A rational point is made only for a message or a
-witness (``cover.GridPoints.rational``); an emitted coordinate is written
-from its grid int and the scale (``schema._points_out``).
+``on_segment``, ``proper_crossing``, ``segments_cross``) and the arm
+order of a branch point (``network.branch_point_arms``, by
+``angle_less``) give the rational answers exactly.  A rational point is
+made only for a message or a witness (``cover.GridPoints.rational``); an
+emitted coordinate is written from its grid int and the scale
+(``schema._points_out``).
 
 The contact predicates are straight-line kernels (Shewchuk 1997): each
 unpacks its points into ints and computes every cross product it needs
 inline, once, calling no helper but the box test ``_in_box``; the answer
 is a ``bool`` or an int sign, never a float.
 
-Point location runs on the same grid, in ``cover.GridPoints`` only: its
-``region`` is the one caller of ``point_in_convex_polygon`` and reads
-``orient`` against the spokes, its ``interior`` tests the signs of the
-cross products with the polygon's edges, stored once, and a boundary
-point's position along its edge and its half-edge come from
-``on_segment`` and ``dot``.
+Point location is not done here: it runs on the same grid, in
+``cover.GridPoints`` only, the one reader of the polygon's edges.  Its
+``interior`` and ``region`` test the signs of the cross products with
+those edges, stored once, and ``region`` reads ``orient`` against the
+spokes; a boundary point's position along its edge and its half-edge
+come from ``on_segment``.
 
 ``contacts``, the one contact query, is the only code that chooses which
 segment pairs to test: one sweep over the segments of polylines (tuples of
@@ -185,18 +185,3 @@ def _touch_only_at(s, seg_a, seg_b):
     return not (any(on_segment(o, *seg_b) for o in others[:1])
                 or any(on_segment(o, *seg_a) for o in others[1:]))
 
-
-def point_in_convex_polygon(p, vertices):
-    """Location of p in a ccw convex polygon: 1 inside, 0 boundary, -1 outside."""
-    x, y = p
-    on_edge = False
-    a = vertices[-1]
-    for b in vertices:
-        (ax, ay), (bx, by) = a, b
-        s = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-        if s < 0:
-            return -1
-        if not s and _in_box(p, a, b):
-            on_edge = True
-        a = b
-    return 0 if on_edge else 1

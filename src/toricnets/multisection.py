@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import geom
-from .errors import NotTwoFold, SlopeTie
+from .errors import NotTwoFold
 from .reporting import ValidationReport
 
 
@@ -74,7 +74,7 @@ class TropicalMultiSection:
 
     @cached_property
     def crossing_cones(self):
-        """The ``intersection_cones`` list; raises NotTwoFold or SlopeTie."""
+        """The ``intersection_cones`` list; raises NotTwoFold."""
         return intersection_cones(self)
 
     @cached_property
@@ -211,8 +211,11 @@ def intersection_cones(tms: TropicalMultiSection):
     d = (value on circle 1) - (value on circle 2) over each of the n base
     rays.  A cyclic sign change of d between consecutive rays puts a
     crossing in the base cone between them; in case O the antipodal sign
-    change names the same cone.  Separatedness makes every d nonzero;
-    SlopeTie is raised otherwise.  Reads the stored ``tms.cover_class``;
+    change names the same cone.  Every d is nonzero: it is the difference
+    of the two values over one base ray (the antipodal lifted rays of
+    case O, the two circles of case E), which separatedness makes
+    distinct, and the stored ``tms.cover_class`` exists only for a
+    multi-section whose ``tms.report`` is ok (``classify_two_fold``).
     ``tms.crossing_cones`` stores the result.
     """
     cls = tms.cover_class
@@ -231,9 +234,6 @@ def intersection_cones(tms: TropicalMultiSection):
             val = {r.dst in c1: tms.ray_value(r) for r in tms.rays_over(i)}
             diffs.append(val[True] - val[False])
         bases = list(range(n))
-    if 0 in diffs:
-        raise SlopeTie("a ray carries equal values on both sheets; "
-                       "separatedness forbids this")
     m = len(diffs)
     return sorted({(bases[(k + 1) % m] - 1) % n for k in range(m)
                    if (diffs[k] > 0) != (diffs[(k + 1) % m] > 0)})

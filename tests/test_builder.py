@@ -1,22 +1,27 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from support import (FIXTURES, boundary_labels, count_calls,
-                     generated_problems, load, quarter_points_cw,
-                     random_two_fold, skewed_fan_and_support)
+from support import (FIXTURES, GEN_TOOLKIT, REALIZABLE, boundary_labels,
+                     count_calls, generated_problems, load, perfbench_gen,
+                     quarter_points_cw, random_two_fold,
+                     skewed_fan_and_support)
 
 from toricnets.builder import (_quarter_points_cw, build_network,
                                checked_realizability)
 from toricnets.cover import build_cover
-from toricnets.errors import InvariantViolated, NotRealizable, NotTwoFold
+from toricnets.errors import (InvariantViolated, NotRealizable, NotTwoFold,
+                              ParityViolation)
 from toricnets.fans import make_fan
+from toricnets.multisection import RealizabilityResult
 from toricnets.network import branch_point_arms, validate_network, \
     walls_pairwise_disjoint
+from toricnets.schema import parse_problem
 
 
 def test_p2_n3_build(p2, p2_built):
@@ -97,13 +102,43 @@ def test_build_rejects_rank_three():
         build_network(tms, spec.disk)
 
 
-def test_betti_matches_n_minus_three(p2, p2_built, p1p1, p1p1_built,
-                                     fan5, fan5_built):
+def _betti_instances():
+    """Every realizable fixture, then seeded generated problems on 4 to
+    12 rays, each with one odd N (case O) and one even N (case E), up to
+    (12, 12)."""
+    for name in REALIZABLE:
+        yield name, load(name)
+    gen = perfbench_gen()
+    rng = random.Random("betti one")
+    shapes = [(12, 12), (12, 11)] + [
+        (n, rng.choice(range(first, n + 1, 2)))
+        for n in (4, 5, 6, 8, 10) for first in (3, 4)]
+    for n, crossings in shapes:
+        doc = gen.generate(n, crossings, f"betti:{rng.randrange(10 ** 6)}",
+                           GEN_TOOLKIT)
+        yield (n, crossings), parse_problem(json.loads(gen.serialize(doc)))
+
+
+def test_betti_matches_n_minus_three():
+    # the theorem that makes nonabelianize's two holonomy-count checks one
+    # decision: b1 of the cover the builder makes (what make_local_system
+    # checks against) equals b1 read from the multi-section (what the
+    # holonomies stage checks against before the build), #cuts - 1 = N - 3
+    from toricnets.cli import _betti_one
     from toricnets.cover import betti_one
-    from toricnets.multisection import n_genericity
-    for spec, (net, layout, cover) in [(p2, p2_built), (p1p1, p1p1_built),
-                                       (fan5, fan5_built)]:
-        assert betti_one(cover) == n_genericity(spec.tms) - 3
+    classes = set()
+    for name, spec in _betti_instances():
+        tms = spec.tms
+        layout = build_network(tms, spec.disk)[1]
+        b1 = betti_one(layout.cover(tms.degree))
+        assert b1 == _betti_one(tms), name
+        if tms.degree == 1:
+            assert b1 == 0 and layout.cuts == (), name
+            continue
+        assert b1 == tms.realizability.betti_one == len(layout.cuts) - 1 \
+            == len(tms.crossing_cones) - 3, name
+        classes.add(tms.cover_class.tag)
+    assert classes == {"O", "E"}
 
 
 def test_builder_on_random_realizable_covers(monkeypatch):
@@ -311,3 +346,47 @@ def test_the_parity_gate_never_fires_on_a_valid_multisection():
         assert tms.realizability.parity_ok
         tags[tag] += 1
     assert tags["O"] >= 35 and tags["E"] >= 35
+
+
+def test_the_parity_gate_names_the_wrong_parity():
+    # reached through a stub: no valid multi-section has the wrong parity
+    stub = SimpleNamespace(realizability=RealizabilityResult(False, True, 1),
+                           crossing_cones=[0, 1, 2, 3])
+    with pytest.raises(ParityViolation, match=r"^N = 4 has the wrong parity "
+                       "for this cover class$"):
+        checked_realizability(stub)
+
+
+def test_labels_that_do_not_alternate_name_the_branch_point(monkeypatch):
+    # every wall labelled (0, 1), and a validator whose slope condition
+    # accepts that label: the alternation gate is the one left to refuse
+    from toricnets import builder, network
+    spec = load("fan5_n5")
+    monkeypatch.setattr(builder, "_label_from_slopes", lambda *a: (0, 1))
+    monkeypatch.setattr(network, "slope_pairing", lambda *a: 1)
+    with pytest.raises(InvariantViolated, match=re.escape(
+            "branch point 0 labels [(0, 1), (0, 1), (0, 1)] do not "
+            "alternate")):
+        build_network(spec.tms, spec.disk)
+
+
+def test_a_wall_landing_on_a_barycenter_fails_validation(monkeypatch):
+    # the builder reads no landing parameter as a check: a first arm
+    # planned to land on its edge's barycenter is refused by the
+    # validator, whose condition 6 finds no half-edge there
+    from toricnets import builder
+    spec = load("fan5_n5")
+    plan, reports = builder._plan, []
+
+    def recorded(*args):
+        reports.append(validate_network(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(builder, "_plan", lambda tms, vees: [
+        p._replace(w1_t=builder.HALF) for p in plan(tms, vees)])
+    monkeypatch.setattr(builder, "validate_network", recorded)
+    with pytest.raises(InvariantViolated, match="violates condition"):
+        build_network(spec.tms, spec.disk)
+    assert ("6", "wall 0 endpoint is not in the relative interior of a "
+            "boundary half-edge") in [(v.condition, v.message)
+                                      for v in reports[0].violations]

@@ -11,8 +11,9 @@ from support import (FIXTURES, REALIZABLE, count_calls, emit_matrix, pair,
 from toricnets import cover, fans, multisection, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cli import main
-from toricnets.errors import ParseError, SchemaError
+from toricnets.errors import NotStrictlyConvex, ParseError, SchemaError
 from toricnets.render import render_svg
+from toricnets.reporting import ValidationReport
 
 
 def fx(name):
@@ -887,3 +888,125 @@ def test_fuzzed_fixtures_end_in_a_report(tmp_path, capsys):
                 assert code == (0 if passed else 1), (name, command)
                 codes.add(code)
     assert codes == {0, 1}
+
+
+# -- input checks, each pinned to its stage and message --------------------
+
+def _run(tmp_path, capsys, command, doc):
+    """Exit code, report stages and standard error of ``command`` on the
+    JSON document ``doc``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--input", str(path), "--out",
+                 str(tmp_path / "out"), "--report", "json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["stages"], captured.err
+
+
+def _p2_n3(**fields):
+    return dict(json.loads((FIXTURES / "p2_n3.json").read_text()), **fields)
+
+
+def _failed(stage, detail):
+    return {"name": stage, "status": "fail", "detail": detail}
+
+
+@pytest.mark.parametrize("doc", [[], "x", 1, None],
+                         ids=["list", "string", "number", "null"])
+def test_a_document_that_is_not_an_object_fails(doc, tmp_path, capsys):
+    assert _run(tmp_path, capsys, "validate", doc) == (
+        1, [_failed("error", "problem document must be an object")], "")
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda d: d.pop("schema"), "None"),
+    (lambda d: d.update(schema="toricnets/problem.v0"),
+     "'toricnets/problem.v0'")], ids=["missing", "wrong"])
+def test_a_document_needs_the_problem_schema(edit, shown, tmp_path, capsys):
+    doc = _p2_n3()
+    edit(doc)
+    assert _run(tmp_path, capsys, "validate", doc) == (1, [_failed(
+        "error", f"unknown schema {shown}; expected toricnets/problem.v1")],
+        "")
+
+
+@pytest.mark.parametrize("rays, support, message", [
+    ([], [], "empty ray list"),
+    ([[1, 0], [0, 1], [-1, -1], [1, 0]], [0, 0, -1, 0],
+     "duplicate ray directions"),
+    ([[1, 0], [0, 1]], [0, 0],
+     "a complete fan in the plane needs at least 3 rays"),
+    ([[1, 0], [-1, -1], [0, 1]], [0, -1, 0],
+     "rays (1, 0) -> (-1, -1) do not bound a convex cone in ccw order"),
+    ([[1, 0], [0, 1], [-1, -1]], [0, 0],
+     "one value per ray required"),
+], ids=["empty", "duplicate", "two-rays", "not-ccw-convex",
+        "support-count"])
+def test_a_bad_fan_or_support_fails_with_its_message(rays, support, message,
+                                                     tmp_path, capsys):
+    # the duplicate and the two-ray fan also fail the ccw-convexity check
+    # further on, with another message: each is refused by its own check
+    doc = _p2_n3(fan={"rays": rays}, support=support)
+    del doc["multisection"]
+    assert _run(tmp_path, capsys, "validate", doc) == (
+        1, [_failed("error", message)], "")
+
+
+@pytest.mark.parametrize("command", ["build", "nonabelianize", "verify"])
+def test_a_pipeline_command_needs_a_multisection(command, tmp_path, capsys):
+    doc = _p2_n3()
+    del doc["multisection"]
+    assert _run(tmp_path, capsys, command, doc) == (
+        1, [_failed("error", "this command needs a multisection")], "")
+
+
+def _global_degree_three():
+    """p2_n3's fan with three global sheets of slopes (0, 0), (1, 2) and
+    (2, 4), each lifted ray joining a sheet's lifts over adjacent cones:
+    continuous and separated (the sheets pair to 0 < 1 < 2, 0 < 2 < 4 and
+    0 > -3 > -6 with the rays), so a valid multi-section of degree 3."""
+    slopes = [[0, 0], [1, 2], [2, 4]]
+    return _p2_n3(multisection={
+        "degree": 3,
+        "lifted_cones": [{"id": f"s{k}c{i}", "cone": i, "slope": m}
+                         for k, m in enumerate(slopes) for i in range(3)],
+        "lifted_rays": [{"ray": i, "from": f"s{k}c{(i - 1) % 3}",
+                         "to": f"s{k}c{i}"}
+                        for k in range(3) for i in range(3)]})
+
+
+def test_a_valid_multisection_of_degree_three_is_not_two_fold(tmp_path,
+                                                              capsys):
+    # validate accepts it; the pipeline refuses it at classify, by name
+    doc = _global_degree_three()
+    code, stages, err = _run(tmp_path, capsys, "validate", doc)
+    assert (code, err) == (0, "")
+    assert [s["name"] for s in stages] == ["fan", "multisection"]
+    for command in ("build", "nonabelianize", "verify"):
+        assert _run(tmp_path, capsys, command, doc) == (
+            1, [{"name": "validate", "status": "pass", "detail": "ok"},
+                _failed("classify", "degree is 3")], "")
+
+
+def test_a_support_function_of_another_fan_is_refused():
+    fan = fans.make_fan([(1, 0), (0, 1), (-1, -1)])
+    other = fans.make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    with pytest.raises(NotStrictlyConvex,
+                       match="support function belongs to another fan"):
+        fans.dual_polytope(fan, fans.SupportFunction(other, [0, 0, -1, -1]))
+
+
+def test_verify_fails_kaneyama_when_the_bundle_check_fails(monkeypatch,
+                                                           capsys):
+    failing = ValidationReport()
+    failing.add("cocycle", "G_01 G_12 != G_02", (0, 1, 2))
+    monkeypatch.setattr(nonabelian, "verify_bundle",
+                        lambda coc, tms: failing)
+    assert main(["verify", "--input", fx("p2_n3"), "--report", "json"]) == 1
+    captured = capsys.readouterr()
+    stages = json.loads(captured.out)["stages"]
+    assert [s["status"] for s in stages[:-1]] == ["pass"] * (len(stages) - 1)
+    assert stages[-1] == _failed(
+        "kaneyama", "bundle verification failed: "
+        "ValidationReport(cocycle: G_01 G_12 != G_02)")
+    assert captured.err == ""

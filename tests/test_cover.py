@@ -6,6 +6,7 @@ from support import (generator_loops, is_closed, lerp, on_grid,
                      parallel_transport, rational)
 
 from toricnets import nonabelian
+from toricnets.builder import empty_network
 from toricnets.cover import (BranchCutLayout, Crossing, Cut, GridPoints,
                              SurfacePath, betti_one, build_cover,
                              make_local_system, sheet_lift_map)
@@ -308,3 +309,12 @@ def test_sheet_lift_map_needs_a_lift_per_sheet_over_cone_zero():
                         BranchCutLayout(spec.disk, (), spec.disk.scale), 2)
     with pytest.raises(NoSharedLift):
         sheet_lift_map(tms, cover)
+
+
+def test_sheet_lift_map_needs_as_many_sheets_as_the_degree(p2):
+    # the builder never pairs a multi-section with a cover of another
+    # sheet count; handed one, the matching refuses it by name
+    cover = empty_network(p2.disk)[1].cover(1)
+    with pytest.raises(NoSharedLift,
+                       match="cover has 1 sheets, multi-section degree 2"):
+        sheet_lift_map(p2.tms, cover)

@@ -1,11 +1,13 @@
 """The contact kernels and the one contact query against the references.
 
 The predicates of ``geom`` (``orient``, ``on_segment``,
-``proper_crossing``, ``segments_cross``, ``point_in_convex_polygon``) are
-straight-line int arithmetic; ``support``'s ``ref_*`` predicates compute
-the same orientations through plain helper formulas.  On seeded random int
-points, small and up to 70 bits, with every degenerate kind built in, the
-kernels must answer as the references do, in the same types.
+``proper_crossing``, ``segments_cross``) are straight-line int
+arithmetic; ``support``'s ``ref_*`` predicates compute the same
+orientations through plain helper formulas.  On seeded random int points,
+small and up to 70 bits, with every degenerate kind built in, the kernels
+must answer as the references do, in the same types.  Point location has
+no kernel here: ``cover.GridPoints`` decides it, and ``tests/test_locate.py``
+checks it against the reference polygon test.
 
 ``geom.contacts`` sweeps every segment of a list of polylines once and
 tests exactly only the pairs whose boxes meet; ``support.ref_segments_cross``
@@ -21,12 +23,12 @@ from itertools import permutations, product
 import pytest
 
 from support import (ref_on_segment, ref_orient,
-                     ref_point_in_convex_polygon, ref_polyline_pairwise_disjoint,
-                     ref_proper_crossing, ref_segments_cross)
+                     ref_polyline_pairwise_disjoint, ref_proper_crossing,
+                     ref_segments_cross)
 
 from toricnets.geom import (contacts, on_segment, orient,
-                            point_in_convex_polygon, polyline_pairwise_disjoint,
-                            proper_crossing, segments_cross)
+                            polyline_pairwise_disjoint, proper_crossing,
+                            segments_cross)
 
 
 def _reference_pairs(a, b):
@@ -182,29 +184,3 @@ def test_kernels_match_the_references(bits):
         (1, False, False), (-1, False, True)}
     assert {proper for *_, proper, _ in seen} == {True, False}
 
-
-@pytest.mark.parametrize("bits", [3, 70])
-def test_point_in_convex_polygon_matches_the_reference(bits):
-    # a convex lattice polygon scaled by a large factor and shifted, and
-    # points inside, outside, at vertices and along (and beyond) edges
-    rng = random.Random(f"polygon:{bits}")
-    shape = [(0, 0), (4, -1), (7, 1), (6, 5), (2, 6), (-1, 3)]
-    found = set()
-    for _ in range(300):
-        k = rng.randrange(1, 2 ** bits)
-        o = (rng.randrange(-2 ** bits, 2 ** bits),
-             rng.randrange(-2 ** bits, 2 ** bits))
-        vertices = [(o[0] + 6 * k * x, o[1] + 6 * k * y) for x, y in shape]
-        for _ in range(20):
-            a, b = rng.sample(vertices, 2)
-            t = rng.randint(-2, 8)
-            p = rng.choice((
-                (a[0] + (b[0] - a[0]) * t // 6, a[1] + (b[1] - a[1]) * t // 6),
-                (o[0] + rng.randint(-6 * k, 48 * k),
-                 o[1] + rng.randint(-12 * k, 42 * k)),
-                a))
-            where = point_in_convex_polygon(p, vertices)
-            assert type(where) is int
-            assert where == ref_point_in_convex_polygon(p, vertices)
-            found.add(where)
-    assert found == {-1, 0, 1}

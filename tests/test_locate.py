@@ -11,6 +11,12 @@ vertices, other boundary points and outside points of their disk models.
 ``GridPoints.interior``, on precomputed edges, must agree with the
 reference polygon test on the same kinds of points, points on an edge's
 line beyond its ends among them, and on a generated (20, 4) disk model.
+``GridPoints.region`` decides "outside the closed polygon" on those same
+edges: on every fixture's grid and on generated (8, 8), (16, 4) and
+(20, 4) disk models, each also on a grid scaled by a 69- to 70-bit
+factor, it must be None exactly where the reference polygon test says
+outside or the point lies on a spoke, and ``interior`` exactly where the
+reference says inside.
 
 Boundary landings are read on the grid too: ``GridPoints.edge_position``
 and ``GridPoints.half_edge`` must agree with the reference edge parameter
@@ -27,12 +33,12 @@ scale))``.
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 from support import (FIXTURES, GEN_TOOLKIT, edge_parameter,
                      generated_problems, half_edge_of_boundary_point, lerp,
-                     load, perfbench_gen, rational,
+                     load, perfbench_gen, rational, ref_on_segment,
                      ref_point_in_convex_polygon, region_of_interior_point,
                      skewed_fan_and_support)
 
@@ -236,6 +242,84 @@ def test_grid_interior_matches_the_polygon_reference():
                     ("random", False), ("outside", False),
                     ("beyond", False), ("vertex", False),
                     ("barycenter", False), ("edge", False)}
+
+
+def _region_grids():
+    """Every fixture's grid (its built layout's, else its disk model's)
+    and generated (8, 8), (16, 4) and (20, 4) disk models, then each of
+    them again on a grid scaled by a seeded factor of 69 to 70 bits."""
+    grids = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        spec = load(path.stem)
+        try:
+            grid = build_network(spec.tms, spec.disk)[1].grid
+        except NotRealizable:
+            grid = GridPoints(spec.disk, spec.disk.scale)
+        grids.append((path.stem, spec.disk, grid))
+    gen = perfbench_gen()
+    for n, crossings in [(8, 8), (16, 4), (20, 4)]:
+        disk = parse_problem(json.loads(gen.serialize(
+            gen.generate(n, crossings, "region", GEN_TOOLKIT)))).disk
+        grids.append(((n, crossings), disk, GridPoints(disk, disk.scale)))
+    rng = random.Random("region grids")
+    return grids + [(f"{name} wide", disk,
+                     GridPoints(disk, g.scale * rng.randrange(2 ** 69,
+                                                              2 ** 70)))
+                    for name, disk, g in grids]
+
+
+def _grid_probes(g, rng):
+    """Grid points of every kind ``region`` and ``interior`` must tell
+    apart: the center, vertices, barycenters, points on each edge and one
+    grid step off it on both sides, points on each edge's line beyond its
+    ends, points on each spoke and on its line beyond the center, and
+    seeded points of the bounding box."""
+    n = len(g.vertices)
+    c = g.spokes[0][0]
+    yield c
+    for e in range(n):
+        a, b = g.vertices[(e - 1) % n], g.vertices[e]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        k = gcd(dx, dy)
+        ux, uy = dx // k, dy // k
+        for t in (0, rng.randint(1, k - 1) if k > 1 else 0, k // 2, k):
+            q = (a[0] + t * ux, a[1] + t * uy)
+            yield q
+            yield (q[0] - uy, q[1] + ux)          # one step inside
+            yield (q[0] + uy, q[1] - ux)          # one step outside
+        yield (a[0] - ux, a[1] - uy)              # beyond a
+        yield (b[0] + ux, b[1] + uy)              # beyond b
+        t = rng.randint(1, k)
+        yield (a[0] - t * ux, a[1] - t * uy)      # further beyond a
+        m = g.spokes[e][-1]
+        sx, sy = m[0] - c[0], m[1] - c[1]
+        j = gcd(sx, sy)
+        vx, vy = sx // j, sy // j
+        for t in (rng.randint(0, j), -rng.randint(1, j), j + 1):
+            yield (c[0] + t * vx, c[1] + t * vy)
+    (x0, y0), (x1, y1) = (tuple(map(f, zip(*g.vertices))) for f in (min, max))
+    dx, dy = (x1 - x0) // 8, (y1 - y0) // 8
+    for _ in range(8 * n):
+        yield (rng.randint(x0 - dx, x1 + dx), rng.randint(y0 - dy, y1 + dy))
+
+
+def test_grid_region_matches_the_polygon_reference():
+    # region decides "outside the closed polygon" on the edges interior
+    # reads: some cross product is negative, the reference's outside
+    seen = set()
+    bits = set()
+    for name, disk, g in _region_grids():
+        rng = random.Random(f"region:{name}")
+        for p in _grid_probes(g, rng):
+            ref = ref_point_in_convex_polygon(p, g.vertices)
+            on_spoke = any(ref_on_segment(p, *s) for s in g.spokes)
+            assert (g.region(p) is None) == (ref < 0 or on_spoke), (name, p)
+            assert g.interior(p) == (ref == 1), (name, p)
+            seen.add((ref, on_spoke))
+        bits.add(max(abs(x) for v in g.vertices for x in v).bit_length() > 70)
+    assert seen == {(-1, False), (0, False), (0, True), (1, False),
+                    (1, True)}
+    assert bits == {False, True}
 
 
 def _blowup_disks():

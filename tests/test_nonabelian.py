@@ -987,3 +987,16 @@ def test_cut_factor_support_check_raises_typed_error(p2, p2_built,
     monkeypatch.setattr(nonabelian, "wall_factor", identity_factor)
     with pytest.raises(ToricNetsError):
         cut_factor(0, Factors(net, p2.tms, cover, trivial_ls(cover)))
+
+
+def test_a_branch_point_without_a_y_graph_has_no_cut_factor(p2, p2_built):
+    # p2_n3's network with wall 2 dropped: branch point 0 keeps two arms,
+    # and its cut factor is refused by name, not built from two factors
+    from toricnets.errors import NotSupported
+    from toricnets.network import SpectralNetwork
+    net, layout, cover = p2_built
+    two_arms = SpectralNetwork([w for w in net.walls if w.id != 2], layout)
+    assert len(two_arms.arms[0]) == 2
+    with pytest.raises(NotSupported, match=r"^branch point 0 does not carry "
+                       "a Y-graph$"):
+        cut_factor(0, Factors(two_arms, p2.tms, cover, trivial_ls(cover)))

@@ -102,25 +102,32 @@ def _called_name(node):
 
 
 def test_only_grid_points_locates_points():
-    # point location runs on the integer grid: cover.GridPoints is the one
-    # caller of geom.point_in_convex_polygon, so no module locates a point
-    # in Fraction arithmetic
-    located, found = [], []
+    # point location runs on the integer grid, in cover.GridPoints only:
+    # it alone reads the polygon's edges (``_edges``, stored once), from
+    # interior and region, and geom keeps no point-location function, so
+    # no module locates a point in Fraction arithmetic or by a second test
+    from toricnets import geom
+    readers, found = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        grid = set()
+        grid = {}
         if path.name == "cover.py":
-            cls = next(node for node in tree.body
-                       if isinstance(node, ast.ClassDef)
-                       and node.name == "GridPoints")
-            grid = {id(node) for node in ast.walk(cls)}
+            cls = _enclosing(tree, ast.ClassDef, "GridPoints")
+            grid = {id(node): fn.name for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_edges":
+                if id(node) in grid:
+                    readers.append(grid[id(node)])
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.Call) and \
-                    _called_name(node) == "point_in_convex_polygon":
-                (located if id(node) in grid else found).append(
-                    f"{path.name}:{node.lineno}")
-    assert located
+                    "point_in" in (_called_name(node) or ""):
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(set(readers)) == ["__init__", "interior", "region"]
     assert found == []
+    assert not [name for name in vars(geom) if "point_in" in name]
 
 
 def test_only_geom_tests_segment_contact():
@@ -258,14 +265,46 @@ def test_rational_points_are_made_only_in_schema_and_grid_rational():
 
 def test_contact_kernels_are_straight_line():
     # each orientation is computed inline on unpacked ints: the kernels
-    # call no helper (orient, sub, cross) but the box test and min/max
+    # call no helper (orient, sub, cross) but the box test and min/max.
+    # These are geom's only predicates on points; it locates none
     tree = ast.parse((SRC / "geom.py").read_text())
-    for name in ("orient", "on_segment", "proper_crossing", "segments_cross",
-                 "point_in_convex_polygon"):
+    for name in ("orient", "on_segment", "proper_crossing", "segments_cross"):
         fn = _enclosing(tree, ast.FunctionDef, name)
         calls = {_called_name(node) for node in ast.walk(fn)
                  if isinstance(node, ast.Call)}
         assert calls <= {"_in_box", "min", "max"}, (name, calls)
+
+
+def test_only_make_local_system_constructs_a_local_system():
+    # make_local_system is the one checked maker of a local system: no
+    # other package code calls RankOneLocalSystem, and no module makes an
+    # object of a class that defines __init__ through C.__new__(C), which
+    # would skip its constructor.  laurent._tpoly makes a TPoly that way:
+    # TPoly defines no __init__
+    constructs, bypass, made = [], [], []
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    with_init = {cls.name for tree in trees.values()
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 and any(isinstance(fn, ast.FunctionDef)
+                         and fn.name == "__init__" for fn in cls.body)}
+    for name, tree in trees.items():
+        owners = {id(node): f"{name}:{fn.name}" for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if _called_name(node) == "RankOneLocalSystem":
+                constructs.append(owners.get(id(node), f"{name}:module"))
+            if _called_name(node) == "__new__" and node.args:
+                cls = getattr(node.args[0], "id", None)
+                made.append(f"{owners.get(id(node))}:{cls}")
+                if cls in with_init:
+                    bypass.append(f"{name}:{node.lineno}")
+    assert "RankOneLocalSystem" in with_init and "TPoly" not in with_init
+    assert constructs == ["cover.py:make_local_system"]
+    assert made == ["laurent.py:_tpoly:TPoly"]
+    assert bypass == []
 
 
 def test_nonabelian_names_no_fraction():
