@@ -2,6 +2,7 @@
 
 Commands:
   validate       run fan / multi-section / (optional) network validators,
+                 fail a valid multi-section that is not 2-fold at classify,
                  and check a document's holonomies as nonabelianize would;
                  a network is validated against the multi-section
   build          run the rank-2 construction, emit network JSON + SVG
@@ -35,8 +36,8 @@ from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
 from .cover import betti_one, check_holonomies, make_local_system
-from .errors import (LoopIdentityFailed, NotRealizable, NotTwoFold,
-                     ParseError, ToricNetsError, WrongCount, ZeroHolonomy)
+from .errors import (LoopIdentityFailed, NotRealizable, ParseError,
+                     ToricNetsError, WrongCount, ZeroHolonomy)
 from .laurent import TPoly
 from .render import render_svg
 from .reporting import ValidationReport
@@ -81,13 +82,13 @@ def cmd_validate(spec, report):
         _stage(report, "multisection", lambda: tms.report)
     if spec.network is not None:
         _stage(report, "network", lambda: _network_report(spec))
-    # on a valid, realizable multi-section the holonomies nonabelianize
-    # would take are checked as it checks them
-    if spec.holonomies and tms is not None and tms.report.ok:
-        try:
-            b1 = _betti_one(tms)
-        except NotTwoFold:
-            b1 = None
+    if tms is not None and tms.report.ok:
+        # a valid multi-section that is not 2-fold fails classify, as in
+        # every pipeline command; on a realizable one the holonomies
+        # nonabelianize would take are checked as it checks them
+        if tms.degree not in (1, 2):
+            _stage(report, "classify", lambda: tms.cover_class.tag)
+        b1 = _betti_one(tms) if spec.holonomies else None
         if b1 is not None:
             _holonomies(report, b1, spec.holonomies)
     return report

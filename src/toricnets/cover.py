@@ -272,26 +272,24 @@ def _validate_cut_geometry(cut: Cut, g: GridPoints, touching):
         if not g.interior(p):
             raise CutHitsRay(
                 f"cut vertex {g.rational(p)} is not interior to the polygon")
-    # Relative interior must avoid every spoke; contact with the landing
-    # spoke is allowed exactly at the shared barycenter endpoint.
+    # Relative interior must avoid every spoke: the last segment may meet
+    # its edge's spoke in an endpoint touch at the barycenter only
     for si, spoke in enumerate(g.spokes):
-        for j, _ in touching[si]:
-            last = j == len(pts) - 2
-            if last and si == cut.edge and geom.orient(*spoke, pts[j]) != 0:
-                # proper contact at the barycenter only
-                continue
-            raise CutHitsRay(f"cut segment {g.rational(pts[j])}-"
-                             f"{g.rational(pts[j + 1])} meets the "
-                             f"spoke of ray {si}")
+        for j, _, kind in touching[si]:
+            if j != len(pts) - 2 or si != cut.edge or kind != spoke[-1]:
+                raise CutHitsRay(f"cut segment {g.rational(pts[j])}-"
+                                 f"{g.rational(pts[j + 1])} meets the "
+                                 f"spoke of ray {si}")
 
 
 def build_cover(disk, layout: BranchCutLayout, r: int) -> SheetedSurface:
     """Assemble and validate the branched cover over the layout's disk model.
 
     One sweep (``geom.contacts``) finds the contacts of the cuts with each
-    other and with the spokes: a cut may touch a spoke only where it lands
-    on its own barycenter, and two cuts may not touch at all (two landing
-    on one barycenter touch there), so the first touching pair is at fault.
+    other and with the spokes, and the checks read their kinds: a cut may
+    meet a spoke only in an endpoint touch at its own barycenter, and two
+    cuts may not touch at all (two landing on one barycenter touch there),
+    so the first touching pair is at fault.
     """
     if r not in (1, 2):
         raise NotTwoFold(f"a cover has one or two sheets, not {r}")

@@ -195,18 +195,18 @@ def _angle_cmp(u, v):
 def walls_pairwise_disjoint(net: SpectralNetwork) -> bool:
     """True iff no two walls meet, except arms at their common start.
 
-    Reads the wall pairs of the network's sweep (``net.contacts``); the
-    shared-endpoint tolerance is ``geom.polyline_pairwise_disjoint``'s,
-    for two walls that start at the same point, whatever branch point
-    they name (condition 5 judges the names).
+    Reads the wall pairs of the network's sweep (``net.contacts``) with
+    their kinds: two walls that start at the same point, whatever branch
+    point they name (condition 5 judges the names), may touch only at
+    their common ends (``geom.polyline_pairwise_disjoint``), and other
+    walls not at all.
     """
     walls = net.walls
     for (i, j), touching in net.contacts.items():
         if j < len(walls):
-            a, b = walls[i], walls[j]
-            if not geom.polyline_pairwise_disjoint(
-                    a.polyline, b.polyline, touching,
-                    skip_shared_endpoints=a.start == b.start):
+            a, b = walls[i].polyline, walls[j].polyline
+            shared = geom.shared_ends(a, b) if a[0] == b[0] else ()
+            if not geom.polyline_pairwise_disjoint(touching, shared):
                 return False
     return True
 
@@ -249,16 +249,16 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
     """Check the six defining conditions of a subordinate network.
 
     Contacts are read from the network's one sweep (``net.contacts``), on
-    the layout's grid, and each condition applies its own rule to the
-    touching segment pairs: a wall may touch a cut only at a shared
-    endpoint (1), cross a spoke only properly (1), and contain no branch
-    point but its own start (5), which lies on the first segment of that
-    branch point's cut.  The contacts are grouped by wall once, so each
-    wall walks only the cuts and spokes it touches, cuts in index order
-    and then spokes; a (wall, cut) pair with no touching pair has nothing
-    for either rule to judge.  Condition 6
-    finds each wall's landing half-edge from its grid end with
-    ``GridPoints.half_edge`` and compares it with the wall's claim
+    the layout's grid, and each condition reads the kind of each touching
+    segment pair, testing no pair again: a wall may touch a cut only in
+    endpoint touches at their common ends (1) and a spoke only in proper
+    crossings (1); it holds branch point k, not its start (5), when the
+    first segment of cut k meets it there, in an endpoint touch or in an
+    other contact, the one case that asks ``geom.on_segment``.  The
+    contacts are grouped by wall once, so each wall walks only the cuts
+    and spokes it touches, cuts in index order and then spokes.
+    Condition 6 finds each wall's landing half-edge from its grid end
+    with ``GridPoints.half_edge`` and compares it with the wall's claim
     (``end_edge``, ``end_cone``).  Witnesses are the rational points
     (``GridPoints.rational``).
     """
@@ -287,19 +287,19 @@ def validate_network(net: SpectralNetwork, tms, cover) -> ValidationReport:
         for other, touching in met[wi]:
             if other < first_spoke:
                 cut = net.cuts[other - first_cut].polyline
-                if not geom.polyline_pairwise_disjoint(pts, cut, touching):
+                if not geom.polyline_pairwise_disjoint(
+                        touching, geom.shared_ends(pts, cut)):
                     report.add("1", f"wall {w.id} meets a branch cut", w.id)
-                # (5) a wall segment through branch point k touches the
-                # first segment of cut k there
+                # (5) cut k's first segment meets the wall at branch point k
                 through_branch_point |= any(
-                    j == 0 and geom.on_segment(cut[0], pts[i], pts[i + 1])
-                    and not (i == 0 and cut[0] == pts[0])
-                    for i, j in touching)
+                    j == 0 and not (i == 0 and cut[0] == pts[0])
+                    and (geom.on_segment(cut[0], pts[i], pts[i + 1])
+                         if kind == geom.OTHER else kind == cut[0])
+                    for i, j, kind in touching)
             else:
                 si = other - first_spoke
-                for i, _ in touching:
-                    if not geom.proper_crossing(pts[i], pts[i + 1],
-                                                *g.spokes[si]):
+                for _, _, kind in touching:
+                    if kind != geom.CROSSING:
                         report.add("1", f"wall {w.id} meets the spoke of "
                                    f"ray {si} non-transversely", si)
         # (2) labels name two distinct sheets

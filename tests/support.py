@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import bisect
-import functools
 import importlib.util
 import json
 import random
@@ -1013,25 +1012,33 @@ def reference_build_geometry(disk, plans, depths=None):
     return walls_raw, tuple(cuts)
 
 
+def _ref_angle(v):
+    """An exact sort key of direction v by its angle in [0, 2*pi), on the
+    ``Fraction`` coordinates: the quarter turn q it lies in, then the
+    slope y/x of v turned back by q quarter turns into [0, pi/2)."""
+    x, y = map(Fraction, v)
+    for q in range(4):
+        if x > 0 and y >= 0:
+            return q, y / x
+        x, y = y, -x
+    raise ValueError(f"zero direction {v}")
+
+
 def reference_branch_point_arms(net, b):
     """``network.branch_point_arms`` on the ``Fraction`` points.
 
     The walls of branch point b in ccw order of their first directions,
     starting after its cut's, as it was before the order was read on the
-    layout's grid.
+    layout's grid, with the angles compared by ``_ref_angle``.
     """
     def direction(polyline):
         return sub(polyline[1], polyline[0])
-
-    def angle_cmp(u, v):
-        return geom.angle_less(v, u) - geom.angle_less(u, v)
 
     cut = rational(net.layout, net.cuts[b].polyline)
     arms = [("cut", None, direction(cut))]
     arms += [("wall", w, direction(rational(net.layout, w.polyline)))
              for w in net.walls if w.start_branch == b]
-    by_angle = functools.cmp_to_key(angle_cmp)
-    arms.sort(key=lambda arm: by_angle(arm[2]))
+    arms.sort(key=lambda arm: _ref_angle(arm[2]))
     cut_pos = next(i for i, a in enumerate(arms) if a[0] == "cut")
     return tuple(a[1] for a in arms[cut_pos + 1:] + arms[:cut_pos])
 
@@ -1166,15 +1173,16 @@ def ref_polyline_pairwise_disjoint(poly_a, poly_b, skip_shared_endpoints=True):
             b1, b2 = poly_b[j], poly_b[j + 1]
             if not ref_segments_cross(a1, a2, b1, b2):
                 continue
+            # tolerated: both segments end at a shared point s, and no
+            # other end of either lies on the other segment
             contact_ok = False
             for s in shared:
                 if (s in (a1, a2)) and (s in (b1, b2)):
-                    others = [p for p in (a1, a2) if p != s] + \
-                             [p for p in (b1, b2) if p != s]
-                    if all(not ref_on_segment(o, b1, b2) or o == s
-                           for o in others[:1]) \
-                       and all(not ref_on_segment(o, a1, a2) or o == s
-                               for o in others[1:]):
+                    a_others = [p for p in (a1, a2) if p != s]
+                    b_others = [p for p in (b1, b2) if p != s]
+                    if not any(ref_on_segment(o, b1, b2) for o in a_others) \
+                       and not any(ref_on_segment(o, a1, a2)
+                                   for o in b_others):
                         contact_ok = True
             if not contact_ok:
                 return False
@@ -1200,8 +1208,49 @@ def ref_proper_crossing(a1, a2, b1, b2):
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
+def _ref_sheet_lift_map(tms, cover):
+    """The sheet/lift matching, walked over the listed lifted cones and
+    rays: sheet s over cone 0 is the s-th listed lift of cone 0; across
+    ray i = 1, ..., n - 1 a sheet follows the last listed lifted ray over
+    ray i from its lift, and a cut landing on edge i swaps the two
+    sheets; across ray 0 the walk must come back to cone 0's lifts.
+    Raises ``NoSharedLift`` with the messages of the package."""
+    from toricnets.errors import NoSharedLift
+
+    n, r = tms.fan.n, cover.r
+    if tms.degree != r:
+        raise NoSharedLift(
+            f"cover has {r} sheets, multi-section degree {tms.degree}")
+    landed = {c.edge for c in cover.cuts}
+
+    def across(i, lift_id):
+        ends = [ray.dst for ray in tms.lifted_rays
+                if ray.ray == i and ray.src == lift_id]
+        return ends[-1] if ends else None
+
+    def swapped(i, s):
+        return 1 - s if i in landed else s
+
+    base = [c.id for c in tms.lifted_cones if c.base == 0]
+    if len(base) < r:
+        raise NoSharedLift(f"cone 0 has {len(base)} lifts for {r} sheets")
+    lift = {(0, s): base[s] for s in range(r)}
+    for i in range(1, n):
+        for s in range(r):
+            prev = lift[(i - 1, s)]
+            nxt = across(i, prev)
+            if nxt is None:
+                raise NoSharedLift(f"no lifted ray over ray {i} from {prev}")
+            lift[(i, swapped(i, s))] = nxt
+    for s in range(r):
+        if across(0, lift[(n - 1, s)]) != lift[(0, swapped(0, s))]:
+            raise NoSharedLift(
+                "cut transpositions do not realize the multi-section "
+                f"monodromy (mismatch at ray 0, sheet {s})")
+    return lift
+
+
 def reference_validate_network(net, tms, cover):
-    from toricnets.cover import sheet_lift_map
     from toricnets.errors import NoSharedLift
     from toricnets.reporting import ValidationReport
 
@@ -1273,7 +1322,7 @@ def reference_validate_network(net, tms, cover):
         report.add("4", "duplicate wall ids")
 
     try:
-        lift = sheet_lift_map(tms, cover)
+        lift = _ref_sheet_lift_map(tms, cover)
     except NoSharedLift as exc:
         report.add("6", f"sheet/lift matching failed: {exc}")
         lift = None

@@ -255,12 +255,12 @@ def test_build_prunes_segment_pair_tests_on_one_grid(monkeypatch):
     from toricnets import cover, geom
     spec = load("fan7_n7")
     tests, grids = [], []
-    segments_cross = geom.segments_cross
+    contact_kind = geom.contact_kind
     grid_points = cover.GridPoints.__init__
     scans = count_calls(monkeypatch, geom, "bisect_right")
     sweeps = count_calls(monkeypatch, geom, "contacts")
-    monkeypatch.setattr(geom, "segments_cross",
-                        lambda *a: tests.append(a) or segments_cross(*a))
+    monkeypatch.setattr(geom, "contact_kind",
+                        lambda *a: tests.append(a) or contact_kind(*a))
     monkeypatch.setattr(
         cover.GridPoints, "__init__",
         lambda self, *a: grids.append(a) or grid_points(self, *a))

@@ -975,17 +975,28 @@ def _global_degree_three():
                         for k in range(3) for i in range(3)]})
 
 
+def _global_degree_zero():
+    """p2_n3's fan with no sheet: no lifted cone and no lifted ray, so a
+    valid multi-section of degree 0."""
+    return _p2_n3(multisection={"degree": 0, "lifted_cones": [],
+                                "lifted_rays": []})
+
+
 def test_a_valid_multisection_of_degree_three_is_not_two_fold(tmp_path,
                                                               capsys):
-    # validate accepts it; the pipeline refuses it at classify, by name
-    doc = _global_degree_three()
-    code, stages, err = _run(tmp_path, capsys, "validate", doc)
-    assert (code, err) == (0, "")
-    assert [s["name"] for s in stages] == ["fan", "multisection"]
-    for command in ("build", "nonabelianize", "verify"):
-        assert _run(tmp_path, capsys, command, doc) == (
-            1, [{"name": "validate", "status": "pass", "detail": "ok"},
-                _failed("classify", "degree is 3")], "")
+    # validate refuses it at classify, by name, as every pipeline command
+    # does; and so a valid multi-section of degree 0
+    passed = {"status": "pass", "detail": {"ok": True, "violations": []}}
+    for degree, doc in ((3, _global_degree_three()),
+                        (0, _global_degree_zero())):
+        refused = _failed("classify", f"degree is {degree}")
+        assert _run(tmp_path, capsys, "validate", doc) == (
+            1, [dict(passed, name="fan"), dict(passed, name="multisection"),
+                refused], "")
+        for command in ("build", "nonabelianize", "verify"):
+            assert _run(tmp_path, capsys, command, doc) == (
+                1, [{"name": "validate", "status": "pass", "detail": "ok"},
+                    refused], "")
 
 
 def test_a_support_function_of_another_fan_is_refused():

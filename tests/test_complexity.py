@@ -20,12 +20,20 @@ pairs, counted with ``support.count_calls``:
 * a local system inverts each cut weight at most once, however many
   wall factors read the inverse;
 * the contact scan of a build (the cover's sweep and the network's) calls
-  ``segments_cross`` exactly once per pair of segments of two polylines,
-  not both fixed, whose closed boxes meet, as a brute-force count over
-  all pairs finds them, and returns its keys sorted.
+  the kernel ``contact_kind`` exactly once per pair of segments of two
+  polylines, not both fixed, whose closed boxes meet, as a brute-force
+  count over all pairs finds them, and returns its keys sorted;
+* a build decides each contact once, in its two sweeps: on the fixtures
+  and on generated shapes up to (32, 32), counted over every ``geom``
+  function, ``build_network`` makes no kernel call outside the sweeps and
+  no ``on_segment`` call outside ``GridPoints.edge_position``, and calls
+  no ``geom`` function but the point-location, angle and pairing helpers
+  and the tolerance rule that reads the sweeps' kinds.
 """
+import inspect
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -33,9 +41,9 @@ from math import comb
 
 import pytest
 
-from support import GEN_TOOLKIT, count_calls, perfbench_gen
+from support import FIXTURES, GEN_TOOLKIT, count_calls, load, perfbench_gen
 
-from toricnets import geom, laurent, nonabelian, schema
+from toricnets import errors, geom, laurent, nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, make_local_system
 from toricnets.laurent import TPoly, identity
@@ -174,7 +182,7 @@ def _box_pairs(curves, fixed):
 def test_the_contact_scan_tests_exactly_the_pairs_whose_boxes_meet(
         shape, monkeypatch):
     doc = _document(*shape)
-    contacts, segments_cross = geom.contacts, geom.segments_cross
+    contacts, contact_kind = geom.contacts, geom.contact_kind
     runs = []
     for _ in range(2):
         tests, sweeps = [], []
@@ -186,8 +194,8 @@ def test_the_contact_scan_tests_exactly_the_pairs_whose_boxes_meet(
             assert list(found) == sorted(found)
             return found
 
-        monkeypatch.setattr(geom, "segments_cross",
-                            lambda *a: tests.append(a) or segments_cross(*a))
+        monkeypatch.setattr(geom, "contact_kind",
+                            lambda *a: tests.append(a) or contact_kind(*a))
         monkeypatch.setattr(geom, "contacts", counted)
         spec = schema.parse_problem(doc)
         build_network(spec.tms, spec.disk)
@@ -198,3 +206,69 @@ def test_the_contact_scan_tests_exactly_the_pairs_whose_boxes_meet(
         runs.append(sweeps)
     assert runs[0] == runs[1]
 
+
+
+# the geom functions a build may call outside its two sweeps, by caller:
+# the tolerance rule reading the sweeps' kinds, point location on the grid
+# (a boundary point's edge position, a point's region), the arm order and
+# the slope pairing.  No contact predicate of two segments is among them
+OUTSIDE_THE_SWEEPS = {"contacts", "polyline_pairwise_disjoint",
+                      "shared_ends", "on_segment", "_in_box", "orient",
+                      "angle_less", "angular_half", "cross", "sub", "dot"}
+
+
+def _geom_calls(spec, monkeypatch):
+    """(function, caller) counts of every ``geom`` call of one build made
+    outside the sweeps, and the count made inside them."""
+    outside, inside, depth = Counter(), Counter(), [0]
+
+    def counted(name, fn):
+        def call(*args):
+            caller = sys._getframe(1).f_code.co_name
+            (inside if depth[0] else outside)[name, caller] += 1
+            depth[0] += name == "contacts"
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= name == "contacts"
+        return call
+
+    for name, fn in list(vars(geom).items()):
+        if inspect.isfunction(fn) and fn.__module__ == geom.__name__:
+            monkeypatch.setattr(geom, name, counted(name, fn))
+    build_network(spec.tms, spec.disk)
+    monkeypatch.undo()
+    return outside, inside
+
+
+def _spec(source):
+    """A fixture by name, or a generated problem by shape, parsed anew."""
+    if isinstance(source, str):
+        return load(source)
+    return schema.parse_problem(_document(*source))
+
+
+@pytest.mark.parametrize("source", [path.stem for path in
+                                    sorted(FIXTURES.glob("*.json"))]
+                         + [(8, 8), (16, 16), (32, 32)], ids=str)
+def test_a_build_decides_each_contact_in_its_sweeps(source, monkeypatch):
+    runs = []
+    for _ in range(2):
+        try:
+            outside, inside = _geom_calls(_spec(source), monkeypatch)
+        except errors.NotRealizable:
+            assert source in ("p2_n1", "p2_split_n0")
+            return
+        runs.append((outside, inside))
+        called = {name for name, _ in outside}
+        assert called <= OUTSIDE_THE_SWEEPS, called - OUTSIDE_THE_SWEEPS
+        assert {caller for name, caller in outside
+                if name == "on_segment"} <= {"edge_position"}
+        assert {caller for name, caller in outside
+                if name == "_in_box"} <= {"on_segment"}
+        if source != "line_bundle_r1":
+            # the cover's sweep and the network's, which call the kernel
+            assert sum(n for (name, _), n in outside.items()
+                       if name == "contacts") == 2
+            assert inside["contact_kind", "contacts"] > 0
+    assert runs[0] == runs[1]

@@ -9,13 +9,20 @@ every fixture, on generated networks up to (12, 12) and on perturbed
 networks.  A perturbed network is written as a document's network, its
 layout included, with ``Fraction`` points off the built layout's grid and
 read back by ``schema`` (``support.on_grid``), which puts both on one
-grid.
+grid.  The references share no kernel with the code they check: the
+network reference walks the multi-section's lifted rays for its
+sheet/lift matching and orders a branch point's arms by an exact angle on
+``Fraction``s of its own.
 """
+import ast
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import support
 from support import (FIXTURES, edited_network, generated_problems, lerp,
                      load, midpoint, on_grid, polygon_barycenter,
                      rational_cuts, rational_walls, reference_build_cover,
@@ -219,3 +226,30 @@ def test_perturbed_networks_match_reference(name):
     # the builder's D: some multiples of D, some that D is no multiple of
     assert any(s % layout.scale == 0 and s > layout.scale for s in scales)
     assert any(layout.scale % s for s in scales)
+
+
+def _named(fn):
+    """Every identifier that function ``fn`` of ``support`` names, with
+    those of the ``support`` functions it names, transitively."""
+    names, todo = set(), [fn]
+    while todo:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(todo.pop())))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name and name not in names:
+                names.add(name)
+                helper = getattr(support, name, None)
+                if inspect.isfunction(helper) and \
+                        helper.__module__ == support.__name__:
+                    todo.append(helper)
+    return names
+
+
+def test_the_references_name_neither_kernel_they_check():
+    # the lift walk and the arm order are the references' own
+    for ref in (support.reference_validate_network,
+                support.reference_branch_point_arms):
+        assert not _named(ref) & {"sheet_lift_map", "lift_map",
+                                  "angle_less", "_angle_cmp"}, ref.__name__

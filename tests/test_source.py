@@ -135,9 +135,13 @@ def test_only_geom_tests_segment_contact():
     # no other module computes a box or tests a segment pair itself, and
     # it runs in two places only, the cover's sweep of its cuts against
     # the spokes and the network's of its walls against cuts and spokes.
-    # The pairwise query and the polylines that stored boxes for it are gone
+    # Its kernel, contact_kind, decides how two segments meet, and no
+    # other module calls it: every rule reads the kinds the sweep lists.
+    # The pairwise query, the polylines that stored boxes for it, and the
+    # predicates that decided a listed contact again are gone, and so is
+    # the option that switched the shared-endpoint rule
     from toricnets import geom
-    contact = {"box", "segments_cross"}
+    contact = {"box", "contact_kind"}
     found, sweeps = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -160,10 +164,17 @@ def test_only_geom_tests_segment_contact():
     assert found == []
     assert sorted(sweeps) == ["cover.py:build_cover",
                               "network.py:SpectralNetwork.contacts"]
-    for gone in ("touching_segments", "boxes_meet", "Polyline"):
+    for gone in ("touching_segments", "boxes_meet", "Polyline",
+                 "segments_cross", "proper_crossing", "_touch_only_at"):
         assert not hasattr(geom, gone)
         assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
                 for line in _names(path.name, gone)] == []
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "skip_shared_endpoints" in path.read_text()] == []
+    # the caller passes the tolerated points: the rule has no default
+    rule = _enclosing(ast.parse((SRC / "geom.py").read_text()),
+                      ast.FunctionDef, "polyline_pairwise_disjoint")
+    assert rule.args.defaults == [] and rule.args.kw_defaults == []
 
 
 def _names(module, *idents):
@@ -268,7 +279,7 @@ def test_contact_kernels_are_straight_line():
     # call no helper (orient, sub, cross) but the box test and min/max.
     # These are geom's only predicates on points; it locates none
     tree = ast.parse((SRC / "geom.py").read_text())
-    for name in ("orient", "on_segment", "proper_crossing", "segments_cross"):
+    for name in ("orient", "on_segment", "contact_kind"):
         fn = _enclosing(tree, ast.FunctionDef, name)
         calls = {_called_name(node) for node in ast.walk(fn)
                  if isinstance(node, ast.Call)}
