@@ -94,19 +94,21 @@ placed: a point is an int pair X standing for X / D, and the layout
 carries D as its scale.  Edge parameters and depths are int ratios.
 With count = N-2 Y-graphs at depths 2^-d / 3 (d < count), D =
 lcm(4(count+1), lcm(4, n) * 3 * 2^(count-1)) makes every division exact.
-The vertices are lattice points (the fan is smooth, phi integral), so an
-edge vector is D times an integer vector and divides by any edge
-parameter's denominator: 2, 4, or 4(count+1) where a first arm lands.  The
-center (mean of n vertices) has denominator n and a boundary point 4, so
-their difference is D / lcm(4, n) times an integer vector and divides by
-any depth's denominator, 3 * 2^d.
+D is a multiple of lcm(4, n), so of the disk model's scale (which divides
+lcm(2, n)), and the placement starts from the vertices and the center of
+``GridPoints(disk, D)``.  The vertices are lattice points (the fan is
+smooth, phi integral), so an edge vector is D times an integer vector and
+divides by any edge parameter's denominator: 2, 4, or 4(count+1) where a
+first arm lands.  The center (mean of n vertices) has denominator n and a
+boundary point 4, so their difference is D / lcm(4, n) times an integer
+vector and divides by any depth's denominator, 3 * 2^d.
 """
 from __future__ import annotations
 
 from math import lcm
 from typing import NamedTuple
 
-from .cover import BranchCutLayout, Cut
+from .cover import BranchCutLayout, Cut, GridPoints
 from .errors import (InvariantViolated, NotRealizable, ParityViolation,
                      SlopeTie)
 from .network import SpectralNetwork, Wall, slope_pairing, validate_network
@@ -169,9 +171,8 @@ def _build_geometry(disk, plans):
     """Walls and cut layout of the planned Y-graphs, placed on the scale D."""
     n, count = disk.fan.n, len(plans)
     scale = lcm(4 * (count + 1), lcm(4, n) * 3 * 2 ** (count - 1))
-    verts = [(x.numerator * scale, y.numerator * scale)
-             for x, y in disk.polytope.vertices]
-    center = (sum(x for x, _ in verts) // n, sum(y for _, y in verts) // n)
+    grid = GridPoints(disk, scale)
+    verts, center = grid.vertices, grid.spokes[0][0]
 
     def lerp(a, b, t):
         num, den = t
@@ -198,7 +199,9 @@ def _build_geometry(disk, plans):
             (p.depth_index, (b, place(p.w3_edge, QUARTER)),
              p.w3_edge, QUARTER)]
         cuts.append(Cut((b, place(p.w3_edge, HALF)), (0, 1), p.w3_edge))
-    return walls_raw, BranchCutLayout(disk, tuple(cuts), scale)
+    layout = BranchCutLayout(disk, tuple(cuts), scale)
+    layout.grid = grid  # the grid it was placed on: one GridPoints a build
+    return walls_raw, layout
 
 
 def empty_network(disk):

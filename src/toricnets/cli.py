@@ -2,9 +2,10 @@
 
 Commands:
   validate       run fan / multi-section / (optional) network validators,
-                 fail a valid multi-section that is not 2-fold at classify,
-                 and check a document's holonomies as nonabelianize would;
-                 a network is validated against the multi-section
+                 fail a valid multi-section that is not 2-fold at classify
+                 before any network, and check a document's holonomies as
+                 nonabelianize would; a network is validated against the
+                 multi-section
   build          run the rank-2 construction, emit network JSON + SVG
   nonabelianize  full pipeline with chosen holonomies, emit cocycle JSON
   verify         build seeded random local systems, then prove the loop
@@ -13,9 +14,9 @@ Commands:
                  adjacent steps; then check the Kaneyama cocycle at one
                  more seeded draw of holonomies, those steps evaluated
                  there directly, with no local system built for the draw
-  render         figure of the polygon, spokes, walls, and cuts; an
-                 embedded network's layout must give a cover first, and
-                 a multi-section without one must build a network
+  render         figure of the polygon, spokes, walls, and cuts; with a
+                 multi-section, an embedded network must pass validate's
+                 network stage, and a missing one must be built
 
 Each check fails the stage it runs in (``_stage``), a wrong count or a
 zero among the holonomies fails ``holonomies`` (``_holonomies``), and an
@@ -36,7 +37,8 @@ from pathlib import Path
 
 from . import builder, multisection, nonabelian, network, schema
 from .cover import betti_one, check_holonomies, make_local_system
-from .errors import (LoopIdentityFailed, NotRealizable, ParseError,
+from .errors import (LoopIdentityFailed, NonPrimitiveRay, NotComplete,
+                     NotRealizable, NotSmooth, NotStrictlyConvex, ParseError,
                      ToricNetsError, WrongCount, ZeroHolonomy)
 from .laurent import TPoly
 from .render import render_svg
@@ -75,22 +77,29 @@ def _ok(report):
     return all(s["status"] == "pass" for s in report["stages"])
 
 
-def cmd_validate(spec, report):
+def cmd_validate(path, report):
+    # a fan or a support the parser refuses fails the fan stage
+    try:
+        spec = schema.load_problem(path)
+    except (NonPrimitiveRay, NotComplete, NotSmooth,
+            NotStrictlyConvex) as exc:
+        _stage(report, "fan", lambda: exc)
+        raise
     tms = spec.tms
     _stage(report, "fan", lambda: _fan_report(spec))
     if tms is not None:
         _stage(report, "multisection", lambda: tms.report)
+    valid = tms is not None and tms.report.ok
+    if valid and tms.degree not in (1, 2):
+        # a valid multi-section that is not 2-fold fails classify, as in
+        # every pipeline command, before any cover is built
+        _stage(report, "classify", lambda: tms.cover_class.tag)
     if spec.network is not None:
         _stage(report, "network", lambda: _network_report(spec))
-    if tms is not None and tms.report.ok:
-        # a valid multi-section that is not 2-fold fails classify, as in
-        # every pipeline command; on a realizable one the holonomies
-        # nonabelianize would take are checked as it checks them
-        if tms.degree not in (1, 2):
-            _stage(report, "classify", lambda: tms.cover_class.tag)
-        b1 = _betti_one(tms) if spec.holonomies else None
-        if b1 is not None:
-            _holonomies(report, b1, spec.holonomies)
+    # on a realizable one, the holonomies as nonabelianize checks them
+    b1 = _betti_one(tms) if valid and spec.holonomies else None
+    if b1 is not None:
+        _holonomies(report, b1, spec.holonomies)
     return report
 
 
@@ -265,12 +274,16 @@ def cmd_verify(spec, report, seed, count=25):
 def cmd_render(spec, report, out_path):
     def draw():
         # the polygon is built here, so a bad support fails this stage; so
-        # does an embedded layout whose cover the multi-section's degree
-        # rejects, as validate's network stage rejects it, and a
-        # multi-section the builder cannot realize, as build fails it
+        # do an embedded network that validate's network stage rejects,
+        # its layout's cover or its first violation, and a multi-section
+        # the builder cannot realize, as build fails it
         disk, net = spec.disk, spec.network
         if net is not None and spec.tms is not None:
-            net.layout.cover(spec.tms.degree)
+            checked = _network_report(spec)
+            if not checked.ok:
+                v = checked.violations[0]
+                raise ToricNetsError(f"the network violates condition "
+                                     f"{v.condition}: {v.message}")
         elif spec.tms is not None:
             net, _ = builder.build_network(spec.tms, disk)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -300,10 +313,11 @@ def main(argv=None):
     report = _new_report(args.seed)
     status = 0
     try:
-        spec = schema.load_problem(args.input)
         if args.command == "validate":
-            cmd_validate(spec, report)
-        elif args.command == "build":
+            cmd_validate(args.input, report)
+        else:
+            spec = schema.load_problem(args.input)
+        if args.command == "build":
             cmd_build(spec, report, Path(args.out))
         elif args.command == "nonabelianize":
             cmd_nonabelianize(spec, report, Path(args.out), args.holonomy)

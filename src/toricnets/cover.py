@@ -89,7 +89,8 @@ class BranchCutLayout(_LayoutFields):
 
     @functools.cached_property
     def grid(self):
-        """The disk model on the layout's grid (``GridPoints``)."""
+        """The disk model on the layout's grid (``GridPoints``); the
+        builder sets it to the grid it placed the cuts on."""
         return GridPoints(self.disk, self.scale)
 
     @functools.cached_property
@@ -157,10 +158,9 @@ class GridPoints:
     """The disk model on one integer grid, and the point locators on it.
 
     ``vertices`` (ccw) and ``spokes`` (center, barycenter) are the disk
-    model's points times ``scale``, one ``divmod`` per coordinate, which
-    ``DiskModel.scale`` must divide (a nonzero remainder is
-    ``InvariantViolated``), and ``mids`` each barycenter's
-    ``edge_position``.  Point location runs here only:
+    model's int points times ``scale``, which must be a multiple of
+    ``disk.scale`` (``InvariantViolated`` otherwise), and ``mids`` each
+    barycenter's ``edge_position``.  Point location runs here only:
     ``interior``, ``region``, ``edge_position`` and ``half_edge``.
     Both ``interior`` and ``region`` read each ccw edge as (ax, ay, dx,
     dy), stored once, and decide by the signs of the cross products with
@@ -174,22 +174,20 @@ class GridPoints:
     """
 
     def __init__(self, disk, scale):
-        def on_grid(p):
-            x, rx = divmod(p[0].numerator * scale, p[0].denominator)
-            y, ry = divmod(p[1].numerator * scale, p[1].denominator)
-            if rx or ry:
-                raise InvariantViolated(
-                    f"scale {scale} does not clear the disk model's point {p}")
-            return x, y
-
+        k, rest = divmod(scale, disk.scale)
+        if rest:
+            raise InvariantViolated(f"scale {scale} is not a multiple of the "
+                                    f"disk model's scale {disk.scale}")
         self.scale = scale
-        self.vertices = tuple(map(on_grid, disk.polytope.vertices))
+        self.vertices = tuple((x * scale, y * scale)
+                              for x, y in disk.polytope.vertices)
         # each ccw edge [a, b] as (ax, ay, bx - ax, by - ay)
         self._edges = tuple((ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by)
                             in zip(self.vertices[-1:] + self.vertices,
                                    self.vertices))
-        self.spokes = tuple(tuple(map(on_grid, disk.spoke(i)))
-                            for i in range(disk.fan.n))
+        center = (disk.center[0] * k, disk.center[1] * k)
+        self.spokes = tuple((center, (x * k, y * k))
+                            for x, y in disk.barycenters)
         self.mids = tuple(self.edge_position(s[-1], e)
                           for e, s in enumerate(self.spokes))
 
@@ -226,9 +224,9 @@ class GridPoints:
     def edge_position(self, p, e):
         """<p - a, b - a> for grid point p on the closed edge e = [a, b].
 
-        The edge is ``Polytope.edge(e)`` on the grid (its index is taken
-        mod n); None when p is off it.  Along the edge the position grows
-        from 0 at a to |b - a|^2 at b, so it orders the edge's points.
+        The edge is [vertex e-1, vertex e], dual to ray e (its index is
+        taken mod n); None when p is off it.  Along the edge the position
+        grows from 0 at a to |b - a|^2 at b, so it orders the edge's points.
         """
         n = len(self.vertices)
         a, b = self.vertices[(e - 1) % n], self.vertices[e % n]

@@ -8,19 +8,18 @@ the polygon we keep a "disk model": straight segments from the barycenter
 of the polygon to the edge midpoints, one per ray, cutting the polygon into
 one region per maximal cone.
 
-The polygon's vertices and the disk model's center and barycenters are
-exact rationals (gcd-reduced Fractions); every layout puts them on its
-integer grid (``cover.GridPoints``), where points are located and contacts
-tested.  Nothing here locates points.  Strict convexity is decided on
-each vertex's integer solve, before any Fraction is made.  The polygon
-keeps its vertices as int pairs over one denominator (1 on a smooth fan):
-the center and each edge barycenter are one int sum over one denominator
-(n times it, and 2 times it), made one Fraction per coordinate.
+The fan is smooth and the support integral, so the polygon is a lattice
+polygon: ``dual_polytope`` solves each vertex as an int pair and decides
+strict convexity on those ints.  The disk model's center and edge
+barycenters have denominators dividing n and 2; ``DiskModel`` keeps them
+as int pairs on their least common denominator, ``scale``.  Every layout
+puts the disk model on its own integer grid (``cover.GridPoints``), where
+points are located and contacts tested.  Nothing here locates points, and
+no rational number is made.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import geom
 from .errors import (NonPrimitiveRay, NotComplete, NotSmooth,
@@ -105,8 +104,8 @@ class Polytope:
     """The lattice polygon dual to (fan, support function).
 
     Vertex ``i`` is dual to maximal cone ``i``; the edge from vertex
-    ``i-1`` to vertex ``i`` is dual to ray ``i``.  Vertices are in ccw
-    order because the fan's rays are.
+    ``i-1`` to vertex ``i`` is dual to ray ``i``.  Vertices are int pairs
+    in ccw order because the fan's rays are.
     """
 
     def __init__(self, fan: Fan, phi: SupportFunction, vertices):
@@ -114,27 +113,6 @@ class Polytope:
         self.phi = phi
         self.vertices = vertices
         self.n = len(vertices)
-        # the vertices as int pairs over one denominator (1: a smooth
-        # fan's vertices are integral), which the barycenters sum
-        self._den = lcm(*(c.denominator for v in vertices for c in v))
-        self._ints = [tuple(c.numerator * (self._den // c.denominator)
-                            for c in v) for v in vertices]
-
-    def vertex(self, i):
-        return self.vertices[i % self.n]
-
-    def edge(self, i):
-        """Endpoints of the edge dual to ray i: (vertex i-1, vertex i)."""
-        return (self.vertices[(i - 1) % self.n], self.vertices[i % self.n])
-
-    def edge_barycenter(self, i):
-        n, den = self.n, 2 * self._den
-        (ax, ay), (bx, by) = self._ints[(i - 1) % n], self._ints[i % n]
-        return (Fraction(ax + bx, den), Fraction(ay + by, den))
-
-    def barycenter(self):
-        den = self.n * self._den
-        return tuple(Fraction(sum(c), den) for c in zip(*self._ints))
 
     def __repr__(self):
         return f"Polytope({self.vertices})"
@@ -143,6 +121,8 @@ class Polytope:
 def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
     """Polygon {x : <x, v_rho> >= phi(v_rho)} with its dual-cell structure.
 
+    Each cone is unimodular (else ``NotSmooth``, which only a ``Fan``
+    built without ``make_fan`` reaches), so each vertex is an int pair.
     Strict convexity of phi is checked on every consecutive ray triple; it
     is exactly the condition for the vertex map cone -> vertex to be
     injective with edges of positive length.  On a complete fan this local
@@ -152,25 +132,22 @@ def dual_polytope(fan: Fan, phi: SupportFunction) -> Polytope:
     if phi.fan is not fan and phi.fan != fan:
         raise NotStrictlyConvex("support function belongs to another fan")
     n, rays, values = fan.n, fan.rays, phi.values
-    # vertex i solves <x, v_i> = phi_i, <x, v_{i+1}> = phi_{i+1}: it is
-    # (X, Y) / det with det = v_i x v_{i+1} (1 on a smooth fan)
-    solved = []
-    for (ax, ay), (bx, by), a, b in zip(rays, rays[1:] + rays[:1], values,
-                                        values[1:] + values[:1]):
-        det = ax * by - ay * bx
-        x, y = a * by - b * ay, b * ax - a * bx
-        if not det:  # a Fan built without make_fan; as Fraction(x, 0)
-            raise ZeroDivisionError(f"Fraction({x}, 0)")
-        solved.append((x, y, det))
-    # <(X, Y) / det, v_{i+2}> > phi_{i+2}, decided on the ints
-    for i, ((x, y, det), (cx, cy), c) in enumerate(zip(
-            solved, rays[2:] + rays[:2], values[2:] + values[:2])):
-        lhs, rhs = x * cx + y * cy, c * det
-        if (lhs <= rhs) if det > 0 else (lhs >= rhs):
+    # vertex i solves <x, v_i> = phi_i, <x, v_{i+1}> = phi_{i+1}, on a
+    # cone of determinant v_i x v_{i+1} = 1
+    vertices = []
+    for a, b, p, q in zip(rays, rays[1:] + rays[:1], values,
+                          values[1:] + values[:1]):
+        if geom.cross(a, b) != 1:
+            raise NotSmooth(
+                f"cone ({a}, {b}) has determinant {geom.cross(a, b)} != 1")
+        vertices.append((p * b[1] - q * a[1], q * a[0] - p * b[0]))
+    # <vertex i, v_{i+2}> > phi_{i+2}
+    for i, ((x, y), (cx, cy), c) in enumerate(zip(
+            vertices, rays[2:] + rays[:2], values[2:] + values[:2])):
+        if x * cx + y * cy <= c:
             raise NotStrictlyConvex(
                 f"support function is not strictly convex across ray {(i + 2) % n}")
-    return Polytope(fan, phi, [(Fraction(x, det), Fraction(y, det))
-                               for x, y, det in solved])
+    return Polytope(fan, phi, vertices)
 
 
 class DiskModel:
@@ -183,22 +160,24 @@ class DiskModel:
     midpoint_{i+1}).  The center is also the barycenter of the edge
     midpoints, so every region's angle at the center is less than pi.
 
-    ``scale`` is the least common denominator of every coordinate (the
-    center's divide n, the barycenters' 2; the vertices are integral).
+    ``scale`` is the least common denominator of the center (the n
+    vertices' int sum over n) and the edge barycenters (two vertices' sum
+    over 2), by gcds on those sums.  ``center`` and ``barycenters`` (that
+    of edge ``i``) are those points times ``scale``, as int pairs.
     """
 
     def __init__(self, fan: Fan, polytope: Polytope):
         self.fan = fan
         self.polytope = polytope
-        self.center = polytope.barycenter()
-        self.ray_segments = {
-            i: (self.center, polytope.edge_barycenter(i)) for i in range(fan.n)
-        }
-        self.scale = lcm(*(c.denominator for seg in self.ray_segments.values()
-                           for p in seg for c in p))
-
-    def spoke(self, i):
-        return self.ray_segments[i % self.fan.n]
+        verts, n = polytope.vertices, polytope.n
+        sx, sy = map(sum, zip(*verts))
+        sums = [(ax + bx, ay + by) for (ax, ay), (bx, by)
+                in zip(verts[-1:] + verts[:-1], verts)]
+        self.scale = lcm(n // gcd(n, sx, sy),
+                         2 // gcd(2, *(c for p in sums for c in p)))
+        self.center = (sx * self.scale // n, sy * self.scale // n)
+        self.barycenters = tuple((x * self.scale // 2, y * self.scale // 2)
+                                 for x, y in sums)
 
 
 def disk_model(fan: Fan, polytope: Polytope) -> DiskModel:

@@ -191,7 +191,9 @@ def _parse_sections(data) -> ProblemSpec:
 
 def parse_network(disk, network) -> SpectralNetwork:
     """The network ``emit_network`` writes, its layout and walls on the
-    scale lcm(``disk.scale``, every coordinate's denominator)."""
+    scale lcm(``disk.scale``, every coordinate's denominator): the one
+    place where a rational point becomes a grid point (``_on_grid``), as
+    the disk model is integral on its own scale (``GridPoints``)."""
     if network["schema"] != NETWORK_SCHEMA:
         raise SchemaError(f"unknown network schema {network['schema']!r}; "
                           f"expected {NETWORK_SCHEMA}")

@@ -390,7 +390,9 @@ def brute_force_polytope_vertices(fan, phi):
 def ref_dual_polytope(fan, phi):
     """``fans.dual_polytope`` on Fractions: every vertex is solved as a
     Fraction pair first, put over the lcm of the denominators, and strict
-    convexity is then checked on those int pairs."""
+    convexity is then checked on those int pairs.  A cone of any nonzero
+    determinant is solved, so the reference also reads the polygon of a
+    hand-built ``Fan`` that is not smooth."""
     if phi.fan is not fan and phi.fan != fan:
         raise errors.NotStrictlyConvex(
             "support function belongs to another fan")
@@ -409,7 +411,65 @@ def ref_dual_polytope(fan, phi):
             raise errors.NotStrictlyConvex(
                 "support function is not strictly convex across ray "
                 f"{(i + 2) % n}")
-    return fans.Polytope(fan, phi, vertices)
+    return RefPolygon(fan, vertices)
+
+
+class RefPolygon:
+    """The polygon of ``ref_dual_polytope``: ``Fraction`` vertices, and its
+    edges and barycenters by the ``Fraction`` formulas."""
+
+    def __init__(self, fan, vertices):
+        self.fan, self.vertices, self.n = fan, vertices, len(vertices)
+
+    def vertex(self, i):
+        return self.vertices[i % self.n]
+
+    def edge(self, i):
+        """Endpoints of the edge dual to ray i: (vertex i-1, vertex i)."""
+        return (self.vertex(i - 1), self.vertex(i))
+
+    def edge_barycenter(self, i):
+        return midpoint(*self.edge(i))
+
+    def barycenter(self):
+        return polygon_barycenter(self.vertices)
+
+
+class RefDisk:
+    """The disk model on ``Fraction`` points, built from the fan and the
+    support values alone, on ``ref_dual_polytope``: the oracle of
+    ``fans.DiskModel`` and ``cover.GridPoints``, sharing no kernel with
+    them.  ``scale`` is the lcm of the reduced denominators of the center
+    and the edge barycenters, and ``grid(scale)`` the vertices and spokes
+    times ``scale`` as int pairs."""
+
+    def __init__(self, fan, phi):
+        self.fan = fan
+        self.polytope = ref_dual_polytope(fan, phi)
+        self.center = self.polytope.barycenter()
+        self.ray_segments = {i: (self.center, self.polytope.edge_barycenter(i))
+                             for i in range(fan.n)}
+        self.scale = lcm(*(c.denominator for seg in self.ray_segments.values()
+                           for p in seg for c in p))
+
+    def spoke(self, i):
+        return self.ray_segments[i % self.fan.n]
+
+    def grid(self, scale):
+        """(vertices, spokes), each point times ``scale`` as an int pair."""
+        def on(p):
+            x, y = p[0] * scale, p[1] * scale
+            assert x.denominator == y.denominator == 1, (p, scale)
+            return (int(x), int(y))
+
+        return (tuple(map(on, self.polytope.vertices)),
+                tuple((on(a), on(b)) for a, b in
+                      map(self.spoke, range(self.fan.n))))
+
+
+def ref_disk(disk):
+    """The ``RefDisk`` of a disk model's fan and support values."""
+    return RefDisk(disk.fan, disk.polytope.phi)
 
 
 def emit_matrix(m):
@@ -854,7 +914,7 @@ def _direction_in_sector(a, b, d):
 
 
 def locate(disk, point):
-    """Region membership of a point of the polygon.
+    """Region membership of a point of the polygon of a ``RefDisk``.
 
     Returns (regions, on_polytope_boundary): the list of region indices
     whose closed region contains the point (two or more exactly when the
@@ -977,7 +1037,8 @@ def _ref_depth_point(disk, boundary_point, s):
 
 
 def reference_build_geometry(disk, plans, depths=None):
-    """``builder._build_geometry`` in ``Fraction`` arithmetic.
+    """``builder._build_geometry`` in ``Fraction`` arithmetic, on a
+    ``RefDisk``.
 
     The Y-graph of depth index d sits at depth ``depths[d]``, by default
     the builder's 1/3 * 2^-d.  Returns the raw walls (branch index,
@@ -1071,7 +1132,8 @@ def _ref_polyline(points, to_screen, stroke, extra=""):
 
 
 def reference_render_svg(disk, net=None, layout=None) -> str:
-    """``render.render_svg`` drawing from the ``Fraction`` points."""
+    """``render.render_svg`` drawing from the ``Fraction`` points of a
+    ``RefDisk`` and of the layout."""
     view = _REF_VIEW
     polytope = disk.polytope
     to_screen = _ref_mapper(polytope)
@@ -1255,7 +1317,8 @@ def reference_validate_network(net, tms, cover):
     from toricnets.reporting import ValidationReport
 
     report = ValidationReport()
-    poly = net.polytope
+    ref = ref_disk(net.layout.disk)
+    poly = ref.polytope
     fan = net.fan
     n = fan.n
     bad_labels = set()
@@ -1276,7 +1339,7 @@ def reference_validate_network(net, tms, cover):
                     skip_shared_endpoints=(w.start_branch is not None)):
                 report.add("1", f"wall {w.id} meets a branch cut", w.id)
         for si in range(n):
-            s1, s2 = net.disk.spoke(si)
+            s1, s2 = ref.spoke(si)
             for j in range(len(w.polyline) - 1):
                 a, b = w.polyline[j], w.polyline[j + 1]
                 if ref_segments_cross(a, b, s1, s2) and \
@@ -1390,13 +1453,14 @@ def reference_build_cover(disk, layout, r):
 
     if layout.disk is not disk:
         raise InvariantViolated("the layout is drawn on another disk model")
+    ref = ref_disk(disk)
     cuts = rational_cuts(layout)
     for c in cuts:
         if not (0 <= c.transposition[0] < r and 0 <= c.transposition[1] < r
                 and c.transposition[0] != c.transposition[1]):
             raise OverlappingCuts(
                 f"cut transposition {c.transposition} is not a valid swap")
-        _ref_validate_cut_geometry(disk, c)
+        _ref_validate_cut_geometry(ref, c)
     for i, a in enumerate(cuts):
         for b in cuts[i + 1:]:
             if a.edge == b.edge:
@@ -1633,7 +1697,7 @@ def barycentric_boundary(polytope):
 
 
 def region_polygon(disk, i):
-    """Ccw quadrilateral of region i of a disk model."""
+    """Ccw quadrilateral of region i of a ``RefDisk``."""
     p = disk.polytope
     return (disk.center, p.edge_barycenter(i), p.vertex(i),
             p.edge_barycenter(i + 1))
@@ -1704,7 +1768,8 @@ def chambers(net):
         return [Chamber(0, (0,), ())]
     if not net.walls_disjoint:
         raise NotSupported("chamber decomposition requires disjoint walls")
-    landings = sorted(((boundary_position(net.polytope,
+    polytope = ref_disk(net.layout.disk).polytope
+    landings = sorted(((boundary_position(polytope,
                                           rational(net.layout, [w.end])[0]), w)
                        for w in net.walls), key=lambda x: x[0])
     m = len(landings)

@@ -594,12 +594,16 @@ def _degree_three(data):
     data["multisection"] = ms
 
 
-@pytest.mark.parametrize("command, stage", [("validate", "network"),
-                                            ("render", "render")])
-def test_a_network_of_degree_three_is_not_two_fold(command, stage, tmp_path,
-                                                   capsys):
-    # no cover of three sheets is built: the stage that would build it
-    # fails with NotTwoFold first
+@pytest.mark.parametrize("command, stage, message", [
+    ("validate", "classify", "degree is 3"),
+    ("render", "render", "a cover has one or two sheets, not 3")],
+    ids=["validate-network", "render-render"])
+def test_a_network_of_degree_three_is_not_two_fold(command, stage, message,
+                                                   tmp_path, capsys):
+    # no cover of three sheets is built: validate decides the degree at
+    # classify before its network stage, as it does without a network and
+    # as every pipeline command does; render's stage, which would build
+    # the cover, fails with NotTwoFold first
     path = _write_edited(tmp_path, _with_network(_degree_three))
     figure = tmp_path / "figure.svg"
     assert main([command, "--input", path, "--out", str(figure),
@@ -607,9 +611,34 @@ def test_a_network_of_degree_three_is_not_two_fold(command, stage, tmp_path,
     stages = _json_stages(capsys)
     assert [s["status"] for s in stages] == ["pass"] * (len(stages) - 1) + [
         "fail"]
-    assert stages[-1] == {"name": stage, "status": "fail",
-                          "detail": "a cover has one or two sheets, not 3"}
+    assert stages[-1] == {"name": stage, "status": "fail", "detail": message}
+    assert "network" not in [s["name"] for s in stages]
     assert not figure.exists()
+
+
+def _other_end_cone(data):
+    wall = data["network"]["walls"][0]
+    edge = wall["end_edge"]
+    wall["end_cone"] = (edge - 1) % 3 if wall["end_cone"] == edge else edge
+
+
+def test_render_fails_on_a_network_that_validate_rejects(tmp_path, capsys):
+    # p2_n3's built network with wall 0 claiming the other half-edge of
+    # its landing edge: validate fails its network stage on condition 6,
+    # and render, which drew it with exit 0, fails its stage with that
+    # first violation and writes no figure
+    path = _write_edited(tmp_path, _with_network(_other_end_cone))
+    message = "wall 0 endpoint data disagrees with geometry"
+    assert main(["validate", "--input", path, "--report", "json"]) == 1
+    assert _json_stages(capsys)[-1]["detail"]["violations"][0] == {
+        "condition": "6", "message": message, "witness": "(0, 0)"}
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--input", path, "--out", str(figure),
+                 "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["stages"] == [_failed(
+        "render", f"the network violates condition 6: {message}")]
+    assert report["artifacts"] == [] and not figure.exists()
 
 
 def _without_multisection(data):
@@ -932,6 +961,9 @@ def test_a_document_needs_the_problem_schema(edit, shown, tmp_path, capsys):
 
 @pytest.mark.parametrize("rays, support, message", [
     ([], [], "empty ray list"),
+    ([[2, 0], [0, 1], [-1, -1]], [0, 0, -1], "ray (2, 0) is not primitive"),
+    ([[1, 0], [1, 2], [-1, 0], [0, -1]], [0, 0, 0, 0],
+     "cone ((1, 0), (1, 2)) has determinant 2 != 1"),
     ([[1, 0], [0, 1], [-1, -1], [1, 0]], [0, 0, -1, 0],
      "duplicate ray directions"),
     ([[1, 0], [0, 1]], [0, 0],
@@ -940,16 +972,18 @@ def test_a_document_needs_the_problem_schema(edit, shown, tmp_path, capsys):
      "rays (1, 0) -> (-1, -1) do not bound a convex cone in ccw order"),
     ([[1, 0], [0, 1], [-1, -1]], [0, 0],
      "one value per ray required"),
-], ids=["empty", "duplicate", "two-rays", "not-ccw-convex",
-        "support-count"])
+], ids=["empty", "non-primitive", "not-smooth", "duplicate", "two-rays",
+        "not-ccw-convex", "support-count"])
 def test_a_bad_fan_or_support_fails_with_its_message(rays, support, message,
                                                      tmp_path, capsys):
     # the duplicate and the two-ray fan also fail the ccw-convexity check
-    # further on, with another message: each is refused by its own check
+    # further on, with another message: each is refused by its own check.
+    # The parser builds the fan and the support, and validate reports what
+    # it refuses in the fan stage, as a support not strictly convex is
     doc = _p2_n3(fan={"rays": rays}, support=support)
     del doc["multisection"]
     assert _run(tmp_path, capsys, "validate", doc) == (
-        1, [_failed("error", message)], "")
+        1, [_failed("fan", message)], "")
 
 
 @pytest.mark.parametrize("command", ["build", "nonabelianize", "verify"])

@@ -25,8 +25,9 @@ import pytest
 import support
 from support import (FIXTURES, edited_network, generated_problems, lerp,
                      load, midpoint, on_grid, polygon_barycenter,
-                     rational_cuts, rational_walls, reference_build_cover,
-                     reference_validate_network, region_polygon)
+                     rational_cuts, rational_walls, ref_disk,
+                     reference_build_cover, reference_validate_network,
+                     region_polygon)
 
 from toricnets import builder, cover as cover_module, errors
 from toricnets.builder import build_network
@@ -121,6 +122,7 @@ def _through(a, p):
 def _wall_perturbations(net, rng):
     """(kind, network) pairs, each with one wall moved."""
     walls = rational_walls(net)
+    ref = ref_disk(net.layout.disk)
     for _ in range(2):
         i = rng.randrange(len(walls))
         a = walls[i]
@@ -140,14 +142,14 @@ def _wall_perturbations(net, rng):
         if foreign:
             yield "foreign branch point", _replace_wall(
                 net, i, _through(a.start, rng.choice(foreign)))
-        s1, s2 = net.disk.spoke(rng.randrange(net.fan.n))
+        s1, s2 = ref.spoke(rng.randrange(net.fan.n))
         yield "spoke touch", _replace_wall(
             net, i, (a.start, lerp(s1, s2, Fraction(1, 2))))
         yield "along spoke", _replace_wall(
             net, i, (a.start, lerp(s1, s2, Fraction(1, 4)),
                      lerp(s1, s2, Fraction(3, 4))))
         yield "through center", _replace_wall(net, i, _through(a.start, s1))
-        corner = net.polytope.vertex(rng.randrange(net.fan.n))
+        corner = ref.polytope.vertex(rng.randrange(net.fan.n))
         yield "boundary vertex", _replace_wall(net, i,
                                                (a.start, corner, a.end))
         sibling = next(w for w in walls if w.id != a.id
@@ -158,11 +160,11 @@ def _wall_perturbations(net, rng):
 
 def _crossing_cuts(net, k, m):
     """Cuts with k and m moved into the region of cut k, crossing."""
-    poly = net.polytope
+    ref = ref_disk(net.layout.disk)
     n = net.fan.n
     i = net.layout.cut_region[k]
-    b0, b1 = poly.edge_barycenter(i), poly.edge_barycenter(i + 1)
-    mid = polygon_barycenter(region_polygon(net.disk, i))
+    b0, b1 = (ref.polytope.edge_barycenter(e) for e in (i, i + 1))
+    mid = polygon_barycenter(region_polygon(ref, i))
     p0, p1 = midpoint(mid, b0), midpoint(mid, b1)
     cuts = list(rational_cuts(net.layout))
     cuts[k] = Cut((p0, b1), cuts[k].transposition, (i + 1) % n)
@@ -174,17 +176,18 @@ def _cut_perturbations(net, rng):
     """(kind, cuts) pairs, each with one or two of ``net``'s cuts
     rerouted, with ``Fraction`` points."""
     cuts = rational_cuts(net.layout)
+    ref = ref_disk(net.layout.disk)
     for _ in range(2):
         k = rng.randrange(len(cuts))
         start, end = cuts[k].polyline[0], cuts[k].polyline[-1]
-        s1, s2 = net.disk.spoke(rng.randrange(net.fan.n))
+        s1, s2 = ref.spoke(rng.randrange(net.fan.n))
         beyond = lerp(start, lerp(s1, s2, Fraction(1, 2)), Fraction(5, 4))
         yield "cut across spoke", _replace_cut(net, k, (start, beyond, end))
         yield "cut along spoke", _replace_cut(
             net, k, (start, lerp(s1, s2, Fraction(1, 3)), end))
         yield "cut leaves polygon", _replace_cut(
             net, k, (start, _through(start, end)[2], end))
-        corner = net.polytope.vertex(rng.randrange(net.fan.n))
+        corner = ref.polytope.vertex(rng.randrange(net.fan.n))
         yield "cut touches boundary", _replace_cut(net, k,
                                                    (start, corner, end))
         w = rng.choice(rational_walls(net))

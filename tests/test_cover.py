@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import (generator_loops, is_closed, lerp, on_grid,
+from support import (RefDisk, generator_loops, is_closed, lerp, on_grid,
                      parallel_transport, rational)
 
 from toricnets import nonabelian
@@ -20,48 +20,50 @@ from toricnets.network import Soliton
 
 
 def p1p1_disk():
+    """The fan, the oracle's ``RefDisk`` and the package's disk model."""
     fan = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    poly = dual_polytope(fan, SupportFunction(fan, [-1, -1, -1, -1]))
-    return fan, poly, disk_model(fan, poly)
+    phi = SupportFunction(fan, [-1, -1, -1, -1])
+    return fan, RefDisk(fan, phi), disk_model(fan, dual_polytope(fan, phi))
 
 
-def straight_cut(disk, region, edge, depth=Fraction(1, 4)):
-    """Cut hanging below the landing barycenter of its region, with
-    ``Fraction`` points (``on_grid`` puts it on a layout's grid)."""
-    poly = disk.polytope
+def straight_cut(ref, region, edge, depth=Fraction(1, 4)):
+    """Cut hanging below the landing barycenter of its region, with the
+    ``Fraction`` points of a ``RefDisk`` (``on_grid`` puts it on a
+    layout's grid)."""
+    poly = ref.polytope
     target = poly.edge_barycenter(edge)
     anchor = lerp(poly.vertex(region), target, Fraction(1, 2))
-    b = lerp(anchor, disk.center, depth)
+    b = lerp(anchor, ref.center, depth)
     return Cut((b, target), (0, 1), edge)
 
 
 def test_single_branch_point_cover():
-    fan, poly, disk = p1p1_disk()
-    cut = straight_cut(disk, 0, 1)
+    fan, ref, disk = p1p1_disk()
+    cut = straight_cut(ref, 0, 1)
     cover = build_cover(disk, on_grid(disk, (cut,)).layout, 2)
     assert len(cover.sheet_orbits) == 1
     assert betti_one(cover) == 0
 
 
 def test_two_branch_points_cover():
-    fan, poly, disk = p1p1_disk()
-    c1 = straight_cut(disk, 0, 1)
-    c2 = straight_cut(disk, 2, 3)
+    fan, ref, disk = p1p1_disk()
+    c1 = straight_cut(ref, 0, 1)
+    c2 = straight_cut(ref, 2, 3)
     cover = build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
     assert len(cover.sheet_orbits) == 1
     assert betti_one(cover) == 1
 
 
 def test_three_branch_points_cover():
-    fan, poly, disk = p1p1_disk()
-    cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
-            straight_cut(disk, 2, 3)]
+    fan, ref, disk = p1p1_disk()
+    cuts = [straight_cut(ref, 0, 1), straight_cut(ref, 1, 2),
+            straight_cut(ref, 2, 3)]
     cover = build_cover(disk, on_grid(disk, cuts).layout, 2)
     assert betti_one(cover) == 2
 
 
 def test_no_branch_points_splits():
-    fan, poly, disk = p1p1_disk()
+    fan, ref, disk = p1p1_disk()
     cover = build_cover(disk, BranchCutLayout(disk, (), disk.scale), 2)
     assert len(cover.sheet_orbits) == 2
     assert betti_one(cover) == 0
@@ -70,8 +72,8 @@ def test_no_branch_points_splits():
 def test_cover_is_built_on_the_layouts_disk_model():
     # the layout owns its disk model, and its branch points are its cuts'
     # first points
-    fan, poly, disk = p1p1_disk()
-    cut = straight_cut(disk, 0, 1)
+    fan, ref, disk = p1p1_disk()
+    cut = straight_cut(ref, 0, 1)
     layout = on_grid(disk, (cut,)).layout
     assert layout.branch_points == (layout.cuts[0].polyline[0],)
     assert rational(layout, layout.branch_points) == (cut.polyline[0],)
@@ -84,23 +86,24 @@ def test_cover_is_built_on_the_layouts_disk_model():
 def test_a_scale_that_does_not_clear_the_disk_model_raises(name, scale):
     # the disk model's scale is the least common denominator of its
     # coordinates: the center's divide n, the barycenters' 2.  A layout on
-    # a grid that does not clear them is refused, not truncated
+    # a grid that is not a multiple of it is refused, not truncated
     from support import load
     disk = load(name).disk
     assert disk.scale == scale
     assert GridPoints(disk, 2 * scale).vertices == \
-        tuple((int(x) * 2 * scale, int(y) * 2 * scale)
+        tuple((x * 2 * scale, y * 2 * scale)
               for x, y in disk.polytope.vertices)
     for coarse in (1, scale // 2):
-        with pytest.raises(InvariantViolated, match=f"scale {coarse} does "
-                                                    "not clear"):
+        with pytest.raises(InvariantViolated,
+                           match=f"^scale {coarse} is not a multiple of "
+                                 f"the disk model's scale {scale}$"):
             BranchCutLayout(disk, (), coarse).grid
 
 
 def test_cut_must_end_at_barycenter():
-    fan, poly, disk = p1p1_disk()
-    target = lerp(*poly.edge(1), Fraction(1, 3))
-    b = lerp(target, disk.center, Fraction(1, 4))
+    fan, ref, disk = p1p1_disk()
+    target = lerp(*ref.polytope.edge(1), Fraction(1, 3))
+    b = lerp(target, ref.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutEndpointNotBarycenter):
         build_cover(disk, on_grid(disk, (cut,)).layout, 2)
@@ -109,7 +112,7 @@ def test_cut_must_end_at_barycenter():
 def test_cut_needs_two_points():
     # a document's cut needs two points (a SchemaError): a layout made in
     # code is checked again when its cover is built
-    fan, poly, disk = p1p1_disk()
+    fan, ref, disk = p1p1_disk()
     barycenter = GridPoints(disk, disk.scale).spokes[1][-1]
     for polyline in ((), (barycenter,)):
         cut = Cut(polyline, (0, 1), 1)
@@ -119,20 +122,20 @@ def test_cut_needs_two_points():
 
 
 def test_cut_may_not_cross_a_spoke():
-    fan, poly, disk = p1p1_disk()
+    fan, ref, disk = p1p1_disk()
     # from inside region 2 straight to the barycenter of edge 1: crosses
     # the spoke of ray 2
-    target = poly.edge_barycenter(1)
-    b = lerp(poly.vertex(2), disk.center, Fraction(1, 4))
+    target = ref.polytope.edge_barycenter(1)
+    b = lerp(ref.polytope.vertex(2), ref.center, Fraction(1, 4))
     cut = Cut((b, target), (0, 1), 1)
     with pytest.raises(CutHitsRay):
         build_cover(disk, on_grid(disk, (cut,)).layout, 2)
 
 
 def test_cuts_may_not_share_a_barycenter():
-    fan, poly, disk = p1p1_disk()
-    c1 = straight_cut(disk, 0, 1)
-    c2 = straight_cut(disk, 1, 1)
+    fan, ref, disk = p1p1_disk()
+    c1 = straight_cut(ref, 0, 1)
+    c2 = straight_cut(ref, 1, 1)
     # the two cuts touch at the barycenter, and that pair is named by
     # the barycenter they share
     with pytest.raises(OverlappingCuts,
@@ -141,9 +144,9 @@ def test_cuts_may_not_share_a_barycenter():
 
 
 def two_cut_cover():
-    fan, poly, disk = p1p1_disk()
-    c1 = straight_cut(disk, 0, 1)
-    c2 = straight_cut(disk, 2, 3)
+    fan, ref, disk = p1p1_disk()
+    c1 = straight_cut(ref, 0, 1)
+    c2 = straight_cut(ref, 2, 3)
     return build_cover(disk, on_grid(disk, (c1, c2)).layout, 2)
 
 
@@ -177,9 +180,9 @@ def test_generator_loop_holonomy():
 def test_symbolic_generator_loop_holonomy(fan7_built):
     # transport around generator loop k is the symbol t_{k+1} itself, as an
     # element of Q[t^±], not only after substituting numbers for the t's
-    fan, poly, disk = p1p1_disk()
-    cuts = [straight_cut(disk, 0, 1), straight_cut(disk, 1, 2),
-            straight_cut(disk, 2, 3)]
+    fan, ref, disk = p1p1_disk()
+    cuts = [straight_cut(ref, 0, 1), straight_cut(ref, 1, 2),
+            straight_cut(ref, 2, 3)]
     three_cut = build_cover(disk, on_grid(disk, cuts).layout, 2)
     for cover in (two_cut_cover(), three_cut, fan7_built[2]):
         t = TPoly.symbols(betti_one(cover))
@@ -208,9 +211,9 @@ def test_no_gauge_outside_connected_two_fold_and_rank_one_covers():
     # built: three sheets joined by the cuts (0, 1) and (1, 2) are refused
     # as not two-fold before any cover exists, and on two sheets the swap
     # (1, 2) names a sheet that is not there.  One sheet has no swap at all
-    fan, poly, disk = p1p1_disk()
-    cuts = [straight_cut(disk, 0, 1),
-            straight_cut(disk, 2, 3)._replace(transposition=(1, 2))]
+    fan, ref, disk = p1p1_disk()
+    cuts = [straight_cut(ref, 0, 1),
+            straight_cut(ref, 2, 3)._replace(transposition=(1, 2))]
     layout = on_grid(disk, cuts).layout
     for r in (3, 4):
         with pytest.raises(NotTwoFold, match="one or two sheets"):
@@ -227,7 +230,7 @@ def test_no_gauge_outside_connected_two_fold_and_rank_one_covers():
 
 
 def test_trivial_local_system_on_trivial_cover():
-    fan, poly, disk = p1p1_disk()
+    fan, ref, disk = p1p1_disk()
     cover = build_cover(disk, BranchCutLayout(disk, (), disk.scale), 2)
     ls = make_local_system(cover, [])
     assert parallel_transport(ls, SurfacePath(1, 0, [])) == 1

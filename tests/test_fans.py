@@ -4,13 +4,14 @@ from math import isqrt
 
 import pytest
 
-from support import (ZERO_CONE, barycentric_boundary,
+from support import (ZERO_CONE, RefDisk, barycentric_boundary,
                      brute_force_polytope_vertices, dual_cell, locate,
                      max_cone, perfbench_gen, ray_cone, ref_dual_polytope,
                      region_of_interior_point, region_polygon)
 
 from toricnets.errors import (NonPrimitiveRay, NotComplete, NotSmooth,
                               NotStrictlyConvex, UnknownCone)
+from toricnets.cover import GridPoints
 from toricnets.geom import dot
 from toricnets.fans import (Fan, SupportFunction, disk_model, dual_polytope,
                             make_fan)
@@ -117,15 +118,17 @@ def _polytope_outcome(build, fan, phi):
     """The vertices ``build`` returns, or the type and message it raises."""
     try:
         return build(fan, phi).vertices
-    except (NotStrictlyConvex, ZeroDivisionError) as exc:
+    except (NotSmooth, NotStrictlyConvex) as exc:
         return type(exc), str(exc)
 
 
 def test_dual_polytope_matches_the_fraction_reference():
     # the integer-first check against the Fraction/lcm reference: balanced
     # blow-up fans (the benchmark's) at K around the accepting one, with
-    # jitter, and fans built without make_fan: every cone of det 2, a det 0
-    # cone after cones that may reject, every cone of det -1 (clockwise)
+    # jitter.  Fans built without make_fan are refused at their first cone
+    # whose determinant is not 1, before any convexity check: every cone
+    # of det 2, a det 0 cone after unimodular ones, every cone of det -1
+    # (clockwise); a unimodular one matches the reference
     rng = random.Random(20261020)
     gen = perfbench_gen()
     accepted = 0
@@ -139,18 +142,23 @@ def test_dual_polytope_matches_the_fraction_reference():
         assert _polytope_outcome(dual_polytope, fan, phi) == want
         accepted += isinstance(want, list)
     assert 100 <= accepted <= 300
-    direct = [[(1, 0), (1, 2), (-1, 0), (-1, -2)],
-              [(1, 0), (0, 1), (-1, 0), (1, 0), (0, -1)],
-              [(0, 1), (1, 0), (0, -1), (-1, 0)]]
+    direct = [([(1, 0), (1, 2), (-1, 0), (-1, -2)], "(1, 0), (1, 2)", 2),
+              ([(1, 0), (0, 1), (-1, 0), (1, 0), (0, -1)],
+               "(-1, 0), (1, 0)", 0),
+              ([(0, 1), (1, 0), (0, -1), (-1, 0)], "(0, 1), (1, 0)", -1),
+              (P1P1, None, None)]
     seen = set()
-    for rays in direct:
+    for rays, cone, det in direct:
         fan = Fan(rays)
         for _ in range(60):
             phi = SupportFunction(fan, [rng.randint(-6, 6) for _ in rays])
-            want = _polytope_outcome(ref_dual_polytope, fan, phi)
+            if cone is None:
+                want = _polytope_outcome(ref_dual_polytope, fan, phi)
+            else:
+                want = (NotSmooth, f"cone ({cone}) has determinant {det} != 1")
             assert _polytope_outcome(dual_polytope, fan, phi) == want
             seen.add(want[0] if isinstance(want, tuple) else list)
-    assert seen == {list, NotStrictlyConvex, ZeroDivisionError}
+    assert seen == {list, NotSmooth, NotStrictlyConvex}
 
 
 def test_dual_polytope_rejects_linear_support():
@@ -163,8 +171,7 @@ def test_dual_polytope_rejects_linear_support():
 
 def test_dual_cells():
     fan = make_fan(P2)
-    phi = SupportFunction(fan, [0, 0, -1])
-    poly = dual_polytope(fan, phi)
+    poly = RefDisk(fan, SupportFunction(fan, [0, 0, -1])).polytope
     assert dual_cell(poly, max_cone(0)) == ((Fraction(0), Fraction(0)),)
     edge = dual_cell(poly, ray_cone(0))
     assert set(edge) == {(0, 1), (0, 0)}
@@ -176,15 +183,17 @@ def test_dual_cells():
 def test_dual_cell_bijection_counts():
     for rays, values in [(P2, [0, 0, -1]), (P1P1, [-1, -1, -1, -1])]:
         fan = make_fan(rays)
-        poly = dual_polytope(fan, SupportFunction(fan, values))
-        assert poly.n == fan.n  # vertices <-> maximal cones
+        phi = SupportFunction(fan, values)
+        poly = RefDisk(fan, phi).polytope
+        # vertices <-> maximal cones
+        assert dual_polytope(fan, phi).n == poly.n == fan.n
         edges = {tuple(sorted(poly.edge(i))) for i in range(fan.n)}
         assert len(edges) == fan.n  # edges <-> rays
 
 
 def test_barycentric_boundary_counts():
     fan = make_fan(P2)
-    poly = dual_polytope(fan, SupportFunction(fan, [0, 0, -1]))
+    poly = RefDisk(fan, SupportFunction(fan, [0, 0, -1])).polytope
     cells = barycentric_boundary(poly)
     kinds = {}
     for c in cells:
@@ -192,7 +201,7 @@ def test_barycentric_boundary_counts():
     assert kinds == {"vertex": 3, "barycenter": 3, "half-edge": 6}
 
     fan = make_fan(P1P1)
-    poly = dual_polytope(fan, SupportFunction(fan, [-1, -1, -1, -1]))
+    poly = RefDisk(fan, SupportFunction(fan, [-1, -1, -1, -1])).polytope
     kinds = {}
     for c in barycentric_boundary(poly):
         kinds[c.kind] = kinds.get(c.kind, 0) + 1
@@ -201,7 +210,7 @@ def test_barycentric_boundary_counts():
 
 def test_half_edges_record_their_data():
     fan = make_fan(P2)
-    poly = dual_polytope(fan, SupportFunction(fan, [0, 0, -1]))
+    poly = RefDisk(fan, SupportFunction(fan, [0, 0, -1])).polytope
     for cell in barycentric_boundary(poly):
         if cell.kind == "half-edge":
             assert cell.points[0] == poly.vertex(cell.vertex_index)
@@ -210,19 +219,19 @@ def test_half_edges_record_their_data():
 
 def test_disk_model_counts_and_partition():
     fan = make_fan(P2)
-    poly = dual_polytope(fan, SupportFunction(fan, [0, 0, -1]))
-    disk = disk_model(fan, poly)
-    assert len(disk.ray_segments) == 3
+    phi = SupportFunction(fan, [0, 0, -1])
+    assert len(disk_model(fan, dual_polytope(fan, phi)).barycenters) == 3
+    ref = RefDisk(fan, phi)
     # each region's boundary contains exactly one polytope vertex
     for i in range(3):
-        region = region_polygon(disk, i)
-        assert poly.vertex(i) in region
+        region = region_polygon(ref, i)
+        assert ref.polytope.vertex(i) in region
 
 
 def test_disk_model_point_location():
     fan = make_fan(P1P1)
-    poly = dual_polytope(fan, SupportFunction(fan, [-1, -1, -1, -1]))
-    disk = disk_model(fan, poly)
+    disk = RefDisk(fan, SupportFunction(fan, [-1, -1, -1, -1]))
+    poly = disk.polytope
     # vertex of the polytope: boundary point adjacent to two regions
     regions, on_boundary = locate(disk, poly.vertex(0))
     assert on_boundary
@@ -243,11 +252,10 @@ def test_disk_model_point_location():
 
 def test_spokes_meet_only_at_center():
     fan = make_fan(P2)
-    poly = dual_polytope(fan, SupportFunction(fan, [0, 0, -1]))
-    disk = disk_model(fan, poly)
+    disk = disk_model(fan, dual_polytope(fan, SupportFunction(fan, [0, 0, -1])))
+    spokes = GridPoints(disk, disk.scale).spokes
     for i in range(3):
         for j in range(i + 1, 3):
-            a1, a2 = disk.spoke(i)
-            b1, b2 = disk.spoke(j)
+            (a1, a2), (b1, b2) = spokes[i], spokes[j]
             assert a1 == b1 == disk.center
             assert a2 != b2

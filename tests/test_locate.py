@@ -24,29 +24,37 @@ and half-edge search on every edge of the same disk models, for vertices,
 barycenters, quarter points, seeded points of each edge, and points just
 inside and just outside it.
 
-The disk model's center and barycenters, each one int sum over one
-denominator, must equal the ``Fraction`` formulas (vertex sums divided by
-n and by 2), and the grid must hold them times the scale; an emitted
-coordinate, one gcd with the scale, must read as ``str(Fraction(c,
-scale))``.
+The int disk model is checked against the oracle's own ``Fraction`` disk
+model (``support.RefDisk``), built from the fan and the support values
+alone, on every fixture, on generated (8, 8), (16, 4), (20, 4) and
+(16, 16) documents and their N - 1 neighbours, and on seeded blow-up
+fans: ``DiskModel.scale`` is the lcm of the oracle's reduced
+denominators, its int center and barycenters are the oracle's points
+times that scale, and every grid the pipeline makes (builder layouts,
+layouts parsed back from a document, rank-1 layouts) holds the oracle's
+points times its own scale.  A scale that is not a multiple of the disk
+model's is refused.  An emitted coordinate, one gcd with the scale, must
+read as ``str(Fraction(c, scale))``.
 """
 import json
 import random
+
+import pytest
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
-from support import (FIXTURES, GEN_TOOLKIT, edge_parameter,
+from support import (FIXTURES, GEN_TOOLKIT, RefDisk, edge_parameter,
                      generated_problems, half_edge_of_boundary_point, lerp,
-                     load, perfbench_gen, rational, ref_on_segment,
+                     load, perfbench_gen, rational, ref_disk, ref_on_segment,
                      ref_point_in_convex_polygon, region_of_interior_point,
                      skewed_fan_and_support)
 
-from toricnets.builder import build_network
+from toricnets.builder import build_network, empty_network
 from toricnets.cover import BranchCutLayout, Cut, GridPoints
-from toricnets.errors import NotRealizable, UnknownCone
+from toricnets.errors import InvariantViolated, NotRealizable, UnknownCone
 from toricnets.fans import SupportFunction, disk_model, dual_polytope
-from toricnets.schema import _points_out, parse_problem
+from toricnets.schema import _points_out, emit_network, parse_problem
 
 
 def _on_one_grid(disk, points):
@@ -63,11 +71,12 @@ def _outcome(locate, *args):
         return str(exc)
 
 
-def _probe_points(disk, rng):
-    """Points of every kind the locator must tell apart, on one disk."""
-    poly = disk.polytope
-    n = disk.fan.n
-    c = disk.center
+def _probe_points(ref, rng):
+    """Points of every kind the locator must tell apart, on one
+    ``RefDisk``."""
+    poly = ref.polytope
+    n = ref.fan.n
+    c = ref.center
     (x0, y0), (x1, y1) = (tuple(map(f, zip(*poly.vertices)))
                           for f in (min, max))
     pts = [c]
@@ -95,9 +104,10 @@ def assert_locators_agree(disk, points):
     """
     scale, grid_points = _on_one_grid(disk, points)
     g = GridPoints(disk, scale)
+    ref = ref_disk(disk)
     outcomes = []
     for p, q in zip(points, grid_points):
-        want = _outcome(region_of_interior_point, disk, p)
+        want = _outcome(region_of_interior_point, ref, p)
         assert g.region(q) == (want if isinstance(want, int) else None), p
         cut = Cut((q, g.spokes[0][-1]), (0, 1), 0)
         alone = BranchCutLayout(disk, (cut,), scale)
@@ -120,20 +130,20 @@ def _layouts():
 def test_grid_locator_matches_fraction_reference():
     kinds = set()
     for name, spec, layout in _layouts():
-        disk = spec.disk
+        disk, ref = spec.disk, RefDisk(spec.fan, spec.phi)
         if layout is not None and layout.cuts:
             points = rational(layout, layout.branch_points)
             assert list(layout.cut_region) == [
-                region_of_interior_point(disk, p) for p in points]
+                region_of_interior_point(ref, p) for p in points]
             assert_locators_agree(disk, points)
         rng = random.Random(f"locate:{name}")
-        outcomes = assert_locators_agree(disk, _probe_points(disk, rng))
+        outcomes = assert_locators_agree(disk, _probe_points(ref, rng))
         kinds |= {type(o) for o in outcomes}
         # the center and every edge midpoint sit on spokes, every vertex
         # inside its own region
         n = disk.fan.n
         assert outcomes[0] == \
-            f"point {disk.center} is not interior to a unique region"
+            f"point {ref.center} is not interior to a unique region"
         assert [outcomes[1 + 11 * i] for i in range(n)] == \
             [(i - 1) % n for i in range(n)]
         assert all(isinstance(outcomes[2 + 11 * i], str) for i in range(n))
@@ -147,11 +157,11 @@ def _disks():
         yield shape, spec.disk
 
 
-def _edge_probes(disk, rng):
-    """Points of and near every edge, by kind."""
-    poly = disk.polytope
-    c = disk.center
-    for e in range(disk.fan.n):
+def _edge_probes(ref, rng):
+    """Points of and near every edge of a ``RefDisk``, by kind."""
+    poly = ref.polytope
+    c = ref.center
+    for e in range(ref.fan.n):
         a, b = poly.edge(e)
         for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1,
                   Fraction(rng.randint(1, 999), 1000),
@@ -167,9 +177,10 @@ def _edge_probes(disk, rng):
 def test_grid_half_edges_match_fraction_reference():
     seen = set()
     for name, disk in _disks():
-        poly = disk.polytope
+        poly = ref_disk(disk).polytope
         n = disk.fan.n
-        kinds, points = zip(*_edge_probes(disk, random.Random(f"edge:{name}")))
+        kinds, points = zip(*_edge_probes(ref_disk(disk),
+                                          random.Random(f"edge:{name}")))
         scale, grid_points = _on_one_grid(disk, points)
         g = GridPoints(disk, scale)
         # every edge index, also below 0 and from n on: the grid position
@@ -195,14 +206,15 @@ def test_grid_half_edges_match_fraction_reference():
                                                 ("outside", True)}
 
 
-def _interior_probes(disk, rng):
-    """Points of every kind ``GridPoints.interior`` must tell apart."""
-    poly = disk.polytope
-    c = disk.center
+def _interior_probes(ref, rng):
+    """Points of every kind ``GridPoints.interior`` must tell apart, on
+    a ``RefDisk``."""
+    poly = ref.polytope
+    c = ref.center
     (x0, y0), (x1, y1) = (tuple(map(f, zip(*poly.vertices)))
                           for f in (min, max))
     yield "center", c
-    for e in range(disk.fan.n):
+    for e in range(ref.fan.n):
         a, b = poly.edge(e)
         for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
                   Fraction(rng.randint(1, 999), 1000)):
@@ -215,7 +227,7 @@ def _interior_probes(disk, rng):
         yield "beyond", lerp(a, b, Fraction(-1, 4))
         yield "beyond", lerp(a, b, Fraction(5, 4))
         yield "inside", lerp(c, a, Fraction(1, 4))
-    for _ in range(8 * disk.fan.n):
+    for _ in range(8 * ref.fan.n):
         u, v = (Fraction(rng.randint(0, 1000), 1000) for _ in "uv")
         yield "random", (x0 - 1 + (x1 - x0 + 2) * u,
                          y0 - 1 + (y1 - y0 + 2) * v)
@@ -231,7 +243,7 @@ def test_grid_interior_matches_the_polygon_reference():
     seen = set()
     for name, disk in [*_disks(), ((20, 4), wide.disk)]:
         kinds, points = zip(*_interior_probes(
-            disk, random.Random(f"interior:{name}")))
+            ref_disk(disk), random.Random(f"interior:{name}")))
         scale, grid_points = _on_one_grid(disk, points)
         g = GridPoints(disk, scale)
         for kind, q in zip(kinds, grid_points):
@@ -323,38 +335,83 @@ def test_grid_region_matches_the_polygon_reference():
 
 
 def _blowup_disks():
-    """The disk models of seeded skewed blow-up fans, 3 to 12 rays."""
+    """The disk models of seeded skewed blow-up fans, 3 to 12 rays, each
+    with its fan and support values."""
     rng = random.Random("int disk")
     for n in [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] * 2:
         fan, values = skewed_fan_and_support(rng, n)
-        poly = dual_polytope(fan, SupportFunction(fan, values))
-        yield fan.rays, disk_model(fan, poly)
+        phi = SupportFunction(fan, values)
+        yield fan.rays, disk_model(fan, dual_polytope(fan, phi)), phi
+
+
+def _oracle_documents():
+    """Every fixture, and generated (8, 8), (16, 4), (20, 4) and (16, 16)
+    documents, each shape also at N - 1: both cover classes (E for even
+    N, O for odd) on every generated fan."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, json.loads(path.read_text())
+    gen = perfbench_gen()
+    for n, big_n in [(8, 8), (16, 4), (20, 4), (16, 16)]:
+        for crossings in (big_n, big_n - 1):
+            yield (n, crossings), json.loads(gen.serialize(
+                gen.generate(n, crossings, "oracle", GEN_TOOLKIT)))
 
 
 def test_int_disk_model_matches_the_fraction_formulas():
-    disks = list(_disks()) + list(_blowup_disks())
+    # the int disk model against the oracle's Fraction one, built from the
+    # fan and the support values alone: the scale is the lcm of the
+    # oracle's reduced denominators, the vertices, center and barycenters
+    # are the oracle's points (times that scale), and a grid on a multiple
+    # of it is the oracle's points times the grid's scale
+    disks = [(name, spec.disk, spec.phi) for name, spec in
+             ((name, parse_problem(doc)) for name, doc in _oracle_documents())]
     scales = set()
-    for name, disk in disks:
-        vertices, n = disk.polytope.vertices, disk.fan.n
-        center = tuple(sum(c) / n for c in zip(*vertices))
-        assert disk.center == center, name
-        for i in range(n):
-            a, b = vertices[(i - 1) % n], vertices[i]
-            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-            assert disk.spoke(i) == (center, mid), (name, i)
-        points = [p for i in range(n) for p in disk.spoke(i)] + vertices
-        assert all(type(c) is Fraction for p in points for c in p)
-        assert disk.scale == lcm(*(c.denominator for p in points for c in p))
-        scales.add(disk.scale)
-        for scale in (disk.scale, 3 * disk.scale):
-            g = GridPoints(disk, scale)
-            assert g.vertices == tuple((int(x * scale), int(y * scale))
-                                       for x, y in vertices)
-            assert g.spokes == tuple(
-                tuple((int(x * scale), int(y * scale)) for x, y in spoke)
-                for spoke in map(disk.spoke, range(n)))
+    for name, disk, phi in disks + list(_blowup_disks()):
+        ref = RefDisk(disk.fan, phi)
+        n, scale = disk.fan.n, ref.scale
+        assert disk.scale == scale, name
+        assert disk.polytope.vertices == ref.polytope.vertices, name
+        assert disk.center == tuple(c * scale for c in ref.center), name
+        assert disk.barycenters == tuple(
+            tuple(c * scale for c in ref.polytope.edge_barycenter(i))
+            for i in range(n)), name
+        points = [*disk.polytope.vertices, disk.center, *disk.barycenters]
+        assert all(type(c) is int for p in points for c in p), name
+        scales.add(scale)
+        for k in (1, 3):
+            g = GridPoints(disk, k * scale)
+            assert (g.vertices, g.spokes) == ref.grid(k * scale), name
     # centers over 2, 3, 4, ... and both parities of n occur
     assert len(scales) > 4
+
+
+def test_every_grid_the_pipeline_makes_matches_the_oracle():
+    # the builder's layouts, the same networks parsed back from their
+    # documents, and the wall-free rank-1 layouts: each grid holds the
+    # oracle's disk model times the grid's own scale, a multiple of the
+    # disk model's; a scale that is not one is refused
+    multiples = set()
+    for name, doc in _oracle_documents():
+        spec = parse_problem(doc)
+        ref = RefDisk(spec.fan, spec.phi)
+        grids = [empty_network(spec.disk)[1].grid]
+        try:
+            net, layout = build_network(spec.tms, spec.disk)
+        except NotRealizable:
+            pass
+        else:
+            parsed = parse_problem(dict(doc, network=emit_network(net)))
+            grids += [layout.grid, parsed.network.layout.grid]
+        for g in grids:
+            assert (g.vertices, g.spokes) == ref.grid(g.scale), name
+            multiples.add(g.scale // ref.scale)
+        for scale in range(1, 3 * ref.scale):
+            if scale % ref.scale:
+                with pytest.raises(InvariantViolated, match=(
+                        f"^scale {scale} is not a multiple of the disk "
+                        f"model's scale {ref.scale}$")):
+                    GridPoints(spec.disk, scale)
+    assert 1 in multiples and max(multiples) > 1
 
 
 def test_points_out_writes_each_rational_point():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from support import (GEN_TOOLKIT, REALIZABLE, chambers, edited_network,
-                     generated_problems, lerp, load, perfbench_gen,
-                     rational_cuts, rational_walls, reference_boundary_loop,
-                     reference_track_path, reference_validate_network)
+from support import (GEN_TOOLKIT, REALIZABLE, RefDisk, chambers,
+                     edited_network, generated_problems, lerp, load,
+                     perfbench_gen, rational_cuts, rational_walls, ref_disk,
+                     reference_boundary_loop, reference_track_path,
+                     reference_validate_network)
 
 from toricnets import network, schema
 from toricnets.builder import build_network, empty_network
@@ -128,7 +129,7 @@ def test_crossed_walls_are_rejected(p2, p2_built):
     a = w0.polyline[0]
     b = w0.polyline[1]
     mid = lerp(a, b, Fraction(1, 2))
-    off1 = lerp(mid, p2.disk.center, Fraction(1, 5))
+    off1 = lerp(mid, RefDisk(p2.fan, p2.phi).center, Fraction(1, 5))
     # reflect through mid to get a crossing segment
     off2 = (2 * mid[0] - off1[0], 2 * mid[1] - off1[1])
     # declared on p2's one branch point, which it does not start at
@@ -165,7 +166,8 @@ def _later_region_cut(net, rng):
     k = rng.randrange(len(cuts))
     region = net.layout.cut_region[k]
     cuts[k] = cuts[k]._replace(
-        polyline=(cuts[k].polyline[0], net.disk.spoke(region)[-1]),
+        polyline=(cuts[k].polyline[0],
+                  ref_disk(net.layout.disk).spoke(region)[-1]),
         edge=region)
     return edited_network(net, cuts=cuts)
 
@@ -287,7 +289,7 @@ def test_disjointness_verdict_is_computed_once_per_network(p1p1, monkeypatch):
 def _end_claims(net, rng):
     """(kind, wall index, wall) triples: one wall's end or its claimed
     landing (edge, cone) changed, with ``Fraction`` points."""
-    poly, n = net.polytope, net.fan.n
+    poly, n = ref_disk(net.layout.disk).polytope, net.fan.n
     walls = rational_walls(net)
     for _ in range(3):
         i = rng.randrange(len(walls))

@@ -26,7 +26,8 @@ import pytest
 
 from support import (FIXTURES, REALIZABLE, generated_documents, geometry_doc,
                      load, on_grid, rational, rational_cuts, rational_walls,
-                     reference_branch_point_arms, reference_build_geometry,
+                     ref_disk, reference_branch_point_arms,
+                     reference_build_geometry,
                      reference_render_svg, reference_validate_network)
 from test_contact import _cut_perturbations, _wall_perturbations
 
@@ -39,7 +40,8 @@ from toricnets.render import render_svg
 def assert_same_placement(spec):
     plans = builder._plan(spec.tms, spec.tms.crossing_cones)
     walls, layout = builder._build_geometry(spec.disk, plans)
-    want_walls, want_cuts = reference_build_geometry(spec.disk, plans)
+    want_walls, want_cuts = reference_build_geometry(ref_disk(spec.disk),
+                                                     plans)
     assert [(bi, rational(layout, poly), e, Fraction(*t))
             for bi, poly, e, t in walls] == want_walls
     assert rational_cuts(layout) == want_cuts
@@ -54,9 +56,10 @@ def assert_same_arms(net):
 
 
 def assert_same_figures(disk, net, layout):
+    ref = ref_disk(disk)
     assert render_svg(disk, net, layout) == \
-        reference_render_svg(disk, net, layout)
-    assert render_svg(disk) == reference_render_svg(disk)
+        reference_render_svg(ref, net, layout)
+    assert render_svg(disk) == reference_render_svg(ref)
 
 
 def _dump(doc):
@@ -100,7 +103,8 @@ def assert_placed_valid_at_random_depths(problem, spec, net, rng):
     and builds its cover."""
     plans = builder._plan(spec.tms, spec.tms.crossing_cones)
     depths = _random_depths(rng, len(plans))
-    walls_raw, cuts = reference_build_geometry(spec.disk, plans, depths)
+    walls_raw, cuts = reference_build_geometry(ref_disk(spec.disk), plans,
+                                               depths)
     walls = [w._replace(polyline=poly) for w, (_, poly, _, _) in
              zip(rational_walls(net), walls_raw, strict=True)]
     parsed = schema.parse_problem(json.loads(json.dumps(

@@ -242,13 +242,12 @@ def test_rational_points_are_made_only_in_schema_and_grid_rational():
     # after parsing, every cut and wall point is an int pair on its
     # layout's grid: a rational point is made again only for a message or
     # a witness, by cover.GridPoints.rational; schema's emitters write
-    # num/den from the grid ints.  Besides schema's reader and the disk model
-    # (fans), Fraction is named only for coefficients: laurent, cli's
-    # holonomies and cover's local systems
+    # num/den from the grid ints.  Besides schema's reader, Fraction is
+    # named only for coefficients: laurent, cli's holonomies and cover's
+    # local systems
     naming = sorted(path.name for path in SRC.glob("*.py")
                     if _names(path.name, "Fraction"))
-    assert naming == ["cli.py", "cover.py", "fans.py", "laurent.py",
-                      "schema.py"]
+    assert naming == ["cli.py", "cover.py", "laurent.py", "schema.py"]
     tree = ast.parse((SRC / "cover.py").read_text())
     grid = _enclosing(tree, ast.ClassDef, "GridPoints")
     rational = _enclosing(grid, ast.FunctionDef, "rational")
@@ -550,3 +549,21 @@ def test_an_optimized_run_reports_the_same():
     assert [run.returncode for run in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert '"name": "kaneyama"' in runs[0].stdout
+
+
+def test_only_the_reader_and_laurent_take_a_rational_apart():
+    # a rational point becomes a grid point in one place, schema's reader
+    # (parse_network, through _on_grid), and laurent brings exact
+    # coefficients to ints over one denominator: no other module reads a
+    # numerator or a denominator, and schema's emitters read none
+    parts = ("numerator", "denominator")
+    reading = sorted(path.name for path in SRC.glob("*.py")
+                     if _names(path.name, *parts))
+    assert reading == ["laurent.py", "schema.py"]
+    tree = ast.parse((SRC / "schema.py").read_text())
+    readers = {name for name in ("_on_grid", "parse_network", "_points_out",
+                                 "emit_layout", "emit_network")
+               if any(isinstance(node, ast.Attribute) and node.attr in parts
+                      for node in ast.walk(
+                          _enclosing(tree, ast.FunctionDef, name)))}
+    assert readers == {"_on_grid", "parse_network"}
