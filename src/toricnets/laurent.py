@@ -4,27 +4,29 @@ Coefficients come from one exact ring: the rationals, or Q[t_1^±, ...,
 t_c^±] (``TPoly``) when the holonomies of a local system are left as
 symbols.  The code never calls anything float-specific.
 
-A constant matrix is a ``Constant(rows, den)``: the square matrix
-rows / den, with integer rows.  Its canonical form: den is a positive int,
-coprime to the entries together, and every t-free integral entry is an
-``int``.  A numeric constant has ``int`` entries only; a constant with a
-``TPoly`` entry has den 1 (its t-free entries may then be non-integral
-``Fraction``s).  ``constant`` brings exact rows to that form, scaling
-rational rows once by the lcm of their denominators.  So two constants
-are equal exactly when their tuples are, and ``is_identity`` is one tuple
-comparison.
+A constant matrix is one flat tuple ``(den, *entries)``: the r x r
+matrix of ``entries``, in row-major order, over the denominator den, so
+``(den, e00)`` for 1 x 1 and ``(den, e00, e01, e10, e11)`` for 2 x 2
+(``Constant`` names the form in annotations).  Its canonical form: den is
+a positive int, coprime to the entries together, and every t-free
+integral entry is an ``int``.  A numeric constant has ``int`` entries
+only; a constant with a ``TPoly`` entry has den 1 (its t-free entries may
+then be non-integral ``Fraction``s).  ``constant`` brings exact rows to
+that form, scaling rational rows once by the lcm of their denominators.
+So two constants are equal exactly when their tuples are, and
+``is_identity`` is one tuple comparison.
 
 A cover has one or two sheets, so ``mat_mul``, ``det`` and ``inverse``
 are closed forms for 1 x 1 and 2 x 2 constants and raise ``NotSupported``
-on any other size.  ``mat_mul`` is the one product: on int rows the
-integer products, one multiply of the denominators and one gcd reduction,
-skipped when the denominator is 1; with a ``TPoly`` entry each entry is
-one ``_dot``, which collects its terms once.  ``det`` of [[p, q], [r, s]]
-is ps - qr, ``inverse`` is den times the adjugate [[s, -q], [-r, p]] over
-a unit determinant, ``unipotent`` makes a wall factor Id + x E_{row, col}
-canonical as it is, with no ``constant`` pass, and ``substitute`` is the
-one substitution of rational holonomies for t, on int numerators and
-denominators.
+on any other size.  ``mat_mul`` is the one product: on int entries one
+unpack, the eight integer products, one multiply of the denominators and
+one gcd reduction, skipped when the denominator is 1; with a ``TPoly``
+entry each entry is one ``_dot``, which collects its terms once.  ``det``
+of [[p, q], [r, s]] is ps - qr, ``inverse`` is den times the adjugate
+[[s, -q], [-r, p]] over a unit determinant, ``unipotent`` makes a wall
+factor Id + x E_{row, col} canonical as it is, with no ``constant`` pass,
+and ``substitute`` is the one substitution of rational holonomies for t,
+on int numerators and denominators.
 
 The coefficient-ring invariant: a ``TPoly`` is never t-free.  Every
 ``TPoly`` operation whose result does not involve t returns a plain
@@ -46,10 +48,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add
-from typing import NamedTuple
 
 from .errors import NotRegular, NotSupported, SizeMismatch
 
@@ -165,50 +165,45 @@ def is_unit(c) -> bool:
 
 # -- constant matrices ---------------------------------------------------------
 
-class Constant(NamedTuple):
-    """rows / den, in the canonical form of the module docstring."""
-    rows: tuple      # r x r tuple of tuples of coefficients
-    den: int         # positive common denominator
+Constant = tuple    # (den, *entries), the flat form of the module docstring
 
 
-def _numeric(rows):
-    """True iff every entry is an ``int``."""
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                return False
-    return True
+def _size(a):
+    """The r of an r x r constant."""
+    return isqrt(len(a) - 1)
 
 
-def _reduced(rows, den):
-    """The constant of int rows (a tuple of tuples) over a positive den:
-    one gcd reduction, skipped when den is 1."""
-    g = 1 if den == 1 else gcd(den, *chain.from_iterable(rows))
-    if g != 1:
-        rows = tuple([tuple([x // g for x in row]) for row in rows])
-    return Constant(rows, den // g)
+def _reduced(den, entries):
+    """The constant of int entries over a positive den: one gcd
+    reduction, skipped when den is 1."""
+    g = 1 if den == 1 else gcd(den, *entries)
+    if g == 1:
+        return (den, *entries)
+    return (den // g, *[x // g for x in entries])
+
+
+def _canonical(den, entries):
+    """The canonical constant of exact entries, in row-major order, over a
+    positive int den (see ``constant``)."""
+    if TPoly in map(type, entries):
+        if den != 1:
+            q = Fraction(1, den)
+            entries = [x * q for x in entries]
+        return (1, *map(_entry, entries))
+    ratios = [x.as_integer_ratio() for x in entries]
+    scale = lcm(*[d for _, d in ratios])
+    return _reduced(den * scale, [n * (scale // d) for n, d in ratios])
 
 
 def constant(rows, den=1):
-    """The canonical constant rows / den, for rows of exact coefficients
-    (``int``, ``Fraction`` or ``TPoly``) and a positive int den.
+    """The canonical constant rows / den, for square rows of exact
+    coefficients (``int``, ``Fraction`` or ``TPoly``) and a positive int
+    den.
 
     Rational rows are multiplied to ints once, by the lcm of their
     denominators; rows with a ``TPoly`` entry are divided through by den.
     """
-    r = len(rows)
-    flat = [x for row in rows for x in row]
-    if TPoly in map(type, flat):
-        if den != 1:
-            q = Fraction(1, den)
-            flat = [x * q for x in flat]
-        flat, den = list(map(_entry, flat)), 1
-    else:
-        ratios = [x.as_integer_ratio() for x in flat]
-        scale = lcm(*[d for _, d in ratios])
-        flat, den = [n * (scale // d) for n, d in ratios], den * scale
-    return _reduced(tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)]),
-                    den)
+    return _canonical(den, [x for row in rows for x in row])
 
 
 def unipotent(row, col, x):
@@ -219,19 +214,18 @@ def unipotent(row, col, x):
         p, q = x, 1
     else:
         p, q = x.as_integer_ratio()
-    return Constant(((q, p), (0, q)) if col else ((q, 0), (p, q)), q)
+    return (q, q, p, 0, q) if col else (q, q, 0, p, q)
 
 
 @functools.cache
 def identity(r):
     """The r x r identity constant."""
-    return Constant(tuple(tuple(int(i == j) for j in range(r))
-                          for i in range(r)), 1)
+    return (1, *[int(i == j) for i in range(r) for j in range(r)])
 
 
 def is_identity(a) -> bool:
     """True iff a is the identity: a comparison of canonical tuples."""
-    return a == identity(len(a.rows))
+    return a == identity(_size(a))
 
 
 def _dot(x1, y1, x2, y2):
@@ -263,69 +257,76 @@ def _dot(x1, y1, x2, y2):
 def mat_mul(a, b):
     """The product a b of two constants of one size, 1 or 2.
 
-    On 2 x 2 int rows: the integer products, one multiply of the
-    denominators and one gcd reduction.  Otherwise each entry is one
-    ``_dot``; rows that hold a ``TPoly`` over den 1 are then canonical as
-    they are, and any others go through ``constant``.
+    On 2 x 2 int entries: one unpack, the eight integer products and one
+    gcd reduction, skipped when the denominator is 1.  Otherwise each
+    entry is one ``_dot``; entries that hold a ``TPoly`` over den 1 are
+    then canonical as they are, and any others go through ``_canonical``.
     """
-    if len(a.rows) != len(b.rows):
-        raise SizeMismatch(f"sizes {len(a.rows)} and {len(b.rows)} differ")
-    den = a.den * b.den
-    if len(a.rows) == 2:
-        (p, q), (r, s) = a.rows
-        (w, x), (y, z) = b.rows
+    if len(a) != len(b):
+        raise SizeMismatch(f"sizes {_size(a)} and {_size(b)} differ")
+    if len(a) == 5:
+        d, p, q, r, s = a
+        e, w, x, y, z = b
         if type(p) is type(q) is type(r) is type(s) is type(w) is type(x) \
                 is type(y) is type(z) is int:
-            return _reduced(((p * w + q * y, p * x + q * z),
-                             (r * w + s * y, r * x + s * z)), den)
-        rows = ((_dot(p, w, q, y), _dot(p, x, q, z)),
-                (_dot(r, w, s, y), _dot(r, x, s, z)))
-    elif len(a.rows) == 1:
-        rows = ((_dot(a.rows[0][0], b.rows[0][0], 0, 0),),)
+            den = d * e
+            p, q, r, s = p * w + q * y, p * x + q * z, r * w + s * y, \
+                r * x + s * z
+            g = 1 if den == 1 else gcd(den, p, q, r, s)
+            if g == 1:
+                return (den, p, q, r, s)
+            return (den // g, p // g, q // g, r // g, s // g)
+        entries = (_dot(p, w, q, y), _dot(p, x, q, z), _dot(r, w, s, y),
+                   _dot(r, x, s, z))
+    elif len(a) == 2:
+        entries = (_dot(a[1], b[1], 0, 0),)
     else:
-        raise _unsupported(a.rows)
-    if den == 1 and TPoly in map(type, chain.from_iterable(rows)):
-        return Constant(rows, 1)
-    return constant(rows, den)
+        raise _unsupported(a)
+    den = a[0] * b[0]
+    if den == 1 and TPoly in map(type, entries):
+        return (1, *entries)
+    return _canonical(den, entries)
 
 
-def _unsupported(rows):
-    return NotSupported(f"{len(rows)} x {len(rows)} constant: a cover has "
-                        "one or two sheets")
+def _unsupported(a):
+    r = _size(a)
+    return NotSupported(f"{r} x {r} constant: a cover has one or two "
+                        "sheets")
 
 
-def _adjugate(rows):
-    """(adjugate, determinant) of the rows: ([[s, -q], [-r, p]], ps - qr)
-    for [[p, q], [r, s]], and ([[1]], p) for [[p]]."""
-    if len(rows) == 2:
-        (p, q), (r, s) = rows
-        return ((s, -q), (-r, p)), _dot(p, s, -q, r)
-    if len(rows) == 1:
-        return ((1,),), rows[0][0]
-    raise _unsupported(rows)
+def _adjugate(a):
+    """(adjugate, determinant) of the entries of a, both over its den:
+    ((s, -q, -r, p), ps - qr) for entries (p, q, r, s), and ((1,), p) for
+    (p,)."""
+    if len(a) == 5:
+        _, p, q, r, s = a
+        return (s, -q, -r, p), _dot(p, s, -q, r)
+    if len(a) == 2:
+        return (1,), a[1]
+    raise _unsupported(a)
 
 
 def det(a):
     """The determinant of a constant: an exact coefficient, an ``int``
     when it is t-free and integral."""
-    d = _adjugate(a.rows)[1]
-    return _entry(d if a.den == 1 else Fraction(d, a.den ** len(a.rows)))
+    d = _adjugate(a)[1]
+    return _entry(d if a[0] == 1 else Fraction(d, a[0] ** _size(a)))
 
 
 def inverse(a):
-    """Exact inverse: den times the adjugate of the rows, over their
+    """Exact inverse: den times the adjugate of the entries, over their
     determinant.
 
     NotRegular unless the determinant is a unit of the coefficient ring.
     """
-    adjugate, d = _adjugate(a.rows)
+    adjugate, d = _adjugate(a)
     if not is_unit(d):
         raise NotRegular(f"determinant {det(a)!r} is not a unit")
-    if _numeric(a.rows):
-        u, d = (a.den, d) if d > 0 else (-a.den, -d)
-    else:
-        u, d = Fraction(a.den) / d, 1
-    return constant([[x * u for x in row] for row in adjugate], d)
+    if TPoly in map(type, a):
+        u = Fraction(a[0]) / d
+        return _canonical(1, [x * u for x in adjugate])
+    u, d = (a[0], d) if d > 0 else (-a[0], -d)
+    return _reduced(d, [x * u for x in adjugate])
 
 
 def _evaluated(c, values):
@@ -354,12 +355,9 @@ def substitute(a, values):
     (``_evaluated``); the entries are brought over one lcm once and the
     constant reduced by one gcd (``_reduced``).
     """
-    if _numeric(a.rows):
+    if TPoly not in map(type, a):
         return a
     values = [v.as_integer_ratio() for v in values]
-    ratios = [_evaluated(c, values) for row in a.rows for c in row]
+    ratios = [_evaluated(c, values) for c in a[1:]]
     den = lcm(*[q for _, q in ratios])
-    flat = [p * (den // q) for p, q in ratios]
-    r = len(a.rows)
-    return _reduced(tuple([tuple(flat[k:k + r]) for k in range(0, r * r, r)]),
-                    den * a.den)
+    return _reduced(den * a[0], [p * (den // q) for p, q in ratios])

@@ -69,7 +69,6 @@ class SpectralNetwork:
         # read through the layout, which owns them
         self.disk = layout.disk
         self.fan = layout.disk.fan
-        self.polytope = layout.disk.polytope
         self.cuts = layout.cuts
         self.branch_points = layout.branch_points
 

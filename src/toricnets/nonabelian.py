@@ -2,11 +2,12 @@
 
 All factors act target-from-source on the r sheets: entry (row, col) =
 (target sheet, source sheet).  The bundle is toric, so every factor is a
-constant r x r matrix C, a ``laurent.Constant``: over Q, held as an
-integer matrix over one denominator, or over Q[t^±] for the symbolic
-system.  The frame of region R is D_R = diag(z^m(lift(R, s))), and a
-factor crossed from region S into region T stands for D_T C D_S^-1, whose
-entry (row, col) is C[row][col] z^(m(lift(T, row)) - m(lift(S, col))).
+constant r x r matrix C, the flat tuple (den, *entries) of ``laurent``:
+integer entries in row-major order over one denominator, or entries in
+Q[t^±] over 1 for the symbolic system.  The frame of region R is D_R =
+diag(z^m(lift(R, s))), and a factor crossed from region S into region T
+stands for D_T C D_S^-1, whose entry (row, col) is C[row][col]
+z^(m(lift(T, row)) - m(lift(S, col))).
 Along a path each crossing starts in the region where the one before it
 ends (``SurfacePath.states`` checks it), so the frames telescope,
 (D_R2 C2 D_R1^-1)(D_R1 C1 D_R0^-1) = D_R2 C2 C1 D_R0^-1, and only the
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .cover import Crossing, SurfacePath
 from .errors import (InvalidPath, InvariantViolated, LoopIdentityFailed,
@@ -120,7 +121,7 @@ def cut_factor(k, factors) -> Constant:
         raise NotSupported(f"branch point {k} does not carry a Y-graph")
     c = inverse(_left_product((factors.of(Crossing("wall", w.id))
                                for w in arms), factors.mul))
-    for (i, j), x in zip(product(range(2), repeat=2), c.rows[0] + c.rows[1]):
+    for (i, j), x in zip(product(range(2), repeat=2), c[1:]):
         if bool(x) != (i != j):
             raise InvariantViolated(
                 f"cut factor of cut {k} has unexpected support at {(i, j)}")
@@ -203,7 +204,7 @@ def _left_product(consts, mul):
 
 def _product(a, b):
     """The constant a b; a factor that is the identity is not multiplied."""
-    one = identity(len(a.rows))
+    one = identity(isqrt(len(a) - 1))
     if a == one:
         return b
     if b == one:
@@ -330,11 +331,11 @@ class KaneyamaCocycle:
         each pair adds only its exponents.  Tuples, so that no reader
         edits what ``verify_bundle`` certified.
         """
-        frames, written, entries = self.frames, {}, {}
+        frames, r, written, entries = self.frames, self.cover.r, {}, {}
         for (i, j), const in self.constants.items():
             cells = entries.get(const)
             if cells is None:
-                entries[const] = cells = _entries(const)
+                entries[const] = cells = _entries(const, r)
             fi, fj = frames[i], frames[j]
             written[(i, j)] = tuple(
                 (row, col, num, d, fj[row][0] - fi[col][0],
@@ -348,15 +349,14 @@ class KaneyamaCocycle:
         return KaneyamaCocycle(self.tms, self.cover, steps, self.lift)
 
 
-def _entries(const):
-    """(row, col, num, den) of each nonzero entry of a constant, in (row,
-    col) order, with num/den the entry over the constant's denominator
-    reduced by one gcd."""
-    rows, den = const
-    return [(row, col, c, 1) if den == 1 else
-            (row, col, c // gcd(c, den), den // gcd(c, den))
-            for row, values in enumerate(rows)
-            for col, c in enumerate(values) if c]
+def _entries(const, r):
+    """(row, col, num, den) of each nonzero entry of an r x r constant, in
+    (row, col) order, with num/den the entry over the constant's
+    denominator reduced by one gcd."""
+    den = const[0]
+    return [(k // r, k % r, c, 1) if den == 1 else
+            (k // r, k % r, c // gcd(c, den), den // gcd(c, den))
+            for k, c in enumerate(const[1:]) if c]
 
 
 def kaneyama_cocycle(net, tms, cover, ls) -> KaneyamaCocycle:
@@ -403,11 +403,14 @@ def _factored(coc, report):
     One pass reads each term once; the checks are the failure arms of its
     loop.  A pair fills a list of numerators, makes an entry's exponent
     list only when the entry repeats or is off its frame, and takes one
-    lcm of its denominators; equal numerators over one denominator are
-    one constant, made once.  The join labels each anchor's component as
-    the entries' links arrive, holding a link between two unlabelled
-    (cone, sheet)s until one end is labelled, and records no more links
-    once every (cone, sheet) is joined to its anchor.
+    lcm of its denominators.  Reduced fractions over their lcm are
+    canonical, so the key (den, *numerators) is the constant P_ij itself,
+    and ``index`` is keyed on it; only a key with a ``TPoly`` over a den
+    other than 1 goes through ``laurent.constant``.  The join labels each
+    anchor's component as the entries' links arrive, holding a link
+    between two unlabelled (cone, sheet)s until one end is labelled, and
+    records no more links once every (cone, sheet) is joined to its
+    anchor.
     """
     frames, written, r = coc.frames, coc.written, coc.cover.r
     n, rr = len(frames), r * r
@@ -445,7 +448,6 @@ def _factored(coc, report):
         report.add("tropicalization", f"G_({i},{j}) {what}", (i, j, row, col))
 
     index = {identity(r): 0}
-    interned = {}       # (den, *numerators) -> label
     labels = []
     for i, j in product(range(n), repeat=2):
         ir, jr = i * r, j * r
@@ -509,14 +511,11 @@ def _factored(coc, report):
         den = lcm(*dens) if dens else 1
         if dens:
             cells = [x * (den // d) for x, d in zip(cells, dens)]
+        # reduced fractions over their lcm, or TPolys over 1: canonical
         key = (den, *cells)
-        label = interned.get(key)
-        if label is None:   # reduced fractions over their lcm: canonical
-            rows = tuple([tuple(cells[k:k + r]) for k in range(0, rr, r)])
-            label = interned[key] = index.setdefault(
-                constant(rows, den) if TPoly in map(type, cells)
-                else Constant(rows, den), len(index))
-        labels.append(label)
+        if den != 1 and TPoly in map(type, cells):
+            key = constant([cells[k:k + r] for k in range(0, rr, r)], den)
+        labels.append(index.setdefault(key, len(index)))
     for i in range(n):
         loose = [s for s in range(r) if part[i * r + s] != part[home[s]]]
         if loose:
@@ -590,14 +589,14 @@ def verify_bundle(coc: KaneyamaCocycle, tms) -> ValidationReport:
     for i, j in failed:
         report.add("inverses", f"G_({i},{j}) G_({j},{i}) != Id", (i, j))
     sums = [tuple(map(sum, zip(*frame))) for frame in frames]
+    r = coc.cover.r
     units = {}      # label -> whether det P is a unit
     for i in range(n):
         h = (i - 1) % n
         a = labels[h * n + i]
         c, v = consts[a], fan.rays[i]
-        if any(dot(sub(frames[i][row], frames[h][col]), v) < 0
-               for row, col in product(range(len(c.rows)), repeat=2)
-               if c.rows[row][col]):
+        if any(dot(sub(frames[i][k // r], frames[h][k % r]), v) < 0
+               for k, x in enumerate(c[1:]) if x):
             report.add("regularity",
                        f"G over the ray-{i} overlap has negative exponents", i)
             continue

@@ -12,10 +12,12 @@ misspelt field is never silently ignored.  Every wall names its branch
 point, an integer: a wall is an arm of the Y-graph there.  Every cut and
 wall polyline has at least two points.
 
-A network's layout and walls are parsed together onto one integer grid,
-the least one holding the disk model and every cut and wall point, which
-may be coarser than the builder's (every predicate and drawn coordinate
-is scale-invariant).  Cuts and walls are int tuples there, as the
+A network is schema-checked at parse, on the fan (``parse_network``),
+and its layout and walls are placed on first read (``place_network``)
+onto one integer grid: the least one holding the disk model, which needs
+a strictly convex support, and every cut and wall point.  It may be
+coarser than the builder's (every predicate and drawn coordinate is
+scale-invariant).  Cuts and walls are int tuples there, as the
 builder's are; emitting writes each grid coordinate c as the rational
 c / scale, reduced by one gcd, with no Fraction made.
 """
@@ -112,14 +114,16 @@ class ProblemSpec:
     """A parsed problem document (``parse_problem``)."""
 
     def __init__(self, fan: Fan, phi: SupportFunction,
-                 tms: TropicalMultiSection | None = None, holonomies=None):
+                 tms: TropicalMultiSection | None = None, holonomies=None,
+                 network=None):
         self.fan, self.phi, self.tms = fan, phi, tms
         self.holonomies = [] if holonomies is None else holonomies
-        # the embedded network, which ``parse_problem`` reads last
-        self.network = None
+        self._network = network     # (cuts, walls) of parse_network, or None
 
     # the fan and the support function are fixed once parsed, so the
-    # polygon and the disk model are built once, on first use
+    # polygon, the disk model and the placed network are built once, on
+    # first use: a support that is not strictly convex fails the stage
+    # that first reads one of them
     @cached_property
     def polytope(self):
         return dual_polytope(self.fan, self.phi)
@@ -127,6 +131,11 @@ class ProblemSpec:
     @cached_property
     def disk(self):
         return disk_model(self.fan, self.polytope)
+
+    @cached_property
+    def network(self) -> SpectralNetwork | None:
+        """The embedded network on the grid of the disk model, or None."""
+        return self._network and place_network(self.disk, *self._network)
 
 
 def load_problem(path) -> ProblemSpec:
@@ -183,17 +192,15 @@ def _parse_sections(data) -> ProblemSpec:
     holonomies = data.get("holonomies", [])
     if not isinstance(holonomies, list):
         raise SchemaError(f"holonomies must be a list, got {holonomies!r}")
-    spec = ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies])
-    if "network" in data:
-        spec.network = parse_network(spec.disk, data["network"])
-    return spec
+    return ProblemSpec(fan, phi, tms, [_frac(h) for h in holonomies],
+                       parse_network(fan, data["network"])
+                       if "network" in data else None)
 
 
-def parse_network(disk, network) -> SpectralNetwork:
-    """The network ``emit_network`` writes, its layout and walls on the
-    scale lcm(``disk.scale``, every coordinate's denominator): the one
-    place where a rational point becomes a grid point (``_on_grid``), as
-    the disk model is integral on its own scale (``GridPoints``)."""
+def parse_network(fan, network):
+    """The cuts and walls of the network ``emit_network`` writes, with
+    rational polylines, as ``(cuts, walls)`` for ``place_network``: every
+    schema check of the network, which needs only the fan."""
     if network["schema"] != NETWORK_SCHEMA:
         raise SchemaError(f"unknown network schema {network['schema']!r}; "
                           f"expected {NETWORK_SCHEMA}")
@@ -207,9 +214,9 @@ def parse_network(disk, network) -> SpectralNetwork:
                f"network.layout.cuts[{k}]")
         poly = _polyline(c["polyline"], f"cut {k}")
         edge = _int(c["edge"], "a cut edge")
-        if not 0 <= edge < disk.fan.n:
+        if not 0 <= edge < fan.n:
             raise SchemaError(f"cut {k} lands on edge {edge}, not one of "
-                              f"the {disk.fan.n} edges 0..{disk.fan.n - 1}")
+                              f"the {fan.n} edges 0..{fan.n - 1}")
         cuts.append((poly,
                      _int_pair(c["transposition"], "a cut transposition"),
                      edge))
@@ -227,6 +234,14 @@ def parse_network(disk, network) -> SpectralNetwork:
             _int(w["branch"], f"the branch of wall {wid}"),
             _int(w["end_edge"], f"the end edge of wall {wid}"),
             _int(w["end_cone"], f"the end cone of wall {wid}")))
+    return cuts, walls
+
+
+def place_network(disk, cuts, walls) -> SpectralNetwork:
+    """The network of ``parse_network``'s cuts and walls on the scale
+    lcm(``disk.scale``, every coordinate's denominator): the one place
+    where a rational point becomes a grid point (``_on_grid``), as the
+    disk model is integral on its own scale (``GridPoints``)."""
     polys = [c[0] for c in cuts] + [w[1] for w in walls]
     scale = lcm(disk.scale, *(c.denominator for poly in polys
                               for p in poly for c in p))

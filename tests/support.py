@@ -95,10 +95,12 @@ def on_grid(disk, cuts, walls=()):
     """The network of cuts and walls with ``Fraction`` polylines.
 
     They are written as a problem document's network (``geometry_doc``)
-    and read back by ``schema.parse_network``, so they land on one grid
-    as every document's do.
+    and read back by ``schema.parse_network`` and placed by
+    ``schema.place_network``, so they land on one grid as every
+    document's do.
     """
-    return schema.parse_network(disk, geometry_doc(cuts, walls))
+    return schema.place_network(
+        disk, *schema.parse_network(disk.fan, geometry_doc(cuts, walls)))
 
 
 def edited_network(net, walls=None, cuts=None):
@@ -577,10 +579,10 @@ class LaurentMatrix:
 
         ``source`` and ``target`` list one exponent m_s per sheet; entry
         (row, col) is const[row][col] z^(target[row] - source[col]), one
-        monomial per nonzero entry of the ``laurent.Constant``, whose
+        monomial per nonzero entry of the ``laurent`` constant, whose
         coefficient is the entry over den (a ``TPoly`` entry as it is).
         """
-        rows, den = const
+        rows, den = rows_den(const)
         return LaurentMatrix([
             [LaurentPoly({(t[0] - s[0], t[1] - s[1]):
                           c if isinstance(c, TPoly) else Fraction(c, den)}
@@ -659,9 +661,10 @@ def ref_constant_mat_mul(a, b):
     sum of its products (``sum(map(mul, row, col))``, canonical after every
     product and partial sum), brought to canonical form by ``constant``.
     ``laurent.mat_mul`` must agree with it exactly, as tuples."""
-    cols = [*zip(*b.rows)]
+    (rows_a, den_a), (rows_b, den_b) = rows_den(a), rows_den(b)
+    cols = [*zip(*rows_b)]
     return constant([[sum(map(mul, row, col)) for col in cols]
-                     for row in a.rows], a.den * b.den)
+                     for row in rows_a], den_a * den_b)
 
 
 def ref_matrix(rows):
@@ -733,11 +736,21 @@ def ref_is_invertible_on(m, fan, cone):
     return all(dot(e, v) == 0 for v in cone_generators(fan, cone))
 
 
+def rows_den(c):
+    """A ``laurent`` constant, the flat tuple ``(den, *entries)``, as
+    ``(rows, den)``: its r x r entries as a tuple of row tuples, and its
+    denominator."""
+    den, *entries = c
+    r = isqrt(len(entries))
+    return tuple(tuple(entries[k:k + r]) for k in range(0, r * r, r)), den
+
+
 def fraction_rows(c):
-    """The entries of a ``laurent.Constant`` over its denominator, as rows
+    """The entries of a ``laurent`` constant over its denominator, as rows
     of ``Fraction``s; a ``TPoly`` entry (over denominator 1) as it is."""
-    return tuple(tuple(x if isinstance(x, TPoly) else Fraction(x, c.den)
-                       for x in row) for row in c.rows)
+    rows, den = rows_den(c)
+    return tuple(tuple(x if isinstance(x, TPoly) else Fraction(x, den)
+                       for x in row) for row in rows)
 
 
 # -- reference factor and substitution ----------------------------------------
@@ -758,7 +771,7 @@ def reference_wall_factor(wall, factors):
     """The factor of ``wall`` in the table ``factors``: each soliton's
     transport, the weight t of its cut from sheet 0 and 1/t from sheet 1,
     signed by its turns, added into the identity rows."""
-    rows = [list(row) for row in identity(factors.cover.r).rows]
+    rows = [list(row) for row in rows_den(identity(factors.cover.r))[0]]
     for sol in enumerate_solitons(factors.net, wall):
         t = factors.ls.cut_weights[sol.cut_index]
         lam = t if sol.source_sheet == 0 else 1 / t
@@ -786,7 +799,8 @@ def reference_substitute(a, values):
             total += x
         return total
 
-    return constant([[evaluated(c) for c in row] for row in a.rows], a.den)
+    rows, den = rows_den(a)
+    return constant([[evaluated(c) for c in row] for row in rows], den)
 
 
 def laurent_form(const, source, target, tms, cover):

@@ -127,7 +127,8 @@ def test_network_round_trip(p2, p2_built, tmp_path):
     net, layout, cover = p2_built
     doc = schema.emit_network(net)
     spec = schema.load_problem(fx("p2_n3"))
-    net2 = schema.parse_network(spec.disk, doc)
+    net2 = schema.place_network(spec.disk,
+                                *schema.parse_network(spec.fan, doc))
     assert [rational(net2.layout, w.polyline) for w in net2.walls] == \
         [rational(layout, w.polyline) for w in net.walls]
     assert [w.label for w in net2.walls] == [w.label for w in net.walls]
@@ -694,6 +695,35 @@ def test_a_support_that_is_not_strictly_convex_fails_the_render_stage(
         {"name": "render", "status": "fail",
          "detail": "support function is not strictly convex across ray 2"}]
     assert report["artifacts"] == [] and not figure.exists()
+
+
+def _support_not_strictly_convex(data):
+    data["support"][2] = 2
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("validate", "fan"), ("render", "render"), ("build", "build"),
+    ("nonabelianize", "build"), ("verify", "build")])
+def test_a_support_that_is_not_strictly_convex_fails_with_a_network_as_without(
+        command, stage, tmp_path, capsys):
+    # p2_n3 with its built network embedded and support value 2 at ray 2:
+    # the network is placed on the grid of the disk model, which needs the
+    # polygon, so placing it at parse failed every command but validate in
+    # a generic error stage.  Each fails the stage it fails without a
+    # network, with every stage before it passing, and writes nothing
+    for edit in (_support_not_strictly_convex,
+                 _with_network(_support_not_strictly_convex)):
+        path = _write_edited(tmp_path, edit)
+        out = tmp_path / "out"
+        assert main([command, "--input", path, "--out", str(out),
+                     "--report", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [s["status"] for s in report["stages"][:-1]] == \
+            ["pass"] * (len(report["stages"]) - 1)
+        assert report["stages"][-1] == {
+            "name": stage, "status": "fail",
+            "detail": "support function is not strictly convex across ray 2"}
+        assert report["artifacts"] == [] and not out.exists()
 
 
 _CORNER_CHORD = {"id": 7, "label": [0, 1], "end_edge": 1, "end_cone": 0,

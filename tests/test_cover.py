@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from support import (RefDisk, generator_loops, is_closed, lerp, on_grid,
-                     parallel_transport, rational)
+                     parallel_transport, rational, rows_den)
 
 from toricnets import nonabelian
 from toricnets.builder import empty_network
@@ -272,8 +272,9 @@ def soliton_sign(built, tms, turns, monkeypatch):
     monkeypatch.setattr(nonabelian, "enumerate_solitons", lambda net_, w_: [
         Soliton(w.id, a, b, w.start_branch, turns)])
     ls = make_local_system(cover, [1] * betti_one(cover))
-    return nonabelian.wall_factor(w, nonabelian.Factors(net, tms, cover,
-                                                        ls)).rows[b][a]
+    rows, _ = rows_den(nonabelian.wall_factor(
+        w, nonabelian.Factors(net, tms, cover, ls)))
+    return rows[b][a]
 
 
 def test_winding_sign(p1p1, p1p1_built, monkeypatch):

@@ -179,7 +179,7 @@ def _walls_sharing_an_edge(net, rng):
     walls = list(rational_walls(net))
     i = rng.randrange(len(walls))
     w = walls[i]
-    start = net.polytope.vertices[(w.end_edge - 1) % net.fan.n]
+    start = net.disk.polytope.vertices[(w.end_edge - 1) % net.fan.n]
     halfway = lerp(w.end, start, Fraction(1, 2))
     walls.append(w._replace(id=w.id + 1000, polyline=(w.start, halfway)))
     walls[i:i] = [w._replace(id=w.id + 999)]

@@ -13,9 +13,9 @@ from support import (GEN_TOOLKIT, REALIZABLE, LaurentMatrix, LaurentPoly,
                      ray_cone, ref_identity, ref_is_invertible_on,
                      ref_product, ref_regular_on, ref_with_entry,
                      reference_verify_bundle, reference_wall_factor,
-                     with_matrices)
+                     rows_den, with_matrices)
 
-from toricnets import schema
+from toricnets import nonabelian, schema
 from toricnets.builder import build_network, empty_network
 from toricnets.cover import (betti_one, build_cover, make_local_system,
                              sheet_lift_map, Crossing, SurfacePath)
@@ -27,7 +27,7 @@ from toricnets.nonabelian import (Factors, KaneyamaCocycle,
                                   cut_factor, kaneyama_cocycle,
                                   loop_identity_check, path_ordered,
                                   semiflat_factor, verify_bundle, wall_factor)
-from toricnets.reporting import Violation
+from toricnets.reporting import ValidationReport, Violation
 
 
 def mono(c, e):
@@ -238,9 +238,11 @@ def test_wall_factors_match_the_generic_reference():
                 got = wall_factor(w, factors)
                 want = reference_wall_factor(w, factors)
                 assert got == want, (name, w.id)
-                assert [type(c) for r in got.rows for c in r] == \
-                    [type(c) for r in want.rows for c in r]
-                seen.add((hol is numeric, w.label, got.den > 1))
+                (got_rows, got_den), (want_rows, _) = rows_den(got), \
+                    rows_den(want)
+                assert [type(c) for r in got_rows for c in r] == \
+                    [type(c) for r in want_rows for c in r]
+                seen.add((hol is numeric, w.label, got_den > 1))
     assert seen >= {(True, (0, 1), True), (True, (1, 0), True),
                     (False, (0, 1), False), (False, (1, 0), False)}
 
@@ -1000,3 +1002,48 @@ def test_a_branch_point_without_a_y_graph_has_no_cut_factor(p2, p2_built):
     with pytest.raises(NotSupported, match=r"^branch point 0 does not carry "
                        "a Y-graph$"):
         cut_factor(0, Factors(two_arms, p2.tms, cover, trivial_ls(cover)))
+
+
+def _interning_instances():
+    """(name, spec): the realizable fixtures, then the benchmark's
+    generated (8, 8), (16, 4) and (16, 16)."""
+    gen = perfbench_gen()
+    for name in REALIZABLE:
+        yield name, load(name)
+    for n, big_n in ((8, 8), (16, 4), (16, 16)):
+        yield f"({n}, {big_n})", schema.parse_problem(json.loads(
+            gen.serialize(gen.generate(n, big_n, "interning", GEN_TOOLKIT))))
+
+
+def test_each_label_names_the_constant_of_its_pair():
+    # verify_bundle's reading of the written terms labels pair (i, j) by
+    # the key (den, *numerators) it collects, which is the canonical
+    # constant itself: the label names coc.constants[(i, j)], equal as a
+    # tuple with the same entry types, and each distinct constant has one
+    # label.  At t = 1, at seeded rationals and for the symbolic system
+    rng = random.Random("interning")
+    kinds = set()       # (symbolic, some den > 1)
+    for name, spec in _interning_instances():
+        n = spec.fan.n
+        net, layout = build_network(spec.tms, spec.disk)
+        cover = layout.cover(spec.tms.degree)
+        b1 = betti_one(cover)
+        seeded = [rng.choice([-1, 1]) * Fraction(rng.randint(1, 9),
+                                                 rng.randint(1, 9))
+                  for _ in range(b1)]
+        for hol in ([1] * b1, seeded, TPoly.symbols(b1)):
+            coc = kaneyama_cocycle(net, spec.tms, cover,
+                                   make_local_system(cover, hol))
+            report = ValidationReport()
+            labels, index = nonabelian._factored(coc, report)
+            assert report.ok, (name, hol)
+            consts = list(index)
+            for (i, j), want in coc.constants.items():
+                got = consts[labels[i * n + j]]
+                assert got == want, (name, hol, i, j)
+                assert [type(x) for x in got] == [type(x) for x in want]
+            assert set(index) == {identity(cover.r),
+                                  *coc.constants.values()}
+            kinds.add((any(isinstance(x, TPoly) for c in consts for x in c),
+                       any(c[0] > 1 for c in consts)))
+    assert kinds == {(False, False), (False, True), (True, False)}

@@ -335,6 +335,27 @@ def test_no_module_names_a_laurent_matrix():
     assert found == []
 
 
+def test_constants_are_read_in_one_flat_form():
+    # a constant is laurent's flat tuple (den, *entries) everywhere: no
+    # module reads a .rows or a .den attribute of a record, laurent's
+    # Constant is a plain alias of tuple, and nonabelian reaches mat_mul
+    # only by the name it imports, which a tracer rebinds
+    from toricnets import laurent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("rows", "den")]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
+    assert laurent.Constant is tuple
+    tree = ast.parse((SRC / "nonabelian.py").read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "mat_mul"
+                   for node in ast.walk(tree))
+    assert [_called_name(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "mat_mul"] == ["mat_mul"]
+
+
 def test_nonabelian_multiplies_constants_only_in_product():
     # every product of two constants in nonabelian is _product, which
     # skips the identity; it reads mat_mul from the module namespace at
@@ -553,7 +574,7 @@ def test_an_optimized_run_reports_the_same():
 
 def test_only_the_reader_and_laurent_take_a_rational_apart():
     # a rational point becomes a grid point in one place, schema's reader
-    # (parse_network, through _on_grid), and laurent brings exact
+    # (place_network, through _on_grid), and laurent brings exact
     # coefficients to ints over one denominator: no other module reads a
     # numerator or a denominator, and schema's emitters read none
     parts = ("numerator", "denominator")
@@ -561,9 +582,10 @@ def test_only_the_reader_and_laurent_take_a_rational_apart():
                      if _names(path.name, *parts))
     assert reading == ["laurent.py", "schema.py"]
     tree = ast.parse((SRC / "schema.py").read_text())
-    readers = {name for name in ("_on_grid", "parse_network", "_points_out",
+    readers = {name for name in ("_on_grid", "parse_network",
+                                 "place_network", "_points_out",
                                  "emit_layout", "emit_network")
                if any(isinstance(node, ast.Attribute) and node.attr in parts
                       for node in ast.walk(
                           _enclosing(tree, ast.FunctionDef, name)))}
-    assert readers == {"_on_grid", "parse_network"}
+    assert readers == {"_on_grid", "place_network"}

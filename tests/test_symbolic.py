@@ -19,7 +19,8 @@ import pytest
 
 from support import (FIXTURES, REALIZABLE, fraction_rows, generated_problems,
                      load, matrices, pair, ref_det,
-                     reference_loop_identity_check, reference_sweep)
+                     reference_loop_identity_check, reference_sweep,
+                     rows_den)
 
 from toricnets import nonabelian, schema
 from toricnets.builder import build_network
@@ -62,7 +63,8 @@ def doubled_spoke(monkeypatch, spoke):
         m = true_factor(ray, factors)
         if ray % factors.tms.fan.n != spoke:
             return m
-        return constant([[c * 2 for c in row] for row in m.rows], m.den)
+        rows, den = rows_den(m)
+        return constant([[c * 2 for c in row] for row in rows], den)
 
     monkeypatch.setattr(nonabelian, "semiflat_factor", doubled)
 
@@ -180,7 +182,7 @@ def _term_count(m):
 
 
 def _symbolic_coefficients(steps):
-    return sum(isinstance(c, TPoly) for m in steps for row in m.rows
+    return sum(isinstance(c, TPoly) for m in steps for row in rows_den(m)[0]
                for c in row)
 
 
@@ -235,12 +237,13 @@ def flipped_track_sign(monkeypatch, wall_id):
         home = factors.cover.cut_region[wall.start_branch]
         m = factors.of(Crossing("wall", wall_id))
         a, b = wall.label
-        rows = [list(row) for row in m.rows]
+        rows, den = rows_den(m)
+        rows = [list(row) for row in rows]
         rows[b][a] = -rows[b][a]
         total = identity(factors.cover.r)
         for c, (region, _) in zip(path.crossings, path.states(factors.cover)):
             away = c == Crossing("wall", wall_id) and region != home
-            total = mat_mul(constant(rows, m.den) if away else factors.of(c),
+            total = mat_mul(constant(rows, den) if away else factors.of(c),
                             total)
         return total
 

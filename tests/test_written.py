@@ -17,13 +17,13 @@ import pytest
 from support import (GEN_TOOLKIT, REALIZABLE, emit_matrix, generated_problems,
                      laurent_form, load, perfbench_gen)
 
-from toricnets import schema
+from toricnets import nonabelian, schema
 from toricnets.builder import build_network
 from toricnets.cover import betti_one, build_cover, make_local_system
-from toricnets.laurent import TPoly
+from toricnets.laurent import TPoly, constant
 from toricnets.nonabelian import (KaneyamaCocycle, kaneyama_cocycle,
                                   verify_bundle)
-from toricnets.reporting import Violation
+from toricnets.reporting import ValidationReport, Violation
 
 
 def _cocycles():
@@ -196,6 +196,36 @@ def test_a_symbolic_term_over_true_is_not_canonical(fan5, fan5_built):
                   f"G_({i},{j}) entry ({row},{col}) has coefficient "
                   f"{num!r}/True, not a reduced nonzero fraction over a "
                   "positive denominator", (i, j, row, col))]
+
+
+def test_a_symbolic_pair_over_a_denominator_is_read_canonically(fan5,
+                                                                fan5_built):
+    # the symbolic G_01 of fan5_n5 with its (0, 0) coefficient written as
+    # 1/2: a pair with a TPoly term and a term over a denominator other
+    # than 1 is collected over that denominator, which a symbolic
+    # constant never has, so the pair is brought to canonical form
+    # before it is labelled.  The label names that constant, and the
+    # checks read it: det 1/2 is a unit, so only the inverses and the
+    # cocycle condition fail
+    net, layout, cover = fan5_built
+    t1, t2 = TPoly.symbols(betti_one(cover))
+    coc = kaneyama_cocycle(net, fan5.tms, cover,
+                           make_local_system(cover, [t1, t2]))
+    first, *rest = coc.written[(0, 1)]
+    assert first[:4] == (0, 0, 1, 1)
+    edited = KaneyamaCocycle(coc.tms, coc.cover, coc.steps, coc.lift)
+    edited.written = {**coc.written,
+                      (0, 1): ((0, 0, 1, 2, *first[4:]), *rest)}
+    report = ValidationReport()
+    labels, index = nonabelian._factored(edited, report)
+    got = list(index)[labels[1]]
+    want = constant([[Fraction(1, 2), 0], [-t2, 1]])
+    assert report.ok and got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    violations = verify_bundle(edited, fan5.tms).violations
+    assert Violation("inverses", "G_(0,1) G_(1,0) != Id", (0, 1)) in \
+        violations
+    assert {v.condition for v in violations} == {"inverses", "cocycle"}
 
 
 def _read_back(coc, text):
